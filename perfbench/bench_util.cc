@@ -10,8 +10,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <map>
 
 #include "common/simd.h"
+#include "obs/trace_recorder.h"
 #include "serve/protocol.h"
 
 namespace perfbench {
@@ -90,62 +92,56 @@ std::uint64_t Mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-std::int64_t SpanRecorder::Begin(const std::string& name, std::int64_t parent,
-                                 std::int64_t trace) {
-  const double now =
-      std::chrono::duration<double, std::micro>(Clock::now() - origin_)
-          .count();
-  std::lock_guard<std::mutex> lock(mu_);
-  const std::int64_t id = static_cast<std::int64_t>(spans_.size());
-  spans_.push_back({name, id, parent, trace, now, -1.0});
-  return id;
-}
-
-void SpanRecorder::End(std::int64_t id) {
-  const double now =
-      std::chrono::duration<double, std::micro>(Clock::now() - origin_)
-          .count();
-  std::lock_guard<std::mutex> lock(mu_);
-  spans_[static_cast<std::size_t>(id)].end_us = now;
-}
-
-std::vector<double> SpanRecorder::DurationsMs(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<double> out;
-  for (const Span& span : spans_) {
-    if (span.name == name && span.end_us >= 0.0) {
-      out.push_back(span.duration_ms());
+std::vector<ProgramSpan> ProgramSpans() {
+  // Events come grouped by thread and in emission order within a thread, so
+  // one stack per thread pairs each end with its begin.
+  std::vector<ProgramSpan> spans;
+  std::map<int, std::vector<ProgramSpan>> open;
+  for (const memo::obs::TaggedTraceEvent& tagged :
+       memo::obs::TraceRecorder::Global().Snapshot()) {
+    const memo::obs::TraceEvent& e = tagged.event;
+    std::vector<ProgramSpan>& stack = open[tagged.tid];
+    if (e.phase == 'B') {
+      stack.push_back({e.effective_name(), tagged.tid, e.ts_us, -1.0,
+                       e.arg_value});
+    } else if (e.phase == 'E' && !stack.empty()) {
+      stack.back().end_us = e.ts_us;
+      spans.push_back(std::move(stack.back()));
+      stack.pop_back();
     }
   }
-  return out;
+  std::sort(spans.begin(), spans.end(),
+            [](const ProgramSpan& a, const ProgramSpan& b) {
+              return a.begin_us < b.begin_us;
+            });
+  return spans;
 }
 
-std::size_t SpanRecorder::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return spans_.size();
-}
-
-bool SpanRecorder::WriteChromeJson(const std::string& path) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "{\"traceEvents\":[");
-  bool first = true;
-  for (const Span& span : spans_) {
-    if (span.end_us < 0.0) continue;
-    std::fprintf(f,
-                 "%s\n{\"name\":\"%s\",\"ph\":\"X\",\"pid\":1,\"tid\":%lld,"
-                 "\"ts\":%.3f,\"dur\":%.3f,\"args\":{\"id\":%lld,"
-                 "\"parent\":%lld}}",
-                 first ? "" : ",",
-                 memo::serve::JsonEscape(span.name).c_str(),
-                 static_cast<long long>(span.trace), span.start_us,
-                 span.end_us - span.start_us, static_cast<long long>(span.id),
-                 static_cast<long long>(span.parent));
-    first = false;
+double NestedMs(const std::vector<ProgramSpan>& spans,
+                const ProgramSpan& outer, const std::string& name) {
+  // Spans are in begin order: scan only those that begin inside `outer`.
+  auto it = std::lower_bound(spans.begin(), spans.end(), outer.begin_us,
+                             [](const ProgramSpan& span, double us) {
+                               return span.begin_us < us;
+                             });
+  double ms = 0.0;
+  for (; it != spans.end() && it->begin_us <= outer.end_us; ++it) {
+    if (it->name == name && outer.Contains(*it)) ms += it->ms();
   }
-  std::fprintf(f, "\n]}\n");
-  return std::fclose(f) == 0;
+  return ms;
+}
+
+void WriteProgramTrace(const std::string& path, RunResult* result) {
+  std::string error;
+  if (!memo::obs::TraceRecorder::Global().WriteJson(path, &error)) {
+    std::fprintf(stderr, "perfbench: could not write %s: %s\n", path.c_str(),
+                 error.c_str());
+    return;
+  }
+  result->Note("spans",
+               std::to_string(
+                   memo::obs::TraceRecorder::Global().event_count()) +
+                   " events in " + path);
 }
 
 }  // namespace perfbench

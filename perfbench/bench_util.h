@@ -1,12 +1,11 @@
 // Shared plumbing of the repository benchmark: run options, the result
-// record and its JSON line, summary statistics, and the in-memory span
-// recorder the traced runs use around calls into the memo libraries.
+// record and its JSON line, summary statistics, and the reading of the
+// spans the memo libraries record into obs::TraceRecorder.
 #ifndef MEMO_PERFBENCH_BENCH_UTIL_H_
 #define MEMO_PERFBENCH_BENCH_UTIL_H_
 
 #include <chrono>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -90,56 +89,32 @@ std::string HostFingerprintJson(const std::string& commit, int lanes);
 /// this, so a seed names the same inputs on every host.
 std::uint64_t Mix(std::uint64_t x);
 
-/// One span: a timed call into a layer, linked to the span that caused it.
-/// Spans of one training step or one query share a trace id.
-struct Span {
+/// One finished span of the program's own trace (obs::TraceRecorder): a
+/// begin and an end event paired on the thread that emitted them.
+struct ProgramSpan {
   std::string name;
-  std::int64_t id = 0;
-  std::int64_t parent = -1;
-  std::int64_t trace = 0;
-  double start_us = 0.0;
+  int tid = 0;
+  double begin_us = 0.0;
   double end_us = 0.0;
-  double duration_ms() const { return (end_us - start_us) / 1000.0; }
-};
-
-/// Keeps spans in memory; they are written out once, after the run.
-/// Thread-safe.
-class SpanRecorder {
- public:
-  std::int64_t Begin(const std::string& name, std::int64_t parent,
-                     std::int64_t trace);
-  void End(std::int64_t id);
-  /// Durations (ms) of every finished span called `name`, in start order.
-  std::vector<double> DurationsMs(const std::string& name) const;
-  std::size_t size() const;
-  /// Chrome trace-event JSON (viewable in chrome://tracing or Perfetto).
-  bool WriteChromeJson(const std::string& path) const;
-
- private:
-  const Clock::time_point origin_ = Clock::now();
-  mutable std::mutex mu_;
-  std::vector<Span> spans_;  // indexed by span id
-};
-
-/// RAII span. Pass the recorder as null to record nothing (untraced runs
-/// share the code path but pay only the pointer test).
-class ScopedSpan {
- public:
-  ScopedSpan(SpanRecorder* recorder, const std::string& name,
-             std::int64_t parent = -1, std::int64_t trace = 0)
-      : recorder_(recorder),
-        id_(recorder != nullptr ? recorder->Begin(name, parent, trace) : -1) {}
-  ~ScopedSpan() {
-    if (recorder_ != nullptr) recorder_->End(id_);
+  /// The span's integer argument (layer, iteration, fingerprint), or 0.
+  std::int64_t arg = 0;
+  double ms() const { return (end_us - begin_us) / 1000.0; }
+  bool Contains(const ProgramSpan& other) const {
+    return other.tid == tid && other.begin_us >= begin_us &&
+           other.end_us <= end_us;
   }
-  ScopedSpan(const ScopedSpan&) = delete;
-  ScopedSpan& operator=(const ScopedSpan&) = delete;
-  std::int64_t id() const { return id_; }
-
- private:
-  SpanRecorder* recorder_;
-  std::int64_t id_;
 };
+
+/// Turns every event the global recorder holds into spans, in begin order.
+std::vector<ProgramSpan> ProgramSpans();
+
+/// Milliseconds spent in spans called `name` nested inside `outer`.
+double NestedMs(const std::vector<ProgramSpan>& spans,
+                const ProgramSpan& outer, const std::string& name);
+
+/// Writes the global recorder's events as Chrome trace JSON (chrome://tracing
+/// or Perfetto) to `path` and names the file on the result's info line.
+void WriteProgramTrace(const std::string& path, RunResult* result);
 
 /// Workload entry points (train_workloads.cc, plan_mix.cc). Each fills
 /// `result` with the end-to-end metrics, or with the per-layer metrics when

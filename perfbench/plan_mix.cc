@@ -5,11 +5,16 @@
 //
 // The request stream is drawn from the seed over the Table-2 presets x
 // sequence length x GPU count x {memo, megatron, deepspeed} x {best,
-// strategy, maxseq}. About a third of the requests repeat an earlier
-// fingerprint, so work splits between cache hits and cold solves; the
-// maxseq scans (at most eight points each) are the tail of the latency
-// distribution. The stream exercises serve,
-// core, planner, solver, sim and alloc, and no trainer code.
+// strategy, maxseq}. A third of the requests repeat an earlier fingerprint,
+// so work splits between cache hits and cold solves. The fresh requests
+// split evenly over the three kinds: no measured query mix exists to copy,
+// and an even split assumes none. The stream exercises serve, core,
+// planner, solver, sim and alloc, and no trainer code.
+//
+// The traced run reads the service's own spans (serve_request, plan_solve)
+// from obs::TraceRecorder; calls that record no span (the cache fast path,
+// parsing, serializing, the socket, the alpha LP, PlanMemory, ReplayTrace)
+// are timed with the benchmark's own clock.
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -28,6 +33,7 @@
 
 #include "alloc/trace_replay.h"
 #include "bench_util.h"
+#include "obs/trace_recorder.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/alpha_solver.h"
@@ -37,6 +43,7 @@
 #include "planner/bilevel_planner.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
+#include "serve/snapshot.h"
 #include "serve/socket_server.h"
 
 namespace perfbench {
@@ -49,26 +56,21 @@ constexpr const char* kModels[] = {"7B", "13B", "30B", "65B"};
 constexpr int kGpus[] = {8, 16, 32, 64};
 constexpr const char* kSystems[] = {"memo", "megatron", "deepspeed"};
 /// Sequence lengths are multiples of 8K up to 1024K. A maxseq scan runs in
-/// steps of gpus x (16K, 18K, ... 64K) with a cap of eight steps.
+/// steps of gpus x (16K, 17K, ... 64K) with a cap of eight steps. The 16 x 49
+/// maxseq identities bound the stream at about 3,500 requests.
 constexpr int kSeqSteps = 128;
-constexpr int kMaxSeqStepChoices = 25;
+constexpr int kMaxSeqStepChoices = 49;
 constexpr int kMaxSeqPoints = 8;
-/// Kinds of the fresh requests, dealt from a seeded shuffle of this deck so
-/// every run sees the same mix: 4 maxseq, 22 best, 24 strategy per 50.
-constexpr int kDeckMaxSeq = 4;
-constexpr int kDeckBest = 22;
-constexpr int kDeckSize = 50;
+/// Kinds of the fresh requests, dealt from a seeded shuffle of one card per
+/// kind so every run sees the same even mix.
+constexpr const char* kKinds[] = {"best", "strategy", "maxseq"};
 /// Model x GPU count x system combinations; each kind deals them from its
 /// own shuffled deck, so every seed spreads its solves over the same set.
 constexpr int kCombos = 4 * 4 * 3;
-/// The set-up probe: one cold best-strategy solve on a fresh server.
-constexpr const char* kProbeLine =
-    "{\"kind\":\"best\",\"model\":\"7B\",\"seq\":\"64K\",\"gpus\":8}";
-
-template <typename T, std::size_t N>
-const T& Pick(const T (&items)[N], memo::Rng& rng) {
-  return items[rng.NextBounded(N)];
-}
+/// Service warm restarts timed per run; setup_s is their median.
+constexpr int kSetupReps = 100;
+/// Plans in the warm-restart snapshot each restart loads.
+constexpr int kSnapshotEntries = 256;
 
 /// Deals 0..n-1 in seeded random order, reshuffling when exhausted.
 class Deck {
@@ -124,7 +126,7 @@ Request FreshRequest(const std::string& kind, int combo, memo::Rng& rng,
     if (kind == "maxseq") {
       const int step_index =
           static_cast<int>(rng.NextBounded(kMaxSeqStepChoices));
-      const int step_k = gpus * (16 + 2 * step_index);
+      const int step_k = gpus * (16 + step_index);
       std::snprintf(body, sizeof(body),
                     ",\"kind\":\"maxseq\",\"step\":\"%dK\",\"cap\":\"%dK\"}",
                     step_k, kMaxSeqPoints * step_k);
@@ -161,7 +163,7 @@ std::vector<Request> MakeStream(std::uint64_t seed, std::size_t count) {
   memo::Rng rng(Mix(seed ^ 0x504C414E4D4958ULL));
   std::set<std::string> identities;
   std::vector<std::size_t> fresh;  // indices of fresh requests so far
-  Deck kinds(kDeckSize);
+  Deck kinds(3);
   std::map<std::string, Deck> combos;
   std::size_t repeat_slot = 2;
   std::vector<Request> stream;
@@ -175,10 +177,7 @@ std::vector<Request> MakeStream(std::uint64_t seed, std::size_t count) {
       stream.push_back(std::move(r));
       continue;
     }
-    const int card = kinds.Deal(rng);
-    const std::string kind = card < kDeckMaxSeq               ? "maxseq"
-                             : card < kDeckMaxSeq + kDeckBest ? "best"
-                                                              : "strategy";
+    const std::string kind = kKinds[kinds.Deal(rng)];
     Request r;
     for (int tries = 0; r.line.empty() && tries < kCombos; ++tries) {
       Deck& deck = combos.try_emplace(kind, kCombos).first->second;
@@ -258,6 +257,7 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   memo::Status Start() { return socket_.Start(); }
+  serve::PlanServer& server() { return server_; }
 
   static serve::PlanServerOptions Options() {
     serve::PlanServerOptions options;
@@ -300,6 +300,31 @@ std::string DirectPayload(const std::string& line) {
 
 // ---------------------------------------------------------------- untraced
 
+/// Writes a warm-restart snapshot of the first kSnapshotEntries distinct
+/// requests of the stream that `cache` answered (a seed fixes which), and
+/// returns how many it holds. `probe_payload` receives stream[0]'s answer.
+int SaveWarmSnapshot(const serve::PlanCache& cache,
+                     const std::vector<Request>& stream,
+                     const std::string& path, std::string* probe_payload) {
+  std::map<std::uint64_t, std::shared_ptr<const serve::CachedPlan>> resident;
+  for (const auto& [key, plan] : cache.Entries()) resident.emplace(key, plan);
+  serve::PlanCache snapshot;
+  int entries = 0;
+  for (std::size_t i = 0; i < stream.size() && entries < kSnapshotEntries;
+       ++i) {
+    const auto request = serve::ParsePlanRequestJson(stream[i].line);
+    if (stream[i].repeat || !request.ok()) continue;
+    const auto it = resident.find(request->Fingerprint());
+    if (it == resident.end()) continue;
+    if (i == 0) *probe_payload = it->second->payload;
+    snapshot.Restore(it->first,
+                     std::make_shared<serve::CachedPlan>(*it->second));
+    ++entries;
+  }
+  const memo::StatusOr<int> saved = serve::SaveCacheSnapshot(path, snapshot);
+  return saved.ok() ? *saved : -1;
+}
+
 struct Answer {
   std::size_t index = 0;
   double latency_ms = 0.0;
@@ -309,25 +334,15 @@ struct Answer {
 void RunUntraced(const RunOptions& run, RunResult* result) {
   const std::string socket_path =
       run.work_dir + "/plan-" + std::to_string(::getpid()) + ".sock";
+  const std::string snapshot_path =
+      run.work_dir + "/plan-" + std::to_string(::getpid()) + ".snap";
   const std::vector<Request> stream = MakeStream(run.seed, StreamLength(run));
-
-  // Set-up: server start to the first answered query, on a fresh server.
-  std::vector<double> setup_s;
-  for (int rep = 0; rep < (run.smoke ? 1 : 25); ++rep) {
-    const auto start = Clock::now();
-    Service service(socket_path);
-    const memo::Status st = service.Start();
-    Client client(socket_path);
-    const std::string answer = client.RoundTrip(kProbeLine);
-    setup_s.push_back(SecondsSince(start));
-    if (!st.ok() || answer.rfind("{\"status\":\"OK\"", 0) != 0) {
-      result->Mismatch("set-up probe failed: " + st.ToString() + " " + answer);
-    }
-  }
 
   // The closed loop: two connections share one cursor into the stream.
   std::vector<std::vector<Answer>> answers(2);
   double wall = 0.0;
+  std::string probe_payload;  // stream[0]'s cached answer
+  int snapshot_entries = 0;
   {
     Service service(socket_path);
     const memo::Status st = service.Start();
@@ -351,8 +366,36 @@ void RunUntraced(const RunOptions& run, RunResult* result) {
     }
     for (std::thread& t : clients) t.join();
     wall = SecondsSince(start);
+    if (cursor.load() >= stream.size() && wall < run.seconds) {
+      std::fprintf(stderr, "perfbench: the stream ran out after %.1f s\n",
+                   wall);
+      result->Note("stream", "ran out after " + std::to_string(wall) + " s");
+    }
+    snapshot_entries = SaveWarmSnapshot(service.server().cache(), stream,
+                                        snapshot_path, &probe_payload);
   }
   const double peak_rss = PeakRssMib();
+
+  // Set-up: a warm restart. Server start, including restoring the snapshot
+  // the loop's server left, to the first answered query: stream[0], which
+  // the snapshot holds. Timed after the loop so the snapshot exists.
+  std::vector<double> setup_s;
+  for (int rep = 0; rep < (run.smoke ? 1 : kSetupReps); ++rep) {
+    const auto start = Clock::now();
+    Service service(socket_path);
+    const memo::StatusOr<int> restored =
+        serve::LoadCacheSnapshot(snapshot_path, &service.server().cache());
+    const memo::Status st = service.Start();
+    Client client(socket_path);
+    const std::string answer = client.RoundTrip(stream[0].line);
+    setup_s.push_back(SecondsSince(start));
+    if (!restored.ok() || *restored != snapshot_entries || !st.ok() ||
+        probe_payload.empty() || PayloadOf(answer) != probe_payload) {
+      result->Mismatch("warm restart: " + restored.status().ToString() + " " +
+                       st.ToString() + " " + answer);
+    }
+  }
+  std::remove(snapshot_path.c_str());
 
   // Output checks, outside the timed region.
   std::vector<double> latencies;
@@ -424,16 +467,19 @@ void RunUntraced(const RunOptions& run, RunResult* result) {
 struct PassResult {
   std::size_t issued = 0;  // stream prefix the pass consumed
   double wall = 0.0;
-  std::vector<double> hit_ms, miss_ms;
-  std::vector<std::shared_ptr<const serve::CachedPlan>> plans;
+  /// Query() calls the cache's fast path answered; that path records no
+  /// span, so the benchmark times these calls itself.
+  std::vector<double> hit_ms;
+  /// Every answered query: its stream index and its plan.
+  std::vector<std::pair<std::size_t, std::shared_ptr<const serve::CachedPlan>>>
+      answers;
 };
 
 /// Runs stream[0, limit) against `server` in-process from two threads
-/// until `seconds` pass. With a recorder, every Query call is a span.
+/// until `seconds` pass.
 PassResult InProcessPass(serve::PlanServer& server,
                          const std::vector<Request>& stream, std::size_t limit,
-                         double seconds, SpanRecorder* spans,
-                         RunResult* result) {
+                         double seconds, RunResult* result) {
   std::atomic<std::size_t> cursor{0};
   std::vector<PassResult> per_client(2);
   const auto start = Clock::now();
@@ -447,14 +493,12 @@ PassResult InProcessPass(serve::PlanServer& server,
         if (i >= limit) break;
         const auto request = serve::ParsePlanRequestJson(stream[i].line);
         if (!request.ok()) continue;
-        ScopedSpan span(spans, "serve.query", -1,
-                        static_cast<std::int64_t>(i));
         const auto t0 = Clock::now();
         const serve::QueryOutcome outcome = server.Query(*request);
         const double ms = SecondsSince(t0) * 1000.0;
         if (!outcome.status.ok()) continue;
-        (outcome.cache_hit ? mine.hit_ms : mine.miss_ms).push_back(ms);
-        mine.plans.push_back(outcome.plan);
+        if (outcome.cache_hit) mine.hit_ms.push_back(ms);
+        mine.answers.emplace_back(i, outcome.plan);
       }
     });
   }
@@ -465,11 +509,10 @@ PassResult InProcessPass(serve::PlanServer& server,
   for (PassResult& mine : per_client) {
     pass.hit_ms.insert(pass.hit_ms.end(), mine.hit_ms.begin(),
                        mine.hit_ms.end());
-    pass.miss_ms.insert(pass.miss_ms.end(), mine.miss_ms.begin(),
-                        mine.miss_ms.end());
-    pass.plans.insert(pass.plans.end(), mine.plans.begin(), mine.plans.end());
+    pass.answers.insert(pass.answers.end(), mine.answers.begin(),
+                        mine.answers.end());
   }
-  const auto answered = static_cast<std::int64_t>(pass.plans.size());
+  const auto answered = static_cast<std::int64_t>(pass.answers.size());
   result->attempted += static_cast<std::int64_t>(pass.issued);
   result->failed += static_cast<std::int64_t>(pass.issued) - answered;
   return pass;
@@ -477,9 +520,8 @@ PassResult InProcessPass(serve::PlanServer& server,
 
 void RunTraced(const RunOptions& run, RunResult* result) {
   const std::vector<Request> stream = MakeStream(run.seed, StreamLength(run));
-  SpanRecorder spans;
 
-  // serve: parse, the in-process query path, serialize, socket round trip.
+  // serve: parsing each request line.
   std::vector<double> parse_us;
   for (std::size_t i = 0; i < std::min<std::size_t>(stream.size(), 2000); ++i) {
     const auto t0 = Clock::now();
@@ -488,36 +530,71 @@ void RunTraced(const RunOptions& run, RunResult* result) {
     if (!parsed.ok()) result->Mismatch("parse: " + parsed.status().ToString());
   }
 
-  // The query path in-process, traced, then the same prefix untraced on a
-  // fresh server: their wall-time gap is the tracing overhead.
+  // The query path in-process with the recorder on, then the same prefix
+  // with it off on a fresh server: their wall-time gap is the tracing
+  // overhead.
+  memo::obs::TraceRecorder& recorder = memo::obs::TraceRecorder::Global();
   PassResult traced;
   serve::PlanServer::Stats stats;
   {
     serve::PlanServer server(Service::Options());
+    recorder.Clear();
+    recorder.Enable();
     traced = InProcessPass(server, stream, stream.size(), run.seconds / 3.0,
-                           &spans, result);
+                           result);
+    recorder.Disable();
     stats = server.stats();
   }
+  const std::vector<ProgramSpan> spans = ProgramSpans();
+  WriteProgramTrace(run.work_dir + "/spans-plan_mix-" +
+                        std::to_string(run.seed) + ".json",
+                    result);
+  recorder.Clear();
   double untraced_wall = 0.0;
   {
     serve::PlanServer server(Service::Options());
     untraced_wall =
-        InProcessPass(server, stream, traced.issued, 1e9, nullptr, result)
-            .wall;
+        InProcessPass(server, stream, traced.issued, 1e9, result).wall;
   }
-  const std::vector<std::shared_ptr<const serve::CachedPlan>>& plans =
-      traced.plans;
 
+  // Misses are the serve_request spans that hold a plan_solve; each
+  // plan_solve is one ExecutePlanRequest (plus serialization), and its
+  // fingerprint names the request kind.
+  std::map<std::uint64_t, std::size_t> index_by_fp;
+  for (const auto& answer : traced.answers) {
+    const auto request = serve::ParsePlanRequestJson(stream[answer.first].line);
+    if (request.ok()) index_by_fp.emplace(request->Fingerprint(), answer.first);
+  }
+  std::vector<double> miss_ms;
+  std::map<std::string, std::vector<double>> solve_ms;
+  for (const ProgramSpan& span : spans) {
+    if (span.name == "serve_request" && NestedMs(spans, span, "plan_solve") > 0) {
+      miss_ms.push_back(span.ms());
+    } else if (span.name == "plan_solve") {
+      const auto it = index_by_fp.find(static_cast<std::uint64_t>(span.arg));
+      if (it != index_by_fp.end()) {
+        solve_ms[stream[it->second].kind].push_back(span.ms());
+      }
+    }
+  }
+  if (miss_ms.empty()) {
+    result->Mismatch("the service recorded no serve_request spans");
+  }
+
+  // serve: serializing the answered plans.
   std::vector<double> serialize_us;
-  for (std::size_t i = 0; i < std::min<std::size_t>(plans.size(), 500); ++i) {
+  for (std::size_t i = 0; i < std::min<std::size_t>(traced.answers.size(), 500);
+       ++i) {
+    const serve::CachedPlan& plan = *traced.answers[i].second;
     const auto t0 = Clock::now();
-    const std::string payload = serve::SerializePlanResult(plans[i]->result);
+    const std::string payload = serve::SerializePlanResult(plan.result);
     serialize_us.push_back(SecondsSince(t0) * 1e6);
-    if (payload != plans[i]->payload) {
+    if (payload != plan.payload) {
       result->Mismatch("SerializePlanResult differs from the cached payload");
     }
   }
 
+  // serve: a socket round trip of a health line.
   std::vector<double> rtt_us;
   {
     const std::string socket_path =
@@ -536,85 +613,63 @@ void RunTraced(const RunOptions& run, RunResult* result) {
     }
   }
 
-  // core: direct solves of the first few requests of each kind.
-  std::map<std::string, std::vector<double>> solve_ms;
-  std::vector<double> strategies_tried;
-  std::vector<std::pair<core::PlanRequest, core::PlanResult>> best_results;
-  std::map<std::string, int> wanted = {
-      {"best", run.smoke ? 1 : 6},
-      {"strategy", run.smoke ? 1 : 12},
-      {"maxseq", run.smoke ? 1 : 2}};
-  for (const Request& r : stream) {
-    if (r.repeat || wanted[r.kind] == 0) continue;
-    --wanted[r.kind];
-    const auto request = serve::ParsePlanRequestJson(r.line);
+  // core, planner, alloc: the alpha LP, the bi-level planner and the
+  // caching-allocator replay on the shapes the first answered best queries
+  // chose.
+  std::vector<double> strategies_tried, lp_us, plan_ms, replay_ms;
+  for (const auto& [index, plan] : traced.answers) {
+    if (stream[index].kind != "best" || stream[index].repeat) continue;
+    const core::PlanResult& answer = plan->result;
+    strategies_tried.push_back(answer.strategies_tried);
+    if (!answer.status.ok() || lp_us.size() >= (run.smoke ? 1u : 6u)) continue;
+    const auto request = serve::ParsePlanRequestJson(stream[index].line);
     if (!request.ok()) continue;
-    ScopedSpan span(&spans, "core.solve_" + r.kind);
-    const auto t0 = Clock::now();
-    core::PlanResult answer = core::ExecutePlanRequest(*request);
-    solve_ms[r.kind].push_back(SecondsSince(t0) * 1000.0);
-    if (r.kind == "best") {
-      strategies_tried.push_back(answer.strategies_tried);
-      if (answer.status.ok()) best_results.emplace_back(*request, answer);
-    }
-  }
-
-  // The alpha LP, the bi-level planner and the caching-allocator replay on
-  // the shapes the sampled best answers chose.
-  std::vector<double> lp_us, plan_ms, replay_ms;
-  for (const auto& [request, answer] : best_results) {
     const memo::parallel::ParallelStrategy& s = answer.best.strategy;
-    const std::int64_t seq_local = s.SeqLocal(request.seq);
-    const memo::model::SkeletalLayout layout =
-        memo::model::ComputeSkeletalLayout(request.model, 1, seq_local, s.tp);
+    const std::int64_t seq_local = s.SeqLocal(request->seq);
+    const memo::model::SkeletalLayout layout = memo::model::ComputeSkeletalLayout(
+        request->model, 1, seq_local, s.tp);
     core::TieredAlphaInputs inputs;
     inputs.ram.s_input_bytes = layout.input_bytes;
     inputs.ram.s_attn_bytes = layout.attn_out_bytes;
     inputs.ram.s_others_bytes = layout.others_bytes;
     inputs.ram.pcie_bytes_per_second = 25e9;
     inputs.ram.layer_forward_seconds = answer.best.compute_seconds /
-                                       std::max(1, request.model.num_layers);
-    inputs.ram.num_layers = request.model.num_layers / s.pp;
-    inputs.ram.host_bytes_per_gpu = request.cluster.host_bytes_per_gpu();
+                                       std::max(1, request->model.num_layers);
+    inputs.ram.num_layers = request->model.num_layers / s.pp;
+    inputs.ram.host_bytes_per_gpu = request->cluster.host_bytes_per_gpu();
     // One LP solve takes about a microsecond: time a batch.
     const int reps = 200;
     const auto t0 = Clock::now();
     for (int i = 0; i < reps; ++i) core::SolveAlphaTiered(inputs).ok();
     lp_us.push_back(SecondsSince(t0) * 1e6 / reps);
 
-    memo::model::ModelConfig stage = request.model;
-    stage.num_layers = request.model.num_layers / s.pp;
+    memo::model::ModelConfig stage = request->model;
+    stage.num_layers = request->model.num_layers / s.pp;
     memo::model::TraceGenOptions trace_options;
     trace_options.seq_local = seq_local;
     trace_options.tensor_parallel = s.tp;
     trace_options.mode = memo::model::ActivationMode::kMemoBuffers;
     const memo::model::ModelTrace trace =
         memo::model::GenerateModelTrace(stage, trace_options);
-    {
-      ScopedSpan span(&spans, "planner.plan_memory");
-      const auto t1 = Clock::now();
-      const auto plan = memo::planner::PlanMemory(trace);
-      plan_ms.push_back(SecondsSince(t1) * 1000.0);
-      if (!plan.ok()) {
-        result->Mismatch("PlanMemory: " + plan.status().ToString());
-      }
+    const auto t1 = Clock::now();
+    const auto memory_plan = memo::planner::PlanMemory(trace);
+    plan_ms.push_back(SecondsSince(t1) * 1000.0);
+    if (!memory_plan.ok()) {
+      result->Mismatch("PlanMemory: " + memory_plan.status().ToString());
     }
-    {
-      ScopedSpan span(&spans, "alloc.replay");
-      const auto t1 = Clock::now();
-      memo::alloc::ReplayTrace(trace.requests, {});
-      replay_ms.push_back(SecondsSince(t1) * 1000.0);
-    }
+    const auto t2 = Clock::now();
+    memo::alloc::ReplayTrace(trace.requests, {});
+    replay_ms.push_back(SecondsSince(t2) * 1000.0);
   }
 
   result->Add("serve.parse_us", Median(parse_us), "us");
   result->Add("serve.serialize_us", Median(serialize_us), "us");
   result->Add("serve.socket_rtt_us", Median(rtt_us), "us");
   result->Add("serve.query_hit_ms", Median(traced.hit_ms), "ms");
-  result->Add("serve.query_miss_ms", Median(traced.miss_ms), "ms");
+  result->Add("serve.query_miss_ms", Median(miss_ms), "ms");
   result->Add("serve.cache_hit_ratio",
               static_cast<double>(traced.hit_ms.size()) /
-                  std::max<std::size_t>(1, traced.plans.size()),
+                  std::max<std::size_t>(1, traced.answers.size()),
               "ratio");
   result->Add("serve.shed", static_cast<double>(stats.shed), "count");
   result->Add("core.solve_best_ms", Median(solve_ms["best"]), "ms");
@@ -626,13 +681,11 @@ void RunTraced(const RunOptions& run, RunResult* result) {
   result->Add("alloc.replay_ms", Median(replay_ms), "ms");
   result->Add("trace.overhead_pct",
               100.0 * (traced.wall / untraced_wall - 1.0), "%");
-
-  const std::string path = run.work_dir + "/spans-plan_mix-" +
-                           std::to_string(run.seed) + ".json";
-  if (!spans.WriteChromeJson(path)) {
-    std::fprintf(stderr, "perfbench: could not write %s\n", path.c_str());
-  }
-  result->Note("spans", std::to_string(spans.size()) + " in " + path);
+  result->Note("solve_samples",
+               std::to_string(solve_ms["best"].size()) + " best, " +
+                   std::to_string(solve_ms["strategy"].size()) +
+                   " strategy, " + std::to_string(solve_ms["maxseq"].size()) +
+                   " maxseq plan_solve spans");
 }
 
 }  // namespace

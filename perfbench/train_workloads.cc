@@ -10,12 +10,17 @@
 //                  The activation store acts as a transfer pipe: the copier,
 //                  the disk tier, paging and checksums do the work.
 //
-// Untraced runs time whole train::RunTraining calls. Traced runs drive the
-// same training step through the public MiniGpt/Adam/ActivationStore API
-// with spans around each call, then time each op at the workload's shapes.
+// Every figure comes from real train::RunTraining calls. The end-to-end run
+// times whole calls for throughput and reads the step latencies off the
+// "iteration" spans RunTraining records into obs::TraceRecorder, which is
+// switched on around each timed call. The traced run reads the per-layer
+// figures off the spans of one traced call (forward, classifier, backward,
+// optim_step, stash, restore) and, since the ops record no spans, times each
+// op of a step at the workload's shapes with the benchmark's own clock.
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
 #include <functional>
 #include <map>
 #include <string>
@@ -24,8 +29,8 @@
 #include "bench_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "obs/trace_recorder.h"
 #include "train/ops.h"
-#include "train/tensor_arena.h"
 #include "train/trainer.h"
 
 namespace perfbench {
@@ -41,10 +46,10 @@ struct TrainSpec {
   /// Everything but `iterations`, which each phase sets.
   train::TrainRunOptions options;
   int iterations_per_call = 8;
-  int setup_reps = 3;
+  int setup_reps = 5;
   /// Iterations the retain-all reference run trains for the loss check.
   int check_prefix = 2;
-  /// Repetitions per op timing in the traced per-op table.
+  /// Repetitions per call site in the traced per-op table.
   int op_reps = 5;
 };
 
@@ -91,6 +96,37 @@ train::TrainRunResult Train(const TrainSpec& spec, int iterations) {
   return train::RunTraining(options);
 }
 
+/// One RunTraining call with the program's trace recorder on, and the spans
+/// it recorded.
+struct TracedCall {
+  train::TrainRunResult run;
+  double wall_s = 0.0;
+  std::vector<ProgramSpan> spans;
+};
+
+TracedCall TrainTraced(const TrainSpec& spec, int iterations) {
+  memo::obs::TraceRecorder& recorder = memo::obs::TraceRecorder::Global();
+  recorder.Clear();
+  recorder.Enable();
+  TracedCall call;
+  const auto start = Clock::now();
+  call.run = Train(spec, iterations);
+  call.wall_s = SecondsSince(start);
+  recorder.Disable();
+  call.spans = ProgramSpans();
+  return call;
+}
+
+/// The "iteration" spans of every step but a call's first, which measures
+/// the arena and solves its plan (set-up covers that step).
+std::vector<ProgramSpan> SteadySteps(const std::vector<ProgramSpan>& spans) {
+  std::vector<ProgramSpan> steps;
+  for (const ProgramSpan& span : spans) {
+    if (span.name == "iteration" && span.arg >= 1) steps.push_back(span);
+  }
+  return steps;
+}
+
 bool SameBits(const std::vector<double>& a, const std::vector<double>& b,
               std::size_t n) {
   return a.size() >= n && b.size() >= n &&
@@ -122,7 +158,7 @@ void CheckCall(const train::TrainRunResult& run, int iterations,
   }
 }
 
-// ---------------------------------------------------------------- untraced
+// ------------------------------------------------------------- end-to-end
 
 void RunUntraced(const RunOptions& run, const TrainSpec& spec,
                  RunResult* result) {
@@ -140,18 +176,24 @@ void RunUntraced(const RunOptions& run, const TrainSpec& spec,
     setup_s.push_back(SecondsSince(start));
   }
 
+  // Throughput per whole call; latency per steady step, from the spans.
   std::vector<double> tokens_per_s;
   std::vector<double> step_ms;
   std::vector<train::TrainRunResult> calls;
   const auto measure_start = Clock::now();
   while (calls.empty() || SecondsSince(measure_start) < run.seconds) {
-    const auto start = Clock::now();
-    calls.push_back(Train(spec, k));
-    const double wall = SecondsSince(start);
-    tokens_per_s.push_back(tokens_per_call / wall);
-    step_ms.push_back(wall * 1000.0 / k);
+    TracedCall call = TrainTraced(spec, k);
+    tokens_per_s.push_back(tokens_per_call / call.wall_s);
+    for (const ProgramSpan& step : SteadySteps(call.spans)) {
+      step_ms.push_back(step.ms());
+    }
+    calls.push_back(std::move(call.run));
   }
+  memo::obs::TraceRecorder::Global().Clear();
   const double peak_rss = PeakRssMib();
+  if (step_ms.empty()) {
+    result->Mismatch("RunTraining recorded no iteration spans");
+  }
 
   // Output checks, outside the timed region: every call against the same
   // seed's retain-all RAM run (a prefix), and against the first call in full.
@@ -186,8 +228,9 @@ void RunUntraced(const RunOptions& run, const TrainSpec& spec,
   result->Add("peak_rss_mib", peak_rss, "MiB");
   result->Note("throughput_unit", "trained tokens per second");
   result->Note("latency_samples",
-               std::to_string(step_ms.size()) + " RunTraining calls of " +
-                   std::to_string(k) + " iterations (per-step mean each)");
+               std::to_string(step_ms.size()) + " steady steps from " +
+                   std::to_string(calls.size()) + " RunTraining calls of " +
+                   std::to_string(k) + " iterations");
   result->Note("stash_peak_mib",
                std::to_string(calls[0].peak_stored_bytes / kMiBf));
   result->Note("arena_peak_mib",
@@ -197,168 +240,158 @@ void RunUntraced(const RunOptions& run, const TrainSpec& spec,
 // ------------------------------------------------------------------ traced
 
 /// One timed call site of the per-op table: `calls` invocations per
-/// training step of `fn` at fixed shapes.
+/// training step of `fn`.
 struct OpSite {
   std::string op;
   int calls = 0;
   std::function<void()> fn;
 };
 
-/// Tensors at the workload's shapes plus every op call site of one training
-/// step (see MiniGpt::TryForwardBackward): per layer 4 h*h projections,
-/// fc1 (fused with ln2 + GELU) and fc2, attention, two LayerNorms; per step
-/// the final LayerNorm, the classifier and the loss.
-struct OpBench {
-  explicit OpBench(const train::MiniGptConfig& c, std::uint64_t seed)
-      : rng(seed) {
-    const std::int64_t s = c.seq, h = c.hidden, f = c.ffn, v = c.vocab;
-    auto randn = [&](std::int64_t r, std::int64_t k) {
-      return Tensor::Randn(r, k, 0.5, rng);
-    };
-    x_h = randn(s, h);
-    x_f = randn(s, f);
-    w_hh = randn(h, h);
-    w_hf = randn(h, f);
-    w_fh = randn(f, h);
-    w_hv = randn(h, v);
-    b_h = randn(1, h);
-    b_f = randn(1, f);
-    g_h = randn(1, h);
-    q = randn(s, h);
-    k = randn(s, h);
-    vv = randn(s, h);
-    dy_h = randn(s, h);
-    dy_f = randn(s, f);
-    dy_v = randn(s, v);
-    logits = randn(s, v);
-    out_h = Tensor(s, h);
-    out_h2 = Tensor(s, h);
-    out_h3 = Tensor(s, h);
-    out_f = Tensor(s, f);
-    out_f2 = Tensor(s, f);
-    out_v = Tensor(s, v);
-    rstd = Tensor(s, 1);
-    dw_hh = Tensor(h, h);
-    dw_hf = Tensor(h, f);
-    dw_fh = Tensor(f, h);
-    dw_hv = Tensor(h, v);
-    db_h = Tensor(1, h);
-    db_f = Tensor(1, f);
-    dg_h = Tensor(1, h);
-    targets.resize(s);
-    for (int& t : targets) t = static_cast<int>(rng.NextBounded(v));
-    LayerNormForward(x_h, g_h, b_h, &out_h, &rstd);
+/// The op calls of one MiniGpt::TryForwardBackward step, in the order
+/// train/mini_gpt.cc makes them: LayerForward per layer, the classifier
+/// block, its backward, then LayerBackward per layer. Each site runs on the
+/// parameter tensor the model uses there, so shapes follow the model config.
+/// The list itself is a copy of that call sequence: when the model's
+/// parameter layout changes (say, a fused QKV weight), `structure_matches`
+/// turns false and the table is reported stale instead of silently timing
+/// the old structure.
+class OpTable {
+ public:
+  OpTable(const train::MiniGptConfig& c, std::uint64_t seed)
+      : seq_(c.seq), rng_(seed), params_(train::MiniGptParams::Init(c, seed)) {
+    // MiniGptParams::Flat: 12 tensors per layer (ln1 g/b, wq, wk, wv, wo,
+    // ln2 g/b, w1, b1, w2, b2) plus embedding, final LayerNorm and w_cls.
+    structure_matches =
+        params_.Flat().size() == static_cast<std::size_t>(12 * c.layers + 4);
+    const int n = c.layers;
+    const train::LayerParams& l = params_.layers[0];
+    const Tensor& none = none_;
 
-    const int layers = c.layers;
-    const int heads = c.heads;
-    const Tensor none;
-    sites = {
-        {"linear_fwd", 4 * layers,
-         [this, none] { LinearForward(x_h, w_hh, none, &out_h); }},
-        {"linear_fwd", layers,
-         [this] { LinearForward(x_f, w_fh, b_h, &out_h); }},
-        {"linear_fwd", 1,
-         [this, none] { LinearForward(x_h, w_hv, none, &out_v); }},
-        {"linear_bwd", 4 * layers,
-         [this] {
-           LinearBackward(x_h, w_hh, dy_h, &out_h, &dw_hh, nullptr);
-         }},
-        {"linear_bwd", layers,
-         [this] { LinearBackward(x_h, w_hf, dy_f, &out_h, &dw_hf, &db_f); }},
-        {"linear_bwd", layers,
-         [this] { LinearBackward(x_f, w_fh, dy_h, &out_f, &dw_fh, &db_h); }},
-        {"linear_bwd", 1,
-         [this] {
-           LinearBackward(x_h, w_hv, dy_v, &out_h, &dw_hv, nullptr);
-         }},
-        {"attention_fwd", layers,
-         [this, heads] { AttentionForward(q, k, vv, heads, &out_h); }},
-        {"attention_bwd", layers,
-         [this, heads] {
-           AttentionBackward(q, k, vv, heads, dy_h, &out_h, &out_h2, &out_h3);
-         }},
-        {"ln_linear_gelu_fwd", layers,
-         [this] {
-           LayerNormLinearGeluForwardRows(x_h, g_h, b_h, w_hf, b_f, 0,
-                                          x_h.rows(), &out_h, &rstd, &out_f,
-                                          &out_f2);
-         }},
-        {"layernorm_fwd", layers + 1,
-         [this] { LayerNormForward(x_h, g_h, b_h, &out_h2, &rstd); }},
-        {"layernorm_bwd", 2 * layers + 1,
-         [this] {
-           LayerNormBackward(x_h, g_h, rstd, dy_h, &out_h3, &dg_h, &db_h);
-         }},
-        {"gelu_bwd", layers,
-         [this] { GeluBackward(x_f, dy_f, &out_f); }},
-        {"cross_entropy", 1,
-         [this] { CrossEntropy(logits, targets, &out_v); }},
-    };
+    // LayerForward.
+    LayerNormFwd(l.ln1_g, l.ln1_b, n);
+    for (const Tensor* w : {&l.wq, &l.wk, &l.wv}) LinearFwd(*w, none, n);
+    const Tensor &q = In(c.seq, c.hidden), &k = In(c.seq, c.hidden),
+                 &v = In(c.seq, c.hidden);
+    Tensor& attn = In(c.seq, c.hidden);
+    Add("attention_fwd", n, [&q, &k, &v, &attn, heads = c.heads] {
+      AttentionForward(q, k, v, heads, &attn);
+    });
+    LinearFwd(l.wo, none, n);
+    {
+      const Tensor& x = In(c.seq, l.w1.rows());
+      Tensor &ln = In(c.seq, l.w1.rows()), &rstd = In(c.seq, 1),
+             &fc = In(c.seq, l.w1.cols()), &gelu = In(c.seq, l.w1.cols());
+      Add("ln_linear_gelu_fwd", n, [&, &g = l.ln2_g, &b = l.ln2_b,
+                                    &w = l.w1, &bfc = l.b1] {
+        LayerNormLinearGeluForwardRows(x, g, b, w, bfc, 0, x.rows(), &ln,
+                                       &rstd, &fc, &gelu);
+      });
+    }
+    LinearFwd(l.w2, l.b2, n);
+
+    // Classifier block.
+    LayerNormFwd(params_.lnf_g, params_.lnf_b, 1);
+    LinearFwd(params_.w_cls, none, 1);
+    {
+      const Tensor& logits = In(c.seq, params_.w_cls.cols());
+      Tensor& d_logits = In(c.seq, params_.w_cls.cols());
+      targets_.resize(c.seq);
+      for (int& t : targets_) t = static_cast<int>(rng_.NextBounded(c.vocab));
+      Add("cross_entropy", 1, [&logits, &d_logits, this] {
+        CrossEntropy(logits, targets_, &d_logits);
+      });
+    }
+
+    // Backward of the classifier block.
+    LinearBwd(params_.w_cls, none, 1);
+    LayerNormBwd(params_.lnf_g, params_.lnf_b, 1);
+
+    // LayerBackward.
+    LinearBwd(l.w2, l.b2, n);
+    {
+      const Tensor &x = In(c.seq, l.w1.cols()), &dy = In(c.seq, l.w1.cols());
+      Tensor& dx = In(c.seq, l.w1.cols());
+      Add("gelu_bwd", n, [&x, &dy, &dx] { GeluBackward(x, dy, &dx); });
+    }
+    LinearBwd(l.w1, l.b1, n);
+    LayerNormBwd(l.ln2_g, l.ln2_b, n);
+    LinearBwd(l.wo, none, n);
+    {
+      const Tensor& dout = In(c.seq, c.hidden);
+      Tensor &dq = In(c.seq, c.hidden), &dk = In(c.seq, c.hidden),
+             &dv = In(c.seq, c.hidden);
+      Add("attention_bwd", n, [&, heads = c.heads] {
+        AttentionBackward(q, k, v, heads, dout, &dq, &dk, &dv);
+      });
+    }
+    for (const Tensor* w : {&l.wq, &l.wk, &l.wv}) LinearBwd(*w, none, n);
+    LayerNormBwd(l.ln1_g, l.ln1_b, n);
   }
+  OpTable(const OpTable&) = delete;
+  OpTable& operator=(const OpTable&) = delete;
 
-  memo::Rng rng;
-  Tensor x_h, x_f, w_hh, w_hf, w_fh, w_hv, b_h, b_f, g_h, q, k, vv, dy_h,
-      dy_f, dy_v, logits, out_h, out_h2, out_h3, out_f, out_f2, out_v, rstd,
-      dw_hh, dw_hf, dw_fh, dw_hv, db_h, db_f, dg_h;
-  std::vector<int> targets;
   std::vector<OpSite> sites;
+  bool structure_matches = false;
+
+ private:
+  /// A random activation-shaped buffer; the deque keeps its address stable.
+  Tensor& In(std::int64_t rows, std::int64_t cols) {
+    return buffers_.emplace_back(Tensor::Randn(rows, cols, 0.5, rng_));
+  }
+  void Add(const char* op, int calls, std::function<void()> fn) {
+    sites.push_back({op, calls, std::move(fn)});
+  }
+  void LinearFwd(const Tensor& w, const Tensor& b, int calls) {
+    const Tensor& x = In(seq_, w.rows());
+    Tensor& y = In(seq_, w.cols());
+    Add("linear_fwd", calls, [&x, &w, &b, &y] { LinearForward(x, w, b, &y); });
+  }
+  void LinearBwd(const Tensor& w, const Tensor& b, int calls) {
+    const Tensor &x = In(seq_, w.rows()), &dy = In(seq_, w.cols());
+    Tensor &dx = In(seq_, w.rows()), &dw = In(w.rows(), w.cols());
+    Tensor* db = b.size() > 0 ? &In(1, b.cols()) : nullptr;
+    Add("linear_bwd", calls, [&x, &w, &dy, &dx, &dw, db] {
+      LinearBackward(x, w, dy, &dx, &dw, db);
+    });
+  }
+  void LayerNormFwd(const Tensor& g, const Tensor& b, int calls) {
+    const Tensor& x = In(seq_, g.cols());
+    Tensor &y = In(seq_, g.cols()), &rstd = In(seq_, 1);
+    Add("layernorm_fwd", calls,
+        [&x, &g, &b, &y, &rstd] { LayerNormForward(x, g, b, &y, &rstd); });
+  }
+  void LayerNormBwd(const Tensor& g, const Tensor& b, int calls) {
+    const Tensor &x = In(seq_, g.cols()), &dy = In(seq_, g.cols());
+    Tensor &rstd = In(seq_, 1), &dx = In(seq_, g.cols()),
+           &dg = In(1, g.cols()), &db = In(1, g.cols());
+    LayerNormForward(x, g, b, &dx, &rstd);  // a real rstd
+    Add("layernorm_bwd", calls, [&x, &g, &rstd, &dy, &dx, &dg, &db] {
+      LayerNormBackward(x, g, rstd, dy, &dx, &dg, &db);
+    });
+  }
+  const std::int64_t seq_;
+  memo::Rng rng_;
+  train::MiniGptParams params_;
+  const Tensor none_;
+  std::deque<Tensor> buffers_;
+  std::vector<int> targets_;
 };
 
 /// Per-step milliseconds of each op (sum over its call sites of calls x the
 /// median single-call time) at the current pool size.
-std::map<std::string, double> TimeOps(OpBench& bench, int reps,
-                                      SpanRecorder* spans, int lanes) {
+std::map<std::string, double> TimeOps(OpTable& table, int reps) {
   std::map<std::string, double> ms;
-  const std::int64_t root =
-      spans->Begin("op_table.lanes" + std::to_string(lanes), -1, -lanes);
-  for (OpSite& site : bench.sites) {
+  for (OpSite& site : table.sites) {
     site.fn();  // warm caches and the pool
     std::vector<double> samples;
     for (int r = 0; r < reps; ++r) {
-      ScopedSpan span(spans, "op." + site.op, root, -lanes);
       const auto start = Clock::now();
       site.fn();
       samples.push_back(SecondsSince(start) * 1000.0);
     }
     ms[site.op] += site.calls * Median(samples);
   }
-  spans->End(root);
   return ms;
-}
-
-/// Builds one layer's activations with the public ops (the same sequence
-/// as the model's layer forward) so Stash/Restore run on real shapes.
-train::LayerActivations BuildActivations(const train::LayerParams& l,
-                                         int heads, const Tensor& x) {
-  const std::int64_t s = x.rows(), h = x.cols(), f = l.w1.cols();
-  const Tensor none;
-  train::LayerActivations a;
-  a.input = x;
-  a.ln1_out = Tensor(s, h);
-  a.ln1_rstd = Tensor(s, 1);
-  LayerNormForward(x, l.ln1_g, l.ln1_b, &a.ln1_out, &a.ln1_rstd);
-  a.q = Tensor(s, h);
-  a.k = Tensor(s, h);
-  a.v = Tensor(s, h);
-  LinearForward(a.ln1_out, l.wq, none, &a.q);
-  LinearForward(a.ln1_out, l.wk, none, &a.k);
-  LinearForward(a.ln1_out, l.wv, none, &a.v);
-  a.attn_out = Tensor(s, h);
-  AttentionForward(a.q, a.k, a.v, heads, &a.attn_out);
-  a.proj_out = Tensor(s, h);
-  LinearForward(a.attn_out, l.wo, none, &a.proj_out);
-  Tensor resid(s, h);
-  for (std::int64_t i = 0; i < resid.size(); ++i) {
-    resid.data()[i] = x.data()[i] + a.proj_out.data()[i];
-  }
-  a.ln2_out = Tensor(s, h);
-  a.ln2_rstd = Tensor(s, 1);
-  a.fc1_out = Tensor(s, f);
-  a.gelu_out = Tensor(s, f);
-  LayerNormLinearGeluForwardRows(resid, l.ln2_g, l.ln2_b, l.w1, l.b1, 0, s,
-                                 &a.ln2_out, &a.ln2_rstd, &a.fc1_out,
-                                 &a.gelu_out);
-  return a;
 }
 
 void RunTraced(const RunOptions& run, const TrainSpec& spec,
@@ -366,140 +399,76 @@ void RunTraced(const RunOptions& run, const TrainSpec& spec,
   const train::TrainRunOptions& o = spec.options;
   const int k = spec.iterations_per_call;
   const int lanes = memo::ThreadPool::Global().threads();
-  SpanRecorder spans;
 
-  // Untraced reference call: its wall time is the base of the tracing
-  // overhead and its losses are what the traced loop must reproduce. Being
-  // its own loss reference, the check covers status, degradation and heap
-  // fallbacks.
-  auto start = Clock::now();
+  // The same call with the recorder off and on: the wall-time gap is the
+  // tracing overhead, and tracing must leave the losses bit-identical.
+  const auto start = Clock::now();
   const train::TrainRunResult untraced = Train(spec, k);
   const double untraced_wall = SecondsSince(start);
   CheckCall(untraced, k, untraced.losses, k, "untraced call", result);
+  const TracedCall traced = TrainTraced(spec, k);
+  CheckCall(traced.run, k, untraced.losses, k, "traced call", result);
+  const train::TrainRunResult& r = traced.run;
 
-  // The traced loop: RunTraining's step, driven through the public API with
-  // spans around the model, optimizer and step.
-  start = Clock::now();
-  const train::MiniGpt model(o.model);
-  train::MiniGptParams params = train::MiniGptParams::Init(o.model, o.seed);
-  train::MiniGptParams grads = train::MiniGptParams::Init(o.model, o.seed);
-  for (Tensor* g : grads.Flat()) g->Fill(0.0f);
-  train::Adam adam(o.adam);
-  train::SyntheticData data(o.model.vocab, o.data_fidelity,
-                            o.seed ^ 0x5EEDDA7AULL);  // RunTraining's stream
-  train::TensorArena arena;
-  adam.EnsureState(params.Flat());
-  std::vector<int> tokens, targets;
-  std::vector<double> losses;
-  std::int64_t recomputed_rows = 0;
-  std::int64_t stash_peak = 0;
-  train::OffloadStats offload;
-  for (int step = 0; step < k; ++step) {
-    ScopedSpan step_span(&spans, "train.step", -1, step);
-    data.NextSequence(o.model.seq, &tokens, &targets);
-    for (Tensor* g : grads.Flat()) g->Fill(0.0f);
-    result->attempted += 1;
-    {
-      arena.BeginStep();
-      train::ArenaScope scope(&arena);
-      train::ActivationStore store(o.policy, o.alpha, o.async_offload,
-                                   o.backend);
-      memo::StatusOr<double> loss = 0.0;
-      {
-        ScopedSpan span(&spans, "train.fwd_bwd", step_span.id(), step);
-        loss = model.TryForwardBackward(params, tokens, targets, &store,
-                                        &grads);
-      }
-      if (!loss.ok()) {
-        result->Mismatch("traced step failed: " + loss.status().ToString());
-        break;
-      }
-      losses.push_back(loss.value());
-      recomputed_rows += store.recomputed_rows();
-      stash_peak = std::max(stash_peak, store.peak_stored_bytes());
-      offload += store.offload_stats();
-    }
-    ScopedSpan span(&spans, "train.optim", step_span.id(), step);
-    adam.Step(params.Flat(), grads.Flat());
+  // Per steady step, from RunTraining's own spans.
+  std::vector<double> step_ms, optim_ms, fwd_bwd_ms, stash_ms, restore_ms;
+  for (const ProgramSpan& step : SteadySteps(traced.spans)) {
+    step_ms.push_back(step.ms());
+    optim_ms.push_back(NestedMs(traced.spans, step, "optim_step"));
+    fwd_bwd_ms.push_back(NestedMs(traced.spans, step, "forward") +
+                         NestedMs(traced.spans, step, "classifier") +
+                         NestedMs(traced.spans, step, "backward"));
+    stash_ms.push_back(NestedMs(traced.spans, step, "stash"));
+    restore_ms.push_back(NestedMs(traced.spans, step, "restore"));
   }
-  const double traced_wall = SecondsSince(start);
-  if (!SameBits(losses, untraced.losses, k)) {
-    result->Mismatch("traced loop losses differ from RunTraining");
+  if (step_ms.empty()) {
+    result->Mismatch("RunTraining recorded no iteration spans");
   }
-  if (arena.heap_fallback_allocs() != 0) {
-    result->Mismatch("traced loop arena heap fallbacks");
-  }
-
-  // Steady-state step times: the first step measures the arena and solves
-  // its plan, so it is left out.
-  auto steady = [&](const std::string& name) {
-    std::vector<double> d = spans.DurationsMs(name);
-    if (d.size() > 1) d.erase(d.begin());
-    return Median(d);
-  };
-  const double fwd_bwd_ms = steady("train.fwd_bwd");
-  const double steps =
-      static_cast<double>(std::max<std::size_t>(1, losses.size()));
-  result->Add("train.fwd_bwd_ms", fwd_bwd_ms, "ms");
-  result->Add("train.optim_ms", steady("train.optim"), "ms");
-  result->Add("train.step_ms", steady("train.step"), "ms");
+  const double fwd_bwd = Median(fwd_bwd_ms);
+  result->Add("train.fwd_bwd_ms", fwd_bwd, "ms");
+  result->Add("train.optim_ms", Median(optim_ms), "ms");
+  result->Add("train.step_ms", Median(step_ms), "ms");
   result->Add("trace.overhead_pct",
-              100.0 * (traced_wall / untraced_wall - 1.0), "%");
+              100.0 * (traced.wall_s / untraced_wall - 1.0), "%");
+  WriteProgramTrace(run.work_dir + "/spans-" + run.workload + "-" +
+                        std::to_string(run.seed) + ".json",
+                    result);
+  memo::obs::TraceRecorder::Global().Clear();
 
   // Per-op table at the workload's shapes, at the workload's lanes and at 1.
-  OpBench bench(o.model, o.seed);
-  const std::map<std::string, double> ms_n =
-      TimeOps(bench, spec.op_reps, &spans, lanes);
+  OpTable table(o.model, o.seed);
+  const std::map<std::string, double> ms_n = TimeOps(table, spec.op_reps);
   memo::ThreadPool::SetGlobalThreads(1);
-  const std::map<std::string, double> ms_1 =
-      TimeOps(bench, spec.op_reps, &spans, 1);
+  const std::map<std::string, double> ms_1 = TimeOps(table, spec.op_reps);
   memo::ThreadPool::SetGlobalThreads(lanes);
   std::map<std::string, int> calls;
-  for (const OpSite& site : bench.sites) calls[site.op] += site.calls;
+  for (const OpSite& site : table.sites) calls[site.op] += site.calls;
   double op_sum = 0.0;
   for (const auto& [op, ms] : ms_n) {
     op_sum += ms;
     result->Add("op." + op + ".ms", ms, "ms");
     result->Add("op." + op + ".calls", calls[op], "count");
-    result->Add("op." + op + ".share", ms / fwd_bwd_ms, "ratio");
+    result->Add("op." + op + ".share", ms / fwd_bwd, "ratio");
     result->Add("op." + op + ".par_eff", ms_1.at(op) / (lanes * ms), "ratio");
   }
   result->Add("op.sum_ms", op_sum, "ms");
-  result->Add("op.unexplained_ms", fwd_bwd_ms - op_sum, "ms");
+  result->Add("op.unexplained_ms", fwd_bwd - op_sum, "ms");
   result->Add("pool.lanes", lanes, "count");
-
-  // Inline (no copier) stash and restore of every layer, as one step does.
-  std::vector<double> stash_ms, restore_ms;
-  Tensor x = Tensor::Randn(o.model.seq, o.model.hidden, 0.5, bench.rng);
-  for (int r = 0; r < spec.op_reps; ++r) {
-    train::ActivationStore store(o.policy, o.alpha, /*async_offload=*/false,
-                                 o.backend);
-    double stash = 0.0, restore = 0.0;
-    for (int layer = 0; layer < o.model.layers; ++layer) {
-      train::LayerActivations acts =
-          BuildActivations(params.layers[layer], o.model.heads, x);
-      ScopedSpan span(&spans, "offload.stash", -1, layer);
-      const auto t0 = Clock::now();
-      const memo::Status st = store.Stash(layer, std::move(acts));
-      stash += SecondsSince(t0) * 1000.0;
-      if (!st.ok()) result->Mismatch("inline stash: " + st.ToString());
-    }
-    for (int layer = o.model.layers - 1; layer >= 0; --layer) {
-      ScopedSpan span(&spans, "recompute.restore", -1, layer);
-      const auto t0 = Clock::now();
-      const auto restored = store.Restore(layer, params.layers[layer]);
-      restore += SecondsSince(t0) * 1000.0;
-      if (!restored.ok()) {
-        result->Mismatch("inline restore: " + restored.status().ToString());
-      }
-    }
-    stash_ms.push_back(stash);
-    restore_ms.push_back(restore);
+  if (!table.structure_matches || fwd_bwd < op_sum) {
+    const std::string why =
+        !table.structure_matches
+            ? "the model's parameter layout is not the one the table mirrors"
+            : "the timed ops add up to more than the measured fwd_bwd";
+    std::fprintf(stderr, "perfbench: per-op table is stale: %s\n",
+                 why.c_str());
+    result->Note("op_table", "stale: " + why);
   }
-  result->Add("recompute.rows_per_step", recomputed_rows / steps, "count");
+
+  const double steps = static_cast<double>(k);
+  const train::OffloadStats& offload = r.offload_stats;
+  result->Add("recompute.rows_per_step", r.recomputed_rows / steps, "count");
   result->Add("recompute.restore_ms", Median(restore_ms), "ms");
   result->Add("offload.stash_ms", Median(stash_ms), "ms");
-
   result->Add("offload.copier_busy_s", offload.copier_busy_seconds / steps,
               "s");
   result->Add("offload.stash_wait_s", offload.stash_wait_seconds / steps, "s");
@@ -514,18 +483,11 @@ void RunTraced(const RunOptions& run, const TrainSpec& spec,
               "s");
   result->Add("offload.spill_pages", offload.disk_tier.spill_pages / steps,
               "count");
-  result->Add("offload.stash_peak_mib", stash_peak / kMiBf, "MiB");
-  result->Add("arena.planned_peak_mib", arena.planned_peak_bytes() / kMiBf,
+  result->Add("offload.stash_peak_mib", r.peak_stored_bytes / kMiBf, "MiB");
+  result->Add("arena.planned_peak_mib", r.arena_planned_peak_bytes / kMiBf,
               "MiB");
   result->Add("arena.heap_fallbacks",
-              static_cast<double>(arena.heap_fallback_allocs()), "count");
-
-  const std::string path = run.work_dir + "/spans-" + run.workload + "-" +
-                           std::to_string(run.seed) + ".json";
-  if (!spans.WriteChromeJson(path)) {
-    std::fprintf(stderr, "perfbench: could not write %s\n", path.c_str());
-  }
-  result->Note("spans", std::to_string(spans.size()) + " in " + path);
+              static_cast<double>(r.arena_heap_fallback_allocs), "count");
 }
 
 }  // namespace
