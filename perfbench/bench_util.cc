@@ -45,9 +45,7 @@ int CpuCount() {
   return n > 0 ? static_cast<int>(n) : 1;
 }
 
-int WorkloadLanes(const std::string& workload) {
-  return workload == "plan_mix" ? 1 : std::max(1, CpuCount() - 1);
-}
+int TrainLanes() { return std::max(1, CpuCount() - 1); }
 
 namespace {
 
@@ -131,14 +129,15 @@ double NestedMs(const std::vector<ProgramSpan>& spans,
   return ms;
 }
 
-void WriteProgramTrace(const std::string& path, RunResult* result) {
+void WriteProgramTrace(const std::string& path, const std::string& key,
+                       RunResult* result) {
   std::string error;
   if (!memo::obs::TraceRecorder::Global().WriteJson(path, &error)) {
     std::fprintf(stderr, "perfbench: could not write %s: %s\n", path.c_str(),
                  error.c_str());
     return;
   }
-  result->Note("spans",
+  result->Note(key,
                std::to_string(
                    memo::obs::TraceRecorder::Global().event_count()) +
                    " events in " + path);

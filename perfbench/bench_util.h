@@ -75,11 +75,9 @@ double PeakRssMib();
 /// Logical CPUs this process may run on.
 int CpuCount();
 
-/// Thread-pool lanes of a workload. The trainers get all cores but one,
-/// which is left to the copier thread and the rest of the machine. plan_mix
-/// runs its planner on one lane: its two solver sessions are its
-/// parallelism, and more lanes would oversubscribe the cores.
-int WorkloadLanes(const std::string& workload);
+/// Thread-pool lanes of the trainers: all cores but one, which is left to
+/// the copier thread and the rest of the machine.
+int TrainLanes();
 
 /// CPU model, core count, SIMD tier, pool lanes and source revision as one
 /// JSON object.
@@ -113,18 +111,25 @@ double NestedMs(const std::vector<ProgramSpan>& spans,
                 const ProgramSpan& outer, const std::string& name);
 
 /// Writes the global recorder's events as Chrome trace JSON (chrome://tracing
-/// or Perfetto) to `path` and names the file on the result's info line.
-void WriteProgramTrace(const std::string& path, RunResult* result);
+/// or Perfetto) to `path` and names the file under `key` on the result's
+/// info line.
+void WriteProgramTrace(const std::string& path, const std::string& key,
+                       RunResult* result);
 
-/// Workload entry points (train_workloads.cc, plan_mix.cc). Each fills
-/// `result` with the end-to-end metrics, or with the per-layer metrics when
-/// options.trace is set.
+/// Workload entry point (train_workloads.cc): fills `result` with the
+/// end-to-end metrics, or with the per-layer metrics when options.trace is
+/// set.
 void RunTrainWorkload(const RunOptions& options, RunResult* result);
-void RunPlanMix(const RunOptions& options, RunResult* result);
 
-/// --describe: the generated inputs as one JSON object.
+/// The planning service's per-layer metrics (plan_service.cc): a seeded
+/// request stream through an in-process PlanServer for `seconds`, traced.
+void RunPlanService(const RunOptions& options, double seconds,
+                    RunResult* result);
+
+/// --describe: the generated inputs as one JSON object, and the fingerprints
+/// of the plan stream a pass of `seconds` draws, as a JSON array.
 std::string DescribeTrainWorkload(const RunOptions& options);
-std::string DescribePlanMix(const RunOptions& options);
+std::string DescribePlanStream(std::uint64_t seed, double seconds);
 
 }  // namespace perfbench
 

@@ -2,7 +2,7 @@
 // against the memo libraries, checks its outputs, and prints one JSON result
 // line (the last line of stdout):
 //
-//   perfbench --workload train_longctx|train_spill|plan_mix --seed N
+//   perfbench --workload train_longctx|train_spill --seed N
 //             --seconds S --trace 0|1 [--smoke 1] [--describe 1]
 //             [--commit REV]
 //
@@ -25,10 +25,6 @@ namespace {
 
 using perfbench::RunOptions;
 using perfbench::RunResult;
-
-bool IsTrainWorkload(const std::string& name) {
-  return name == "train_longctx" || name == "train_spill";
-}
 
 bool ParseArgs(int argc, char** argv, RunOptions* options) {
   for (int i = 1; i < argc; i += 2) {
@@ -56,8 +52,8 @@ bool ParseArgs(int argc, char** argv, RunOptions* options) {
       return false;
     }
   }
-  return IsTrainWorkload(options->workload) ||
-         options->workload == "plan_mix";
+  return options->workload == "train_longctx" ||
+         options->workload == "train_spill";
 }
 
 std::string ResultJson(const RunResult& result) {
@@ -84,16 +80,13 @@ int main(int argc, char** argv) {
   RunOptions options;
   if (!ParseArgs(argc, argv, &options)) {
     std::fprintf(stderr,
-                 "usage: perfbench --workload train_longctx|train_spill|"
-                 "plan_mix --seed N --seconds S --trace 0|1 [--smoke 1] "
+                 "usage: perfbench --workload train_longctx|train_spill "
+                 "--seed N --seconds S --trace 0|1 [--smoke 1] "
                  "[--describe 1] [--commit REV]\n");
     return 2;
   }
-  const bool train = IsTrainWorkload(options.workload);
   if (options.describe) {
-    const std::string inputs = train ? perfbench::DescribeTrainWorkload(options)
-                                     : perfbench::DescribePlanMix(options);
-    std::printf("%s\n", inputs.c_str());
+    std::printf("%s\n", perfbench::DescribeTrainWorkload(options).c_str());
     return 0;
   }
   std::error_code ec;
@@ -103,15 +96,11 @@ int main(int argc, char** argv) {
                  options.work_dir.c_str(), ec.message().c_str());
     return 2;
   }
-  const int lanes = perfbench::WorkloadLanes(options.workload);
+  const int lanes = perfbench::TrainLanes();
   memo::ThreadPool::SetGlobalThreads(lanes);
 
   RunResult result;
-  if (train) {
-    perfbench::RunTrainWorkload(options, &result);
-  } else {
-    perfbench::RunPlanMix(options, &result);
-  }
+  perfbench::RunTrainWorkload(options, &result);
   for (const perfbench::Metric& m : result.metrics) {
     if (!std::isfinite(m.value)) result.Mismatch(m.name + " is not finite");
   }

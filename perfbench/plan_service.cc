@@ -1,20 +1,22 @@
-// plan_mix: the planning service under a closed loop. Two persistent
-// AF_UNIX client connections each send their next request line only after
-// the previous answer arrived, against an in-process SocketServer in front
-// of a PlanServer with two solver sessions.
+// The planning service's per-layer figures, measured on train_spill's traced
+// run. The service has no workload of its own: its end-to-end figures
+// (queries per second, query latency) moved by 25-30% between runs of the
+// same code on a shared host, past the largest bound a gate may use, so they
+// are reported here, without a bound.
 //
-// The request stream is drawn from the seed over the Table-2 presets x
-// sequence length x GPU count x {memo, megatron, deepspeed} x {best,
-// strategy, maxseq}. A third of the requests repeat an earlier fingerprint,
-// so work splits between cache hits and cold solves. The fresh requests
-// split evenly over the three kinds: no measured query mix exists to copy,
-// and an even split assumes none. The stream exercises serve, core,
-// planner, solver, sim and alloc, and no trainer code.
+// A seeded request stream runs in-process from two threads against a
+// PlanServer with two solver sessions, with obs::TraceRecorder on. The
+// stream is drawn over the Table-2 presets x sequence length x GPU count x
+// {memo, megatron, deepspeed} x {best, strategy, maxseq}. A third of the
+// requests repeat an earlier fingerprint, so work splits between cache hits
+// and cold solves. The fresh requests split evenly over the three kinds: no
+// measured query mix exists to copy, and an even split assumes none. The
+// pass exercises serve, core, planner, solver, sim and alloc.
 //
-// The traced run reads the service's own spans (serve_request, plan_solve)
-// from obs::TraceRecorder; calls that record no span (the cache fast path,
-// parsing, serializing, the socket, the alpha LP, PlanMemory, ReplayTrace)
-// are timed with the benchmark's own clock.
+// The service's own spans (serve_request, plan_solve) come from the
+// recorder; calls that record no span (the cache fast path, parsing,
+// serializing, the socket, the alpha LP, PlanMemory, ReplayTrace) are timed
+// with the benchmark's own clock.
 
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -35,6 +37,7 @@
 #include "bench_util.h"
 #include "obs/trace_recorder.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "common/units.h"
 #include "core/alpha_solver.h"
 #include "core/plan_request.h"
@@ -43,7 +46,6 @@
 #include "planner/bilevel_planner.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
-#include "serve/snapshot.h"
 #include "serve/socket_server.h"
 
 namespace perfbench {
@@ -67,10 +69,6 @@ constexpr const char* kKinds[] = {"best", "strategy", "maxseq"};
 /// Model x GPU count x system combinations; each kind deals them from its
 /// own shuffled deck, so every seed spreads its solves over the same set.
 constexpr int kCombos = 4 * 4 * 3;
-/// Service warm restarts timed per run; setup_s is their median.
-constexpr int kSetupReps = 100;
-/// Plans in the warm-restart snapshot each restart loads.
-constexpr int kSnapshotEntries = 256;
 
 /// Deals 0..n-1 in seeded random order, reshuffling when exhausted.
 class Deck {
@@ -191,8 +189,10 @@ std::vector<Request> MakeStream(std::uint64_t seed, std::size_t count) {
   return stream;
 }
 
-std::size_t StreamLength(const RunOptions& run) {
-  return run.smoke ? 40 : static_cast<std::size_t>(150.0 * run.seconds) + 400;
+/// Requests drawn for a pass of `seconds`: about three times what the
+/// fastest measured pass answered.
+std::size_t StreamLength(double seconds, bool smoke) {
+  return smoke ? 40 : static_cast<std::size_t>(150.0 * seconds) + 400;
 }
 
 /// One persistent client connection speaking the newline-JSON protocol.
@@ -244,11 +244,17 @@ class Client {
   std::string buffer_;
 };
 
+serve::PlanServerOptions ServerOptions() {
+  serve::PlanServerOptions options;
+  options.sessions = 2;
+  return options;
+}
+
 /// A PlanServer with its socket front end, stopped on destruction.
 class Service {
  public:
   explicit Service(const std::string& socket_path)
-      : server_(Options()), socket_(&server_, SocketOptions(socket_path)) {}
+      : server_(ServerOptions()), socket_(&server_, SocketOptions(socket_path)) {}
   ~Service() {
     socket_.Stop();
     server_.Shutdown();
@@ -257,13 +263,6 @@ class Service {
   Service& operator=(const Service&) = delete;
 
   memo::Status Start() { return socket_.Start(); }
-  serve::PlanServer& server() { return server_; }
-
-  static serve::PlanServerOptions Options() {
-    serve::PlanServerOptions options;
-    options.sessions = 2;
-    return options;
-  }
 
  private:
   static serve::SocketServerOptions SocketOptions(const std::string& path) {
@@ -276,21 +275,13 @@ class Service {
   serve::SocketServer socket_;
 };
 
-std::string PayloadOf(const std::string& response) {
-  const std::string key = "\"plan\":";
-  const std::size_t at = response.find(key);
-  if (at == std::string::npos || response.empty()) return "";
-  return response.substr(at + key.size(),
-                         response.size() - at - key.size() - 1);
-}
-
 std::string FingerprintText(std::uint64_t fingerprint) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "0x%016" PRIx64, fingerprint);
   return buf;
 }
 
-/// Answers one sampled request with a direct core::ExecutePlanRequest and
+/// Answers one request line with a direct core::ExecutePlanRequest and
 /// returns its serialized payload.
 std::string DirectPayload(const std::string& line) {
   const auto request = serve::ParsePlanRequestJson(line);
@@ -298,189 +289,26 @@ std::string DirectPayload(const std::string& line) {
   return serve::SerializePlanResult(core::ExecutePlanRequest(*request));
 }
 
-// ---------------------------------------------------------------- untraced
-
-/// Writes a warm-restart snapshot of the first kSnapshotEntries distinct
-/// requests of the stream that `cache` answered (a seed fixes which), and
-/// returns how many it holds. `probe_payload` receives stream[0]'s answer.
-int SaveWarmSnapshot(const serve::PlanCache& cache,
-                     const std::vector<Request>& stream,
-                     const std::string& path, std::string* probe_payload) {
-  std::map<std::uint64_t, std::shared_ptr<const serve::CachedPlan>> resident;
-  for (const auto& [key, plan] : cache.Entries()) resident.emplace(key, plan);
-  serve::PlanCache snapshot;
-  int entries = 0;
-  for (std::size_t i = 0; i < stream.size() && entries < kSnapshotEntries;
-       ++i) {
-    const auto request = serve::ParsePlanRequestJson(stream[i].line);
-    if (stream[i].repeat || !request.ok()) continue;
-    const auto it = resident.find(request->Fingerprint());
-    if (it == resident.end()) continue;
-    if (i == 0) *probe_payload = it->second->payload;
-    snapshot.Restore(it->first,
-                     std::make_shared<serve::CachedPlan>(*it->second));
-    ++entries;
-  }
-  const memo::StatusOr<int> saved = serve::SaveCacheSnapshot(path, snapshot);
-  return saved.ok() ? *saved : -1;
-}
-
-struct Answer {
-  std::size_t index = 0;
-  double latency_ms = 0.0;
-  std::string response;
-};
-
-void RunUntraced(const RunOptions& run, RunResult* result) {
-  const std::string socket_path =
-      run.work_dir + "/plan-" + std::to_string(::getpid()) + ".sock";
-  const std::string snapshot_path =
-      run.work_dir + "/plan-" + std::to_string(::getpid()) + ".snap";
-  const std::vector<Request> stream = MakeStream(run.seed, StreamLength(run));
-
-  // The closed loop: two connections share one cursor into the stream.
-  std::vector<std::vector<Answer>> answers(2);
-  double wall = 0.0;
-  std::string probe_payload;  // stream[0]'s cached answer
-  int snapshot_entries = 0;
-  {
-    Service service(socket_path);
-    const memo::Status st = service.Start();
-    if (!st.ok()) result->Mismatch("server start: " + st.ToString());
-    std::atomic<std::size_t> cursor{0};
-    const auto start = Clock::now();
-    std::vector<std::thread> clients;
-    for (int c = 0; c < 2; ++c) {
-      clients.emplace_back([&, c] {
-        Client client(socket_path);
-        for (;;) {
-          if (SecondsSince(start) >= run.seconds) break;
-          const std::size_t i = cursor.fetch_add(1);
-          if (i >= stream.size()) break;
-          const auto sent = Clock::now();
-          std::string response = client.RoundTrip(stream[i].line);
-          answers[c].push_back(
-              {i, SecondsSince(sent) * 1000.0, std::move(response)});
-        }
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    wall = SecondsSince(start);
-    if (cursor.load() >= stream.size() && wall < run.seconds) {
-      std::fprintf(stderr, "perfbench: the stream ran out after %.1f s\n",
-                   wall);
-      result->Note("stream", "ran out after " + std::to_string(wall) + " s");
-    }
-    snapshot_entries = SaveWarmSnapshot(service.server().cache(), stream,
-                                        snapshot_path, &probe_payload);
-  }
-  const double peak_rss = PeakRssMib();
-
-  // Set-up: a warm restart. Server start, including restoring the snapshot
-  // the loop's server left, to the first answered query: stream[0], which
-  // the snapshot holds. Timed after the loop so the snapshot exists.
-  std::vector<double> setup_s;
-  for (int rep = 0; rep < (run.smoke ? 1 : kSetupReps); ++rep) {
-    const auto start = Clock::now();
-    Service service(socket_path);
-    const memo::StatusOr<int> restored =
-        serve::LoadCacheSnapshot(snapshot_path, &service.server().cache());
-    const memo::Status st = service.Start();
-    Client client(socket_path);
-    const std::string answer = client.RoundTrip(stream[0].line);
-    setup_s.push_back(SecondsSince(start));
-    if (!restored.ok() || *restored != snapshot_entries || !st.ok() ||
-        probe_payload.empty() || PayloadOf(answer) != probe_payload) {
-      result->Mismatch("warm restart: " + restored.status().ToString() + " " +
-                       st.ToString() + " " + answer);
-    }
-  }
-  std::remove(snapshot_path.c_str());
-
-  // Output checks, outside the timed region.
-  std::vector<double> latencies;
-  std::map<std::string, std::string> payload_by_fp;
-  std::map<std::string, std::size_t> line_by_fp;
-  std::int64_t answered = 0;
-  for (const std::vector<Answer>& per_client : answers) {
-    for (const Answer& a : per_client) {
-      ++result->attempted;
-      // A line with a plan is an answer, including a solver-level
-      // OUT_OF_MEMORY (a cacheable "does not fit"); shed, timed-out and
-      // protocol-error lines carry no plan.
-      if (a.response.find("\"plan\":") == std::string::npos) {
-        ++result->failed;
-        std::fprintf(stderr, "perfbench: query %zu failed: %s\n", a.index,
-                     a.response.c_str());
-        continue;
-      }
-      ++answered;
-      latencies.push_back(a.latency_ms);
-      const auto parsed = serve::ParsePlanRequestJson(stream[a.index].line);
-      std::string fp;
-      serve::JsonFindString(a.response, "fingerprint", &fp);
-      if (!parsed.ok() || fp != FingerprintText(parsed->Fingerprint())) {
-        result->Mismatch("query " + std::to_string(a.index) +
-                         ": fingerprint " + fp + " does not match its request");
-        continue;
-      }
-      const std::string payload = PayloadOf(a.response);
-      const auto [it, inserted] = payload_by_fp.emplace(fp, payload);
-      if (inserted) {
-        line_by_fp.emplace(fp, a.index);
-      } else if (it->second != payload) {
-        result->Mismatch("fingerprint " + fp +
-                         ": payload differs between answers");
-      }
-    }
-  }
-  // A seeded sample of distinct fingerprints against direct solves.
-  std::vector<std::string> fps;
-  for (const auto& entry : line_by_fp) fps.push_back(entry.first);
-  memo::Rng sample_rng(Mix(run.seed));
-  const std::size_t samples = std::min<std::size_t>(fps.size(), 6);
-  for (std::size_t s = 0; s < samples; ++s) {
-    const std::string& fp = fps[sample_rng.NextBounded(fps.size())];
-    const std::string& line = stream[line_by_fp[fp]].line;
-    const std::string direct = DirectPayload(line);
-    if (direct != payload_by_fp[fp]) {
-      result->Mismatch(line + ": served payload " + payload_by_fp[fp] +
-                       " differs from a direct ExecutePlanRequest: " + direct);
-    }
-  }
-
-  result->Add("throughput_per_s", answered / wall, "1/s");
-  result->Add("latency_p50_ms", Median(latencies), "ms");
-  result->Add("latency_p99_ms", Percentile(latencies, 0.99), "ms");
-  result->Add("setup_s", Median(setup_s), "s");
-  result->Add("peak_rss_mib", peak_rss, "MiB");
-  result->Note("throughput_unit", "answered queries per second");
-  result->Note("latency_samples", std::to_string(latencies.size()) +
-                                      " queries, " +
-                                      std::to_string(payload_by_fp.size()) +
-                                      " distinct fingerprints");
-}
-
-// ------------------------------------------------------------------ traced
-
 /// What one in-process pass over the stream measured.
 struct PassResult {
   std::size_t issued = 0;  // stream prefix the pass consumed
   double wall = 0.0;
-  /// Query() calls the cache's fast path answered; that path records no
-  /// span, so the benchmark times these calls itself.
+  /// Every answered Query() call, and those the cache's fast path answered;
+  /// that path records no span, so the benchmark times the calls itself.
+  std::vector<double> query_ms;
   std::vector<double> hit_ms;
   /// Every answered query: its stream index and its plan.
   std::vector<std::pair<std::size_t, std::shared_ptr<const serve::CachedPlan>>>
       answers;
 };
 
-/// Runs stream[0, limit) against `server` in-process from two threads
-/// until `seconds` pass.
+/// Runs the stream against `server` in-process from two threads until
+/// `seconds` pass. Each answer's fingerprint must be its request's.
 PassResult InProcessPass(serve::PlanServer& server,
-                         const std::vector<Request>& stream, std::size_t limit,
-                         double seconds, RunResult* result) {
+                         const std::vector<Request>& stream, double seconds,
+                         RunResult* result) {
   std::atomic<std::size_t> cursor{0};
+  std::atomic<int> wrong_fingerprints{0};
   std::vector<PassResult> per_client(2);
   const auto start = Clock::now();
   std::vector<std::thread> threads;
@@ -490,13 +318,15 @@ PassResult InProcessPass(serve::PlanServer& server,
       for (;;) {
         if (SecondsSince(start) >= seconds) break;
         const std::size_t i = cursor.fetch_add(1);
-        if (i >= limit) break;
+        if (i >= stream.size()) break;
         const auto request = serve::ParsePlanRequestJson(stream[i].line);
         if (!request.ok()) continue;
         const auto t0 = Clock::now();
         const serve::QueryOutcome outcome = server.Query(*request);
         const double ms = SecondsSince(t0) * 1000.0;
         if (!outcome.status.ok()) continue;
+        if (outcome.fingerprint != request->Fingerprint()) ++wrong_fingerprints;
+        mine.query_ms.push_back(ms);
         if (outcome.cache_hit) mine.hit_ms.push_back(ms);
         mine.answers.emplace_back(i, outcome.plan);
       }
@@ -505,8 +335,10 @@ PassResult InProcessPass(serve::PlanServer& server,
   for (std::thread& t : threads) t.join();
   PassResult pass;
   pass.wall = SecondsSince(start);
-  pass.issued = std::min(cursor.load(), limit);
+  pass.issued = std::min(cursor.load(), stream.size());
   for (PassResult& mine : per_client) {
+    pass.query_ms.insert(pass.query_ms.end(), mine.query_ms.begin(),
+                         mine.query_ms.end());
     pass.hit_ms.insert(pass.hit_ms.end(), mine.hit_ms.begin(),
                        mine.hit_ms.end());
     pass.answers.insert(pass.answers.end(), mine.answers.begin(),
@@ -515,11 +347,56 @@ PassResult InProcessPass(serve::PlanServer& server,
   const auto answered = static_cast<std::int64_t>(pass.answers.size());
   result->attempted += static_cast<std::int64_t>(pass.issued);
   result->failed += static_cast<std::int64_t>(pass.issued) - answered;
+  if (wrong_fingerprints > 0) {
+    result->Mismatch(std::to_string(wrong_fingerprints.load()) +
+                     " answers carry another request's fingerprint");
+  }
   return pass;
 }
 
-void RunTraced(const RunOptions& run, RunResult* result) {
-  const std::vector<Request> stream = MakeStream(run.seed, StreamLength(run));
+/// Output checks on the answered plans: every answer of one fingerprint
+/// carries the same bytes, and a seeded sample of distinct fingerprints
+/// equals a direct core::ExecutePlanRequest.
+void CheckAnswers(const PassResult& pass, const std::vector<Request>& stream,
+                  std::uint64_t seed, RunResult* result) {
+  std::map<std::uint64_t, std::size_t> first_index;
+  std::map<std::uint64_t, const std::string*> payload_by_fp;
+  for (const auto& [index, plan] : pass.answers) {
+    const auto request = serve::ParsePlanRequestJson(stream[index].line);
+    if (!request.ok()) continue;
+    const std::uint64_t fp = request->Fingerprint();
+    const auto [it, inserted] = payload_by_fp.emplace(fp, &plan->payload);
+    if (inserted) {
+      first_index.emplace(fp, index);
+    } else if (*it->second != plan->payload) {
+      result->Mismatch(stream[index].line +
+                       ": payload differs between answers");
+    }
+  }
+  std::vector<std::uint64_t> fps;
+  for (const auto& entry : first_index) fps.push_back(entry.first);
+  memo::Rng sample_rng(Mix(seed));
+  const std::size_t samples = std::min<std::size_t>(fps.size(), 6);
+  for (std::size_t s = 0; s < samples; ++s) {
+    const std::uint64_t fp = fps[sample_rng.NextBounded(fps.size())];
+    const std::string& line = stream[first_index[fp]].line;
+    const std::string direct = DirectPayload(line);
+    if (direct != *payload_by_fp[fp]) {
+      result->Mismatch(line + ": served payload " + *payload_by_fp[fp] +
+                       " differs from a direct ExecutePlanRequest: " + direct);
+    }
+  }
+}
+
+}  // namespace
+
+void RunPlanService(const RunOptions& run, double seconds, RunResult* result) {
+  // The planner runs on one pool lane: the two solver sessions are the
+  // service's parallelism, and more lanes would oversubscribe the cores.
+  const int lanes = memo::ThreadPool::Global().threads();
+  memo::ThreadPool::SetGlobalThreads(1);
+  const std::vector<Request> stream =
+      MakeStream(run.seed, StreamLength(seconds, run.smoke));
 
   // serve: parsing each request line.
   std::vector<double> parse_us;
@@ -530,38 +407,30 @@ void RunTraced(const RunOptions& run, RunResult* result) {
     if (!parsed.ok()) result->Mismatch("parse: " + parsed.status().ToString());
   }
 
-  // The query path in-process with the recorder on, then the same prefix
-  // with it off on a fresh server: their wall-time gap is the tracing
-  // overhead.
+  // The query path in-process with the recorder on.
   memo::obs::TraceRecorder& recorder = memo::obs::TraceRecorder::Global();
-  PassResult traced;
+  PassResult pass;
   serve::PlanServer::Stats stats;
   {
-    serve::PlanServer server(Service::Options());
+    serve::PlanServer server(ServerOptions());
     recorder.Clear();
     recorder.Enable();
-    traced = InProcessPass(server, stream, stream.size(), run.seconds / 3.0,
-                           result);
+    pass = InProcessPass(server, stream, seconds, result);
     recorder.Disable();
     stats = server.stats();
   }
   const std::vector<ProgramSpan> spans = ProgramSpans();
-  WriteProgramTrace(run.work_dir + "/spans-plan_mix-" +
+  WriteProgramTrace(run.work_dir + "/spans-plan_service-" +
                         std::to_string(run.seed) + ".json",
-                    result);
+                    "plan_spans", result);
   recorder.Clear();
-  double untraced_wall = 0.0;
-  {
-    serve::PlanServer server(Service::Options());
-    untraced_wall =
-        InProcessPass(server, stream, traced.issued, 1e9, result).wall;
-  }
+  CheckAnswers(pass, stream, run.seed, result);
 
   // Misses are the serve_request spans that hold a plan_solve; each
   // plan_solve is one ExecutePlanRequest (plus serialization), and its
   // fingerprint names the request kind.
   std::map<std::uint64_t, std::size_t> index_by_fp;
-  for (const auto& answer : traced.answers) {
+  for (const auto& answer : pass.answers) {
     const auto request = serve::ParsePlanRequestJson(stream[answer.first].line);
     if (request.ok()) index_by_fp.emplace(request->Fingerprint(), answer.first);
   }
@@ -583,9 +452,9 @@ void RunTraced(const RunOptions& run, RunResult* result) {
 
   // serve: serializing the answered plans.
   std::vector<double> serialize_us;
-  for (std::size_t i = 0; i < std::min<std::size_t>(traced.answers.size(), 500);
+  for (std::size_t i = 0; i < std::min<std::size_t>(pass.answers.size(), 500);
        ++i) {
-    const serve::CachedPlan& plan = *traced.answers[i].second;
+    const serve::CachedPlan& plan = *pass.answers[i].second;
     const auto t0 = Clock::now();
     const std::string payload = serve::SerializePlanResult(plan.result);
     serialize_us.push_back(SecondsSince(t0) * 1e6);
@@ -617,7 +486,7 @@ void RunTraced(const RunOptions& run, RunResult* result) {
   // caching-allocator replay on the shapes the first answered best queries
   // chose.
   std::vector<double> strategies_tried, lp_us, plan_ms, replay_ms;
-  for (const auto& [index, plan] : traced.answers) {
+  for (const auto& [index, plan] : pass.answers) {
     if (stream[index].kind != "best" || stream[index].repeat) continue;
     const core::PlanResult& answer = plan->result;
     strategies_tried.push_back(answer.strategies_tried);
@@ -661,15 +530,19 @@ void RunTraced(const RunOptions& run, RunResult* result) {
     memo::alloc::ReplayTrace(trace.requests, {});
     replay_ms.push_back(SecondsSince(t2) * 1000.0);
   }
+  memo::ThreadPool::SetGlobalThreads(lanes);
 
+  result->Add("serve.queries_per_s", pass.answers.size() / pass.wall, "1/s");
+  result->Add("serve.query_p50_ms", Median(pass.query_ms), "ms");
+  result->Add("serve.query_p99_ms", Percentile(pass.query_ms, 0.99), "ms");
   result->Add("serve.parse_us", Median(parse_us), "us");
   result->Add("serve.serialize_us", Median(serialize_us), "us");
   result->Add("serve.socket_rtt_us", Median(rtt_us), "us");
-  result->Add("serve.query_hit_ms", Median(traced.hit_ms), "ms");
+  result->Add("serve.query_hit_ms", Median(pass.hit_ms), "ms");
   result->Add("serve.query_miss_ms", Median(miss_ms), "ms");
   result->Add("serve.cache_hit_ratio",
-              static_cast<double>(traced.hit_ms.size()) /
-                  std::max<std::size_t>(1, traced.answers.size()),
+              static_cast<double>(pass.hit_ms.size()) /
+                  std::max<std::size_t>(1, pass.answers.size()),
               "ratio");
   result->Add("serve.shed", static_cast<double>(stats.shed), "count");
   result->Add("core.solve_best_ms", Median(solve_ms["best"]), "ms");
@@ -679,21 +552,18 @@ void RunTraced(const RunOptions& run, RunResult* result) {
   result->Add("core.alpha_lp_us", Median(lp_us), "us");
   result->Add("planner.plan_memory_ms", Median(plan_ms), "ms");
   result->Add("alloc.replay_ms", Median(replay_ms), "ms");
-  result->Add("trace.overhead_pct",
-              100.0 * (traced.wall / untraced_wall - 1.0), "%");
-  result->Note("solve_samples",
-               std::to_string(solve_ms["best"].size()) + " best, " +
+  result->Note("plan_samples",
+               std::to_string(pass.answers.size()) + " answered queries; " +
+                   std::to_string(solve_ms["best"].size()) + " best, " +
                    std::to_string(solve_ms["strategy"].size()) +
                    " strategy, " + std::to_string(solve_ms["maxseq"].size()) +
                    " maxseq plan_solve spans");
 }
 
-}  // namespace
-
-std::string DescribePlanMix(const RunOptions& run) {
-  const std::vector<Request> stream = MakeStream(run.seed, StreamLength(run));
-  std::string out = "{\"workload\":\"plan_mix\",\"seed\":" +
-                    std::to_string(run.seed) + ",\"fingerprints\":[";
+std::string DescribePlanStream(std::uint64_t seed, double seconds) {
+  const std::vector<Request> stream =
+      MakeStream(seed, StreamLength(seconds, false));
+  std::string out = "[";
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const auto request = serve::ParsePlanRequestJson(stream[i].line);
     out += (i == 0 ? "\"" : ",\"") +
@@ -701,15 +571,7 @@ std::string DescribePlanMix(const RunOptions& run) {
                          : std::string("invalid")) +
            "\"";
   }
-  return out + "]}";
-}
-
-void RunPlanMix(const RunOptions& run, RunResult* result) {
-  if (run.trace) {
-    RunTraced(run, result);
-  } else {
-    RunUntraced(run, result);
-  }
+  return out + "]";
 }
 
 }  // namespace perfbench

@@ -23,7 +23,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 BENCH_DIR = os.path.join(ROOT, "perfbench")
 BUILD_DIR = os.path.join(ROOT, ".bench_build", "perfbench")
 WORK_DIR = ".bench_run"
-WORKLOADS = ("train_longctx", "train_spill", "plan_mix")
+WORKLOADS = ("train_longctx", "train_spill")
 BUILD_TIMEOUT_S = 840
 RUN_TIMEOUT_S = 170
 

@@ -58,13 +58,13 @@ class SeededInputs(unittest.TestCase):
         for workload in run.WORKLOADS:
             self.assertNotEqual(describe(workload, 3), describe(workload, 4),
                                 workload)
-        a = describe("plan_mix", 3)["fingerprints"]
-        b = describe("plan_mix", 4)["fingerprints"]
+        a = describe("train_spill", 3)["plan_fingerprints"]
+        b = describe("train_spill", 4)["plan_fingerprints"]
         same_position = sum(x == y for x, y in zip(a, b))
         self.assertLess(same_position, len(a) // 20)
 
     def test_a_third_of_the_stream_repeats(self):
-        fingerprints = describe("plan_mix", 5)["fingerprints"]
+        fingerprints = describe("train_spill", 5)["plan_fingerprints"]
         self.assertNotIn("invalid", fingerprints)
         repeated = 1 - len(set(fingerprints)) / len(fingerprints)
         self.assertAlmostEqual(repeated, 1 / 3, delta=0.01)

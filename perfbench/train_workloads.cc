@@ -11,12 +11,14 @@
 //                  the disk tier, paging and checksums do the work.
 //
 // Every figure comes from real train::RunTraining calls. The end-to-end run
-// times whole calls for throughput and reads the step latencies off the
-// "iteration" spans RunTraining records into obs::TraceRecorder, which is
-// switched on around each timed call. The traced run reads the per-layer
-// figures off the spans of one traced call (forward, classifier, backward,
-// optim_step, stash, restore) and, since the ops record no spans, times each
-// op of a step at the workload's shapes with the benchmark's own clock.
+// alternates one-iteration set-up calls with measured calls, times whole
+// calls for throughput and reads the step latencies off the "iteration"
+// spans RunTraining records into obs::TraceRecorder, which is switched on
+// around each measured call. The traced run reads the per-layer figures off
+// the spans of one traced call (forward, classifier, backward, optim_step,
+// stash, restore) and, since the ops record no spans, times each op of a
+// step at the workload's shapes with the benchmark's own clock. The traced
+// run of train_spill also measures the planning service (plan_service.cc).
 
 #include <algorithm>
 #include <cstring>
@@ -46,7 +48,6 @@ struct TrainSpec {
   /// Everything but `iterations`, which each phase sets.
   train::TrainRunOptions options;
   int iterations_per_call = 8;
-  int setup_reps = 5;
   /// Iterations the retain-all reference run trains for the loss check.
   int check_prefix = 2;
   /// Repetitions per call site in the traced per-op table.
@@ -84,7 +85,6 @@ TrainSpec MakeSpec(const RunOptions& run) {
     o.model.heads = 4;
     o.model.ffn = 128;
     spec.iterations_per_call = 3;
-    spec.setup_reps = 1;
     spec.op_reps = 1;
   }
   return spec;
@@ -166,22 +166,20 @@ void RunUntraced(const RunOptions& run, const TrainSpec& spec,
   const double tokens_per_call =
       static_cast<double>(k) * spec.options.model.seq * spec.options.batch;
 
-  // Set-up: a one-iteration run of the same config covers model init, the
-  // arena's measuring step and its DSA solve.
+  // Set-up is a one-iteration run of the same config: model init, the
+  // arena's measuring step and its DSA solve. Set-up and measured calls
+  // alternate, so the medians of both sample the whole run.
   std::vector<double> setup_s;
   std::vector<train::TrainRunResult> setup_runs;
-  for (int i = 0; i < spec.setup_reps; ++i) {
-    const auto start = Clock::now();
-    setup_runs.push_back(Train(spec, 1));
-    setup_s.push_back(SecondsSince(start));
-  }
-
   // Throughput per whole call; latency per steady step, from the spans.
   std::vector<double> tokens_per_s;
   std::vector<double> step_ms;
   std::vector<train::TrainRunResult> calls;
   const auto measure_start = Clock::now();
   while (calls.empty() || SecondsSince(measure_start) < run.seconds) {
+    const auto setup_start = Clock::now();
+    setup_runs.push_back(Train(spec, 1));
+    setup_s.push_back(SecondsSince(setup_start));
     TracedCall call = TrainTraced(spec, k);
     tokens_per_s.push_back(tokens_per_call / call.wall_s);
     for (const ProgramSpan& step : SteadySteps(call.spans)) {
@@ -221,16 +219,23 @@ void RunUntraced(const RunOptions& run, const TrainSpec& spec,
     }
   }
 
-  result->Add("throughput_per_s", Median(tokens_per_s), "1/s");
-  result->Add("latency_p50_ms", Median(step_ms), "ms");
-  result->Add("latency_p99_ms", Percentile(step_ms, 0.99), "ms");
+  result->Add("train_tokens_per_s", Median(tokens_per_s), "1/s");
+  result->Add("step_p50_ms", Median(step_ms), "ms");
   result->Add("setup_s", Median(setup_s), "s");
   result->Add("peak_rss_mib", peak_rss, "MiB");
-  result->Note("throughput_unit", "trained tokens per second");
-  result->Note("latency_samples",
+  result->Note("samples",
                std::to_string(step_ms.size()) + " steady steps from " +
                    std::to_string(calls.size()) + " RunTraining calls of " +
-                   std::to_string(k) + " iterations");
+                   std::to_string(k) + " iterations, " +
+                   std::to_string(setup_s.size()) + " set-up calls");
+  // The step tail is reported, not gated: it depends on what else the host
+  // runs. Its percentile is the highest with ten steps beyond it.
+  const double tail_q =
+      std::max(0.5, 1.0 - 10.0 / std::max<std::size_t>(1, step_ms.size()));
+  char tail[96];
+  std::snprintf(tail, sizeof(tail), "p%.1f %.3f ms", 100.0 * tail_q,
+                Percentile(step_ms, tail_q));
+  result->Note("step_tail", tail);
   result->Note("stash_peak_mib",
                std::to_string(calls[0].peak_stored_bytes / kMiBf));
   result->Note("arena_peak_mib",
@@ -238,6 +243,13 @@ void RunUntraced(const RunOptions& run, const TrainSpec& spec,
 }
 
 // ------------------------------------------------------------------ traced
+
+/// The planning service has no workload of its own; train_spill's traced run
+/// measures it, in a third of the run's seconds.
+bool HasPlanService(const RunOptions& run) {
+  return run.workload == "train_spill";
+}
+double PlanPassSeconds(const RunOptions& run) { return run.seconds / 3.0; }
 
 /// One timed call site of the per-op table: `calls` invocations per
 /// training step of `fn`.
@@ -432,7 +444,7 @@ void RunTraced(const RunOptions& run, const TrainSpec& spec,
               100.0 * (traced.wall_s / untraced_wall - 1.0), "%");
   WriteProgramTrace(run.work_dir + "/spans-" + run.workload + "-" +
                         std::to_string(run.seed) + ".json",
-                    result);
+                    "spans", result);
   memo::obs::TraceRecorder::Global().Clear();
 
   // Per-op table at the workload's shapes, at the workload's lanes and at 1.
@@ -488,6 +500,8 @@ void RunTraced(const RunOptions& run, const TrainSpec& spec,
               "MiB");
   result->Add("arena.heap_fallbacks",
               static_cast<double>(r.arena_heap_fallback_allocs), "count");
+
+  if (HasPlanService(run)) RunPlanService(run, PlanPassSeconds(run), result);
 }
 
 }  // namespace
@@ -508,7 +522,13 @@ std::string DescribeTrainWorkload(const RunOptions& run) {
       static_cast<int>(o.backend.kind),
       static_cast<long long>(o.backend.ram_capacity_bytes),
       o.backend.disk.bytes_per_second, spec.iterations_per_call);
-  return buf;
+  std::string out = buf;
+  if (HasPlanService(run)) {
+    out.pop_back();
+    out += ",\"plan_fingerprints\":" +
+           DescribePlanStream(run.seed, PlanPassSeconds(run)) + "}";
+  }
+  return out;
 }
 
 void RunTrainWorkload(const RunOptions& run, RunResult* result) {
