@@ -1,31 +1,24 @@
 // Sweeps the RAM capacity of the activation-stash hierarchy: the same
 // mini-GPT training run executes with an unlimited RAM stash, then with the
 // tiered (RAM + disk spill) backend at shrinking RAM caps down to a
-// disk-only configuration — and again with the lossless compression stage
-// (LZ and byte-plane codecs) in front of the tiers. Three claims are
-// checked numerically:
+// disk-only configuration. Two claims are checked numerically:
 //
 //   1. the final loss is BIT-IDENTICAL across all configurations — spilled
 //      pages round-trip exactly (checksummed), so where the RAM-only seed
 //      system aborted with kOutOfHostMemory, the tiered stash degrades to
 //      disk bandwidth without touching convergence (Fig. 12d invariant);
-//      compression must uphold the same bit-identity, codec or no codec;
 //   2. the per-tier counters account for every offloaded byte: bytes that
-//      leave the RAM tier reappear as spill pages in the disk tier, and
-//      with a codec on the raw/wire split stays truthful;
-//   3. compressed configurations achieve a raw/wire ratio > 1.0 on real
-//      activation blobs.
+//      leave the RAM tier reappear as spill pages in the disk tier.
 //
 // A second section runs the iteration simulator with an NVMe spill tier
-// configured, sweeping the host-RAM share to show the alpha split — and,
-// with compression priced into the three-way LP, that a starved host buys
-// back swap fraction through compressed disk rows without ever getting
-// slower than the uncompressed plan.
+// configured, sweeping the host-RAM share down to a starved host: the
+// tiered alpha LP routes what RAM cannot hold to disk, so every host size
+// still trains, and the smallest one spills.
 //
-// Emits BENCH_offload_tiers.json (schema v3; `aux` carries the raw/wire
-// compression ratio under aux_label "compression_ratio"). `--smoke` runs a
-// shrunken sweep, skips the JSON, and enforces the same contracts as hard
-// exit-code failures.
+// Emits BENCH_offload_tiers.json (schema v3; `aux` carries the disk share
+// of the stashed bytes for the trainer rows and the LP's alpha_disk for the
+// simulator rows). `--smoke` runs a shrunken sweep, skips the JSON, and
+// enforces the same contracts as hard exit-code failures.
 
 #include <cstdio>
 #include <cstring>
@@ -36,7 +29,6 @@
 #include "common/table_printer.h"
 #include "common/units.h"
 #include "core/session.h"
-#include "offload/compression.h"
 #include "train/trainer.h"
 
 namespace {
@@ -59,7 +51,6 @@ memo::train::TrainRunOptions BaseRun(int iterations) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  using memo::offload::CompressionCodec;
   using memo::train::RunTraining;
   using memo::train::TrainRunResult;
 
@@ -68,8 +59,7 @@ int main(int argc, char** argv) {
 
   std::printf(
       "Offload tier sweep: mini-GPT (3x32x4 heads, seq 96), %d iterations,\n"
-      "token-wise alpha=0.5, stash RAM capacity shrinking to 0, with and\n"
-      "without the lossless compression stage\n\n",
+      "token-wise alpha=0.5, stash RAM capacity shrinking to 0\n\n",
       iterations);
 
   memo::train::TrainRunOptions reference_options = BaseRun(iterations);
@@ -85,28 +75,18 @@ int main(int argc, char** argv) {
   struct Config {
     const char* name;
     double ram_fraction;  // of the observed peak stash bytes; <0 = unlimited
-    CompressionCodec codec;
   };
   const Config configs[] = {
-      {"ram_unlimited", -1.0, CompressionCodec::kNone},
-      {"tiered_75pct", 0.75, CompressionCodec::kNone},
-      {"tiered_50pct", 0.5, CompressionCodec::kNone},
-      {"tiered_25pct", 0.25, CompressionCodec::kNone},
-      {"disk_only", 0.0, CompressionCodec::kNone},
-      {"tiered_50pct_lz", 0.5, CompressionCodec::kLz},
-      {"tiered_50pct_byteplane", 0.5, CompressionCodec::kBytePlane},
-      {"disk_only_lz", 0.0, CompressionCodec::kLz},
+      {"ram_unlimited", -1.0}, {"tiered_75pct", 0.75}, {"tiered_50pct", 0.5},
+      {"tiered_25pct", 0.25},  {"disk_only", 0.0},
   };
 
   memo::TablePrinter table({"backend", "RAM cap", "final loss", "bit-equal",
-                            "RAM put", "disk put", "spill pages", "ratio",
-                            "wall ms"});
+                            "RAM put", "disk put", "spill pages", "wall ms"});
   std::vector<memo::bench::BenchRecord> records;
   bool all_equal = true;
-  bool all_compressed_won = true;
   for (const Config& config : configs) {
     memo::train::TrainRunOptions o = BaseRun(iterations);
-    o.backend.codec = config.codec;
     std::int64_t cap = 0;
     if (config.ram_fraction < 0.0) {
       o.backend.kind = memo::offload::BackendKind::kRam;
@@ -124,14 +104,11 @@ int main(int argc, char** argv) {
     const double ms =
         memo::bench::BestWallMs(1, [&] { result = RunTraining(o); });
 
-    // The bit-identity contract covers every configuration, codec or not.
     const bool equal = result.losses == reference.losses;
     all_equal = all_equal && equal;
     const auto& stats = result.offload_stats;
-    const double ratio = stats.compression.put_ratio();
-    if (config.codec != CompressionCodec::kNone && ratio <= 1.0) {
-      all_compressed_won = false;
-    }
+    const std::int64_t stashed =
+        stats.ram_tier.put_bytes + stats.disk_tier.put_bytes;
     table.AddRow(
         {config.name,
          config.ram_fraction < 0.0 ? "unlimited" : memo::FormatBytes(cap),
@@ -140,7 +117,6 @@ int main(int argc, char** argv) {
          memo::FormatBytes(stats.ram_tier.put_bytes),
          memo::FormatBytes(stats.disk_tier.put_bytes),
          std::to_string(stats.disk_tier.spill_pages),
-         memo::StrFormat("%.2fx", ratio),
          memo::StrFormat("%.1f", ms)});
 
     memo::bench::BenchRecord record;
@@ -148,38 +124,28 @@ int main(int argc, char** argv) {
     record.threads = 1;
     record.wall_ms = ms;
     record.speedup_vs_serial = ms > 0.0 ? reference_ms / ms : 1.0;
-    record.aux = ratio;
-    record.aux_label = "compression_ratio";
+    record.aux = stashed > 0 ? static_cast<double>(stats.disk_tier.put_bytes) /
+                                   static_cast<double>(stashed)
+                             : 0.0;
+    record.aux_label = "disk_share";
     records.push_back(record);
   }
   table.Print(std::cout);
-  std::printf("\nloss curves bit-identical across all tiers and codecs: %s\n",
+  std::printf("\nloss curves bit-identical across all tiers: %s\n\n",
               all_equal ? "yes" : "NO");
-  std::printf("compressed configs achieved ratio > 1.0: %s\n\n",
-              all_compressed_won ? "yes" : "NO");
 
-  // ---- Simulator: host-RAM sweep with an NVMe tier configured. The seed
-  // solver aborts with X_oohm once the always-offloaded bytes exceed the
-  // host share; the tiered LP routes the overflow to disk, and the
-  // three-way LP additionally prices the codec — the calibrated ratio is
-  // deterministic, the throughputs are pinned here so the plans are
-  // machine-independent.
+  // ---- Simulator: host-RAM sweep with an NVMe tier configured. The
+  // single-tier LP aborts with X_oohm once the always-offloaded bytes exceed
+  // the host share; the tiered LP routes the overflow to disk instead.
   std::printf(
-      "Simulator: 7B model, seq 512K, 8 GPUs, NVMe tier 4 TiB @ 6 GB/s,\n"
-      "compression priced at the calibrated lz ratio, 4 GB/s codec\n\n");
-  bool sim_ok = true;
-  bool starved_compressed_alpha = false;
+      "Simulator: 7B model, seq 512K, 8 GPUs, NVMe tier 4 TiB @ 6 GB/s\n\n");
+  bool all_hosts_train = true;
+  bool starved_host_spills = false;
   const auto model = memo::model::ModelByName("7B");
   if (model.ok()) {
-    memo::core::CompressionPricing pricing;
-    pricing.ratio =
-        memo::offload::CalibrateCodec(CompressionCodec::kLz).ratio;
-    pricing.compress_bytes_per_second = 4.0 * memo::kGBps;
-    pricing.decompress_bytes_per_second = 4.0 * memo::kGBps;
-
-    memo::TablePrinter sim_table({"host GiB/node", "codec", "alpha",
-                                  "alpha RAM", "alpha disk", "alpha comp",
-                                  "disk/GPU", "on-wire", "iter time"});
+    memo::TablePrinter sim_table({"host GiB/node", "strategy", "alpha",
+                                  "alpha RAM", "alpha disk", "RAM/GPU",
+                                  "disk/GPU", "disk busy", "iter time"});
     const std::vector<double> hosts =
         smoke ? std::vector<double>{512.0, 32.0}
               : std::vector<double>{2048.0, 512.0, 128.0, 32.0};
@@ -189,65 +155,43 @@ int main(int argc, char** argv) {
           host_gib * static_cast<double>(memo::kGiB));
       cluster.node.nvme_bytes = 4 * memo::kTiB;
       cluster.node.nvme_bandwidth = 6.0 * memo::kGBps;
-      const memo::core::Workload workload{*model, 512 * memo::kSeqK};
-
-      double uncompressed_seconds = 0.0;
-      for (const bool compressed : {false, true}) {
-        memo::core::SessionOptions session;
-        if (compressed) {
-          session.memo.codec = CompressionCodec::kLz;
-          session.memo.compression = pricing;
-        }
-        const auto best = memo::core::RunBestStrategy(
-            memo::parallel::SystemKind::kMemo, workload, cluster, session);
-        const char* codec_name = compressed ? "lz" : "none";
-        if (!best.status.ok()) {
-          sim_table.AddRow({memo::StrFormat("%.0f", host_gib), codec_name,
-                            best.status.ToString(), "-", "-", "-", "-", "-",
-                            "-"});
-          continue;
-        }
-        const memo::core::IterationResult& it = best.best;
-        sim_table.AddRow({memo::StrFormat("%.0f", host_gib), codec_name,
-                          memo::StrFormat("%.3f", it.alpha),
-                          memo::StrFormat("%.3f", it.alpha_ram),
-                          memo::StrFormat("%.3f", it.alpha_disk),
-                          memo::StrFormat("%.3f", it.alpha_disk_compressed),
-                          memo::FormatBytes(it.host_disk_bytes),
-                          memo::FormatBytes(it.host_disk_wire_bytes),
-                          memo::FormatSeconds(it.iteration_seconds)});
-        if (!compressed) {
-          uncompressed_seconds = it.iteration_seconds;
-        } else {
-          // Compression is an *option* for the planner, never an
-          // obligation: the compressed plan must not be slower.
-          if (uncompressed_seconds > 0.0 &&
-              it.iteration_seconds > uncompressed_seconds * (1.0 + 1e-9)) {
-            sim_ok = false;
-          }
-          if (it.alpha_disk_compressed > 0.0 && it.compression_ratio > 1.0) {
-            starved_compressed_alpha = true;
-          }
-          memo::bench::BenchRecord record;
-          record.op =
-              memo::StrFormat("sim_host%.0fgib_lz", host_gib);
-          record.threads = 1;
-          record.wall_ms = it.iteration_seconds * 1000.0;
-          record.speedup_vs_serial =
-              it.iteration_seconds > 0.0 && uncompressed_seconds > 0.0
-                  ? uncompressed_seconds / it.iteration_seconds
-                  : 1.0;
-          record.aux = it.compression_ratio;
-          record.aux_label = "compression_ratio";
-          records.push_back(record);
-        }
+      const auto best = memo::core::RunBestStrategy(
+          memo::parallel::SystemKind::kMemo,
+          memo::core::Workload{*model, 512 * memo::kSeqK}, cluster,
+          memo::core::SessionOptions{});
+      if (!best.status.ok()) {
+        all_hosts_train = false;
+        sim_table.AddRow({memo::StrFormat("%.0f", host_gib),
+                          best.status.ToString(), "-", "-", "-", "-", "-",
+                          "-", "-"});
+        continue;
       }
+      const memo::core::IterationResult& it = best.best;
+      if (host_gib == hosts.back() && it.host_disk_bytes > 0) {
+        starved_host_spills = true;
+      }
+      sim_table.AddRow({memo::StrFormat("%.0f", host_gib),
+                        it.strategy.ToString(),
+                        memo::StrFormat("%.3f", it.alpha),
+                        memo::StrFormat("%.3f", it.alpha_ram),
+                        memo::StrFormat("%.3f", it.alpha_disk),
+                        memo::FormatBytes(it.host_ram_bytes),
+                        memo::FormatBytes(it.host_disk_bytes),
+                        memo::FormatSeconds(it.disk_busy_seconds),
+                        memo::FormatSeconds(it.iteration_seconds)});
+      memo::bench::BenchRecord record;
+      record.op = memo::StrFormat("sim_host%.0fgib", host_gib);
+      record.threads = 1;
+      record.wall_ms = it.iteration_seconds * 1000.0;
+      record.aux = it.alpha_disk;
+      record.aux_label = "alpha_disk";
+      records.push_back(record);
     }
     sim_table.Print(std::cout);
-    std::printf("\ncompressed plans never slower than uncompressed: %s\n",
-                sim_ok ? "yes" : "NO");
-    std::printf("starved host chose a compressed disk share: %s\n",
-                starved_compressed_alpha ? "yes" : "NO");
+    std::printf("\nevery host size trains with the NVMe tier: %s\n",
+                all_hosts_train ? "yes" : "NO");
+    std::printf("the starved host spills to disk: %s\n",
+                starved_host_spills ? "yes" : "NO");
   }
 
   if (!smoke) {
@@ -258,8 +202,7 @@ int main(int argc, char** argv) {
     std::printf("\nwrote BENCH_offload_tiers.json (%zu records)\n",
                 records.size());
   }
-  const bool ok =
-      all_equal && all_compressed_won && sim_ok && starved_compressed_alpha;
+  const bool ok = all_equal && all_hosts_train && starved_host_spills;
   if (!ok) std::printf("\ncontract FAILED\n");
   return ok ? 0 : 1;
 }

@@ -15,12 +15,9 @@ namespace memo {
 /// lets compressed golden trace fixtures be byte-compared in tests (a
 /// system zlib could change its encoder between versions; this cannot).
 ///
-/// Two very different payloads share this codec: fixed-width trace records
+/// The .memotrc writer compresses its fixed-width trace records with it
 /// (highly repetitive — one 24/32-byte layout, recurring sizes and name
-/// ids, typically 4-10x) and offloaded activation blobs (float32 tensors,
-/// where the win comes from repeated exponent/sign bytes after a byte-plane
-/// shuffle; see offload/compression.h). Callers that see no gain store the
-/// payload raw.
+/// ids, typically 4-10x); a chunk that sees no gain is stored raw.
 std::string LzCompress(std::string_view input);
 
 /// Decompresses a LzCompress block. `expected_size` is the exact raw size

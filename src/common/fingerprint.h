@@ -55,6 +55,11 @@ class FingerprintBuilder {
   /// fingerprint identically, 0.1 and 0.1 + 1ulp do not.
   FingerprintBuilder& Add(std::string_view key, double value);
   FingerprintBuilder& Add(std::string_view key, std::string_view value);
+  /// Without this overload a string literal would convert to bool, not to
+  /// string_view, and every name would hash as "1".
+  FingerprintBuilder& Add(std::string_view key, const char* value) {
+    return Add(key, std::string_view(value));
+  }
 
   const std::string& canonical() const { return canon_; }
   std::uint64_t Fingerprint() const { return Fnv1a64(canon_); }

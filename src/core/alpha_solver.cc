@@ -2,96 +2,29 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "solver/simplex.h"
 
 namespace memo::core {
 
-StatusOr<AlphaResult> SolveAlpha(const AlphaInputs& inputs) {
-  if (inputs.s_others_bytes < 0 || inputs.s_input_bytes < 0 ||
-      inputs.s_attn_bytes < 0) {
-    return InvalidArgumentError("negative tensor sizes");
-  }
-  if (inputs.pcie_bytes_per_second <= 0.0 ||
-      inputs.layer_forward_seconds <= 0.0) {
-    return InvalidArgumentError("bandwidth and layer time must be positive");
-  }
-  if (inputs.num_layers < 3) {
-    // The last two layers never swap (§4.1); with n < 3 nothing is swapped
-    // and any alpha trivially works.
-    AlphaResult trivial;
-    trivial.alpha = 1.0;
-    return trivial;
-  }
+namespace {
 
-  const double base = static_cast<double>(inputs.s_input_bytes) +
-                      static_cast<double>(inputs.s_attn_bytes);
-  const double others = static_cast<double>(inputs.s_others_bytes);
-  const double budget_overlap =
-      inputs.pcie_bytes_per_second * inputs.layer_forward_seconds;
-  const double budget_host = static_cast<double>(inputs.host_bytes_per_gpu) /
-                             (inputs.num_layers - 2);
-
-  if (base > budget_host) {
-    return OutOfHostMemoryError(
-        "layer inputs and attention outputs alone exceed host memory");
-  }
-
-  // Solve the one-variable LP through the simplex substrate (the paper's
-  // formulation verbatim); the closed form is cross-checked in tests.
-  solver::LpProblem lp;
-  lp.num_vars = 1;
-  lp.objective = {1.0};
-  lp.AddConstraint({others}, solver::LpProblem::Relation::kLe,
-                   budget_overlap - base);
-  lp.AddConstraint({others}, solver::LpProblem::Relation::kLe,
-                   budget_host - base);
-  lp.AddConstraint({1.0}, solver::LpProblem::Relation::kLe, 1.0);
-  const solver::LpSolution solution = solver::SolveLp(lp);
-  if (solution.outcome != solver::LpSolution::Outcome::kOptimal) {
-    // alpha >= 0 infeasible happens only when base exceeds budget_overlap;
-    // that is a legal outcome: swap only what fits, recompute the rest.
-    // Model it as alpha = 0 with the overlap constraint binding.
-    AlphaResult result;
-    result.alpha = 0.0;
-    result.overlap_bound = true;
-    return result;
-  }
-
-  AlphaResult result;
-  result.alpha = std::clamp(solution.x[0], 0.0, 1.0);
-  const double used = base + result.alpha * others;
-  result.overlap_bound = used >= budget_overlap - 1e-6 * budget_overlap;
-  result.host_memory_bound = used >= budget_host - 1e-6 * budget_host;
-  return result;
-}
-
+/// Rounds alpha DOWN to a multiple of 1/`steps`, after clamping it to
+/// [0, 1]. Never rounds a feasible alpha up, so constraints stay satisfied.
 double QuantizeAlpha(double alpha, int steps) {
   alpha = std::clamp(alpha, 0.0, 1.0);
   if (steps <= 0) return alpha;
   return std::floor(alpha * steps + 1e-9) / steps;
 }
 
+}  // namespace
+
 StatusOr<TieredAlphaResult> SolveAlphaTiered(const TieredAlphaInputs& inputs) {
+  const AlphaInputs& ram = inputs.ram;
   if (inputs.disk_bytes_per_gpu < 0) {
     return InvalidArgumentError("negative disk capacity");
   }
-  if (inputs.disk_bytes_per_gpu == 0) {
-    // No disk tier: the problem is exactly the single-tier §4.1 LP,
-    // including its kOutOfHostMemory failure mode.
-    MEMO_ASSIGN_OR_RETURN(const AlphaResult single, SolveAlpha(inputs.ram));
-    TieredAlphaResult result;
-    result.alpha = single.alpha;
-    result.alpha_ram = single.alpha;
-    result.overlap_bound = single.overlap_bound;
-    result.host_memory_bound = single.host_memory_bound;
-    return result;
-  }
-  if (inputs.disk_bytes_per_second <= 0.0) {
-    return InvalidArgumentError(
-        "disk bandwidth must be positive when the disk tier has capacity");
-  }
-  const AlphaInputs& ram = inputs.ram;
   if (ram.s_others_bytes < 0 || ram.s_input_bytes < 0 ||
       ram.s_attn_bytes < 0) {
     return InvalidArgumentError("negative tensor sizes");
@@ -99,7 +32,14 @@ StatusOr<TieredAlphaResult> SolveAlphaTiered(const TieredAlphaInputs& inputs) {
   if (ram.pcie_bytes_per_second <= 0.0 || ram.layer_forward_seconds <= 0.0) {
     return InvalidArgumentError("bandwidth and layer time must be positive");
   }
+  const bool has_disk = inputs.disk_bytes_per_gpu > 0;
+  if (has_disk && inputs.disk_bytes_per_second <= 0.0) {
+    return InvalidArgumentError(
+        "disk bandwidth must be positive when the disk tier has capacity");
+  }
   if (ram.num_layers < 3) {
+    // The last two layers never swap (§4.1); with n < 3 nothing is swapped
+    // and any alpha trivially works.
     TieredAlphaResult trivial;
     trivial.alpha = 1.0;
     trivial.alpha_ram = 1.0;
@@ -125,39 +65,49 @@ StatusOr<TieredAlphaResult> SolveAlphaTiered(const TieredAlphaInputs& inputs) {
   const double base_disk = base - base_ram;
   if (base_disk > budget_disk) {
     return OutOfHostMemoryError(
-        "layer inputs and attention outputs exceed host RAM and disk "
-        "capacity combined");
+        has_disk ? "layer inputs and attention outputs exceed host RAM and "
+                   "disk capacity combined"
+                 : "layer inputs and attention outputs alone exceed host "
+                   "memory");
   }
 
   TieredAlphaResult result;
   result.base_ram_fraction = base > 0.0 ? base_ram / base : 1.0;
 
-  // Two-variable LP over (a_r, a_d); simplex keeps both non-negative. The
-  // tiny objective skew prefers the RAM tier when totals tie.
+  // One variable per tier, (a_r) or (a_r, a_d); simplex keeps them
+  // non-negative. The tiny objective skew prefers the RAM tier when totals
+  // tie.
+  const auto row = [has_disk](double a_r, double a_d) {
+    return has_disk ? std::vector<double>{a_r, a_d} : std::vector<double>{a_r};
+  };
   solver::LpProblem lp;
-  lp.num_vars = 2;
-  lp.objective = {1.0 + 1e-9, 1.0};
-  lp.AddConstraint({others, others}, solver::LpProblem::Relation::kLe,
+  lp.num_vars = has_disk ? 2 : 1;
+  lp.objective = row(has_disk ? 1.0 + 1e-9 : 1.0, 1.0);
+  lp.AddConstraint(row(others, others), solver::LpProblem::Relation::kLe,
                    budget_overlap - base);
-  lp.AddConstraint({0.0, others}, solver::LpProblem::Relation::kLe,
-                   budget_disk_time - base_disk);
-  lp.AddConstraint({others, 0.0}, solver::LpProblem::Relation::kLe,
+  if (has_disk) {
+    lp.AddConstraint(row(0.0, others), solver::LpProblem::Relation::kLe,
+                     budget_disk_time - base_disk);
+  }
+  lp.AddConstraint(row(others, 0.0), solver::LpProblem::Relation::kLe,
                    budget_ram - base_ram);
-  lp.AddConstraint({0.0, others}, solver::LpProblem::Relation::kLe,
-                   budget_disk - base_disk);
-  lp.AddConstraint({1.0, 1.0}, solver::LpProblem::Relation::kLe, 1.0);
+  if (has_disk) {
+    lp.AddConstraint(row(0.0, others), solver::LpProblem::Relation::kLe,
+                     budget_disk - base_disk);
+  }
+  lp.AddConstraint(row(1.0, 1.0), solver::LpProblem::Relation::kLe, 1.0);
   const solver::LpSolution solution = solver::SolveLp(lp);
   if (solution.outcome != solver::LpSolution::Outcome::kOptimal) {
-    // A negative transfer budget (base bytes alone exceed what a layer time
-    // can move) makes even alpha = 0 infeasible for the *overlap* goal.
-    // Like SolveAlpha, treat it as a legal full-recompute outcome.
+    // alpha >= 0 is infeasible only when the base bytes alone exceed what a
+    // layer time can move. That is a legal outcome: swap only what fits,
+    // recompute the rest — alpha = 0 with the overlap constraint binding.
     result.alpha = 0.0;
     result.overlap_bound = true;
     return result;
   }
 
   result.alpha_ram = std::clamp(solution.x[0], 0.0, 1.0);
-  result.alpha_disk = std::clamp(solution.x[1], 0.0, 1.0);
+  result.alpha_disk = has_disk ? std::clamp(solution.x[1], 0.0, 1.0) : 0.0;
   result.alpha = std::min(1.0, result.alpha_ram + result.alpha_disk);
   const auto binding = [](double used, double budget) {
     return used >= budget - 1e-6 * std::max(1.0, budget);
@@ -166,10 +116,11 @@ StatusOr<TieredAlphaResult> SolveAlphaTiered(const TieredAlphaInputs& inputs) {
       binding(base + result.alpha * others, budget_overlap);
   result.host_memory_bound =
       binding(base_ram + result.alpha_ram * others, budget_ram);
-  result.disk_memory_bound =
-      binding(base_disk + result.alpha_disk * others, budget_disk);
-  result.disk_bandwidth_bound =
-      binding(base_disk + result.alpha_disk * others, budget_disk_time);
+  if (has_disk) {
+    const double disk_used = base_disk + result.alpha_disk * others;
+    result.disk_memory_bound = binding(disk_used, budget_disk);
+    result.disk_bandwidth_bound = binding(disk_used, budget_disk_time);
+  }
   return result;
 }
 
@@ -179,150 +130,8 @@ TieredAlphaResult QuantizeTieredAlpha(const TieredAlphaResult& result,
   quantized.alpha = QuantizeAlpha(result.alpha, steps);
   // RAM-first re-split: neither share can grow past its solved value, so
   // the quantized split satisfies every constraint the LP optimum did.
-  quantized.alpha_ram = std::min(result.alpha_ram, quantized.alpha);
+  quantized.alpha_ram = std::clamp(result.alpha_ram, 0.0, quantized.alpha);
   quantized.alpha_disk = quantized.alpha - quantized.alpha_ram;
-  return quantized;
-}
-
-StatusOr<ThreeWayAlphaResult> SolveAlphaThreeWay(
-    const ThreeWayAlphaInputs& inputs) {
-  // Without an enabled codec or a disk tier to spend it on, the problem is
-  // exactly the two-tier LP (compression only buys anything where transfer
-  // bytes are priced, and the RAM tier's PCIe cost is paid in raw bytes
-  // either way).
-  if (!inputs.compression.enabled() || inputs.tiered.disk_bytes_per_gpu <= 0) {
-    MEMO_ASSIGN_OR_RETURN(const TieredAlphaResult tiered,
-                          SolveAlphaTiered(inputs.tiered));
-    ThreeWayAlphaResult result;
-    result.alpha = tiered.alpha;
-    result.alpha_ram = tiered.alpha_ram;
-    result.alpha_disk = tiered.alpha_disk;
-    result.base_ram_fraction = tiered.base_ram_fraction;
-    result.overlap_bound = tiered.overlap_bound;
-    result.host_memory_bound = tiered.host_memory_bound;
-    result.disk_memory_bound = tiered.disk_memory_bound;
-    result.disk_bandwidth_bound = tiered.disk_bandwidth_bound;
-    return result;
-  }
-  if (inputs.tiered.disk_bytes_per_second <= 0.0) {
-    return InvalidArgumentError(
-        "disk bandwidth must be positive when the disk tier has capacity");
-  }
-  const AlphaInputs& ram = inputs.tiered.ram;
-  if (ram.s_others_bytes < 0 || ram.s_input_bytes < 0 ||
-      ram.s_attn_bytes < 0) {
-    return InvalidArgumentError("negative tensor sizes");
-  }
-  if (ram.pcie_bytes_per_second <= 0.0 || ram.layer_forward_seconds <= 0.0) {
-    return InvalidArgumentError("bandwidth and layer time must be positive");
-  }
-  if (ram.num_layers < 3) {
-    ThreeWayAlphaResult trivial;
-    trivial.alpha = 1.0;
-    trivial.alpha_ram = 1.0;
-    return trivial;
-  }
-
-  const double ratio = inputs.compression.ratio;
-  const double base = static_cast<double>(ram.s_input_bytes) +
-                      static_cast<double>(ram.s_attn_bytes);
-  const double others = static_cast<double>(ram.s_others_bytes);
-  const int swapped_layers = ram.num_layers - 2;
-  const double budget_overlap =
-      ram.pcie_bytes_per_second * ram.layer_forward_seconds;
-  const double budget_disk_time =
-      inputs.tiered.disk_bytes_per_second * ram.layer_forward_seconds;
-  const double budget_ram =
-      static_cast<double>(ram.host_bytes_per_gpu) / swapped_layers;
-  const double budget_disk =
-      static_cast<double>(inputs.tiered.disk_bytes_per_gpu) / swapped_layers;
-  // Raw bytes the codec can push through one layer window, gated by the
-  // slower of compress (forward) and decompress (backward).
-  const double budget_codec =
-      inputs.compression.bottleneck_bytes_per_second() *
-      ram.layer_forward_seconds;
-
-  // Base bytes fill RAM first; the spilled remainder always crosses the
-  // codec (the runtime compresses everything on the disk path), so disk
-  // capacity is charged its *wire* size.
-  const double base_ram = std::min(base, budget_ram);
-  const double base_disk = base - base_ram;
-  const double base_disk_wire = base_disk / ratio;
-  if (base_disk_wire > budget_disk) {
-    return OutOfHostMemoryError(
-        "layer inputs and attention outputs exceed host RAM and disk "
-        "capacity combined (even compressed)");
-  }
-
-  ThreeWayAlphaResult result;
-  result.base_ram_fraction = base > 0.0 ? base_ram / base : 1.0;
-
-  // Three-variable LP over (a_r, a_d, a_c). The objective skew breaks ties
-  // in preference order RAM > compressed disk > raw disk — compressed rows
-  // cost the same PCIe but strictly fewer disk-link bytes than raw rows.
-  solver::LpProblem lp;
-  lp.num_vars = 3;
-  lp.objective = {1.0 + 2e-9, 1.0, 1.0 + 1e-9};
-  lp.AddConstraint({others, others, others}, solver::LpProblem::Relation::kLe,
-                   budget_overlap - base);
-  lp.AddConstraint({0.0, others, others / ratio},
-                   solver::LpProblem::Relation::kLe,
-                   budget_disk_time - base_disk_wire);
-  lp.AddConstraint({others, 0.0, 0.0}, solver::LpProblem::Relation::kLe,
-                   budget_ram - base_ram);
-  lp.AddConstraint({0.0, others, others / ratio},
-                   solver::LpProblem::Relation::kLe,
-                   budget_disk - base_disk_wire);
-  lp.AddConstraint({0.0, 0.0, others}, solver::LpProblem::Relation::kLe,
-                   budget_codec - base_disk);
-  lp.AddConstraint({1.0, 1.0, 1.0}, solver::LpProblem::Relation::kLe, 1.0);
-  const solver::LpSolution solution = solver::SolveLp(lp);
-  if (solution.outcome != solver::LpSolution::Outcome::kOptimal) {
-    // Either the base bytes alone exceed a transfer budget (the tiered LP's
-    // full-recompute outcome) or the spilled base outruns the codec. Both
-    // are legal: swap nothing extra, recompute everything else.
-    result.alpha = 0.0;
-    result.overlap_bound = true;
-    result.codec_cpu_bound = base_disk > budget_codec;
-    return result;
-  }
-
-  result.alpha_ram = std::clamp(solution.x[0], 0.0, 1.0);
-  const double a_d = std::clamp(solution.x[1], 0.0, 1.0);
-  result.alpha_disk_compressed = std::clamp(solution.x[2], 0.0, 1.0);
-  result.alpha_disk = std::min(1.0, a_d + result.alpha_disk_compressed);
-  result.alpha =
-      std::min(1.0, result.alpha_ram + a_d + result.alpha_disk_compressed);
-  const auto binding = [](double used, double budget) {
-    return used >= budget - 1e-6 * std::max(1.0, budget);
-  };
-  const double disk_wire_used =
-      base_disk_wire +
-      (a_d + result.alpha_disk_compressed / ratio) * others;
-  result.overlap_bound =
-      binding(base + result.alpha * others, budget_overlap);
-  result.host_memory_bound =
-      binding(base_ram + result.alpha_ram * others, budget_ram);
-  result.disk_memory_bound = binding(disk_wire_used, budget_disk);
-  result.disk_bandwidth_bound = binding(disk_wire_used, budget_disk_time);
-  result.codec_cpu_bound = binding(
-      base_disk + result.alpha_disk_compressed * others, budget_codec);
-  return result;
-}
-
-ThreeWayAlphaResult QuantizeThreeWayAlpha(const ThreeWayAlphaResult& result,
-                                          int steps) {
-  ThreeWayAlphaResult quantized = result;
-  quantized.alpha = QuantizeAlpha(result.alpha, steps);
-  // Re-split in the LP's own preference order (RAM, compressed disk, raw
-  // disk): every share is capped at its solved value, so no constraint that
-  // held at the optimum can be violated after quantization.
-  quantized.alpha_ram = std::min(result.alpha_ram, quantized.alpha);
-  double remaining = quantized.alpha - quantized.alpha_ram;
-  quantized.alpha_disk_compressed =
-      std::min(result.alpha_disk_compressed, remaining);
-  remaining -= quantized.alpha_disk_compressed;
-  quantized.alpha_disk = quantized.alpha_disk_compressed + remaining;
   return quantized;
 }
 

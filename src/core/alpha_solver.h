@@ -1,7 +1,6 @@
 #ifndef MEMO_CORE_ALPHA_SOLVER_H_
 #define MEMO_CORE_ALPHA_SOLVER_H_
 
-#include <algorithm>
 #include <cstdint>
 
 #include "common/status.h"
@@ -23,39 +22,17 @@ struct AlphaInputs {
   std::int64_t host_bytes_per_gpu = 0; // M_CPU share of this GPU
 };
 
-struct AlphaResult {
-  /// The maximal feasible fraction in [0, 1].
-  double alpha = 0.0;
-  /// Which constraint is binding at the optimum (both may be false when
-  /// alpha == 1 with slack everywhere).
-  bool overlap_bound = false;
-  bool host_memory_bound = false;
-};
-
-/// Solves the swap-fraction linear program. Fails with kOutOfHostMemory when
-/// even alpha = 0 violates the host capacity (the always-offloaded layer
-/// input + attention output alone deplete CPU memory — the paper's X_oohm
-/// outcome), and with kInvalidArgument on malformed inputs. An alpha of 0 due
-/// to the *overlap* constraint is a valid result (full token-wise
-/// recomputation), not an error.
-StatusOr<AlphaResult> SolveAlpha(const AlphaInputs& inputs);
-
-/// Rounds alpha DOWN to a multiple of 1/`steps` (token groups must be
-/// discrete; the paper's Table 7 uses eighths). Never rounds a feasible
-/// alpha up, so constraints stay satisfied. Non-positive `steps` disables
-/// quantization; the input is clamped to [0, 1] either way.
-double QuantizeAlpha(double alpha, int steps = 8);
-
-/// Inputs of the two-tier swap-fraction problem: the §4.1 LP extended with
-/// an NVMe-analog spill tier below host RAM (SSDTrain-style hierarchy).
-/// Swapped bytes split into a RAM share a_r and a disk share a_d; the disk
-/// share crosses PCIe *and* the (slower) storage link, and the
-/// always-offloaded base bytes fill RAM first, spilling the remainder.
+/// Inputs of the swap-fraction problem over the host memory hierarchy: the
+/// §4.1 LP, optionally extended with an NVMe-analog spill tier below host
+/// RAM (SSDTrain-style hierarchy). Swapped bytes split into a RAM share a_r
+/// and a disk share a_d; the disk share crosses PCIe *and* the (slower)
+/// storage link, and the always-offloaded base bytes fill RAM first,
+/// spilling the remainder.
 struct TieredAlphaInputs {
   /// PCIe + host-RAM tier parameters (host_bytes_per_gpu = M_CPU share).
   AlphaInputs ram;
-  /// Disk tier capacity share of this GPU; 0 disables the tier, making the
-  /// problem identical to SolveAlpha.
+  /// Disk tier capacity share of this GPU; 0 means no disk tier, which
+  /// leaves the paper's one-variable LP.
   std::int64_t disk_bytes_per_gpu = 0;
   /// Sustained disk bandwidth in bytes/s; must be > 0 when the tier exists.
   double disk_bytes_per_second = 0.0;
@@ -68,13 +45,15 @@ struct TieredAlphaResult {
   /// Fraction of the always-offloaded (input + attention output) bytes that
   /// fits in RAM; the remainder spills to disk. 1.0 when RAM suffices.
   double base_ram_fraction = 1.0;
+  /// Which constraints bind at the optimum (all false when alpha == 1 with
+  /// slack everywhere; the disk flags stay false without a disk tier).
   bool overlap_bound = false;        // PCIe transfer time binding
   bool host_memory_bound = false;    // RAM tier capacity binding
   bool disk_memory_bound = false;    // disk tier capacity binding
   bool disk_bandwidth_bound = false; // storage link time binding
 };
 
-/// Solves the two-tier swap-fraction LP:
+/// Solves the swap-fraction LP through the simplex substrate:
 ///   max  a_r + a_d            (RAM preferred at equal totals)
 ///   s.t. others*(a_r + a_d) <= B_pcie*T - base          (PCIe overlap)
 ///        others*a_d         <= B_disk*T - base_disk     (disk overlap)
@@ -82,88 +61,23 @@ struct TieredAlphaResult {
 ///        others*a_d         <= M_disk/(n-2) - base_disk (disk capacity)
 ///        a_r + a_d <= 1,  a_r, a_d >= 0
 /// where base_ram = min(base, M_ram/(n-2)) and base_disk is the spilled
-/// remainder. Where SolveAlpha aborts with kOutOfHostMemory the moment the
-/// base bytes exceed M_CPU, this variant degrades gracefully into the disk
-/// tier and only fails when RAM *and* disk together cannot hold them.
+/// remainder. Without a disk tier a_d and its rows drop out, leaving the
+/// paper's one-variable LP (Eq. 1-3) verbatim.
+///
+/// Fails with kOutOfHostMemory when even alpha = 0 does not fit: the
+/// always-offloaded layer inputs and attention outputs exceed RAM and disk
+/// together (the paper's X_oohm outcome), and with kInvalidArgument on
+/// malformed inputs. An alpha of 0 due to the *overlap* constraint is a
+/// valid result (full token-wise recomputation), not an error.
 StatusOr<TieredAlphaResult> SolveAlphaTiered(const TieredAlphaInputs& inputs);
 
-/// Quantizes the *total* swapped fraction down to a multiple of 1/`steps`
-/// and re-splits it RAM-first, so both tier shares shrink or stay equal and
-/// every constraint of the solved LP remains satisfied.
+/// Rounds the *total* swapped fraction DOWN to a multiple of 1/`steps`
+/// (token groups must be discrete; the paper's Table 7 uses eighths) and
+/// re-splits it RAM-first, so both tier shares shrink or stay equal and
+/// every constraint of the solved LP remains satisfied. Non-positive
+/// `steps` disables quantization; alpha is clamped to [0, 1] either way.
 TieredAlphaResult QuantizeTieredAlpha(const TieredAlphaResult& result,
                                       int steps = 8);
-
-/// Cost model of the lossless compression stage as the LP prices it,
-/// normally filled from offload::CalibrateCodec: the raw/wire ratio the
-/// codec achieves on activation blobs and its single-stream throughput in
-/// raw bytes/s. Compression is "off" (and SolveAlphaThreeWay degenerates to
-/// SolveAlphaTiered) unless the ratio actually beats 1.0 and both
-/// throughputs are known.
-struct CompressionPricing {
-  double ratio = 1.0;
-  double compress_bytes_per_second = 0.0;
-  double decompress_bytes_per_second = 0.0;
-
-  bool enabled() const {
-    return ratio > 1.0 && compress_bytes_per_second > 0.0 &&
-           decompress_bytes_per_second > 0.0;
-  }
-  /// Raw bytes/s the codec sustains in the direction that limits a
-  /// steady-state pipeline (forward compresses, backward decompresses; the
-  /// slower one gates how much can be compressed per layer window).
-  double bottleneck_bytes_per_second() const {
-    return std::min(compress_bytes_per_second, decompress_bytes_per_second);
-  }
-};
-
-struct ThreeWayAlphaInputs {
-  TieredAlphaInputs tiered;
-  CompressionPricing compression;
-};
-
-/// Result of the three-way swap/recompute/compress split. `alpha_disk`
-/// includes the compressed share: alpha = alpha_ram + alpha_disk and
-/// alpha_disk_compressed <= alpha_disk, with 1 - alpha recomputed.
-struct ThreeWayAlphaResult {
-  double alpha = 0.0;
-  double alpha_ram = 0.0;
-  double alpha_disk = 0.0;
-  double alpha_disk_compressed = 0.0;
-  double base_ram_fraction = 1.0;
-  bool overlap_bound = false;
-  bool host_memory_bound = false;
-  bool disk_memory_bound = false;
-  bool disk_bandwidth_bound = false;
-  /// Codec throughput binding: more rows would compress if the CPU could
-  /// keep pace with the layer window.
-  bool codec_cpu_bound = false;
-};
-
-/// Extends the two-tier LP with compression as a third way to spend a row:
-/// vars (a_r, a_d, a_c) = RAM swap, raw disk swap, compressed disk swap.
-///   max  a_r + a_d + a_c          (RAM > compressed > raw disk at ties)
-///   s.t. others*(a_r+a_d+a_c)      <= B_pcie*T - base        (PCIe, raw —
-///                                     the codec runs host-side, after D2H)
-///        others*(a_d + a_c/r)      <= B_disk*T - base_disk/r (disk link,
-///                                     on-wire bytes)
-///        others*a_r               <= M_ram/(n-2) - base_ram  (RAM cap)
-///        others*(a_d + a_c/r)      <= M_disk/(n-2) - base_disk/r (disk cap)
-///        others*a_c               <= C*T - base_disk         (codec CPU,
-///                                     C = bottleneck raw bytes/s)
-///        a_r + a_d + a_c <= 1, all >= 0
-/// where r is the compression ratio and the disk-bound base spill is always
-/// compressed (the runtime decorator compresses everything on that path).
-/// With compression disabled or no disk tier this is exactly
-/// SolveAlphaTiered, including its failure modes.
-StatusOr<ThreeWayAlphaResult> SolveAlphaThreeWay(
-    const ThreeWayAlphaInputs& inputs);
-
-/// Quantizes the total swapped fraction down and re-splits it by the same
-/// preference order the LP objective encodes (RAM, then compressed disk,
-/// then raw disk). No share grows past its solved value, so the quantized
-/// split satisfies every constraint the optimum did.
-ThreeWayAlphaResult QuantizeThreeWayAlpha(const ThreeWayAlphaResult& result,
-                                          int steps = 8);
 
 }  // namespace memo::core
 

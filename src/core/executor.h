@@ -66,18 +66,6 @@ struct IterationResult {
   double alpha_ram = 0.0;
   double alpha_disk = 0.0;
 
-  // Compression on the disk path (the third offload dimension; all zeros /
-  // identities with the codec off). alpha_disk_compressed is the share of
-  // `others` rows that cross the disk link compressed (<= alpha_disk);
-  // host_disk_wire_bytes is what the link actually carries after the codec
-  // (== host_disk_bytes when nothing is compressed); compression_ratio is
-  // raw-over-wire of the disk-bound bytes; codec_busy_seconds is the busy
-  // time of the simulated host codec stream.
-  double alpha_disk_compressed = 0.0;
-  std::int64_t host_disk_wire_bytes = 0;
-  double compression_ratio = 1.0;
-  double codec_busy_seconds = 0.0;
-
   // True when this plan is a degraded re-solve after losing the NVMe spill
   // tier mid-run: the alpha split was recomputed for the RAM-only budget
   // (or the strategy fell back to full recomputation).

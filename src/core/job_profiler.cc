@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "core/memo_executor.h"
 
 namespace memo::core {
 
@@ -28,21 +29,11 @@ StatusOr<JobProfile> ProfileJob(const Workload& workload,
   trace_options.mode = model::ActivationMode::kMemoBuffers;
   profile.trace = model::GenerateModelTrace(stage_model, trace_options);
 
-  const double cp_fwd_exposed = std::max(
-      0.0, profile.timings.layer.cp_fwd_comm - profile.timings.layer.fwd_flash);
-  AlphaInputs inputs;
-  inputs.s_input_bytes = profile.skeletal.input_bytes;
-  inputs.s_attn_bytes = profile.skeletal.attn_out_bytes;
-  inputs.s_others_bytes = profile.skeletal.others_bytes;
-  inputs.pcie_bytes_per_second =
-      cluster.node.gpu.pcie_bandwidth * options.calibration.pcie_efficiency;
-  inputs.layer_forward_seconds = profile.timings.layer.fwd_compute +
-                                 profile.timings.layer.fwd_comm +
-                                 cp_fwd_exposed;
-  inputs.num_layers = profile.timings.layers_per_stage;
-  inputs.host_bytes_per_gpu = cluster.host_bytes_per_gpu();
-  MEMO_ASSIGN_OR_RETURN(profile.alpha, SolveAlpha(inputs));
-  profile.alpha.alpha = QuantizeAlpha(profile.alpha.alpha, options.alpha_steps);
+  MEMO_ASSIGN_OR_RETURN(
+      const TieredAlphaResult solved,
+      SolveAlphaTiered(MemoAlphaInputs(profile.timings, cluster,
+                                       options.calibration)));
+  profile.alpha = QuantizeTieredAlpha(solved, options.alpha_steps);
 
   profile.offload_bytes_per_layer =
       profile.skeletal.input_bytes + profile.skeletal.attn_out_bytes +

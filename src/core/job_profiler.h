@@ -22,7 +22,7 @@ struct JobProfile {
   model::ModelTrace trace;           // allocator request sequence
   model::SkeletalLayout skeletal;    // per-layer, per-GPU byte layout
   IterationTimings timings;          // layer/classifier/comm seconds
-  AlphaResult alpha;                 // solved swap fraction (Eq. 1-3)
+  TieredAlphaResult alpha;           // solved, quantized swap fraction
   std::int64_t offload_bytes_per_layer = 0;
 
   /// §4.3.2 fallback: the profiling pass itself runs with the MEMO
@@ -42,9 +42,10 @@ struct JobProfilerOptions {
 
 /// Profiles `workload` under `strategy`: generates the MEMO-mode request
 /// trace for one pipeline stage, measures (via the cost model) the layer
-/// forward time, and solves the swap-fraction LP. Fails with
-/// kOutOfHostMemory when even the always-offloaded tensors deplete the host
-/// share, mirroring the X_oohm outcome.
+/// forward time, and solves the swap-fraction LP over the host RAM and NVMe
+/// tiers exactly as RunMemoIteration does (MemoAlphaInputs). Fails with
+/// kOutOfHostMemory when even the always-offloaded tensors deplete both
+/// tiers, mirroring the X_oohm outcome.
 StatusOr<JobProfile> ProfileJob(const Workload& workload,
                                 const parallel::ParallelStrategy& strategy,
                                 const hw::ClusterSpec& cluster,

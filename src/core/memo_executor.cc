@@ -15,6 +15,26 @@
 
 namespace memo::core {
 
+TieredAlphaInputs MemoAlphaInputs(const IterationTimings& timings,
+                                  const hw::ClusterSpec& cluster,
+                                  const hw::Calibration& calibration) {
+  TieredAlphaInputs inputs;
+  inputs.ram.s_input_bytes = timings.skeletal.input_bytes;
+  inputs.ram.s_attn_bytes = timings.skeletal.attn_out_bytes;
+  inputs.ram.s_others_bytes = timings.skeletal.others_bytes;
+  inputs.ram.pcie_bytes_per_second =
+      cluster.node.gpu.pcie_bandwidth * calibration.pcie_efficiency;
+  inputs.ram.layer_forward_seconds = timings.layer.fwd_compute +
+                                     timings.layer.fwd_comm +
+                                     timings.layer.cp_fwd_exposed;
+  inputs.ram.num_layers = timings.layers_per_stage;
+  inputs.ram.host_bytes_per_gpu = cluster.host_bytes_per_gpu();
+  inputs.disk_bytes_per_gpu = cluster.disk_bytes_per_gpu();
+  inputs.disk_bytes_per_second =
+      cluster.disk_bandwidth_per_gpu() * calibration.disk_efficiency;
+  return inputs;
+}
+
 StatusOr<IterationResult> RunMemoIteration(
     const Workload& workload, const parallel::ParallelStrategy& strategy,
     const hw::ClusterSpec& cluster, const MemoOptions& options) {
@@ -31,63 +51,25 @@ StatusOr<IterationResult> RunMemoIteration(
   const model::SkeletalLayout& skeletal = t.skeletal;
 
   // ---- Swap fraction (Eq. 1-3, tiered: host RAM + optional NVMe spill).
-  const double pcie_bps =
-      cluster.node.gpu.pcie_bandwidth * cal.pcie_efficiency;
-  const std::int64_t disk_capacity = cluster.disk_bytes_per_gpu();
-  const double disk_bps =
-      cluster.disk_bandwidth_per_gpu() * cal.disk_efficiency;
-  const double cp_fwd_exposed = t.layer.cp_fwd_exposed;
-  const double layer_fwd_total =
-      t.layer.fwd_compute + t.layer.fwd_comm + cp_fwd_exposed;
+  const TieredAlphaInputs alpha_inputs = MemoAlphaInputs(t, cluster, cal);
+  const double pcie_bps = alpha_inputs.ram.pcie_bytes_per_second;
+  const double disk_bps = alpha_inputs.disk_bytes_per_second;
+  const double layer_fwd_total = alpha_inputs.ram.layer_forward_seconds;
   const double base_bytes = static_cast<double>(skeletal.input_bytes +
                                                 skeletal.attn_out_bytes);
   const double others_bytes = static_cast<double>(skeletal.others_bytes);
-  // Compression only takes part when a codec is selected, priced, and there
-  // is a disk tier whose transfer bytes it can shrink.
-  const bool codec_on = options.codec != offload::CompressionCodec::kNone &&
-                        options.compression.enabled() && disk_capacity > 0;
-  const double codec_ratio = codec_on ? options.compression.ratio : 1.0;
   double alpha = options.forced_alpha;
-  // Compressed share of `others` rows chosen by the three-way LP (a forced
-  // alpha compresses its whole disk share — the runtime decorator does not
-  // do partial compression).
-  double solved_alpha_compressed = codec_on ? -1.0 : 0.0;
   if (alpha < 0.0) {
-    TieredAlphaInputs inputs;
-    inputs.ram.s_input_bytes = skeletal.input_bytes;
-    inputs.ram.s_attn_bytes = skeletal.attn_out_bytes;
-    inputs.ram.s_others_bytes = skeletal.others_bytes;
-    inputs.ram.pcie_bytes_per_second = pcie_bps;
-    inputs.ram.layer_forward_seconds = layer_fwd_total;
-    inputs.ram.num_layers = layers;
-    inputs.ram.host_bytes_per_gpu = cluster.host_bytes_per_gpu();
-    inputs.disk_bytes_per_gpu = disk_capacity;
-    inputs.disk_bytes_per_second = disk_bps;
-    if (codec_on) {
-      ThreeWayAlphaInputs three;
-      three.tiered = inputs;
-      three.compression = options.compression;
-      MEMO_ASSIGN_OR_RETURN(ThreeWayAlphaResult solved,
-                            SolveAlphaThreeWay(three));
-      const ThreeWayAlphaResult quantized =
-          QuantizeThreeWayAlpha(solved, options.alpha_steps);
-      alpha = quantized.alpha;
-      solved_alpha_compressed = quantized.alpha_disk_compressed;
-    } else {
-      MEMO_ASSIGN_OR_RETURN(TieredAlphaResult solved,
-                            SolveAlphaTiered(inputs));
-      alpha = QuantizeTieredAlpha(solved, options.alpha_steps).alpha;
-    }
+    MEMO_ASSIGN_OR_RETURN(const TieredAlphaResult solved,
+                          SolveAlphaTiered(alpha_inputs));
+    alpha = QuantizeTieredAlpha(solved, options.alpha_steps).alpha;
   } else {
     // Forced alphas (ablations) must still fit the tiers: RAM first, any
-    // remainder on disk (stored compressed when the codec is on, so the
-    // disk tier effectively holds ratio x its capacity in raw bytes),
-    // X_oohm only when both are exhausted.
-    const double per_layer =
-        base_bytes + alpha * others_bytes;
+    // remainder on disk, X_oohm only when both are exhausted.
+    const double per_layer = base_bytes + alpha * others_bytes;
     if ((layers - 2) * per_layer >
         static_cast<double>(cluster.host_bytes_per_gpu()) +
-            static_cast<double>(disk_capacity) * codec_ratio) {
+            static_cast<double>(alpha_inputs.disk_bytes_per_gpu)) {
       return OutOfHostMemoryError(
           StrFormat("offloading %.1f GiB/GPU exceeds the host share",
                     (layers - 2) * per_layer / static_cast<double>(kGiB)));
@@ -120,30 +102,6 @@ StatusOr<IterationResult> RunMemoIteration(
     alpha_ram = others_ram / others_bytes;
     alpha_disk = alpha - alpha_ram;
   }
-
-  // ---- Compressed/raw split of the disk-bound bytes. The disk-spilled part
-  // of the base bytes always crosses the codec when it is on (the runtime
-  // decorator compresses everything on that path); of the `others` rows on
-  // disk, the LP's compressed share — or the whole share under a forced
-  // alpha — is compressed.
-  double alpha_disk_compressed = 0.0;
-  if (codec_on && alpha_disk > 0.0) {
-    alpha_disk_compressed =
-        solved_alpha_compressed < 0.0
-            ? alpha_disk
-            : std::min(solved_alpha_compressed, alpha_disk);
-  }
-  const double base_disk_per_layer = std::max(
-      0.0, base_bytes - static_cast<double>(ram_bytes_per_layer));
-  const double compressed_raw_per_layer =
-      codec_on ? base_disk_per_layer + alpha_disk_compressed * others_bytes
-               : 0.0;
-  const double raw_disk_per_layer = std::max(
-      0.0,
-      static_cast<double>(disk_bytes_per_layer) - compressed_raw_per_layer);
-  // What the disk link actually carries per layer after the codec.
-  const double disk_wire_per_layer =
-      raw_disk_per_layer + compressed_raw_per_layer / codec_ratio;
 
   // ---- Memory plan for transient tensors.
   model::ModelConfig stage_model = workload.model;
@@ -190,8 +148,7 @@ StatusOr<IterationResult> RunMemoIteration(
   const std::int64_t host_disk_bytes = host_bytes - host_ram_bytes;
 
   // ---- Schedule one iteration: the three streams of Fig. 11, plus an
-  // NVMe-analog spill stream when the disk tier takes part of each layer,
-  // plus a host codec stream when part of the spill is compressed.
+  // NVMe-analog spill stream when the disk tier takes part of each layer.
   sim::SimEngine engine;
   const sim::StreamId compute = engine.CreateStream("compute");
   const sim::StreamId d2h = engine.CreateStream("offload");
@@ -199,9 +156,6 @@ StatusOr<IterationResult> RunMemoIteration(
   const bool spills = disk_bytes_per_layer > 0;
   const sim::StreamId spill =
       spills ? engine.CreateStream("spill") : compute;
-  const bool codec_stream_on = spills && compressed_raw_per_layer > 0.0;
-  const sim::StreamId codec_stream =
-      codec_stream_on ? engine.CreateStream("codec") : compute;
 
   std::vector<sim::EventId> fwd_done(layers);
   std::vector<sim::EventId> offload_done(layers);
@@ -209,8 +163,6 @@ StatusOr<IterationResult> RunMemoIteration(
   std::vector<sim::EventId> prefetch_done(layers);
   std::vector<sim::EventId> spill_write_done(layers);
   std::vector<sim::EventId> spill_read_done(layers);
-  std::vector<sim::EventId> compress_done(layers);
-  std::vector<sim::EventId> decompress_done(layers);
   for (int i = 0; i < layers; ++i) {
     fwd_done[i] = engine.CreateEvent("fwd_done");
     offload_done[i] = engine.CreateEvent("offload_done");
@@ -218,24 +170,11 @@ StatusOr<IterationResult> RunMemoIteration(
     prefetch_done[i] = engine.CreateEvent("prefetch_done");
     spill_write_done[i] = engine.CreateEvent("spill_write_done");
     spill_read_done[i] = engine.CreateEvent("spill_read_done");
-    if (codec_stream_on) {
-      compress_done[i] = engine.CreateEvent("compress_done");
-      decompress_done[i] = engine.CreateEvent("decompress_done");
-    }
   }
   const double offload_seconds =
       static_cast<double>(offload_bytes_per_layer) / pcie_bps;
-  const double spill_seconds = spills ? disk_wire_per_layer / disk_bps : 0.0;
-  const double compress_op_seconds =
-      codec_stream_on
-          ? compressed_raw_per_layer /
-                options.compression.compress_bytes_per_second
-          : 0.0;
-  const double decompress_op_seconds =
-      codec_stream_on
-          ? compressed_raw_per_layer /
-                options.compression.decompress_bytes_per_second
-          : 0.0;
+  const double spill_seconds =
+      spills ? static_cast<double>(disk_bytes_per_layer) / disk_bps : 0.0;
   // The last two layers start backward right after forward and skip
   // swapping entirely (§4.1).
   const auto swaps = [&](int i) { return i < layers - 2; };
@@ -254,16 +193,9 @@ StatusOr<IterationResult> RunMemoIteration(
       engine.RecordEvent(d2h, offload_done[i]);
       if (spills) {
         // Disk-bound bytes continue from host RAM staging to the spill
-        // file; the device buffer frees at offload_done, so neither the
-        // codec nor this write blocks compute directly.
-        if (codec_stream_on) {
-          engine.WaitEvent(codec_stream, offload_done[i]);
-          engine.EnqueueOp(codec_stream, compress_op_seconds, "compress");
-          engine.RecordEvent(codec_stream, compress_done[i]);
-          engine.WaitEvent(spill, compress_done[i]);
-        } else {
-          engine.WaitEvent(spill, offload_done[i]);
-        }
+        // file; the device buffer frees at offload_done, so this write does
+        // not block compute directly.
+        engine.WaitEvent(spill, offload_done[i]);
         engine.EnqueueOp(spill, spill_seconds, "spill_write");
         engine.RecordEvent(spill, spill_write_done[i]);
       }
@@ -286,23 +218,14 @@ StatusOr<IterationResult> RunMemoIteration(
     if (swaps(i)) {
       if (spills) {
         // Read the spilled share back into host RAM ahead of the PCIe
-        // prefetch (the disk tier's read-ahead), then decode the
-        // compressed part back to raw bytes.
+        // prefetch (the disk tier's read-ahead).
         engine.WaitEvent(spill, spill_write_done[i]);
         engine.EnqueueOp(spill, spill_seconds, "spill_read");
         engine.RecordEvent(spill, spill_read_done[i]);
-        if (codec_stream_on) {
-          engine.WaitEvent(codec_stream, spill_read_done[i]);
-          engine.EnqueueOp(codec_stream, decompress_op_seconds, "decompress");
-          engine.RecordEvent(codec_stream, decompress_done[i]);
-        }
       }
       if (i + 2 < layers) engine.WaitEvent(h2d, bwd_done[i + 2]);
       engine.WaitEvent(h2d, offload_done[i]);  // data must be on the host
-      if (spills) {
-        engine.WaitEvent(
-            h2d, codec_stream_on ? decompress_done[i] : spill_read_done[i]);
-      }
+      if (spills) engine.WaitEvent(h2d, spill_read_done[i]);
       engine.EnqueueOp(h2d, offload_seconds, "prefetch");
       engine.RecordEvent(h2d, prefetch_done[i]);
       engine.WaitEvent(compute, prefetch_done[i]);
@@ -360,8 +283,8 @@ StatusOr<IterationResult> RunMemoIteration(
       t.classifier_fwd + t.classifier_bwd;
   result.recompute_seconds = layers * recompute_per_layer;
   result.exposed_comm_seconds =
-      layers * (t.layer.fwd_comm + t.layer.bwd_comm + cp_fwd_exposed +
-                cp_bwd_exposed) +
+      layers * (t.layer.fwd_comm + t.layer.bwd_comm +
+                t.layer.cp_fwd_exposed + cp_bwd_exposed) +
       t.grad_sync;
   result.swap_stall_seconds = engine.StallSeconds(compute);
   result.copy_busy_seconds = engine.BusySeconds(d2h) + engine.BusySeconds(h2d);
@@ -385,15 +308,6 @@ StatusOr<IterationResult> RunMemoIteration(
   result.disk_busy_seconds = spills ? engine.BusySeconds(spill) : 0.0;
   result.alpha_ram = alpha_ram;
   result.alpha_disk = alpha_disk;
-  result.alpha_disk_compressed = alpha_disk_compressed;
-  result.host_disk_wire_bytes = static_cast<std::int64_t>(
-      static_cast<double>(swapped_layers) * disk_wire_per_layer);
-  result.compression_ratio =
-      disk_wire_per_layer > 0.0
-          ? static_cast<double>(disk_bytes_per_layer) / disk_wire_per_layer
-          : 1.0;
-  result.codec_busy_seconds =
-      codec_stream_on ? engine.BusySeconds(codec_stream) : 0.0;
   return result;
 }
 

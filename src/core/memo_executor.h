@@ -4,7 +4,6 @@
 #include "core/alpha_solver.h"
 #include "core/executor.h"
 #include "core/timings.h"
-#include "offload/compression.h"
 #include "planner/bilevel_planner.h"
 
 namespace memo::core {
@@ -21,15 +20,16 @@ struct MemoOptions {
   /// When non-empty, write the simulated three-stream schedule as a Chrome
   /// tracing JSON file (chrome://tracing / Perfetto) to this path.
   std::string timeline_path;
-  /// Lossless compression on the disk-bound offload path. With a codec
-  /// selected and `compression` priced (normally via offload::CalibrateCodec;
-  /// pinned to fixed numbers in tests so plans stay deterministic), the swap
-  /// fraction is solved by the three-way swap/recompute/compress LP and the
-  /// schedule gains a host codec stream. kNone reproduces the two-tier
-  /// behaviour exactly.
-  offload::CompressionCodec codec = offload::CompressionCodec::kNone;
-  CompressionPricing compression;
 };
+
+/// The swap-fraction LP of one MEMO pipeline stage (Eq. 1-3 over the host
+/// RAM and optional NVMe tiers): per-GPU skeletal bytes, the calibrated
+/// PCIe and disk bandwidths, and the layer's forward window (compute plus
+/// the exposed TP and context-parallel communication). RunMemoIteration
+/// and ProfileJob both solve exactly this problem.
+TieredAlphaInputs MemoAlphaInputs(const IterationTimings& timings,
+                                  const hw::ClusterSpec& cluster,
+                                  const hw::Calibration& calibration);
 
 /// Simulates one MEMO training iteration (§4): solves the swap fraction,
 /// plans transient memory with the bi-level MIP, checks device and host

@@ -97,10 +97,6 @@ std::string PlanRequest::CanonicalString() const {
   AddDsaOptions(&fp, "planner.l1", planner.level1);
   AddDsaOptions(&fp, "planner.l2", planner.level2);
   fp.Add("baseline.memory_plan", baseline_use_memory_plan);
-  fp.Add("compress.codec", static_cast<int>(codec));
-  fp.Add("compress.ratio", compression.ratio);
-  fp.Add("compress.c_bps", compression.compress_bytes_per_second);
-  fp.Add("compress.d_bps", compression.decompress_bytes_per_second);
   return fp.canonical();
 }
 
@@ -114,8 +110,6 @@ SessionOptions PlanRequest::MakeSessionOptions() const {
   session.memo.alpha_steps = alpha_steps;
   session.memo.forced_alpha = forced_alpha;
   session.memo.planner = planner;
-  session.memo.codec = codec;
-  session.memo.compression = compression;
   session.baseline.calibration = calibration;
   session.baseline.use_memory_plan = baseline_use_memory_plan;
   return session;
@@ -137,8 +131,6 @@ PlanRequest PlanRequestFromSession(parallel::SystemKind system,
   request.alpha_steps = session.memo.alpha_steps;
   request.forced_alpha = session.memo.forced_alpha;
   request.planner = session.memo.planner;
-  request.codec = session.memo.codec;
-  request.compression = session.memo.compression;
   request.baseline_use_memory_plan = session.baseline.use_memory_plan;
   return request;
 }

@@ -53,11 +53,6 @@ struct PlanRequest {
   double forced_alpha = -1.0;
   planner::PlannerOptions planner;
   bool baseline_use_memory_plan = false;
-  /// Offload compression: the codec and its priced cost model both change
-  /// the three-way LP's answer, so they are request identity (a plan cached
-  /// for one codec profile must not answer a differently-priced query).
-  offload::CompressionCodec codec = offload::CompressionCodec::kNone;
-  CompressionPricing compression;
 
   /// The canonical `key=value;` string the fingerprint hashes: every field
   /// above, doubles as exact bit patterns. Exposed for tests and debugging.

@@ -36,15 +36,6 @@ TablePrinter IterationReportTable(const IterationResult& result,
     table.AddRow(
         {"disk spill stream busy", FormatSeconds(result.disk_busy_seconds)});
   }
-  if (result.alpha_disk_compressed > 0.0 || result.compression_ratio > 1.0) {
-    table.AddRow({"disk spill on-wire",
-                  StrFormat("%s (ratio %.2fx, alpha_c %.3f)",
-                            FormatBytes(result.host_disk_wire_bytes).c_str(),
-                            result.compression_ratio,
-                            result.alpha_disk_compressed)});
-    table.AddRow(
-        {"codec stream busy", FormatSeconds(result.codec_busy_seconds)});
-  }
   table.AddRow(
       {"redundant recompute time", FormatSeconds(result.recompute_seconds)});
   table.AddRow(

@@ -161,7 +161,6 @@ StatusOr<TrainingRunStats> SimulateTrainingRun(
     stats.copy_busy_seconds += shape.copy_busy_seconds;
     stats.swap_stall_seconds += shape.swap_stall_seconds;
     stats.spill_bytes_total += shape.host_disk_bytes;
-    stats.spill_wire_bytes_total += shape.host_disk_wire_bytes;
     overlap_sum += shape.overlap_efficiency;
   }
 
@@ -171,11 +170,6 @@ StatusOr<TrainingRunStats> SimulateTrainingRun(
   stats.avg_tgs =
       total_tokens / (stats.total_seconds * cluster.total_gpus());
   stats.avg_overlap_efficiency = overlap_sum / options.iterations;
-  stats.compression_ratio =
-      stats.spill_wire_bytes_total > 0
-          ? static_cast<double>(stats.spill_bytes_total) /
-                static_cast<double>(stats.spill_wire_bytes_total)
-          : 1.0;
   return stats;
 }
 

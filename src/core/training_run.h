@@ -54,11 +54,6 @@ struct TrainingRunStats {
   double copy_busy_seconds = 0.0;
   double swap_stall_seconds = 0.0;
   std::int64_t spill_bytes_total = 0;
-  /// On-wire bytes the disk link actually carried for those spills (equal
-  /// to spill_bytes_total without compression; smaller with a codec on) and
-  /// the run-wide raw/wire ratio they imply.
-  std::int64_t spill_wire_bytes_total = 0;
-  double compression_ratio = 1.0;
   /// True when the disk tier died mid-run and at least one shape had to be
   /// re-planned for the reduced budget (see disk_fail_at_iteration).
   bool degraded = false;

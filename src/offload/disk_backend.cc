@@ -18,7 +18,6 @@
 #include "common/units.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
-#include "offload/compression.h"
 
 namespace memo::offload {
 
@@ -72,10 +71,6 @@ Status DiskBackend::EnsureFileLocked() {
   return OkStatus();
 }
 
-// `bytes` is the on-wire size of the transfer — for compressed blobs the
-// post-codec size, which is what an NVMe link would actually carry. The
-// throttle (and the write/read_seconds it inflates) must never see raw
-// bytes, or compression would be charged the bandwidth it just saved.
 void DiskBackend::Throttle(std::int64_t bytes, double elapsed_seconds) {
   if (options_.bytes_per_second <= 0.0) return;
   const double target =
@@ -173,7 +168,6 @@ Status DiskBackend::Put(std::int64_t key, std::string&& blob) {
         obs::MetricsRegistry::Global().counter("disk.put_bytes");
     put_bytes_counter->Add(total);
     stats_.put_bytes += total;
-    stats_.raw_put_bytes += PeekBlobInfo(blob).raw_bytes;
     stats_.spill_pages += num_pages;
     stats_.resident_bytes += total;
     stats_.peak_resident_bytes =
@@ -263,7 +257,6 @@ StatusOr<std::string> DiskBackend::ReadPages(
           obs::MetricsRegistry::Global().counter("disk.take_bytes");
       take_bytes_counter->Add(total);
       stats_.take_bytes += total;
-      stats_.raw_take_bytes += PeekBlobInfo(blob).raw_bytes;
       stats_.resident_bytes -= total;
       if (options_.bytes_per_second > 0.0) {
         const double target =

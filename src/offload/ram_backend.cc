@@ -6,7 +6,6 @@
 
 #include "common/fault_injector.h"
 #include "obs/metrics.h"
-#include "offload/compression.h"
 
 namespace memo::offload {
 
@@ -41,7 +40,6 @@ Status RamBackend::Put(std::int64_t key, std::string&& blob) {
         " + " + std::to_string(bytes) + " bytes exceeds capacity " +
         std::to_string(capacity_bytes_));
   }
-  const std::int64_t raw_bytes = PeekBlobInfo(blob).raw_bytes;
   if (!blobs_.emplace(key, std::move(blob)).second) {
     return InvalidArgumentError("key " + std::to_string(key) +
                                 " already stashed in RAM tier");
@@ -50,7 +48,6 @@ Status RamBackend::Put(std::int64_t key, std::string&& blob) {
       obs::MetricsRegistry::Global().counter("ram.put_bytes");
   put_bytes_counter->Add(bytes);
   stats_.put_bytes += bytes;
-  stats_.raw_put_bytes += raw_bytes;
   stats_.resident_bytes += bytes;
   stats_.peak_resident_bytes =
       std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
@@ -84,7 +81,6 @@ StatusOr<std::string> RamBackend::Take(std::int64_t key) {
       obs::MetricsRegistry::Global().counter("ram.take_bytes");
   take_bytes_counter->Add(bytes);
   stats_.take_bytes += bytes;
-  stats_.raw_take_bytes += PeekBlobInfo(blob).raw_bytes;
   stats_.resident_bytes -= bytes;
   stats_.read_seconds += SecondsSince(start);
   return blob;

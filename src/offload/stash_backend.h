@@ -1,13 +1,13 @@
 #ifndef MEMO_OFFLOAD_STASH_BACKEND_H_
 #define MEMO_OFFLOAD_STASH_BACKEND_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
 
 #include "common/retry.h"
 #include "common/status.h"
-#include "offload/compression.h"
 
 namespace memo::offload {
 
@@ -15,18 +15,9 @@ namespace memo::offload {
 /// real system's per-device offload telemetry: one instance describes one
 /// storage tier (host RAM or the NVMe-analog spill file), and both flow
 /// through `train::OffloadStats` into `TrainRunResult` and the bench tables.
-///
-/// With a compression stage installed the tier physically stores and moves
-/// compressed blobs, so put/take_bytes are *on-wire* bytes (what the
-/// throttle and bandwidth metrics must see to stay truthful) while
-/// raw_put/take_bytes report the pre-compression payload those transfers
-/// represent (read from the self-describing blob headers). Without
-/// compression the two pairs are equal.
 struct TierStats {
-  std::int64_t put_bytes = 0;        // on-wire bytes written into the tier
-  std::int64_t take_bytes = 0;       // on-wire bytes read back out
-  std::int64_t raw_put_bytes = 0;    // pre-compression bytes those puts carry
-  std::int64_t raw_take_bytes = 0;   // pre-compression bytes taken back out
+  std::int64_t put_bytes = 0;        // bytes written into the tier
+  std::int64_t take_bytes = 0;       // bytes read back out
   double write_seconds = 0.0;        // wall time spent writing (incl. throttle)
   double read_seconds = 0.0;         // wall time spent reading (incl. throttle)
   std::int64_t spill_pages = 0;      // fixed-size pages written (disk only)
@@ -37,8 +28,6 @@ struct TierStats {
   TierStats& operator+=(const TierStats& o) {
     put_bytes += o.put_bytes;
     take_bytes += o.take_bytes;
-    raw_put_bytes += o.raw_put_bytes;
-    raw_take_bytes += o.raw_take_bytes;
     write_seconds += o.write_seconds;
     read_seconds += o.read_seconds;
     spill_pages += o.spill_pages;
@@ -83,11 +72,6 @@ struct BackendOptions {
   /// kTiered it spills to the disk tier instead.
   std::int64_t ram_capacity_bytes = 0;
   DiskBackendOptions disk;
-  /// When not kNone, CreateBackend wraps the selected backend in a
-  /// CompressedBackend: blobs are losslessly compressed before they reach
-  /// any tier (RAM capacity and disk bandwidth both stretch by the achieved
-  /// ratio) and verified against a per-blob checksum on restore.
-  CompressionCodec codec = CompressionCodec::kNone;
   /// Whole-operation retry policy applied by ActivationStore around the
   /// backend's Stash/Restore round trips (on top of the disk tier's own
   /// per-page retries). Failed Put/Take calls leave the backend unchanged,
@@ -98,7 +82,7 @@ struct BackendOptions {
 /// Storage interface behind ActivationStore's stash: opaque byte blobs keyed
 /// by layer. Implementations must return blobs bit-identical to what was
 /// put — the token-wise recomputation correctness claim (Fig. 12d) rests on
-/// exact restores, so a backend may compress or page but never round.
+/// exact restores, so a backend may page but never round.
 ///
 /// Thread-safety: all methods may be called concurrently from the compute
 /// thread and the ActivationStore copier thread.
@@ -133,9 +117,6 @@ class StashBackend {
   virtual TierStats ram_stats() const = 0;
   /// Counters of the disk tier (zeros if this backend has none).
   virtual TierStats disk_stats() const = 0;
-  /// Counters of the compression stage; all-zero unless this backend is (or
-  /// wraps) a CompressedBackend.
-  virtual CompressionStats compression_stats() const { return {}; }
 };
 
 /// Builds the backend described by `options`. Never fails: disk-file

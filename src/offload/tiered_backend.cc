@@ -5,7 +5,6 @@
 #include "common/fault_injector.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
-#include "offload/compressed_backend.h"
 
 namespace memo::offload {
 
@@ -139,28 +138,16 @@ Status TieredBackend::disk_status() const {
 }
 
 std::unique_ptr<StashBackend> CreateBackend(const BackendOptions& options) {
-  std::unique_ptr<StashBackend> backend;
   switch (options.kind) {
     case BackendKind::kRam:
-      backend = std::make_unique<RamBackend>(options.ram_capacity_bytes);
-      break;
+      return std::make_unique<RamBackend>(options.ram_capacity_bytes);
     case BackendKind::kDisk:
-      backend = std::make_unique<DiskBackend>(options.disk);
-      break;
+      return std::make_unique<DiskBackend>(options.disk);
     case BackendKind::kTiered:
-      backend = std::make_unique<TieredBackend>(options.ram_capacity_bytes,
-                                                options.disk);
-      break;
+      return std::make_unique<TieredBackend>(options.ram_capacity_bytes,
+                                             options.disk);
   }
-  if (backend == nullptr) backend = std::make_unique<RamBackend>(0);
-  // The codec wraps *outside* tier routing, so every tier stores wire
-  // bytes: RAM capacity stretches by the achieved ratio and disk transfers
-  // shrink, which is the whole point of pricing compression in the LP.
-  if (options.codec != CompressionCodec::kNone) {
-    backend = std::make_unique<CompressedBackend>(options.codec,
-                                                  std::move(backend));
-  }
-  return backend;
+  return std::make_unique<RamBackend>(0);
 }
 
 }  // namespace memo::offload

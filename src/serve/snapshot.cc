@@ -16,7 +16,10 @@ namespace memo::serve {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'E', 'M', 'O', 'S', 'N', 'P', '1'};
-constexpr std::uint32_t kVersion = 1;
+/// Bumped whenever PlanRequest fingerprints change meaning: a snapshot keyed
+/// by old fingerprints holds entries no request can reach, so it starts
+/// cold instead.
+constexpr std::uint32_t kVersion = 2;
 
 void AppendU32(std::string* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));

@@ -496,7 +496,6 @@ OffloadStats ActivationStore::offload_stats() const {
   }
   stats.ram_tier = backend_->ram_stats();
   stats.disk_tier = backend_->disk_stats();
-  stats.compression = backend_->compression_stats();
   return stats;
 }
 

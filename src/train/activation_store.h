@@ -69,10 +69,6 @@ struct OffloadStats {
   offload::TierStats ram_tier;
   offload::TierStats disk_tier;
 
-  /// Codec accounting when the backend compresses blobs on the way into the
-  /// stash (BackendOptions.codec != kNone); all-zero otherwise.
-  offload::CompressionStats compression;
-
   /// Fraction of the copier's transfer time hidden behind compute: 1.0 when
   /// the compute thread never waited, 0.0 when every copied second stalled
   /// it. With no transfers at all there is nothing to hide, so 1.0.
@@ -90,7 +86,6 @@ struct OffloadStats {
     prefetched_bytes += o.prefetched_bytes;
     ram_tier += o.ram_tier;
     disk_tier += o.disk_tier;
-    compression += o.compression;
     return *this;
   }
 };

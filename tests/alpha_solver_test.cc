@@ -18,6 +18,19 @@ AlphaInputs BaseInputs() {
   return in;
 }
 
+/// The paper's single-tier problem: the LP without a disk tier.
+StatusOr<TieredAlphaResult> Solve(const AlphaInputs& in) {
+  return SolveAlphaTiered(TieredAlphaInputs{in});
+}
+
+/// Quantizes a RAM-only split of `alpha`.
+double Quantize(double alpha, int steps) {
+  TieredAlphaResult result;
+  result.alpha = alpha;
+  result.alpha_ram = alpha;
+  return QuantizeTieredAlpha(result, steps).alpha;
+}
+
 // Closed-form reference for the Eq. 1-3 optimum.
 double ClosedForm(const AlphaInputs& in) {
   const double base =
@@ -38,7 +51,7 @@ TEST(AlphaSolverTest, MatchesClosedFormOverlapBound) {
   // 27.2 GB ≈ 25.33 GiB; (25.33 - 2) / 14 = 1.67 -> clamped to 1... make the
   // layer faster so the bound bites.
   in.layer_forward_seconds = 0.4;  // 10.13 GiB budget
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_TRUE(result.ok());
   EXPECT_NEAR(result->alpha, ClosedForm(in), 1e-6);
   EXPECT_TRUE(result->overlap_bound);
@@ -49,7 +62,7 @@ TEST(AlphaSolverTest, MatchesClosedFormOverlapBound) {
 TEST(AlphaSolverTest, FullSwapWhenEverythingFits) {
   AlphaInputs in = BaseInputs();
   in.layer_forward_seconds = 2.0;  // plenty of transfer budget
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->alpha, 1.0);
   EXPECT_FALSE(result->overlap_bound);
@@ -60,7 +73,7 @@ TEST(AlphaSolverTest, HostMemoryBound) {
   AlphaInputs in = BaseInputs();
   in.layer_forward_seconds = 10.0;         // overlap never binds
   in.host_bytes_per_gpu = 90 * kGiB;       // 90/30 = 3 GiB per layer budget
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_TRUE(result.ok());
   // (3 - 2) / 14 = 1/14.
   EXPECT_NEAR(result->alpha, 1.0 / 14.0, 1e-6);
@@ -73,7 +86,7 @@ TEST(AlphaSolverTest, ZeroAlphaWhenTransfersAlreadySaturated) {
   AlphaInputs in = BaseInputs();
   // Short sequences: even input+attn can't fully hide — alpha = 0, valid.
   in.layer_forward_seconds = 0.01;
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->alpha, 0.0);
   EXPECT_TRUE(result->overlap_bound);
@@ -82,7 +95,7 @@ TEST(AlphaSolverTest, ZeroAlphaWhenTransfersAlreadySaturated) {
 TEST(AlphaSolverTest, HostOomWhenBaseAloneExceedsHost) {
   AlphaInputs in = BaseInputs();
   in.host_bytes_per_gpu = 30 * kGiB;  // 1 GiB/layer < 2 GiB base
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_FALSE(result.ok());
   EXPECT_TRUE(result.status().IsOutOfHostMemory());
 }
@@ -90,7 +103,7 @@ TEST(AlphaSolverTest, HostOomWhenBaseAloneExceedsHost) {
 TEST(AlphaSolverTest, FewLayersTriviallyFullSwap) {
   AlphaInputs in = BaseInputs();
   in.num_layers = 2;  // last two layers never swap
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_TRUE(result.ok());
   EXPECT_DOUBLE_EQ(result->alpha, 1.0);
 }
@@ -98,29 +111,29 @@ TEST(AlphaSolverTest, FewLayersTriviallyFullSwap) {
 TEST(AlphaSolverTest, RejectsBadInputs) {
   AlphaInputs in = BaseInputs();
   in.pcie_bytes_per_second = 0.0;
-  EXPECT_FALSE(SolveAlpha(in).ok());
+  EXPECT_FALSE(Solve(in).ok());
   in = BaseInputs();
   in.s_others_bytes = -1;
-  EXPECT_FALSE(SolveAlpha(in).ok());
+  EXPECT_FALSE(Solve(in).ok());
 }
 
 TEST(AlphaSolverTest, QuantizeRoundsDown) {
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(1.0, 8), 1.0);
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(0.49, 8), 0.375);
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(0.51, 8), 0.5);
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(0.1, 8), 0.0);
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(0.7, 0), 0.7);  // disabled
+  EXPECT_DOUBLE_EQ(Quantize(1.0, 8), 1.0);
+  EXPECT_DOUBLE_EQ(Quantize(0.49, 8), 0.375);
+  EXPECT_DOUBLE_EQ(Quantize(0.51, 8), 0.5);
+  EXPECT_DOUBLE_EQ(Quantize(0.1, 8), 0.0);
+  EXPECT_DOUBLE_EQ(Quantize(0.7, 0), 0.7);  // disabled
 }
 
 TEST(AlphaSolverTest, QuantizeHardenedAgainstBadInputs) {
   // Non-positive step counts disable quantization but still clamp.
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(1.7, 0), 1.0);
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(-0.3, 0), 0.0);
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(0.5, -4), 0.5);
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(-1.0, -1), 0.0);
+  EXPECT_DOUBLE_EQ(Quantize(1.7, 0), 1.0);
+  EXPECT_DOUBLE_EQ(Quantize(-0.3, 0), 0.0);
+  EXPECT_DOUBLE_EQ(Quantize(0.5, -4), 0.5);
+  EXPECT_DOUBLE_EQ(Quantize(-1.0, -1), 0.0);
   // Out-of-range alphas are clamped before quantizing.
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(2.5, 8), 1.0);
-  EXPECT_DOUBLE_EQ(QuantizeAlpha(-0.5, 8), 0.0);
+  EXPECT_DOUBLE_EQ(Quantize(2.5, 8), 1.0);
+  EXPECT_DOUBLE_EQ(Quantize(-0.5, 8), 0.0);
 }
 
 TEST(AlphaSolverTest, ExactlyAtHostCapacityIsNotAnError) {
@@ -130,7 +143,7 @@ TEST(AlphaSolverTest, ExactlyAtHostCapacityIsNotAnError) {
   in.layer_forward_seconds = 10.0;  // overlap slack everywhere
   // base = 2 GiB per layer; 30 swapped layers -> 60 GiB hits it exactly.
   in.host_bytes_per_gpu = 60 * kGiB;
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_DOUBLE_EQ(result->alpha, 0.0);
   EXPECT_TRUE(result->host_memory_bound);
@@ -143,7 +156,7 @@ TEST(AlphaSolverTest, ZeroAlphaViaOverlapStaysValidAtBoundary) {
   in.layer_forward_seconds =
       static_cast<double>(in.s_input_bytes + in.s_attn_bytes) /
       in.pcie_bytes_per_second;
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NEAR(result->alpha, 0.0, 1e-9);
   EXPECT_TRUE(result->overlap_bound);
@@ -158,21 +171,23 @@ TieredAlphaInputs TieredBase() {
 }
 
 TEST(TieredAlphaSolverTest, ZeroDiskDelegatesToSingleTier) {
+  // Without a disk tier (its bandwidth is then ignored) the answer is the
+  // single-tier §4.1 optimum, entirely in RAM.
   TieredAlphaInputs in = TieredBase();
   in.disk_bytes_per_gpu = 0;
   in.disk_bytes_per_second = 0.0;
   in.ram.layer_forward_seconds = 10.0;
   in.ram.host_bytes_per_gpu = 90 * kGiB;  // host-memory-bound single tier
-  auto tiered = SolveAlphaTiered(in);
-  auto flat = SolveAlpha(in.ram);
-  ASSERT_TRUE(tiered.ok());
-  ASSERT_TRUE(flat.ok());
-  EXPECT_NEAR(tiered->alpha, flat->alpha, 1e-9);
-  EXPECT_NEAR(tiered->alpha_ram, flat->alpha, 1e-9);
-  EXPECT_DOUBLE_EQ(tiered->alpha_disk, 0.0);
-  EXPECT_DOUBLE_EQ(tiered->base_ram_fraction, 1.0);
-  EXPECT_EQ(tiered->host_memory_bound, flat->host_memory_bound);
-  EXPECT_EQ(tiered->overlap_bound, flat->overlap_bound);
+  auto result = SolveAlphaTiered(in);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_NEAR(result->alpha, ClosedForm(in.ram), 1e-9);
+  EXPECT_DOUBLE_EQ(result->alpha_ram, result->alpha);
+  EXPECT_DOUBLE_EQ(result->alpha_disk, 0.0);
+  EXPECT_DOUBLE_EQ(result->base_ram_fraction, 1.0);
+  EXPECT_TRUE(result->host_memory_bound);
+  EXPECT_FALSE(result->overlap_bound);
+  EXPECT_FALSE(result->disk_memory_bound);
+  EXPECT_FALSE(result->disk_bandwidth_bound);
 }
 
 TEST(TieredAlphaSolverTest, ZeroDiskStillReportsHostOom) {
@@ -186,13 +201,13 @@ TEST(TieredAlphaSolverTest, ZeroDiskStillReportsHostOom) {
 }
 
 TEST(TieredAlphaSolverTest, SpillsGracefullyWhereSingleTierOoms) {
-  // Same inputs that make SolveAlpha abort with kOutOfHostMemory: the 2 GiB
-  // base exceeds the 1 GiB/layer RAM budget. The tiered solver spills the
-  // overflow to disk instead.
+  // Same inputs that make the single-tier LP abort with kOutOfHostMemory:
+  // the 2 GiB base exceeds the 1 GiB/layer RAM budget. With a disk tier the
+  // overflow spills to disk instead.
   TieredAlphaInputs in = TieredBase();
   in.ram.layer_forward_seconds = 10.0;  // PCIe overlap has slack
   in.ram.host_bytes_per_gpu = 30 * kGiB;
-  ASSERT_TRUE(SolveAlpha(in.ram).status().IsOutOfHostMemory());
+  ASSERT_TRUE(Solve(in.ram).status().IsOutOfHostMemory());
   auto result = SolveAlphaTiered(in);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   // Half of the base bytes fit in RAM (1 of 2 GiB per layer).
@@ -326,7 +341,7 @@ TEST_P(AlphaPropertyTest, FeasibleAndMaximal) {
   AlphaInputs in = BaseInputs();
   in.layer_forward_seconds = 0.05 + 0.11 * seed;
   in.host_bytes_per_gpu = (64 + 23 * seed) * kGiB;
-  auto result = SolveAlpha(in);
+  auto result = Solve(in);
   ASSERT_TRUE(result.ok());
   const double a = result->alpha;
   const double base = static_cast<double>(in.s_input_bytes + in.s_attn_bytes);

@@ -217,59 +217,6 @@ TEST(FaultToleranceTest, DegradationCanBeDisabled) {
   EXPECT_TRUE(result.losses.empty());
 }
 
-TEST(FaultToleranceTest, TransientCodecFaultsAreAbsorbedByWholeOpRetry) {
-  InjectorGuard guard;
-  TrainRunOptions compressed = BaseRun();
-  compressed.backend.kind = offload::BackendKind::kTiered;
-  compressed.backend.ram_capacity_bytes = 1024;  // force disk traffic
-  compressed.backend.codec = offload::CompressionCodec::kLz;
-  compressed.iterations = 4;
-  const TrainRunResult reference = RunTraining(compressed);
-  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
-
-  // Both codec sites fire before the stage touches the wrapped backend, so
-  // the stash is unchanged and ActivationStore's whole-operation retry
-  // (stash.put / stash.take) replays the Put/Take cleanly.
-  FaultRule flaky_compress;
-  flaky_compress.nth = 2;
-  flaky_compress.max_failures = 1;
-  FaultInjector::Global().Arm("offload.compress", flaky_compress);
-  FaultRule flaky_decompress;
-  flaky_decompress.nth = 3;
-  flaky_decompress.max_failures = 1;
-  FaultInjector::Global().Arm("offload.decompress", flaky_decompress);
-
-  const TrainRunResult faulted = RunTraining(compressed);
-  FaultInjector::Global().Reset();
-  ASSERT_TRUE(faulted.status.ok()) << faulted.status.ToString();
-  EXPECT_FALSE(faulted.degraded);
-  ExpectLossesIdentical(faulted.losses, reference.losses);
-}
-
-TEST(FaultToleranceTest, SeededCodecFaultStormNeverChangesTheLosses) {
-  InjectorGuard guard;
-  TrainRunOptions compressed = BaseRun();
-  compressed.backend.kind = offload::BackendKind::kTiered;
-  compressed.backend.ram_capacity_bytes = 1024;
-  compressed.backend.codec = offload::CompressionCodec::kBytePlane;
-  compressed.iterations = 4;
-  const TrainRunResult reference = RunTraining(compressed);
-  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
-
-  FaultInjector::Global().Seed(20260809);
-  ASSERT_TRUE(FaultInjector::Global()
-                  .ArmFromSpec("offload.compress:p=0.1;"
-                               "offload.decompress:p=0.1")
-                  .ok());
-  const TrainRunResult faulted = RunTraining(compressed);
-  const std::int64_t codec_calls =
-      FaultInjector::Global().calls("offload.compress");
-  FaultInjector::Global().Reset();
-  ASSERT_TRUE(faulted.status.ok()) << faulted.status.ToString();
-  ExpectLossesIdentical(faulted.losses, reference.losses);
-  EXPECT_GT(codec_calls, 0);
-}
-
 TEST(FaultToleranceTest, SeededProbabilisticFaultsNeverChangeTheLosses) {
   InjectorGuard guard;
   TrainRunOptions options = BaseRun();

@@ -171,6 +171,40 @@ TEST(MemoCliTest, RunCommandEmitsPlannerAndSimulatorSpans) {
   std::remove(trace_path.c_str());
 }
 
+/// The first whitespace-delimited token after `key` in `output`.
+std::string TokenAfter(const std::string& output, const std::string& key) {
+  const std::size_t pos = output.find(key);
+  if (pos == std::string::npos) return "";
+  const std::size_t start = output.find_first_not_of(' ', pos + key.size());
+  if (start == std::string::npos) return "";
+  return output.substr(start, output.find_first_of(" \n", start) - start);
+}
+
+TEST(MemoCliTest, AlphaReportsTheAlphaRunTrainsWith) {
+  // `alpha` solves the LP `run` solves, NVMe tier included, and names the
+  // disk-tier bounds. Without the NVMe tier the 64 GiB host cannot hold the
+  // always-offloaded bytes at all.
+  const std::string config = "--model 7B --seq 512K --gpus 8 --tp 4 --cp 2";
+  for (const std::string tiers : {"--host-gib 64 --nvme-gib 8192",
+                                  "--host-gib 256 --nvme-gib 8192"}) {
+    const CliResult alpha = RunCli("alpha " + config + " " + tiers);
+    ASSERT_EQ(alpha.exit_code, 0) << alpha.output;
+    EXPECT_NE(alpha.output.find("disk-bandwidth"), std::string::npos)
+        << alpha.output;
+    EXPECT_NE(alpha.output.find(" + disk "), std::string::npos)
+        << alpha.output;
+    const CliResult run = RunCli("run " + config + " " + tiers);
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    EXPECT_EQ(TokenAfter(alpha.output, "alpha ="),
+              TokenAfter(run.output, "swap fraction alpha"))
+        << alpha.output << run.output;
+  }
+  const CliResult no_disk = RunCli("alpha " + config + " --host-gib 64");
+  EXPECT_EQ(no_disk.exit_code, 1) << no_disk.output;
+  EXPECT_NE(no_disk.output.find("OUT_OF_HOST_MEMORY"), std::string::npos)
+      << no_disk.output;
+}
+
 TEST(MemoCliTest, UnwritableTracePathFailsWithNonZeroExit) {
   const CliResult run = RunCli(
       "train --iterations 1 --layers 1 --hidden 16 --ffn 32 --seq 16 "

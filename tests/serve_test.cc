@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "common/fault_injector.h"
+#include "common/fingerprint.h"
 #include "core/plan_request.h"
 #include "core/session.h"
 #include "serve/protocol.h"
@@ -87,6 +88,22 @@ TEST(PlanRequestTest, FingerprintIsDeterministicAndFieldSensitive) {
   changed = SmallRequest();
   changed.kind = PlanQueryKind::kBestStrategy;
   EXPECT_NE(changed.Fingerprint(), a.Fingerprint());
+
+  // The system is hashed by name: a DeepSpeed query must never be answered
+  // with a cached MEMO plan.
+  const std::string system_field =
+      std::string("system=") +
+      memo::parallel::SystemKindToString(memo::parallel::SystemKind::kMemo) +
+      ";";
+  EXPECT_NE(a.CanonicalString().find(system_field), std::string::npos)
+      << a.CanonicalString();
+  for (const auto system : {memo::parallel::SystemKind::kMegatron,
+                            memo::parallel::SystemKind::kDeepSpeed}) {
+    changed = SmallRequest();
+    changed.system = system;
+    EXPECT_NE(changed.Fingerprint(), a.Fingerprint())
+        << memo::parallel::SystemKindToString(system);
+  }
 }
 
 TEST(PlanRequestTest, StrategyOnlyMattersForStrategyQueries) {
@@ -674,7 +691,17 @@ TEST(SnapshotTest, CorruptSnapshotsAreRejectedAndTheCacheStaysCold) {
   std::string truncated = bytes.substr(0, bytes.size() - 9);
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
-  for (const std::string& variant : {flipped, truncated, bad_magic}) {
+  // An intact snapshot of an older format version holds keys no request
+  // fingerprints to any more: it is refused too, so the service starts cold.
+  std::string old_version = bytes.substr(0, bytes.size() - 8);
+  old_version[8] = 1;  // little-endian u32 version after the 8-byte magic
+  const std::uint64_t sum =
+      memo::Fnv1a64(old_version.data(), old_version.size());
+  for (int i = 0; i < 8; ++i) {
+    old_version.push_back(static_cast<char>(sum >> (8 * i)));
+  }
+  for (const std::string& variant :
+       {flipped, truncated, bad_magic, old_version}) {
     write_variant(variant);
     PlanServer warm;
     const auto loaded = memo::serve::LoadCacheSnapshot(path, &warm.cache());

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "core/job_profiler.h"
+#include "core/memo_executor.h"
 #include "core/timings.h"
 #include "common/units.h"
 
@@ -128,6 +130,42 @@ TEST(JobProfilerTest, TraceIsMemoMode) {
       EXPECT_FALSE(profile->trace.requests[i].skeletal);
     }
   }
+}
+
+TEST(JobProfilerTest, AlphaMatchesTheExecutorAcrossCpAndNvme) {
+  // The profiler and the executor solve one LP (MemoAlphaInputs): the same
+  // exposed context-parallel communication and the same NVMe tier, so the
+  // alpha `plan` reports is the alpha `run` trains with, and an OOHM is
+  // reported by both or by neither.
+  int nonzero = 0;
+  int spilled = 0;
+  for (const int cp : {1, 2, 4}) {
+    for (const std::int64_t host_gib : {64, 256}) {
+      for (const bool nvme : {false, true}) {
+        hw::ClusterSpec cluster = hw::PaperCluster(8);
+        cluster.node.host_memory_bytes = host_gib * kGiB;
+        if (nvme) cluster.node.nvme_bytes = 8192 * kGiB;
+        parallel::ParallelStrategy s;
+        s.tp = 8 / cp;
+        s.cp = cp;
+        const Workload workload{k7B, 512 * kSeqK};
+        const auto profile = ProfileJob(workload, s, cluster);
+        const auto run = RunMemoIteration(workload, s, cluster);
+        const std::string where = "cp " + std::to_string(cp) + ", host " +
+                                  std::to_string(host_gib) + " GiB, nvme " +
+                                  (nvme ? "on" : "off");
+        ASSERT_EQ(profile.status().code(), run.status().code())
+            << where << ": " << profile.status() << " vs " << run.status();
+        if (!run.ok()) continue;
+        EXPECT_EQ(profile->alpha.alpha, run->alpha) << where;
+        if (run->alpha > 0.0) ++nonzero;
+        if (run->host_disk_bytes > 0) ++spilled;
+      }
+    }
+  }
+  // The grid exercises the disk tier and a nonzero swap fraction.
+  EXPECT_GT(nonzero, 0);
+  EXPECT_GT(spilled, 0);
 }
 
 TEST(JobProfilerTest, RejectsInvalidStrategy) {

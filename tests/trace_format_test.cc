@@ -12,10 +12,10 @@
 #include <string>
 #include <vector>
 
+#include "common/compress.h"
 #include "common/units.h"
 #include "model/model_config.h"
 #include "model/trace_gen.h"
-#include "trace/compress.h"
 #include "trace/convert.h"
 #include "trace/trace_io.h"
 

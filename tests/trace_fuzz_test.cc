@@ -10,11 +10,11 @@
 #include <string>
 #include <vector>
 
+#include "common/compress.h"
 #include "common/fingerprint.h"
 #include "common/rng.h"
 #include "model/model_config.h"
 #include "model/trace_gen.h"
-#include "trace/compress.h"
 #include "trace/convert.h"
 #include "trace/format.h"
 #include "trace/trace_io.h"

@@ -24,7 +24,7 @@ execute_process(
           obs_integration_test checkpoint_test fault_tolerance_test
           simd_kernels_test tensor_arena_test train_ops_test
           plan_cache_test serve_test serve_overload_test serve_soak_test
-          trace_fuzz_test compression_test
+          trace_fuzz_test
   RESULT_VARIABLE build_result)
 if(NOT build_result EQUAL 0)
   message(FATAL_ERROR "asan build failed (${build_result})")
@@ -34,7 +34,7 @@ foreach(test_binary offload_backend_test unified_memory_test
         obs_integration_test checkpoint_test fault_tolerance_test
         simd_kernels_test tensor_arena_test train_ops_test
           plan_cache_test serve_test serve_overload_test serve_soak_test
-          trace_fuzz_test compression_test)
+          trace_fuzz_test)
   execute_process(
     COMMAND ${BINARY_DIR}/tests/${test_binary}
     RESULT_VARIABLE run_result)

@@ -24,6 +24,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "common/fault_injector.h"
 #include "common/retry.h"
@@ -35,7 +36,6 @@
 #include "core/session.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
-#include "offload/compression.h"
 #include "planner/plan_io.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
@@ -214,17 +214,6 @@ memo::hw::ClusterSpec ClusterFromFlags(const Flags& flags) {
   return cluster;
 }
 
-/// Shared --compress parsing for the trainer (backend decorator) and the
-/// simulator (three-way LP pricing). Unknown codec names are usage errors.
-memo::offload::CompressionCodec ParseCodecFlag(const Flags& flags) {
-  const auto codec = memo::offload::ParseCodec(flags.Get("compress", "none"));
-  if (!codec.ok()) {
-    std::fprintf(stderr, "%s\n", codec.status().ToString().c_str());
-    std::exit(2);
-  }
-  return *codec;
-}
-
 memo::offload::BackendOptions ParseBackend(const Flags& flags) {
   RequirePositiveIfSet(flags, "ram-cap-mib");
   RequirePositiveIfSet(flags, "disk-gbps");
@@ -253,7 +242,6 @@ memo::offload::BackendOptions ParseBackend(const Flags& flags) {
   }
   backend.disk.bytes_per_second =
       flags.GetDouble("disk-gbps", 0.0) * memo::kGBps;
-  backend.codec = ParseCodecFlag(flags);
   return backend;
 }
 
@@ -340,29 +328,6 @@ int CmdRun(const Flags& flags) {
   options.memo.timeline_path = flags.Get("timeline", "");
   if (flags.Has("alpha")) {
     options.memo.forced_alpha = flags.GetDouble("alpha", -1.0);
-  }
-
-  // Offload compression: the codec's cost model defaults to a wall-clock
-  // calibration probe on this host (the measured analog of the paper's
-  // profiling pass); --compress-ratio / --compress-gbps pin the pricing
-  // for reproducible plans across machines.
-  options.memo.codec = ParseCodecFlag(flags);
-  if (options.memo.codec != memo::offload::CompressionCodec::kNone) {
-    RequirePositiveIfSet(flags, "compress-ratio");
-    RequirePositiveIfSet(flags, "compress-gbps");
-    const memo::offload::CodecProfile profile =
-        flags.Has("compress-ratio") && flags.Has("compress-gbps")
-            ? memo::offload::CodecProfile{}
-            : memo::offload::CalibrateCodec(options.memo.codec);
-    memo::core::CompressionPricing pricing;
-    pricing.ratio = flags.GetDouble("compress-ratio", profile.ratio);
-    pricing.compress_bytes_per_second = flags.GetDouble(
-        "compress-gbps", profile.compress_bytes_per_second / memo::kGBps) *
-        memo::kGBps;
-    pricing.decompress_bytes_per_second = flags.GetDouble(
-        "compress-gbps", profile.decompress_bytes_per_second / memo::kGBps) *
-        memo::kGBps;
-    options.memo.compression = pricing;
   }
 
   // Both run paths go through the immutable PlanRequest form — the exact
@@ -501,14 +466,27 @@ int CmdAlpha(const Flags& flags) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
   }
+  // The constraints that bound the LP optimum, e.g. "overlap" or
+  // "host-memory+disk-bandwidth".
+  const memo::core::TieredAlphaResult& alpha = profile->alpha;
+  std::string bounds;
+  for (const auto& [bound, name] :
+       {std::pair{alpha.overlap_bound, "overlap"},
+        std::pair{alpha.host_memory_bound, "host-memory"},
+        std::pair{alpha.disk_memory_bound, "disk-memory"},
+        std::pair{alpha.disk_bandwidth_bound, "disk-bandwidth"}}) {
+    if (bound) bounds += (bounds.empty() ? "" : "+") + std::string(name);
+  }
+  if (bounds.empty()) bounds = "unconstrained";
+  if (cluster.disk_bytes_per_gpu() > 0) {
+    bounds += memo::StrFormat("; RAM %.3f + disk %.3f, %.0f%% of base in RAM",
+                              alpha.alpha_ram, alpha.alpha_disk,
+                              alpha.base_ram_fraction * 100.0);
+  }
   std::printf(
       "alpha = %.3f (%s); per-layer skeletal %s = input %s + attn %s "
       "+ others %s; offload %s/layer -> host total %s\n",
-      profile->alpha.alpha,
-      profile->alpha.overlap_bound
-          ? "overlap"
-          : (profile->alpha.host_memory_bound ? "host-memory"
-                                              : "unconstrained"),
+      alpha.alpha, bounds.c_str(),
       memo::FormatBytes(profile->skeletal.total_bytes()).c_str(),
       memo::FormatBytes(profile->skeletal.input_bytes).c_str(),
       memo::FormatBytes(profile->skeletal.attn_out_bytes).c_str(),
@@ -627,18 +605,6 @@ int CmdTrain(const Flags& flags) {
       memo::FormatBytes(stats.disk_tier.take_bytes).c_str(),
       static_cast<long long>(stats.disk_tier.spill_pages),
       static_cast<long long>(stats.disk_tier.checksum_verifications));
-  if (stats.compression.blobs_compressed + stats.compression.blobs_stored_raw >
-      0) {
-    std::printf(
-        "codec %s: %s raw -> %s wire (%.2fx); %lld blobs compressed, "
-        "%lld stored raw\n",
-        memo::offload::CodecName(options.backend.codec),
-        memo::FormatBytes(stats.compression.raw_put_bytes).c_str(),
-        memo::FormatBytes(stats.compression.wire_put_bytes).c_str(),
-        stats.compression.put_ratio(),
-        static_cast<long long>(stats.compression.blobs_compressed),
-        static_cast<long long>(stats.compression.blobs_stored_raw));
-  }
   std::printf("wall %.3fs; copier busy %.3fs; overlap %.1f%%\n",
               result.wall_seconds, stats.copier_busy_seconds,
               stats.overlap_efficiency() * 100.0);
@@ -1230,8 +1196,6 @@ void Usage() {
                "  run    --model 7B --seq 1024K --gpus 8 [--system memo]\n"
                "         [--tp N --cp N --pp N --dp N --sp N] [--alpha X]\n"
                "         [--host-gib G --nvme-gib G --nvme-gbps B]\n"
-               "         [--compress none|lz|byteplane]\n"
-               "         [--compress-ratio R --compress-gbps B]\n"
                "         [--timeline out.json]\n"
                "         [--trace-out t.json --metrics-out m.json]\n"
                "  plan   --model 7B --seq 512K --gpus 8 --tp 4 --cp 2\n"
@@ -1240,7 +1204,7 @@ void Usage() {
                "  alpha  --model 7B --seq 512K --gpus 8 --tp 4 --cp 2\n"
                "  train  --layers 4 --seq 64 --alpha 0.5 [--async 0]\n"
                "         [--backend ram|disk|tiered --ram-cap-mib M\n"
-               "          --disk-gbps B --compress none|lz|byteplane]\n"
+               "          --disk-gbps B]\n"
                "         [--checkpoint-dir D --checkpoint-every N\n"
                "          --resume 1]\n"
                "         [--fault \"site:p=0.05,...;site2:...\"\n"

@@ -23,7 +23,6 @@ execute_process(
           trace_recorder_test fault_tolerance_test tensor_arena_test
           simd_kernels_test train_ops_test plan_cache_test serve_test
           serve_overload_test serve_soak_test trace_fuzz_test
-          compression_test
   RESULT_VARIABLE build_result)
 if(NOT build_result EQUAL 0)
   message(FATAL_ERROR "tsan build failed (${build_result})")
@@ -32,8 +31,7 @@ endif()
 foreach(test_binary thread_pool_test parallel_exactness_test executor_test
         trace_recorder_test fault_tolerance_test tensor_arena_test
         simd_kernels_test train_ops_test plan_cache_test serve_test
-        serve_overload_test serve_soak_test trace_fuzz_test
-        compression_test)
+        serve_overload_test serve_soak_test trace_fuzz_test)
   execute_process(
     COMMAND ${BINARY_DIR}/tests/${test_binary}
     RESULT_VARIABLE run_result)
