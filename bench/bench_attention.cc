@@ -1,12 +1,10 @@
-// Attention kernel microbench: the naive reference, the previous
-// row-gather kernel (scores materialized per row, K/V gathered through the
-// full hidden stride), and the streaming packed kernel (per-head K^T/V
-// panels + running-max softmax) across seq_len x head_dim x threads.
-// Writes BENCH_attention.json; speedups are against the single-thread
-// reference and parallel_efficiency is against the same kernel at one
-// thread.
+// Attention kernel microbench: the naive reference against the packed
+// kernels (per-head K^T/V panels; a running-max softmax forward and the
+// two-pass FlashAttention-2-style backward), forward and backward, across
+// seq_len x head_dim x threads. Writes BENCH_attention.json; speedups are
+// against the single-thread reference and parallel_efficiency is against
+// the same kernel at one thread.
 
-#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -28,29 +26,37 @@ namespace kernels = memo::train::kernels;
 
 constexpr int kHeads = 4;
 
-/// The pre-panel attention loop, kept here as the bench baseline: one
-/// attn_row_fwd call per (head, row) reading K and V strided by the full
-/// hidden width, scores materialized into scratch.
-void RowGatherAttention(const Tensor& q, const Tensor& k, const Tensor& v,
-                        int heads, Tensor* out) {
-  const kernels::KernelTable& K = kernels::Active();
-  const std::int64_t s = q.rows();
-  const std::int64_t h = q.cols();
-  const std::int64_t head_dim = h / heads;
-  const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  ThreadPool::Global().ParallelFor(
-      0, static_cast<std::int64_t>(heads) * s, 8,
-      [&](std::int64_t w0, std::int64_t w1) {
-        std::vector<float> scratch(s);
-        for (std::int64_t wi = w0; wi < w1; ++wi) {
-          const std::int64_t head = wi / s;
-          const std::int64_t r = wi - head * s;
-          const std::int64_t offset = head * head_dim;
-          K.attn_row_fwd(q.row(r) + offset, k.data() + offset,
-                         v.data() + offset, r + 1, head_dim, h, scale,
-                         out->row(r) + offset, scratch.data());
-        }
-      });
+/// The bench's timed unit for one direction: the optimized op, or the
+/// preserved reference kernel it is judged against.
+struct Direction {
+  const char* name;
+  void (*reference)(const Tensor&, const Tensor&, const Tensor&,
+                    const Tensor&, Tensor*, Tensor*, Tensor*);
+  void (*optimized)(const Tensor&, const Tensor&, const Tensor&,
+                    const Tensor&, Tensor*, Tensor*, Tensor*);
+};
+
+void ReferenceForward(const Tensor& q, const Tensor& k, const Tensor& v,
+                      const Tensor&, Tensor* out, Tensor*, Tensor*) {
+  memo::train::reference::AttentionForward(q, k, v, kHeads, out);
+}
+
+void OptimizedForward(const Tensor& q, const Tensor& k, const Tensor& v,
+                      const Tensor&, Tensor* out, Tensor*, Tensor*) {
+  memo::train::AttentionForward(q, k, v, kHeads, out);
+}
+
+void ReferenceBackward(const Tensor& q, const Tensor& k, const Tensor& v,
+                       const Tensor& dout, Tensor* dq, Tensor* dk,
+                       Tensor* dv) {
+  memo::train::reference::AttentionBackward(q, k, v, kHeads, dout, dq, dk,
+                                            dv);
+}
+
+void OptimizedBackward(const Tensor& q, const Tensor& k, const Tensor& v,
+                       const Tensor& dout, Tensor* dq, Tensor* dk,
+                       Tensor* dv) {
+  memo::train::AttentionBackward(q, k, v, kHeads, dout, dq, dk, dv);
 }
 
 struct Shape {
@@ -63,51 +69,48 @@ struct Shape {
 int main() {
   const Shape shapes[] = {{128, 8}, {128, 32}, {256, 8},
                           {256, 32}, {512, 8}, {512, 32}};
+  const Direction directions[] = {
+      {"attention_fwd", &ReferenceForward, &OptimizedForward},
+      {"attention_bwd", &ReferenceBackward, &OptimizedBackward}};
   const int thread_counts[] = {1, 4};
   const char* simd = memo::SimdLevelName(kernels::Active().level);
   std::vector<memo::bench::BenchRecord> records;
 
-  for (const Shape& shape : shapes) {
-    const std::int64_t s = shape.seq;
-    const std::int64_t h = kHeads * shape.head_dim;
-    memo::Rng rng(7);
-    const Tensor q = Tensor::Randn(s, h, 0.5, rng);
-    const Tensor k = Tensor::Randn(s, h, 0.5, rng);
-    const Tensor v = Tensor::Randn(s, h, 0.5, rng);
-    Tensor out(s, h);
-    const std::string op = "attention_fwd_s" + std::to_string(s) + "_d" +
-                           std::to_string(shape.head_dim);
-    const int reps = s >= 512 ? 5 : 10;
+  for (const Direction& dir : directions) {
+    for (const Shape& shape : shapes) {
+      const std::int64_t s = shape.seq;
+      const std::int64_t h = kHeads * shape.head_dim;
+      memo::Rng rng(7);
+      const Tensor q = Tensor::Randn(s, h, 0.5, rng);
+      const Tensor k = Tensor::Randn(s, h, 0.5, rng);
+      const Tensor v = Tensor::Randn(s, h, 0.5, rng);
+      const Tensor dout = Tensor::Randn(s, h, 0.5, rng);
+      Tensor a(s, h), b(s, h), c(s, h);
+      const std::string op = std::string(dir.name) + "_s" +
+                             std::to_string(s) + "_d" +
+                             std::to_string(shape.head_dim);
+      const int reps = s >= 512 ? 5 : 10;
 
-    ThreadPool::SetGlobalThreads(1);
-    const double ref_ms = memo::bench::BestWallMs(reps, [&] {
-      memo::train::reference::AttentionForward(q, k, v, kHeads, &out);
-    });
-    records.push_back({op, 1, ref_ms, 1.0, "reference", "", 1.0});
-    std::printf("%-22s %-16s threads=%d  %8.3f ms\n", op.c_str(), "reference",
-                1, ref_ms);
+      ThreadPool::SetGlobalThreads(1);
+      const double ref_ms = memo::bench::BestWallMs(
+          reps, [&] { dir.reference(q, k, v, dout, &a, &b, &c); });
+      records.push_back({op, 1, ref_ms, 1.0, "reference", "", 1.0});
+      std::printf("%-22s %-16s threads=%d  %8.3f ms\n", op.c_str(),
+                  "reference", 1, ref_ms);
 
-    struct Kernel {
-      const char* name;
-      void (*run)(const Tensor&, const Tensor&, const Tensor&, int, Tensor*);
-    };
-    const Kernel kernels_to_time[] = {
-        {"row_gather", &RowGatherAttention},
-        {"streaming_packed", &memo::train::AttentionForward}};
-    for (const Kernel& kr : kernels_to_time) {
       double one_thread_ms = 0.0;
       for (int threads : thread_counts) {
         ThreadPool::SetGlobalThreads(threads);
         const double ms = memo::bench::BestWallMs(
-            reps, [&] { kr.run(q, k, v, kHeads, &out); });
+            reps, [&] { dir.optimized(q, k, v, dout, &a, &b, &c); });
         if (threads == 1) one_thread_ms = ms;
         const double eff =
             threads > 1 ? (one_thread_ms / ms) / threads : 1.0;
         records.push_back(
-            {op, threads, ms, ref_ms / ms, kr.name, simd, eff});
+            {op, threads, ms, ref_ms / ms, "streaming_packed", simd, eff});
         std::printf(
             "%-22s %-16s threads=%d  %8.3f ms  (%.2fx vs ref, eff=%.2f)\n",
-            op.c_str(), kr.name, threads, ms, ref_ms / ms, eff);
+            op.c_str(), "streaming_packed", threads, ms, ref_ms / ms, eff);
       }
     }
   }

@@ -156,6 +156,34 @@ double TimeAttentionForwardMs() {
   });
 }
 
+/// The linear_forward shape's backward (dx, dw and db): the fwd/bwd ratio
+/// of the two rows is the backward overhead the op layer pays.
+double TimeLinearBackwardMs() {
+  memo::Rng rng(3);
+  const auto x = memo::train::Tensor::Randn(256, 256, 0.5, rng);
+  const auto w = memo::train::Tensor::Randn(256, 256, 0.5, rng);
+  const auto dy = memo::train::Tensor::Randn(256, 256, 0.5, rng);
+  memo::train::Tensor dx(256, 256), dw(256, 256), db(1, 256);
+  return memo::bench::BestWallMs(20, [&] {
+    memo::train::LinearBackward(x, w, dy, &dx, &dw, &db);
+    benchmark::DoNotOptimize(dw.data());
+  });
+}
+
+/// The attention_forward shape's backward (both FlashAttention-2 passes).
+double TimeAttentionBackwardMs() {
+  memo::Rng rng(4);
+  const auto q = memo::train::Tensor::Randn(256, 256, 0.5, rng);
+  const auto k = memo::train::Tensor::Randn(256, 256, 0.5, rng);
+  const auto v = memo::train::Tensor::Randn(256, 256, 0.5, rng);
+  const auto dout = memo::train::Tensor::Randn(256, 256, 0.5, rng);
+  memo::train::Tensor dq(256, 256), dk(256, 256), dv(256, 256);
+  return memo::bench::BestWallMs(20, [&] {
+    memo::train::AttentionBackward(q, k, v, 8, dout, &dq, &dk, &dv);
+    benchmark::DoNotOptimize(dk.data());
+  });
+}
+
 void RunSpeedupStudy() {
   using memo::ScopedSimdLevel;
   using memo::SimdLevel;
@@ -169,7 +197,9 @@ void RunSpeedupStudy() {
   };
   const Case cases[] = {{"train_step", &TimeTrainStepMs},
                         {"linear_forward", &TimeLinearForwardMs},
-                        {"attention_forward", &TimeAttentionForwardMs}};
+                        {"linear_backward", &TimeLinearBackwardMs},
+                        {"attention_forward", &TimeAttentionForwardMs},
+                        {"attention_backward", &TimeAttentionBackwardMs}};
   std::vector<memo::bench::BenchRecord> records;
   auto emit = [&records](const Case& c, double serial_ms, double ms,
                          const char* kernel, const char* simd,

@@ -16,6 +16,12 @@ namespace memo::train::kernels {
 inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 64;
 
+/// Key block of the attention kernels: panels are padded to a multiple of
+/// it, and the backward's second pass owns one block of keys per work item.
+inline constexpr std::int64_t kAttnKeyBlock = 64;
+/// Query rows per register tile of the attention kernels.
+inline constexpr std::int64_t kAttnRowTile = 4;
+
 /// The microkernel vocabulary of the training op layer: every inner loop of
 /// ops.cc / adam.cc is one of these, dispatched per process to the scalar,
 /// AVX2 (8-wide + FMA) or AVX-512 (16-wide) implementation.
@@ -26,8 +32,8 @@ inline constexpr std::int64_t kGemmNR = 64;
 ///    `n`, never on which chunk or row range the caller is processing, so
 ///    recomputing one row reproduces it bit for bit at any dispatch level.
 ///  - The scalar table is bit-identical to train/reference_ops for every
-///    kernel (test-enforced); the elementwise kernels marked "exact" below
-///    are bit-identical at EVERY level because they perform the same
+///    kernel (test-enforced); the elementwise kernels below are
+///    bit-identical at EVERY level because they perform the same
 ///    per-element arithmetic, just on wider registers.
 ///  - The SIMD reductions/transcendentals are deterministic for a fixed
 ///    level (fixed-shape lane reduction trees, polynomial exp/erf) but only
@@ -37,32 +43,17 @@ inline constexpr std::int64_t kGemmNR = 64;
 struct KernelTable {
   SimdLevel level = SimdLevel::kScalar;
 
-  // ---- Elementwise kernels. acc/add/scale are bit-identical at EVERY
-  // level (one add or mul per element — lane width cannot change rounding),
-  // so callers may use them unconditionally; axpy is FMA-contracted on SIMD
-  // paths and exact only at scalar.
-  /// y[i] += a * x[i].
-  void (*axpy)(float* y, const float* x, float a, std::int64_t n);
-  /// y[i] += x[i]. Exact at every level.
+  // ---- Elementwise kernels: one add or mul per element, so lane width
+  // cannot change rounding and all three are bit-identical at EVERY level.
+  /// y[i] += x[i].
   void (*acc)(float* y, const float* x, std::int64_t n);
-  /// out[i] = a[i] + b[i]. Exact at every level.
+  /// out[i] = a[i] + b[i].
   void (*add)(float* out, const float* a, const float* b, std::int64_t n);
-  /// y[i] *= a. Exact at every level.
+  /// y[i] *= a.
   void (*scale)(float* y, float a, std::int64_t n);
 
-  // ---- GEMM inner kernels (FMA on SIMD paths: the intermediate products
+  // ---- GEMM inner kernel (FMA on SIMD paths: the intermediate products
   // are not rounded, so results differ from scalar in the last ulp).
-  /// y[c] (+)= x0*w0[c]; += x1*w1[c]; += x2*w2[c]; += x3*w3[c], in that
-  /// per-element order (the reference i-ascending accumulation).
-  void (*gemm_update4)(float* y, const float* w0, const float* w1,
-                       const float* w2, const float* w3, float x0, float x1,
-                       float x2, float x3, std::int64_t n);
-  /// sum_i a[i] * b[i].
-  float (*dot)(const float* a, const float* b, std::int64_t n);
-  /// out[k] = sum_i a[i] * bk[i] for four independent reductions.
-  void (*dot4)(const float* a, const float* b0, const float* b1,
-               const float* b2, const float* b3, std::int64_t n,
-               float out[4]);
   /// Packed-panel register-blocked GEMM tile:
   ///   C[r][j] (+)= sum_k A(r, k) * b[k*nr + j]
   /// for r < mr (<= kGemmMR), j < nr (<= kGemmNR), where
@@ -105,47 +96,58 @@ struct KernelTable {
   void (*gelu_fwd)(const float* x, float* y, std::int64_t n);
   void (*gelu_bwd)(const float* x, const float* dy, float* dx, std::int64_t n);
 
-  // ---- Attention.
-  /// One causal attention output row: softmax(q_r . K[0..kv) / sqrt(d)) @ V.
-  /// `kbase`/`vbase` point at the head's first column of row 0; key/value
-  /// row c lives at kbase + c*stride. SIMD paths stream the keys through an
-  /// online max/sum (FlashAttention-style), so no score vector of length kv
-  /// is ever materialized; the scalar path matches reference_ops bit for bit
-  /// and uses `scratch` (caller-provided, >= kv floats) for the score row.
-  void (*attn_row_fwd)(const float* qr, const float* kbase, const float* vbase,
-                       std::int64_t kv, std::int64_t d, std::int64_t stride,
-                       float scale, float* outr, float* scratch);
-  /// The causal softmax probabilities of one row (backward recomputes them;
-  /// must match what attn_row_fwd used, which both paths guarantee).
-  void (*attn_row_probs)(const float* qr, const float* kbase, std::int64_t kv,
-                         std::int64_t d, std::int64_t stride, float scale,
-                         float* probs);
-  // ---- Packed attention: the ops layer transposes each head's keys into a
-  // d x kv panel `kt` (key c at column c, leading dimension ldk) and packs
-  // its values contiguously as vp[c*d + i], so the score kernel runs
-  // broadcast-FMA over contiguous keys instead of a strided dot per key.
-  /// scores[c] = scale * sum_i qr[i] * kt[i*ldk + c], accumulated
-  /// i-ascending (the reference dot order) — the scalar path is
-  /// bit-identical to the reference score row.
-  void (*attn_scores_packed)(const float* qr, const float* kt,
-                             std::int64_t ldk, std::int64_t kv, std::int64_t d,
-                             float scale, float* scores);
-  /// Causal softmax probabilities of one row over the packed K^T panel
-  /// (exact two-pass softmax; the backward recompute must reproduce exactly
-  /// what attn_row_fwd_packed's scalar path used).
-  void (*attn_probs_packed)(const float* qr, const float* kt,
-                            std::int64_t ldk, std::int64_t kv, std::int64_t d,
-                            float scale, float* probs);
-  /// One causal attention output row over packed panels. The scalar path is
-  /// the exact two-pass reference; SIMD paths stream the keys in blocks of
-  /// 64 through a running max / rescaled accumulator (FlashAttention-style)
-  /// fed by the broadcast-FMA score kernel, so no full score row is ever
-  /// materialized. `scratch` (caller-provided, >= kv floats) backs the
-  /// scalar path and the d > 256 SIMD fallback.
-  void (*attn_row_fwd_packed)(const float* qr, const float* kt,
-                              std::int64_t ldk, const float* vp,
-                              std::int64_t kv, std::int64_t d, float scale,
-                              float* outr, float* scratch);
+  // ---- Attention over packed per-head panels. The ops layer transposes
+  // each head's keys (and, for the backward, values) into d x ldk panels
+  // `kt`/`vt` (key c at column c) and, for the forward, packs values
+  // contiguously as vp[c*d + i]. Panels are padded with zero columns to a
+  // multiple of kAttnKeyBlock (ldk >= kv rounded up), so SIMD paths always
+  // load whole 64-key blocks and mask the causal tail in registers.
+  //
+  // Scalar paths follow train/reference_ops' per-element order exactly: the
+  // score dot is i-ascending, the softmax is the exact two-pass one, sum
+  // P.dP and dq accumulate c-ascending, and dk/dv accumulate r-ascending.
+  // SIMD paths are deterministic for a fixed level and shape.
+
+  /// Causal attention output rows [r0, r0 + nr) of one head
+  /// (nr <= kAttnRowTile): out_r = softmax(q_r . K[0..r] * scale) @ V.
+  /// `q`/`out` point at the head's first column of row 0 (row strides ldq
+  /// and ldo). SIMD paths stream 64-key blocks through a running max /
+  /// rescaled accumulator (FlashAttention-style) with the rows as one
+  /// register tile and each row's P.V accumulator in registers, so no score
+  /// row is ever materialized; head dims beyond the register budget fall
+  /// back to a two-pass row in `scratch` (caller-provided, >= r0 + nr
+  /// rounded up to kAttnKeyBlock floats).
+  void (*attn_fwd_rows)(const float* q, std::int64_t ldq, const float* kt,
+                        std::int64_t ldk, const float* vp, std::int64_t r0,
+                        std::int64_t nr, std::int64_t d, float scale,
+                        float* out, std::int64_t ldo, float* scratch);
+  /// Backward pass 1 for the query rows [r0, r0 + nr) of one head
+  /// (nr <= kAttnRowTile; row r sees kv = r + 1 keys): recomputes P and
+  /// dP[c] = dout_r . v_c, reduces D = sum_c P[c] dP[c], forms
+  /// dS[c] = P[c] (dP[c] - D) scale and writes the dq row dS . K. Saves each
+  /// row's softmax max, 1/denominator and D to stats + 3r, from which
+  /// attn_bwd_kv_block rebuilds the same P and dS. `q`/`dout`/`dq` point at
+  /// the head's first column of row 0 (row strides ldq and ldo). SIMD paths
+  /// score the rows as one register tile; every row's result is the same
+  /// for any tiling. `scratch` holds 2 * kAttnRowTile * (r0 + nr rounded up
+  /// to kAttnKeyBlock) floats.
+  void (*attn_bwd_rows)(const float* q, const float* dout, std::int64_t ldq,
+                        const float* kt, const float* vt, std::int64_t ldk,
+                        std::int64_t r0, std::int64_t nr, std::int64_t d,
+                        float scale, float* dq, std::int64_t ldo,
+                        float* stats, float* scratch);
+  /// Backward pass 2 for the key block [c0, c0 + bn) of one head: walks the
+  /// query rows r in [c0, s), rebuilds P and dS from the pass-1 stats (row
+  /// r at stats + 3r) and writes dk and dv for the block's keys, each
+  /// accumulated in ascending r. Pointers and strides as attn_bwd_rows.
+  /// SIMD paths walk kAttnRowTile query rows per register tile and
+  /// accumulate dK^T/dV^T in `scratch` (2 * kAttnKeyBlock * d floats).
+  void (*attn_bwd_kv_block)(const float* q, const float* dout,
+                            std::int64_t ldq, const float* kt, const float* vt,
+                            std::int64_t ldk, const float* stats,
+                            std::int64_t s, std::int64_t c0, std::int64_t bn,
+                            std::int64_t d, float scale, float* dk, float* dv,
+                            std::int64_t ldo, float* scratch);
 
   // ---- Softmax cross-entropy, one row of logits. Returns the row loss
   // (log-sum-exp minus target logit) and fills d_logits when non-null.

@@ -2,9 +2,8 @@
 // Every loop here reproduces the floating-point evaluation order of
 // train/reference_ops.cc exactly (test-enforced), so MEMO_SIMD=scalar keeps
 // the whole training stack bit-identical to the naive reference at any
-// thread count. The only liberties taken are ILP transforms that do not
-// change any per-element rounding sequence (independent accumulator chains
-// for the attention score dots, mirroring ops.cc's proven pattern).
+// thread count. The only liberties taken are loop orders that do not change
+// any per-element rounding sequence (e.g. the i-outer packed score loop).
 
 #include <algorithm>
 #include <cmath>
@@ -13,10 +12,6 @@
 
 namespace memo::train::kernels {
 namespace {
-
-void Axpy(float* y, const float* x, float a, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] += a * x[i];
-}
 
 void Acc(float* y, const float* x, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] += x[i];
@@ -30,40 +25,10 @@ void Scale(float* y, float a, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) y[i] *= a;
 }
 
-void GemmUpdate4(float* __restrict y, const float* __restrict w0,
-                 const float* __restrict w1, const float* __restrict w2,
-                 const float* __restrict w3, float x0, float x1, float x2,
-                 float x3, std::int64_t n) {
-  for (std::int64_t c = 0; c < n; ++c) {
-    float v = y[c];
-    v += x0 * w0[c];
-    v += x1 * w1[c];
-    v += x2 * w2[c];
-    v += x3 * w3[c];
-    y[c] = v;
-  }
-}
-
 float Dot(const float* a, const float* b, std::int64_t n) {
   float acc = 0.0f;
   for (std::int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
   return acc;
-}
-
-void Dot4(const float* a, const float* b0, const float* b1, const float* b2,
-          const float* b3, std::int64_t n, float out[4]) {
-  float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = a[i];
-    a0 += v * b0[i];
-    a1 += v * b1[i];
-    a2 += v * b2[i];
-    a3 += v * b3[i];
-  }
-  out[0] = a0;
-  out[1] = a1;
-  out[2] = a2;
-  out[3] = a3;
 }
 
 void GeluFwd(const float* x, float* y, std::int64_t n);
@@ -173,70 +138,6 @@ void GeluBwd(const float* x, const float* dy, float* dx, std::int64_t n) {
   }
 }
 
-/// Scores -> softmax in place over scratch[0, kv). Four keys per pass: four
-/// independent i-ascending accumulator chains hide the FP-add latency while
-/// each score's reduction sequence stays exactly the reference's.
-void RowProbsInto(const float* qr, const float* kbase, std::int64_t kv,
-                  std::int64_t d, std::int64_t stride, float scale,
-                  float* probs) {
-  float max_score = -1e30f;
-  std::int64_t c = 0;
-  for (; c + 4 <= kv; c += 4) {
-    const float* k0 = kbase + c * stride;
-    const float* k1 = kbase + (c + 1) * stride;
-    const float* k2 = kbase + (c + 2) * stride;
-    const float* k3 = kbase + (c + 3) * stride;
-    float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-    for (std::int64_t i = 0; i < d; ++i) {
-      const float qv = qr[i];
-      s0 += qv * k0[i];
-      s1 += qv * k1[i];
-      s2 += qv * k2[i];
-      s3 += qv * k3[i];
-    }
-    probs[c] = s0 * scale;
-    probs[c + 1] = s1 * scale;
-    probs[c + 2] = s2 * scale;
-    probs[c + 3] = s3 * scale;
-    for (int u = 0; u < 4; ++u) {
-      if (probs[c + u] > max_score) max_score = probs[c + u];
-    }
-  }
-  for (; c < kv; ++c) {
-    const float* kc = kbase + c * stride;
-    float score = 0.0f;
-    for (std::int64_t i = 0; i < d; ++i) score += qr[i] * kc[i];
-    score *= scale;
-    probs[c] = score;
-    if (score > max_score) max_score = score;
-  }
-  float denom = 0.0f;
-  for (c = 0; c < kv; ++c) {
-    probs[c] = std::exp(probs[c] - max_score);
-    denom += probs[c];
-  }
-  const float inv = 1.0f / denom;
-  for (c = 0; c < kv; ++c) probs[c] *= inv;
-}
-
-void AttnRowFwd(const float* qr, const float* kbase, const float* vbase,
-                std::int64_t kv, std::int64_t d, std::int64_t stride,
-                float scale, float* outr, float* scratch) {
-  RowProbsInto(qr, kbase, kv, d, stride, scale, scratch);
-  std::fill(outr, outr + d, 0.0f);
-  for (std::int64_t c = 0; c < kv; ++c) {
-    const float p = scratch[c];
-    const float* __restrict vc = vbase + c * stride;
-    for (std::int64_t i = 0; i < d; ++i) outr[i] += p * vc[i];
-  }
-}
-
-void AttnRowProbs(const float* qr, const float* kbase, std::int64_t kv,
-                  std::int64_t d, std::int64_t stride, float scale,
-                  float* probs) {
-  RowProbsInto(qr, kbase, kv, d, stride, scale, probs);
-}
-
 /// Packed scores: i-outer over the K^T panel accumulates each score[c] in
 /// the same i-ascending add sequence as the reference dot, with the scale
 /// applied once at the end — bit-identical to the reference score row.
@@ -252,9 +153,11 @@ void AttnScoresPacked(const float* qr, const float* kt, std::int64_t ldk,
   for (std::int64_t c = 0; c < kv; ++c) scores[c] *= scale;
 }
 
+/// The reference's exact two-pass causal softmax over the packed K^T
+/// panel; also reports the row max and 1/denominator it normalized with.
 void AttnProbsPacked(const float* qr, const float* kt, std::int64_t ldk,
                      std::int64_t kv, std::int64_t d, float scale,
-                     float* probs) {
+                     float* probs, float* row_max, float* row_inv) {
   AttnScoresPacked(qr, kt, ldk, kv, d, scale, probs);
   float max_score = -1e30f;
   for (std::int64_t c = 0; c < kv; ++c) {
@@ -267,17 +170,89 @@ void AttnProbsPacked(const float* qr, const float* kt, std::int64_t ldk,
   }
   const float inv = 1.0f / denom;
   for (std::int64_t c = 0; c < kv; ++c) probs[c] *= inv;
+  *row_max = max_score;
+  *row_inv = inv;
 }
 
-void AttnRowFwdPacked(const float* qr, const float* kt, std::int64_t ldk,
-                      const float* vp, std::int64_t kv, std::int64_t d,
-                      float scale, float* outr, float* scratch) {
-  AttnProbsPacked(qr, kt, ldk, kv, d, scale, scratch);
-  std::fill(outr, outr + d, 0.0f);
-  for (std::int64_t c = 0; c < kv; ++c) {
-    const float p = scratch[c];
-    const float* __restrict vc = vp + c * d;
-    for (std::int64_t i = 0; i < d; ++i) outr[i] += p * vc[i];
+void AttnFwdRows(const float* q, std::int64_t ldq, const float* kt,
+                 std::int64_t ldk, const float* vp, std::int64_t r0,
+                 std::int64_t nr, std::int64_t d, float scale, float* out,
+                 std::int64_t ldo, float* scratch) {
+  for (std::int64_t r = r0; r < r0 + nr; ++r) {
+    float row_max;
+    float row_inv;
+    AttnProbsPacked(q + r * ldq, kt, ldk, r + 1, d, scale, scratch, &row_max,
+                    &row_inv);
+    float* outr = out + r * ldo;
+    std::fill(outr, outr + d, 0.0f);
+    for (std::int64_t c = 0; c <= r; ++c) {
+      const float p = scratch[c];
+      const float* __restrict vc = vp + c * d;
+      for (std::int64_t i = 0; i < d; ++i) outr[i] += p * vc[i];
+    }
+  }
+}
+
+void AttnBwdRows(const float* q, const float* dout, std::int64_t ldq,
+                 const float* kt, const float* vt, std::int64_t ldk,
+                 std::int64_t r0, std::int64_t nr, std::int64_t d, float scale,
+                 float* dq, std::int64_t ldo, float* stats, float* scratch) {
+  for (std::int64_t r = r0; r < r0 + nr; ++r) {
+    const std::int64_t kv = r + 1;
+    float* probs = scratch;
+    float* ds = scratch + kv;
+    float* st = stats + 3 * r;
+    AttnProbsPacked(q + r * ldq, kt, ldk, kv, d, scale, probs, &st[0], &st[1]);
+    // dP with scale 1.0f (`*= 1.0f` is exact), then the reference's
+    // c-ascending sum P.dP and dS; dq[i] is the c-ascending dot over the
+    // packed K^T row, the reference's axpy chain from zero.
+    AttnScoresPacked(dout + r * ldq, vt, ldk, kv, d, 1.0f, ds);
+    const float dot_p_dp = Dot(probs, ds, kv);
+    for (std::int64_t c = 0; c < kv; ++c) {
+      ds[c] = probs[c] * (ds[c] - dot_p_dp) * scale;
+    }
+    float* dqr = dq + r * ldo;
+    for (std::int64_t i = 0; i < d; ++i) dqr[i] = Dot(ds, kt + i * ldk, kv);
+    st[2] = dot_p_dp;
+  }
+}
+
+void AttnBwdKvBlock(const float* q, const float* dout, std::int64_t ldq,
+                    const float* kt, const float* vt, std::int64_t ldk,
+                    const float* stats, std::int64_t s, std::int64_t c0,
+                    std::int64_t bn, std::int64_t d, float scale, float* dk,
+                    float* dv, std::int64_t ldo, float* /*scratch*/) {
+  for (std::int64_t c = c0; c < c0 + bn; ++c) {
+    std::fill(dk + c * ldo, dk + c * ldo + d, 0.0f);
+    std::fill(dv + c * ldo, dv + c * ldo + d, 0.0f);
+  }
+  // Row-outer, so every dk/dv element accumulates in ascending r like the
+  // reference; P and dS are rebuilt from the pass-1 stats with the
+  // reference's expressions, so each term is bit-identical too.
+  for (std::int64_t r = c0; r < s; ++r) {
+    const float* qr = q + r * ldq;
+    const float* dr = dout + r * ldq;
+    const float row_max = stats[3 * r];
+    const float row_inv = stats[3 * r + 1];
+    const float dot_p_dp = stats[3 * r + 2];
+    const std::int64_t cn = std::min(bn, r - c0 + 1);
+    for (std::int64_t c = c0; c < c0 + cn; ++c) {
+      float score = 0.0f;
+      float dp = 0.0f;
+      for (std::int64_t i = 0; i < d; ++i) {
+        score += qr[i] * kt[i * ldk + c];
+        dp += dr[i] * vt[i * ldk + c];
+      }
+      score *= scale;
+      const float p = std::exp(score - row_max) * row_inv;
+      const float ds = p * (dp - dot_p_dp) * scale;
+      float* __restrict dkc = dk + c * ldo;
+      float* __restrict dvc = dv + c * ldo;
+      for (std::int64_t i = 0; i < d; ++i) {
+        dvc[i] += p * dr[i];
+        dkc[i] += ds * qr[i];
+      }
+    }
   }
 }
 
@@ -319,13 +294,9 @@ void AdamUpdate(float* p, float* m, float* v, const float* g, std::int64_t n,
 const KernelTable& ScalarKernels() {
   static const KernelTable table = {
       .level = SimdLevel::kScalar,
-      .axpy = &Axpy,
       .acc = &Acc,
       .add = &Add,
       .scale = &Scale,
-      .gemm_update4 = &GemmUpdate4,
-      .dot = &Dot,
-      .dot4 = &Dot4,
       .gemm_tile = &GemmTile,
       .sum = &Sum,
       .sumsq_centered = &SumsqCentered,
@@ -335,11 +306,9 @@ const KernelTable& ScalarKernels() {
       .ln_bwd_dgdb = &LnBwdDgdb,
       .gelu_fwd = &GeluFwd,
       .gelu_bwd = &GeluBwd,
-      .attn_row_fwd = &AttnRowFwd,
-      .attn_row_probs = &AttnRowProbs,
-      .attn_scores_packed = &AttnScoresPacked,
-      .attn_probs_packed = &AttnProbsPacked,
-      .attn_row_fwd_packed = &AttnRowFwdPacked,
+      .attn_fwd_rows = &AttnFwdRows,
+      .attn_bwd_rows = &AttnBwdRows,
+      .attn_bwd_kv_block = &AttnBwdKvBlock,
       .ce_row = &CeRow,
       .adam_update = &AdamUpdate,
   };

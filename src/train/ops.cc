@@ -31,6 +31,9 @@ constexpr std::int64_t kRowGrain = 16;      // row-wise elementwise/norm ops
 constexpr std::int64_t kGemmRowBlock = 32;  // GEMM row tile (cache block)
 constexpr std::int64_t kColGrain = 64;      // column-chunked reductions
 constexpr std::int64_t kAttnRowGrain = 8;   // attention query rows
+// Sample rows per dw pass over a panel: a 128 x kGemmNR slice of dy (32 KiB)
+// stays in L1 while every 4-row tile of the dw block consumes it.
+constexpr std::int64_t kDwRowBlock = 128;
 
 constexpr float kLnEps = 1e-5f;  // matches reference_ops
 
@@ -100,6 +103,27 @@ void GemmRowsPacked(const kernels::KernelTable& K, const float* a_base,
                   /*accumulate=*/false,
                   gelu_base != nullptr ? gelu_base + r * out + j0 : nullptr);
     }
+  }
+}
+
+/// Keys rounded up to whole attention key blocks: the panel width.
+std::int64_t PaddedKeys(std::int64_t s) {
+  return (s + kernels::kAttnKeyBlock - 1) / kernels::kAttnKeyBlock *
+         kernels::kAttnKeyBlock;
+}
+
+/// Packs the head-column slice [offset, offset + d) of `src` transposed
+/// into a d x ldk panel (row c of src becomes column c), zero-filling the
+/// padding columns [src.rows(), ldk).
+void PackHeadTransposed(const Tensor& src, std::int64_t offset,
+                        std::int64_t d, std::int64_t ldk, float* panel) {
+  const std::int64_t s = src.rows();
+  for (std::int64_t c = 0; c < s; ++c) {
+    const float* sc = src.row(c) + offset;
+    for (std::int64_t i = 0; i < d; ++i) panel[i * ldk + c] = sc[i];
+  }
+  for (std::int64_t i = 0; i < d; ++i) {
+    std::fill(panel + i * ldk + s, panel + (i + 1) * ldk, 0.0f);
   }
 }
 
@@ -179,21 +203,32 @@ void LinearBackward(const Tensor& x, const Tensor& w, const Tensor& dy,
     // dw[i] += x[:, i]^T dy: dy is the packed B (contraction over sample
     // rows), and A is the transpose view of x — gemm_tile reads column i of
     // x with a_col_stride = in, so per-k the four broadcast values are
-    // contiguous. Each thread owns a block of dw rows; accumulate mode adds
-    // in the reference's r-ascending per-element sequence.
+    // contiguous. Work items are 2-D (kGemmRowBlock dw rows x one kGemmNR
+    // column panel), so a narrow `in` still spreads over every lane; each
+    // item owns its dw tile, and accumulate mode adds in the reference's
+    // r-ascending per-element sequence.
     const Tensor dy_pack = PackAllPanelsFromRows(dy.data(), out, rows, out);
+    const std::int64_t panels = (out + kernels::kGemmNR - 1) / kernels::kGemmNR;
+    const std::int64_t row_blocks = (in + kGemmRowBlock - 1) / kGemmRowBlock;
     pool.ParallelFor(
-        0, in, kColGrain,
-        LoopHint{2.0 * static_cast<double>(rows) * static_cast<double>(out)},
-        [&](std::int64_t i0, std::int64_t i1) {
-          for (std::int64_t j0 = 0; j0 < out; j0 += kernels::kGemmNR) {
+        0, row_blocks * panels, 1,
+        LoopHint{2.0 * static_cast<double>(rows) *
+                 static_cast<double>(kGemmRowBlock * kernels::kGemmNR)},
+        [&](std::int64_t w0, std::int64_t w1) {
+          for (std::int64_t wi = w0; wi < w1; ++wi) {
+            const std::int64_t i0 = (wi / panels) * kGemmRowBlock;
+            const std::int64_t i1 = std::min(in, i0 + kGemmRowBlock);
+            const std::int64_t j0 = (wi % panels) * kernels::kGemmNR;
             const std::int64_t nr = std::min(kernels::kGemmNR, out - j0);
             const float* bp = dy_pack.data() + rows * j0;
-            for (std::int64_t i = i0; i < i1; i += kernels::kGemmMR) {
-              const std::int64_t mr = std::min(kernels::kGemmMR, i1 - i);
-              K.gemm_tile(x.data() + i, 1, in, bp, rows, mr, nr,
-                          dw->row(i) + j0, out, nullptr, /*accumulate=*/true,
-                          nullptr);
+            for (std::int64_t k0 = 0; k0 < rows; k0 += kDwRowBlock) {
+              const std::int64_t kc = std::min(kDwRowBlock, rows - k0);
+              for (std::int64_t i = i0; i < i1; i += kernels::kGemmMR) {
+                const std::int64_t mr = std::min(kernels::kGemmMR, i1 - i);
+                K.gemm_tile(x.data() + k0 * in + i, 1, in, bp + k0 * nr, kc,
+                            mr, nr, dw->row(i) + j0, out, nullptr,
+                            /*accumulate=*/true, nullptr);
+              }
             }
           }
         });
@@ -381,12 +416,13 @@ void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
   const std::int64_t h = q.cols();
   MEMO_CHECK_EQ(h % heads, 0);
   const std::int64_t head_dim = h / heads;
+  const std::int64_t ldk = PaddedKeys(s);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  // Per-head packing (arena-backed scratch): K transposed to a d x s panel
-  // so the score kernel runs broadcast-FMA over 64 contiguous keys at a
-  // time, V copied contiguous per head so the value accumulation streams
-  // linearly instead of striding by the full hidden width.
-  Tensor kt_pack = Tensor::Uninitialized(1, h * s);
+  // Per-head packing (arena-backed scratch): K transposed to a padded
+  // d x ldk panel so the score kernel runs broadcast-FMA over 64 contiguous
+  // keys at a time, V copied contiguous per head so the value accumulation
+  // streams linearly instead of striding by the full hidden width.
+  Tensor kt_pack = Tensor::Uninitialized(1, h * ldk);
   Tensor v_pack = Tensor::Uninitialized(1, h * s);
   ThreadPool::Global().ParallelFor(
       0, heads, 1,
@@ -394,36 +430,38 @@ void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
       [&](std::int64_t h0, std::int64_t h1) {
         for (std::int64_t head = h0; head < h1; ++head) {
           const std::int64_t offset = head * head_dim;
-          float* kt = kt_pack.data() + offset * s;
+          PackHeadTransposed(k, offset, head_dim, ldk,
+                             kt_pack.data() + offset * ldk);
           float* vp = v_pack.data() + offset * s;
           for (std::int64_t c = 0; c < s; ++c) {
-            const float* kc = k.row(c) + offset;
-            for (std::int64_t i = 0; i < head_dim; ++i) kt[i * s + c] = kc[i];
             std::memcpy(vp + c * head_dim, v.row(c) + offset,
                         static_cast<std::size_t>(head_dim) * sizeof(float));
           }
         }
       });
-  // One flat (head, query-row) index space: head-rows are independent (the
-  // row-wise data-flow property token-wise recomputation relies on) and
-  // different heads touch disjoint column slices, so the flat space chunks
-  // freely across threads with one dispatch.
+  // One flat (head, tile of kAttnRowTile query rows) index space: tiles are
+  // independent and different heads touch disjoint column slices, so the
+  // flat space chunks freely across threads with one dispatch.
+  const std::int64_t tiles =
+      (s + kernels::kAttnRowTile - 1) / kernels::kAttnRowTile;
   ThreadPool::Global().ParallelFor(
-      0, static_cast<std::int64_t>(heads) * s, kAttnRowGrain,
-      LoopHint{1.0 * static_cast<double>(head_dim) * static_cast<double>(s)},
+      0, static_cast<std::int64_t>(heads) * tiles,
+      kAttnRowGrain / kernels::kAttnRowTile,
+      LoopHint{1.0 * static_cast<double>(kernels::kAttnRowTile * head_dim) *
+               static_cast<double>(s)},
       [&](std::int64_t w0, std::int64_t w1) {
         // Persistent per-thread scratch for the scalar path's score row
-        // (and the d > 256 SIMD fallback); the SIMD streaming path never
-        // materializes scores.
-        float* scratch = ThreadScratchFloats(s);
+        // (and the wide-head SIMD fallback).
+        float* scratch = ThreadScratchFloats(ldk);
         for (std::int64_t wi = w0; wi < w1; ++wi) {
-          const std::int64_t head = wi / s;
-          const std::int64_t r = wi - head * s;
+          const std::int64_t head = wi / tiles;
+          const std::int64_t r0 = (wi - head * tiles) * kernels::kAttnRowTile;
           const std::int64_t offset = head * head_dim;
-          K.attn_row_fwd_packed(q.row(r) + offset,
-                                kt_pack.data() + offset * s, s,
-                                v_pack.data() + offset * s, r + 1, head_dim,
-                                scale, out->row(r) + offset, scratch);
+          K.attn_fwd_rows(q.data() + offset, h,
+                          kt_pack.data() + offset * ldk, ldk,
+                          v_pack.data() + offset * s, r0,
+                          std::min(kernels::kAttnRowTile, s - r0), head_dim,
+                          scale, out->data() + offset, h, scratch);
         }
       });
 }
@@ -438,70 +476,80 @@ void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
   const kernels::KernelTable& K = kernels::Active();
   const std::int64_t s = q.rows();
   const std::int64_t h = q.cols();
+  MEMO_CHECK_EQ(h % heads, 0);
+  MEMO_CHECK_EQ(dout.cols(), h);
   const std::int64_t head_dim = h / heads;
+  const std::int64_t ldk = PaddedKeys(s);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  dq->Fill(0.0f);
-  dk->Fill(0.0f);
-  dv->Fill(0.0f);
-  // dk/dv accumulate across query rows, so rows cannot chunk without
-  // breaking the accumulation order; heads write disjoint column slices and
-  // parallelize race-free with the reference's exact per-element order.
-  // Each thread packs its head's K^T and V^T into persistent scratch once,
-  // then every query row reuses the panels: probs and dP come from the
-  // packed score kernels (dP with scale 1.0f — `*= 1.0f` is exact), and dq
-  // rows become contiguous dots against the K^T panel.
-  ThreadPool::Global().ParallelFor(
+  ThreadPool& pool = ThreadPool::Global();
+  // FlashAttention-2's two passes over padded per-head K^T/V^T panels
+  // (arena-backed, packed once). Neither pass keeps a probability matrix:
+  // both rebuild P from the scores, pass 2 from the row stats pass 1 saves
+  // (softmax max, 1/denominator and D = sum P.dP: 3 floats per head-row).
+  Tensor kt_pack = Tensor::Uninitialized(1, h * ldk);
+  Tensor vt_pack = Tensor::Uninitialized(1, h * ldk);
+  Tensor stats = Tensor::Uninitialized(1, 3 * heads * s);
+  pool.ParallelFor(
       0, heads, 1,
-      LoopHint{5.0 * static_cast<double>(head_dim) * static_cast<double>(s) *
-               static_cast<double>(s)},
-      [&](std::int64_t head0, std::int64_t head1) {
-        float* scratch = ThreadScratchFloats(2 * s + 2 * head_dim * s);
-        float* probs = scratch;
-        float* dscore = scratch + s;
-        float* kt = scratch + 2 * s;
-        float* vt = kt + head_dim * s;
-        for (std::int64_t head = head0; head < head1; ++head) {
+      LoopHint{4.0 * static_cast<double>(head_dim) * static_cast<double>(s)},
+      [&](std::int64_t h0, std::int64_t h1) {
+        for (std::int64_t head = h0; head < h1; ++head) {
           const std::int64_t offset = head * head_dim;
-          for (std::int64_t c = 0; c < s; ++c) {
-            const float* kc = k.row(c) + offset;
-            const float* vc = v.row(c) + offset;
-            for (std::int64_t i = 0; i < head_dim; ++i) {
-              kt[i * s + c] = kc[i];
-              vt[i * s + c] = vc[i];
-            }
-          }
-          for (std::int64_t r = 0; r < s; ++r) {
-            // Recompute the causal softmax row (the FlashAttention
-            // property: the probabilities are cheaper to rebuild than to
-            // keep).
-            K.attn_probs_packed(q.row(r) + offset, kt, s, r + 1, head_dim,
-                                scale, probs);
-            const float* doutr = dout.row(r) + offset;
-            // dP[c] = dout[r] . v[c];   dV[c] += P[c] * dout[r].
-            K.attn_scores_packed(doutr, vt, s, r + 1, head_dim, 1.0f, dscore);
-            float dot_p_dp = 0.0f;
-            for (std::int64_t c = 0; c <= r; ++c) {
-              dot_p_dp += probs[c] * dscore[c];
-            }
-            for (std::int64_t c = 0; c <= r; ++c) {
-              K.axpy(dv->row(c) + offset, doutr, probs[c], head_dim);
-            }
-            // Softmax backward: dS[c] = P[c] * (dP[c] - sum_j P[j] dP[j]);
-            // overwrite dscore in place, then dq[r][i] is a contiguous dot
-            // over the packed K^T row (same c-ascending single-accumulator
-            // order as the reference's axpy chain from zero).
-            float* dqr = dq->row(r) + offset;
-            const float* qr = q.row(r) + offset;
-            for (std::int64_t c = 0; c <= r; ++c) {
-              dscore[c] = probs[c] * (dscore[c] - dot_p_dp) * scale;
-            }
-            for (std::int64_t i = 0; i < head_dim; ++i) {
-              dqr[i] = K.dot(dscore, kt + i * s, r + 1);
-            }
-            for (std::int64_t c = 0; c <= r; ++c) {
-              K.axpy(dk->row(c) + offset, qr, dscore[c], head_dim);
-            }
-          }
+          PackHeadTransposed(k, offset, head_dim, ldk,
+                             kt_pack.data() + offset * ldk);
+          PackHeadTransposed(v, offset, head_dim, ldk,
+                             vt_pack.data() + offset * ldk);
+        }
+      });
+  // Pass 1, flat over (head, tile of kAttnRowTile query rows): P, dP, D,
+  // dS and the dq rows. Each item writes its own dq rows and stats, so
+  // chunking is invisible.
+  const std::int64_t tiles =
+      (s + kernels::kAttnRowTile - 1) / kernels::kAttnRowTile;
+  pool.ParallelFor(
+      0, static_cast<std::int64_t>(heads) * tiles,
+      kAttnRowGrain / kernels::kAttnRowTile,
+      LoopHint{3.0 * static_cast<double>(kernels::kAttnRowTile * head_dim) *
+               static_cast<double>(s)},
+      [&](std::int64_t w0, std::int64_t w1) {
+        float* scratch = ThreadScratchFloats(2 * kernels::kAttnRowTile * ldk);
+        for (std::int64_t wi = w0; wi < w1; ++wi) {
+          const std::int64_t head = wi / tiles;
+          const std::int64_t r0 = (wi - head * tiles) * kernels::kAttnRowTile;
+          const std::int64_t offset = head * head_dim;
+          K.attn_bwd_rows(q.data() + offset, dout.data() + offset, h,
+                          kt_pack.data() + offset * ldk,
+                          vt_pack.data() + offset * ldk, ldk, r0,
+                          std::min(kernels::kAttnRowTile, s - r0), head_dim,
+                          scale, dq->data() + offset, h,
+                          stats.data() + 3 * head * s, scratch);
+        }
+      });
+  // Pass 2, flat over (key block, head) with block 0 — which sees every
+  // query row — first, so the dynamic chunk claim starts the largest items
+  // earliest. Each item owns its keys' dk/dv rows and accumulates them in
+  // ascending query row: the reference's per-element order, and the same
+  // bits at every pool size.
+  const std::int64_t blocks = ldk / kernels::kAttnKeyBlock;
+  pool.ParallelFor(
+      0, blocks * heads, 1,
+      LoopHint{4.0 * static_cast<double>(head_dim) *
+               static_cast<double>(kernels::kAttnKeyBlock) *
+               static_cast<double>(s)},
+      [&](std::int64_t w0, std::int64_t w1) {
+        float* scratch =
+            ThreadScratchFloats(2 * kernels::kAttnKeyBlock * head_dim);
+        for (std::int64_t wi = w0; wi < w1; ++wi) {
+          const std::int64_t block = wi / heads;
+          const std::int64_t head = wi - block * heads;
+          const std::int64_t offset = head * head_dim;
+          const std::int64_t c0 = block * kernels::kAttnKeyBlock;
+          K.attn_bwd_kv_block(
+              q.data() + offset, dout.data() + offset, h,
+              kt_pack.data() + offset * ldk, vt_pack.data() + offset * ldk,
+              ldk, stats.data() + 3 * head * s, s, c0,
+              std::min(kernels::kAttnKeyBlock, s - c0), head_dim, scale,
+              dk->data() + offset, dv->data() + offset, h, scratch);
         }
       });
 }

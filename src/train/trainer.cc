@@ -6,6 +6,10 @@
 #include <optional>
 #include <utility>
 
+#ifdef __GLIBC__
+#include <malloc.h>  // malloc_trim
+#endif
+
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "common/fingerprint.h"
@@ -147,9 +151,9 @@ Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
   return OkStatus();
 }
 
-}  // namespace
-
-TrainRunResult RunTraining(const TrainRunOptions& options) {
+/// RunTraining's body: every tensor, the arena slab and the stash of the
+/// run live in this scope.
+TrainRunResult TrainInScope(const TrainRunOptions& options) {
   MEMO_CHECK_GE(options.batch, 1);
   const auto run_start = std::chrono::steady_clock::now();
   MEMO_TRACE_SCOPE("train_run", "train");
@@ -323,6 +327,20 @@ TrainRunResult RunTraining(const TrainRunOptions& options) {
   result.wall_seconds = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - run_start)
                             .count();
+  return result;
+}
+
+}  // namespace
+
+TrainRunResult RunTraining(const TrainRunOptions& options) {
+  TrainRunResult result = TrainInScope(options);
+#ifdef __GLIBC__
+  // The first (measuring) step serves every step temporary from the heap
+  // before the arena plan exists. glibc keeps those pages once they are
+  // freed, and fragmentation makes the retained heap grow with every run in
+  // a long-lived process; hand the free pages back now that the run is over.
+  malloc_trim(0);
+#endif
   return result;
 }
 

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/rng.h"
@@ -17,13 +19,15 @@ namespace {
 
 /// Pins the global pool size and kernel mode for one scope, restoring the
 /// optimized single-thread configuration on exit so tests stay independent.
-/// The SIMD dispatch is pinned to scalar throughout: bit-exactness against
+/// The SIMD dispatch is pinned to scalar by default: bit-exactness against
 /// the reference kernels is the scalar table's contract (the vectorized
 /// tables are tolerance-checked in simd_kernels_test instead), and these
 /// tests are about thread chunking, which is orthogonal to lane width.
 class ScopedRuntime {
  public:
-  ScopedRuntime(int threads, KernelMode mode) {
+  ScopedRuntime(int threads, KernelMode mode,
+                SimdLevel simd = SimdLevel::kScalar)
+      : simd_(simd) {
     ThreadPool::SetGlobalThreads(threads);
     SetKernelMode(mode);
   }
@@ -33,7 +37,7 @@ class ScopedRuntime {
   }
 
  private:
-  ScopedSimdLevel simd_{SimdLevel::kScalar};
+  ScopedSimdLevel simd_;
 };
 
 Tensor RandomTensor(std::int64_t rows, std::int64_t cols, Rng& rng) {
@@ -57,20 +61,33 @@ TEST(ParallelExactnessTest, LinearForwardBitExact) {
 }
 
 TEST(ParallelExactnessTest, LinearBackwardGradientsBitExact) {
-  // Covers the restructured dw accumulation: the column-blocked loop must
-  // reproduce the naive row(i)-sweep gradients bit for bit.
-  Rng rng(2);
-  const Tensor x = RandomTensor(53, 32, rng);
-  const Tensor w = RandomTensor(32, 29, rng);
-  const Tensor dy = RandomTensor(53, 29, rng);
-  Tensor dx_ref(53, 32), dw_ref(32, 29), db_ref(1, 29);
-  reference::LinearBackward(x, w, dy, &dx_ref, &dw_ref, &db_ref);
-  ScopedRuntime rt(4, KernelMode::kOptimized);
-  Tensor dx(53, 32), dw(32, 29), db(1, 29);
-  LinearBackward(x, w, dy, &dx, &dw, &db);
-  EXPECT_TRUE(dx.ExactlyEquals(dx_ref));
-  EXPECT_TRUE(dw.ExactlyEquals(dw_ref));
-  EXPECT_TRUE(db.ExactlyEquals(db_ref));
+  // Covers the 2-D dw partition: (32-row block x 64-column panel) work
+  // items must reproduce the naive row(i)-sweep gradients bit for bit. The
+  // 128 x 512 weight spans 4 x 8 tiles, and its 300 sample rows cross the
+  // 128-row dw contraction block twice; 32 x 29 is one partial tile.
+  struct Shape {
+    std::int64_t rows, in, out;
+  };
+  for (const Shape& shape : {Shape{53, 32, 29}, Shape{300, 128, 512}}) {
+    SCOPED_TRACE(::testing::Message() << shape.in << " x " << shape.out);
+    Rng rng(2);
+    const Tensor x = RandomTensor(shape.rows, shape.in, rng);
+    const Tensor w = RandomTensor(shape.in, shape.out, rng);
+    const Tensor dy = RandomTensor(shape.rows, shape.out, rng);
+    Tensor dx_ref(shape.rows, shape.in), dw_ref(shape.in, shape.out),
+        db_ref(1, shape.out);
+    reference::LinearBackward(x, w, dy, &dx_ref, &dw_ref, &db_ref);
+    for (int threads : {1, 3, 4}) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads");
+      ScopedRuntime rt(threads, KernelMode::kOptimized);
+      Tensor dx(shape.rows, shape.in), dw(shape.in, shape.out),
+          db(1, shape.out);
+      LinearBackward(x, w, dy, &dx, &dw, &db);
+      EXPECT_TRUE(dx.ExactlyEquals(dx_ref));
+      EXPECT_TRUE(dw.ExactlyEquals(dw_ref));
+      EXPECT_TRUE(db.ExactlyEquals(db_ref));
+    }
+  }
 }
 
 TEST(ParallelExactnessTest, LayerNormBitExact) {
@@ -111,27 +128,122 @@ TEST(ParallelExactnessTest, GeluBitExact) {
   EXPECT_TRUE(dx.ExactlyEquals(dx_ref));
 }
 
+// ---- Attention across key-block boundaries: s = 1 (a lone row), 64 (one
+// whole 64-key block), 65 (one key spilling into a second block), 200 and
+// 300 (partial last blocks at different row-tile phases), at head dims 8 and
+// 16, on pool sizes 1, 3 and 4.
+
+struct AttentionCase {
+  std::int64_t seq;
+  std::int64_t head_dim;
+};
+
+std::vector<AttentionCase> AttentionCases() {
+  std::vector<AttentionCase> cases;
+  for (std::int64_t seq : {1, 64, 65, 200, 300}) {
+    for (std::int64_t head_dim : {8, 16}) cases.push_back({seq, head_dim});
+  }
+  return cases;
+}
+
+constexpr int kAttentionHeads = 4;
+const int kPoolSizes[] = {1, 3, 4};
+
+struct AttentionTensors {
+  Tensor out, dq, dk, dv;
+};
+
+struct AttentionInputs {
+  Tensor q, k, v, dout;
+
+  explicit AttentionInputs(const AttentionCase& c) {
+    Rng rng(static_cast<std::uint64_t>(5 + 1000 * c.seq + c.head_dim));
+    const std::int64_t h = kAttentionHeads * c.head_dim;
+    q = RandomTensor(c.seq, h, rng);
+    k = RandomTensor(c.seq, h, rng);
+    v = RandomTensor(c.seq, h, rng);
+    dout = RandomTensor(c.seq, h, rng);
+  }
+
+  AttentionTensors Reference() const {
+    AttentionTensors r{Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols()),
+                       Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols())};
+    reference::AttentionForward(q, k, v, kAttentionHeads, &r.out);
+    reference::AttentionBackward(q, k, v, kAttentionHeads, dout, &r.dq, &r.dk,
+                                 &r.dv);
+    return r;
+  }
+
+  AttentionTensors Optimized() const {
+    AttentionTensors r{Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols()),
+                       Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols())};
+    AttentionForward(q, k, v, kAttentionHeads, &r.out);
+    AttentionBackward(q, k, v, kAttentionHeads, dout, &r.dq, &r.dk, &r.dv);
+    return r;
+  }
+};
+
+void ExpectSameAttention(const AttentionTensors& a,
+                         const AttentionTensors& b) {
+  EXPECT_TRUE(a.out.ExactlyEquals(b.out)) << "out";
+  EXPECT_TRUE(a.dq.ExactlyEquals(b.dq)) << "dq";
+  EXPECT_TRUE(a.dk.ExactlyEquals(b.dk)) << "dk";
+  EXPECT_TRUE(a.dv.ExactlyEquals(b.dv)) << "dv";
+}
+
+/// max |a - b| / max |b| over the tensor: the error relative to the
+/// tensor's scale, so near-zero gradient entries do not dominate.
+double RelativeError(const Tensor& a, const Tensor& b) {
+  double diff = 0.0;
+  double scale = 0.0;
+  for (std::int64_t i = 0; i < a.size(); ++i) {
+    diff = std::max(diff, std::abs(static_cast<double>(a.data()[i]) -
+                                   static_cast<double>(b.data()[i])));
+    scale = std::max(scale, std::abs(static_cast<double>(b.data()[i])));
+  }
+  return scale > 0.0 ? diff / scale : diff;
+}
+
 TEST(ParallelExactnessTest, AttentionBitExact) {
-  Rng rng(5);
-  const int heads = 4;
-  const Tensor q = RandomTensor(48, 32, rng);
-  const Tensor k = RandomTensor(48, 32, rng);
-  const Tensor v = RandomTensor(48, 32, rng);
-  const Tensor dout = RandomTensor(48, 32, rng);
-  Tensor out_ref(48, 32);
-  reference::AttentionForward(q, k, v, heads, &out_ref);
-  Tensor dq_ref(48, 32), dk_ref(48, 32), dv_ref(48, 32);
-  reference::AttentionBackward(q, k, v, heads, dout, &dq_ref, &dk_ref,
-                               &dv_ref);
-  ScopedRuntime rt(4, KernelMode::kOptimized);
-  Tensor out(48, 32);
-  AttentionForward(q, k, v, heads, &out);
-  EXPECT_TRUE(out.ExactlyEquals(out_ref));
-  Tensor dq(48, 32), dk(48, 32), dv(48, 32);
-  AttentionBackward(q, k, v, heads, dout, &dq, &dk, &dv);
-  EXPECT_TRUE(dq.ExactlyEquals(dq_ref));
-  EXPECT_TRUE(dk.ExactlyEquals(dk_ref));
-  EXPECT_TRUE(dv.ExactlyEquals(dv_ref));
+  for (const AttentionCase& c : AttentionCases()) {
+    SCOPED_TRACE(::testing::Message()
+                 << "seq " << c.seq << " head_dim " << c.head_dim);
+    const AttentionInputs in(c);
+    const AttentionTensors expected = in.Reference();
+    for (int threads : kPoolSizes) {
+      SCOPED_TRACE(::testing::Message() << threads << " threads");
+      ScopedRuntime rt(threads, KernelMode::kOptimized);
+      ExpectSameAttention(in.Optimized(), expected);
+    }
+  }
+}
+
+TEST(ParallelExactnessTest, SimdAttentionSameBitsAtEveryPoolSize) {
+  // The vectorized tiers reorder the reductions, so they are held to a
+  // tolerance against the reference — but every pool size must still give
+  // the same bits, because each work item owns its outputs.
+  constexpr double kMaxRelativeError = 1e-5;
+  for (SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level > CpuSimdLevel()) continue;
+    SCOPED_TRACE(SimdLevelName(level));
+    for (const AttentionCase& c : AttentionCases()) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seq " << c.seq << " head_dim " << c.head_dim);
+      const AttentionInputs in(c);
+      const AttentionTensors expected = in.Reference();
+      ScopedRuntime rt(kPoolSizes[0], KernelMode::kOptimized, level);
+      const AttentionTensors first = in.Optimized();
+      EXPECT_LE(RelativeError(first.out, expected.out), kMaxRelativeError);
+      EXPECT_LE(RelativeError(first.dq, expected.dq), kMaxRelativeError);
+      EXPECT_LE(RelativeError(first.dk, expected.dk), kMaxRelativeError);
+      EXPECT_LE(RelativeError(first.dv, expected.dv), kMaxRelativeError);
+      for (int threads : kPoolSizes) {
+        SCOPED_TRACE(::testing::Message() << threads << " threads");
+        ThreadPool::SetGlobalThreads(threads);
+        ExpectSameAttention(in.Optimized(), first);
+      }
+    }
+  }
 }
 
 TEST(ParallelExactnessTest, CrossEntropyAndEmbeddingBitExact) {

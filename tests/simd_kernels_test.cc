@@ -9,9 +9,8 @@
 //    relative bound, transcendental kernels (gelu, softmax, cross-entropy)
 //    within the polynomial-exp/erf bound.
 //  - Sizes sweep 1 .. vector_width + 1 (16-wide AVX-512 plus one) so every
-//    remainder-lane path — scalar tails, masked tails, the 512-bit
-//    short-row branch — is exercised, plus larger sizes for the unrolled
-//    main loops.
+//    remainder-lane path — scalar tails and masked tails — is exercised,
+//    plus larger sizes for the unrolled main loops.
 
 #include "train/kernels/kernels.h"
 
@@ -45,7 +44,7 @@ std::vector<const KernelTable*> ExecutableTables() {
   return tables;
 }
 
-// 1..17 covers every tail/mask/short-row path at widths 8 and 16; the
+// 1..17 covers every tail/mask path at widths 8 and 16; the
 // larger sizes hit the 4x-unrolled main loops with and without remainders.
 const std::int64_t kSizes[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11,
                                12, 13, 14, 15, 16, 17, 31, 32, 33, 64, 100};
@@ -101,12 +100,6 @@ TEST(SimdKernelsTest, ScalarElementwiseMatchesReferenceBitExact) {
     const float a = 0.37f;
 
     auto y = y0;
-    k.axpy(y.data(), x.data(), a, n);
-    for (std::int64_t i = 0; i < n; ++i) {
-      EXPECT_EQ(y[i], y0[i] + a * x[i]);
-    }
-
-    y = y0;
     k.acc(y.data(), x.data(), n);
     for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(y[i], y0[i] + x[i]);
 
@@ -120,13 +113,8 @@ TEST(SimdKernelsTest, ScalarElementwiseMatchesReferenceBitExact) {
 
     // Reductions: the scalar kernels accumulate i-ascending in float,
     // exactly like the reference ops.
-    float ref_dot = 0.0f;
     float ref_sum = 0.0f;
-    for (std::int64_t i = 0; i < n; ++i) {
-      ref_dot += x[i] * y0[i];
-      ref_sum += x[i];
-    }
-    EXPECT_EQ(k.dot(x.data(), y0.data(), n), ref_dot);
+    for (std::int64_t i = 0; i < n; ++i) ref_sum += x[i];
     EXPECT_EQ(k.sum(x.data(), n), ref_sum);
 
     const float mean = ref_sum / static_cast<float>(n);
@@ -148,10 +136,21 @@ TEST(SimdKernelsTest, ScalarGemmAndGeluMatchReferenceBitExact) {
     const auto w3 = RandomVec(n, 4);
     const auto y0 = RandomVec(n, 5);
 
+    // A k = 4 accumulate tile over one row: y[c] += 0.1 w0[c] + ... in that
+    // per-element order, the reference's i-ascending accumulation.
+    const std::int64_t nr = std::min(n, kGemmNR);
+    std::vector<float> panel(4 * nr);
+    for (std::int64_t c = 0; c < nr; ++c) {
+      panel[c] = w0[c];
+      panel[nr + c] = w1[c];
+      panel[2 * nr + c] = w2[c];
+      panel[3 * nr + c] = w3[c];
+    }
+    const float xs[4] = {0.1f, 0.2f, 0.3f, 0.4f};
     auto y = y0;
-    k.gemm_update4(y.data(), w0.data(), w1.data(), w2.data(), w3.data(), 0.1f,
-                   0.2f, 0.3f, 0.4f, n);
-    for (std::int64_t i = 0; i < n; ++i) {
+    k.gemm_tile(xs, 0, 1, panel.data(), 4, 1, nr, y.data(), nr, nullptr,
+                /*accumulate=*/true, nullptr);
+    for (std::int64_t i = 0; i < nr; ++i) {
       float v = y0[i];
       v += 0.1f * w0[i];
       v += 0.2f * w1[i];
@@ -159,20 +158,6 @@ TEST(SimdKernelsTest, ScalarGemmAndGeluMatchReferenceBitExact) {
       v += 0.4f * w3[i];
       EXPECT_EQ(y[i], v);
     }
-
-    float quad[4];
-    k.dot4(y0.data(), w0.data(), w1.data(), w2.data(), w3.data(), n, quad);
-    float a0 = 0.0f, a1 = 0.0f, a2 = 0.0f, a3 = 0.0f;
-    for (std::int64_t i = 0; i < n; ++i) {
-      a0 += y0[i] * w0[i];
-      a1 += y0[i] * w1[i];
-      a2 += y0[i] * w2[i];
-      a3 += y0[i] * w3[i];
-    }
-    EXPECT_EQ(quad[0], a0);
-    EXPECT_EQ(quad[1], a1);
-    EXPECT_EQ(quad[2], a2);
-    EXPECT_EQ(quad[3], a3);
 
     std::vector<float> gelu(n);
     k.gelu_fwd(y0.data(), gelu.data(), n);
@@ -229,40 +214,12 @@ TEST(SimdKernelsTest, SimdTablesMatchScalarWithinTolerance) {
       const auto x = RandomVec(n, 300 + static_cast<std::uint32_t>(n));
       const auto y0 = RandomVec(n, 400 + static_cast<std::uint32_t>(n));
 
-      auto got = y0;
-      auto want = y0;
-      table->axpy(got.data(), x.data(), 0.37f, n);
-      ref.axpy(want.data(), x.data(), 0.37f, n);
-      for (std::int64_t i = 0; i < n; ++i) {
-        ExpectClose(got[i], want[i], kAtol, kRtol, "axpy", n);
-      }
-
-      ExpectClose(table->dot(x.data(), y0.data(), n),
-                  ref.dot(x.data(), y0.data(), n), kAtol, kRtol, "dot", n);
       ExpectClose(table->sum(x.data(), n), ref.sum(x.data(), n), kAtol, kRtol,
                   "sum", n);
       const float mean = ref.sum(x.data(), n) / static_cast<float>(n);
       ExpectClose(table->sumsq_centered(x.data(), mean, n),
                   ref.sumsq_centered(x.data(), mean, n), kAtol, kRtol,
                   "sumsq_centered", n);
-
-      float got4[4], want4[4];
-      table->dot4(y0.data(), x.data(), y0.data(), x.data(), y0.data(), n,
-                  got4);
-      ref.dot4(y0.data(), x.data(), y0.data(), x.data(), y0.data(), n, want4);
-      for (int u = 0; u < 4; ++u) {
-        ExpectClose(got4[u], want4[u], kAtol, kRtol, "dot4", n);
-      }
-
-      got = y0;
-      want = y0;
-      table->gemm_update4(got.data(), x.data(), y0.data(), x.data(), y0.data(),
-                          0.1f, 0.2f, 0.3f, 0.4f, n);
-      ref.gemm_update4(want.data(), x.data(), y0.data(), x.data(), y0.data(),
-                       0.1f, 0.2f, 0.3f, 0.4f, n);
-      for (std::int64_t i = 0; i < n; ++i) {
-        ExpectClose(got[i], want[i], kAtol, kRtol, "gemm_update4", n);
-      }
 
       std::vector<float> got_g(n), want_g(n);
       table->gelu_fwd(x.data(), got_g.data(), n);
@@ -336,176 +293,210 @@ TEST(SimdKernelsTest, LayerNormKernelsMatchScalarWithinTolerance) {
   }
 }
 
-TEST(SimdKernelsTest, AttentionKernelsMatchScalarAcrossShapes) {
-  const KernelTable& ref = ScalarKernels();
-  // kv sweeps the streaming-softmax block size (64) boundary; d=8 hits the
-  // 512-bit short-row path, d=32 the vectorized main loops. stride > d
-  // mimics the multi-head layout (heads interleaved along the row).
-  const std::int64_t kvs[] = {1, 2, 5, 17, 63, 64, 65, 129};
-  const std::int64_t dims[] = {8, 32};
-  for (const KernelTable* table : ExecutableTables()) {
-    for (std::int64_t d : dims) {
-      const std::int64_t stride = 3 * d;
-      for (std::int64_t kv : kvs) {
-        const auto q = RandomVec(d, 31 * static_cast<std::uint32_t>(kv + d));
-        const auto kmat =
-            RandomVec(kv * stride, 37 * static_cast<std::uint32_t>(kv + d));
-        const auto vmat =
-            RandomVec(kv * stride, 41 * static_cast<std::uint32_t>(kv + d));
-        const float scale = 1.0f / std::sqrt(static_cast<float>(d));
+// ---- Packed attention kernels. The packed layout is K^T (and V^T) per head,
+// kt[i*ldk + c] = k[c][i], zero-padded to whole 64-key blocks, plus
+// contiguous V rows for the forward (vp[c*d + i] = v[c][i]). Sequence
+// lengths sweep the 64-key block and 4-row tile boundaries; head dims sweep
+// vector-width tails (3, 33), whole vectors (8, 16, 64) and a head wider
+// than the SIMD register tile (100).
 
-        std::vector<float> got_probs(kv), want_probs(kv);
-        table->attn_row_probs(q.data(), kmat.data(), kv, d, stride, scale,
-                              got_probs.data());
-        ref.attn_row_probs(q.data(), kmat.data(), kv, d, stride, scale,
-                           want_probs.data());
-        float prob_sum = 0.0f;
-        for (std::int64_t c = 0; c < kv; ++c) {
-          ExpectClose(got_probs[c], want_probs[c], kAtol, kRtol, "attn_probs",
-                      kv);
-          prob_sum += got_probs[c];
-        }
-        EXPECT_NEAR(prob_sum, 1.0f, 1e-4);
+const std::int64_t kAttnSeqs[] = {1, 2, 5, 17, 63, 64, 65, 129, 200};
+const std::int64_t kAttnDims[] = {3, 8, 16, 33, 64, 100};
 
-        std::vector<float> got_out(d), want_out(d), scratch(kv);
-        table->attn_row_fwd(q.data(), kmat.data(), vmat.data(), kv, d, stride,
-                            scale, got_out.data(), scratch.data());
-        ref.attn_row_fwd(q.data(), kmat.data(), vmat.data(), kv, d, stride,
-                         scale, want_out.data(), scratch.data());
-        for (std::int64_t i = 0; i < d; ++i) {
-          ExpectClose(got_out[i], want_out[i], kAtol, kRtol, "attn_fwd", kv);
-        }
+std::int64_t PaddedKeys(std::int64_t kv) {
+  return (kv + kAttnKeyBlock - 1) / kAttnKeyBlock * kAttnKeyBlock;
+}
+
+/// One head of causal attention: rows of q/k/v/dout are `d` wide at row
+/// stride `stride` (heads interleaved along the row).
+struct AttnHead {
+  std::int64_t s, d, stride, ldk;
+  float scale;
+  std::vector<float> q, k, v, dout;
+  std::vector<float> kt, vt, vp;  // packed panels (ldk = padded + 64)
+
+  AttnHead(std::int64_t seq, std::int64_t dim, std::uint32_t seed)
+      : s(seq),
+        d(dim),
+        stride(2 * dim + 1),
+        ldk(PaddedKeys(seq) + kAttnKeyBlock),
+        scale(1.0f / std::sqrt(static_cast<float>(dim))),
+        q(RandomVec(seq * stride, seed)),
+        k(RandomVec(seq * stride, seed + 1)),
+        v(RandomVec(seq * stride, seed + 2)),
+        dout(RandomVec(seq * stride, seed + 3)),
+        kt(d * ldk, 0.0f),
+        vt(d * ldk, 0.0f),
+        vp(s * d) {
+    for (std::int64_t c = 0; c < s; ++c) {
+      for (std::int64_t i = 0; i < d; ++i) {
+        kt[i * ldk + c] = k[c * stride + i];
+        vt[i * ldk + c] = v[c * stride + i];
+        vp[c * d + i] = v[c * stride + i];
       }
     }
   }
-}
+};
 
-// ---- Packed attention (streaming-softmax) kernels. The packed layout is
-// K^T per head (kt[i*ldk + c] = k[c][i]) plus contiguous V rows
-// (vp[c*d + i] = v[c][i]); kv sweeps the 64-key streaming block boundary
-// and d sweeps vector-width tails.
+/// The reference formulas of train/reference_ops, spelled out per head:
+/// probabilities, dS, the output and all three gradients, plus the row
+/// stats (max, 1/denominator, sum P.dP) the backward's passes exchange.
+struct NaiveAttn {
+  std::vector<float> out, dq, dk, dv, stats;
 
-void PackKt(const std::vector<float>& kmat, std::int64_t kv, std::int64_t d,
-            std::int64_t stride, std::int64_t ldk, std::vector<float>* kt) {
-  kt->assign(d * ldk, 0.0f);
-  for (std::int64_t c = 0; c < kv; ++c) {
-    for (std::int64_t i = 0; i < d; ++i) {
-      (*kt)[i * ldk + c] = kmat[c * stride + i];
+  explicit NaiveAttn(const AttnHead& h)
+      : out(h.s * h.d, 0.0f),
+        dq(h.s * h.d, 0.0f),
+        dk(h.s * h.d, 0.0f),
+        dv(h.s * h.d, 0.0f),
+        stats(3 * h.s) {
+    for (std::int64_t r = 0; r < h.s; ++r) {
+      const float* qr = &h.q[r * h.stride];
+      const float* dr = &h.dout[r * h.stride];
+      std::vector<float> p(r + 1), ds(r + 1);
+      float max_score = -1e30f;
+      for (std::int64_t c = 0; c <= r; ++c) {
+        float score = 0.0f;
+        for (std::int64_t i = 0; i < h.d; ++i) {
+          score += qr[i] * h.k[c * h.stride + i];
+        }
+        score *= h.scale;
+        p[c] = score;
+        if (score > max_score) max_score = score;
+      }
+      float denom = 0.0f;
+      for (std::int64_t c = 0; c <= r; ++c) {
+        p[c] = std::exp(p[c] - max_score);
+        denom += p[c];
+      }
+      const float inv = 1.0f / denom;
+      for (std::int64_t c = 0; c <= r; ++c) p[c] *= inv;
+      float dot_p_dp = 0.0f;
+      for (std::int64_t c = 0; c <= r; ++c) {
+        float dp = 0.0f;
+        for (std::int64_t i = 0; i < h.d; ++i) {
+          dp += dr[i] * h.v[c * h.stride + i];
+          out[r * h.d + i] += p[c] * h.v[c * h.stride + i];
+          dv[c * h.d + i] += p[c] * dr[i];
+        }
+        ds[c] = dp;
+        dot_p_dp += p[c] * dp;
+      }
+      for (std::int64_t c = 0; c <= r; ++c) {
+        const float g = p[c] * (ds[c] - dot_p_dp) * h.scale;
+        for (std::int64_t i = 0; i < h.d; ++i) {
+          dq[r * h.d + i] += g * h.k[c * h.stride + i];
+          dk[c * h.d + i] += g * qr[i];
+        }
+      }
+      stats[3 * r] = max_score;
+      stats[3 * r + 1] = inv;
+      stats[3 * r + 2] = dot_p_dp;
     }
   }
-}
+};
 
-void PackV(const std::vector<float>& vmat, std::int64_t kv, std::int64_t d,
-           std::int64_t stride, std::vector<float>* vp) {
-  vp->assign(kv * d, 0.0f);
-  for (std::int64_t c = 0; c < kv; ++c) {
-    for (std::int64_t i = 0; i < d; ++i) {
-      (*vp)[c * d + i] = vmat[c * stride + i];
+/// One table's outputs for a head: the forward and backward pass 1 (dq and
+/// stats) in row tiles of `tile` rows, and pass 2 (dk/dv) fed with the
+/// table's own stats.
+struct TableAttn {
+  std::vector<float> out, dq, dk, dv, stats;
+
+  TableAttn(const KernelTable& t, const AttnHead& h,
+            std::int64_t tile = kAttnRowTile)
+      : out(h.s * h.d),
+        dq(h.s * h.d),
+        dk(h.s * h.d, -1.0f),
+        dv(h.s * h.d, -1.0f),
+        stats(3 * h.s) {
+    std::vector<float> scratch(
+        2 * std::max(kAttnRowTile * h.ldk, kAttnKeyBlock * h.d));
+    for (std::int64_t r0 = 0; r0 < h.s; r0 += tile) {
+      t.attn_fwd_rows(h.q.data(), h.stride, h.kt.data(), h.ldk, h.vp.data(),
+                      r0, std::min(tile, h.s - r0), h.d, h.scale, out.data(),
+                      h.d, scratch.data());
+      t.attn_bwd_rows(h.q.data(), h.dout.data(), h.stride, h.kt.data(),
+                      h.vt.data(), h.ldk, r0, std::min(tile, h.s - r0), h.d,
+                      h.scale, dq.data(), h.d, stats.data(), scratch.data());
+    }
+    for (std::int64_t c0 = 0; c0 < h.s; c0 += kAttnKeyBlock) {
+      t.attn_bwd_kv_block(h.q.data(), h.dout.data(), h.stride, h.kt.data(),
+                          h.vt.data(), h.ldk, stats.data(), h.s, c0,
+                          std::min(kAttnKeyBlock, h.s - c0), h.d, h.scale,
+                          dk.data(), dv.data(), h.d, scratch.data());
     }
   }
-}
+};
 
 TEST(SimdKernelsTest, PackedAttentionScalarBitExactVsUnpacked) {
-  // The scalar packed kernels re-order loops (i-outer scores) but keep every
-  // per-element accumulation sequence identical to the unpacked scalar
-  // kernels — and therefore to the reference. Bit-equality, no tolerance.
-  const KernelTable& k = ScalarKernels();
-  const std::int64_t kvs[] = {1, 2, 5, 17, 63, 64, 65, 127, 128, 129};
-  const std::int64_t dims[] = {3, 8, 32, 100};
-  for (std::int64_t d : dims) {
-    const std::int64_t stride = 2 * d + 1;
-    for (std::int64_t kv : kvs) {
-      const std::int64_t ldk = kv + 3;  // panel wider than kv must not matter
-      const auto q = RandomVec(d, 51 * static_cast<std::uint32_t>(kv + d));
-      const auto kmat =
-          RandomVec(kv * stride, 53 * static_cast<std::uint32_t>(kv + d));
-      const auto vmat =
-          RandomVec(kv * stride, 59 * static_cast<std::uint32_t>(kv + d));
-      const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-      std::vector<float> kt, vp;
-      PackKt(kmat, kv, d, stride, ldk, &kt);
-      PackV(vmat, kv, d, stride, &vp);
-
-      std::vector<float> want_scores(kv);
-      for (std::int64_t c = 0; c < kv; ++c) {
-        float s = 0.0f;
-        for (std::int64_t i = 0; i < d; ++i) {
-          s += q[i] * kmat[c * stride + i];
-        }
-        want_scores[c] = s * scale;
-      }
-      std::vector<float> got_scores(kv);
-      k.attn_scores_packed(q.data(), kt.data(), ldk, kv, d, scale,
-                           got_scores.data());
-      EXPECT_EQ(got_scores, want_scores) << "scores kv=" << kv << " d=" << d;
-
-      std::vector<float> got_probs(kv), want_probs(kv);
-      k.attn_probs_packed(q.data(), kt.data(), ldk, kv, d, scale,
-                          got_probs.data());
-      k.attn_row_probs(q.data(), kmat.data(), kv, d, stride, scale,
-                       want_probs.data());
-      EXPECT_EQ(got_probs, want_probs) << "probs kv=" << kv << " d=" << d;
-
-      std::vector<float> got_out(d), want_out(d), scratch(kv);
-      k.attn_row_fwd_packed(q.data(), kt.data(), ldk, vp.data(), kv, d, scale,
-                            got_out.data(), scratch.data());
-      k.attn_row_fwd(q.data(), kmat.data(), vmat.data(), kv, d, stride, scale,
-                     want_out.data(), scratch.data());
-      EXPECT_EQ(got_out, want_out) << "fwd kv=" << kv << " d=" << d;
+  // The scalar packed kernels re-order loops (i-outer scores, key-block
+  // outer dk/dv) but keep every per-element accumulation sequence of the
+  // reference formulas over the unpacked rows. Bit-equality, no tolerance.
+  for (std::int64_t d : kAttnDims) {
+    for (std::int64_t s : kAttnSeqs) {
+      SCOPED_TRACE(::testing::Message() << "s=" << s << " d=" << d);
+      const AttnHead head(s, d, 51 * static_cast<std::uint32_t>(s + d));
+      const NaiveAttn want(head);
+      const TableAttn got(ScalarKernels(), head);
+      EXPECT_EQ(got.out, want.out) << "attn_fwd_rows";
+      EXPECT_EQ(got.dq, want.dq) << "attn_bwd_rows dq";
+      EXPECT_EQ(got.stats, want.stats) << "attn_bwd_rows stats";
+      EXPECT_EQ(got.dk, want.dk) << "attn_bwd_kv_block dk";
+      EXPECT_EQ(got.dv, want.dv) << "attn_bwd_kv_block dv";
     }
   }
 }
 
 TEST(SimdKernelsTest, PackedAttentionSimdMatchesScalarWithinTolerance) {
   const KernelTable& ref = ScalarKernels();
-  const std::int64_t kvs[] = {1, 5, 17, 63, 64, 65, 127, 128, 129};
-  // 3 and 100: vector-width tails; 256: the streaming accumulator capacity;
-  // 300: the d > 256 materialized-probs fallback path.
-  const std::int64_t dims[] = {3, 8, 32, 100, 256, 300};
   for (const KernelTable* table : ExecutableTables()) {
     if (table->level == SimdLevel::kScalar) continue;
-    for (std::int64_t d : dims) {
-      const std::int64_t stride = d;
-      for (std::int64_t kv : kvs) {
-        const std::int64_t ldk = kv;
-        const auto q = RandomVec(d, 61 * static_cast<std::uint32_t>(kv + d));
-        const auto kmat =
-            RandomVec(kv * stride, 67 * static_cast<std::uint32_t>(kv + d));
-        const auto vmat =
-            RandomVec(kv * stride, 71 * static_cast<std::uint32_t>(kv + d));
-        const float scale = 1.0f / std::sqrt(static_cast<float>(d));
-        std::vector<float> kt, vp;
-        PackKt(kmat, kv, d, stride, ldk, &kt);
-        PackV(vmat, kv, d, stride, &vp);
-
-        std::vector<float> got(kv), want(kv);
-        table->attn_scores_packed(q.data(), kt.data(), ldk, kv, d, scale,
-                                  got.data());
-        ref.attn_scores_packed(q.data(), kt.data(), ldk, kv, d, scale,
-                               want.data());
-        for (std::int64_t c = 0; c < kv; ++c) {
-          ExpectClose(got[c], want[c], kAtol, kRtol, "packed scores", kv);
+    for (std::int64_t d : kAttnDims) {
+      for (std::int64_t s : kAttnSeqs) {
+        SCOPED_TRACE(::testing::Message() << SimdLevelName(table->level)
+                                          << " s=" << s << " d=" << d);
+        const AttnHead head(s, d, 61 * static_cast<std::uint32_t>(s + d));
+        const TableAttn want(ref, head);
+        const TableAttn got(*table, head);
+        for (std::int64_t j = 0; j < s * d; ++j) {
+          ExpectClose(got.out[j], want.out[j], kAtol, kRtol,
+                      "attn_fwd_rows", s);
         }
+      }
+    }
+  }
+}
 
-        table->attn_probs_packed(q.data(), kt.data(), ldk, kv, d, scale,
-                                 got.data());
-        ref.attn_probs_packed(q.data(), kt.data(), ldk, kv, d, scale,
-                              want.data());
-        float prob_sum = 0.0f;
-        for (std::int64_t c = 0; c < kv; ++c) {
-          ExpectClose(got[c], want[c], kAtol, kRtol, "packed probs", kv);
-          prob_sum += got[c];
+TEST(SimdKernelsTest, AttentionKernelsMatchScalarAcrossShapes) {
+  // The backward's two passes at every SIMD tier against the scalar table.
+  // Each gradient element sums up to s products, so the bound scales with
+  // the accumulation length like the GEMM tolerance does.
+  const KernelTable& ref = ScalarKernels();
+  for (const KernelTable* table : ExecutableTables()) {
+    if (table->level == SimdLevel::kScalar) continue;
+    for (std::int64_t d : kAttnDims) {
+      for (std::int64_t s : kAttnSeqs) {
+        SCOPED_TRACE(::testing::Message() << SimdLevelName(table->level)
+                                          << " s=" << s << " d=" << d);
+        const AttnHead head(s, d, 71 * static_cast<std::uint32_t>(s + d));
+        const TableAttn want(ref, head);
+        const TableAttn got(*table, head);
+        // Pass 1's row tiling is invisible: one row per call, same bits.
+        const TableAttn single_rows(*table, head, 1);
+        EXPECT_EQ(single_rows.dq, got.dq) << "attn_bwd_rows tiling";
+        EXPECT_EQ(single_rows.stats, got.stats) << "attn_bwd_rows tiling";
+        const double atol = kAtol * static_cast<double>(s + d);
+        for (std::int64_t j = 0; j < 3 * s; ++j) {
+          ExpectClose(got.stats[j], want.stats[j], atol, kRtol,
+                      "attn_bwd_rows stats", s);
         }
-        EXPECT_NEAR(prob_sum, 1.0f, 1e-4);
-
-        std::vector<float> got_out(d), want_out(d), scratch(kv);
-        table->attn_row_fwd_packed(q.data(), kt.data(), ldk, vp.data(), kv, d,
-                                   scale, got_out.data(), scratch.data());
-        ref.attn_row_fwd_packed(q.data(), kt.data(), ldk, vp.data(), kv, d,
-                                scale, want_out.data(), scratch.data());
-        for (std::int64_t i = 0; i < d; ++i) {
-          ExpectClose(got_out[i], want_out[i], kAtol, kRtol, "packed fwd",
-                      kv);
+        for (std::int64_t j = 0; j < s * d; ++j) {
+          ExpectClose(got.dq[j], want.dq[j], atol, kRtol, "attn_bwd_rows dq",
+                      s);
+          ExpectClose(got.dk[j], want.dk[j], atol, kRtol,
+                      "attn_bwd_kv_block dk", s);
+          ExpectClose(got.dv[j], want.dv[j], atol, kRtol,
+                      "attn_bwd_kv_block dv", s);
         }
       }
     }

@@ -1,8 +1,9 @@
 # CTest driver for the AddressSanitizer pass: configures a nested build of
 # the repo with -DMEMO_SANITIZE=address, builds the memory-sensitive test
 # binaries (offload backends with their raw pwrite/pread paging, the
-# unified-memory substrate, and the copier-thread obs integration) and runs
-# them. Invoked as
+# unified-memory substrate, the copier-thread obs integration, and the
+# attention kernels' padded-panel and stack-tile indexing across multi-block
+# shapes in parallel_exactness_test) and runs them. Invoked as
 #   cmake -DSOURCE_DIR=... -DBINARY_DIR=... -P tools/asan_check.cmake
 # by the `asan_check` test registered in tests/CMakeLists.txt.
 
@@ -23,6 +24,7 @@ execute_process(
           --target offload_backend_test unified_memory_test
           obs_integration_test checkpoint_test fault_tolerance_test
           simd_kernels_test tensor_arena_test train_ops_test
+          parallel_exactness_test
           plan_cache_test serve_test serve_overload_test serve_soak_test
           trace_fuzz_test
   RESULT_VARIABLE build_result)
@@ -33,6 +35,7 @@ endif()
 foreach(test_binary offload_backend_test unified_memory_test
         obs_integration_test checkpoint_test fault_tolerance_test
         simd_kernels_test tensor_arena_test train_ops_test
+        parallel_exactness_test
           plan_cache_test serve_test serve_overload_test serve_soak_test
           trace_fuzz_test)
   execute_process(
