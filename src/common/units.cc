@@ -1,7 +1,9 @@
 #include "common/units.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 namespace memo {
 
@@ -63,6 +65,25 @@ std::string FormatSeqLen(std::int64_t tokens) {
     std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(tokens));
   }
   return buf;
+}
+
+bool ParseSeqLen(std::string_view text, std::int64_t* tokens) {
+  std::int64_t scale = 1;
+  if (!text.empty() && (text.back() == 'K' || text.back() == 'k')) {
+    scale = kSeqK;
+    text.remove_suffix(1);
+  }
+  // from_chars would take a leading '-'; a length has no sign.
+  if (text.empty() || text.front() < '0' || text.front() > '9') return false;
+  std::int64_t value = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), value);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      value > std::numeric_limits<std::int64_t>::max() / scale) {
+    return false;
+  }
+  *tokens = value * scale;
+  return true;
 }
 
 }  // namespace memo

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace memo {
 
@@ -34,6 +35,12 @@ std::string FormatSeconds(double seconds);
 
 /// Formats a sequence length the way the paper writes it: "64K", "1024K".
 std::string FormatSeqLen(std::int64_t tokens);
+
+/// Parses what FormatSeqLen writes: a whole token count ("65536") or a
+/// whole number of K ("64K", "64k"). Rejects signs, fractions ("1.5K"),
+/// exponents and counts past int64. Returns false without touching
+/// `tokens` on a rejected text.
+bool ParseSeqLen(std::string_view text, std::int64_t* tokens);
 
 /// Rounds `value` up to the nearest multiple of `alignment` (> 0).
 constexpr std::int64_t AlignUp(std::int64_t value, std::int64_t alignment) {

@@ -1,6 +1,10 @@
 #include "core/plan_request.h"
 
+#include <cmath>
+
 #include "common/deadline.h"
+#include "common/table_printer.h"
+#include "common/units.h"
 
 namespace memo::core {
 
@@ -26,6 +30,12 @@ StatusOr<PlanQueryKind> PlanQueryKindFromString(const std::string& name) {
 
 namespace {
 
+/// Each domain error names the protocol field at fault first.
+Status OutOfDomain(const char* field, const char* domain, double got) {
+  return InvalidArgumentError(
+      StrFormat("%s must be %s (got %.10g)", field, domain, got));
+}
+
 void AddCalibration(FingerprintBuilder* fp, const hw::Calibration& cal) {
   fp->Add("cal.gemm", cal.gemm_efficiency);
   fp->Add("cal.flash_fwd", cal.flash_fwd_efficiency);
@@ -50,6 +60,13 @@ void AddDsaOptions(FingerprintBuilder* fp, const char* prefix,
 }
 
 }  // namespace
+
+Status CheckGpuCount(int gpus) {
+  if (gpus >= 1 && gpus <= kMaxGpus && (gpus < 8 || gpus % 8 == 0)) {
+    return OkStatus();
+  }
+  return OutOfDomain("gpus", "1 to 7 or a multiple of 8, at most 2^20", gpus);
+}
 
 std::string PlanRequest::CanonicalString() const {
   FingerprintBuilder fp;
@@ -100,6 +117,42 @@ std::string PlanRequest::CanonicalString() const {
   return fp.canonical();
 }
 
+Status PlanRequest::Validate() const {
+  MEMO_RETURN_IF_ERROR(CheckGpuCount(cluster.total_gpus()));
+  const hw::NodeSpec& node = cluster.node;
+  const bool maxseq = kind == PlanQueryKind::kMaxSeq;
+  const double gib = static_cast<double>(kGiB);
+  const struct {
+    bool ok;
+    const char* field;
+    const char* domain;
+    double got;
+  } rules[] = {
+      {seq >= 1 && seq <= kMaxSeqLen, "seq", "1 to 2^40 tokens",
+       static_cast<double>(seq)},
+      {node.host_memory_bytes >= 1, "host_gib", "positive",
+       static_cast<double>(node.host_memory_bytes) / gib},
+      // Zero bytes is the default: no NVMe tier.
+      {node.nvme_bytes >= 0, "nvme_gib", "at least 0",
+       static_cast<double>(node.nvme_bytes) / gib},
+      {std::isfinite(node.nvme_bandwidth) && node.nvme_bandwidth > 0.0,
+       "nvme_gbps", "positive and finite", node.nvme_bandwidth / kGBps},
+      // -1 is the "solve for alpha" default; a NaN fails the range test.
+      {forced_alpha == -1.0 || (forced_alpha >= 0.0 && forced_alpha <= 1.0),
+       "alpha", "in [0, 1]", forced_alpha},
+      {alpha_steps >= 0, "alpha_steps", "at least 0 (0 = continuous)",
+       static_cast<double>(alpha_steps)},
+      {!maxseq || seq_step >= 1, "step", "at least 1",
+       static_cast<double>(seq_step)},
+      {!maxseq || (seq_cap >= seq_step && seq_cap <= kMaxSeqLen), "cap",
+       "step to 2^40 tokens", static_cast<double>(seq_cap)},
+  };
+  for (const auto& rule : rules) {
+    if (!rule.ok) return OutOfDomain(rule.field, rule.domain, rule.got);
+  }
+  return OkStatus();
+}
+
 std::uint64_t PlanRequest::Fingerprint() const {
   return Fnv1a64(CanonicalString());
 }
@@ -139,6 +192,10 @@ PlanResult ExecutePlanRequest(const PlanRequest& request,
                               const PlanExecOptions& exec) {
   PlanResult result;
   result.kind = request.kind;
+  if (Status valid = request.Validate(); !valid.ok()) {
+    result.status = valid;
+    return result;
+  }
   // A request that sat in the admission queue past its deadline must never
   // reach a solver: bail here before any simulation work starts.
   if (Status dl = CheckDeadline("plan_request_entry"); !dl.ok()) {
@@ -171,10 +228,6 @@ PlanResult ExecutePlanRequest(const PlanRequest& request,
       return result;
     }
     case PlanQueryKind::kMaxSeq: {
-      if (request.seq_step <= 0) {
-        result.status = InvalidArgumentError("maxseq needs seq_step > 0");
-        return result;
-      }
       result.max_seq =
           MaxSupportedSeqLen(request.system, request.model, request.cluster,
                              request.seq_step, request.seq_cap, session);

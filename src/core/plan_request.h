@@ -21,6 +21,19 @@ enum class PlanQueryKind : int {
 const char* PlanQueryKindToString(PlanQueryKind kind);
 StatusOr<PlanQueryKind> PlanQueryKindFromString(const std::string& name);
 
+/// Longest sequence a request may name (2^40 tokens). One layer's byte
+/// counts stay well inside int64 up to here; past ~2^46 they overflow.
+inline constexpr std::int64_t kMaxSeqLen = std::int64_t{1} << 40;
+
+/// Largest cluster a request may name. The strategy sweep doubles its
+/// degrees in int, which overflows for 2^30 GPUs.
+inline constexpr int kMaxGpus = 1 << 20;
+
+/// hw::PaperCluster's size rule (1 to 7 GPUs, or whole 8-GPU nodes) up to
+/// kMaxGpus. Validate() applies it to the cluster; the protocol reader
+/// applies it to "gpus" first, since PaperCluster asserts it.
+Status CheckGpuCount(int gpus);
+
 /// An immutable, hashable description of one planning/simulation query —
 /// the split-out value form of what used to be loose (workload, cluster,
 /// SessionOptions) argument tuples. Everything that changes the numeric
@@ -57,6 +70,14 @@ struct PlanRequest {
   /// The canonical `key=value;` string the fingerprint hashes: every field
   /// above, doubles as exact bit patterns. Exposed for tests and debugging.
   std::string CanonicalString() const;
+
+  /// The one domain check of a request (seq, cluster size and tiers,
+  /// alpha, alpha_steps, maxseq step/cap): a request that passes cannot
+  /// reach a MEMO_CHECK, one that fails is never solved or cached. Messages
+  /// start with the protocol field at fault ("alpha must be ..."). Whether
+  /// the strategy suits the model and cluster is ValidateStrategy's cached
+  /// solver answer, not checked here.
+  Status Validate() const;
 
   /// FNV-1a 64 of CanonicalString() — the plan-cache key and the checkpoint
   /// fingerprint's sibling (same hash, common/fingerprint.h).

@@ -32,7 +32,6 @@
 #include "alloc/caching_allocator.h"
 #include "alloc/plan_allocator.h"
 #include "alloc/trace_replay.h"
-#include "alloc/unified_memory.h"
 
 #include "cost/comm_cost.h"
 #include "cost/flops.h"

@@ -1,5 +1,6 @@
 #include "parallel/strategy.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/table_printer.h"
@@ -27,6 +28,13 @@ std::string ParallelStrategy::ToString() const {
   return out.str();
 }
 
+ParallelStrategy SystemRecipe(SystemKind system) {
+  ParallelStrategy s;
+  s.zero_stage = system == SystemKind::kDeepSpeed ? 3 : 1;
+  s.full_recompute = system != SystemKind::kMemo;
+  return s;
+}
+
 Status ValidateStrategy(SystemKind system, const ParallelStrategy& strategy,
                         const model::ModelConfig& model,
                         const hw::ClusterSpec& cluster, std::int64_t seq) {
@@ -35,10 +43,22 @@ Status ValidateStrategy(SystemKind system, const ParallelStrategy& strategy,
       strategy.dp < 1 || strategy.ulysses_sp < 1) {
     return InvalidArgumentError("parallel degrees must be >= 1");
   }
-  if (strategy.world_size() != cluster.total_gpus()) {
-    return InvalidArgumentError(
-        StrFormat("strategy uses %d GPUs but cluster has %d",
-                  strategy.world_size(), cluster.total_gpus()));
+  if (strategy.zero_stage < 0 || strategy.zero_stage > 3) {
+    return InvalidArgumentError("ZeRO stage must be 0 to 3");
+  }
+  // world_size() in 64 bits, capped at 2^32: each degree fits an int, but
+  // a request's degrees need not multiply to one.
+  constexpr std::int64_t kCap = std::int64_t{1} << 32;
+  std::int64_t world = 1;
+  for (const int degree : {strategy.tp, strategy.cp, strategy.pp,
+                           strategy.dp, strategy.ulysses_sp}) {
+    world = std::min(world * degree, kCap);
+  }
+  if (world != cluster.total_gpus()) {
+    return InvalidArgumentError(StrFormat(
+        "strategy uses %s%lld GPUs but cluster has %d",
+        world == kCap ? "at least " : "", static_cast<long long>(world),
+        cluster.total_gpus()));
   }
   if (strategy.tp > cluster.node.gpus_per_node) {
     return InvalidArgumentError(
@@ -108,11 +128,9 @@ std::vector<ParallelStrategy> EnumerateStrategies(
   if (system == SystemKind::kDeepSpeed) {
     for (int sp = 1; sp <= gpus; sp *= 2) {
       if (gpus % sp != 0) continue;
-      ParallelStrategy s;
+      ParallelStrategy s = SystemRecipe(system);
       s.ulysses_sp = sp;
       s.dp = gpus / sp;
-      s.zero_stage = 3;
-      s.full_recompute = true;
       emit(s);
     }
     return result;
@@ -124,16 +142,11 @@ std::vector<ParallelStrategy> EnumerateStrategies(
       if (gpus % (tp * cp) != 0) continue;
       for (int pp = 1; pp * tp * cp <= gpus; pp *= 2) {
         if (gpus % (tp * cp * pp) != 0) continue;
-        ParallelStrategy s;
+        ParallelStrategy s = SystemRecipe(system);
         s.tp = tp;
         s.cp = cp;
         s.pp = pp;
         s.dp = gpus / (tp * cp * pp);
-        s.zero_stage = 1;
-        // Megatron's long-context recipe always enables full activation
-        // recomputation (paper Appendix A lists AR=On for every run);
-        // MEMO replaces it with the token-wise machinery.
-        s.full_recompute = system == SystemKind::kMegatron;
         emit(s);
       }
     }

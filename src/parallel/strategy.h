@@ -55,6 +55,12 @@ struct ParallelStrategy {
   std::string ToString() const;
 };
 
+/// The fixed recipe the paper runs `system` with (Appendix A), on a
+/// strategy of all-1 degrees: DeepSpeed-Ulysses trains with ZeRO-3 and full
+/// recomputation, Megatron with ZeRO-1 and full recomputation, MEMO with
+/// ZeRO-1 and neither (token-wise management replaces recomputation).
+ParallelStrategy SystemRecipe(SystemKind system);
+
 /// Checks that `strategy` is executable for `system` on the given model and
 /// cluster: world size matches, TP fits in a node and divides heads/hidden,
 /// Ulysses divides the head count (the paper's §5.2 DeepSpeed limitation),
@@ -68,9 +74,7 @@ Status ValidateStrategy(SystemKind system, const ParallelStrategy& strategy,
 ///  * Megatron/MEMO: TP in {1,2,4,8}, CP and PP powers of two, DP the rest;
 ///  * DeepSpeed: Ulysses SP powers of two dividing the heads, ZeRO-3,
 ///    DP the rest.
-/// Megatron candidates are generated with and without full recomputation;
-/// DeepSpeed always recomputes (its long-context recipe); MEMO never does
-/// (token-wise management replaces it).
+/// Every candidate runs its system's SystemRecipe.
 std::vector<ParallelStrategy> EnumerateStrategies(
     SystemKind system, const model::ModelConfig& model,
     const hw::ClusterSpec& cluster, std::int64_t seq);

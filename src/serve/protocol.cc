@@ -2,10 +2,12 @@
 
 #include <cctype>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <limits>
 
+#include "common/table_printer.h"
 #include "common/units.h"
 #include "hw/gpu_spec.h"
 #include "model/model_config.h"
@@ -14,18 +16,11 @@ namespace memo::serve {
 
 namespace {
 
-/// One parsed top-level JSON value: the raw text and whether it was quoted
-/// (string) or bare (number/bool/null). Nested objects/arrays are rejected —
-/// the protocol is deliberately flat.
-struct JsonValue {
-  std::string text;
-  bool quoted = false;
-};
-
-/// Parses a flat JSON object into key -> value. Strings support \" \\ \n
-/// \t escapes; everything else must be a bare token ending at `,` or `}`.
-Status ParseFlatObject(const std::string& json,
-                       std::map<std::string, JsonValue>* out) {
+/// Parses a flat JSON object into key -> value text. Strings support the
+/// \" \\ \n \t \/ escapes; everything else must be a bare token ending at
+/// `,` or `}`. A quoted value reads like a bare one: "8" and 8 are the same.
+/// Nested objects/arrays are rejected — the protocol is deliberately flat.
+Status ParseFlatObject(const std::string& json, PlanRequestFields* out) {
   std::size_t i = 0;
   auto skip_ws = [&] {
     while (i < json.size() &&
@@ -76,10 +71,9 @@ Status ParseFlatObject(const std::string& json,
     }
     ++i;
     skip_ws();
-    JsonValue value;
+    std::string value;
     if (i < json.size() && json[i] == '"') {
-      value.quoted = true;
-      if (!parse_string(&value.text)) {
+      if (!parse_string(&value)) {
         return InvalidArgumentError("unterminated string for key \"" + key +
                                     "\"");
       }
@@ -89,13 +83,13 @@ Status ParseFlatObject(const std::string& json,
     } else {
       while (i < json.size() && json[i] != ',' && json[i] != '}' &&
              !std::isspace(static_cast<unsigned char>(json[i]))) {
-        value.text.push_back(json[i++]);
+        value.push_back(json[i++]);
       }
-      if (value.text.empty()) {
+      if (value.empty()) {
         return InvalidArgumentError("missing value for key \"" + key + "\"");
       }
     }
-    (*out)[key] = value;
+    (*out)[key] = std::move(value);
     skip_ws();
     if (i < json.size() && json[i] == ',') {
       ++i;
@@ -114,80 +108,80 @@ bool ParseDouble(const std::string& text, double* out) {
   return end != nullptr && *end == '\0';
 }
 
-/// Sequence lengths accept the CLI's K suffix ("512K" = 512 * 1024 tokens),
-/// as a quoted string or a bare number.
-bool ParseSeq(const JsonValue& value, std::int64_t* out) {
-  std::string text = value.text;
-  std::int64_t scale = 1;
-  if (!text.empty() && (text.back() == 'K' || text.back() == 'k')) {
-    scale = kSeqK;
-    text.pop_back();
+/// Converts the field `key` with `convert` when the request has it, and
+/// leaves `*out` alone when it does not. The error names the field first,
+/// as Validate()'s do.
+template <typename T, typename Convert>
+Status ReadField(const PlanRequestFields& fields, const char* key,
+                 const char* expected, Convert convert, T* out) {
+  const auto it = fields.find(key);
+  if (it == fields.end() || convert(it->second, out)) return OkStatus();
+  return InvalidArgumentError(StrFormat("%s must be %s (got \"%s\")", key,
+                                        expected, it->second.c_str()));
+}
+
+bool ToInt(const std::string& text, int* out) {
+  double value = 0.0;
+  // NaN is not whole. The range test comes before the cast, which is
+  // undefined behaviour out of range.
+  if (!ParseDouble(text, &value) || value != std::trunc(value) ||
+      !(value >= std::numeric_limits<int>::min() &&
+        value <= std::numeric_limits<int>::max())) {
+    return false;
   }
-  double parsed = 0.0;
-  if (!ParseDouble(text, &parsed)) return false;
-  *out = static_cast<std::int64_t>(parsed) * scale;
+  *out = static_cast<int>(value);
   return true;
 }
 
-class FieldReader {
- public:
-  explicit FieldReader(const std::map<std::string, JsonValue>& fields)
-      : fields_(fields) {}
-
-  bool Has(const std::string& key) const { return fields_.count(key) > 0; }
-
-  std::string GetString(const std::string& key,
-                        const std::string& fallback) const {
-    auto it = fields_.find(key);
-    return it != fields_.end() ? it->second.text : fallback;
+bool ToBool(const std::string& text, bool* out) {
+  if (text != "true" && text != "1" && text != "false" && text != "0") {
+    return false;
   }
+  *out = text == "true" || text == "1";
+  return true;
+}
 
-  Status GetInt(const std::string& key, int* out) const {
-    auto it = fields_.find(key);
-    if (it == fields_.end()) return OkStatus();
-    double value = 0.0;
-    if (!ParseDouble(it->second.text, &value)) {
-      return InvalidArgumentError("field \"" + key + "\" is not a number");
-    }
-    *out = static_cast<int>(value);
-    return OkStatus();
+/// GiB to bytes; 2^63 itself does not fit, and NaN fails the comparison.
+bool ToBytes(const std::string& text, std::int64_t* bytes) {
+  double gib = 0.0;
+  if (!ParseDouble(text, &gib) ||
+      !(std::abs(gib * static_cast<double>(kGiB)) < 0x1p63)) {
+    return false;
   }
+  *bytes = static_cast<std::int64_t>(gib * static_cast<double>(kGiB));
+  return true;
+}
 
-  Status GetDouble(const std::string& key, double* out) const {
-    auto it = fields_.find(key);
-    if (it == fields_.end()) return OkStatus();
-    if (!ParseDouble(it->second.text, out)) {
-      return InvalidArgumentError("field \"" + key + "\" is not a number");
-    }
-    return OkStatus();
+/// GB/s to bytes/s.
+bool ToBytesPerSecond(const std::string& text, double* out) {
+  double gbps = 0.0;
+  if (!ParseDouble(text, &gbps)) return false;
+  *out = gbps * kGBps;
+  return true;
+}
+
+bool ToSystem(const std::string& text, parallel::SystemKind* out) {
+  if (text == "memo") {
+    *out = parallel::SystemKind::kMemo;
+  } else if (text == "megatron") {
+    *out = parallel::SystemKind::kMegatron;
+  } else if (text == "deepspeed") {
+    *out = parallel::SystemKind::kDeepSpeed;
+  } else {
+    return false;
   }
+  return true;
+}
 
-  Status GetSeq(const std::string& key, std::int64_t* out) const {
-    auto it = fields_.find(key);
-    if (it == fields_.end()) return OkStatus();
-    if (!ParseSeq(it->second, out)) {
-      return InvalidArgumentError("field \"" + key +
-                                  "\" is not a sequence length");
-    }
-    return OkStatus();
-  }
-
-  Status GetBool(const std::string& key, bool* out) const {
-    auto it = fields_.find(key);
-    if (it == fields_.end()) return OkStatus();
-    if (it->second.text == "true" || it->second.text == "1") {
-      *out = true;
-    } else if (it->second.text == "false" || it->second.text == "0") {
-      *out = false;
-    } else {
-      return InvalidArgumentError("field \"" + key + "\" is not a bool");
-    }
-    return OkStatus();
-  }
-
- private:
-  const std::map<std::string, JsonValue>& fields_;
-};
+/// A converter from a name lookup such as model::ModelByName.
+template <typename T>
+auto ByName(StatusOr<T> (*lookup)(const std::string&)) {
+  return [lookup](const std::string& text, T* out) {
+    auto found = lookup(text);
+    if (found.ok()) *out = *found;
+    return found.ok();
+  };
+}
 
 void AppendField(std::string* out, const char* key, std::int64_t value) {
   char buf[64];
@@ -231,85 +225,71 @@ std::string JsonEscape(const std::string& text) {
   return out;
 }
 
-StatusOr<core::PlanRequest> ParsePlanRequestJson(const std::string& line) {
-  std::map<std::string, JsonValue> fields;
-  MEMO_RETURN_IF_ERROR(ParseFlatObject(line, &fields));
-  const FieldReader reader(fields);
-
+StatusOr<core::PlanRequest> ParsePlanRequestFields(
+    const PlanRequestFields& fields) {
+  constexpr const char* kInt = "an integer that fits in 32 bits";
+  constexpr const char* kSeq = "a sequence length such as 512K";
   core::PlanRequest request;
-  MEMO_ASSIGN_OR_RETURN(
-      request.kind,
-      core::PlanQueryKindFromString(reader.GetString("kind", "best")));
-
-  const std::string system = reader.GetString("system", "memo");
-  if (system == "memo") {
-    request.system = parallel::SystemKind::kMemo;
-  } else if (system == "megatron") {
-    request.system = parallel::SystemKind::kMegatron;
-  } else if (system == "deepspeed") {
-    request.system = parallel::SystemKind::kDeepSpeed;
-  } else {
-    return InvalidArgumentError("unknown system \"" + system +
-                                "\" (memo|megatron|deepspeed)");
-  }
-
-  MEMO_ASSIGN_OR_RETURN(request.model,
-                        model::ModelByName(reader.GetString("model", "7B")));
-
+  request.model = model::Gpt7B();
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "kind", "best, strategy or maxseq",
+                                 ByName(core::PlanQueryKindFromString),
+                                 &request.kind));
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "system",
+                                 "memo, megatron or deepspeed", ToSystem,
+                                 &request.system));
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "model", "a model preset such as 7B",
+                                 ByName(model::ModelByName), &request.model));
   request.seq = 512 * kSeqK;
-  MEMO_RETURN_IF_ERROR(reader.GetSeq("seq", &request.seq));
-  if (request.seq <= 0) {
-    return InvalidArgumentError("field \"seq\" must be positive");
-  }
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "seq", kSeq, ParseSeqLen,
+                                 &request.seq));
 
   int gpus = 8;
-  MEMO_RETURN_IF_ERROR(reader.GetInt("gpus", &gpus));
-  if (gpus <= 0) {
-    return InvalidArgumentError("field \"gpus\" must be positive");
-  }
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "gpus", kInt, ToInt, &gpus));
+  MEMO_RETURN_IF_ERROR(core::CheckGpuCount(gpus));
   request.cluster = hw::PaperCluster(gpus);
-  for (const char* key : {"host_gib", "nvme_gib", "nvme_gbps"}) {
-    if (!reader.Has(key)) continue;
-    double value = 0.0;
-    MEMO_RETURN_IF_ERROR(reader.GetDouble(key, &value));
-    if (value <= 0.0) {
-      return InvalidArgumentError(std::string("field \"") + key +
-                                  "\" must be positive");
-    }
-    if (std::string(key) == "host_gib") {
-      request.cluster.node.host_memory_bytes =
-          static_cast<std::int64_t>(value * static_cast<double>(kGiB));
-    } else if (std::string(key) == "nvme_gib") {
-      request.cluster.node.nvme_bytes =
-          static_cast<std::int64_t>(value * static_cast<double>(kGiB));
-    } else {
-      request.cluster.node.nvme_bandwidth = value * kGBps;
-    }
+  hw::NodeSpec& node = request.cluster.node;
+  constexpr const char* kGiBSize = "a number of GiB that fits in int64 bytes";
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "host_gib", kGiBSize, ToBytes,
+                                 &node.host_memory_bytes));
+  MEMO_RETURN_IF_ERROR(
+      ReadField(fields, "nvme_gib", kGiBSize, ToBytes, &node.nvme_bytes));
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "nvme_gbps", "a number",
+                                 ToBytesPerSecond, &node.nvme_bandwidth));
+
+  // A strategy query runs its system's recipe unless it spells `zero` or
+  // `full_recompute` itself.
+  parallel::ParallelStrategy& s = request.strategy;
+  if (request.kind == core::PlanQueryKind::kStrategy) {
+    s = parallel::SystemRecipe(request.system);
   }
-
-  MEMO_RETURN_IF_ERROR(reader.GetInt("tp", &request.strategy.tp));
-  MEMO_RETURN_IF_ERROR(reader.GetInt("cp", &request.strategy.cp));
-  MEMO_RETURN_IF_ERROR(reader.GetInt("pp", &request.strategy.pp));
-  MEMO_RETURN_IF_ERROR(
-      reader.GetInt("vp", &request.strategy.virtual_pipeline));
-  MEMO_RETURN_IF_ERROR(reader.GetInt("dp", &request.strategy.dp));
-  MEMO_RETURN_IF_ERROR(reader.GetInt("sp", &request.strategy.ulysses_sp));
-  MEMO_RETURN_IF_ERROR(reader.GetInt("zero", &request.strategy.zero_stage));
-  MEMO_RETURN_IF_ERROR(
-      reader.GetBool("full_recompute", &request.strategy.full_recompute));
-
-  MEMO_RETURN_IF_ERROR(reader.GetDouble("alpha", &request.forced_alpha));
-  MEMO_RETURN_IF_ERROR(reader.GetInt("alpha_steps", &request.alpha_steps));
+  for (const auto& [key, value] :
+       {std::pair{"tp", &s.tp}, std::pair{"cp", &s.cp},
+        std::pair{"pp", &s.pp}, std::pair{"vp", &s.virtual_pipeline},
+        std::pair{"dp", &s.dp}, std::pair{"sp", &s.ulysses_sp},
+        std::pair{"zero", &s.zero_stage},
+        std::pair{"alpha_steps", &request.alpha_steps}}) {
+    MEMO_RETURN_IF_ERROR(ReadField(fields, key, kInt, ToInt, value));
+  }
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "full_recompute", "true or false",
+                                 ToBool, &s.full_recompute));
+  MEMO_RETURN_IF_ERROR(ReadField(fields, "alpha", "a number", ParseDouble,
+                                 &request.forced_alpha));
 
   request.seq_step = 128 * kSeqK;
   request.seq_cap = static_cast<std::int64_t>(gpus) * 256 * kSeqK;
-  MEMO_RETURN_IF_ERROR(reader.GetSeq("step", &request.seq_step));
-  MEMO_RETURN_IF_ERROR(reader.GetSeq("cap", &request.seq_cap));
-  if (request.kind == core::PlanQueryKind::kMaxSeq &&
-      (request.seq_step <= 0 || request.seq_cap <= 0)) {
-    return InvalidArgumentError("maxseq needs positive \"step\" and \"cap\"");
-  }
+  MEMO_RETURN_IF_ERROR(
+      ReadField(fields, "step", kSeq, ParseSeqLen, &request.seq_step));
+  MEMO_RETURN_IF_ERROR(
+      ReadField(fields, "cap", kSeq, ParseSeqLen, &request.seq_cap));
+
+  MEMO_RETURN_IF_ERROR(request.Validate());
   return request;
+}
+
+StatusOr<core::PlanRequest> ParsePlanRequestJson(const std::string& line) {
+  PlanRequestFields fields;
+  MEMO_RETURN_IF_ERROR(ParseFlatObject(line, &fields));
+  return ParsePlanRequestFields(fields);
 }
 
 std::string SerializePlanResult(const core::PlanResult& result) {

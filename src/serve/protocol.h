@@ -2,6 +2,7 @@
 #define MEMO_SERVE_PROTOCOL_H_
 
 #include <cstdint>
+#include <map>
 #include <string>
 
 #include "common/status.h"
@@ -11,28 +12,52 @@ namespace memo::serve {
 
 /// Wire format: one request per line, one response per line, both flat
 /// JSON objects (newline-delimited JSON over a Unix-domain stream socket).
+/// A value may be quoted or bare: "8" and 8 read alike.
 ///
-/// Request fields (all optional unless noted; defaults mirror memo_cli):
-///   kind            "best" | "strategy" | "maxseq"     (default "best")
-///   system          "memo" | "megatron" | "deepspeed"  (default "memo")
-///   model           Table-2 preset name                 (default "7B")
-///   seq             tokens, number or "512K" string     (default 512K)
-///   gpus            cluster size                        (default 8)
-///   host_gib / nvme_gib / nvme_gbps   memory-hierarchy overrides
-///   tp cp pp vp dp sp zero            strategy degrees (kind=strategy)
-///   full_recompute  bool
-///   alpha           forced swap fraction                (default: solve)
-///   alpha_steps     LP grid resolution
-///   step / cap      maxseq scan step and ceiling (seq strings allowed)
+/// Request fields, all optional (memo_cli's planning commands read the same
+/// fields from their flags, spelled with '-' for '_'):
+///   kind            best | strategy | maxseq              (default best)
+///   system          memo | megatron | deepspeed           (default memo)
+///   model           Table-2 preset name                   (default 7B)
+///   seq             1 to 2^40 tokens, whole or in K ("512K") (default 512K)
+///   gpus            1 to 7, or a multiple of 8 up to 2^20  (default 8)
+///   host_gib        host RAM per node, > 0          (default 256 per GPU)
+///   nvme_gib        NVMe tier per node, >= 0        (default 0 = none)
+///   nvme_gbps       NVMe bandwidth per node, > 0    (default 6)
+///   tp cp pp vp dp sp zero  strategy degrees and ZeRO stage (integers)
+///   full_recompute  bool. These two and the degrees are read for
+///                   kind=strategy; a strategy query that omits zero or
+///                   full_recompute runs its system's recipe
+///                   (parallel::SystemRecipe): deepspeed ZeRO-3 + full
+///                   recompute, megatron full recompute, memo neither.
+///                   Whether a strategy suits the model and cluster is a
+///                   cached solver answer, not a parse error.
+///   alpha           forced swap fraction in [0, 1]; absent or -1 = solve
+///   alpha_steps     LP grid resolution >= 0, 0 = continuous (default 8)
+///   step / cap      maxseq scan step >= 1 and ceiling in [step, 2^40], in
+///                   seq syntax (default 128K and gpus x 256K)
+/// Unknown keys are ignored. Integers must be whole and fit in 32 bits.
 ///
 /// Response: {"status":"OK","code":0,"fingerprint":"0x...","cache_hit":
 /// false,"plan":{...}} — `plan` is the deterministic payload produced by
 /// SerializePlanResult (present even for solver-level failures, which are
 /// themselves deterministic functions of the request and therefore cached);
-/// protocol-level failures (malformed JSON, unknown model) omit it.
+/// protocol-level failures (malformed JSON, a field out of its domain) omit
+/// it.
 
-/// Parses one request line. Returns kInvalidArgument on malformed JSON,
-/// unknown enum values, or non-positive dimensions.
+/// A request as field name -> value text, before any conversion.
+using PlanRequestFields = std::map<std::string, std::string>;
+
+/// The one reader of planning requests, shared by the wire protocol and
+/// memo_cli. Converts every field above, fills in defaults and the strategy
+/// recipe, then runs PlanRequest::Validate(). Returns kInvalidArgument for
+/// any field that does not convert or is out of its domain; the message
+/// starts with that field's name ("gpus must be ...").
+StatusOr<core::PlanRequest> ParsePlanRequestFields(
+    const PlanRequestFields& fields);
+
+/// Parses one request line: a flat JSON object handed to
+/// ParsePlanRequestFields. Returns kInvalidArgument on malformed JSON too.
 StatusOr<core::PlanRequest> ParsePlanRequestJson(const std::string& line);
 
 /// Deterministic serialization of a solve outcome: fixed field order,

@@ -1,13 +1,12 @@
 #include "serve/snapshot.h"
 
-#include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "common/fault_injector.h"
+#include "common/file_io.h"
 #include "common/fingerprint.h"
 #include "obs/metrics.h"
 
@@ -97,25 +96,7 @@ StatusOr<int> SaveCacheSnapshot(const std::string& path,
   }
   AppendU64(&file, Fnv1a64(file.data(), file.size()));
 
-  // tmp + rename so a crash mid-write can never tear the live snapshot.
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return InternalError("cannot create snapshot file " + tmp + ": " +
-                         std::strerror(errno));
-  }
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), f);
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != file.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return InternalError("short write to snapshot file " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return InternalError("cannot rename snapshot into place: " + path + ": " +
-                         std::strerror(errno));
-  }
+  MEMO_RETURN_IF_ERROR(WriteFileAtomically(path, file, "snapshot"));
   obs::MetricsRegistry::Global().counter("serve.snapshot.saved")->Add(1);
   return static_cast<int>(entries.size());
 }
@@ -123,22 +104,8 @@ StatusOr<int> SaveCacheSnapshot(const std::string& path,
 StatusOr<int> LoadCacheSnapshot(const std::string& path, PlanCache* cache) {
   MEMO_RETURN_IF_ERROR(
       FaultInjector::Global().MaybeFail("serve.snapshot_read"));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return NotFoundError("snapshot file not found: " + path);
-  }
-  std::string data;
-  char chunk[1 << 16];
-  std::size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    data.append(chunk, n);
-  }
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return InternalError("read error on snapshot file " + path);
-  }
-
+  MEMO_ASSIGN_OR_RETURN(const std::string data,
+                        ReadWholeFile(path, "snapshot"));
   if (data.size() < sizeof(kMagic) + 4 + 4 + 8 ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
     return InvalidArgumentError("snapshot " + path +

@@ -4,10 +4,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 
+#include "common/file_io.h"
 #include "common/fingerprint.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
@@ -54,6 +54,8 @@ class Reader {
     if (static_cast<std::size_t>(end_ - p_) < len) {
       return InternalError("truncated checkpoint payload");
     }
+    // An empty vector's data() may be null, which memcpy must not see.
+    if (len == 0) return OkStatus();
     std::memcpy(out, p_, len);
     p_ += len;
     return OkStatus();
@@ -185,44 +187,15 @@ Status SaveCheckpoint(const std::string& dir, const CheckpointState& state) {
   AppendU64(&file, Fnv1a64(payload.data(), payload.size()));
   file += payload;
 
-  const std::string path = dir + "/" + CheckpointFileName(state.step);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return InternalError("cannot create checkpoint file " + tmp + ": " +
-                         std::strerror(errno));
-  }
-  const std::size_t written = std::fwrite(file.data(), 1, file.size(), f);
-  // fflush + fclose before rename so the renamed file is always complete.
-  const bool flushed = std::fflush(f) == 0;
-  std::fclose(f);
-  if (written != file.size() || !flushed) {
-    std::remove(tmp.c_str());
-    return InternalError("short write to checkpoint file " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return InternalError("cannot rename checkpoint into place: " + path +
-                         ": " + std::strerror(errno));
-  }
+  MEMO_RETURN_IF_ERROR(WriteFileAtomically(
+      dir + "/" + CheckpointFileName(state.step), file, "checkpoint"));
   obs::MetricsRegistry::Global().counter("checkpoint.saved")->Add(1);
   return OkStatus();
 }
 
 StatusOr<CheckpointState> LoadCheckpoint(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return NotFoundError("checkpoint file not found: " + path);
-  }
-  std::string file;
-  char buf[1 << 16];
-  std::size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) file.append(buf, n);
-  const bool read_error = std::ferror(f) != 0;
-  std::fclose(f);
-  if (read_error) {
-    return InternalError("I/O error reading checkpoint " + path);
-  }
+  MEMO_ASSIGN_OR_RETURN(const std::string file,
+                        ReadWholeFile(path, "checkpoint"));
   if (file.size() < sizeof(kMagic) + 16 ||
       std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
     return InternalError("not a checkpoint file (bad magic): " + path);

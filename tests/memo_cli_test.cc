@@ -360,6 +360,96 @@ TEST(MemoCliTest, MalformedFlagValuesExitTwoWithUsage) {
   EXPECT_EQ(bare.exit_code, 0) << bare.output;
 }
 
+TEST(MemoCliTest, OutOfDomainPlanningFlagsExitTwoNamingTheFlag) {
+  // Each of these used to abort (exit 134) or print a bogus answer.
+  const struct {
+    const char* args;
+    const char* flag;
+  } legs[] = {
+      {"run --seq 0", "--seq "},
+      {"run --gpus 12", "--gpus "},
+      {"plan --seq 0 --tp 4 --cp 2", "--seq "},
+      {"alpha --gpus 0", "--gpus "},
+      {"run --alpha nan --tp 4 --cp 2", "--alpha "},
+      {"maxseq --step 0", "--step "},
+      {"run --host-gib 1e30", "--host-gib "},
+      {"run --alpha-steps -3", "--alpha-steps "},
+  };
+  for (const auto& leg : legs) {
+    const CliResult run = RunCli(leg.args);
+    EXPECT_EQ(run.exit_code, 2) << leg.args << ":\n" << run.output;
+    EXPECT_EQ(run.output.rfind(leg.flag, 0), 0u)
+        << leg.args << ":\n" << run.output;
+    EXPECT_NE(run.output.find("usage: memo_cli"), std::string::npos)
+        << leg.args << ":\n" << run.output;
+  }
+}
+
+/// The value of `"key":` in a flat response line, up to the next , or }.
+std::string JsonToken(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t pos = line.find(needle);
+  if (pos == std::string::npos) return "";
+  const std::size_t start = pos + needle.size();
+  return line.substr(start, line.find_first_of(",}", start) - start);
+}
+
+TEST(MemoCliTest, RunAndTheServedStrategyQueryAgree) {
+  const std::string socket_path =
+      ::testing::TempDir() + "memo_cli_parity.sock";
+  std::remove(socket_path.c_str());
+  const std::string cli = MEMO_CLI_PATH;
+  const struct {
+    const char* flags;
+    const char* json;
+  } legs[] = {
+      {"--system deepspeed --sp 8 --seq 256K",
+       R"({"kind":"strategy","system":"deepspeed","sp":8,"seq":"256K"})"},
+      {"--system megatron --tp 4 --cp 2 --seq 128K",
+       R"({"kind":"strategy","system":"megatron","tp":4,"cp":2,)"
+       R"("seq":"128K"})"},
+  };
+  // One shell: serve in the background with a budget of four answers, then
+  // each leg as query flags and as the JSON line (one answer per line).
+  // Every query runs, so the server always spends its budget and exits.
+  std::string script = "serve --socket " + socket_path +
+                       " --max-requests 4 >/dev/null 2>&1 &";
+  for (const auto& leg : legs) {
+    script += " " + cli + " query --socket " + socket_path +
+              " --retries 40 --kind strategy " + leg.flags + "; " + cli +
+              " query --socket " + socket_path + " --retries 10 --json '" +
+              leg.json + "';";
+  }
+  const CliResult served = RunCli(script);
+  std::vector<std::string> lines;
+  for (std::size_t start = 0; start < served.output.size();) {
+    const std::size_t end = served.output.find('\n', start);
+    lines.push_back(served.output.substr(start, end - start));
+    if (end == std::string::npos) break;
+    start = end + 1;
+  }
+  ASSERT_GE(lines.size(), 4u) << served.output;
+
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string& from_flags = lines[2 * i];
+    const std::string& from_json = lines[2 * i + 1];
+    EXPECT_EQ(JsonToken(from_flags, "status"), "\"OK\"") << from_flags;
+    // Same request, same fingerprint: the second answer is a cache hit.
+    EXPECT_EQ(JsonToken(from_flags, "fingerprint"),
+              JsonToken(from_json, "fingerprint"))
+        << from_flags << "\n" << from_json;
+    EXPECT_EQ(JsonToken(from_json, "cache_hit"), "true") << from_json;
+
+    const CliResult run = RunCli(std::string("run ") + legs[i].flags);
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    char served_mfu[32];
+    std::snprintf(served_mfu, sizeof(served_mfu), "%.2f%%",
+                  std::stod(JsonToken(from_flags, "mfu")) * 100.0);
+    EXPECT_EQ(TokenAfter(run.output, "MFU"), served_mfu)
+        << run.output << "\n" << from_flags;
+  }
+}
+
 TEST(MemoCliTest, ServeAndQueryRequireASocketPath) {
   CliResult run = RunCli("serve");
   EXPECT_EQ(run.exit_code, 2) << run.output;

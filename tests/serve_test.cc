@@ -10,6 +10,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
@@ -253,19 +254,105 @@ TEST(ProtocolTest, RequestJsonRoundTripsThroughTheParser) {
 }
 
 TEST(ProtocolTest, MalformedRequestsAreInvalidArgument) {
-  const char* bad[] = {
-      "not json at all",
-      "{\"kind\":\"bogus\"}",
-      "{\"seq\":\"sixtyfour\"}",
-      "{\"gpus\":-2}",
-      "{\"model\":\"9000B\"}",
-      "{\"tp\":{\"nested\":1}}",
-      "{\"seq\":0}",
+  // `field` is the name the error message must start with; lines that fail
+  // before any field is read name none.
+  const struct {
+    const char* line;
+    const char* field;
+  } bad[] = {
+      {"not json at all", nullptr},
+      {"{\"kind\":\"bogus\"}", "kind"},
+      {"{\"seq\":\"sixtyfour\"}", "seq"},
+      {"{\"gpus\":-2}", "gpus"},
+      {"{\"model\":\"9000B\"}", "model"},
+      {"{\"tp\":{\"nested\":1}}", nullptr},
+      {"{\"seq\":0}", "seq"},
+      // Each of these aborted the process, or was solved and cached.
+      {"{\"alpha\":\"nan\"}", "alpha"},
+      {"{\"alpha\":\"inf\"}", "alpha"},
+      {"{\"alpha\":1.5}", "alpha"},
+      {"{\"alpha\":-0.5}", "alpha"},
+      {"{\"alpha_steps\":-3}", "alpha_steps"},
+      {"{\"gpus\":0}", "gpus"},
+      {"{\"gpus\":12}", "gpus"},
+      {"{\"gpus\":8.7}", "gpus"},
+      {"{\"gpus\":1e10}", "gpus"},
+      {"{\"kind\":\"strategy\",\"tp\":4e10}", "tp"},
+      {"{\"seq\":\"1.5K\"}", "seq"},
+      {"{\"seq\":1e400}", "seq"},
+      {"{\"host_gib\":-1}", "host_gib"},
+      {"{\"host_gib\":1e30}", "host_gib"},
+      {"{\"kind\":\"maxseq\",\"step\":0}", "step"},
+      {"{\"kind\":\"maxseq\",\"cap\":0}", "cap"},
+      // Past the simulator's integer range: a division by zero in the
+      // strategy sweep, and overflowing tensor byte counts.
+      {"{\"gpus\":1073741824}", "gpus"},
+      {"{\"seq\":\"1125899906842624K\"}", "seq"},
   };
-  for (const char* line : bad) {
-    const auto request = memo::serve::ParsePlanRequestJson(line);
-    EXPECT_FALSE(request.ok()) << "accepted: " << line;
+  for (const auto& leg : bad) {
+    const auto request = memo::serve::ParsePlanRequestJson(leg.line);
+    ASSERT_FALSE(request.ok()) << "accepted: " << leg.line;
+    EXPECT_EQ(request.status().code(), memo::StatusCode::kInvalidArgument)
+        << leg.line << ": " << request.status().ToString();
+    if (leg.field != nullptr) {
+      EXPECT_EQ(request.status().message().rfind(std::string(leg.field) + " ",
+                                                 0),
+                0u)
+          << leg.line << ": " << request.status().ToString();
+    }
   }
+}
+
+TEST(ProtocolTest, StrategyQueriesRunTheSystemRecipe) {
+  // What memo_cli builds from `run --system deepspeed --sp 8 --seq 256K`
+  // (its flags, plus the kind `run` picks) and the wire line with the same
+  // fields are one request: the system's recipe fills the fields neither
+  // spells, so both equal the strategy EnumerateStrategies would try.
+  const struct {
+    memo::serve::PlanRequestFields cli;
+    const char* line;
+    memo::parallel::SystemKind system;
+    std::int64_t seq;
+    memo::parallel::ParallelStrategy strategy;
+  } legs[] = {
+      {{{"kind", "strategy"}, {"system", "deepspeed"}, {"sp", "8"},
+        {"seq", "256K"}},
+       "{\"kind\":\"strategy\",\"system\":\"deepspeed\",\"sp\":8,"
+       "\"seq\":\"256K\"}",
+       memo::parallel::SystemKind::kDeepSpeed,
+       256 * memo::kSeqK,
+       {.ulysses_sp = 8, .zero_stage = 3, .full_recompute = true}},
+      {{{"kind", "strategy"}, {"system", "megatron"}, {"tp", "4"},
+        {"cp", "2"}, {"seq", "128K"}},
+       "{\"kind\":\"strategy\",\"system\":\"megatron\",\"tp\":4,"
+       "\"cp\":2,\"seq\":\"128K\"}",
+       memo::parallel::SystemKind::kMegatron,
+       128 * memo::kSeqK,
+       {.tp = 4, .cp = 2, .full_recompute = true}},
+  };
+  for (const auto& leg : legs) {
+    const auto cli = memo::serve::ParsePlanRequestFields(leg.cli);
+    const auto wire = memo::serve::ParsePlanRequestJson(leg.line);
+    ASSERT_TRUE(cli.ok()) << cli.status().ToString();
+    ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+    EXPECT_EQ(cli->Fingerprint(), wire->Fingerprint()) << leg.line;
+
+    PlanRequest expected = PlanRequestFromSession(
+        leg.system, Workload{memo::model::Gpt7B(), leg.seq},
+        memo::hw::PaperCluster(8), SessionOptions{});
+    expected.kind = PlanQueryKind::kStrategy;
+    expected.strategy = leg.strategy;
+    EXPECT_EQ(wire->CanonicalString(), expected.CanonicalString())
+        << leg.line;
+  }
+
+  // A field the query spells wins over the recipe.
+  const auto spelled = memo::serve::ParsePlanRequestJson(
+      "{\"kind\":\"strategy\",\"system\":\"deepspeed\",\"sp\":8,"
+      "\"zero\":1,\"full_recompute\":false}");
+  ASSERT_TRUE(spelled.ok()) << spelled.status().ToString();
+  EXPECT_EQ(spelled->strategy.zero_stage, 1);
+  EXPECT_FALSE(spelled->strategy.full_recompute);
 }
 
 TEST(ProtocolTest, SerializationIsDeterministic) {
@@ -424,6 +511,59 @@ TEST(SocketServerTest, HealthRequestAnswersWithoutTouchingTheSolver) {
   // the solver never runs.
   EXPECT_EQ(socket_server.requests_served(), 0);
   EXPECT_FALSE(solver_ran.load());
+  socket_server.Stop();
+}
+
+TEST(SocketServerTest, OutOfDomainLinesAreAnsweredAndNeverSolved) {
+  const std::string socket_path =
+      ::testing::TempDir() + "memo_serve_domain.sock";
+  std::remove(socket_path.c_str());
+
+  // The real solver: a line that reached it would abort the process.
+  PlanServer server;
+  memo::serve::SocketServerOptions options;
+  options.socket_path = socket_path;
+  memo::serve::SocketServer socket_server(&server, options);
+  ASSERT_TRUE(socket_server.Start().ok());
+
+  const int fd = RawConnect(socket_path);
+  ASSERT_GE(fd, 0);
+  const std::string lines = "{\"alpha\":\"nan\"}\n{\"gpus\":12}\n";
+  ASSERT_EQ(::send(fd, lines.data(), lines.size(), MSG_NOSIGNAL),
+            static_cast<ssize_t>(lines.size()));
+  std::string answers;
+  const auto stop_at =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (std::count(answers.begin(), answers.end(), '\n') < 2 &&
+         std::chrono::steady_clock::now() < stop_at) {
+    char buf[512];
+    const ssize_t n = ::recv(fd, buf, sizeof(buf), MSG_DONTWAIT);
+    if (n > 0) {
+      answers.append(buf, static_cast<std::size_t>(n));
+    } else if (n == 0) {
+      break;
+    } else {
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  ::close(fd);
+  const std::size_t split = answers.find('\n');
+  ASSERT_NE(split, std::string::npos) << answers;
+  const std::string first = answers.substr(0, split);
+  const std::string second = answers.substr(split + 1);
+  EXPECT_NE(first.find("\"status\":\"INVALID_ARGUMENT\""), std::string::npos)
+      << first;
+  EXPECT_NE(first.find("alpha must be"), std::string::npos) << first;
+  EXPECT_NE(second.find("\"status\":\"INVALID_ARGUMENT\""),
+            std::string::npos)
+      << second;
+  EXPECT_NE(second.find("gpus must be"), std::string::npos) << second;
+
+  const auto health = memo::serve::QueryOverSocket(socket_path, "health", 10);
+  ASSERT_TRUE(health.ok()) << health.status().ToString();
+  EXPECT_NE(health->find("\"state\":\"serving\""), std::string::npos)
+      << *health;
+  EXPECT_EQ(server.cache().stats().entries, 0);
   socket_server.Stop();
 }
 

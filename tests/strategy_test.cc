@@ -42,6 +42,22 @@ TEST(StrategyTest, ValidationRejectsBadShapes) {
   EXPECT_FALSE(
       ValidateStrategy(SystemKind::kMemo, s, m, hw::PaperCluster(16), 64 * kSeqK)
           .ok());
+
+  ParallelStrategy ulysses;
+  ulysses.ulysses_sp = 8;
+  ulysses.zero_stage = 7;  // ZeRO has stages 0 to 3
+  EXPECT_FALSE(
+      ValidateStrategy(SystemKind::kDeepSpeed, ulysses, m, cluster, 64 * kSeqK)
+          .ok());
+
+  // Degrees whose product overflows int are a wrong world size, not UB.
+  ParallelStrategy huge;
+  huge.tp = huge.cp = huge.pp = 1 << 16;
+  const Status status =
+      ValidateStrategy(SystemKind::kMemo, huge, m, cluster, 64 * kSeqK);
+  EXPECT_NE(status.message().find("strategy uses at least 4294967296 GPUs"),
+            std::string::npos)
+      << status.ToString();
 }
 
 TEST(StrategyTest, UlyssesMustDivideHeads) {

@@ -1,9 +1,9 @@
 # CTest driver for the AddressSanitizer pass: configures a nested build of
 # the repo with -DMEMO_SANITIZE=address, builds the memory-sensitive test
 # binaries (offload backends with their raw pwrite/pread paging, the
-# unified-memory substrate, the copier-thread obs integration, and the
-# attention kernels' padded-panel and stack-tile indexing across multi-block
-# shapes in parallel_exactness_test) and runs them. Invoked as
+# copier-thread obs integration, and the attention kernels' padded-panel
+# and stack-tile indexing across multi-block shapes in
+# parallel_exactness_test) and runs them. Invoked as
 #   cmake -DSOURCE_DIR=... -DBINARY_DIR=... -P tools/asan_check.cmake
 # by the `asan_check` test registered in tests/CMakeLists.txt.
 
@@ -21,7 +21,7 @@ endif()
 
 execute_process(
   COMMAND ${CMAKE_COMMAND} --build ${BINARY_DIR}
-          --target offload_backend_test unified_memory_test
+          --target offload_backend_test
           obs_integration_test checkpoint_test fault_tolerance_test
           simd_kernels_test tensor_arena_test train_ops_test
           parallel_exactness_test
@@ -32,7 +32,7 @@ if(NOT build_result EQUAL 0)
   message(FATAL_ERROR "asan build failed (${build_result})")
 endif()
 
-foreach(test_binary offload_backend_test unified_memory_test
+foreach(test_binary offload_backend_test
         obs_integration_test checkpoint_test fault_tolerance_test
         simd_kernels_test tensor_arena_test train_ops_test
         parallel_exactness_test

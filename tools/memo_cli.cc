@@ -10,11 +10,14 @@
 //   memo_cli train  --layers 4 --seq 64 --alpha 0.5 --backend tiered
 //
 // `run` auto-tunes the parallelism strategy unless explicit degrees are
-// given. Sequence lengths accept a K suffix (1024-token units).
+// given. Sequence lengths accept a K suffix (1024-token units). The
+// planning commands (run, plan, maxseq, alpha, query) share one set of
+// request flags: the fields of serve/protocol.h, spelled with '-' for '_'.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
@@ -48,10 +51,7 @@
 namespace {
 
 using memo::core::IterationResult;
-using memo::core::SessionOptions;
 using memo::core::Workload;
-using memo::parallel::ParallelStrategy;
-using memo::parallel::SystemKind;
 
 void Usage();
 
@@ -131,19 +131,14 @@ class Flags {
   std::int64_t GetSeq(const std::string& key, std::int64_t fallback) const {
     auto it = values_.find(key);
     if (it == values_.end()) return fallback;
-    std::string v = it->second;
-    std::int64_t scale = 1;
-    if (!v.empty() && (v.back() == 'K' || v.back() == 'k')) {
-      scale = memo::kSeqK;
-      v.pop_back();
-    }
-    char* end = nullptr;
-    const std::int64_t value = std::strtoll(v.c_str(), &end, 10);
-    if (v.empty() || *end != '\0') {
+    std::int64_t tokens = 0;
+    if (!memo::ParseSeqLen(it->second, &tokens)) {
       MalformedFlag(key, "a sequence length (e.g. 512K)");
     }
-    return value * scale;
+    return tokens;
   }
+
+  const std::map<std::string, std::string>& values() const { return values_; }
 
  private:
   [[noreturn]] void MalformedFlag(const std::string& key,
@@ -189,29 +184,6 @@ void RequireWritableFileIfSet(const Flags& flags, const std::string& key) {
                  key.c_str(), path.c_str(), dir.c_str());
     std::exit(2);
   }
-}
-
-/// The paper's cluster with optional memory-hierarchy overrides:
-/// --host-gib caps host RAM per node, --nvme-gib/--nvme-gbps configure the
-/// NVMe spill tier below it (absent by default, as in the paper).
-memo::hw::ClusterSpec ClusterFromFlags(const Flags& flags) {
-  RequirePositiveIfSet(flags, "host-gib");
-  RequirePositiveIfSet(flags, "nvme-gib");
-  RequirePositiveIfSet(flags, "nvme-gbps");
-  auto cluster = memo::hw::PaperCluster(flags.GetInt("gpus", 8));
-  if (flags.Has("host-gib")) {
-    cluster.node.host_memory_bytes = static_cast<std::int64_t>(
-        flags.GetDouble("host-gib", 0.0) * static_cast<double>(memo::kGiB));
-  }
-  if (flags.Has("nvme-gib")) {
-    cluster.node.nvme_bytes = static_cast<std::int64_t>(
-        flags.GetDouble("nvme-gib", 0.0) * static_cast<double>(memo::kGiB));
-  }
-  if (flags.Has("nvme-gbps")) {
-    cluster.node.nvme_bandwidth =
-        flags.GetDouble("nvme-gbps", 6.0) * memo::kGBps;
-  }
-  return cluster;
 }
 
 memo::offload::BackendOptions ParseBackend(const Flags& flags) {
@@ -300,13 +272,44 @@ class ObsOutputs {
   std::string metrics_path_;
 };
 
-SystemKind ParseSystem(const std::string& name) {
-  if (name == "memo") return SystemKind::kMemo;
-  if (name == "megatron") return SystemKind::kMegatron;
-  if (name == "deepspeed") return SystemKind::kDeepSpeed;
-  std::fprintf(stderr, "unknown system %s (memo|megatron|deepspeed)\n",
-               name.c_str());
+/// The flags as planning-request fields: each flag is its wire field with
+/// '-' for '_' (--host-gib is host_gib); a non-null `kind` overrides
+/// --kind. The reader ignores the flags that are not request fields.
+memo::serve::PlanRequestFields RequestFields(const Flags& flags,
+                                             const char* kind) {
+  memo::serve::PlanRequestFields fields;
+  for (const auto& [name, value] : flags.values()) {
+    std::string key = name;
+    std::replace(key.begin(), key.end(), '-', '_');
+    fields[key] = value;
+  }
+  if (kind != nullptr) fields["kind"] = kind;
+  return fields;
+}
+
+/// Reads the flags with the protocol's own request reader, so the CLI and
+/// a `serve` instance build the same request, fingerprint included. A
+/// rejected field exits 2 naming its flag, like any other malformed flag.
+memo::core::PlanRequest ReadPlanRequest(const Flags& flags,
+                                        const char* kind) {
+  auto request =
+      memo::serve::ParsePlanRequestFields(RequestFields(flags, kind));
+  if (request.ok()) return *request;
+  // The message starts with the field name; print it as the flag.
+  std::string message = request.status().message();
+  std::replace(message.begin(),
+               message.begin() + std::min(message.find(' '), message.size()),
+               '_', '-');
+  std::fprintf(stderr, "--%s\n", message.c_str());
+  Usage();
   std::exit(2);
+}
+
+memo::StatusOr<memo::core::JobProfile> ProfileRequest(
+    const memo::core::PlanRequest& request) {
+  return memo::core::ProfileJob(Workload{request.model, request.seq},
+                                request.strategy, request.cluster,
+                                {request.calibration, request.alpha_steps});
 }
 
 void PrintResult(const IterationResult& it, const memo::model::ModelConfig& m) {
@@ -315,83 +318,34 @@ void PrintResult(const IterationResult& it, const memo::model::ModelConfig& m) {
 
 int CmdRun(const Flags& flags) {
   ObsOutputs obs(flags);
-  const auto model = memo::model::ModelByName(flags.Get("model", "7B"));
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 1;
-  }
-  const Workload workload{*model, flags.GetSeq("seq", 512 * memo::kSeqK)};
-  const auto cluster = ClusterFromFlags(flags);
-  const SystemKind system = ParseSystem(flags.Get("system", "memo"));
-
-  SessionOptions options;
-  options.memo.timeline_path = flags.Get("timeline", "");
-  if (flags.Has("alpha")) {
-    options.memo.forced_alpha = flags.GetDouble("alpha", -1.0);
-  }
-
-  // Both run paths go through the immutable PlanRequest form — the exact
-  // request a `memo_cli serve` instance would cache on; the timeline path
-  // rides outside the request identity.
-  memo::core::PlanRequest request =
-      memo::core::PlanRequestFromSession(system, workload, cluster, options);
-  const memo::core::PlanExecOptions exec{options.memo.timeline_path};
-
+  // Explicit degrees make this a strategy query; otherwise auto-tune. The
+  // timeline path rides outside the request identity.
   const bool explicit_strategy = flags.Has("tp") || flags.Has("cp") ||
                                  flags.Has("pp") || flags.Has("dp") ||
                                  flags.Has("sp");
-  if (explicit_strategy) {
-    ParallelStrategy s;
-    s.tp = flags.GetInt("tp", 1);
-    s.cp = flags.GetInt("cp", 1);
-    s.pp = flags.GetInt("pp", 1);
-    s.dp = flags.GetInt("dp", 1);
-    s.ulysses_sp = flags.GetInt("sp", 1);
-    if (system == SystemKind::kDeepSpeed) {
-      s.zero_stage = 3;
-      s.full_recompute = true;
-    } else if (system == SystemKind::kMegatron) {
-      s.full_recompute = true;
-    }
-    request.kind = memo::core::PlanQueryKind::kStrategy;
-    request.strategy = s;
-    const auto run = memo::core::ExecutePlanRequest(request, exec);
-    if (!run.status.ok()) {
+  const memo::core::PlanRequest request =
+      ReadPlanRequest(flags, explicit_strategy ? "strategy" : "best");
+  const memo::core::PlanResult run = memo::core::ExecutePlanRequest(
+      request, memo::core::PlanExecOptions{flags.Get("timeline", "")});
+  if (!run.status.ok()) {
+    if (explicit_strategy) {
       std::fprintf(stderr, "%s\n", run.status.ToString().c_str());
-      return 1;
+    } else {
+      std::fprintf(stderr, "%s (tried %d strategies)\n",
+                   run.status.ToString().c_str(), run.strategies_tried);
     }
-    PrintResult(run.best, *model);
-    return obs.Finish();
-  }
-
-  request.kind = memo::core::PlanQueryKind::kBestStrategy;
-  const auto best = memo::core::ExecutePlanRequest(request, exec);
-  if (!best.status.ok()) {
-    std::fprintf(stderr, "%s (tried %d strategies)\n",
-                 best.status.ToString().c_str(), best.strategies_tried);
     return 1;
   }
-  std::printf("auto-tuned over %d strategies (%d feasible)\n\n",
-              best.strategies_tried, best.strategies_feasible);
-  PrintResult(best.best, *model);
+  if (!explicit_strategy) {
+    std::printf("auto-tuned over %d strategies (%d feasible)\n\n",
+                run.strategies_tried, run.strategies_feasible);
+  }
+  PrintResult(run.best, request.model);
   return obs.Finish();
 }
 
 int CmdPlan(const Flags& flags) {
-  const auto model = memo::model::ModelByName(flags.Get("model", "7B"));
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 1;
-  }
-  ParallelStrategy s;
-  s.tp = flags.GetInt("tp", 1);
-  s.cp = flags.GetInt("cp", 1);
-  s.pp = flags.GetInt("pp", 1);
-  s.dp = flags.GetInt("dp", 1);
-  const auto cluster = ClusterFromFlags(flags);
-  const Workload workload{*model, flags.GetSeq("seq", 512 * memo::kSeqK)};
-
-  auto profile = memo::core::ProfileJob(workload, s, cluster);
+  const auto profile = ProfileRequest(ReadPlanRequest(flags, "strategy"));
   if (!profile.ok()) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
@@ -424,44 +378,23 @@ int CmdPlan(const Flags& flags) {
 }
 
 int CmdMaxSeq(const Flags& flags) {
-  const auto model = memo::model::ModelByName(flags.Get("model", "7B"));
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
+  const memo::core::PlanRequest request = ReadPlanRequest(flags, "maxseq");
+  const memo::core::PlanResult result =
+      memo::core::ExecutePlanRequest(request);
+  if (!result.status.ok()) {
+    std::fprintf(stderr, "%s\n", result.status.ToString().c_str());
     return 1;
   }
-  const auto cluster = ClusterFromFlags(flags);
-  const SystemKind system = ParseSystem(flags.Get("system", "memo"));
-  const std::int64_t step = flags.GetSeq("step", 128 * memo::kSeqK);
-  const std::int64_t cap = flags.GetSeq(
-      "cap", static_cast<std::int64_t>(cluster.total_gpus()) * 256 *
-                 memo::kSeqK);
-  memo::core::PlanRequest request = memo::core::PlanRequestFromSession(
-      system, Workload{*model, 0}, cluster, SessionOptions{});
-  request.kind = memo::core::PlanQueryKind::kMaxSeq;
-  request.seq_step = step;
-  request.seq_cap = cap;
-  const std::int64_t max_seq =
-      memo::core::ExecutePlanRequest(request).max_seq;
   std::printf("%s on %d GPUs: max sequence %s\n",
-              memo::parallel::SystemKindToString(system),
-              cluster.total_gpus(), memo::FormatSeqLen(max_seq).c_str());
-  return max_seq > 0 ? 0 : 1;
+              memo::parallel::SystemKindToString(request.system),
+              request.cluster.total_gpus(),
+              memo::FormatSeqLen(result.max_seq).c_str());
+  return result.max_seq > 0 ? 0 : 1;
 }
 
 int CmdAlpha(const Flags& flags) {
-  const auto model = memo::model::ModelByName(flags.Get("model", "7B"));
-  if (!model.ok()) {
-    std::fprintf(stderr, "%s\n", model.status().ToString().c_str());
-    return 1;
-  }
-  ParallelStrategy s;
-  s.tp = flags.GetInt("tp", 1);
-  s.cp = flags.GetInt("cp", 1);
-  s.pp = flags.GetInt("pp", 1);
-  s.dp = flags.GetInt("dp", 1);
-  const auto cluster = ClusterFromFlags(flags);
-  const Workload workload{*model, flags.GetSeq("seq", 512 * memo::kSeqK)};
-  auto profile = memo::core::ProfileJob(workload, s, cluster);
+  const memo::core::PlanRequest request = ReadPlanRequest(flags, "strategy");
+  const auto profile = ProfileRequest(request);
   if (!profile.ok()) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
@@ -478,7 +411,7 @@ int CmdAlpha(const Flags& flags) {
     if (bound) bounds += (bounds.empty() ? "" : "+") + std::string(name);
   }
   if (bounds.empty()) bounds = "unconstrained";
-  if (cluster.disk_bytes_per_gpu() > 0) {
+  if (request.cluster.disk_bytes_per_gpu() > 0) {
     bounds += memo::StrFormat("; RAM %.3f + disk %.3f, %.0f%% of base in RAM",
                               alpha.alpha_ram, alpha.alpha_disk,
                               alpha.base_ram_fraction * 100.0);
@@ -782,8 +715,8 @@ int CmdServe(const Flags& flags) {
 }
 
 /// `memo_cli query`: one-shot client for a running `serve` instance.
-/// Either forward a raw request object via --json, or assemble one from
-/// the familiar planning flags. Prints the response line; exits 0 when the
+/// Either forward a raw request object via --json, or send the planning
+/// flags `run` reads. Prints the response line; exits 0 when the
 /// plan solved, 1 otherwise.
 ///
 /// Shed and deadline-expired responses (the server marks them
@@ -799,50 +732,20 @@ int CmdQuery(const Flags& flags) {
     return 2;
   }
 
+  // The planning flags are checked here with the reader the server runs,
+  // then sent as they were typed, each field as a JSON string.
   std::string line = flags.Get("json", "");
   if (line.empty()) {
-    line = "{\"kind\":\"" + flags.Get("kind", "best") + "\"";
-    for (const char* key : {"system", "model"}) {
-      if (flags.Has(key)) {
-        line += ",\"" + std::string(key) + "\":\"" +
-                memo::serve::JsonEscape(flags.Get(key, "")) + "\"";
-      }
+    ReadPlanRequest(flags, nullptr);  // exits 2 on a rejected field
+    memo::serve::PlanRequestFields fields = RequestFields(flags, nullptr);
+    for (const char* own : {"socket", "retries", "attempts", "no_retry"}) {
+      fields.erase(own);
     }
-    // Sequence lengths keep their K-suffix form; the server parses them
-    // with the same rules as the local CLI.
-    for (const char* key : {"seq", "step", "cap"}) {
-      if (flags.Has(key)) {
-        (void)flags.GetSeq(key, 0);  // validate locally, fail fast
-        line += ",\"" + std::string(key) + "\":\"" + flags.Get(key, "") +
-                "\"";
-      }
+    for (const auto& [key, value] : fields) {
+      line += (line.empty() ? "{\"" : ",\"") + memo::serve::JsonEscape(key) +
+              "\":\"" + memo::serve::JsonEscape(value) + "\"";
     }
-    for (const char* key : {"gpus", "tp", "cp", "pp", "vp", "dp", "sp",
-                            "zero", "alpha-steps"}) {
-      if (flags.Has(key)) {
-        const std::string wire = std::string(key) == "alpha-steps"
-                                     ? "alpha_steps"
-                                     : std::string(key);
-        line += ",\"" + wire +
-                "\":" + std::to_string(flags.GetInt(key, 0));
-      }
-    }
-    for (const char* key : {"alpha", "host-gib", "nvme-gib", "nvme-gbps"}) {
-      if (flags.Has(key)) {
-        std::string wire = key;
-        for (char& c : wire) {
-          if (c == '-') c = '_';
-        }
-        char buf[64];
-        std::snprintf(buf, sizeof(buf), "%.17g", flags.GetDouble(key, 0.0));
-        line += ",\"" + wire + "\":" + buf;
-      }
-    }
-    if (flags.Has("full-recompute")) {
-      line += std::string(",\"full_recompute\":") +
-              (flags.GetInt("full-recompute", 0) != 0 ? "true" : "false");
-    }
-    line += "}";
+    line += line.empty() ? "{}" : "}";
   }
 
   memo::RetryPolicy policy;
@@ -1202,6 +1105,8 @@ void Usage() {
                "         [--out plan.txt]\n"
                "  maxseq --model 7B --gpus 8 [--system memo] [--step 128K]\n"
                "  alpha  --model 7B --seq 512K --gpus 8 --tp 4 --cp 2\n"
+               "  (run, plan, maxseq, alpha and query share the request\n"
+               "   fields of serve/protocol.h as flags: --host-gib etc.)\n"
                "  train  --layers 4 --seq 64 --alpha 0.5 [--async 0]\n"
                "         [--backend ram|disk|tiered --ram-cap-mib M\n"
                "          --disk-gbps B]\n"
