@@ -35,7 +35,9 @@ namespace {
 
 memo::train::TrainRunOptions BaseRun(int iterations) {
   memo::train::TrainRunOptions o;
-  o.model.layers = 3;
+  // Four layers, so two swap (the last two stay in the rounding buffers)
+  // and the RAM-cap sweep can split one step's stash across the tiers.
+  o.model.layers = 4;
   o.model.hidden = 32;
   o.model.heads = 4;
   o.model.ffn = 128;
@@ -58,7 +60,7 @@ int main(int argc, char** argv) {
   const int iterations = smoke ? 12 : 60;
 
   std::printf(
-      "Offload tier sweep: mini-GPT (3x32x4 heads, seq 96), %d iterations,\n"
+      "Offload tier sweep: mini-GPT (4x32x4 heads, seq 96), %d iterations,\n"
       "token-wise alpha=0.5, stash RAM capacity shrinking to 0\n\n",
       iterations);
 

@@ -19,7 +19,9 @@ int main(int argc, char** argv) {
   const int iterations = argc > 2 ? std::atoi(argv[2]) : 200;
 
   memo::train::TrainRunOptions options;
-  options.model.layers = 2;
+  // Four layers: the last two stay in the rounding buffers (§4.1), so the
+  // first two are the ones that swap and recompute.
+  options.model.layers = 4;
   options.model.hidden = 32;
   options.model.heads = 4;
   options.model.ffn = 128;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <vector>
 
+#include "model/activation_spec.h"
 #include "solver/simplex.h"
 
 namespace memo::core {
@@ -37,7 +38,8 @@ StatusOr<TieredAlphaResult> SolveAlphaTiered(const TieredAlphaInputs& inputs) {
     return InvalidArgumentError(
         "disk bandwidth must be positive when the disk tier has capacity");
   }
-  if (ram.num_layers < 3) {
+  const int swapped_layers = model::SwappedLayers(ram.num_layers);
+  if (swapped_layers == 0) {
     // The last two layers never swap (§4.1); with n < 3 nothing is swapped
     // and any alpha trivially works.
     TieredAlphaResult trivial;
@@ -49,7 +51,6 @@ StatusOr<TieredAlphaResult> SolveAlphaTiered(const TieredAlphaInputs& inputs) {
   const double base = static_cast<double>(ram.s_input_bytes) +
                       static_cast<double>(ram.s_attn_bytes);
   const double others = static_cast<double>(ram.s_others_bytes);
-  const int swapped_layers = ram.num_layers - 2;
   const double budget_overlap =
       ram.pcie_bytes_per_second * ram.layer_forward_seconds;
   const double budget_disk_time =

@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "common/units.h"
+#include "model/activation_spec.h"
 #include "model/trace_gen.h"
 #include "obs/trace_recorder.h"
 #include "parallel/memory_model.h"
@@ -48,6 +49,7 @@ StatusOr<IterationResult> RunMemoIteration(
       parallel::SystemKind::kMemo, workload.model, strategy, cluster, cal,
       workload.seq);
   const int layers = t.layers_per_stage;
+  const int swapped_layers = model::SwappedLayers(layers);
   const model::SkeletalLayout& skeletal = t.skeletal;
 
   // ---- Swap fraction (Eq. 1-3, tiered: host RAM + optional NVMe spill).
@@ -67,12 +69,12 @@ StatusOr<IterationResult> RunMemoIteration(
     // Forced alphas (ablations) must still fit the tiers: RAM first, any
     // remainder on disk, X_oohm only when both are exhausted.
     const double per_layer = base_bytes + alpha * others_bytes;
-    if ((layers - 2) * per_layer >
+    if (swapped_layers * per_layer >
         static_cast<double>(cluster.host_bytes_per_gpu()) +
             static_cast<double>(alpha_inputs.disk_bytes_per_gpu)) {
       return OutOfHostMemoryError(
           StrFormat("offloading %.1f GiB/GPU exceeds the host share",
-                    (layers - 2) * per_layer / static_cast<double>(kGiB)));
+                    swapped_layers * per_layer / static_cast<double>(kGiB)));
     }
   }
 
@@ -83,7 +85,6 @@ StatusOr<IterationResult> RunMemoIteration(
 
   // ---- Greedy RAM-first tier split of the per-layer offload bytes (the LP
   // prefers RAM at equal totals, so this matches its optimal split).
-  const int swapped_layers = std::max(0, layers - 2);
   const double ram_budget_per_layer =
       swapped_layers > 0
           ? static_cast<double>(cluster.host_bytes_per_gpu()) / swapped_layers
@@ -140,11 +141,9 @@ StatusOr<IterationResult> RunMemoIteration(
   // ---- Host memory accounting (the alpha solver already enforced it when
   // solving; forced alphas were checked above).
   const std::int64_t host_bytes =
-      static_cast<std::int64_t>(std::max(0, layers - 2)) *
-      offload_bytes_per_layer;
+      static_cast<std::int64_t>(swapped_layers) * offload_bytes_per_layer;
   const std::int64_t host_ram_bytes =
-      static_cast<std::int64_t>(std::max(0, layers - 2)) *
-      ram_bytes_per_layer;
+      static_cast<std::int64_t>(swapped_layers) * ram_bytes_per_layer;
   const std::int64_t host_disk_bytes = host_bytes - host_ram_bytes;
 
   // ---- Schedule one iteration: the three streams of Fig. 11, plus an
@@ -177,7 +176,7 @@ StatusOr<IterationResult> RunMemoIteration(
       spills ? static_cast<double>(disk_bytes_per_layer) / disk_bps : 0.0;
   // The last two layers start backward right after forward and skip
   // swapping entirely (§4.1).
-  const auto swaps = [&](int i) { return i < layers - 2; };
+  const auto swaps = [&](int i) { return model::LayerSwaps(i, layers); };
 
   engine.EnqueueOp(compute, t.embedding, "embedding_fwd");
   for (int i = 0; i < layers; ++i) {

@@ -58,6 +58,20 @@ SkeletalLayout ComputeSkeletalLayout(const ModelConfig& config,
                                      std::int64_t seq_local,
                                      std::int64_t tensor_parallel);
 
+/// Number of layers (of `num_layers`) whose skeletal tensors are swapped to
+/// the host. The last two layers never swap (§4.1): when forward ends their
+/// activations still sit in the two rounding buffers, and they are the first
+/// two layers backward needs.
+constexpr int SwappedLayers(int num_layers) {
+  return num_layers > 2 ? num_layers - 2 : 0;
+}
+
+/// Whether `layer` is swapped, i.e. is not one of the last two layers that
+/// stay in the rounding buffers (see SwappedLayers).
+constexpr bool LayerSwaps(int layer, int num_layers) {
+  return layer < SwappedLayers(num_layers);
+}
+
 }  // namespace memo::model
 
 #endif  // MEMO_MODEL_ACTIVATION_SPEC_H_

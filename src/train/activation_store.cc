@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "model/activation_spec.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "train/ops.h"
@@ -127,17 +128,20 @@ void RecomputeRows(const LayerParams& params, std::int64_t cut,
 }  // namespace
 
 ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
-                                 bool async_offload,
+                                 int layers, bool async_offload,
                                  const offload::BackendOptions& backend)
     : policy_(policy),
       alpha_(alpha),
+      layers_(layers),
       backend_(offload::CreateBackend(backend)),
       retry_(backend.retry) {
   MEMO_CHECK_GE(alpha, 0.0);
   MEMO_CHECK_LE(alpha, 1.0);
-  // Retain-all keeps everything on the accelerator — there is no transfer
-  // to overlap, so the copier only spins up for the token-wise policy.
-  async_ = async_offload && policy == ActivationPolicy::kTokenWise;
+  // The copier only spins up when some layer crosses to the host: never
+  // under retain-all, and not for a token-wise model of fewer than three
+  // layers, whose layers all fit in the two rounding buffers.
+  async_ = async_offload && policy == ActivationPolicy::kTokenWise &&
+           model::SwappedLayers(layers) > 0;
   if (async_) copier_ = std::thread([this] { CopierMain(); });
 }
 
@@ -152,6 +156,11 @@ ActivationStore::~ActivationStore() {
   }
 }
 
+bool ActivationStore::Keeps(int layer) const {
+  return policy_ == ActivationPolicy::kRetainAll ||
+         !model::LayerSwaps(layer, layers_);
+}
+
 std::int64_t ActivationStore::CutRow(std::int64_t rows) const {
   return static_cast<std::int64_t>(
       std::llround(alpha_ * static_cast<double>(rows)));
@@ -160,36 +169,52 @@ std::int64_t ActivationStore::CutRow(std::int64_t rows) const {
 Status ActivationStore::Stash(int layer, LayerActivations&& acts) {
   MEMO_TRACE_SCOPE_ARG("stash", "offload", "layer", layer);
   const std::int64_t full_bytes = BytesOf(acts);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A backend failure is sticky in both modes: once the stash lost (or
-    // failed to accept) data the rest of this micro-step cannot be trusted,
-    // so every later call reports the original fault.
-    if (!backend_error_.ok()) return backend_error_;
-    if (policy_ == ActivationPolicy::kRetainAll) {
-      // Everything stays on the accelerator.
-      device_peak_bytes_ =
-          std::max(device_peak_bytes_, stored_bytes_ + full_bytes);
-    } else {
-      // Token-wise: two rounding buffers, each holding one full layer.
-      device_peak_bytes_ = std::max(device_peak_bytes_, 2 * full_bytes);
-    }
-  }
-  if (!async_) {
-    return OffloadIntoStash(layer, std::move(acts));
-  }
-  // Double-buffer handoff: with both rounding buffers still draining to the
-  // "host", the compute thread must wait for one to free — the analog of
-  // WaitEvent(compute, offload_done[i-2]) in the three-stream schedule.
+  const bool keep = Keeps(layer);
   const Clock::time_point start = Clock::now();
   std::unique_lock<std::mutex> lock(mu_);
+  // A backend failure is sticky in both modes: once the stash lost (or
+  // failed to accept) data the rest of this micro-step cannot be trusted,
+  // so every later call reports the original fault.
   if (!backend_error_.ok()) return backend_error_;
-  {
-    MEMO_TRACE_SCOPE("stash_wait", "offload");
-    buffer_free_.wait(lock, [this] { return inflight_offloads_ < 2; });
+  if (policy_ == ActivationPolicy::kRetainAll) {
+    // Everything stays on the accelerator.
+    device_peak_bytes_ =
+        std::max(device_peak_bytes_, stored_bytes_ + full_bytes);
+  } else {
+    // Token-wise: two rounding buffers, each holding one full layer.
+    device_peak_bytes_ = std::max(device_peak_bytes_, 2 * full_bytes);
   }
-  stats_.stash_wait_seconds += SecondsSince(start);
-  ++inflight_offloads_;
+  if (async_) {
+    // Double-buffer handoff: layer i reuses rounding buffer i % 2, which
+    // must first finish draining layer i - 2 to the "host" — the analog of
+    // WaitEvent(compute, offload_done[i-2]) in the three-stream schedule. A
+    // swapped layer waits for either buffer to free; a kept layer never
+    // reaches the copier, so it waits for layer i - 2 itself.
+    {
+      MEMO_TRACE_SCOPE("stash_wait", "offload");
+      buffer_free_.wait(lock, [&] {
+        return keep ? inflight_offloads_.count(layer - 2) == 0
+                    : inflight_offloads_.size() < 2;
+      });
+    }
+    stats_.stash_wait_seconds += SecondsSince(start);
+  }
+  if (keep) {
+    // Only retain-all counts kept layers as stored bytes; the token-wise
+    // rounding buffers are device_peak_bytes().
+    if (policy_ == ActivationPolicy::kRetainAll) {
+      stored_bytes_ += full_bytes;
+      peak_stored_bytes_ = std::max(peak_stored_bytes_, stored_bytes_);
+    }
+    MEMO_CHECK(retained_.emplace(layer, std::move(acts)).second)
+        << "layer " << layer << " stashed twice";
+    return OkStatus();
+  }
+  if (!async_) {
+    lock.unlock();
+    return OffloadIntoStash(layer, std::move(acts));
+  }
+  inflight_offloads_.insert(layer);
   jobs_.push_back(CopierJob{CopierJob::Kind::kOffload, layer,
                             std::move(acts)});
   lock.unlock();
@@ -198,16 +223,6 @@ Status ActivationStore::Stash(int layer, LayerActivations&& acts) {
 }
 
 Status ActivationStore::OffloadIntoStash(int layer, LayerActivations&& acts) {
-  if (policy_ == ActivationPolicy::kRetainAll) {
-    const std::int64_t full_bytes = BytesOf(acts);
-    std::lock_guard<std::mutex> lock(mu_);
-    stored_bytes_ += full_bytes;
-    peak_stored_bytes_ = std::max(peak_stored_bytes_, stored_bytes_);
-    MEMO_CHECK(retained_.emplace(layer, std::move(acts)).second)
-        << "layer " << layer << " stashed twice";
-    stash_ready_.notify_all();
-    return OkStatus();
-  }
   MEMO_TRACE_SCOPE_ARG("offload_copy", "offload", "layer", layer);
 
   const std::int64_t cut = CutRow(acts.input.rows());
@@ -263,13 +278,15 @@ StatusOr<LayerActivations> ActivationStore::FetchAndWiden(
     int layer, std::int64_t* copied_bytes) {
   *copied_bytes = 0;
   LayerActivations acts;
-  if (policy_ == ActivationPolicy::kRetainAll) {
+  if (Keeps(layer)) {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = retained_.find(layer);
     MEMO_CHECK(it != retained_.end()) << "layer " << layer << " not stashed";
     acts = std::move(it->second);
     retained_.erase(it);
-    stored_bytes_ -= BytesOf(acts);
+    if (policy_ == ActivationPolicy::kRetainAll) {
+      stored_bytes_ -= BytesOf(acts);
+    }
     return acts;
   }
 
@@ -339,78 +356,18 @@ StatusOr<LayerActivations> ActivationStore::Restore(
     std::lock_guard<std::mutex> lock(mu_);
     if (!backend_error_.ok()) return backend_error_;
   }
-  if (policy_ == ActivationPolicy::kRetainAll || !async_) {
-    std::int64_t copied = 0;
-    MEMO_ASSIGN_OR_RETURN(LayerActivations acts,
-                          FetchAndWiden(layer, &copied));
-    if (policy_ == ActivationPolicy::kRetainAll) return acts;
-    const std::int64_t s = acts.input.rows();
-    const std::int64_t cut = CutRow(s);
-    if (cut < s) {
-      MEMO_TRACE_SCOPE_ARG("recompute", "train", "layer", layer);
-      recomputed_rows_ += s - cut;
-      RecomputeRows(params, cut, s, &acts);
-    }
-    return acts;
-  }
-
-  // Async path: take the prefetched copy if the copier staged (or is
-  // staging) one, otherwise wait for the offload to land and fetch
-  // synchronously. Either way, queue the prefetch of the next layer so its
-  // H2D-analog copies run under this layer's recomputation and backward.
   LayerActivations acts;
-  {
-    const Clock::time_point start = Clock::now();
-    std::unique_lock<std::mutex> lock(mu_);
-    if (prefetch_ready_layer_ == layer) {
-      if (!prefetch_status_.ok()) {
-        const Status st = prefetch_status_;
-        prefetch_status_ = OkStatus();
-        prefetch_ready_layer_ = -1;
-        return st;
-      }
-      acts = std::move(prefetch_slot_);
-      prefetch_ready_layer_ = -1;
-    } else if (prefetch_inflight_layer_ == layer) {
-      {
-        MEMO_TRACE_SCOPE("restore_wait", "offload");
-        stash_ready_.wait(lock,
-                          [&] { return prefetch_ready_layer_ == layer; });
-      }
-      stats_.restore_wait_seconds += SecondsSince(start);
-      if (!prefetch_status_.ok()) {
-        const Status st = prefetch_status_;
-        prefetch_status_ = OkStatus();
-        prefetch_ready_layer_ = -1;
-        return st;
-      }
-      acts = std::move(prefetch_slot_);
-      prefetch_ready_layer_ = -1;
-    } else {
-      {
-        MEMO_TRACE_SCOPE("restore_wait", "offload");
-        stash_ready_.wait(lock, [&] {
-          return stashed_.count(layer) > 0 || !backend_error_.ok();
-        });
-      }
-      stats_.restore_wait_seconds += SecondsSince(start);
-      if (stashed_.count(layer) == 0) return backend_error_;
-      lock.unlock();
-      std::int64_t copied = 0;
-      StatusOr<LayerActivations> fetched = FetchAndWiden(layer, &copied);
-      if (!fetched.ok()) return fetched.status();
-      acts = std::move(fetched).value();
-      lock.lock();
-      stats_.prefetched_bytes += copied;
-    }
-    if (layer - 1 >= 0 && prefetch_inflight_layer_ < 0 &&
-        prefetch_ready_layer_ < 0) {
-      prefetch_inflight_layer_ = layer - 1;
-      jobs_.push_back(CopierJob{CopierJob::Kind::kPrefetch, layer - 1, {}});
-      lock.unlock();
-      copier_wake_.notify_all();
-    }
+  if (Keeps(layer) || !async_) {
+    std::int64_t copied = 0;
+    MEMO_ASSIGN_OR_RETURN(acts, FetchAndWiden(layer, &copied));
+  } else {
+    MEMO_ASSIGN_OR_RETURN(acts, TakeStaged(layer));
   }
+  // Queue the next layer's prefetch so its H2D-analog copies run under this
+  // layer's recomputation and backward. The first one, of layer L-3, is
+  // queued here by Restore(L-2), after L-1's backward has freed its buffer.
+  if (async_) QueuePrefetch(layer - 1);
+  if (Keeps(layer)) return acts;
   const std::int64_t s = acts.input.rows();
   const std::int64_t cut = CutRow(s);
   if (cut < s) {
@@ -419,6 +376,52 @@ StatusOr<LayerActivations> ActivationStore::Restore(
     RecomputeRows(params, cut, s, &acts);
   }
   return acts;
+}
+
+StatusOr<LayerActivations> ActivationStore::TakeStaged(int layer) {
+  const Clock::time_point start = Clock::now();
+  std::unique_lock<std::mutex> lock(mu_);
+  if (prefetch_ready_layer_ != layer && prefetch_inflight_layer_ != layer) {
+    {
+      MEMO_TRACE_SCOPE("restore_wait", "offload");
+      stash_ready_.wait(lock, [&] {
+        return stashed_.count(layer) > 0 || !backend_error_.ok();
+      });
+    }
+    stats_.restore_wait_seconds += SecondsSince(start);
+    if (stashed_.count(layer) == 0) return backend_error_;
+    lock.unlock();
+    std::int64_t copied = 0;
+    StatusOr<LayerActivations> fetched = FetchAndWiden(layer, &copied);
+    if (fetched.ok()) {
+      lock.lock();
+      stats_.prefetched_bytes += copied;
+    }
+    return fetched;
+  }
+  if (prefetch_ready_layer_ != layer) {
+    {
+      MEMO_TRACE_SCOPE("restore_wait", "offload");
+      stash_ready_.wait(lock, [&] { return prefetch_ready_layer_ == layer; });
+    }
+    stats_.restore_wait_seconds += SecondsSince(start);
+  }
+  prefetch_ready_layer_ = -1;
+  if (!prefetch_status_.ok()) {
+    return std::exchange(prefetch_status_, OkStatus());
+  }
+  return std::move(prefetch_slot_);
+}
+
+void ActivationStore::QueuePrefetch(int layer) {
+  if (layer < 0 || Keeps(layer)) return;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (prefetch_inflight_layer_ >= 0 || prefetch_ready_layer_ >= 0) return;
+    prefetch_inflight_layer_ = layer;
+    jobs_.push_back(CopierJob{CopierJob::Kind::kPrefetch, layer, {}});
+  }
+  copier_wake_.notify_all();
 }
 
 void ActivationStore::CopierMain() {
@@ -445,7 +448,7 @@ void ActivationStore::CopierMain() {
       (void)st;
       std::lock_guard<std::mutex> lock(mu_);
       stats_.copier_busy_seconds += SecondsSince(start);
-      --inflight_offloads_;
+      inflight_offloads_.erase(job.layer);
       buffer_free_.notify_all();
     } else {
       MEMO_TRACE_SCOPE_ARG("prefetch_copy", "offload", "layer", job.layer);

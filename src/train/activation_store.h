@@ -98,19 +98,30 @@ struct OffloadStats {
 /// bit-identical regardless of the tier the bytes travelled through — the
 /// property behind the aligned loss curves of Fig. 12d.
 ///
-/// With `async_offload` (token-wise policy only) a dedicated copier thread
-/// mirrors the paper's offload/prefetch streams: Stash hands the layer to
-/// the copier, which performs the D2H-analog copies (and any disk spill)
-/// while the compute thread runs the next layer; at most two stashes may be
-/// in flight (the two rounding buffers), so a third Stash blocks exactly
-/// like the `WaitEvent(compute, offload_done[i-2])` of the three-stream
-/// schedule. During backward the copier prefetches the next layer's rows
-/// (H2D-analog, reading spilled pages back ahead of use) while the compute
-/// thread recomputes the current one. The handoff copies are exact, so
-/// async results are bit-identical to the inline path.
+/// Under the token-wise policy only the first `layers` − 2 layers swap
+/// (model::LayerSwaps): the last two are still in the two rounding buffers
+/// when forward ends and are the first two backward reads, so they stay
+/// whole on the "device" — never cut, serialized, copied or recomputed.
+///
+/// With `async_offload` (token-wise policy, at least one swapped layer) a
+/// dedicated copier thread mirrors the paper's offload/prefetch streams:
+/// Stash hands a swapped layer to the copier, which performs the D2H-analog
+/// copies (and any disk spill) while the compute thread runs the next layer.
+/// Layer i reuses rounding buffer i % 2, so its Stash blocks until layer
+/// i − 2's offload has landed, exactly like the
+/// `WaitEvent(compute, offload_done[i-2])` of the three-stream schedule. In
+/// backward, Restore(i) queues the prefetch of layer i − 1 (H2D-analog,
+/// reading spilled pages back ahead of use), which the copier runs while the
+/// compute thread recomputes layer i; the first such prefetch, of layer
+/// `layers` − 3, is queued by Restore(`layers` − 2) once the last layer's
+/// backward has freed its buffer (`WaitEvent(h2d, bwd_done[i+2])`). The
+/// handoff copies are exact, so async results are bit-identical to the
+/// inline path.
 class ActivationStore {
  public:
-  ActivationStore(ActivationPolicy policy, double alpha,
+  /// `layers` is the model's depth; it decides which layers stay in the
+  /// rounding buffers (the retain-all policy keeps every layer anyway).
+  ActivationStore(ActivationPolicy policy, double alpha, int layers,
                   bool async_offload = false,
                   const offload::BackendOptions& backend = {});
   ~ActivationStore();
@@ -134,7 +145,10 @@ class ActivationStore {
   /// the store stays destructible and the spill file is still cleaned up.
   StatusOr<LayerActivations> Restore(int layer, const LayerParams& params);
 
-  /// Bytes currently held by the store ("CPU side" in the real system).
+  /// Bytes currently held on the "CPU side" of the real system: the kept
+  /// rows of the swapped layers under token-wise (the two layers in the
+  /// rounding buffers are device_peak_bytes(), not host bytes), every
+  /// retained layer under retain-all.
   std::int64_t stored_bytes() const;
   /// High-water mark of stored_bytes() (reached at the end of the forward
   /// pass, before backward drains the stash).
@@ -165,6 +179,8 @@ class ActivationStore {
     LayerActivations acts;  // kOffload only
   };
 
+  /// Whether `layer` stays whole on the "device" instead of swapping.
+  bool Keeps(int layer) const;
   std::int64_t CutRow(std::int64_t rows) const;
   void CopierMain();
   /// Performs the token-wise cut, serializes the kept rows and hands the
@@ -177,9 +193,17 @@ class ActivationStore {
   /// full-size tensors (H2D-analog copies). Caller must hold no locks.
   StatusOr<LayerActivations> FetchAndWiden(int layer,
                                            std::int64_t* copied_bytes);
+  /// Async Restore of a swapped layer: takes the copy the copier staged (or
+  /// is staging), otherwise waits for the offload to land and fetches it on
+  /// the calling thread.
+  StatusOr<LayerActivations> TakeStaged(int layer);
+  /// Queues the copier's prefetch of `layer` unless it is not a swapped
+  /// layer or the prefetch slot is taken.
+  void QueuePrefetch(int layer);
 
   ActivationPolicy policy_;
   double alpha_;
+  int layers_;
   bool async_ = false;
 
   /// Token-wise stash storage: RAM, disk, or tiered (see BackendOptions).
@@ -196,7 +220,7 @@ class ActivationStore {
   std::condition_variable buffer_free_;    // copier -> compute: slot freed
   std::condition_variable copier_wake_;    // compute -> copier: job queued
   std::deque<CopierJob> jobs_;
-  int inflight_offloads_ = 0;  // queued + in-copy stashes (<= 2 buffers)
+  std::unordered_set<int> inflight_offloads_;  // queued + in-copy (<= 2)
   bool shutdown_ = false;
 
   // Prefetch handoff: at most one widened layer staged ahead of Restore.
@@ -209,10 +233,11 @@ class ActivationStore {
   /// every later Stash/Restore so the trainer can stop cleanly).
   Status backend_error_;
 
-  /// Retain-all keeps whole layers on the "device": they never cross a host
-  /// tier, so they stay in this map instead of the backend.
+  /// Layers kept whole on the "device" (all of them under retain-all, the
+  /// last two under token-wise): they never cross a host tier, so they stay
+  /// in this map instead of the backend.
   std::unordered_map<int, LayerActivations> retained_;
-  /// Token-wise layers currently resident in the backend.
+  /// Swapped layers currently resident in the backend.
   std::unordered_set<int> stashed_;
   std::int64_t stored_bytes_ = 0;
   std::int64_t peak_stored_bytes_ = 0;

@@ -136,7 +136,7 @@ Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
     scope.emplace(arena);
   }
   for (int b = 0; b < options.batch; ++b) {
-    ActivationStore store(options.policy, options.alpha,
+    ActivationStore store(options.policy, options.alpha, options.model.layers,
                           options.async_offload, backend);
     MEMO_ASSIGN_OR_RETURN(
         const double loss,

@@ -29,9 +29,11 @@ struct InjectorGuard {
   ~InjectorGuard() { FaultInjector::Global().Reset(); }
 };
 
+/// Four layers, so two of them swap: the last two stay in the rounding
+/// buffers and never reach the stash backend (§4.1).
 MiniGptConfig TinyModel() {
   MiniGptConfig c;
-  c.layers = 2;
+  c.layers = 4;
   c.hidden = 16;
   c.heads = 2;
   c.ffn = 32;

@@ -82,7 +82,7 @@ std::vector<Value> TraceEvents(const std::string& path,
 
 TEST(MemoCliTest, TrainBackendMatrixIsLossIdenticalAndObservable) {
   const std::string train_args =
-      "train --iterations 4 --layers 2 --hidden 16 --ffn 32 --seq 24 "
+      "train --iterations 4 --layers 4 --hidden 16 --ffn 32 --seq 24 "
       "--vocab 17";
   std::vector<std::string> final_losses;
   for (const std::string backend : {"ram", "disk", "tiered"}) {
@@ -124,10 +124,11 @@ TEST(MemoCliTest, TrainBackendMatrixIsLossIdenticalAndObservable) {
 TEST(MemoCliTest, TieredTrainTraceCoversTheInstrumentedSubsystems) {
   const std::string trace_path =
       ::testing::TempDir() + "memo_cli_trace_subsystems.json";
-  // A ~1 KB RAM tier: every layer of even this tiny model spills, so the
-  // disk subsystem shows up in the trace.
+  // A ~1 KB RAM tier: every swapped layer of even this tiny model spills,
+  // so the disk subsystem shows up in the trace. Four layers, because the
+  // last two stay in the rounding buffers and never reach the stash.
   const CliResult run = RunCli(
-      "train --iterations 3 --layers 2 --hidden 16 --ffn 32 --seq 24 "
+      "train --iterations 3 --layers 4 --hidden 16 --ffn 32 --seq 24 "
       "--vocab 17 --backend tiered --ram-cap-mib 0.001 --trace-out " +
       trace_path);
   ASSERT_EQ(run.exit_code, 0) << run.output;
@@ -308,7 +309,7 @@ TEST(MemoCliTest, ResumeReproducesTheFinalLossPastACorruptCheckpoint) {
 
 TEST(MemoCliTest, InjectedTransientFaultLeavesTheLossUntouched) {
   const std::string train_args =
-      "train --iterations 3 --layers 2 --hidden 16 --ffn 32 --seq 24 "
+      "train --iterations 3 --layers 4 --hidden 16 --ffn 32 --seq 24 "
       "--vocab 17 --backend disk";
   const CliResult clean = RunCli(train_args);
   ASSERT_EQ(clean.exit_code, 0) << clean.output;

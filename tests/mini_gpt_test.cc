@@ -22,9 +22,12 @@ MiniGptConfig GradcheckModel() {
 
 TEST(MiniGptTest, FullModelGradientCheck) {
   // Central-difference check of dLoss/dParam through the ENTIRE network
-  // (embedding -> 2 transformer layers -> final LN -> classifier -> CE),
-  // including the attention backward that recomputes probabilities.
-  const MiniGptConfig cfg = GradcheckModel();
+  // (embedding -> 3 transformer layers -> final LN -> classifier -> CE),
+  // including the attention backward that recomputes probabilities. With
+  // three layers the first one goes through the stash and token-wise
+  // recompute; the last two stay in the rounding buffers.
+  MiniGptConfig cfg = GradcheckModel();
+  cfg.layers = 3;
   const MiniGpt model(cfg);
   MiniGptParams params = MiniGptParams::Init(cfg, 31);
   MiniGptParams grads = MiniGptParams::Init(cfg, 31);
@@ -35,7 +38,7 @@ TEST(MiniGptTest, FullModelGradientCheck) {
   std::vector<int> targets;
   data.NextSequence(cfg.seq, &tokens, &targets);
 
-  ActivationStore store(ActivationPolicy::kTokenWise, 0.5);
+  ActivationStore store(ActivationPolicy::kTokenWise, 0.5, cfg.layers);
   model.ForwardBackward(params, tokens, targets, &store, &grads);
 
   auto flat_params = params.Flat();
@@ -73,7 +76,7 @@ TEST(MiniGptTest, LossMatchesForwardBackwardLoss) {
   std::vector<int> tokens;
   std::vector<int> targets;
   data.NextSequence(cfg.seq, &tokens, &targets);
-  ActivationStore store(ActivationPolicy::kRetainAll, 1.0);
+  ActivationStore store(ActivationPolicy::kRetainAll, 1.0, cfg.layers);
   const double a = model.ForwardBackward(params, tokens, targets, &store,
                                          &grads);
   const double b = model.Loss(params, tokens, targets);

@@ -213,7 +213,8 @@ offload::BackendOptions DiskBackendOptionsForTest() {
 TEST_F(ObsIntegrationTest, InjectedWriteFaultSurfacesThroughStash) {
   FaultInjector::Global().Reset();
   ActivationStore store(ActivationPolicy::kTokenWise, /*alpha=*/1.0,
-                        /*async_offload=*/false, DiskBackendOptionsForTest());
+                        /*layers=*/4, /*async_offload=*/false,
+                        DiskBackendOptionsForTest());
   // Permanent: outlasts both the per-page and the whole-blob retries.
   FaultRule rule;
   rule.nth = 1;
@@ -236,7 +237,8 @@ TEST_F(ObsIntegrationTest, InjectedReadFaultSurfacesThroughRestore) {
   Status restore_status;
   {
     ActivationStore store(ActivationPolicy::kTokenWise, /*alpha=*/1.0,
-                          /*async_offload=*/false, DiskBackendOptionsForTest());
+                          /*layers=*/4, /*async_offload=*/false,
+                          DiskBackendOptionsForTest());
     ASSERT_TRUE(store.Stash(0, MakeActs(4, 8, 16)).ok());
     FaultRule rule;
     rule.nth = 1;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
 #include "model/trace_gen.h"
+#include "obs/trace_recorder.h"
 #include "planner/bilevel_planner.h"
 #include "train/mini_gpt.h"
 #include "train/ops.h"
@@ -285,6 +288,8 @@ TEST(ParallelExactnessTest, CrossEntropyAndEmbeddingBitExact) {
 struct StepResult {
   double loss = 0.0;
   MiniGptParams grads;
+  std::int64_t recomputed_rows = 0;
+  std::int64_t peak_stored_bytes = 0;
 };
 
 StepResult OneStep(const MiniGptConfig& config, ActivationPolicy policy,
@@ -302,8 +307,10 @@ StepResult OneStep(const MiniGptConfig& config, ActivationPolicy policy,
     tokens[i] = static_cast<int>(rng.NextBounded(config.vocab));
     targets[i] = static_cast<int>(rng.NextBounded(config.vocab));
   }
-  ActivationStore store(policy, alpha, async, backend);
+  ActivationStore store(policy, alpha, config.layers, async, backend);
   r.loss = model.ForwardBackward(params, tokens, targets, &store, &r.grads);
+  r.recomputed_rows = store.recomputed_rows();
+  r.peak_stored_bytes = store.peak_stored_bytes();
   return r;
 }
 
@@ -319,6 +326,7 @@ void ExpectSameStep(StepResult& a, StepResult& b) {
 
 TEST(ParallelExactnessTest, ForwardBackwardMatchesReferenceAtAnyPoolSize) {
   MiniGptConfig config;
+  config.layers = 4;  // layers 0 and 1 swap and go through recompute
   config.seq = 48;
   StepResult ref;
   {
@@ -403,6 +411,134 @@ TEST(ParallelExactnessTest, StashBackendsBitIdenticalSerialAndAsync) {
     }
   }
 }
+
+// ---- The last two layers stay in the rounding buffers (§4.1): they skip
+// the stash, the copier and recompute, and the rest of the step is unchanged.
+
+MiniGptConfig FiveLayerModel() {
+  MiniGptConfig config;
+  config.layers = 5;
+  config.seq = 48;
+  return config;
+}
+
+TEST(ParallelExactnessTest, OnlyLayersBeforeTheLastTwoSwap) {
+  const MiniGptConfig config = FiveLayerModel();
+  const double alpha = 0.5;
+  const std::int64_t s = config.seq;
+  const std::int64_t h = config.hidden;
+  const std::int64_t cut = std::llround(alpha * static_cast<double>(s));
+  // Kept bytes of one swapped layer: the input and attention output in
+  // full, plus the first `cut` rows of every token-wise tensor (ln1_out,
+  // q, k, v, proj_out, ln2_out: h columns; two rstd columns; fc1_out and
+  // gelu_out: ffn columns).
+  const std::int64_t kept_bytes =
+      4 * (2 * s * h + cut * (6 * h + 2 + 2 * config.ffn));
+  ScopedRuntime rt(4, KernelMode::kOptimized);
+  StepResult reference =
+      OneStep(config, ActivationPolicy::kRetainAll, 1.0, false);
+
+  std::vector<offload::BackendOptions> backends(2);
+  backends[0].kind = offload::BackendKind::kRam;
+  backends[1].kind = offload::BackendKind::kTiered;
+  backends[1].ram_capacity_bytes = kept_bytes + kept_bytes / 2;  // spills
+  backends[1].disk.page_bytes = 4 * 1024;
+  for (const offload::BackendOptions& backend : backends) {
+    for (bool async : {false, true}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "backend " << static_cast<int>(backend.kind)
+                   << (async ? " async" : " inline"));
+      StepResult result = OneStep(config, ActivationPolicy::kTokenWise,
+                                  alpha, async, backend);
+      EXPECT_EQ(result.recomputed_rows, 3 * (s - cut));
+      EXPECT_EQ(result.peak_stored_bytes, 3 * kept_bytes);
+      ExpectSameStep(result, reference);
+    }
+  }
+}
+
+#ifndef MEMO_OBS_DISABLE_TRACING
+
+/// One recorded span with its "layer" argument (-1 when it has none).
+struct LayerSpan {
+  std::string name;
+  std::int64_t layer = -1;
+  double begin_us = 0.0;
+  double end_us = 0.0;
+};
+
+/// Rebuilds B/E pairs per thread from the global recorder.
+std::vector<LayerSpan> RecordedSpans() {
+  std::vector<LayerSpan> spans;
+  std::map<int, std::vector<LayerSpan>> stacks;
+  for (const obs::TaggedTraceEvent& tagged :
+       obs::TraceRecorder::Global().Snapshot()) {
+    const obs::TraceEvent& e = tagged.event;
+    if (e.phase == 'B') {
+      LayerSpan span;
+      span.name = e.effective_name();
+      if (e.arg_name != nullptr && std::string(e.arg_name) == "layer") {
+        span.layer = e.arg_value;
+      }
+      span.begin_us = e.ts_us;
+      stacks[tagged.tid].push_back(span);
+    } else if (e.phase == 'E') {
+      std::vector<LayerSpan>& stack = stacks[tagged.tid];
+      if (stack.empty()) continue;
+      LayerSpan span = stack.back();
+      stack.pop_back();
+      span.end_us = e.ts_us;
+      spans.push_back(span);
+    }
+  }
+  return spans;
+}
+
+TEST(ParallelExactnessTest, CopierFollowsTheTwoBufferSchedule) {
+  const MiniGptConfig config = FiveLayerModel();
+  const int last = config.layers - 1;
+  obs::TraceRecorder::Global().Clear();
+  obs::TraceRecorder::Global().Enable();
+  {
+    ScopedRuntime rt(2, KernelMode::kOptimized);
+    OneStep(config, ActivationPolicy::kTokenWise, 0.5, /*async=*/true);
+  }
+  obs::TraceRecorder::Global().Disable();
+  const std::vector<LayerSpan> spans = RecordedSpans();
+  obs::TraceRecorder::Global().Clear();
+
+  const auto find = [&](const std::string& name, int layer) {
+    const LayerSpan* found = nullptr;
+    for (const LayerSpan& span : spans) {
+      if (span.name == name && span.layer == layer) found = &span;
+    }
+    return found;
+  };
+  // The copier never touches the two layers in the rounding buffers.
+  for (const LayerSpan& span : spans) {
+    if (span.name == "offload_copy" || span.name == "prefetch_copy" ||
+        span.name == "fetch_widen") {
+      EXPECT_LT(span.layer, last - 1) << span.name << " of layer "
+                                      << span.layer;
+    }
+  }
+  // Backward: the prefetch of layer L-3 waits for layer L-1's backward to
+  // free its rounding buffer (WaitEvent(h2d, bwd_done[i+2])).
+  const LayerSpan* prefetch = find("prefetch_copy", last - 2);
+  const LayerSpan* last_bwd = find("layer_bwd", last);
+  ASSERT_NE(prefetch, nullptr);
+  ASSERT_NE(last_bwd, nullptr);
+  EXPECT_GE(prefetch->begin_us, last_bwd->end_us);
+  // Forward: keeping layer L-1 in buffer (L-1) % 2 waits for layer L-3's
+  // offload out of it to land (WaitEvent(compute, offload_done[i-2])).
+  const LayerSpan* offload = find("offload_copy", last - 2);
+  const LayerSpan* keep = find("stash", last);
+  ASSERT_NE(offload, nullptr);
+  ASSERT_NE(keep, nullptr);
+  EXPECT_GE(keep->end_us, offload->end_us);
+}
+
+#endif  // !MEMO_OBS_DISABLE_TRACING
 
 TEST(ParallelExactnessTest, BilevelPlanIdenticalAcrossPoolSizes) {
   model::ModelConfig m = model::Gpt7B();

@@ -160,7 +160,7 @@ TEST(TensorArenaTest, TrainerHotLoopRunsHeapFreeAfterWarmup) {
   // planned slab — zero per-iteration heap allocations — and the loss
   // curve is exactly the no-arena one.
   TrainRunOptions options;
-  options.model.layers = 2;
+  options.model.layers = 4;
   options.model.hidden = 32;
   options.model.heads = 4;
   options.model.ffn = 64;

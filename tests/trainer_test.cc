@@ -5,9 +5,11 @@
 namespace memo::train {
 namespace {
 
+/// Four layers, so two of them swap: the last two stay in the rounding
+/// buffers and never reach the stash (§4.1).
 MiniGptConfig TinyModel() {
   MiniGptConfig c;
-  c.layers = 2;
+  c.layers = 4;
   c.hidden = 16;
   c.heads = 2;
   c.ffn = 32;
@@ -42,8 +44,8 @@ TEST(ActivationStoreTest, TokenWiseRestoreIsBitExact) {
   for (Tensor* g : grads_a.Flat()) g->Fill(0.0f);
   for (Tensor* g : grads_b.Flat()) g->Fill(0.0f);
 
-  ActivationStore retain(ActivationPolicy::kRetainAll, 1.0);
-  ActivationStore tokenwise(ActivationPolicy::kTokenWise, 0.25);
+  ActivationStore retain(ActivationPolicy::kRetainAll, 1.0, cfg.layers);
+  ActivationStore tokenwise(ActivationPolicy::kTokenWise, 0.25, cfg.layers);
   const double loss_a =
       model.ForwardBackward(params, tokens, targets, &retain, &grads_a);
   const double loss_b =
@@ -72,7 +74,7 @@ TEST(ActivationStoreTest, AlphaControlsStoredBytes) {
   std::int64_t previous = 0;
   for (double alpha : {0.0, 0.5, 1.0}) {
     for (Tensor* g : grads.Flat()) g->Fill(0.0f);
-    ActivationStore store(ActivationPolicy::kTokenWise, alpha);
+    ActivationStore store(ActivationPolicy::kTokenWise, alpha, cfg.layers);
     model.ForwardBackward(params, tokens, targets, &store, &grads);
     EXPECT_GT(store.peak_stored_bytes(), previous);
     previous = store.peak_stored_bytes();
@@ -97,10 +99,10 @@ TEST(ActivationStoreTest, TokenWiseShrinksDeviceResidency) {
   MiniGptParams grads = MiniGptParams::Init(cfg, 7);
   for (Tensor* g : grads.Flat()) g->Fill(0.0f);
 
-  ActivationStore retain(ActivationPolicy::kRetainAll, 1.0);
+  ActivationStore retain(ActivationPolicy::kRetainAll, 1.0, cfg.layers);
   model.ForwardBackward(params, tokens, targets, &retain, &grads);
   for (Tensor* g : grads.Flat()) g->Fill(0.0f);
-  ActivationStore tokenwise(ActivationPolicy::kTokenWise, 0.25);
+  ActivationStore tokenwise(ActivationPolicy::kTokenWise, 0.25, cfg.layers);
   model.ForwardBackward(params, tokens, targets, &tokenwise, &grads);
 
   EXPECT_NEAR(static_cast<double>(retain.device_peak_bytes()) /
@@ -147,9 +149,10 @@ TEST(TrainerTest, RecomputedRowsMatchAlpha) {
   o.policy = ActivationPolicy::kTokenWise;
   o.alpha = 0.25;
   const TrainRunResult r = RunTraining(o);
-  // 75% of s rows per layer per iteration.
+  // 75% of s rows per swapped layer per iteration; the last two layers are
+  // never recomputed.
   const std::int64_t expected = static_cast<std::int64_t>(
-      (1.0 - 0.25) * o.model.seq * o.model.layers * o.iterations);
+      (o.model.layers - 2) * (1.0 - 0.25) * o.model.seq * o.iterations);
   EXPECT_EQ(r.recomputed_rows, expected);
 }
 

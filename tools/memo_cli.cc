@@ -37,6 +37,7 @@
 #include "core/plan_request.h"
 #include "core/report.h"
 #include "core/session.h"
+#include "model/activation_spec.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "planner/plan_io.h"
@@ -425,8 +426,9 @@ int CmdAlpha(const Flags& flags) {
       memo::FormatBytes(profile->skeletal.attn_out_bytes).c_str(),
       memo::FormatBytes(profile->skeletal.others_bytes).c_str(),
       memo::FormatBytes(profile->offload_bytes_per_layer).c_str(),
-      memo::FormatBytes(profile->offload_bytes_per_layer *
-                        std::max(0, profile->timings.layers_per_stage - 2))
+      memo::FormatBytes(
+          profile->offload_bytes_per_layer *
+          memo::model::SwappedLayers(profile->timings.layers_per_stage))
           .c_str());
   return 0;
 }
