@@ -1,7 +1,7 @@
 // Trace-format and replay-engine benchmark. Measures the compact binary
 // codec (encode/decode MB/s over a realistic multi-iteration workload),
-// the binary-vs-JSON size ratio, and replay throughput, and writes
-// BENCH_trace_replay.json.
+// the binary-vs-JSON size ratio, and replay throughput, and writes them as
+// BenchRecord rows to BENCH_trace_replay.json.
 //
 // `--smoke` shrinks the workload and enforces the format's contracts as
 // hard exit-code checks (the bench-smoke ctest leg):
@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <vector>
 
 #include "bench_json.h"
 #include "model/model_config.h"
@@ -59,8 +60,7 @@ int main(int argc, char** argv) {
   // hands the writer: record_count * record width.
   std::string encoded;
   const double encode_ms = BestWallMs(reps, [&] {
-    auto writer = memo::trace::TraceWriter::CreateInMemory(
-        memo::trace::TraceKind::kAllocRequests, {});
+    auto writer = memo::trace::TraceWriter::CreateInMemory();
     if (!memo::trace::WriteWorkload(workload, writer.get()).ok() ||
         !writer->Finish().ok()) {
       std::fprintf(stderr, "encode failed\n");
@@ -111,8 +111,7 @@ int main(int argc, char** argv) {
   // Contract checks (hard failures under --smoke, reported always).
   bool roundtrip_ok = true;
   {
-    auto rewriter = memo::trace::TraceWriter::CreateInMemory(
-        memo::trace::TraceKind::kAllocRequests, {});
+    auto rewriter = memo::trace::TraceWriter::CreateInMemory();
     if (!memo::trace::WriteWorkload(decoded, rewriter.get()).ok() ||
         !rewriter->Finish().ok()) {
       roundtrip_ok = false;
@@ -137,25 +136,30 @@ int main(int argc, char** argv) {
               roundtrip_ok ? "true" : "false",
               replay_deterministic ? "true" : "false");
 
+  // wall_ms is the best-of-reps time; aux carries the row's rate, or the
+  // JSON-over-binary size ratio for the (untimed) size row.
+  const auto row = [](const char* op, double wall_ms, double aux,
+                      const char* aux_label) {
+    memo::bench::BenchRecord record;
+    record.op = op;
+    record.wall_ms = wall_ms;
+    record.aux = aux;
+    record.aux_label = aux_label;
+    return record;
+  };
+  const std::vector<memo::bench::BenchRecord> records = {
+      row("trace_encode", encode_ms, MbPerSec(raw_bytes, encode_ms),
+          "mb_per_s"),
+      row("trace_decode", decode_ms, MbPerSec(raw_bytes, decode_ms),
+          "mb_per_s"),
+      row("trace_replay", replay_ms, replay_rps, "requests_per_s"),
+      row("trace_size", 0.0, size_ratio, "json_over_binary"),
+  };
   const char* path = "BENCH_trace_replay.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
+  if (!memo::bench::WriteBenchJson(path, records)) {
     std::fprintf(stderr, "cannot write %s\n", path);
     return 1;
   }
-  std::fprintf(
-      f,
-      "{\"schema_version\": 1, \"mode\": \"%s\", \"iterations\": %zu, "
-      "\"requests\": %zu, \"encode_mb_s\": %.2f, \"decode_mb_s\": %.2f, "
-      "\"binary_bytes\": %zu, \"json_bytes\": %zu, \"size_ratio\": %.3f, "
-      "\"replay_requests_per_s\": %.0f, \"roundtrip_bit_exact\": %s, "
-      "\"replay_deterministic\": %s}\n",
-      smoke ? "smoke" : "full", workload.iterations.size(),
-      workload.TotalRequests(), MbPerSec(raw_bytes, encode_ms),
-      MbPerSec(raw_bytes, decode_ms), encoded.size(), json.size(),
-      size_ratio, replay_rps, roundtrip_ok ? "true" : "false",
-      replay_deterministic ? "true" : "false");
-  std::fclose(f);
   std::printf("wrote %s\n", path);
 
   if (!roundtrip_ok) {

@@ -65,11 +65,6 @@ struct IterationResult {
   // Tier split of the swapped fraction (alpha_ram + alpha_disk == alpha).
   double alpha_ram = 0.0;
   double alpha_disk = 0.0;
-
-  // True when this plan is a degraded re-solve after losing the NVMe spill
-  // tier mid-run: the alpha split was recomputed for the RAM-only budget
-  // (or the strategy fell back to full recomputation).
-  bool degraded = false;
 };
 
 /// Device bytes held back from the allocator for CUDA context, NCCL buffers

@@ -12,9 +12,31 @@
 #include "parallel/memory_model.h"
 #include "parallel/pipeline.h"
 #include "sim/engine.h"
-#include "sim/trace_export.h"
 
 namespace memo::core {
+
+namespace {
+
+/// Mirrors the engine's timeline into the process-wide obs::TraceRecorder
+/// as 'X' complete events on synthetic lanes (tid 1000 + stream index,
+/// named "sim:<stream>"), so the simulated schedule appears alongside the
+/// real wall-clock spans in one trace. No-op while the recorder is
+/// disabled. Sim time is its own clock: events carry the simulated
+/// timestamps, not wall-clock ones.
+void MirrorTimelineToRecorder(const sim::SimEngine& engine) {
+  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
+  if (!recorder.enabled()) return;
+  for (int s = 0; s < engine.num_streams(); ++s) {
+    recorder.NameSyntheticLane(1000 + s, "sim:" + engine.stream_name(s));
+  }
+  for (const sim::OpRecord& op : engine.timeline()) {
+    recorder.Complete(op.label, "sim", 1000 + op.stream, op.start_s * 1e6,
+                      (op.end_s - op.start_s) * 1e6, "stall_us",
+                      static_cast<std::int64_t>(op.stall_s * 1e6));
+  }
+}
+
+}  // namespace
 
 TieredAlphaInputs MemoAlphaInputs(const IterationTimings& timings,
                                   const hw::ClusterSpec& cluster,
@@ -235,13 +257,7 @@ StatusOr<IterationResult> RunMemoIteration(
   engine.EnqueueOp(compute, t.embedding, "embedding_bwd");
   engine.EnqueueOp(compute, t.grad_sync, "grad_sync");
 
-  if (!options.timeline_path.empty()) {
-    MEMO_RETURN_IF_ERROR(
-        sim::WriteChromeTrace(engine, options.timeline_path));
-  }
-  // Mirror the four simulated streams into the unified trace (no-op while
-  // the recorder is disabled).
-  sim::MirrorTimelineToRecorder(engine);
+  MirrorTimelineToRecorder(engine);
 
   if (strategy.virtual_pipeline > 1 &&
       kPipelineMicrobatches % strategy.pp != 0) {

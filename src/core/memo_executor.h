@@ -17,9 +17,6 @@ struct MemoOptions {
   /// the convergence sweep.
   double forced_alpha = -1.0;
   planner::PlannerOptions planner;
-  /// When non-empty, write the simulated three-stream schedule as a Chrome
-  /// tracing JSON file (chrome://tracing / Perfetto) to this path.
-  std::string timeline_path;
 };
 
 /// The swap-fraction LP of one MEMO pipeline stage (Eq. 1-3 over the host

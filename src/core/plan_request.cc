@@ -188,8 +188,7 @@ PlanRequest PlanRequestFromSession(parallel::SystemKind system,
   return request;
 }
 
-PlanResult ExecutePlanRequest(const PlanRequest& request,
-                              const PlanExecOptions& exec) {
+PlanResult ExecutePlanRequest(const PlanRequest& request) {
   PlanResult result;
   result.kind = request.kind;
   if (Status valid = request.Validate(); !valid.ok()) {
@@ -202,8 +201,7 @@ PlanResult ExecutePlanRequest(const PlanRequest& request,
     result.status = dl;
     return result;
   }
-  SessionOptions session = request.MakeSessionOptions();
-  session.memo.timeline_path = exec.timeline_path;
+  const SessionOptions session = request.MakeSessionOptions();
   const Workload workload{request.model, request.seq};
   switch (request.kind) {
     case PlanQueryKind::kBestStrategy: {

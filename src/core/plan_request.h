@@ -83,9 +83,7 @@ struct PlanRequest {
   /// fingerprint's sibling (same hash, common/fingerprint.h).
   std::uint64_t Fingerprint() const;
 
-  /// Rebuilds the SessionOptions the legacy entry points expect. The sim
-  /// timeline path stays empty: it is an execution-scoped output option
-  /// (see PlanExecOptions), not part of the request identity.
+  /// Rebuilds the SessionOptions the legacy entry points expect.
   SessionOptions MakeSessionOptions() const;
 };
 
@@ -96,13 +94,6 @@ PlanRequest PlanRequestFromSession(parallel::SystemKind system,
                                    const Workload& workload,
                                    const hw::ClusterSpec& cluster,
                                    const SessionOptions& session);
-
-/// Execution-scoped options that do NOT identify the plan: writing the
-/// simulated schedule to a Chrome-trace file changes no numbers, so two
-/// calls differing only here share a fingerprint and a cache entry.
-struct PlanExecOptions {
-  std::string timeline_path;
-};
 
 /// The answer to a PlanRequest. `status` is part of the value — an
 /// infeasible or OOM outcome is a legitimate, cacheable answer to "does
@@ -121,11 +112,10 @@ struct PlanResult {
 
 /// Answers `request` by routing to the matching session entry point
 /// (RunBestStrategy / RunStrategy / MaxSupportedSeqLen). Every legacy call
-/// path — memo_cli run/maxseq, SimulateTrainingRun, and the serve
-/// subsystem — funnels through here, so a cached answer and a direct call
-/// are the same computation by construction.
-PlanResult ExecutePlanRequest(const PlanRequest& request,
-                              const PlanExecOptions& exec = {});
+/// path — memo_cli run/maxseq and the serve subsystem — funnels through
+/// here, so a cached answer and a direct call are the same computation by
+/// construction.
+PlanResult ExecutePlanRequest(const PlanRequest& request);
 
 }  // namespace memo::core
 

@@ -10,9 +10,6 @@ TablePrinter IterationReportTable(const IterationResult& result,
   table.AddRow({"model", StrFormat("%s (%.2fB params)", model.name.c_str(),
                                    model.num_parameters() / 1e9)});
   table.AddRow({"strategy", result.strategy.ToString()});
-  if (result.degraded) {
-    table.AddRow({"degraded", "yes (disk tier lost; RAM-only re-plan)"});
-  }
   table.AddRow({"swap fraction alpha", StrFormat("%.3f", result.alpha)});
   table.AddRow({"MFU", StrFormat("%.2f%%", result.metrics.mfu * 100.0)});
   table.AddRow({"tokens/GPU/s", StrFormat("%.2f", result.metrics.tgs)});

@@ -23,7 +23,6 @@
 #include "hw/gpu_spec.h"
 
 #include "sim/engine.h"
-#include "sim/trace_export.h"
 
 #include "model/activation_spec.h"
 #include "model/model_config.h"
@@ -57,7 +56,6 @@
 #include "core/memo_executor.h"
 #include "core/session.h"
 #include "core/timings.h"
-#include "core/training_run.h"
 
 #include "train/activation_store.h"
 #include "train/adam.h"

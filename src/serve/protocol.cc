@@ -339,7 +339,6 @@ std::string SerializePlanResult(const core::PlanResult& result) {
     AppendField(&out, "alpha", it.alpha);
     AppendField(&out, "alpha_ram", it.alpha_ram);
     AppendField(&out, "alpha_disk", it.alpha_disk);
-    AppendField(&out, "degraded", it.degraded);
   }
   if (out.back() == ',') out.pop_back();
   out += '}';

@@ -15,10 +15,12 @@ namespace memo::serve {
 namespace {
 
 constexpr char kMagic[8] = {'M', 'E', 'M', 'O', 'S', 'N', 'P', '1'};
-/// Bumped whenever PlanRequest fingerprints change meaning: a snapshot keyed
-/// by old fingerprints holds entries no request can reach, so it starts
+/// Bumped whenever PlanRequest fingerprints or the payload bytes change
+/// meaning: a snapshot keyed by old fingerprints holds entries no request
+/// can reach, and one holding old payloads would serve bytes a cold solve
+/// no longer produces (v2 payloads still carry "degraded"), so it starts
 /// cold instead.
-constexpr std::uint32_t kVersion = 2;
+constexpr std::uint32_t kVersion = 3;
 
 void AppendU32(std::string* out, std::uint32_t v) {
   for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));

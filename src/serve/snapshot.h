@@ -12,7 +12,7 @@ namespace memo::serve {
 ///
 /// File layout (little-endian):
 ///   "MEMOSNP1"            8-byte magic
-///   u32 version           currently 1
+///   u32 version           currently 3
 ///   u32 count             entries
 ///   per entry:
 ///     u64 fingerprint

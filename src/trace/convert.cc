@@ -1,10 +1,6 @@
 #include "trace/convert.h"
 
-#include <algorithm>
-#include <map>
 #include <sstream>
-
-#include "sim/trace_export.h"
 
 namespace memo::trace {
 
@@ -73,9 +69,6 @@ Status WriteWorkload(const model::WorkloadTrace& workload,
 }
 
 StatusOr<model::WorkloadTrace> ReadWorkload(TraceReader* reader) {
-  if (reader->kind() != TraceKind::kAllocRequests) {
-    return InvalidArgumentError("not an allocator request trace");
-  }
   reader->Rewind();
   std::vector<model::MemoryRequest> requests;
   requests.reserve(reader->record_count());
@@ -129,9 +122,7 @@ StatusOr<model::WorkloadTrace> ReadWorkload(TraceReader* reader) {
 Status WriteWorkloadFile(const model::WorkloadTrace& workload,
                          const std::string& path,
                          const TraceWriterOptions& options) {
-  MEMO_ASSIGN_OR_RETURN(
-      auto writer,
-      TraceWriter::Create(path, TraceKind::kAllocRequests, options));
+  MEMO_ASSIGN_OR_RETURN(auto writer, TraceWriter::Create(path, options));
   MEMO_RETURN_IF_ERROR(WriteWorkload(workload, writer.get()));
   return writer->Finish();
 }
@@ -171,121 +162,6 @@ std::string WorkloadToJson(const model::WorkloadTrace& workload) {
   }
   out << "]}";
   return out.str();
-}
-
-Status WriteSimTimeline(const SimTimeline& timeline, TraceWriter* writer) {
-  if (timeline.stream_names.size() > 65535) {
-    return InvalidArgumentError("sim timeline has too many streams");
-  }
-  for (const std::string& name : timeline.stream_names) {
-    writer->AddStream(writer->InternString(name));
-  }
-  for (const sim::OpRecord& op : timeline.ops) {
-    if (op.stream < 0 ||
-        static_cast<std::size_t>(op.stream) >=
-            timeline.stream_names.size()) {
-      return InvalidArgumentError("sim op references an unnamed stream");
-    }
-    SimRecord record;
-    record.stream = static_cast<std::uint16_t>(op.stream);
-    record.label_id = writer->InternString(op.label);
-    record.start_s = op.start_s;
-    record.end_s = op.end_s;
-    record.stall_s = op.stall_s;
-    MEMO_RETURN_IF_ERROR(writer->AppendSim(record));
-  }
-  return OkStatus();
-}
-
-StatusOr<SimTimeline> ReadSimTimeline(TraceReader* reader) {
-  if (reader->kind() != TraceKind::kSimTimeline) {
-    return InvalidArgumentError("not a sim timeline trace");
-  }
-  reader->Rewind();
-  SimTimeline timeline;
-  timeline.stream_names.reserve(reader->streams().size());
-  for (const std::uint32_t id : reader->streams()) {
-    timeline.stream_names.push_back(reader->String(id));
-  }
-  timeline.ops.reserve(reader->record_count());
-  SimRecord record;
-  while (true) {
-    MEMO_ASSIGN_OR_RETURN(const bool more, reader->NextSim(&record));
-    if (!more) break;
-    sim::OpRecord op;
-    op.stream = record.stream;
-    op.label = reader->String(record.label_id);
-    op.start_s = record.start_s;
-    op.end_s = record.end_s;
-    op.stall_s = record.stall_s;
-    timeline.ops.push_back(std::move(op));
-  }
-  return timeline;
-}
-
-Status WriteSimTimelineFile(const SimTimeline& timeline,
-                            const std::string& path,
-                            const TraceWriterOptions& options) {
-  MEMO_ASSIGN_OR_RETURN(
-      auto writer,
-      TraceWriter::Create(path, TraceKind::kSimTimeline, options));
-  MEMO_RETURN_IF_ERROR(WriteSimTimeline(timeline, writer.get()));
-  return writer->Finish();
-}
-
-StatusOr<SimTimeline> ReadSimTimelineFile(const std::string& path) {
-  MEMO_ASSIGN_OR_RETURN(auto reader, TraceReader::Open(path));
-  return ReadSimTimeline(reader.get());
-}
-
-SimTimeline EngineTimeline(const sim::SimEngine& engine) {
-  SimTimeline timeline;
-  timeline.stream_names.reserve(engine.num_streams());
-  for (int s = 0; s < engine.num_streams(); ++s) {
-    timeline.stream_names.push_back(engine.stream_name(s));
-  }
-  timeline.ops = engine.timeline();
-  return timeline;
-}
-
-SimTimeline RecorderTimeline(const obs::TraceRecorder& recorder) {
-  // Lane ids -> dense stream indexes, in sorted-lane order so the result
-  // does not depend on naming order.
-  std::map<int, std::size_t> lane_to_stream;
-  SimTimeline timeline;
-  for (const auto& [lane, name] : recorder.synthetic_lanes()) {
-    if (lane_to_stream.emplace(lane, 0).second) {
-      timeline.stream_names.push_back(name);
-    }
-  }
-  std::size_t next = 0;
-  for (auto& [lane, stream] : lane_to_stream) stream = next++;
-  // Re-associate names with their sorted position.
-  timeline.stream_names.assign(lane_to_stream.size(), "");
-  for (const auto& [lane, name] : recorder.synthetic_lanes()) {
-    timeline.stream_names[lane_to_stream.at(lane)] = name;
-  }
-
-  for (const obs::TaggedTraceEvent& tagged : recorder.Snapshot()) {
-    const obs::TraceEvent& event = tagged.event;
-    if (event.phase != 'X' || event.tid_override < 0) continue;
-    const auto it = lane_to_stream.find(event.tid_override);
-    if (it == lane_to_stream.end()) continue;  // unnamed lane: skip
-    sim::OpRecord op;
-    op.stream = static_cast<int>(it->second);
-    op.label = event.effective_name();
-    op.start_s = event.ts_us * 1e-6;
-    op.end_s = (event.ts_us + event.dur_us) * 1e-6;
-    op.stall_s = event.arg_name != nullptr
-                     ? static_cast<double>(event.arg_value) * 1e-6
-                     : 0.0;
-    timeline.ops.push_back(std::move(op));
-  }
-  return timeline;
-}
-
-std::string SimTimelineToChromeJson(const SimTimeline& timeline) {
-  return sim::TimelineToChromeTrace(timeline.ops, timeline.stream_names);
 }
 
 }  // namespace memo::trace

@@ -2,17 +2,12 @@
 #define MEMO_TRACE_CONVERT_H_
 
 #include <string>
-#include <vector>
 
 #include "model/trace_gen.h"
-#include "obs/trace_recorder.h"
-#include "sim/engine.h"
 #include "trace/trace_io.h"
 
 namespace memo::trace {
 
-// ---- Allocator request traces (TraceKind::kAllocRequests) ----
-//
 // The verbose producers emit model::MemoryRequest streams; the binary form
 // flattens a multi-iteration workload into one record stream plus segment
 // and iteration tables in the aux section, so the full structure (which
@@ -23,8 +18,8 @@ namespace memo::trace {
 Status WriteWorkload(const model::WorkloadTrace& workload,
                      TraceWriter* writer);
 
-/// Reads a whole kAllocRequests trace back into workload form. Traces
-/// written without iteration entries decode as one iteration.
+/// Reads a whole trace back into workload form. Traces written without
+/// iteration entries decode as one iteration.
 StatusOr<model::WorkloadTrace> ReadWorkload(TraceReader* reader);
 
 /// One-call file round trip.
@@ -37,36 +32,6 @@ StatusOr<model::WorkloadTrace> ReadWorkloadFile(const std::string& path);
 /// request), the baseline the compact binary's size ratio is measured
 /// against. Deterministic: emission order is the flattened record order.
 std::string WorkloadToJson(const model::WorkloadTrace& workload);
-
-// ---- Simulator timelines (TraceKind::kSimTimeline) ----
-
-/// A sim timeline detached from its engine: what a binary sim trace
-/// decodes to, and what the Chrome-trace serializer consumes.
-struct SimTimeline {
-  std::vector<std::string> stream_names;
-  std::vector<sim::OpRecord> ops;
-};
-
-Status WriteSimTimeline(const SimTimeline& timeline, TraceWriter* writer);
-StatusOr<SimTimeline> ReadSimTimeline(TraceReader* reader);
-
-Status WriteSimTimelineFile(const SimTimeline& timeline,
-                            const std::string& path,
-                            const TraceWriterOptions& options = {});
-StatusOr<SimTimeline> ReadSimTimelineFile(const std::string& path);
-
-/// Snapshot of a live engine's timeline.
-SimTimeline EngineTimeline(const sim::SimEngine& engine);
-
-/// Extracts the sim-mirrored portion of an obs::TraceRecorder — the 'X'
-/// complete events on synthetic lanes (see sim::MirrorTimelineToRecorder)
-/// — back into timeline form, so recorder output can be archived in the
-/// compact format too. Lanes become streams in lane-id order.
-SimTimeline RecorderTimeline(const obs::TraceRecorder& recorder);
-
-/// Chrome tracing JSON for a detached timeline (same output as
-/// sim::TimelineToChromeTrace on the originating engine).
-std::string SimTimelineToChromeJson(const SimTimeline& timeline);
 
 }  // namespace memo::trace
 

@@ -2,29 +2,28 @@
 #define MEMO_TRACE_FORMAT_H_
 
 #include <cstdint>
-#include <cstring>
 #include <string>
 
 namespace memo::trace {
 
-/// On-disk layout of a .memotrc compact binary trace (DESIGN.md §13):
+/// On-disk layout of a .memotrc compact binary trace (DESIGN.md §13), a
+/// stream of allocator requests:
 ///
-///   [header 24 B]  magic "MEMOTRC1" | u16 version | u16 kind | u32 flags
-///                  | u32 chunk_records | u32 reserved
+///   [header 24 B]  magic "MEMOTRC1" | u16 version | u16 kind (always 0)
+///                  | u32 flags | u32 chunk_records | u32 reserved
 ///   [chunks]       each: u32 records | u32 raw_bytes | u32 stored_bytes
 ///                  | u8 method | payload (raw or LZ-compressed records)
 ///   [dictionary]   u32 count, then per string: u32 len | bytes. Record
-///                  name/label fields are u32 indexes into this table.
-///   [aux]          kind-specific metadata (segments + iteration ranges for
-///                  allocator traces, stream names for sim timelines).
+///                  name fields are u32 indexes into this table.
+///   [aux]          segment table, then iteration ranges.
 ///   [footer 48 B]  u64 dict_offset | u64 aux_offset | u64 record_count
 ///                  | u64 chunk_count | u64 checksum | magic "MEMOTRCE"
 ///
-/// All integers are little-endian at fixed widths; doubles travel as their
-/// IEEE-754 bit pattern in a u64. Counts and offsets live in the footer so
-/// the writer can stream chunks without back-patching the header, keeping
-/// the FNV-1a checksum a single forward pass: it covers every byte from
-/// offset 0 up to (but excluding) the checksum field itself.
+/// All integers are little-endian at fixed widths. Counts and offsets live
+/// in the footer so the writer can stream chunks without back-patching the
+/// header, keeping the FNV-1a checksum a single forward pass: it covers
+/// every byte from offset 0 up to (but excluding) the checksum field
+/// itself.
 inline constexpr char kMagic[8] = {'M', 'E', 'M', 'O', 'T', 'R', 'C', '1'};
 inline constexpr char kEndMagic[8] = {'M', 'E', 'M', 'O', 'T', 'R', 'C',
                                       'E'};
@@ -36,13 +35,9 @@ inline constexpr std::size_t kFooterBytes = 48;
 /// magic); the checksum covers file[0, size - kChecksumTailBytes).
 inline constexpr std::size_t kChecksumTailBytes = 16;
 
-/// What the records in a trace file describe.
-enum class TraceKind : std::uint16_t {
-  kAllocRequests = 0,  // allocator malloc/free request stream (model layer)
-  kSimTimeline = 1,    // discrete-event simulator op timeline
-};
-
-const char* TraceKindToString(TraceKind kind);
+/// The header's kind field. Allocator requests are the only kind; a reader
+/// refuses any other value.
+inline constexpr std::uint16_t kAllocRequestsKind = 0;
 
 /// Header flags.
 inline constexpr std::uint32_t kFlagCompressed = 1u << 0;
@@ -65,23 +60,6 @@ inline constexpr std::size_t kAllocRecordBytes = 24;
 inline constexpr std::uint8_t kOpMalloc = 0;
 inline constexpr std::uint8_t kOpFree = 1;
 inline constexpr std::uint8_t kAllocFlagSkeletal = 1u << 0;
-
-/// Fixed-width wire form of one simulator op (32 bytes):
-///   u16 stream | u16 reserved | u32 label_id | u64 start_bits
-///   | u64 end_bits | u64 stall_bits   (doubles as IEEE-754 bit patterns)
-struct SimRecord {
-  std::uint16_t stream = 0;
-  std::uint32_t label_id = 0;
-  double start_s = 0.0;
-  double end_s = 0.0;
-  double stall_s = 0.0;
-};
-inline constexpr std::size_t kSimRecordBytes = 32;
-
-inline std::size_t RecordBytes(TraceKind kind) {
-  return kind == TraceKind::kAllocRequests ? kAllocRecordBytes
-                                           : kSimRecordBytes;
-}
 
 /// A named contiguous span of the request stream (mirrors
 /// model::TraceSegment; begin/end index the flattened record stream).
@@ -126,13 +104,6 @@ inline void PutI64(std::string* out, std::int64_t v) {
   PutU64(out, static_cast<std::uint64_t>(v));
 }
 
-inline void PutDouble(std::string* out, double v) {
-  std::uint64_t bits = 0;
-  static_assert(sizeof(bits) == sizeof(v));
-  std::memcpy(&bits, &v, sizeof(bits));
-  PutU64(out, bits);
-}
-
 inline std::uint16_t GetU16(const unsigned char* p) {
   return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
 }
@@ -154,13 +125,6 @@ inline std::int64_t GetI64(const unsigned char* p) {
   return static_cast<std::int64_t>(GetU64(p));
 }
 
-inline double GetDouble(const unsigned char* p) {
-  const std::uint64_t bits = GetU64(p);
-  double v = 0.0;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
 inline void EncodeAllocRecord(const AllocRecord& r, std::string* out) {
   out->push_back(static_cast<char>(r.op));
   out->push_back(static_cast<char>(r.flags));
@@ -177,25 +141,6 @@ inline AllocRecord DecodeAllocRecord(const unsigned char* p) {
   r.name_id = GetU32(p + 4);
   r.tensor_id = GetI64(p + 8);
   r.bytes = GetI64(p + 16);
-  return r;
-}
-
-inline void EncodeSimRecord(const SimRecord& r, std::string* out) {
-  PutU16(out, r.stream);
-  PutU16(out, 0);
-  PutU32(out, r.label_id);
-  PutDouble(out, r.start_s);
-  PutDouble(out, r.end_s);
-  PutDouble(out, r.stall_s);
-}
-
-inline SimRecord DecodeSimRecord(const unsigned char* p) {
-  SimRecord r;
-  r.stream = GetU16(p);
-  r.label_id = GetU32(p + 4);
-  r.start_s = GetDouble(p + 8);
-  r.end_s = GetDouble(p + 16);
-  r.stall_s = GetDouble(p + 24);
   return r;
 }
 

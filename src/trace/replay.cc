@@ -153,12 +153,6 @@ StatusOr<TraceDiff> DiffTraceFiles(const std::string& path_a,
     diff.differences.push_back(std::move(line));
   };
 
-  if (a->kind() != b->kind()) {
-    note(std::string("kind: ") + TraceKindToString(a->kind()) + " vs " +
-         TraceKindToString(b->kind()));
-    diff.equal = false;
-    return diff;  // nothing below compares across kinds
-  }
   if (a->record_count() != b->record_count()) {
     note("record_count: " + std::to_string(a->record_count()) + " vs " +
          std::to_string(b->record_count()));
@@ -170,10 +164,6 @@ StatusOr<TraceDiff> DiffTraceFiles(const std::string& path_a,
   if (a->iterations().size() != b->iterations().size()) {
     note("iterations: " + std::to_string(a->iterations().size()) + " vs " +
          std::to_string(b->iterations().size()));
-  }
-  if (a->streams().size() != b->streams().size()) {
-    note("streams: " + std::to_string(a->streams().size()) + " vs " +
-         std::to_string(b->streams().size()));
   }
   MEMO_ASSIGN_OR_RETURN(const std::uint64_t fp_a, a->ContentFingerprint());
   MEMO_ASSIGN_OR_RETURN(const std::uint64_t fp_b, b->ContentFingerprint());

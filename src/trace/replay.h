@@ -62,13 +62,13 @@ struct ReplaySummary {
 ReplaySummary ReplayWorkload(const model::WorkloadTrace& workload,
                              const ReplayOptions& options = {});
 
-/// Opens a recorded kAllocRequests trace file and replays it; the summary
+/// Opens a recorded trace file and replays it; the summary
 /// carries the trace's content fingerprint.
 StatusOr<ReplaySummary> ReplayTraceFile(const std::string& path,
                                         const ReplayOptions& options = {});
 
 /// Content comparison of two binary trace files. Equality is judged on
-/// decoded content (kind, records with names resolved, aux tables), so a
+/// decoded content (records with names resolved, aux tables), so a
 /// compressed and an uncompressed copy of the same trace compare equal.
 struct TraceDiff {
   bool equal = false;

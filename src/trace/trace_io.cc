@@ -8,20 +8,10 @@
 
 namespace memo::trace {
 
-const char* TraceKindToString(TraceKind kind) {
-  switch (kind) {
-    case TraceKind::kAllocRequests:
-      return "alloc";
-    case TraceKind::kSimTimeline:
-      return "sim";
-  }
-  return "unknown";
-}
-
 // ---------------------------------------------------------------- writer
 
-TraceWriter::TraceWriter(TraceKind kind, const TraceWriterOptions& options)
-    : kind_(kind), options_(options) {
+TraceWriter::TraceWriter(const TraceWriterOptions& options)
+    : options_(options) {
   MEMO_CHECK_GT(options_.chunk_records, 0);
 }
 
@@ -30,9 +20,8 @@ TraceWriter::~TraceWriter() {
 }
 
 StatusOr<std::unique_ptr<TraceWriter>> TraceWriter::Create(
-    const std::string& path, TraceKind kind,
-    const TraceWriterOptions& options) {
-  std::unique_ptr<TraceWriter> writer(new TraceWriter(kind, options));
+    const std::string& path, const TraceWriterOptions& options) {
+  std::unique_ptr<TraceWriter> writer(new TraceWriter(options));
   writer->file_ = std::fopen(path.c_str(), "wb");
   if (writer->file_ == nullptr) {
     return InvalidArgumentError("cannot open " + path + " for writing");
@@ -42,8 +31,8 @@ StatusOr<std::unique_ptr<TraceWriter>> TraceWriter::Create(
 }
 
 std::unique_ptr<TraceWriter> TraceWriter::CreateInMemory(
-    TraceKind kind, const TraceWriterOptions& options) {
-  std::unique_ptr<TraceWriter> writer(new TraceWriter(kind, options));
+    const TraceWriterOptions& options) {
+  std::unique_ptr<TraceWriter> writer(new TraceWriter(options));
   MEMO_CHECK_OK(writer->WriteHeader());
   return writer;
 }
@@ -52,7 +41,7 @@ Status TraceWriter::WriteHeader() {
   std::string header;
   header.append(kMagic, sizeof(kMagic));
   PutU16(&header, kFormatVersion);
-  PutU16(&header, static_cast<std::uint16_t>(kind_));
+  PutU16(&header, kAllocRequestsKind);
   PutU32(&header, options_.compress ? kFlagCompressed : 0);
   PutU32(&header, static_cast<std::uint32_t>(options_.chunk_records));
   PutU32(&header, 0);
@@ -83,24 +72,9 @@ std::uint32_t TraceWriter::InternString(std::string_view s) {
 }
 
 Status TraceWriter::AppendAlloc(const AllocRecord& record) {
-  MEMO_CHECK(kind_ == TraceKind::kAllocRequests);
   MEMO_CHECK(!finished_);
   MEMO_CHECK_LT(record.name_id, strings_.size());
   EncodeAllocRecord(record, &chunk_);
-  ++chunk_record_count_;
-  ++record_count_;
-  if (chunk_record_count_ >=
-      static_cast<std::uint32_t>(options_.chunk_records)) {
-    return FlushChunk();
-  }
-  return OkStatus();
-}
-
-Status TraceWriter::AppendSim(const SimRecord& record) {
-  MEMO_CHECK(kind_ == TraceKind::kSimTimeline);
-  MEMO_CHECK(!finished_);
-  MEMO_CHECK_LT(record.label_id, strings_.size());
-  EncodeSimRecord(record, &chunk_);
   ++chunk_record_count_;
   ++record_count_;
   if (chunk_record_count_ >=
@@ -116,11 +90,6 @@ void TraceWriter::AddSegment(const SegmentEntry& segment) {
 
 void TraceWriter::AddIteration(const IterationEntry& iteration) {
   iterations_.push_back(iteration);
-}
-
-void TraceWriter::AddStream(std::uint32_t name_id) {
-  MEMO_CHECK_LT(name_id, strings_.size());
-  streams_.push_back(name_id);
 }
 
 Status TraceWriter::FlushChunk() {
@@ -167,24 +136,19 @@ Status TraceWriter::Finish() {
 
   const std::uint64_t aux_offset = bytes_written_;
   std::string aux;
-  if (kind_ == TraceKind::kAllocRequests) {
-    PutU32(&aux, static_cast<std::uint32_t>(segments_.size()));
-    for (const SegmentEntry& s : segments_) {
-      PutU32(&aux, s.name_id);
-      PutU32(&aux, s.begin);
-      PutU32(&aux, s.end);
-      PutU32(&aux, static_cast<std::uint32_t>(s.layer));
-    }
-    PutU32(&aux, static_cast<std::uint32_t>(iterations_.size()));
-    for (const IterationEntry& it : iterations_) {
-      PutU32(&aux, it.req_begin);
-      PutU32(&aux, it.req_end);
-      PutU32(&aux, it.seg_begin);
-      PutU32(&aux, it.seg_end);
-    }
-  } else {
-    PutU32(&aux, static_cast<std::uint32_t>(streams_.size()));
-    for (const std::uint32_t id : streams_) PutU32(&aux, id);
+  PutU32(&aux, static_cast<std::uint32_t>(segments_.size()));
+  for (const SegmentEntry& s : segments_) {
+    PutU32(&aux, s.name_id);
+    PutU32(&aux, s.begin);
+    PutU32(&aux, s.end);
+    PutU32(&aux, static_cast<std::uint32_t>(s.layer));
+  }
+  PutU32(&aux, static_cast<std::uint32_t>(iterations_.size()));
+  for (const IterationEntry& it : iterations_) {
+    PutU32(&aux, it.req_begin);
+    PutU32(&aux, it.req_end);
+    PutU32(&aux, it.seg_begin);
+    PutU32(&aux, it.seg_end);
   }
   MEMO_RETURN_IF_ERROR(Emit(aux));
 
@@ -293,11 +257,10 @@ Status TraceReader::Init() {
                                 std::to_string(version));
   }
   const std::uint16_t kind = GetU16(h + 10);
-  if (kind > static_cast<std::uint16_t>(TraceKind::kSimTimeline)) {
+  if (kind != kAllocRequestsKind) {
     return InvalidArgumentError("unknown trace kind " +
                                 std::to_string(kind));
   }
-  kind_ = static_cast<TraceKind>(kind);
   flags_ = GetU32(h + 12);
   chunk_records_ = GetU32(h + 16);
   if (chunk_records_ == 0) {
@@ -383,65 +346,47 @@ Status TraceReader::LoadAux(std::uint64_t aux_offset) {
     return OkStatus();
   };
 
-  if (kind_ == TraceKind::kAllocRequests) {
-    std::uint32_t seg_count = 0;
-    MEMO_RETURN_IF_ERROR(read_u32(&seg_count));
-    if (static_cast<std::uint64_t>(seg_count) * 16 > size) {
-      return InvalidArgumentError("trace segment table overruns aux");
+  std::uint32_t seg_count = 0;
+  MEMO_RETURN_IF_ERROR(read_u32(&seg_count));
+  if (static_cast<std::uint64_t>(seg_count) * 16 > size) {
+    return InvalidArgumentError("trace segment table overruns aux");
+  }
+  segments_.clear();
+  segments_.reserve(seg_count);
+  for (std::uint32_t i = 0; i < seg_count; ++i) {
+    SegmentEntry s;
+    std::uint32_t layer = 0;
+    MEMO_RETURN_IF_ERROR(read_u32(&s.name_id));
+    MEMO_RETURN_IF_ERROR(read_u32(&s.begin));
+    MEMO_RETURN_IF_ERROR(read_u32(&s.end));
+    MEMO_RETURN_IF_ERROR(read_u32(&layer));
+    s.layer = static_cast<std::int32_t>(layer);
+    if (s.name_id >= strings_.size()) {
+      return InvalidArgumentError("trace segment names unknown string");
     }
-    segments_.clear();
-    segments_.reserve(seg_count);
-    for (std::uint32_t i = 0; i < seg_count; ++i) {
-      SegmentEntry s;
-      std::uint32_t layer = 0;
-      MEMO_RETURN_IF_ERROR(read_u32(&s.name_id));
-      MEMO_RETURN_IF_ERROR(read_u32(&s.begin));
-      MEMO_RETURN_IF_ERROR(read_u32(&s.end));
-      MEMO_RETURN_IF_ERROR(read_u32(&layer));
-      s.layer = static_cast<std::int32_t>(layer);
-      if (s.name_id >= strings_.size()) {
-        return InvalidArgumentError("trace segment names unknown string");
-      }
-      if (s.begin > s.end || s.end > record_count_) {
-        return InvalidArgumentError("trace segment range out of bounds");
-      }
-      segments_.push_back(s);
+    if (s.begin > s.end || s.end > record_count_) {
+      return InvalidArgumentError("trace segment range out of bounds");
     }
-    std::uint32_t iter_count = 0;
-    MEMO_RETURN_IF_ERROR(read_u32(&iter_count));
-    if (static_cast<std::uint64_t>(iter_count) * 16 > size) {
-      return InvalidArgumentError("trace iteration table overruns aux");
+    segments_.push_back(s);
+  }
+  std::uint32_t iter_count = 0;
+  MEMO_RETURN_IF_ERROR(read_u32(&iter_count));
+  if (static_cast<std::uint64_t>(iter_count) * 16 > size) {
+    return InvalidArgumentError("trace iteration table overruns aux");
+  }
+  iterations_.clear();
+  iterations_.reserve(iter_count);
+  for (std::uint32_t i = 0; i < iter_count; ++i) {
+    IterationEntry it;
+    MEMO_RETURN_IF_ERROR(read_u32(&it.req_begin));
+    MEMO_RETURN_IF_ERROR(read_u32(&it.req_end));
+    MEMO_RETURN_IF_ERROR(read_u32(&it.seg_begin));
+    MEMO_RETURN_IF_ERROR(read_u32(&it.seg_end));
+    if (it.req_begin > it.req_end || it.req_end > record_count_ ||
+        it.seg_begin > it.seg_end || it.seg_end > segments_.size()) {
+      return InvalidArgumentError("trace iteration range out of bounds");
     }
-    iterations_.clear();
-    iterations_.reserve(iter_count);
-    for (std::uint32_t i = 0; i < iter_count; ++i) {
-      IterationEntry it;
-      MEMO_RETURN_IF_ERROR(read_u32(&it.req_begin));
-      MEMO_RETURN_IF_ERROR(read_u32(&it.req_end));
-      MEMO_RETURN_IF_ERROR(read_u32(&it.seg_begin));
-      MEMO_RETURN_IF_ERROR(read_u32(&it.seg_end));
-      if (it.req_begin > it.req_end || it.req_end > record_count_ ||
-          it.seg_begin > it.seg_end || it.seg_end > segments_.size()) {
-        return InvalidArgumentError("trace iteration range out of bounds");
-      }
-      iterations_.push_back(it);
-    }
-  } else {
-    std::uint32_t stream_count = 0;
-    MEMO_RETURN_IF_ERROR(read_u32(&stream_count));
-    if (static_cast<std::uint64_t>(stream_count) * 4 > size) {
-      return InvalidArgumentError("trace stream table overruns aux");
-    }
-    streams_.clear();
-    streams_.reserve(stream_count);
-    for (std::uint32_t i = 0; i < stream_count; ++i) {
-      std::uint32_t id = 0;
-      MEMO_RETURN_IF_ERROR(read_u32(&id));
-      if (id >= strings_.size()) {
-        return InvalidArgumentError("trace stream names unknown string");
-      }
-      streams_.push_back(id);
-    }
+    iterations_.push_back(it);
   }
   if (pos != size) {
     return InvalidArgumentError("trailing bytes after trace aux section");
@@ -479,7 +424,6 @@ StatusOr<bool> TraceReader::NextChunk() {
   const std::uint32_t raw_bytes = GetU32(p + 4);
   const std::uint32_t stored_bytes = GetU32(p + 8);
   const std::uint8_t method = p[12];
-  const std::size_t record_size = RecordBytes(kind_);
 
   if (records == 0) {
     return InvalidArgumentError("trace chunk holds zero records");
@@ -487,7 +431,7 @@ StatusOr<bool> TraceReader::NextChunk() {
   if (records > chunk_records_) {
     return InvalidArgumentError("trace chunk exceeds the declared size");
   }
-  if (raw_bytes != records * record_size) {
+  if (raw_bytes != records * kAllocRecordBytes) {
     return InvalidArgumentError("trace chunk raw size is inconsistent");
   }
   if (method != kChunkRaw && method != kChunkLz) {
@@ -526,13 +470,12 @@ StatusOr<bool> TraceReader::NextRecordBytes(const unsigned char** out) {
         "trace chunks carry more records than declared");
   }
   *out = reinterpret_cast<const unsigned char*>(chunk_.data()) + chunk_pos_;
-  chunk_pos_ += RecordBytes(kind_);
+  chunk_pos_ += kAllocRecordBytes;
   ++records_read_;
   return true;
 }
 
 StatusOr<bool> TraceReader::NextAlloc(AllocRecord* out) {
-  MEMO_CHECK(kind_ == TraceKind::kAllocRequests);
   const unsigned char* bytes = nullptr;
   MEMO_ASSIGN_OR_RETURN(const bool more, NextRecordBytes(&bytes));
   if (!more) return false;
@@ -546,21 +489,6 @@ StatusOr<bool> TraceReader::NextAlloc(AllocRecord* out) {
   return true;
 }
 
-StatusOr<bool> TraceReader::NextSim(SimRecord* out) {
-  MEMO_CHECK(kind_ == TraceKind::kSimTimeline);
-  const unsigned char* bytes = nullptr;
-  MEMO_ASSIGN_OR_RETURN(const bool more, NextRecordBytes(&bytes));
-  if (!more) return false;
-  *out = DecodeSimRecord(bytes);
-  if (out->label_id >= strings_.size()) {
-    return InvalidArgumentError("trace record names unknown label");
-  }
-  if (out->stream >= streams_.size()) {
-    return InvalidArgumentError("trace record names unknown stream");
-  }
-  return true;
-}
-
 StatusOr<std::uint64_t> TraceReader::ContentFingerprint() {
   Rewind();
   Fnv1aStream hash;
@@ -569,33 +497,16 @@ StatusOr<std::uint64_t> TraceReader::ContentFingerprint() {
     PutI64(&bytes, v);
     hash.Update(bytes);
   };
-  if (kind_ == TraceKind::kAllocRequests) {
-    AllocRecord r;
-    while (true) {
-      MEMO_ASSIGN_OR_RETURN(const bool more, NextAlloc(&r));
-      if (!more) break;
-      const unsigned char prefix[2] = {r.op, r.flags};
-      hash.Update(prefix, sizeof(prefix));
-      hash.Update(strings_[r.name_id]);
-      hash.Update("\0", 1);
-      hash_i64(r.tensor_id);
-      hash_i64(r.bytes);
-    }
-  } else {
-    SimRecord r;
-    while (true) {
-      MEMO_ASSIGN_OR_RETURN(const bool more, NextSim(&r));
-      if (!more) break;
-      hash.Update(strings_[streams_[r.stream]]);
-      hash.Update("\0", 1);
-      hash.Update(strings_[r.label_id]);
-      hash.Update("\0", 1);
-      std::string bytes;
-      PutDouble(&bytes, r.start_s);
-      PutDouble(&bytes, r.end_s);
-      PutDouble(&bytes, r.stall_s);
-      hash.Update(bytes);
-    }
+  AllocRecord r;
+  while (true) {
+    MEMO_ASSIGN_OR_RETURN(const bool more, NextAlloc(&r));
+    if (!more) break;
+    const unsigned char prefix[2] = {r.op, r.flags};
+    hash.Update(prefix, sizeof(prefix));
+    hash.Update(strings_[r.name_id]);
+    hash.Update("\0", 1);
+    hash_i64(r.tensor_id);
+    hash_i64(r.bytes);
   }
   Rewind();
   return hash.digest();

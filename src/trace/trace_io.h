@@ -37,32 +37,26 @@ class TraceWriter {
  public:
   /// File-backed writer; the file is created/truncated immediately.
   static StatusOr<std::unique_ptr<TraceWriter>> Create(
-      const std::string& path, TraceKind kind,
-      const TraceWriterOptions& options = {});
+      const std::string& path, const TraceWriterOptions& options = {});
 
   /// In-memory writer; the encoded bytes are in buffer() after Finish().
   static std::unique_ptr<TraceWriter> CreateInMemory(
-      TraceKind kind, const TraceWriterOptions& options = {});
+      const TraceWriterOptions& options = {});
 
   ~TraceWriter();
 
   TraceWriter(const TraceWriter&) = delete;
   TraceWriter& operator=(const TraceWriter&) = delete;
 
-  TraceKind kind() const { return kind_; }
-
   /// Interns `s`, returning its stable dictionary id (first-come order).
   std::uint32_t InternString(std::string_view s);
 
-  /// Appends one record. The record's name/label id must come from
-  /// InternString. Appending the wrong record type for the kind aborts.
+  /// Appends one record. The record's name id must come from InternString.
   Status AppendAlloc(const AllocRecord& record);
-  Status AppendSim(const SimRecord& record);
 
   // Aux metadata (written at Finish; order is preserved).
   void AddSegment(const SegmentEntry& segment);
   void AddIteration(const IterationEntry& iteration);
-  void AddStream(std::uint32_t name_id);
 
   /// Flushes the trailing partial chunk, writes dictionary + aux + footer
   /// and closes the sink. Must be called exactly once.
@@ -74,13 +68,12 @@ class TraceWriter {
   std::uint64_t record_count() const { return record_count_; }
 
  private:
-  TraceWriter(TraceKind kind, const TraceWriterOptions& options);
+  explicit TraceWriter(const TraceWriterOptions& options);
 
   Status Emit(std::string_view bytes);
   Status FlushChunk();
   Status WriteHeader();
 
-  TraceKind kind_;
   TraceWriterOptions options_;
   std::FILE* file_ = nullptr;  // nullptr => in-memory
   std::string memory_;
@@ -97,14 +90,13 @@ class TraceWriter {
   std::unordered_map<std::string, std::uint32_t> string_ids_;
   std::vector<SegmentEntry> segments_;
   std::vector<IterationEntry> iterations_;
-  std::vector<std::uint32_t> streams_;
 };
 
 /// Streaming reader. Open() validates the envelope up front — magic,
 /// version, kind, section offsets, the FNV-1a trailer checksum (verified
 /// with one buffered pass over the file) — and loads the small dictionary
 /// and aux sections. Records are then decoded chunk by chunk through
-/// NextAlloc/NextSim, holding one decompressed chunk in memory at a time.
+/// NextAlloc, holding one decompressed chunk in memory at a time.
 /// Every field of a corrupt or truncated file fails with a Status; the
 /// reader never crashes or reads out of bounds (fuzz-tested contract).
 class TraceReader {
@@ -118,7 +110,6 @@ class TraceReader {
   TraceReader(const TraceReader&) = delete;
   TraceReader& operator=(const TraceReader&) = delete;
 
-  TraceKind kind() const { return kind_; }
   std::uint32_t flags() const { return flags_; }
   std::uint64_t record_count() const { return record_count_; }
   std::uint64_t chunk_count() const { return chunk_count_; }
@@ -129,17 +120,14 @@ class TraceReader {
   const std::vector<IterationEntry>& iterations() const {
     return iterations_;
   }
-  /// Stream name ids (sim traces), in stream-index order.
-  const std::vector<std::uint32_t>& streams() const { return streams_; }
 
   /// Resolves a dictionary id (records are validated on decode, so ids
   /// taken from Next* results are always in range).
   const std::string& String(std::uint32_t id) const { return strings_[id]; }
 
   /// Streams the next record: true with *out filled, false at end of
-  /// trace, or a Status on a malformed chunk/record. Must match kind().
+  /// trace, or a Status on a malformed chunk/record.
   StatusOr<bool> NextAlloc(AllocRecord* out);
-  StatusOr<bool> NextSim(SimRecord* out);
 
   /// Restarts record streaming from the first chunk.
   void Rewind();
@@ -167,7 +155,6 @@ class TraceReader {
   std::string memory_;
   std::uint64_t file_size_ = 0;
 
-  TraceKind kind_ = TraceKind::kAllocRequests;
   std::uint32_t flags_ = 0;
   std::uint32_t chunk_records_ = 0;
   std::uint64_t record_count_ = 0;
@@ -177,7 +164,6 @@ class TraceReader {
   std::vector<std::string> strings_;
   std::vector<SegmentEntry> segments_;
   std::vector<IterationEntry> iterations_;
-  std::vector<std::uint32_t> streams_;
 
   // Streaming cursor.
   std::uint64_t next_chunk_offset_ = 0;

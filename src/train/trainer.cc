@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "common/fingerprint.h"
+#include "common/table_printer.h"
 #include "train/checkpoint.h"
 #include "train/kernels/kernels.h"
 #include "train/tensor_arena.h"
@@ -59,6 +60,57 @@ double LrSchedule::Multiplier(int iter, int total) const {
       (progress - warmup_fraction) / std::max(1e-12, 1.0 - warmup_fraction);
   const double cosine = 0.5 * (1.0 + std::cos(M_PI * decay_progress));
   return min_lr_fraction + (1.0 - min_lr_fraction) * cosine;
+}
+
+Status TrainRunOptions::Validate() const {
+  // Model fields are named as in MiniGptConfig, backend fields as in
+  // BackendOptions.
+  const offload::BackendOptions& b = backend;
+  const struct {
+    bool ok;
+    const char* field;
+    const char* domain;
+    double got;
+  } rules[] = {
+      {model.layers >= 1, "layers", "at least 1", 1.0 * model.layers},
+      {model.hidden >= 1, "hidden", "at least 1", 1.0 * model.hidden},
+      {model.heads >= 1, "heads", "at least 1", 1.0 * model.heads},
+      // Checked after heads >= 1, so the modulo never divides by zero.
+      {model.heads < 1 || model.hidden % model.heads == 0, "heads",
+       "a divisor of hidden", 1.0 * model.heads},
+      {model.ffn >= 1, "ffn", "at least 1", 1.0 * model.ffn},
+      {model.vocab >= 1, "vocab", "at least 1", 1.0 * model.vocab},
+      {model.seq >= 1, "seq", "at least 1", 1.0 * model.seq},
+      {iterations >= 1, "iterations", "at least 1", 1.0 * iterations},
+      {batch >= 1, "batch", "at least 1", 1.0 * batch},
+      // A NaN fails every comparison, so the range tests reject it.
+      {std::isfinite(alpha) && alpha >= 0.0 && alpha <= 1.0, "alpha",
+       "in [0, 1]", alpha},
+      {grad_clip >= 0.0, "grad_clip", "at least 0 (0 = no clipping)",
+       grad_clip},
+      {data_fidelity >= 0.0 && data_fidelity <= 1.0, "data_fidelity",
+       "in [0, 1]", data_fidelity},
+      {checkpoint_every >= 0, "checkpoint_every",
+       "at least 0 (0 = no periodic saves)", 1.0 * checkpoint_every},
+      {b.ram_capacity_bytes >= 0, "ram_capacity_bytes",
+       "at least 0 (0 = unlimited)", static_cast<double>(b.ram_capacity_bytes)},
+      {b.disk.bytes_per_second >= 0.0, "disk.bytes_per_second",
+       "at least 0 (0 = unthrottled)", b.disk.bytes_per_second},
+      {b.disk.page_bytes > 0, "disk.page_bytes", "positive",
+       static_cast<double>(b.disk.page_bytes)},
+  };
+  for (const auto& rule : rules) {
+    if (!rule.ok) {
+      return InvalidArgumentError(StrFormat("%s must be %s (got %.10g)",
+                                            rule.field, rule.domain,
+                                            rule.got));
+    }
+  }
+  if ((checkpoint_every > 0 || resume) && checkpoint_dir.empty()) {
+    return InvalidArgumentError(
+        "resume and checkpoint_every require checkpoint_dir");
+  }
+  return OkStatus();
 }
 
 namespace {
@@ -154,7 +206,6 @@ Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
 /// RunTraining's body: every tensor, the arena slab and the stash of the
 /// run live in this scope.
 TrainRunResult TrainInScope(const TrainRunOptions& options) {
-  MEMO_CHECK_GE(options.batch, 1);
   const auto run_start = std::chrono::steady_clock::now();
   MEMO_TRACE_SCOPE("train_run", "train");
   static obs::MetricCounter* iterations_counter =
@@ -333,6 +384,11 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
 }  // namespace
 
 TrainRunResult RunTraining(const TrainRunOptions& options) {
+  if (Status valid = options.Validate(); !valid.ok()) {
+    TrainRunResult rejected;
+    rejected.status = std::move(valid);
+    return rejected;
+  }
   TrainRunResult result = TrainInScope(options);
 #ifdef __GLIBC__
   // The first (measuring) step serves every step temporary from the heap

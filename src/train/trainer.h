@@ -94,6 +94,11 @@ struct TrainRunOptions {
   /// offsets out of one slab — zero per-iteration heap allocations (the
   /// arena_* result fields report this). Numerics are unaffected.
   bool use_arena = true;
+
+  /// OK when every field is in its domain; otherwise INVALID_ARGUMENT whose
+  /// message starts with the offending field's name, e.g. "heads must be a
+  /// divisor of hidden (got 3)". RunTraining rejects what this rejects.
+  Status Validate() const;
 };
 
 struct TrainRunResult {
@@ -139,6 +144,8 @@ struct TrainRunResult {
 /// seed but different activation policies / alphas see exactly the same
 /// weights and data stream, so their loss curves are comparable point by
 /// point — and, because token-wise recomputation is bit-exact, identical.
+/// Options that fail Validate() come back as result.status before any
+/// model is built.
 TrainRunResult RunTraining(const TrainRunOptions& options);
 
 }  // namespace memo::train

@@ -3,7 +3,9 @@
 // observable form of the paper's compute/transfer overlap), the metrics
 // counters must agree with the backends' own TierStats accounting, tracing
 // must not perturb the numerics, and an injected disk fault must surface as
-// a clean Status plus a trace instant — never a crash.
+// a clean Status plus a trace instant — never a crash. The simulator's
+// schedule leaves the process the same way: the MEMO executor mirrors its
+// streams onto the recorder's sim:<stream> lanes.
 
 #include <algorithm>
 #include <map>
@@ -15,6 +17,7 @@
 
 #include "common/fault_injector.h"
 #include "common/units.h"
+#include "core/memo_executor.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "offload/disk_backend.h"
@@ -179,6 +182,38 @@ TEST_F(ObsIntegrationTest, TracingDoesNotPerturbTheLossCurve) {
   for (std::size_t i = 0; i < off.losses.size(); ++i) {
     EXPECT_EQ(off.losses[i], on.losses[i]) << "iteration " << i;
   }
+}
+
+TEST_F(ObsIntegrationTest, MemoExecutorMirrorsItsScheduleOntoSimLanes) {
+  parallel::ParallelStrategy strategy;
+  strategy.tp = 4;
+  strategy.cp = 2;
+  obs::TraceRecorder::Global().Enable();
+  const auto run = core::RunMemoIteration(
+      core::Workload{model::Gpt7B(), 256 * kSeqK}, strategy,
+      hw::PaperCluster(8));
+  obs::TraceRecorder::Global().Disable();
+  ASSERT_TRUE(run.ok()) << run.status();
+
+  std::map<int, std::string> lanes;
+  for (const auto& [lane, name] :
+       obs::TraceRecorder::Global().synthetic_lanes()) {
+    lanes[lane] = name;
+  }
+  std::map<std::string, std::map<std::string, int>> ops_per_lane;
+  for (const obs::TaggedTraceEvent& tagged :
+       obs::TraceRecorder::Global().Snapshot()) {
+    const obs::TraceEvent& e = tagged.event;
+    if (e.phase != 'X' || std::string(e.category) != "sim") continue;
+    ASSERT_EQ(lanes.count(e.tid_override), 1u) << e.effective_name();
+    ASSERT_NE(e.arg_name, nullptr) << e.effective_name();
+    EXPECT_STREQ(e.arg_name, "stall_us");
+    ++ops_per_lane[lanes[e.tid_override]][e.effective_name()];
+  }
+  EXPECT_GT(ops_per_lane["sim:compute"]["layer_fwd"], 0);
+  EXPECT_GT(ops_per_lane["sim:compute"]["layer_bwd"], 0);
+  EXPECT_GT(ops_per_lane["sim:offload"]["offload"], 0);
+  EXPECT_GT(ops_per_lane["sim:prefetch"]["prefetch"], 0);
 }
 
 #endif  // !MEMO_OBS_DISABLE_TRACING

@@ -1,8 +1,8 @@
 // PlanCache contracts: LRU eviction order under the byte budget,
 // single-flight coalescing (N concurrent identical requests -> exactly one
 // compute), bit-identity of cached payloads, and stats accounting. The
-// concurrency sections also run under the tsan preset (tools/
-// tsan_check.cmake), which is where the lock discipline is actually
+// concurrency sections also run in the tsan leg (tools/
+// sanitizer_check.cmake), which is where the lock discipline is actually
 // exercised.
 
 #include "serve/plan_cache.h"

@@ -831,17 +831,21 @@ TEST(SnapshotTest, CorruptSnapshotsAreRejectedAndTheCacheStaysCold) {
   std::string truncated = bytes.substr(0, bytes.size() - 9);
   std::string bad_magic = bytes;
   bad_magic[0] = 'X';
-  // An intact snapshot of an older format version holds keys no request
-  // fingerprints to any more: it is refused too, so the service starts cold.
-  std::string old_version = bytes.substr(0, bytes.size() - 8);
-  old_version[8] = 1;  // little-endian u32 version after the 8-byte magic
-  const std::uint64_t sum =
-      memo::Fnv1a64(old_version.data(), old_version.size());
-  for (int i = 0; i < 8; ++i) {
-    old_version.push_back(static_cast<char>(sum >> (8 * i)));
+  // An intact snapshot of an older format version is refused too, so the
+  // service starts cold: v1 holds keys no request fingerprints to any more,
+  // and v2 payloads carry a "degraded" field no cold solve produces now.
+  std::vector<std::string> variants = {flipped, truncated, bad_magic};
+  for (const char version : {1, 2}) {
+    std::string old_version = bytes.substr(0, bytes.size() - 8);
+    old_version[8] = version;  // little-endian u32 after the 8-byte magic
+    const std::uint64_t sum =
+        memo::Fnv1a64(old_version.data(), old_version.size());
+    for (int i = 0; i < 8; ++i) {
+      old_version.push_back(static_cast<char>(sum >> (8 * i)));
+    }
+    variants.push_back(old_version);
   }
-  for (const std::string& variant :
-       {flipped, truncated, bad_magic, old_version}) {
+  for (const std::string& variant : variants) {
     write_variant(variant);
     PlanServer warm;
     const auto loaded = memo::serve::LoadCacheSnapshot(path, &warm.cache());

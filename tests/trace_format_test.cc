@@ -1,9 +1,9 @@
 // Round-trip and golden-fixture tests for the compact binary trace format:
-// writer -> reader must be lossless for both trace kinds, with and without
-// chunk compression; re-encoding a decoded trace must reproduce the file
-// bit-for-bit (canonical encoding); checked-in fixtures pin the on-disk
-// bytes so any accidental format change fails loudly; and the compact form
-// must stay >= 5x smaller than the verbose JSON equivalent.
+// writer -> reader must be lossless, with and without chunk compression;
+// re-encoding a decoded trace must reproduce the file bit-for-bit
+// (canonical encoding); checked-in fixtures pin the on-disk bytes so any
+// accidental format change fails loudly; and the compact form must stay
+// >= 5x smaller than the verbose JSON equivalent.
 
 #include <gtest/gtest.h>
 
@@ -47,41 +47,10 @@ model::WorkloadTrace FixtureWorkload() {
   return model::GenerateVariableLengthWorkload(SmallConfig(), base, gen);
 }
 
-/// The deterministic sim timeline behind the sim fixtures.
-SimTimeline FixtureTimeline() {
-  SimTimeline timeline;
-  timeline.stream_names = {"compute", "offload", "fetch"};
-  for (int i = 0; i < 200; ++i) {
-    sim::OpRecord op;
-    op.stream = i % 3;
-    // Labels shaped like real op names: long, repetitive, drawn from a
-    // small set — the dictionary stores each once, JSON repeats them all.
-    op.label = (i % 3 == 0   ? "compute:flash_attention_fwd_layer_"
-                : i % 3 == 1 ? "offload:d2h_skeletal_activation_chunk_"
-                             : "fetch:h2d_prefetch_activation_chunk_") +
-               std::to_string(i % 7);
-    op.start_s = 0.001 * i;
-    op.end_s = 0.001 * i + 0.0005;
-    op.stall_s = (i % 5 == 0) ? 0.0001 : 0.0;
-    timeline.ops.push_back(op);
-  }
-  return timeline;
-}
-
 std::string EncodeWorkload(const model::WorkloadTrace& workload,
                            const TraceWriterOptions& options) {
-  auto writer = TraceWriter::CreateInMemory(TraceKind::kAllocRequests,
-                                            options);
+  auto writer = TraceWriter::CreateInMemory(options);
   EXPECT_TRUE(WriteWorkload(workload, writer.get()).ok());
-  EXPECT_TRUE(writer->Finish().ok());
-  return writer->buffer();
-}
-
-std::string EncodeTimeline(const SimTimeline& timeline,
-                           const TraceWriterOptions& options) {
-  auto writer = TraceWriter::CreateInMemory(TraceKind::kSimTimeline,
-                                            options);
-  EXPECT_TRUE(WriteSimTimeline(timeline, writer.get()).ok());
   EXPECT_TRUE(writer->Finish().ok());
   return writer->buffer();
 }
@@ -118,35 +87,11 @@ TEST(TraceFormatTest, AllocRoundTripCompressedAndRaw) {
     const std::string encoded = EncodeWorkload(workload, options);
     auto reader = TraceReader::OpenBuffer(encoded);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ((*reader)->kind(), TraceKind::kAllocRequests);
     auto decoded = ReadWorkload(reader->get());
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectWorkloadsEqual(workload, decoded.value());
     for (const model::ModelTrace& it : decoded->iterations) {
       EXPECT_TRUE(it.Validate().ok());
-    }
-  }
-}
-
-TEST(TraceFormatTest, SimRoundTripCompressedAndRaw) {
-  const SimTimeline timeline = FixtureTimeline();
-  for (const bool compress : {true, false}) {
-    TraceWriterOptions options;
-    options.compress = compress;
-    const std::string encoded = EncodeTimeline(timeline, options);
-    auto reader = TraceReader::OpenBuffer(encoded);
-    ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    auto decoded = ReadSimTimeline(reader->get());
-    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-    ASSERT_EQ(decoded->stream_names, timeline.stream_names);
-    ASSERT_EQ(decoded->ops.size(), timeline.ops.size());
-    for (std::size_t i = 0; i < timeline.ops.size(); ++i) {
-      EXPECT_EQ(decoded->ops[i].stream, timeline.ops[i].stream);
-      EXPECT_EQ(decoded->ops[i].label, timeline.ops[i].label);
-      // Doubles travel as bit patterns: exact equality is the contract.
-      EXPECT_EQ(decoded->ops[i].start_s, timeline.ops[i].start_s);
-      EXPECT_EQ(decoded->ops[i].end_s, timeline.ops[i].end_s);
-      EXPECT_EQ(decoded->ops[i].stall_s, timeline.ops[i].stall_s);
     }
   }
 }
@@ -216,13 +161,6 @@ TEST(TraceFormatTest, CompressedBinaryIsAtLeastFiveTimesSmallerThanJson) {
   const std::string json = WorkloadToJson(workload);
   EXPECT_GE(json.size(), 5 * binary.size())
       << "binary " << binary.size() << " bytes vs JSON " << json.size();
-
-  const SimTimeline timeline = FixtureTimeline();
-  const std::string sim_binary = EncodeTimeline(timeline, {});
-  const std::string chrome = SimTimelineToChromeJson(timeline);
-  EXPECT_GE(chrome.size(), 5 * sim_binary.size())
-      << "binary " << sim_binary.size() << " bytes vs Chrome JSON "
-      << chrome.size();
 }
 
 TEST(TraceFormatTest, FileAndBufferPathsAgree) {
@@ -234,32 +172,6 @@ TEST(TraceFormatTest, FileAndBufferPathsAgree) {
   ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
   ExpectWorkloadsEqual(workload, from_file.value());
   std::remove(path.c_str());
-}
-
-TEST(TraceFormatTest, RecorderTimelineRoundTripsMirroredSimEvents) {
-  obs::TraceRecorder& recorder = obs::TraceRecorder::Global();
-  recorder.Clear();
-  recorder.Enable();
-  recorder.NameSyntheticLane(1000, "sim:compute");
-  recorder.NameSyntheticLane(1001, "sim:offload");
-  recorder.Complete("gemm", "sim", 1000, 10.0, 5.0, "stall_us", 2);
-  recorder.Complete("d2h", "sim", 1001, 12.0, 3.0);
-  recorder.Disable();
-
-  const SimTimeline timeline = RecorderTimeline(recorder);
-  recorder.Clear();
-  ASSERT_EQ(timeline.stream_names.size(), 2u);
-  EXPECT_EQ(timeline.stream_names[0], "sim:compute");
-  ASSERT_EQ(timeline.ops.size(), 2u);
-  EXPECT_EQ(timeline.ops[0].label, "gemm");
-  EXPECT_DOUBLE_EQ(timeline.ops[0].start_s, 10.0 * 1e-6);
-
-  const std::string encoded = EncodeTimeline(timeline, {});
-  auto reader = TraceReader::OpenBuffer(encoded);
-  ASSERT_TRUE(reader.ok());
-  auto decoded = ReadSimTimeline(reader->get());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded->ops.size(), 2u);
 }
 
 // ---- LZ codec properties ----
@@ -304,15 +216,12 @@ TEST(TraceCompressTest, CompressesFixedWidthRecordsWell) {
 
 struct GoldenFixture {
   const char* file;
-  TraceKind kind;
   bool compress;
 };
 
 const GoldenFixture kFixtures[] = {
-    {"alloc_small.memotrc", TraceKind::kAllocRequests, true},
-    {"alloc_small_raw.memotrc", TraceKind::kAllocRequests, false},
-    {"sim_small.memotrc", TraceKind::kSimTimeline, true},
-    {"sim_small_raw.memotrc", TraceKind::kSimTimeline, false},
+    {"alloc_small.memotrc", true},
+    {"alloc_small_raw.memotrc", false},
 };
 
 std::string FixturePath(const char* file) {
@@ -322,9 +231,7 @@ std::string FixturePath(const char* file) {
 std::string EncodeFixture(const GoldenFixture& fixture) {
   TraceWriterOptions options;
   options.compress = fixture.compress;
-  return fixture.kind == TraceKind::kAllocRequests
-             ? EncodeWorkload(FixtureWorkload(), options)
-             : EncodeTimeline(FixtureTimeline(), options);
+  return EncodeWorkload(FixtureWorkload(), options);
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -363,8 +270,7 @@ TEST(TraceGoldenTest, FixturesMatchFreshEncodingBitForBit) {
 }
 
 TEST(TraceGoldenTest, FixturesDecodeAndFingerprintConsistently) {
-  std::uint64_t alloc_fp = 0;
-  std::uint64_t sim_fp = 0;
+  std::uint64_t expected = 0;
   for (const GoldenFixture& fixture : kFixtures) {
     const std::string path = FixturePath(fixture.file);
     if (ReadFileBytes(path).empty()) {
@@ -372,11 +278,8 @@ TEST(TraceGoldenTest, FixturesDecodeAndFingerprintConsistently) {
     }
     auto reader = TraceReader::Open(path);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    EXPECT_EQ((*reader)->kind(), fixture.kind);
     auto fp = (*reader)->ContentFingerprint();
     ASSERT_TRUE(fp.ok());
-    std::uint64_t& expected =
-        fixture.kind == TraceKind::kAllocRequests ? alloc_fp : sim_fp;
     if (expected == 0) {
       expected = fp.value();
     } else {

@@ -309,30 +309,6 @@ TEST(DiffTraceFilesTest, DifferentSeedsCompareUnequal) {
   std::remove(path_b.c_str());
 }
 
-TEST(DiffTraceFilesTest, KindMismatchShortCircuits) {
-  const std::string path_a = ::testing::TempDir() + "diff_e.memotrc";
-  const std::string path_b = ::testing::TempDir() + "diff_f.memotrc";
-  ASSERT_TRUE(WriteWorkloadFile(
-                  model::GenerateVariableLengthWorkload(
-                      SmallConfig(), BaseOptions(), SmallGen(44)),
-                  path_a)
-                  .ok());
-  SimTimeline timeline;
-  timeline.stream_names = {"s"};
-  sim::OpRecord op;
-  op.label = "x";
-  op.end_s = 1.0;
-  timeline.ops.push_back(op);
-  ASSERT_TRUE(WriteSimTimelineFile(timeline, path_b).ok());
-  auto diff = DiffTraceFiles(path_a, path_b);
-  ASSERT_TRUE(diff.ok());
-  EXPECT_FALSE(diff->equal);
-  ASSERT_EQ(diff->differences.size(), 1u);
-  EXPECT_NE(diff->differences[0].find("kind"), std::string::npos);
-  std::remove(path_a.c_str());
-  std::remove(path_b.c_str());
-}
-
 // ---- Plan fingerprint ----
 
 TEST(PlanFingerprintTest, StableForEqualPlansSensitiveToChanges) {

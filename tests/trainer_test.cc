@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <functional>
+#include <string>
+
 #include "train/trainer.h"
 
 namespace memo::train {
@@ -241,6 +245,54 @@ TEST(TrainerTest, DeterministicAcrossRuns) {
   const TrainRunResult a = RunTraining(BaseRun());
   const TrainRunResult b = RunTraining(BaseRun());
   EXPECT_EQ(a.losses, b.losses);
+}
+
+TEST(TrainerTest, ValidateRejectsEachOutOfDomainFieldBeforeTraining) {
+  ASSERT_TRUE(BaseRun().Validate().ok());
+  const struct {
+    const char* prefix;  // the message starts with the field's name
+    std::function<void(TrainRunOptions*)> mutate;
+  } legs[] = {
+      {"layers ", [](TrainRunOptions* o) { o->model.layers = 0; }},
+      {"hidden ", [](TrainRunOptions* o) { o->model.hidden = 0; }},
+      {"heads must be at least 1",
+       [](TrainRunOptions* o) { o->model.heads = 0; }},
+      {"heads must be a divisor of hidden",
+       [](TrainRunOptions* o) { o->model.heads = 3; }},
+      {"ffn ", [](TrainRunOptions* o) { o->model.ffn = 0; }},
+      {"vocab ", [](TrainRunOptions* o) { o->model.vocab = 0; }},
+      {"seq ", [](TrainRunOptions* o) { o->model.seq = 0; }},
+      {"iterations ", [](TrainRunOptions* o) { o->iterations = 0; }},
+      {"batch ", [](TrainRunOptions* o) { o->batch = 0; }},
+      {"alpha ", [](TrainRunOptions* o) { o->alpha = 2.0; }},
+      {"alpha ", [](TrainRunOptions* o) { o->alpha = std::nan(""); }},
+      {"grad_clip ", [](TrainRunOptions* o) { o->grad_clip = -1.0; }},
+      {"data_fidelity ", [](TrainRunOptions* o) { o->data_fidelity = 1.5; }},
+      {"checkpoint_every ",
+       [](TrainRunOptions* o) { o->checkpoint_every = -1; }},
+      {"resume and checkpoint_every require checkpoint_dir",
+       [](TrainRunOptions* o) { o->checkpoint_every = 2; }},
+      {"resume and checkpoint_every require checkpoint_dir",
+       [](TrainRunOptions* o) { o->resume = true; }},
+      {"ram_capacity_bytes ",
+       [](TrainRunOptions* o) { o->backend.ram_capacity_bytes = -1; }},
+      {"disk.bytes_per_second ",
+       [](TrainRunOptions* o) { o->backend.disk.bytes_per_second = -1.0; }},
+      {"disk.page_bytes ",
+       [](TrainRunOptions* o) { o->backend.disk.page_bytes = 0; }},
+  };
+  for (const auto& leg : legs) {
+    TrainRunOptions options = BaseRun();
+    leg.mutate(&options);
+    const Status valid = options.Validate();
+    EXPECT_EQ(valid.code(), StatusCode::kInvalidArgument) << leg.prefix;
+    EXPECT_EQ(valid.message().rfind(leg.prefix, 0), 0u)
+        << leg.prefix << " vs " << valid.message();
+    // RunTraining hands back the same rejection and trains nothing.
+    const TrainRunResult run = RunTraining(options);
+    EXPECT_EQ(run.status.message(), valid.message());
+    EXPECT_TRUE(run.losses.empty()) << leg.prefix;
+  }
 }
 
 TEST(SyntheticDataTest, FollowsPermutationMostly) {

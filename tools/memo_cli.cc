@@ -2,7 +2,6 @@
 //
 //   memo_cli run    --model 7B --seq 1024K --gpus 8 [--system memo]
 //                   [--tp N --cp N --pp N --dp N --sp N] [--alpha X]
-//                   [--timeline out.json]
 //   memo_cli plan   --model 7B --seq 512K --gpus 8 --tp 4 --cp 2
 //                   [--out plan.txt]
 //   memo_cli maxseq --model 7B --gpus 8 [--system memo] [--step 128K]
@@ -25,6 +24,7 @@
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -288,6 +288,29 @@ memo::serve::PlanRequestFields RequestFields(const Flags& flags,
   return fields;
 }
 
+/// Exits 2 with a Validate() rejection spelled in flags: the message starts
+/// with the field name (host_gib is --host-gib), and any other snake_case
+/// field name in it becomes its flag too.
+[[noreturn]] void ExitNamingTheFlag(const memo::Status& rejected) {
+  std::istringstream words(rejected.message());
+  std::string out;
+  std::string word;
+  while (words >> word) {
+    const bool field_name =
+        word.find('_') != std::string::npos &&
+        word.find_first_not_of("abcdefghijklmnopqrstuvwxyz_") ==
+            std::string::npos;
+    if (out.empty() || field_name) {
+      std::replace(word.begin(), word.end(), '_', '-');
+      word = "--" + word;
+    }
+    out += (out.empty() ? "" : " ") + word;
+  }
+  std::fprintf(stderr, "%s\n", out.c_str());
+  Usage();
+  std::exit(2);
+}
+
 /// Reads the flags with the protocol's own request reader, so the CLI and
 /// a `serve` instance build the same request, fingerprint included. A
 /// rejected field exits 2 naming its flag, like any other malformed flag.
@@ -295,15 +318,8 @@ memo::core::PlanRequest ReadPlanRequest(const Flags& flags,
                                         const char* kind) {
   auto request =
       memo::serve::ParsePlanRequestFields(RequestFields(flags, kind));
-  if (request.ok()) return *request;
-  // The message starts with the field name; print it as the flag.
-  std::string message = request.status().message();
-  std::replace(message.begin(),
-               message.begin() + std::min(message.find(' '), message.size()),
-               '_', '-');
-  std::fprintf(stderr, "--%s\n", message.c_str());
-  Usage();
-  std::exit(2);
+  if (!request.ok()) ExitNamingTheFlag(request.status());
+  return *request;
 }
 
 memo::StatusOr<memo::core::JobProfile> ProfileRequest(
@@ -319,15 +335,14 @@ void PrintResult(const IterationResult& it, const memo::model::ModelConfig& m) {
 
 int CmdRun(const Flags& flags) {
   ObsOutputs obs(flags);
-  // Explicit degrees make this a strategy query; otherwise auto-tune. The
-  // timeline path rides outside the request identity.
+  // Explicit degrees make this a strategy query; otherwise auto-tune.
   const bool explicit_strategy = flags.Has("tp") || flags.Has("cp") ||
                                  flags.Has("pp") || flags.Has("dp") ||
                                  flags.Has("sp");
   const memo::core::PlanRequest request =
       ReadPlanRequest(flags, explicit_strategy ? "strategy" : "best");
-  const memo::core::PlanResult run = memo::core::ExecutePlanRequest(
-      request, memo::core::PlanExecOptions{flags.Get("timeline", "")});
+  const memo::core::PlanResult run =
+      memo::core::ExecutePlanRequest(request);
   if (!run.status.ok()) {
     if (explicit_strategy) {
       std::fprintf(stderr, "%s\n", run.status.ToString().c_str());
@@ -456,18 +471,10 @@ int CmdTrain(const Flags& flags) {
   // and validated up front, so a long run cannot die at its first save.
   options.checkpoint_dir = flags.Get("checkpoint-dir", "");
   options.checkpoint_every = flags.GetInt("checkpoint-every", 0);
+  RequirePositiveIfSet(flags, "checkpoint-every");
   options.resume = flags.GetInt("resume", 0) != 0;
-  if (flags.Has("checkpoint-every") && options.checkpoint_every <= 0) {
-    std::fprintf(stderr, "--checkpoint-every must be a positive number "
-                         "of iterations (got \"%s\")\n",
-                 flags.Get("checkpoint-every", "").c_str());
-    return 2;
-  }
-  if ((options.checkpoint_every > 0 || options.resume) &&
-      options.checkpoint_dir.empty()) {
-    std::fprintf(stderr,
-                 "--checkpoint-every/--resume require --checkpoint-dir\n");
-    return 2;
+  if (memo::Status valid = options.Validate(); !valid.ok()) {
+    ExitNamingTheFlag(valid);
   }
   if (!options.checkpoint_dir.empty()) {
     struct stat st;
@@ -894,22 +901,19 @@ int CmdTraceInfo(const Flags& flags) {
   const auto& r = **reader;
   if (flags.GetInt("json", 0) != 0) {
     std::printf(
-        "{\"kind\":\"%s\",\"records\":%llu,\"chunks\":%llu,"
+        "{\"records\":%llu,\"chunks\":%llu,"
         "\"file_bytes\":%llu,\"compressed\":%s,\"strings\":%zu,"
-        "\"segments\":%zu,\"iterations\":%zu,\"streams\":%zu,"
+        "\"segments\":%zu,\"iterations\":%zu,"
         "\"content_fingerprint\":\"%llx\"}\n",
-        memo::trace::TraceKindToString(r.kind()),
         static_cast<unsigned long long>(r.record_count()),
         static_cast<unsigned long long>(r.chunk_count()),
         static_cast<unsigned long long>(r.file_bytes()),
         (r.flags() & memo::trace::kFlagCompressed) != 0 ? "true" : "false",
         r.strings().size(), r.segments().size(), r.iterations().size(),
-        r.streams().size(),
         static_cast<unsigned long long>(fingerprint.value()));
     return 0;
   }
   memo::TablePrinter table({"field", "value"});
-  table.AddRow({"kind", memo::trace::TraceKindToString(r.kind())});
   table.AddRow({"records", std::to_string(r.record_count())});
   table.AddRow({"chunks", std::to_string(r.chunk_count())});
   table.AddRow({"file bytes", std::to_string(r.file_bytes())});
@@ -919,7 +923,6 @@ int CmdTraceInfo(const Flags& flags) {
   table.AddRow({"dictionary strings", std::to_string(r.strings().size())});
   table.AddRow({"segments", std::to_string(r.segments().size())});
   table.AddRow({"iterations", std::to_string(r.iterations().size())});
-  table.AddRow({"streams", std::to_string(r.streams().size())});
   char fp[32];
   std::snprintf(fp, sizeof(fp), "%llx",
                 static_cast<unsigned long long>(fingerprint.value()));
@@ -944,29 +947,22 @@ int CmdTraceConvert(const Flags& flags) {
     return 1;
   }
 
-  std::string payload;
-  memo::Status status = memo::OkStatus();
+  if (to != "json" && to != "binary") {
+    std::fprintf(stderr, "--to must be json or binary (got \"%s\")\n",
+                 to.c_str());
+    return 2;
+  }
+  auto workload = memo::trace::ReadWorkload(reader->get());
+  if (!workload.ok()) {
+    std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
+    return 1;
+  }
   if (to == "binary") {
     // Re-encode (e.g. to toggle compression with --raw).
     memo::trace::TraceWriterOptions writer_options;
     writer_options.compress = flags.GetInt("raw", 0) == 0;
-    if ((*reader)->kind() == memo::trace::TraceKind::kAllocRequests) {
-      auto workload = memo::trace::ReadWorkload(reader->get());
-      if (!workload.ok()) {
-        std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
-        return 1;
-      }
-      status = memo::trace::WriteWorkloadFile(workload.value(), out,
-                                              writer_options);
-    } else {
-      auto timeline = memo::trace::ReadSimTimeline(reader->get());
-      if (!timeline.ok()) {
-        std::fprintf(stderr, "%s\n", timeline.status().ToString().c_str());
-        return 1;
-      }
-      status = memo::trace::WriteSimTimelineFile(timeline.value(), out,
-                                                 writer_options);
-    }
+    const memo::Status status = memo::trace::WriteWorkloadFile(
+        workload.value(), out, writer_options);
     if (!status.ok()) {
       std::fprintf(stderr, "%s\n", status.ToString().c_str());
       return 1;
@@ -974,26 +970,7 @@ int CmdTraceConvert(const Flags& flags) {
     std::printf("wrote %s\n", out.c_str());
     return 0;
   }
-  if (to != "json") {
-    std::fprintf(stderr, "--to must be json or binary (got \"%s\")\n",
-                 to.c_str());
-    return 2;
-  }
-  if ((*reader)->kind() == memo::trace::TraceKind::kAllocRequests) {
-    auto workload = memo::trace::ReadWorkload(reader->get());
-    if (!workload.ok()) {
-      std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
-      return 1;
-    }
-    payload = memo::trace::WorkloadToJson(workload.value());
-  } else {
-    auto timeline = memo::trace::ReadSimTimeline(reader->get());
-    if (!timeline.ok()) {
-      std::fprintf(stderr, "%s\n", timeline.status().ToString().c_str());
-      return 1;
-    }
-    payload = memo::trace::SimTimelineToChromeJson(timeline.value());
-  }
+  const std::string payload = memo::trace::WorkloadToJson(workload.value());
   std::FILE* file = std::fopen(out.c_str(), "w");
   if (file == nullptr) {
     std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
@@ -1101,7 +1078,6 @@ void Usage() {
                "  run    --model 7B --seq 1024K --gpus 8 [--system memo]\n"
                "         [--tp N --cp N --pp N --dp N --sp N] [--alpha X]\n"
                "         [--host-gib G --nvme-gib G --nvme-gbps B]\n"
-               "         [--timeline out.json]\n"
                "         [--trace-out t.json --metrics-out m.json]\n"
                "  plan   --model 7B --seq 512K --gpus 8 --tp 4 --cp 2\n"
                "         [--out plan.txt]\n"
