@@ -97,7 +97,7 @@ Status DiskBackend::Put(std::int64_t key, std::string&& blob) {
   int fd = -1;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (index_.count(key) > 0 || staged_.count(key) > 0) {
+    if (index_.count(key) > 0) {
       return InvalidArgumentError("key " + std::to_string(key) +
                                   " already spilled to disk tier");
     }
@@ -184,13 +184,13 @@ Status DiskBackend::Put(std::int64_t key, std::string&& blob) {
   return OkStatus();
 }
 
-StatusOr<std::string> DiskBackend::ReadPages(
-    const std::vector<PageRef>& pages, std::int64_t total) {
+Status DiskBackend::ReadPages(const std::vector<PageRef>& pages,
+                              std::int64_t total, std::string* blob) {
   const Clock::time_point start = Clock::now();
   MEMO_TRACE_SCOPE_ARG("disk_read", "disk", "bytes", total);
   const std::int64_t page = options_.page_bytes;
   const std::int64_t num_pages = static_cast<std::int64_t>(pages.size());
-  std::string blob(static_cast<std::size_t>(total), '\0');
+  blob->resize(static_cast<std::size_t>(total));
   std::vector<Status> page_status(num_pages);
   int fd;
   {
@@ -201,7 +201,7 @@ StatusOr<std::string> DiskBackend::ReadPages(
       0, num_pages, 1, [&](std::int64_t begin, std::int64_t end) {
         for (std::int64_t i = begin; i < end; ++i) {
           const PageRef& p = pages[i];
-          char* payload = blob.data() + i * page;
+          char* payload = blob->data() + i * page;
           page_status[i] = options_.retry.Run(
               "disk.page_read", [&]() -> Status {
                 MEMO_RETURN_IF_ERROR(
@@ -268,47 +268,15 @@ StatusOr<std::string> DiskBackend::ReadPages(
   Throttle(total, elapsed);
   if (!failure.ok()) {
     MEMO_TRACE_INSTANT("disk_io_error", "disk", failure.ToString());
-    return failure;
   }
-  return blob;
+  return failure;
 }
 
-void DiskBackend::Prefetch(std::int64_t key) {
+Status DiskBackend::TakeInto(std::int64_t key, std::string* blob) {
   std::vector<PageRef> pages;
   std::int64_t total = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    auto it = index_.find(key);
-    if (it == index_.end()) return;  // unknown or already staged
-    pages = std::move(it->second);
-    index_.erase(it);
-    total = blob_bytes_.at(key);
-    blob_bytes_.erase(key);
-  }
-  StatusOr<std::string> read = ReadPages(pages, total);
-  std::lock_guard<std::mutex> lock(mu_);
-  if (read.ok()) {
-    staged_.emplace(key, std::move(read).value());
-  } else {
-    // A failed read-ahead costs nothing but the attempt: the pages are
-    // still on disk, so reinstate the index entry and let the eventual
-    // Take re-read (and re-retry) them.
-    index_.emplace(key, std::move(pages));
-    blob_bytes_.emplace(key, total);
-  }
-}
-
-StatusOr<std::string> DiskBackend::Take(std::int64_t key) {
-  std::vector<PageRef> pages;
-  std::int64_t total = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto staged = staged_.find(key);
-    if (staged != staged_.end()) {
-      std::string blob = std::move(staged->second);
-      staged_.erase(staged);
-      return blob;
-    }
     auto it = index_.find(key);
     if (it == index_.end()) {
       return NotFoundError("key " + std::to_string(key) +
@@ -319,7 +287,7 @@ StatusOr<std::string> DiskBackend::Take(std::int64_t key) {
     total = blob_bytes_.at(key);
     blob_bytes_.erase(key);
   }
-  StatusOr<std::string> read = ReadPages(pages, total);
+  const Status read = ReadPages(pages, total, blob);
   if (!read.ok()) {
     // The pages were not released (see ReadPages): put the blob back so a
     // retrying caller finds it intact instead of a spurious kNotFound.
@@ -332,7 +300,7 @@ StatusOr<std::string> DiskBackend::Take(std::int64_t key) {
 
 bool DiskBackend::Contains(std::int64_t key) const {
   std::lock_guard<std::mutex> lock(mu_);
-  return index_.count(key) > 0 || staged_.count(key) > 0;
+  return index_.count(key) > 0;
 }
 
 std::int64_t DiskBackend::resident_bytes() const {

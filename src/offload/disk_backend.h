@@ -17,8 +17,8 @@ namespace memo::offload {
 /// file with positioned I/O. The page writes and read-backs of one blob fan
 /// out over the shared ThreadPool, so a spill behaves like the multi-queue
 /// writes of a real NVMe device; asynchrony relative to the compute thread
-/// comes from the ActivationStore copier calling Put/Prefetch off the
-/// critical path (write-behind on stash, read-ahead on restore).
+/// comes from the ActivationStore's disk lane calling Put and TakeInto off
+/// the critical path (write-behind on stash, read-ahead on restore).
 ///
 /// Every page is verified against its stored checksum when read back;
 /// a mismatch surfaces as a kInternal Status (never a crash), and the spill
@@ -28,9 +28,9 @@ namespace memo::offload {
 /// FaultInjector (sites "disk.page_write" / "disk.page_read") and runs
 /// under the per-page RetryPolicy of DiskBackendOptions, so transient I/O
 /// faults are absorbed with backoff before a Status ever surfaces. A failed
-/// Put frees its slots and leaves no trace; a failed Take/Prefetch leaves
-/// the blob's pages resident and readable, so the caller may retry the
-/// whole operation without losing data.
+/// Put frees its slots and leaves no trace; a failed TakeInto leaves the
+/// blob's pages resident and readable, so the caller may retry the whole
+/// operation without losing data.
 class DiskBackend : public StashBackend {
  public:
   explicit DiskBackend(const DiskBackendOptions& options = {});
@@ -41,9 +41,9 @@ class DiskBackend : public StashBackend {
 
   std::string name() const override { return "disk"; }
   Status Put(std::int64_t key, std::string&& blob) override;
-  StatusOr<std::string> Take(std::int64_t key) override;
+  Status TakeInto(std::int64_t key, std::string* blob) override;
   bool Contains(std::int64_t key) const override;
-  void Prefetch(std::int64_t key) override;
+  bool OnDisk(std::int64_t key) const override { return Contains(key); }
   std::int64_t resident_bytes() const override;
   TierStats ram_stats() const override { return {}; }
   TierStats disk_stats() const override;
@@ -64,12 +64,12 @@ class DiskBackend : public StashBackend {
   };
   /// Opens the spill file on first use. Called with mu_ held.
   Status EnsureFileLocked();
-  /// Reads + verifies `pages` into a blob of `total` bytes; on success the
-  /// slots go back to the free list and the take accounting is recorded. On
-  /// failure the slots stay owned by the caller's pages (the data is still
-  /// on disk) so the blob can be reinstated for a later retry.
-  StatusOr<std::string> ReadPages(const std::vector<PageRef>& pages,
-                                  std::int64_t total);
+  /// Reads + verifies `pages` into `*blob`, resized to `total` bytes; on
+  /// success the slots go back to the free list and the take accounting is
+  /// recorded. On failure the slots stay owned by the caller's pages (the
+  /// data is still on disk) so the blob can be reinstated for a later retry.
+  Status ReadPages(const std::vector<PageRef>& pages, std::int64_t total,
+                   std::string* blob);
   /// Sleeps so `bytes` take at least bytes/bandwidth seconds end to end.
   void Throttle(std::int64_t bytes, double elapsed_seconds);
 
@@ -81,9 +81,6 @@ class DiskBackend : public StashBackend {
   std::vector<std::int64_t> free_slots_;
   std::unordered_map<std::int64_t, std::vector<PageRef>> index_;
   std::unordered_map<std::int64_t, std::int64_t> blob_bytes_;
-  /// Successfully prefetched blobs awaiting their Take (failed prefetches
-  /// reinstate the index entry instead of staging anything).
-  std::unordered_map<std::int64_t, std::string> staged_;
   TierStats stats_;
 };
 

@@ -55,7 +55,7 @@ Status RamBackend::Put(std::int64_t key, std::string&& blob) {
   return OkStatus();
 }
 
-StatusOr<std::string> RamBackend::Take(std::int64_t key) {
+Status RamBackend::TakeInto(std::int64_t key, std::string* blob) {
   const Clock::time_point start = Clock::now();
   MEMO_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("ram.take"));
   std::lock_guard<std::mutex> lock(mu_);
@@ -75,7 +75,7 @@ StatusOr<std::string> RamBackend::Take(std::int64_t key) {
         std::to_string(bytes) + " bytes with only " +
         std::to_string(stats_.resident_bytes) + " resident");
   }
-  std::string blob = std::move(it->second);
+  *blob = std::move(it->second);
   blobs_.erase(it);
   static obs::MetricCounter* take_bytes_counter =
       obs::MetricsRegistry::Global().counter("ram.take_bytes");
@@ -83,7 +83,7 @@ StatusOr<std::string> RamBackend::Take(std::int64_t key) {
   stats_.take_bytes += bytes;
   stats_.resident_bytes -= bytes;
   stats_.read_seconds += SecondsSince(start);
-  return blob;
+  return OkStatus();
 }
 
 void RamBackend::CorruptResidentBytesForTest(std::int64_t delta) {

@@ -22,7 +22,7 @@ class RamBackend : public StashBackend {
 
   std::string name() const override { return "ram"; }
   Status Put(std::int64_t key, std::string&& blob) override;
-  StatusOr<std::string> Take(std::int64_t key) override;
+  Status TakeInto(std::int64_t key, std::string* blob) override;
   bool Contains(std::int64_t key) const override;
   std::int64_t resident_bytes() const override;
   TierStats ram_stats() const override;
@@ -35,8 +35,9 @@ class RamBackend : public StashBackend {
   bool Fits(std::int64_t blob_bytes) const;
 
   /// Test-only: skews the resident-byte counter so the accounting-underflow
-  /// guard in Take is reachable (a real double-release cannot be staged
-  /// through the public API because Take removes the entry it releases).
+  /// guard in TakeInto is reachable (a real double-release cannot be staged
+  /// through the public API because TakeInto removes the entry it
+  /// releases).
   void CorruptResidentBytesForTest(std::int64_t delta);
 
  private:

@@ -85,7 +85,7 @@ struct BackendOptions {
 /// exact restores, so a backend may page but never round.
 ///
 /// Thread-safety: all methods may be called concurrently from the compute
-/// thread and the ActivationStore copier thread.
+/// thread and the ActivationStore copier and disk-lane threads.
 class StashBackend {
  public:
   virtual ~StashBackend() = default;
@@ -95,20 +95,34 @@ class StashBackend {
 
   /// Stores `blob` under `key`. Fails with kOutOfHostMemory when the tier
   /// capacity is exhausted (kRam) and with kInternal on I/O errors. `key`
-  /// must not already be present.
+  /// must not already be present. The RAM tier keeps `blob`'s buffer; the
+  /// disk tier copies the bytes out and leaves `blob` as it was, so the
+  /// caller may reuse the buffer. A failed Put never consumes `blob`.
   virtual Status Put(std::int64_t key, std::string&& blob) = 0;
 
-  /// Removes and returns the blob stored under `key`. Fails with kNotFound
-  /// for unknown keys and kInternal on I/O or checksum errors.
-  virtual StatusOr<std::string> Take(std::int64_t key) = 0;
+  /// Removes the blob stored under `key` into `*blob`. Fails with kNotFound
+  /// for unknown keys and kInternal on I/O or checksum errors, leaving the
+  /// blob stored. The disk tier reads into `*blob`'s own storage, so a
+  /// caller that recycles buffers allocates nothing; the RAM tier hands
+  /// back the buffer it holds in place of `*blob`'s.
+  virtual Status TakeInto(std::int64_t key, std::string* blob) = 0;
+
+  /// TakeInto a fresh string.
+  StatusOr<std::string> Take(std::int64_t key) {
+    std::string blob;
+    MEMO_RETURN_IF_ERROR(TakeInto(key, &blob));
+    return blob;
+  }
 
   /// True while `key` holds a blob.
   virtual bool Contains(std::int64_t key) const = 0;
 
-  /// Hint that `key` will be taken soon: the disk tier reads and verifies
-  /// its pages ahead of time so the following Take is a memory move (the
-  /// read-ahead analog of the paper's prefetch stream). Optional.
-  virtual void Prefetch(std::int64_t key) { (void)key; }
+  /// True while `key`'s blob lives on the disk tier, where taking it back
+  /// is a disk read.
+  virtual bool OnDisk(std::int64_t key) const {
+    (void)key;
+    return false;
+  }
 
   /// Payload bytes currently resident across all tiers of this backend.
   virtual std::int64_t resident_bytes() const = 0;

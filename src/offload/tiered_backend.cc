@@ -70,7 +70,7 @@ Status TieredBackend::Put(std::int64_t key, std::string&& blob) {
   return OkStatus();
 }
 
-StatusOr<std::string> TieredBackend::Take(std::int64_t key) {
+Status TieredBackend::TakeInto(std::int64_t key, std::string* blob) {
   bool on_disk = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -82,14 +82,15 @@ StatusOr<std::string> TieredBackend::Take(std::int64_t key) {
     on_disk = it->second;
     on_disk_.erase(it);
   }
-  StatusOr<std::string> blob = on_disk ? Disk()->Take(key) : ram_.Take(key);
-  if (!blob.ok() && blob.status().code() != StatusCode::kNotFound) {
+  const Status st =
+      on_disk ? Disk()->TakeInto(key, blob) : ram_.TakeInto(key, blob);
+  if (!st.ok() && st.code() != StatusCode::kNotFound) {
     // The tier left the blob resident on failure; reinstate the routing
     // entry so a retried Take can still find it.
     std::lock_guard<std::mutex> lock(mu_);
     on_disk_[key] = on_disk;
   }
-  return blob;
+  return st;
 }
 
 bool TieredBackend::Contains(std::int64_t key) const {
@@ -97,15 +98,10 @@ bool TieredBackend::Contains(std::int64_t key) const {
   return on_disk_.count(key) > 0;
 }
 
-void TieredBackend::Prefetch(std::int64_t key) {
-  bool on_disk = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = on_disk_.find(key);
-    if (it == on_disk_.end()) return;
-    on_disk = it->second;
-  }
-  if (on_disk) Disk()->Prefetch(key);
+bool TieredBackend::OnDisk(std::int64_t key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = on_disk_.find(key);
+  return it != on_disk_.end() && it->second;
 }
 
 std::int64_t TieredBackend::resident_bytes() const {

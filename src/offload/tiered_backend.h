@@ -33,9 +33,9 @@ class TieredBackend : public StashBackend {
 
   std::string name() const override { return "tiered"; }
   Status Put(std::int64_t key, std::string&& blob) override;
-  StatusOr<std::string> Take(std::int64_t key) override;
+  Status TakeInto(std::int64_t key, std::string* blob) override;
   bool Contains(std::int64_t key) const override;
-  void Prefetch(std::int64_t key) override;
+  bool OnDisk(std::int64_t key) const override;
   std::int64_t resident_bytes() const override;
   TierStats ram_stats() const override { return ram_.ram_stats(); }
   TierStats disk_stats() const override;

@@ -223,9 +223,12 @@ StatusOr<double> MiniGpt::TryForwardBackward(const MiniGptParams& params,
   for (int layer = config_.layers - 1; layer >= 0; --layer) {
     MEMO_ASSIGN_OR_RETURN(LayerActivations acts,
                           store->Restore(layer, params.layers[layer]));
-    MEMO_TRACE_SCOPE_ARG("layer_bwd", "train", "layer", layer);
-    d_x = LayerBackward(params.layers[layer], config_.heads, acts, d_x,
-                        &grads->layers[layer]);
+    {
+      MEMO_TRACE_SCOPE_ARG("layer_bwd", "train", "layer", layer);
+      d_x = LayerBackward(params.layers[layer], config_.heads, acts, d_x,
+                          &grads->layers[layer]);
+    }
+    store->Recycle(layer, std::move(acts));  // bwd_done[layer]
   }
   EmbeddingBackward(tokens, d_x, &grads->embedding);
   return loss;

@@ -174,8 +174,8 @@ Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
                     const offload::BackendOptions& backend,
                     const std::vector<std::vector<int>>& batch_tokens,
                     const std::vector<std::vector<int>>& batch_targets,
-                    TensorArena* arena, MiniGptParams* grads,
-                    IterationStats* stats) {
+                    TensorArena* arena, HostStaging* staging,
+                    MiniGptParams* grads, IterationStats* stats) {
   // Every tensor temporary of this iteration's micro-steps comes out of the
   // step-scoped arena (measured on the first step, replayed from the DSA
   // plan afterwards). Long-lived state — params, grads, Adam moments,
@@ -189,7 +189,7 @@ Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
   }
   for (int b = 0; b < options.batch; ++b) {
     ActivationStore store(options.policy, options.alpha, options.model.layers,
-                          options.async_offload, backend);
+                          options.async_offload, backend, staging);
     MEMO_ASSIGN_OR_RETURN(
         const double loss,
         model.TryForwardBackward(params, batch_tokens[b], batch_targets[b],
@@ -221,6 +221,9 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
                      options.seed ^ 0x5EEDDA7AULL);
   TensorArena arena;
   TensorArena* arena_ptr = options.use_arena ? &arena : nullptr;
+  // The stores' transfer staging outlives every micro-step, so it lives
+  // here, outside the arena scope.
+  HostStaging staging;
 
   TrainRunResult result;
   const std::uint64_t fingerprint = ConfigFingerprint(options);
@@ -281,9 +284,9 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
     }
     for (Tensor* g : grads.Flat()) g->Fill(0.0f);
     IterationStats stats;
-    Status st =
-        RunIteration(model, params, options, active_backend, batch_tokens,
-                     batch_targets, arena_ptr, &grads, &stats);
+    Status st = RunIteration(model, params, options, active_backend,
+                             batch_tokens, batch_targets, arena_ptr, &staging,
+                             &grads, &stats);
     if (!st.ok() && options.allow_degraded && !result.degraded) {
       // The configured backend died (retries already ran inside the stash
       // layers). Degrade: drop to the RAM-only stash and re-run the whole
@@ -295,7 +298,7 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
       for (Tensor* g : grads.Flat()) g->Fill(0.0f);
       stats = IterationStats{};
       st = RunIteration(model, params, options, active_backend, batch_tokens,
-                        batch_targets, arena_ptr, &grads, &stats);
+                        batch_targets, arena_ptr, &staging, &grads, &stats);
     }
     if (!st.ok()) {
       result.status = st;

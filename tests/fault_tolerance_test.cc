@@ -3,7 +3,8 @@
 // kill-and-resume bit-exactness guarantee, and the RAM-only degradation
 // ladder after a permanent disk death. Every leg drives RunTraining (or a
 // real DiskBackend) under the seeded FaultInjector, so the schedules are
-// deterministic and the loss comparisons are exact.
+// deterministic and the loss comparisons are exact. The disk legs run both
+// inline and async, where the fault hits the store's disk lane.
 
 #include <sys/stat.h>
 
@@ -72,28 +73,32 @@ void ExpectLossesIdentical(const std::vector<double>& a,
 }
 
 TEST(FaultToleranceTest, TransientDiskFaultIsAbsorbedByPageRetry) {
-  InjectorGuard guard;
-  TrainRunOptions fault_free = BaseRun();
-  fault_free.backend.kind = offload::BackendKind::kDisk;
-  fault_free.iterations = 4;
-  const TrainRunResult reference = RunTraining(fault_free);
-  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "inline");
+    InjectorGuard guard;
+    TrainRunOptions fault_free = BaseRun();
+    fault_free.backend.kind = offload::BackendKind::kDisk;
+    fault_free.iterations = 4;
+    fault_free.async_offload = async;
+    const TrainRunResult reference = RunTraining(fault_free);
+    ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
 
-  // One injected pwrite fault: the disk tier's per-page retry re-attempts
-  // and the run never notices beyond the retry counters.
-  const std::int64_t retries_before =
-      CounterValue("retry.disk.page_write.retries");
-  FaultRule rule;
-  rule.nth = 1;
-  rule.max_failures = 1;
-  FaultInjector::Global().Arm("disk.page_write", rule);
-  const TrainRunResult faulted = RunTraining(fault_free);
-  FaultInjector::Global().Reset();
+    // One injected pwrite fault: the disk tier's per-page retry re-attempts
+    // and the run never notices beyond the retry counters.
+    const std::int64_t retries_before =
+        CounterValue("retry.disk.page_write.retries");
+    FaultRule rule;
+    rule.nth = 1;
+    rule.max_failures = 1;
+    FaultInjector::Global().Arm("disk.page_write", rule);
+    const TrainRunResult faulted = RunTraining(fault_free);
+    FaultInjector::Global().Reset();
 
-  ASSERT_TRUE(faulted.status.ok()) << faulted.status.ToString();
-  EXPECT_FALSE(faulted.degraded);
-  ExpectLossesIdentical(faulted.losses, reference.losses);
-  EXPECT_GT(CounterValue("retry.disk.page_write.retries"), retries_before);
+    ASSERT_TRUE(faulted.status.ok()) << faulted.status.ToString();
+    EXPECT_FALSE(faulted.degraded);
+    ExpectLossesIdentical(faulted.losses, reference.losses);
+    EXPECT_GT(CounterValue("retry.disk.page_write.retries"), retries_before);
+  }
 }
 
 TEST(FaultToleranceTest, ExhaustedRetriesGiveUpWithAccounting) {
@@ -177,68 +182,83 @@ TEST(FaultToleranceTest, PermanentDiskDeathFinishesDegradedOnRam) {
   const TrainRunResult reference = RunTraining(BaseRun());
   ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
 
-  // Tiered stash with a RAM tier too small for the blobs, so every
-  // iteration must spill — and the spill device dies on first touch.
-  TrainRunOptions tiered = BaseRun();
-  tiered.backend.kind = offload::BackendKind::kTiered;
-  tiered.backend.ram_capacity_bytes = 1024;
-  FaultRule dead_disk;
-  dead_disk.nth = 1;
-  dead_disk.permanent = true;
-  FaultInjector::Global().Arm("disk.page_write", dead_disk);
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "inline");
+    // Tiered stash with a RAM tier too small for the blobs, so every
+    // iteration must spill — and the spill device dies on first touch. In
+    // async mode the fault hits the disk lane and surfaces at the next
+    // Stash or Restore.
+    TrainRunOptions tiered = BaseRun();
+    tiered.backend.kind = offload::BackendKind::kTiered;
+    tiered.backend.ram_capacity_bytes = 1024;
+    tiered.async_offload = async;
+    FaultRule dead_disk;
+    dead_disk.nth = 1;
+    dead_disk.permanent = true;
+    FaultInjector::Global().Arm("disk.page_write", dead_disk);
 
-  const std::int64_t degraded_before = CounterValue("train.degraded_runs");
-  const TrainRunResult degraded = RunTraining(tiered);
-  FaultInjector::Global().Reset();
+    const std::int64_t degraded_before = CounterValue("train.degraded_runs");
+    const TrainRunResult degraded = RunTraining(tiered);
+    FaultInjector::Global().Reset();
 
-  ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
-  EXPECT_TRUE(degraded.degraded);
-  EXPECT_GT(CounterValue("train.degraded_runs"), degraded_before);
-  // Restores are bit-exact on every backend, so finishing on the RAM
-  // fallback does not move the loss curve by a single ULP.
-  ExpectLossesIdentical(degraded.losses, reference.losses);
+    ASSERT_TRUE(degraded.status.ok()) << degraded.status.ToString();
+    EXPECT_TRUE(degraded.degraded);
+    EXPECT_GT(CounterValue("train.degraded_runs"), degraded_before);
+    // Restores are bit-exact on every backend, so finishing on the RAM
+    // fallback does not move the loss curve by a single ULP.
+    ExpectLossesIdentical(degraded.losses, reference.losses);
+  }
 }
 
 TEST(FaultToleranceTest, DegradationCanBeDisabled) {
-  InjectorGuard guard;
-  TrainRunOptions tiered = BaseRun();
-  tiered.iterations = 3;
-  tiered.backend.kind = offload::BackendKind::kTiered;
-  tiered.backend.ram_capacity_bytes = 1024;
-  tiered.allow_degraded = false;
-  FaultRule dead_disk;
-  dead_disk.nth = 1;
-  dead_disk.permanent = true;
-  FaultInjector::Global().Arm("disk.page_write", dead_disk);
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "inline");
+    InjectorGuard guard;
+    TrainRunOptions tiered = BaseRun();
+    tiered.iterations = 3;
+    tiered.backend.kind = offload::BackendKind::kTiered;
+    tiered.backend.ram_capacity_bytes = 1024;
+    tiered.allow_degraded = false;
+    tiered.async_offload = async;
+    FaultRule dead_disk;
+    dead_disk.nth = 1;
+    dead_disk.permanent = true;
+    FaultInjector::Global().Arm("disk.page_write", dead_disk);
 
-  const TrainRunResult result = RunTraining(tiered);
-  FaultInjector::Global().Reset();
-  ASSERT_FALSE(result.status.ok());
-  EXPECT_EQ(result.status.code(), StatusCode::kInternal);
-  EXPECT_FALSE(result.degraded);
-  EXPECT_TRUE(result.losses.empty());
+    const TrainRunResult result = RunTraining(tiered);
+    FaultInjector::Global().Reset();
+    ASSERT_FALSE(result.status.ok());
+    EXPECT_EQ(result.status.code(), StatusCode::kInternal);
+    EXPECT_FALSE(result.degraded);
+    EXPECT_TRUE(result.losses.empty());
+  }
 }
 
 TEST(FaultToleranceTest, SeededProbabilisticFaultsNeverChangeTheLosses) {
-  InjectorGuard guard;
-  TrainRunOptions options = BaseRun();
-  options.backend.kind = offload::BackendKind::kDisk;
-  options.iterations = 5;
-  const TrainRunResult reference = RunTraining(options);
-  ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "inline");
+    InjectorGuard guard;
+    TrainRunOptions options = BaseRun();
+    options.backend.kind = offload::BackendKind::kDisk;
+    options.iterations = 5;
+    options.async_offload = async;
+    const TrainRunResult reference = RunTraining(options);
+    ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
 
-  // A lossy-but-alive disk: whatever the seeded schedule throws, the run
-  // either absorbs it through retries or finishes on the RAM fallback —
-  // and the curve is bit-identical either way.
-  FaultInjector::Global().Seed(20260807);
-  ASSERT_TRUE(FaultInjector::Global()
-                  .ArmFromSpec("disk.page_write:p=0.2;disk.page_read:p=0.1")
-                  .ok());
-  const TrainRunResult faulted = RunTraining(options);
-  FaultInjector::Global().Reset();
+    // A lossy-but-alive disk: whatever the seeded schedule throws, the run
+    // either absorbs it through retries or finishes on the RAM fallback —
+    // and the curve is bit-identical either way.
+    FaultInjector::Global().Seed(20260807);
+    ASSERT_TRUE(
+        FaultInjector::Global()
+            .ArmFromSpec("disk.page_write:p=0.2;disk.page_read:p=0.1")
+            .ok());
+    const TrainRunResult faulted = RunTraining(options);
+    FaultInjector::Global().Reset();
 
-  ASSERT_TRUE(faulted.status.ok()) << faulted.status.ToString();
-  ExpectLossesIdentical(faulted.losses, reference.losses);
+    ASSERT_TRUE(faulted.status.ok()) << faulted.status.ToString();
+    ExpectLossesIdentical(faulted.losses, reference.losses);
+  }
 }
 
 }  // namespace

@@ -159,32 +159,21 @@ TEST(DiskBackendTest, ChecksumMismatchSurfacesStatusError) {
       << taken.status().ToString();
 }
 
-TEST(DiskBackendTest, CorruptionDetectedThroughPrefetchToo) {
-  DiskBackend disk(SmallPages());
-  ASSERT_TRUE(disk.Put(4, MakeBlob(300, 5)).ok());
-  const int fd = ::open(disk.path().c_str(), O_WRONLY);
-  ASSERT_GE(fd, 0);
-  const char garbage = '!';
-  ASSERT_EQ(::pwrite(fd, &garbage, 1, 0), 1);
-  ::close(fd);
-
-  disk.Prefetch(4);  // stages the (failed) read
-  auto taken = disk.Take(4);
-  ASSERT_FALSE(taken.ok());
-  EXPECT_EQ(taken.status().code(), StatusCode::kInternal);
-}
-
-TEST(DiskBackendTest, PrefetchStagesCleanRead) {
+TEST(DiskBackendTest, BuffersOfPutAndTakeIntoAreReused) {
   DiskBackend disk(SmallPages());
   const std::string blob = MakeBlob(700, 11);
-  std::string copy = blob;
-  ASSERT_TRUE(disk.Put(2, std::move(copy)).ok());
-  disk.Prefetch(2);
-  EXPECT_TRUE(disk.Contains(2));  // staged blobs still count as present
-  disk.Prefetch(99);              // unknown keys are a silent no-op
-  auto taken = disk.Take(2);
-  ASSERT_TRUE(taken.ok());
-  EXPECT_EQ(taken.value(), blob);
+  // Put copies the bytes out and leaves the caller's buffer as it was...
+  std::string buffer = blob;
+  ASSERT_TRUE(disk.Put(2, std::move(buffer)).ok());
+  EXPECT_EQ(buffer, blob);
+  EXPECT_TRUE(disk.OnDisk(2));
+  // ...and TakeInto reads back into that buffer's storage.
+  const char* storage = buffer.data();
+  buffer.assign(700, 'x');
+  ASSERT_TRUE(disk.TakeInto(2, &buffer).ok());
+  EXPECT_EQ(buffer, blob);
+  EXPECT_EQ(buffer.data(), storage);
+  EXPECT_FALSE(disk.OnDisk(2));
 }
 
 TEST(DiskBackendTest, FreedSlotsAreReused) {
@@ -387,16 +376,17 @@ TEST(TieredBackendTest, UnlimitedRamNeverSpills) {
   EXPECT_EQ(tiered.disk_stats().put_bytes, 0);
 }
 
-TEST(TieredBackendTest, PrefetchReachesTheDiskTier) {
-  TieredBackend tiered(/*ram_capacity_bytes=*/100, SmallPages());
-  const std::string blob = MakeBlob(500, 4);
-  std::string copy = blob;
-  ASSERT_TRUE(tiered.Put(1, std::move(copy)).ok());  // too big for RAM
-  EXPECT_EQ(tiered.spilled_blobs(), 1);
-  tiered.Prefetch(1);
-  auto taken = tiered.Take(1);
-  ASSERT_TRUE(taken.ok());
-  EXPECT_EQ(taken.value(), blob);
+TEST(TieredBackendTest, OnDiskTellsWhereEachBlobLanded) {
+  TieredBackend tiered(/*ram_capacity_bytes=*/600, SmallPages());
+  ASSERT_TRUE(tiered.Put(1, MakeBlob(500, 1)).ok());  // fits in RAM
+  ASSERT_TRUE(tiered.Put(2, MakeBlob(500, 2)).ok());  // spills
+  EXPECT_FALSE(tiered.OnDisk(1));
+  EXPECT_TRUE(tiered.OnDisk(2));
+  EXPECT_FALSE(tiered.OnDisk(3));  // unknown keys live nowhere
+  std::string blob;
+  ASSERT_TRUE(tiered.TakeInto(2, &blob).ok());
+  EXPECT_EQ(blob, MakeBlob(500, 2));
+  EXPECT_FALSE(tiered.OnDisk(2));
 }
 
 TEST(TieredBackendTest, MissingKeyIsNotFound) {

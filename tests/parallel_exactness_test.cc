@@ -422,6 +422,18 @@ MiniGptConfig FiveLayerModel() {
   return config;
 }
 
+/// A tiered stash whose RAM tier is smaller than one blob of
+/// FiveLayerModel (~54 KiB), so every swapped layer goes through a disk
+/// throttled to 20 MB/s (~2.7 ms per blob).
+offload::BackendOptions SlowDiskBackend() {
+  offload::BackendOptions backend;
+  backend.kind = offload::BackendKind::kTiered;
+  backend.ram_capacity_bytes = 1024;
+  backend.disk.page_bytes = 4 * 1024;
+  backend.disk.bytes_per_second = 20e6;
+  return backend;
+}
+
 TEST(ParallelExactnessTest, OnlyLayersBeforeTheLastTwoSwap) {
   const MiniGptConfig config = FiveLayerModel();
   const double alpha = 0.5;
@@ -457,11 +469,40 @@ TEST(ParallelExactnessTest, OnlyLayersBeforeTheLastTwoSwap) {
   }
 }
 
+TEST(ParallelExactnessTest, HostStagingIsAllocatedInTheFirstIteration) {
+  // The run's blob buffers and restore sets are made by its first
+  // iteration and recycled by every later one, the way the arena's heap
+  // fallbacks stop after its first step.
+  TrainRunOptions options;
+  options.model = FiveLayerModel();
+  options.policy = ActivationPolicy::kTokenWise;
+  options.alpha = 0.5;
+  options.async_offload = true;
+  options.backend = SlowDiskBackend();
+  ScopedRuntime rt(2, KernelMode::kOptimized);
+  options.iterations = 1;
+  const TrainRunResult first = RunTraining(options);
+  options.iterations = 4;
+  const TrainRunResult four = RunTraining(options);
+  ASSERT_TRUE(first.status.ok()) << first.status.ToString();
+  ASSERT_TRUE(four.status.ok()) << four.status.ToString();
+  ASSERT_GT(four.offload_stats.disk_tier.put_bytes, 0);
+  // Two blob buffers carry every spilled blob (the one on the disk and the
+  // one beside it) and two restore sets every prefetch (layer i's set is
+  // free again once bwd(i) ends).
+  EXPECT_EQ(first.offload_stats.staging_allocations, 4);
+  EXPECT_EQ(four.offload_stats.staging_allocations,
+            first.offload_stats.staging_allocations);
+  EXPECT_EQ(four.arena_heap_fallback_allocs, 0);
+}
+
 #ifndef MEMO_OBS_DISABLE_TRACING
 
-/// One recorded span with its "layer" argument (-1 when it has none).
+/// One recorded span with its thread and "layer" argument (-1 when it has
+/// none).
 struct LayerSpan {
   std::string name;
+  int tid = 0;
   std::int64_t layer = -1;
   double begin_us = 0.0;
   double end_us = 0.0;
@@ -477,6 +518,7 @@ std::vector<LayerSpan> RecordedSpans() {
     if (e.phase == 'B') {
       LayerSpan span;
       span.name = e.effective_name();
+      span.tid = tagged.tid;
       if (e.arg_name != nullptr && std::string(e.arg_name) == "layer") {
         span.layer = e.arg_value;
       }
@@ -497,45 +539,100 @@ std::vector<LayerSpan> RecordedSpans() {
 TEST(ParallelExactnessTest, CopierFollowsTheTwoBufferSchedule) {
   const MiniGptConfig config = FiveLayerModel();
   const int last = config.layers - 1;
-  obs::TraceRecorder::Global().Clear();
-  obs::TraceRecorder::Global().Enable();
-  {
-    ScopedRuntime rt(2, KernelMode::kOptimized);
-    OneStep(config, ActivationPolicy::kTokenWise, 0.5, /*async=*/true);
-  }
-  obs::TraceRecorder::Global().Disable();
-  const std::vector<LayerSpan> spans = RecordedSpans();
-  obs::TraceRecorder::Global().Clear();
-
-  const auto find = [&](const std::string& name, int layer) {
-    const LayerSpan* found = nullptr;
-    for (const LayerSpan& span : spans) {
-      if (span.name == name && span.layer == layer) found = &span;
+  for (const offload::BackendOptions& backend :
+       {offload::BackendOptions{}, SlowDiskBackend()}) {
+    const bool disk = backend.kind != offload::BackendKind::kRam;
+    SCOPED_TRACE(disk ? "tiered, throttled disk" : "ram");
+    obs::TraceRecorder::Global().Clear();
+    obs::TraceRecorder::Global().Enable();
+    {
+      ScopedRuntime rt(2, KernelMode::kOptimized);
+      OneStep(config, ActivationPolicy::kTokenWise, 0.5, /*async=*/true,
+              backend);
     }
-    return found;
-  };
-  // The copier never touches the two layers in the rounding buffers.
-  for (const LayerSpan& span : spans) {
-    if (span.name == "offload_copy" || span.name == "prefetch_copy" ||
-        span.name == "fetch_widen") {
+    obs::TraceRecorder::Global().Disable();
+    const std::vector<LayerSpan> spans = RecordedSpans();
+    obs::TraceRecorder::Global().Clear();
+
+    const auto find = [&](const std::string& name, int layer) {
+      const LayerSpan* found = nullptr;
+      for (const LayerSpan& span : spans) {
+        if (span.name == name && span.layer == layer) found = &span;
+      }
+      return found;
+    };
+    const auto named = [&](std::initializer_list<const char*> names) {
+      std::vector<LayerSpan> out;
+      for (const LayerSpan& span : spans) {
+        for (const char* name : names) {
+          if (span.name == name) out.push_back(span);
+        }
+      }
+      std::sort(out.begin(), out.end(),
+                [](const LayerSpan& a, const LayerSpan& b) {
+                  return a.begin_us < b.begin_us;
+                });
+      return out;
+    };
+    // The copier and the lane never touch the two layers in the rounding
+    // buffers.
+    for (const LayerSpan& span :
+         named({"offload_copy", "prefetch_copy", "fetch_widen",
+                "spill_write", "spill_read"})) {
       EXPECT_LT(span.layer, last - 1) << span.name << " of layer "
                                       << span.layer;
     }
+    // Backward: the prefetch of layer L-3 waits for layer L-1's backward to
+    // free its rounding buffer (WaitEvent(h2d, bwd_done[i+2])).
+    const LayerSpan* prefetch = find("prefetch_copy", last - 2);
+    const LayerSpan* last_bwd = find("layer_bwd", last);
+    ASSERT_NE(prefetch, nullptr);
+    ASSERT_NE(last_bwd, nullptr);
+    EXPECT_GE(prefetch->begin_us, last_bwd->end_us);
+    // Forward: keeping layer L-1 in buffer (L-1) % 2 waits for layer L-3's
+    // offload out of it to land (WaitEvent(compute, offload_done[i-2])).
+    const LayerSpan* offload = find("offload_copy", last - 2);
+    const LayerSpan* keep = find("stash", last);
+    ASSERT_NE(offload, nullptr);
+    ASSERT_NE(keep, nullptr);
+    EXPECT_GE(keep->end_us, offload->end_us);
+    if (!disk) continue;
+
+    // The disk lane (the simulator's spill stream) runs every disk
+    // transfer, one at a time, on its own thread: none is nested in a
+    // copier span.
+    const std::vector<LayerSpan> lane = named({"spill_write", "spill_read"});
+    ASSERT_FALSE(lane.empty()) << "no disk-lane spans recorded";
+    const int lane_tid = lane.front().tid;
+    for (const LayerSpan& span : lane) EXPECT_EQ(span.tid, lane_tid);
+    for (const LayerSpan& span : named({"offload_copy", "prefetch_copy"})) {
+      EXPECT_NE(span.tid, lane_tid) << span.name << " on the disk lane";
+    }
+    const std::vector<LayerSpan> io = named({"disk_put", "disk_read"});
+    ASSERT_FALSE(io.empty());
+    for (std::size_t i = 0; i < io.size(); ++i) {
+      EXPECT_EQ(io[i].tid, lane_tid) << io[i].name << " off the disk lane";
+      if (i > 0) {
+        EXPECT_GE(io[i].begin_us, io[i - 1].end_us)
+            << io[i].name << " overlaps " << io[i - 1].name;
+      }
+    }
+    // Read-back starts once the last write has landed and runs in backward
+    // order (spill_read after spill_write_done[i]).
+    double last_put_end = 0.0;
+    for (const LayerSpan& span : named({"disk_put"})) {
+      last_put_end = std::max(last_put_end, span.end_us);
+    }
+    const std::vector<LayerSpan> reads = named({"disk_read"});
+    ASSERT_FALSE(reads.empty());
+    EXPECT_GE(reads.front().begin_us, last_put_end);
+    std::int64_t previous = last - 1;
+    for (const LayerSpan& span : named({"spill_read"})) {
+      EXPECT_LT(span.layer, previous) << "read-back out of backward order";
+      previous = span.layer;
+    }
+    EXPECT_EQ(previous, 0);
   }
-  // Backward: the prefetch of layer L-3 waits for layer L-1's backward to
-  // free its rounding buffer (WaitEvent(h2d, bwd_done[i+2])).
-  const LayerSpan* prefetch = find("prefetch_copy", last - 2);
-  const LayerSpan* last_bwd = find("layer_bwd", last);
-  ASSERT_NE(prefetch, nullptr);
-  ASSERT_NE(last_bwd, nullptr);
-  EXPECT_GE(prefetch->begin_us, last_bwd->end_us);
-  // Forward: keeping layer L-1 in buffer (L-1) % 2 waits for layer L-3's
-  // offload out of it to land (WaitEvent(compute, offload_done[i-2])).
-  const LayerSpan* offload = find("offload_copy", last - 2);
-  const LayerSpan* keep = find("stash", last);
-  ASSERT_NE(offload, nullptr);
-  ASSERT_NE(keep, nullptr);
-  EXPECT_GE(keep->end_us, offload->end_us);
 }
 
 #endif  // !MEMO_OBS_DISABLE_TRACING
