@@ -168,8 +168,9 @@ StatusOr<IterationResult> RunMemoIteration(
       static_cast<std::int64_t>(swapped_layers) * ram_bytes_per_layer;
   const std::int64_t host_disk_bytes = host_bytes - host_ram_bytes;
 
-  // ---- Schedule one iteration: the three streams of Fig. 11, plus an
-  // NVMe-analog spill stream when the disk tier takes part of each layer.
+  // ---- Schedule one iteration: model::SwapSchedule's ops on the three
+  // streams of Fig. 11, plus an NVMe-analog spill stream when the disk tier
+  // takes part of each layer.
   sim::SimEngine engine;
   const sim::StreamId compute = engine.CreateStream("compute");
   const sim::StreamId d2h = engine.CreateStream("offload");
@@ -177,82 +178,52 @@ StatusOr<IterationResult> RunMemoIteration(
   const bool spills = disk_bytes_per_layer > 0;
   const sim::StreamId spill =
       spills ? engine.CreateStream("spill") : compute;
-
-  std::vector<sim::EventId> fwd_done(layers);
-  std::vector<sim::EventId> offload_done(layers);
-  std::vector<sim::EventId> bwd_done(layers);
-  std::vector<sim::EventId> prefetch_done(layers);
-  std::vector<sim::EventId> spill_write_done(layers);
-  std::vector<sim::EventId> spill_read_done(layers);
-  for (int i = 0; i < layers; ++i) {
-    fwd_done[i] = engine.CreateEvent("fwd_done");
-    offload_done[i] = engine.CreateEvent("offload_done");
-    bwd_done[i] = engine.CreateEvent("bwd_done");
-    prefetch_done[i] = engine.CreateEvent("prefetch_done");
-    spill_write_done[i] = engine.CreateEvent("spill_write_done");
-    spill_read_done[i] = engine.CreateEvent("spill_read_done");
-  }
   const double offload_seconds =
       static_cast<double>(offload_bytes_per_layer) / pcie_bps;
   const double spill_seconds =
       spills ? static_cast<double>(disk_bytes_per_layer) / disk_bps : 0.0;
-  // The last two layers start backward right after forward and skip
-  // swapping entirely (§4.1).
-  const auto swaps = [&](int i) { return model::LayerSwaps(i, layers); };
-
-  engine.EnqueueOp(compute, t.embedding, "embedding_fwd");
-  for (int i = 0; i < layers; ++i) {
-    if (i >= 2 && swaps(i - 2)) {
-      // Buffer (i%2) must finish draining to CPU before layer i rewrites it.
-      engine.WaitEvent(compute, offload_done[i - 2]);
-    }
-    engine.EnqueueOp(compute, layer_fwd_total, "layer_fwd");
-    engine.RecordEvent(compute, fwd_done[i]);
-    if (swaps(i)) {
-      engine.WaitEvent(d2h, fwd_done[i]);
-      engine.EnqueueOp(d2h, offload_seconds, "offload");
-      engine.RecordEvent(d2h, offload_done[i]);
-      if (spills) {
-        // Disk-bound bytes continue from host RAM staging to the spill
-        // file; the device buffer frees at offload_done, so this write does
-        // not block compute directly.
-        engine.WaitEvent(spill, offload_done[i]);
-        engine.EnqueueOp(spill, spill_seconds, "spill_write");
-        engine.RecordEvent(spill, spill_write_done[i]);
-      }
-    }
-  }
-  engine.EnqueueOp(compute, t.classifier_fwd, "classifier_fwd");
-  engine.EnqueueOp(compute, t.classifier_bwd, "classifier_bwd");
-
   const double cp_bwd_exposed = t.layer.cp_bwd_exposed;
   const double recompute_per_layer =
       (1.0 - alpha) * t.layer.recompute_nonattn;
   const double layer_bwd_total = t.layer.bwd_compute + t.layer.bwd_comm +
                                  cp_bwd_exposed + recompute_per_layer;
 
-  // Backward ops interleaved with prefetches in dependency order: the
-  // prefetch of layer i targets rounding buffer (i%2), which frees when
-  // layer i+2's backward finishes; layers n-1 and n-2 kept their skeletal
-  // data on device and need no prefetch.
-  for (int i = layers - 1; i >= 0; --i) {
-    if (swaps(i)) {
-      if (spills) {
-        // Read the spilled share back into host RAM ahead of the PCIe
-        // prefetch (the disk tier's read-ahead).
-        engine.WaitEvent(spill, spill_write_done[i]);
-        engine.EnqueueOp(spill, spill_seconds, "spill_read");
-        engine.RecordEvent(spill, spill_read_done[i]);
-      }
-      if (i + 2 < layers) engine.WaitEvent(h2d, bwd_done[i + 2]);
-      engine.WaitEvent(h2d, offload_done[i]);  // data must be on the host
-      if (spills) engine.WaitEvent(h2d, spill_read_done[i]);
-      engine.EnqueueOp(h2d, offload_seconds, "prefetch");
-      engine.RecordEvent(h2d, prefetch_done[i]);
-      engine.WaitEvent(compute, prefetch_done[i]);
+  const std::vector<model::SwapOp> schedule =
+      model::SwapSchedule(layers, spills);
+  std::vector<sim::EventId> done;  // one per schedule op
+  engine.EnqueueOp(compute, t.embedding, "embedding_fwd");
+  for (const model::SwapOp& op : schedule) {
+    sim::StreamId stream = compute;
+    double seconds = 0.0;
+    switch (op.kind) {
+      case model::SwapOpKind::kFwd:
+        seconds = layer_fwd_total;
+        break;
+      case model::SwapOpKind::kBwd:
+        if (op.layer == layers - 1) {  // the forward -> backward turn
+          engine.EnqueueOp(compute, t.classifier_fwd, "classifier_fwd");
+          engine.EnqueueOp(compute, t.classifier_bwd, "classifier_bwd");
+        }
+        seconds = layer_bwd_total;
+        break;
+      case model::SwapOpKind::kOffload:
+        stream = d2h;
+        seconds = offload_seconds;
+        break;
+      case model::SwapOpKind::kPrefetch:
+        stream = h2d;
+        seconds = offload_seconds;
+        break;
+      case model::SwapOpKind::kSpillWrite:
+      case model::SwapOpKind::kSpillRead:
+        stream = spill;
+        seconds = spill_seconds;
+        break;
     }
-    engine.EnqueueOp(compute, layer_bwd_total, "layer_bwd");
-    engine.RecordEvent(compute, bwd_done[i]);
+    for (const int wait : op.waits) engine.WaitEvent(stream, done[wait]);
+    engine.EnqueueOp(stream, seconds, model::SwapOpName(op.kind));
+    done.push_back(engine.CreateEvent(model::SwapOpName(op.kind)));
+    engine.RecordEvent(stream, done.back());
   }
   engine.EnqueueOp(compute, t.embedding, "embedding_bwd");
   engine.EnqueueOp(compute, t.grad_sync, "grad_sync");

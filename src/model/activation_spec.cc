@@ -1,6 +1,9 @@
 #include "model/activation_spec.h"
 
+#include <array>
 #include <cmath>
+#include <initializer_list>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -62,6 +65,62 @@ SkeletalLayout ComputeSkeletalLayout(const ModelConfig& config,
   }
   layout.attn_out_bytes += lse_bytes;
   return layout;
+}
+
+const char* SwapOpName(SwapOpKind kind) {
+  switch (kind) {
+    case SwapOpKind::kFwd:
+      return "layer_fwd";
+    case SwapOpKind::kOffload:
+      return "offload";
+    case SwapOpKind::kSpillWrite:
+      return "spill_write";
+    case SwapOpKind::kSpillRead:
+      return "spill_read";
+    case SwapOpKind::kPrefetch:
+      return "prefetch";
+    case SwapOpKind::kBwd:
+      return "layer_bwd";
+  }
+  return "?";
+}
+
+std::vector<SwapOp> SwapSchedule(int num_layers, bool spills) {
+  MEMO_CHECK_GE(num_layers, 0);
+  using K = SwapOpKind;
+  constexpr int kKinds = static_cast<int>(K::kBwd) + 1;
+  std::vector<SwapOp> ops;
+  // index[layer][kind]: where the op sits in `ops`, -1 until it is added.
+  std::vector<std::array<int, kKinds>> index(num_layers);
+  for (std::array<int, kKinds>& kinds : index) kinds.fill(-1);
+  const auto add = [&](K kind, int layer,
+                       std::initializer_list<std::pair<K, int>> waits) {
+    SwapOp op{kind, layer, {}};
+    for (const auto& [wait_kind, wait_layer] : waits) {
+      if (wait_layer < 0 || wait_layer >= num_layers) continue;
+      const int at = index[wait_layer][static_cast<int>(wait_kind)];
+      if (at >= 0) op.waits.push_back(at);
+    }
+    index[layer][static_cast<int>(kind)] = static_cast<int>(ops.size());
+    ops.push_back(std::move(op));
+  };
+  for (int i = 0; i < num_layers; ++i) {
+    add(K::kFwd, i, {{K::kOffload, i - 2}});
+    if (!LayerSwaps(i, num_layers)) continue;
+    add(K::kOffload, i, {{K::kFwd, i}, {K::kSpillWrite, i - 2}});
+    if (spills) add(K::kSpillWrite, i, {{K::kOffload, i}});
+  }
+  for (int i = num_layers - 1; i >= 0; --i) {
+    if (LayerSwaps(i, num_layers)) {
+      if (spills) {
+        add(K::kSpillRead, i, {{K::kSpillWrite, i}, {K::kPrefetch, i + 2}});
+      }
+      add(K::kPrefetch, i,
+          {{K::kBwd, i + 2}, {K::kOffload, i}, {K::kSpillRead, i}});
+    }
+    add(K::kBwd, i, {{K::kPrefetch, i}});
+  }
+  return ops;
 }
 
 }  // namespace memo::model

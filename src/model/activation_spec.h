@@ -72,6 +72,49 @@ constexpr bool LayerSwaps(int layer, int num_layers) {
   return layer < SwappedLayers(num_layers);
 }
 
+/// The ops of one training step's swap schedule (§4.1, Fig. 11): a layer's
+/// forward and backward on the compute stream, the D2H offload out of its
+/// rounding buffer and the H2D prefetch back into one, and, with an NVMe
+/// tier, the write of the stash to disk and its read back (the `spill`
+/// stream).
+enum class SwapOpKind {
+  kFwd,
+  kOffload,
+  kSpillWrite,
+  kSpillRead,
+  kPrefetch,
+  kBwd,
+};
+
+/// The op's label in the simulator's timeline and its span name in the
+/// trainer: layer_fwd, offload, spill_write, spill_read, prefetch, layer_bwd.
+const char* SwapOpName(SwapOpKind kind);
+
+/// One op of a SwapSchedule and the ops it waits for.
+struct SwapOp {
+  SwapOpKind kind = SwapOpKind::kFwd;
+  int layer = 0;
+  /// Indices into the schedule of the ops this one waits for; each comes
+  /// earlier in the schedule.
+  std::vector<int> waits;
+};
+
+/// One step's swap schedule in program order: the forward layers, each
+/// followed by its offload (and spill write), then the backward layers from
+/// the last, each preceded by its spill read (and prefetch). The edges:
+///   fwd(i)         <- offload(i-2)      rounding buffer i % 2 drained
+///   offload(i)     <- fwd(i), spill_write(i-2)
+///   spill_write(i) <- offload(i)
+///   spill_read(i)  <- spill_write(i), prefetch(i+2)
+///   prefetch(i)    <- bwd(i+2), offload(i), spill_read(i)
+///   bwd(i)         <- prefetch(i)
+/// An edge exists when both of its ops do. Only swapped layers (LayerSwaps)
+/// have transfer ops, and the spill ops exist only when `spills` (the stash
+/// has a disk tier). The two staging edges, spill_write(i-2) and
+/// prefetch(i+2), bound the host blob buffers in use to two: one being
+/// written or read on disk, one being filled or drained beside it.
+std::vector<SwapOp> SwapSchedule(int num_layers, bool spills);
+
 }  // namespace memo::model
 
 #endif  // MEMO_MODEL_ACTIVATION_SPEC_H_

@@ -84,13 +84,6 @@ class DiskBackend : public StashBackend {
   TierStats stats_;
 };
 
-/// FNV-1a 64-bit checksum (historical home; the implementation now lives in
-/// common/fingerprint.h so non-offload fingerprints need not link this
-/// backend). Kept as an alias for the existing checksum call sites/tests.
-inline std::uint64_t Fnv1a64(const void* data, std::size_t len) {
-  return ::memo::Fnv1a64(data, len);
-}
-
 }  // namespace memo::offload
 
 #endif  // MEMO_OFFLOAD_DISK_BACKEND_H_

@@ -1,12 +1,12 @@
 #include "train/activation_store.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstring>
 #include <utility>
 
 #include "common/fault_injector.h"
-#include "model/activation_spec.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "train/ops.h"
@@ -161,6 +161,28 @@ void RecomputeRows(const LayerParams& params, std::int64_t cut,
                                  &acts->gelu_out);
 }
 
+/// In an async store the compute thread runs fwd and bwd, the disk lane the
+/// spill ops, and the copier offload and prefetch.
+bool IsComputeOp(model::SwapOpKind kind) {
+  return kind == model::SwapOpKind::kFwd || kind == model::SwapOpKind::kBwd;
+}
+bool IsSpillOp(model::SwapOpKind kind) {
+  return kind == model::SwapOpKind::kSpillWrite ||
+         kind == model::SwapOpKind::kSpillRead;
+}
+
+/// The compute thread's ops come in list order, fwd(0) .. fwd(L-1) then
+/// bwd(L-1) .. bwd(0); any other call order is a caller bug that would
+/// otherwise wait forever on an op that never runs.
+void CheckDue(const std::vector<model::SwapOp>& schedule, std::size_t due,
+              model::SwapOpKind kind, int layer) {
+  MEMO_CHECK(due < schedule.size() && schedule[due].kind == kind &&
+             schedule[due].layer == layer)
+      << "async store: " << model::SwapOpName(kind) << " of layer " << layer
+      << " out of schedule order (Stash in forward order, then Restore in "
+         "backward order)";
+}
+
 }  // namespace
 
 ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
@@ -170,21 +192,24 @@ ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
     : policy_(policy),
       alpha_(alpha),
       layers_(layers),
+      spills_(backend.kind != offload::BackendKind::kRam),
       backend_(offload::CreateBackend(backend)),
       retry_(backend.retry),
       staging_(staging != nullptr ? staging : &own_staging_) {
   MEMO_CHECK_GE(alpha, 0.0);
   MEMO_CHECK_LE(alpha, 1.0);
-  // The copier only spins up when some layer crosses to the host: never
-  // under retain-all, and not for a token-wise model of fewer than three
-  // layers, whose layers all fit in the two rounding buffers. A disk tier
-  // gets the disk lane beside it.
-  async_ = async_offload && policy == ActivationPolicy::kTokenWise &&
-           model::SwappedLayers(layers) > 0;
-  lane_enabled_ = async_ && backend.kind != offload::BackendKind::kRam;
-  next_prefetch_ = model::SwappedLayers(layers) - 1;
-  if (async_) copier_ = std::thread([this] { CopierMain(); });
-  if (lane_enabled_) lane_ = std::thread([this] { LaneMain(); });
+  if (policy == ActivationPolicy::kTokenWise) {
+    schedule_ = model::SwapSchedule(layers, spills_);
+    slots_.resize(model::SwappedLayers(layers));
+  }
+  // The lanes only spin up when some layer crosses to the host: never under
+  // retain-all, and not for a token-wise model of fewer than three layers,
+  // whose layers all fit in the two rounding buffers.
+  async_ = async_offload && !slots_.empty();
+  if (!async_) return;
+  done_.assign(schedule_.size(), false);
+  copier_ = std::thread([this] { LaneMain(/*disk_lane=*/false); });
+  if (spills_) lane_ = std::thread([this] { LaneMain(/*disk_lane=*/true); });
 }
 
 ActivationStore::~ActivationStore() {
@@ -192,8 +217,7 @@ ActivationStore::~ActivationStore() {
     std::lock_guard<std::mutex> lock(mu_);
     shutdown_ = true;
   }
-  copier_wake_.notify_all();
-  lane_wake_.notify_all();
+  op_done_.notify_all();
   if (copier_.joinable()) copier_.join();
   if (lane_.joinable()) lane_.join();
 }
@@ -210,9 +234,9 @@ std::int64_t ActivationStore::CutRow(std::int64_t rows) const {
 
 Status ActivationStore::Stash(int layer, LayerActivations&& acts) {
   MEMO_TRACE_SCOPE_ARG("stash", "offload", "layer", layer);
+  MEMO_CHECK(layer >= 0 && layer < layers_) << "layer " << layer;
   const std::int64_t full_bytes = BytesOf(acts);
   const bool keep = Keeps(layer);
-  const Clock::time_point start = Clock::now();
   std::unique_lock<std::mutex> lock(mu_);
   // A backend failure is sticky in both modes: once the stash lost (or
   // failed to accept) data the rest of this micro-step cannot be trusted,
@@ -226,20 +250,11 @@ Status ActivationStore::Stash(int layer, LayerActivations&& acts) {
     // Token-wise: two rounding buffers, each holding one full layer.
     device_peak_bytes_ = std::max(device_peak_bytes_, 2 * full_bytes);
   }
+  // fwd(layer) ends here, once its rounding buffer has drained layer - 2.
   if (async_) {
-    // Double-buffer handoff: layer i reuses rounding buffer i % 2, which
-    // must first finish draining layer i - 2 to the "host" — the analog of
-    // WaitEvent(compute, offload_done[i-2]) in the three-stream schedule. A
-    // swapped layer waits for either buffer to free; a kept layer never
-    // reaches the copier, so it waits for layer i - 2 itself.
-    {
-      MEMO_TRACE_SCOPE("stash_wait", "offload");
-      buffer_free_.wait(lock, [&] {
-        return keep ? inflight_offloads_.count(layer - 2) == 0
-                    : inflight_offloads_.size() < 2;
-      });
-    }
-    stats_.stash_wait_seconds += SecondsSince(start);
+    MEMO_RETURN_IF_ERROR(AwaitLocked(lock, model::SwapOpKind::kFwd, layer,
+                                     "stash_wait",
+                                     &stats_.stash_wait_seconds));
   }
   if (keep) {
     // Only retain-all counts kept layers as stored bytes; the token-wise
@@ -250,28 +265,162 @@ Status ActivationStore::Stash(int layer, LayerActivations&& acts) {
     }
     MEMO_CHECK(retained_.emplace(layer, std::move(acts)).second)
         << "layer " << layer << " stashed twice";
+  } else {
+    if (async_ && layer == 0) ReserveStagingLocked(acts);
+    slots_[layer].acts = std::move(acts);
+  }
+  if (async_) {
+    FinishLocked(model::SwapOpKind::kFwd, layer);
     return OkStatus();
   }
-  if (!async_) {
-    lock.unlock();
-    const LayerActivations full = std::move(acts);
-    return PutBlob(Serialize(layer, full));
-  }
-  if (swaps_stashed_++ == 0) ReserveStagingLocked(acts);
-  inflight_offloads_.insert(layer);
-  jobs_.push_back(CopierJob{CopierJob::Kind::kOffload, layer,
-                            std::move(acts)});
   lock.unlock();
-  copier_wake_.notify_all();
+  return keep ? OkStatus() : RunInline(layer, /*backward=*/false);
+}
+
+StatusOr<LayerActivations> ActivationStore::Restore(
+    int layer, const LayerParams& params) {
+  MEMO_TRACE_SCOPE_ARG("restore", "offload", "layer", layer);
+  MEMO_CHECK(layer >= 0 && layer < layers_) << "layer " << layer;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (!backend_error_.ok()) return backend_error_;
+    if (async_) {
+      // The caller is back for this layer, so bwd(layer + 1) has ended and
+      // freed the rounding buffer prefetch(layer - 1) fills.
+      if (layer + 1 < layers_) FinishLocked(model::SwapOpKind::kBwd, layer + 1);
+      MEMO_RETURN_IF_ERROR(AwaitLocked(lock, model::SwapOpKind::kBwd, layer,
+                                       "restore_wait",
+                                       &stats_.restore_wait_seconds));
+    }
+    if (Keeps(layer)) {
+      auto it = retained_.find(layer);
+      MEMO_CHECK(it != retained_.end())
+          << "layer " << layer << " not stashed";
+      LayerActivations acts = std::move(it->second);
+      retained_.erase(it);
+      if (policy_ == ActivationPolicy::kRetainAll) {
+        stored_bytes_ -= BytesOf(acts);
+      }
+      return acts;
+    }
+  }
+  if (!async_) MEMO_RETURN_IF_ERROR(RunInline(layer, /*backward=*/true));
+  LayerActivations acts = std::move(slots_[layer].acts);
+  const std::int64_t s = acts.input.rows();
+  const std::int64_t cut = CutRow(s);
+  if (cut < s) {
+    MEMO_TRACE_SCOPE_ARG("recompute", "train", "layer", layer);
+    recomputed_rows_ += s - cut;
+    RecomputeRows(params, cut, s, &acts);
+  }
+  return acts;
+}
+
+void ActivationStore::Recycle(int layer, LayerActivations&& acts) {
+  // Only an async store's swapped layers come out of the staging; the
+  // caller frees everything else (forward's or the arena's tensors).
+  if (!async_ || Keeps(layer)) return;
+  std::lock_guard<std::mutex> lock(mu_);
+  staging_->restore_sets.push_back(std::move(acts));
+}
+
+Status ActivationStore::RunOp(const model::SwapOp& op) {
+  MEMO_TRACE_SCOPE_ARG(model::SwapOpName(op.kind), "offload", "layer",
+                       op.layer);
+  Slot& slot = slots_[op.layer];
+  switch (op.kind) {
+    case model::SwapOpKind::kOffload: {
+      Blob blob = Serialize(slot.acts);
+      slot.acts = LayerActivations{};  // the rounding buffer is drained
+      if (!spills_) return PutBlob(op.layer, std::move(blob));
+      slot.blob = std::move(blob);
+      return OkStatus();
+    }
+    case model::SwapOpKind::kSpillWrite:
+      return PutBlob(op.layer, std::move(slot.blob));
+    case model::SwapOpKind::kSpillRead: {
+      MEMO_ASSIGN_OR_RETURN(slot.blob, TakeBlob(op.layer));
+      return OkStatus();
+    }
+    case model::SwapOpKind::kPrefetch:
+      return Prefetch(op.layer);
+    default:
+      MEMO_CHECK(false) << model::SwapOpName(op.kind) << " is a compute op";
+      return OkStatus();
+  }
+}
+
+Status ActivationStore::RunInline(int layer, bool backward) {
+  for (const model::SwapOp& op : schedule_) {
+    const bool restores = op.kind == model::SwapOpKind::kSpillRead ||
+                          op.kind == model::SwapOpKind::kPrefetch;
+    if (op.layer == layer && !IsComputeOp(op.kind) && restores == backward) {
+      MEMO_RETURN_IF_ERROR(RunOp(op));
+    }
+  }
   return OkStatus();
 }
 
+void ActivationStore::LaneMain(bool disk_lane) {
+  MEMO_TRACE_SET_THREAD_NAME(disk_lane ? "disk-lane" : "offload-copier");
+  for (std::size_t i = 0; i < schedule_.size(); ++i) {
+    const model::SwapOp& op = schedule_[i];
+    if (IsComputeOp(op.kind) || IsSpillOp(op.kind) != disk_lane) continue;
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      op_done_.wait(lock, [&] {
+        return shutdown_ || !backend_error_.ok() || ReadyLocked(op);
+      });
+      // A fault stops the lanes; the compute thread reports it.
+      if (shutdown_ || !backend_error_.ok()) return;
+    }
+    const Clock::time_point start = Clock::now();
+    (void)RunOp(op);  // a failure is recorded in backend_error_
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stats_.copier_busy_seconds += SecondsSince(start);
+      done_[i] = true;
+    }
+    op_done_.notify_all();
+  }
+}
+
+bool ActivationStore::ReadyLocked(const model::SwapOp& op) const {
+  return std::all_of(op.waits.begin(), op.waits.end(),
+                     [this](int wait) { return done_[wait]; });
+}
+
+Status ActivationStore::AwaitLocked(std::unique_lock<std::mutex>& lock,
+                                    model::SwapOpKind kind, int layer,
+                                    const char* span, double* wait_seconds) {
+  CheckDue(schedule_, compute_, kind, layer);
+  const model::SwapOp& op = schedule_[compute_];
+  if (!ReadyLocked(op)) {
+    const Clock::time_point start = Clock::now();
+    {
+      MEMO_TRACE_SCOPE(span, "offload");
+      op_done_.wait(lock,
+                    [&] { return !backend_error_.ok() || ReadyLocked(op); });
+    }
+    *wait_seconds += SecondsSince(start);
+  }
+  return backend_error_;
+}
+
+void ActivationStore::FinishLocked(model::SwapOpKind kind, int layer) {
+  CheckDue(schedule_, compute_, kind, layer);
+  done_[compute_] = true;
+  do {
+    ++compute_;
+  } while (compute_ < schedule_.size() &&
+           !IsComputeOp(schedule_[compute_].kind));
+  op_done_.notify_all();
+}
+
 ActivationStore::Blob ActivationStore::Serialize(
-    int layer, const LayerActivations& acts) {
-  MEMO_TRACE_SCOPE_ARG("offload_copy", "offload", "layer", layer);
+    const LayerActivations& acts) {
   const std::int64_t cut = CutRow(acts.input.rows());
   Blob blob;
-  blob.layer = layer;
   blob.kept_bytes = KeptBytes(acts, cut);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -281,7 +430,7 @@ ActivationStore::Blob ActivationStore::Serialize(
   return blob;
 }
 
-Status ActivationStore::PutBlob(Blob&& blob) {
+Status ActivationStore::PutBlob(int layer, Blob&& blob) {
   const std::int64_t blob_bytes = static_cast<std::int64_t>(blob.bytes.size());
   // Whole-blob retry: a failed Put leaves both the backend and the blob
   // untouched (backends never consume on failure), so re-running the
@@ -289,9 +438,9 @@ Status ActivationStore::PutBlob(Blob&& blob) {
   // D2H-analog transfer, before any backend state changes.
   const Status st = retry_.Run("stash.put", [&]() -> Status {
     MEMO_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("copier.offload"));
-    return backend_->Put(blob.layer, std::move(blob.bytes));
+    return backend_->Put(layer, std::move(blob.bytes));
   });
-  const bool on_disk = st.ok() && backend_->OnDisk(blob.layer);
+  const bool on_disk = st.ok() && backend_->OnDisk(layer);
   // Counts serialized bytes (payload + per-tensor dims) where they land, so
   // the total agrees with the tiers' own put_bytes accounting.
   static obs::MetricCounter* stash_bytes_counter =
@@ -309,18 +458,16 @@ Status ActivationStore::PutBlob(Blob&& blob) {
   // The copied-bytes stat counts only the async path, where the copy
   // really runs off the compute thread.
   if (async_) stats_.offloaded_bytes += blob.kept_bytes;
-  MEMO_CHECK(stashed_
-                 .emplace(blob.layer,
-                          Stashed{blob.kept_bytes, blob_bytes, on_disk})
-                 .second)
-      << "layer " << blob.layer << " stashed twice";
+  MEMO_CHECK(
+      stashed_.emplace(layer, Stashed{blob.kept_bytes, blob_bytes, on_disk})
+          .second)
+      << "layer " << layer << " stashed twice";
   MEMO_TRACE_COUNTER("stash_resident_bytes", stored_bytes_);
   return OkStatus();
 }
 
 StatusOr<ActivationStore::Blob> ActivationStore::TakeBlob(int layer) {
   Blob blob;
-  blob.layer = layer;
   bool on_disk = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -354,242 +501,34 @@ StatusOr<ActivationStore::Blob> ActivationStore::TakeBlob(int layer) {
   return blob;
 }
 
-StatusOr<LayerActivations> ActivationStore::Restore(
-    int layer, const LayerParams& params) {
-  MEMO_TRACE_SCOPE_ARG("restore", "offload", "layer", layer);
-  LayerActivations acts;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!backend_error_.ok()) return backend_error_;
-    if (Keeps(layer)) {
-      auto it = retained_.find(layer);
-      MEMO_CHECK(it != retained_.end())
-          << "layer " << layer << " not stashed";
-      acts = std::move(it->second);
-      retained_.erase(it);
-      if (policy_ == ActivationPolicy::kRetainAll) {
-        stored_bytes_ -= BytesOf(acts);
-      }
-    }
-  }
-  if (!Keeps(layer)) {
-    if (async_) {
-      MEMO_ASSIGN_OR_RETURN(acts, TakeStaged(layer));
-    } else {
-      MEMO_TRACE_SCOPE_ARG("fetch_widen", "offload", "layer", layer);
-      MEMO_ASSIGN_OR_RETURN(Blob blob, TakeBlob(layer));
-      ReadBlob(blob.bytes, &acts);
-      std::lock_guard<std::mutex> lock(mu_);
-      ReleaseBlob(std::move(blob.bytes));
-    }
-  }
-  // Queue the next layer's prefetch so its H2D-analog copy runs under this
-  // layer's recomputation and backward. The first one, of layer L-3, is
-  // queued here by Restore(L-2), after L-1's backward has freed its buffer.
-  if (async_) QueuePrefetch(layer - 1);
-  if (Keeps(layer)) return acts;
-  const std::int64_t s = acts.input.rows();
-  const std::int64_t cut = CutRow(s);
-  if (cut < s) {
-    MEMO_TRACE_SCOPE_ARG("recompute", "train", "layer", layer);
-    recomputed_rows_ += s - cut;
-    RecomputeRows(params, cut, s, &acts);
-  }
-  return acts;
-}
-
-void ActivationStore::Recycle(int layer, LayerActivations&& acts) {
-  // Only an async store's swapped layers come out of the staging; the
-  // caller frees everything else (forward's or the arena's tensors).
-  if (!async_ || Keeps(layer)) return;
-  std::lock_guard<std::mutex> lock(mu_);
-  staging_->restore_sets.push_back(std::move(acts));
-}
-
-StatusOr<LayerActivations> ActivationStore::TakeStaged(int layer) {
-  const Clock::time_point start = Clock::now();
-  std::unique_lock<std::mutex> lock(mu_);
-  if (prefetch_ready_layer_ != layer && prefetch_inflight_layer_ != layer) {
-    // Restore(layer + 1) was skipped, so nobody queued this prefetch.
-    QueuePrefetchLocked(layer);
-    copier_wake_.notify_all();
-  }
-  if (prefetch_ready_layer_ != layer) {
-    {
-      MEMO_TRACE_SCOPE("restore_wait", "offload");
-      stash_ready_.wait(lock, [&] { return prefetch_ready_layer_ == layer; });
-    }
-    stats_.restore_wait_seconds += SecondsSince(start);
-  }
-  prefetch_ready_layer_ = -1;
-  if (!prefetch_status_.ok()) {
-    return std::exchange(prefetch_status_, OkStatus());
-  }
-  return std::move(prefetch_slot_);
-}
-
-void ActivationStore::QueuePrefetch(int layer) {
-  if (layer < 0 || Keeps(layer)) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    QueuePrefetchLocked(layer);
-  }
-  copier_wake_.notify_all();
-}
-
-void ActivationStore::QueuePrefetchLocked(int layer) {
-  // One prefetch at a time, in backward order once every swapped layer is
-  // stashed: the order the disk lane reads them back in. Any other order
-  // would wait forever on a read that never comes.
-  MEMO_CHECK(prefetch_inflight_layer_ < 0 && prefetch_ready_layer_ < 0 &&
-             layer == next_prefetch_ &&
-             swaps_stashed_ == model::SwappedLayers(layers_))
-      << "async Restore of layer " << layer
-      << " out of backward order or before forward ended";
-  --next_prefetch_;
-  prefetch_inflight_layer_ = layer;
-  // The restore set to fill: the one layer + 2 used, handed back when its
-  // backward ended (bwd_done[layer + 2]); none yet in a run's first step.
-  CopierJob job{CopierJob::Kind::kPrefetch, layer, {}};
-  if (!staging_->restore_sets.empty()) {
-    job.acts = std::move(staging_->restore_sets.back());
-    staging_->restore_sets.pop_back();
-  }
-  jobs_.push_back(std::move(job));
-}
-
-void ActivationStore::CopierMain() {
-  MEMO_TRACE_SET_THREAD_NAME("offload-copier");
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    copier_wake_.wait(lock, [this] { return shutdown_ || !jobs_.empty(); });
-    if (shutdown_) return;
-    CopierJob job = std::move(jobs_.front());
-    jobs_.pop_front();
-    if (job.kind == CopierJob::Kind::kPrefetch) {
-      lock.unlock();
-      RunPrefetch(job.layer, std::move(job.acts));
-      lock.lock();
-      continue;
-    }
-    // At most one blob waits behind the one on the disk: serialize only
-    // into a free hand-off slot.
-    if (lane_enabled_) {
-      copier_wake_.wait(lock, [this] {
-        return shutdown_ || !backend_error_.ok() || pending_write_.layer < 0;
-      });
-    }
-    // After a fault the layer is dropped (the next Stash/Restore reports
-    // the fault); its buffer frees either way, so compute never deadlocks.
-    if (!shutdown_ && backend_error_.ok()) {
-      lock.unlock();
-      const Clock::time_point start = Clock::now();
-      Blob blob = Serialize(job.layer, job.acts);
-      job.acts = LayerActivations{};  // the rounding buffer is drained
-      // Without a lane the copier puts the blob itself; PutBlob records a
-      // failure for the compute side to surface.
-      if (!lane_enabled_) (void)PutBlob(std::move(blob));
-      lock.lock();
-      stats_.copier_busy_seconds += SecondsSince(start);
-      if (lane_enabled_) {
-        pending_write_ = std::move(blob);
-        lane_wake_.notify_all();
-      }
-    }
-    inflight_offloads_.erase(job.layer);
-    buffer_free_.notify_all();
-  }
-}
-
-void ActivationStore::RunPrefetch(int layer, LayerActivations&& set) {
-  StatusOr<Blob> blob = Blob{};
-  if (lane_enabled_) {
-    // The lane reads the layer back first (spill_read_done[layer]).
-    std::unique_lock<std::mutex> lock(mu_);
-    copier_wake_.wait(lock, [&] {
-      return shutdown_ || !backend_error_.ok() || read_ready_.layer == layer;
-    });
-    if (shutdown_) return;
-    if (read_ready_.layer == layer) {
-      blob = std::exchange(read_ready_, Blob{});
-      lane_wake_.notify_all();
-    } else {
-      blob = backend_error_;
-    }
-  }
-  const Clock::time_point start = Clock::now();
-  bool allocated = false;
-  {
-    MEMO_TRACE_SCOPE_ARG("prefetch_copy", "offload", "layer", layer);
-    MEMO_TRACE_SCOPE_ARG("fetch_widen", "offload", "layer", layer);
-    if (!lane_enabled_) blob = TakeBlob(layer);
-    if (blob.ok()) allocated = ReadBlob(blob->bytes, &set);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (blob.ok()) {
-    if (allocated) ++stats_.staging_allocations;
-    stats_.prefetched_bytes += blob->kept_bytes;
-    ReleaseBlob(std::move(blob->bytes));
-    prefetch_slot_ = std::move(set);
-    prefetch_status_ = OkStatus();
+Status ActivationStore::Prefetch(int layer) {
+  Slot& slot = slots_[layer];
+  Blob blob;
+  if (spills_) {
+    blob = std::move(slot.blob);  // spill_read brought it back
   } else {
-    // Stage the failure: the waiting Restore wakes, sees the status and
-    // returns it instead of a garbage activation set.
-    prefetch_slot_ = LayerActivations{};
-    prefetch_status_ = blob.status();
+    MEMO_ASSIGN_OR_RETURN(blob, TakeBlob(layer));
   }
-  prefetch_ready_layer_ = layer;
-  prefetch_inflight_layer_ = -1;
-  stats_.copier_busy_seconds += SecondsSince(start);
-  stash_ready_.notify_all();
-}
-
-void ActivationStore::LaneMain() {
-  MEMO_TRACE_SET_THREAD_NAME("disk-lane");
-  const int swapped = model::SwappedLayers(layers_);
-  int next_read = swapped - 1;  // read-back runs in backward order
-  std::unique_lock<std::mutex> lock(mu_);
-  for (;;) {
-    lane_wake_.wait(lock, [&] {
-      return shutdown_ || pending_write_.layer >= 0 ||
-             (backend_error_.ok() && writes_landed_ == swapped &&
-              next_read >= 0 && read_ready_.layer < 0);
-    });
-    if (shutdown_) return;
-    const Clock::time_point start = Clock::now();
-    if (pending_write_.layer >= 0) {
-      // Taking the blob frees the hand-off slot for the copier's next one.
-      Blob blob = std::exchange(pending_write_, Blob{});
-      copier_wake_.notify_all();
-      if (!backend_error_.ok()) {  // a fault stops the lane
-        ReleaseBlob(std::move(blob.bytes));
-        continue;
-      }
-      lock.unlock();
-      Status st;
-      {
-        MEMO_TRACE_SCOPE_ARG("spill_write", "offload", "layer", blob.layer);
-        st = PutBlob(std::move(blob));
-      }
-      lock.lock();
-      if (st.ok()) ++writes_landed_;
-    } else {
-      const int layer = next_read--;
-      lock.unlock();
-      StatusOr<Blob> blob = Blob{};
-      {
-        MEMO_TRACE_SCOPE_ARG("spill_read", "offload", "layer", layer);
-        blob = TakeBlob(layer);
-      }
-      lock.lock();
-      // A failed read is already recorded (and woke the copier).
-      if (blob.ok()) {
-        read_ready_ = std::move(blob).value();
-        copier_wake_.notify_all();
-      }
+  // An async store fills the restore set layer + 2 handed back when its
+  // backward ended (none yet in a run's first step); an inline restore
+  // allocates its own from the step arena.
+  LayerActivations set;
+  if (async_) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!staging_->restore_sets.empty()) {
+      set = std::move(staging_->restore_sets.back());
+      staging_->restore_sets.pop_back();
     }
-    stats_.copier_busy_seconds += SecondsSince(start);
   }
+  const bool allocated = ReadBlob(blob.bytes, &set);
+  slot.acts = std::move(set);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (async_) {
+    if (allocated) ++stats_.staging_allocations;
+    stats_.prefetched_bytes += blob.kept_bytes;
+  }
+  ReleaseBlob(std::move(blob.bytes));
+  return OkStatus();
 }
 
 void ActivationStore::ReserveStagingLocked(const LayerActivations& acts) {
@@ -630,11 +569,7 @@ void ActivationStore::RecordErrorLocked(const char* instant,
                                         const Status& st) {
   MEMO_TRACE_INSTANT(instant, "offload", st.ToString());
   if (backend_error_.ok()) backend_error_ = st;
-  // Every waiter re-checks backend_error_.
-  stash_ready_.notify_all();
-  buffer_free_.notify_all();
-  copier_wake_.notify_all();
-  lane_wake_.notify_all();
+  op_done_.notify_all();  // every waiter re-checks backend_error_
 }
 
 std::int64_t ActivationStore::stored_bytes() const {

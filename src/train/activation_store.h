@@ -4,15 +4,14 @@
 #include <algorithm>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
+#include "model/activation_spec.h"
 #include "offload/stash_backend.h"
 #include "train/tensor.h"
 
@@ -123,28 +122,20 @@ struct HostStaging {
 /// when forward ends and are the first two backward reads, so they stay
 /// whole on the "device" — never cut, serialized, copied or recomputed.
 ///
-/// With `async_offload` (token-wise policy, at least one swapped layer) a
-/// dedicated copier thread mirrors the paper's offload/prefetch streams:
-/// Stash hands a swapped layer to the copier, which cuts and serializes it
-/// (the D2H-analog copy) while the compute thread runs the next layer.
-/// Layer i reuses rounding buffer i % 2, so its Stash blocks until layer
-/// i − 2's offload has landed, exactly like the
-/// `WaitEvent(compute, offload_done[i-2])` of the three-stream schedule. In
-/// backward, Restore(i) queues the prefetch of layer i − 1 (H2D-analog: the
-/// blob's rows copied into a full-size restore set), which the copier runs
-/// while the compute thread recomputes layer i; the first such prefetch, of
-/// layer `layers` − 3, is queued by Restore(`layers` − 2) once the last
-/// layer's backward has freed its buffer (`WaitEvent(h2d, bwd_done[i+2])`).
-///
-/// A backend with a disk tier (kDisk, kTiered) also gets a disk lane, the
-/// simulator's `spill` stream: a second thread that runs every Put and Take
-/// one at a time. The copier's offload ends when it hands the blob to the
-/// lane (offload_done), and at most one blob waits behind the one being
-/// written. Once the last swapped layer's Put lands the lane reads the
-/// layers back in backward order (spill_read after spill_write_done[i]), at
-/// most one layer ahead of the copier, whose prefetch waits for that read
-/// (spill_read_done[i]). The handoff copies are exact, so async results are
-/// bit-identical to the inline path.
+/// A swapped layer's transfers are the ops of model::SwapSchedule, the list
+/// the simulator enqueues: offload cuts and serializes the layer (the
+/// D2H-analog copy), prefetch copies its kept rows into a full-size restore
+/// set (H2D), and with a disk tier (kDisk, kTiered) spill_write puts the
+/// blob into the backend and spill_read takes it back out; without one,
+/// offload and prefetch do the Put and Take. Inline, Stash(i) runs layer i's
+/// offload ops and Restore(i) its restore ops on the caller. With
+/// `async_offload` (token-wise policy, at least one swapped layer) the
+/// store runs the whole list instead: the compute thread ends fwd(i) in
+/// Stash(i) and bwd(i + 1) in Restore(i), waiting there for what fwd(i)
+/// and bwd(i) wait for; a copier thread runs the offload and prefetch ops
+/// and, with a disk tier, a disk lane runs the spill ops, each in list
+/// order and each op once the ops it waits for are done. The copies are
+/// exact, so async results are bit-identical to the inline path.
 class ActivationStore {
  public:
   /// `layers` is the model's depth; it decides which layers stay in the
@@ -173,12 +164,12 @@ class ActivationStore {
   /// Fails with the backend's Status when the stashed bytes cannot be read
   /// back (checksum mismatch, truncated spill file, injected I/O fault);
   /// the store stays destructible and the spill file is still cleaned up.
-  /// An async store restores in backward layer order.
+  /// An async store restores in backward layer order (aborts otherwise).
   StatusOr<LayerActivations> Restore(int layer, const LayerParams& params);
 
   /// Hands back what Restore(`layer`) returned once the layer's backward is
-  /// done (bwd_done[layer]): an async store reuses a swapped layer's
-  /// tensors as the restore set of layer − 2. Without it they are freed.
+  /// done (bwd(layer)): an async store reuses a swapped layer's tensors as
+  /// the restore set of layer − 2. Without it they are freed.
   void Recycle(int layer, LayerActivations&& acts);
 
   /// Bytes currently held on the "CPU side" of the real system: the kept
@@ -205,23 +196,20 @@ class ActivationStore {
   OffloadStats offload_stats() const;
 
   double alpha() const { return alpha_; }
-  bool async_offload() const { return copier_.joinable(); }
-  /// The stash backend holding token-wise offloaded bytes (never null).
-  const offload::StashBackend& backend() const { return *backend_; }
 
  private:
-  struct CopierJob {
-    enum class Kind { kOffload, kPrefetch } kind;
-    int layer = 0;
-    /// kOffload: the layer to swap out; kPrefetch: the restore set to fill.
-    LayerActivations acts;
-  };
   /// One swapped layer's serialized kept rows on their way into or out of
-  /// the backend; layer -1 marks an empty slot.
+  /// the backend.
   struct Blob {
-    int layer = -1;
     std::int64_t kept_bytes = 0;  // payload bytes, without the dims
     std::string bytes;
+  };
+  /// What a swapped layer's ops hand each other: its tensors (fwd to
+  /// offload, prefetch to bwd) and its blob (offload to spill_write,
+  /// spill_read to prefetch).
+  struct Slot {
+    LayerActivations acts;
+    Blob blob;
   };
   /// A swapped layer whose blob sits in the backend.
   struct Stashed {
@@ -233,35 +221,43 @@ class ActivationStore {
   /// Whether `layer` stays whole on the "device" instead of swapping.
   bool Keeps(int layer) const;
   std::int64_t CutRow(std::int64_t rows) const;
-  void CopierMain();
-  void LaneMain();
+  /// Runs one transfer op of the schedule on the calling thread. A failure
+  /// is recorded in backend_error_ before it is returned, so compute-side
+  /// calls observe copier- and lane-side faults. Caller holds no locks.
+  Status RunOp(const model::SwapOp& op);
+  /// Inline mode: runs `layer`'s transfer ops of one half of the step (its
+  /// offload ops, or with `backward` its restore ops) in list order.
+  Status RunInline(int layer, bool backward);
+  /// A lane's thread: runs the copier's offload and prefetch ops, or the
+  /// disk lane's spill ops, in list order.
+  void LaneMain(bool disk_lane);
+  bool ReadyLocked(const model::SwapOp& op) const;
+  /// The compute thread's side of the async schedule; callers hold mu_.
+  /// AwaitLocked checks that the compute op due next is `kind` on `layer`
+  /// and waits, as span `span`, for the ops it waits for (or a fault);
+  /// FinishLocked marks it done.
+  Status AwaitLocked(std::unique_lock<std::mutex>& lock,
+                     model::SwapOpKind kind, int layer, const char* span,
+                     double* wait_seconds);
+  void FinishLocked(model::SwapOpKind kind, int layer);
   /// Cuts `acts` to its kept rows and serializes them into a recycled
-  /// buffer: the D2H-analog copy. Runs on the copier in async mode, inline
-  /// otherwise.
-  Blob Serialize(int layer, const LayerActivations& acts);
-  /// Puts a blob into the backend (inline, on the copier, or on the disk
-  /// lane) and books it where it landed. A failure is recorded in
-  /// backend_error_ before it is returned, so compute-side calls observe
-  /// copier- and lane-side faults. Caller must hold no locks.
-  Status PutBlob(Blob&& blob);
+  /// buffer: the D2H-analog copy.
+  Blob Serialize(const LayerActivations& acts);
+  /// Puts `layer`'s blob into the backend and books it where it landed.
+  Status PutBlob(int layer, Blob&& blob);
   /// Takes `layer`'s blob out of the backend, a spilled one into a
-  /// recycled buffer. Failures are recorded like PutBlob's.
+  /// recycled buffer.
   StatusOr<Blob> TakeBlob(int layer);
-  /// The copier's prefetch of `layer` into restore set `set`.
-  void RunPrefetch(int layer, LayerActivations&& set);
-  /// Async Restore of a swapped layer: waits for the copier's prefetch.
-  StatusOr<LayerActivations> TakeStaged(int layer);
-  /// Queues the copier's prefetch of `layer` unless it is not a swapped
-  /// layer. Caller holds mu_ (QueuePrefetchLocked).
-  void QueuePrefetch(int layer);
-  void QueuePrefetchLocked(int layer);
+  /// Copies `layer`'s blob (taken from the backend first without a disk
+  /// tier) into a restore set: the H2D-analog copy.
+  Status Prefetch(int layer);
   // Staging and error bookkeeping; callers hold mu_.
   /// Tops the staging up to what the async pipeline holds at once: two
-  /// blob buffers (a disk lane's two: the one on the disk and the one
-  /// beside it) and two restore sets (layer i's in backward and layer
-  /// i − 1's being filled), shaped like `acts`. Runs on the compute thread
-  /// at a store's first swapped Stash, off the step arena, so a run makes
-  /// its staging in one place, in its first step.
+  /// blob buffers (the schedule's staging edges) and two restore sets
+  /// (layer i's in backward and layer i − 1's being filled), shaped like
+  /// `acts`. Runs on the compute thread at a store's first swapped Stash,
+  /// off the step arena, so a run makes its staging in one place, in its
+  /// first step.
   void ReserveStagingLocked(const LayerActivations& acts);
   std::string AcquireBlob(std::int64_t bytes);
   void ReleaseBlob(std::string&& bytes);
@@ -271,7 +267,7 @@ class ActivationStore {
   double alpha_;
   int layers_;
   bool async_ = false;
-  bool lane_enabled_ = false;  // async with a disk tier
+  bool spills_ = false;  // the backend has a disk tier
 
   /// Token-wise stash storage: RAM, disk, or tiered (see BackendOptions).
   std::unique_ptr<offload::StashBackend> backend_;
@@ -282,31 +278,20 @@ class ActivationStore {
   HostStaging own_staging_;
   HostStaging* staging_;  // the run's, or own_staging_
 
+  /// The step's swap schedule (token-wise), the swapped layers' slots, and
+  /// under async which ops are done and the compute op due next. A slot is
+  /// touched only by the op the schedule lets run, so its data needs no
+  /// lock; done_ and compute_ are guarded by mu_.
+  std::vector<model::SwapOp> schedule_;
+  std::vector<Slot> slots_;
+  std::vector<bool> done_;
+  std::size_t compute_ = 0;
+
   // Guards bookkeeping, staging and stats; every thread takes it briefly
-  // around handoffs, never while copying or doing I/O.
+  // around op boundaries, never while copying or doing I/O.
   mutable std::mutex mu_;
-  std::condition_variable stash_ready_;  // copier -> compute: layer staged
-  std::condition_variable buffer_free_;  // copier -> compute: slot freed
-  std::condition_variable copier_wake_;  // job queued, or lane progress
-  std::condition_variable lane_wake_;    // blob handed off, or read taken
-  std::deque<CopierJob> jobs_;
-  std::unordered_set<int> inflight_offloads_;  // queued + in-copy (<= 2)
+  std::condition_variable op_done_;  // an op finished, a fault, or shutdown
   bool shutdown_ = false;
-
-  // Disk lane: the blob waiting behind the one being written, the writes
-  // landed so far, and the read-back waiting for the copier.
-  Blob pending_write_;
-  int writes_landed_ = 0;
-  Blob read_ready_;
-  // Swapped layers handed to the copier, and the next one to prefetch.
-  int swaps_stashed_ = 0;
-  int next_prefetch_ = -1;
-
-  // Prefetch handoff: at most one restore set staged ahead of Restore.
-  int prefetch_inflight_layer_ = -1;  // queued or copying; -1 = none
-  int prefetch_ready_layer_ = -1;     // slot below is valid; -1 = empty
-  LayerActivations prefetch_slot_;
-  Status prefetch_status_;  // failure that produced an empty slot
 
   /// First backend failure observed on any thread (sticky; surfaced by
   /// every later Stash/Restore so the trainer can stop cleanly).

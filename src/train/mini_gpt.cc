@@ -228,7 +228,7 @@ StatusOr<double> MiniGpt::TryForwardBackward(const MiniGptParams& params,
       d_x = LayerBackward(params.layers[layer], config_.heads, acts, d_x,
                           &grads->layers[layer]);
     }
-    store->Recycle(layer, std::move(acts));  // bwd_done[layer]
+    store->Recycle(layer, std::move(acts));  // bwd(layer) ends
   }
   EmbeddingBackward(tokens, d_x, &grads->embedding);
   return loss;

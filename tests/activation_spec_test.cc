@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "common/units.h"
 #include "model/activation_spec.h"
 
@@ -96,6 +101,93 @@ TEST(ActivationSpecTest, GroupedQueryAttentionShrinksKv) {
       ComputeSkeletalLayout(mha, 1, 64 * kSeqK, 1);
   EXPECT_LT(gqa_layout.others_bytes, mha_layout.others_bytes);
   EXPECT_EQ(gqa_layout.input_bytes, mha_layout.input_bytes);
+}
+
+// ---- The swap schedule the simulator enqueues and the activation store
+// runs.
+
+/// One line per op: "name(layer)", then " <- " and the ops it waits for.
+std::string Render(const std::vector<SwapOp>& ops) {
+  std::string out;
+  for (const SwapOp& op : ops) {
+    out += SwapOpName(op.kind) + ("(" + std::to_string(op.layer) + ")");
+    for (std::size_t w = 0; w < op.waits.size(); ++w) {
+      const SwapOp& dep = ops[op.waits[w]];
+      out += (w == 0 ? " <- " : ", ") + std::string(SwapOpName(dep.kind)) +
+             "(" + std::to_string(dep.layer) + ")";
+    }
+    out += "\n";
+  }
+  return out;
+}
+
+TEST(SwapScheduleTest, FiveLayersWithSpillsHaveEveryEdge) {
+  // Layers 3 and 4 stay in the rounding buffers; layers 0-2 swap through
+  // host RAM to disk. offload(2) and spill_read(0) carry the staging edges.
+  EXPECT_EQ(Render(SwapSchedule(5, /*spills=*/true)),
+            "layer_fwd(0)\n"
+            "offload(0) <- layer_fwd(0)\n"
+            "spill_write(0) <- offload(0)\n"
+            "layer_fwd(1)\n"
+            "offload(1) <- layer_fwd(1)\n"
+            "spill_write(1) <- offload(1)\n"
+            "layer_fwd(2) <- offload(0)\n"
+            "offload(2) <- layer_fwd(2), spill_write(0)\n"
+            "spill_write(2) <- offload(2)\n"
+            "layer_fwd(3) <- offload(1)\n"
+            "layer_fwd(4) <- offload(2)\n"
+            "layer_bwd(4)\n"
+            "layer_bwd(3)\n"
+            "spill_read(2) <- spill_write(2)\n"
+            "prefetch(2) <- layer_bwd(4), offload(2), spill_read(2)\n"
+            "layer_bwd(2) <- prefetch(2)\n"
+            "spill_read(1) <- spill_write(1)\n"
+            "prefetch(1) <- layer_bwd(3), offload(1), spill_read(1)\n"
+            "layer_bwd(1) <- prefetch(1)\n"
+            "spill_read(0) <- spill_write(0), prefetch(2)\n"
+            "prefetch(0) <- layer_bwd(2), offload(0), spill_read(0)\n"
+            "layer_bwd(0) <- prefetch(0)\n");
+}
+
+TEST(SwapScheduleTest, ShapeHoldsFromOneToSixLayers) {
+  using K = SwapOpKind;
+  for (int layers = 1; layers <= 6; ++layers) {
+    for (bool spills : {false, true}) {
+      SCOPED_TRACE(std::to_string(layers) + (spills ? " spilling" : ""));
+      const std::vector<SwapOp> ops = SwapSchedule(layers, spills);
+      // Every layer runs fwd and bwd; a swapped one also offload and
+      // prefetch, plus spill_write and spill_read with spills. Two layers
+      // or fewer have no transfer ops.
+      const std::size_t transfers_per_layer = spills ? 4 : 2;
+      EXPECT_EQ(ops.size(), 2 * static_cast<std::size_t>(layers) +
+                                transfers_per_layer * SwappedLayers(layers));
+      std::set<std::pair<K, int>> seen;
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        const SwapOp& op = ops[i];
+        EXPECT_TRUE(seen.insert({op.kind, op.layer}).second)
+            << SwapOpName(op.kind) << "(" << op.layer << ") twice";
+        if (op.kind != K::kFwd && op.kind != K::kBwd) {
+          // The last two layers have only fwd and bwd.
+          EXPECT_TRUE(LayerSwaps(op.layer, layers))
+              << SwapOpName(op.kind) << "(" << op.layer << ")";
+        }
+        if (!spills) {
+          EXPECT_NE(op.kind, K::kSpillWrite);
+          EXPECT_NE(op.kind, K::kSpillRead);
+        }
+        for (const int wait : op.waits) {
+          // Program order: what an op waits for was enqueued before it.
+          EXPECT_GE(wait, 0);
+          EXPECT_LT(static_cast<std::size_t>(wait), i);
+          const K dep = ops[wait].kind;
+          if (!spills) {  // no staging edge without a disk tier
+            EXPECT_FALSE(op.kind == K::kOffload && dep == K::kSpillWrite);
+            EXPECT_FALSE(op.kind == K::kSpillRead && dep == K::kPrefetch);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

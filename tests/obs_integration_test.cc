@@ -107,7 +107,7 @@ TEST_F(ObsIntegrationTest, CopierSpansOverlapComputeSpans) {
   std::vector<Span> copier_spans;   // the copier thread's copy work
   std::vector<Span> compute_spans;  // "train"-category spans (compute thread)
   for (const Span& s : spans) {
-    if (s.name == "offload_copy" || s.name == "prefetch_copy") {
+    if (s.name == "offload" || s.name == "prefetch") {
       copier_spans.push_back(s);
     } else if (s.category == "train") {
       compute_spans.push_back(s);

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "common/fault_injector.h"
+#include "common/fingerprint.h"
 #include "gtest/gtest.h"
 #include "offload/disk_backend.h"
 #include "offload/ram_backend.h"

@@ -9,6 +9,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "model/activation_spec.h"
 #include "model/trace_gen.h"
 #include "obs/trace_recorder.h"
 #include "planner/bilevel_planner.h"
@@ -537,12 +538,14 @@ std::vector<LayerSpan> RecordedSpans() {
 }
 
 TEST(ParallelExactnessTest, CopierFollowsTheTwoBufferSchedule) {
+  // The async store runs model::SwapSchedule, the list the simulator
+  // enqueues: every op records one span named as the op, and no op starts
+  // before the ops it waits for have ended.
   const MiniGptConfig config = FiveLayerModel();
-  const int last = config.layers - 1;
   for (const offload::BackendOptions& backend :
        {offload::BackendOptions{}, SlowDiskBackend()}) {
-    const bool disk = backend.kind != offload::BackendKind::kRam;
-    SCOPED_TRACE(disk ? "tiered, throttled disk" : "ram");
+    const bool spills = backend.kind != offload::BackendKind::kRam;
+    SCOPED_TRACE(spills ? "tiered, throttled disk" : "ram");
     obs::TraceRecorder::Global().Clear();
     obs::TraceRecorder::Global().Enable();
     {
@@ -553,85 +556,109 @@ TEST(ParallelExactnessTest, CopierFollowsTheTwoBufferSchedule) {
     obs::TraceRecorder::Global().Disable();
     const std::vector<LayerSpan> spans = RecordedSpans();
     obs::TraceRecorder::Global().Clear();
+    const std::vector<model::SwapOp> schedule =
+        model::SwapSchedule(config.layers, spills);
 
-    const auto find = [&](const std::string& name, int layer) {
+    using K = model::SwapOpKind;
+    const auto find = [&](const std::string& name, std::int64_t layer) {
       const LayerSpan* found = nullptr;
+      int count = 0;
       for (const LayerSpan& span : spans) {
-        if (span.name == name && span.layer == layer) found = &span;
-      }
-      return found;
-    };
-    const auto named = [&](std::initializer_list<const char*> names) {
-      std::vector<LayerSpan> out;
-      for (const LayerSpan& span : spans) {
-        for (const char* name : names) {
-          if (span.name == name) out.push_back(span);
+        if (span.name == name && span.layer == layer) {
+          found = &span;
+          ++count;
         }
       }
-      std::sort(out.begin(), out.end(),
-                [](const LayerSpan& a, const LayerSpan& b) {
-                  return a.begin_us < b.begin_us;
-                });
-      return out;
+      EXPECT_EQ(count, 1) << name << " of layer " << layer;
+      return found;
     };
-    // The copier and the lane never touch the two layers in the rounding
-    // buffers.
-    for (const LayerSpan& span :
-         named({"offload_copy", "prefetch_copy", "fetch_widen",
-                "spill_write", "spill_read"})) {
-      EXPECT_LT(span.layer, last - 1) << span.name << " of layer "
-                                      << span.layer;
+    const auto is_compute = [](K kind) {
+      return kind == K::kFwd || kind == K::kBwd;
+    };
+    // The lanes record no span the schedule lacks: the last two layers stay
+    // in their rounding buffers.
+    std::size_t transfers = 0;
+    for (const model::SwapOp& op : schedule) {
+      if (!is_compute(op.kind)) ++transfers;
     }
-    // Backward: the prefetch of layer L-3 waits for layer L-1's backward to
-    // free its rounding buffer (WaitEvent(h2d, bwd_done[i+2])).
-    const LayerSpan* prefetch = find("prefetch_copy", last - 2);
-    const LayerSpan* last_bwd = find("layer_bwd", last);
-    ASSERT_NE(prefetch, nullptr);
-    ASSERT_NE(last_bwd, nullptr);
-    EXPECT_GE(prefetch->begin_us, last_bwd->end_us);
-    // Forward: keeping layer L-1 in buffer (L-1) % 2 waits for layer L-3's
-    // offload out of it to land (WaitEvent(compute, offload_done[i-2])).
-    const LayerSpan* offload = find("offload_copy", last - 2);
-    const LayerSpan* keep = find("stash", last);
-    ASSERT_NE(offload, nullptr);
-    ASSERT_NE(keep, nullptr);
-    EXPECT_GE(keep->end_us, offload->end_us);
-    if (!disk) continue;
+    std::size_t transfer_spans = 0;
+    for (const LayerSpan& span : spans) {
+      for (K kind :
+           {K::kOffload, K::kSpillWrite, K::kSpillRead, K::kPrefetch}) {
+        if (span.name == model::SwapOpName(kind)) ++transfer_spans;
+      }
+    }
+    EXPECT_EQ(transfer_spans, transfers);
 
-    // The disk lane (the simulator's spill stream) runs every disk
-    // transfer, one at a time, on its own thread: none is nested in a
-    // copier span.
-    const std::vector<LayerSpan> lane = named({"spill_write", "spill_read"});
-    ASSERT_FALSE(lane.empty()) << "no disk-lane spans recorded";
-    const int lane_tid = lane.front().tid;
-    for (const LayerSpan& span : lane) EXPECT_EQ(span.tid, lane_tid);
-    for (const LayerSpan& span : named({"offload_copy", "prefetch_copy"})) {
-      EXPECT_NE(span.tid, lane_tid) << span.name << " on the disk lane";
+    // Every edge: a lane op begins after the ops it waits for end; the
+    // compute thread waits for what fwd(i) and bwd(i) wait for inside
+    // Stash(i) and Restore(i), so those calls end after them.
+    for (const model::SwapOp& op : schedule) {
+      const LayerSpan* waiter =
+          op.kind == K::kFwd   ? find("stash", op.layer)
+          : op.kind == K::kBwd ? find("restore", op.layer)
+                               : find(model::SwapOpName(op.kind), op.layer);
+      ASSERT_NE(waiter, nullptr);
+      const double waited_at =
+          is_compute(op.kind) ? waiter->end_us : waiter->begin_us;
+      for (const int wait : op.waits) {
+        const model::SwapOp& dep = schedule[wait];
+        const LayerSpan* before = find(model::SwapOpName(dep.kind), dep.layer);
+        ASSERT_NE(before, nullptr);
+        EXPECT_GE(waited_at, before->end_us)
+            << model::SwapOpName(op.kind) << "(" << op.layer
+            << ") did not wait for " << model::SwapOpName(dep.kind) << "("
+            << dep.layer << ")";
+      }
     }
-    const std::vector<LayerSpan> io = named({"disk_put", "disk_read"});
+
+    // Each lane runs its ops in list order on a thread of its own: the
+    // compute thread fwd and bwd, the copier offload and prefetch, the disk
+    // lane the spill ops.
+    std::map<std::string, std::vector<const LayerSpan*>> lanes;
+    for (const model::SwapOp& op : schedule) {
+      const char* lane = is_compute(op.kind) ? "compute"
+                         : op.kind == K::kOffload || op.kind == K::kPrefetch
+                             ? "copier"
+                             : "disk";
+      lanes[lane].push_back(find(model::SwapOpName(op.kind), op.layer));
+    }
+    ASSERT_EQ(lanes.size(), spills ? 3u : 2u);
+    std::vector<int> lane_tids;
+    for (const auto& [lane, ops] : lanes) {
+      SCOPED_TRACE(lane);
+      for (std::size_t i = 0; i < ops.size(); ++i) {
+        ASSERT_NE(ops[i], nullptr);
+        EXPECT_EQ(ops[i]->tid, ops.front()->tid) << ops[i]->name;
+        if (i > 0) {
+          EXPECT_GE(ops[i]->begin_us, ops[i - 1]->end_us) << ops[i]->name;
+        }
+      }
+      for (const int tid : lane_tids) EXPECT_NE(ops.front()->tid, tid);
+      lane_tids.push_back(ops.front()->tid);
+    }
+    if (!spills) continue;
+
+    // The disk lane runs every disk transfer, one at a time.
+    const int disk_tid = lanes["disk"].front()->tid;
+    std::vector<LayerSpan> io;
+    for (const LayerSpan& span : spans) {
+      if (span.name == "disk_put" || span.name == "disk_read") {
+        io.push_back(span);
+      }
+    }
+    std::sort(io.begin(), io.end(),
+              [](const LayerSpan& a, const LayerSpan& b) {
+                return a.begin_us < b.begin_us;
+              });
     ASSERT_FALSE(io.empty());
     for (std::size_t i = 0; i < io.size(); ++i) {
-      EXPECT_EQ(io[i].tid, lane_tid) << io[i].name << " off the disk lane";
+      EXPECT_EQ(io[i].tid, disk_tid) << io[i].name << " off the disk lane";
       if (i > 0) {
         EXPECT_GE(io[i].begin_us, io[i - 1].end_us)
             << io[i].name << " overlaps " << io[i - 1].name;
       }
     }
-    // Read-back starts once the last write has landed and runs in backward
-    // order (spill_read after spill_write_done[i]).
-    double last_put_end = 0.0;
-    for (const LayerSpan& span : named({"disk_put"})) {
-      last_put_end = std::max(last_put_end, span.end_us);
-    }
-    const std::vector<LayerSpan> reads = named({"disk_read"});
-    ASSERT_FALSE(reads.empty());
-    EXPECT_GE(reads.front().begin_us, last_put_end);
-    std::int64_t previous = last - 1;
-    for (const LayerSpan& span : named({"spill_read"})) {
-      EXPECT_LT(span.layer, previous) << "read-back out of backward order";
-      previous = span.layer;
-    }
-    EXPECT_EQ(previous, 0);
   }
 }
 

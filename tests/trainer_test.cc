@@ -114,6 +114,33 @@ TEST(ActivationStoreTest, TokenWiseShrinksDeviceResidency) {
               cfg.layers / 2.0, 0.2);
 }
 
+TEST(ActivationStoreDeathTest, AsyncRestoreOutOfScheduleOrderAborts) {
+  // An async store runs one swap schedule. A Restore the schedule has no
+  // place for would wait forever on a prefetch that never runs, so it
+  // fails a check instead: before forward ends, or skipping a layer.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  const MiniGptConfig cfg = TinyModel();
+  const LayerParams params;
+  EXPECT_DEATH(
+      {
+        ActivationStore store(ActivationPolicy::kTokenWise, 0.5, cfg.layers,
+                              /*async_offload=*/true);
+        (void)store.Restore(cfg.layers - 1, params);
+      },
+      "out of schedule order");
+  EXPECT_DEATH(
+      {
+        ActivationStore store(ActivationPolicy::kTokenWise, 0.5, cfg.layers,
+                              /*async_offload=*/true);
+        for (int layer = 0; layer < cfg.layers; ++layer) {
+          (void)store.Stash(layer, LayerActivations{});
+        }
+        (void)store.Restore(cfg.layers - 1, params);
+        (void)store.Restore(cfg.layers - 3, params);
+      },
+      "out of schedule order");
+}
+
 TEST(TrainerTest, LossDecreasesOnSyntheticLanguage) {
   TrainRunOptions o = BaseRun();
   o.iterations = 150;
