@@ -9,12 +9,10 @@
 
 #include "common/table_printer.h"
 #include "common/units.h"
-#include "core/session.h"
+#include "core/plan_request.h"
 
 namespace {
 
-using memo::core::RunBestStrategy;
-using memo::core::Workload;
 using memo::parallel::SystemKind;
 
 void PrintSystem(SystemKind system) {
@@ -34,20 +32,23 @@ void PrintSystem(SystemKind system) {
               : system == SystemKind::kMegatron ? "Table 6"
                                                 : "Table 7");
   for (const Row& row : rows) {
-    const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(row.gpus);
+    memo::core::PlanRequest request;
+    request.system = system;
+    request.model = row.model;
+    request.cluster = memo::hw::PaperCluster(row.gpus);
     memo::TablePrinter table({"seq", "strategy", "alpha", "MFU"});
     for (std::int64_t sk : {64, 128, 256, 512, 768, 1024, 1408}) {
-      const Workload w{row.model, sk * memo::kSeqK};
-      const auto r = RunBestStrategy(system, w, cluster);
+      request.seq = sk * memo::kSeqK;
+      const memo::core::PlanResult r = memo::core::ExecutePlanRequest(request);
       if (r.status.ok()) {
-        table.AddRow({memo::FormatSeqLen(w.seq),
+        table.AddRow({memo::FormatSeqLen(request.seq),
                       r.best.strategy.ToString(),
                       system == SystemKind::kMemo
                           ? memo::StrFormat("%.3f", r.best.alpha)
                           : "-",
                       memo::StrFormat("%.2f%%", r.best.metrics.mfu * 100)});
       } else {
-        table.AddRow({memo::FormatSeqLen(w.seq),
+        table.AddRow({memo::FormatSeqLen(request.seq),
                       r.status.IsOutOfHostMemory() ? "X_oohm" : "X_oom", "-",
                       "-"});
       }

@@ -9,7 +9,7 @@
 
 #include "common/table_printer.h"
 #include "common/units.h"
-#include "core/session.h"
+#include "core/plan_request.h"
 
 int main() {
   const memo::model::ModelConfig model = memo::model::Gpt7B();
@@ -20,19 +20,28 @@ int main() {
   memo::TablePrinter table({"#GPUs", "system", "max seq", "MFU@max",
                             "strategy", "alpha"});
   for (int gpus : {8, 16, 32, 64}) {
-    const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(gpus);
-    const std::int64_t cap = static_cast<std::int64_t>(gpus) * 256 * memo::kSeqK;
+    memo::core::PlanRequest request;
+    request.kind = memo::core::PlanQueryKind::kMaxSeq;
+    request.model = model;
+    request.seq = step;
+    request.cluster = memo::hw::PaperCluster(gpus);
+    request.seq_step = step;
+    request.seq_cap = static_cast<std::int64_t>(gpus) * 256 * memo::kSeqK;
     for (auto system : {memo::parallel::SystemKind::kDeepSpeed,
                         memo::parallel::SystemKind::kMegatron,
                         memo::parallel::SystemKind::kMemo}) {
+      request.system = system;
       const std::int64_t max_seq =
-          memo::core::MaxSupportedSeqLen(system, model, cluster, step, cap);
+          memo::core::ExecutePlanRequest(request).max_seq;
       std::string mfu = "-";
       std::string strategy = "-";
       std::string alpha = "-";
       if (max_seq > 0) {
-        const auto r = memo::core::RunBestStrategy(
-            system, memo::core::Workload{model, max_seq}, cluster);
+        memo::core::PlanRequest at_max = request;
+        at_max.kind = memo::core::PlanQueryKind::kBestStrategy;
+        at_max.seq = max_seq;
+        const memo::core::PlanResult r =
+            memo::core::ExecutePlanRequest(at_max);
         if (r.status.ok()) {
           mfu = memo::StrFormat("%.2f%%", r.best.metrics.mfu * 100.0);
           strategy = r.best.strategy.ToString();

@@ -104,13 +104,15 @@ BENCHMARK(BM_BilevelPlanFullModel)->Arg(32)->Arg(80);
 void BM_MemoIterationSimulation(benchmark::State& state) {
   // One full Table-3 cell: strategy validation + alpha LP + bi-level plan +
   // three-stream schedule.
-  const auto cluster = memo::hw::PaperCluster(8);
+  memo::core::PlanRequest request;
+  request.model = memo::model::Gpt7B();
+  request.seq = 512 * memo::kSeqK;
+  request.cluster = memo::hw::PaperCluster(8);
   memo::parallel::ParallelStrategy strategy;
   strategy.tp = 4;
   strategy.cp = 2;
-  const memo::core::Workload w{memo::model::Gpt7B(), 512 * memo::kSeqK};
   for (auto _ : state) {
-    auto r = memo::core::RunMemoIteration(w, strategy, cluster);
+    auto r = memo::core::RunMemoIteration(request, strategy);
     benchmark::DoNotOptimize(r.ok());
   }
 }

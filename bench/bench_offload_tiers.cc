@@ -28,7 +28,7 @@
 #include "bench_json.h"
 #include "common/table_printer.h"
 #include "common/units.h"
-#include "core/session.h"
+#include "core/plan_request.h"
 #include "train/trainer.h"
 
 namespace {
@@ -152,15 +152,16 @@ int main(int argc, char** argv) {
         smoke ? std::vector<double>{512.0, 32.0}
               : std::vector<double>{2048.0, 512.0, 128.0, 32.0};
     for (const double host_gib : hosts) {
-      auto cluster = memo::hw::PaperCluster(8);
-      cluster.node.host_memory_bytes = static_cast<std::int64_t>(
+      memo::core::PlanRequest request;
+      request.model = *model;
+      request.seq = 512 * memo::kSeqK;
+      request.cluster = memo::hw::PaperCluster(8);
+      request.cluster.node.host_memory_bytes = static_cast<std::int64_t>(
           host_gib * static_cast<double>(memo::kGiB));
-      cluster.node.nvme_bytes = 4 * memo::kTiB;
-      cluster.node.nvme_bandwidth = 6.0 * memo::kGBps;
-      const auto best = memo::core::RunBestStrategy(
-          memo::parallel::SystemKind::kMemo,
-          memo::core::Workload{*model, 512 * memo::kSeqK}, cluster,
-          memo::core::SessionOptions{});
+      request.cluster.node.nvme_bytes = 4 * memo::kTiB;
+      request.cluster.node.nvme_bandwidth = 6.0 * memo::kGBps;
+      const memo::core::PlanResult best =
+          memo::core::ExecutePlanRequest(request);
       if (!best.status.ok()) {
         all_hosts_train = false;
         sim_table.AddRow({memo::StrFormat("%.0f", host_gib),

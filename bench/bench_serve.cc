@@ -50,18 +50,16 @@ using memo::serve::QueryOutcome;
 /// length): each is one LP solve plus simulation — the realistic unit of
 /// work a planning service answers.
 std::vector<PlanRequest> MakeRequests(int count) {
-  const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(8);
-  const memo::model::ModelConfig model = memo::model::Gpt7B();
+  PlanRequest request;
+  request.kind = PlanQueryKind::kStrategy;
+  request.model = memo::model::Gpt7B();
+  request.cluster = memo::hw::PaperCluster(8);
+  request.strategy.tp = 4;
+  request.strategy.cp = 2;
   std::vector<PlanRequest> requests;
   requests.reserve(count);
   for (int i = 0; i < count; ++i) {
-    PlanRequest request = memo::core::PlanRequestFromSession(
-        memo::parallel::SystemKind::kMemo,
-        {model, (64 + 32 * static_cast<std::int64_t>(i)) * memo::kSeqK},
-        cluster, {});
-    request.kind = PlanQueryKind::kStrategy;
-    request.strategy.tp = 4;
-    request.strategy.cp = 2;
+    request.seq = (64 + 32 * static_cast<std::int64_t>(i)) * memo::kSeqK;
     requests.push_back(request);
   }
   return requests;

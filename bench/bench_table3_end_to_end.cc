@@ -9,20 +9,32 @@
 
 #include "common/table_printer.h"
 #include "common/units.h"
-#include "core/session.h"
+#include "core/plan_request.h"
 
 namespace {
 
-using memo::core::RunBestStrategy;
-using memo::core::SystemRunResult;
-using memo::core::Workload;
+using memo::core::PlanRequest;
+using memo::core::PlanResult;
 using memo::parallel::SystemKind;
 
-std::string Cell(const SystemRunResult& r) {
+std::string Cell(const PlanResult& r) {
   if (r.status.IsOutOfHostMemory()) return "X_oohm";
   if (!r.status.ok()) return "X_oom";
   return memo::StrFormat("%.2f%%/%.2f", r.best.metrics.mfu * 100.0,
                          r.best.metrics.tgs);
+}
+
+/// The best strategy of `system` on `request`'s workload.
+PlanResult Best(PlanRequest request, SystemKind system) {
+  request.system = system;
+  return memo::core::ExecutePlanRequest(request);
+}
+
+PlanRequest RowRequest(int gpus, const memo::model::ModelConfig& model) {
+  PlanRequest request;
+  request.model = model;
+  request.cluster = memo::hw::PaperCluster(gpus);
+  return request;
 }
 
 }  // namespace
@@ -43,21 +55,18 @@ int main() {
 
   std::printf("Table 3: MFU / TGS per system (auto-tuned strategies)\n\n");
   for (const Row& row : rows) {
-    const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(row.gpus);
+    PlanRequest request = RowRequest(row.gpus, row.model);
     std::printf("== %d GPUs, %s model ==\n", row.gpus,
                 row.model.name.c_str());
     memo::TablePrinter table(
         {"seq", "DeepSpeed", "Megatron-LM", "MEMO", "MEMO strategy",
          "alpha"});
     for (std::int64_t sk : seqs_k) {
-      const Workload w{row.model, sk * memo::kSeqK};
-      const SystemRunResult ds =
-          RunBestStrategy(SystemKind::kDeepSpeed, w, cluster);
-      const SystemRunResult mega =
-          RunBestStrategy(SystemKind::kMegatron, w, cluster);
-      const SystemRunResult ours =
-          RunBestStrategy(SystemKind::kMemo, w, cluster);
-      table.AddRow({memo::FormatSeqLen(w.seq), Cell(ds), Cell(mega),
+      request.seq = sk * memo::kSeqK;
+      const PlanResult ds = Best(request, SystemKind::kDeepSpeed);
+      const PlanResult mega = Best(request, SystemKind::kMegatron);
+      const PlanResult ours = Best(request, SystemKind::kMemo);
+      table.AddRow({memo::FormatSeqLen(request.seq), Cell(ds), Cell(mega),
                     Cell(ours),
                     ours.status.ok() ? ours.best.strategy.ToString() : "-",
                     ours.status.ok()
@@ -75,17 +84,17 @@ int main() {
   double ratio_ds = 0.0;
   int n_ds = 0;
   for (const Row& row : rows) {
-    const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(row.gpus);
+    PlanRequest request = RowRequest(row.gpus, row.model);
     for (std::int64_t sk : seqs_k) {
-      const Workload w{row.model, sk * memo::kSeqK};
-      const auto ours = RunBestStrategy(SystemKind::kMemo, w, cluster);
+      request.seq = sk * memo::kSeqK;
+      const PlanResult ours = Best(request, SystemKind::kMemo);
       if (!ours.status.ok()) continue;
-      const auto mega = RunBestStrategy(SystemKind::kMegatron, w, cluster);
+      const PlanResult mega = Best(request, SystemKind::kMegatron);
       if (mega.status.ok()) {
         ratio_mega += ours.best.metrics.mfu / mega.best.metrics.mfu;
         ++n_mega;
       }
-      const auto ds = RunBestStrategy(SystemKind::kDeepSpeed, w, cluster);
+      const PlanResult ds = Best(request, SystemKind::kDeepSpeed);
       if (ds.status.ok()) {
         ratio_ds += ours.best.metrics.mfu / ds.best.metrics.mfu;
         ++n_ds;

@@ -16,11 +16,9 @@
 
 namespace {
 
-using memo::core::BaselineOptions;
-using memo::core::MemoOptions;
+using memo::core::PlanRequest;
 using memo::core::RunMegatronIteration;
 using memo::core::RunMemoIteration;
-using memo::core::Workload;
 
 std::string Cell(const memo::StatusOr<memo::core::IterationResult>& r) {
   if (r.ok()) return memo::StrFormat("%.2f%%", r->metrics.mfu * 100.0);
@@ -31,8 +29,9 @@ std::string Cell(const memo::StatusOr<memo::core::IterationResult>& r) {
 }  // namespace
 
 int main() {
-  const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(8);
-  const memo::model::ModelConfig model = memo::model::Gpt7B();
+  PlanRequest request;
+  request.model = memo::model::Gpt7B();
+  request.cluster = memo::hw::PaperCluster(8);
   memo::parallel::ParallelStrategy strategy;
   strategy.tp = 4;
   strategy.cp = 2;
@@ -45,27 +44,26 @@ int main() {
 
   for (std::int64_t sk :
        {64, 128, 256, 384, 512, 640, 768, 896, 1024, 1088, 1152, 1280}) {
-    const Workload w{model, sk * memo::kSeqK};
+    request.seq = sk * memo::kSeqK;
     memo::parallel::ParallelStrategy recompute_strategy = strategy;
     recompute_strategy.full_recompute = true;
 
-    BaselineOptions no_plan;
     const auto full_recompute =
-        RunMegatronIteration(w, recompute_strategy, cluster, no_plan);
+        RunMegatronIteration(request, recompute_strategy);
 
-    BaselineOptions with_plan;
-    with_plan.use_memory_plan = true;
+    PlanRequest with_plan = request;
+    with_plan.baseline_use_memory_plan = true;
     const auto recompute_plan =
-        RunMegatronIteration(w, recompute_strategy, cluster, with_plan);
+        RunMegatronIteration(with_plan, recompute_strategy);
 
-    MemoOptions full_swap;
+    PlanRequest full_swap = request;
     full_swap.forced_alpha = 1.0;
-    const auto swap_plan = RunMemoIteration(w, strategy, cluster, full_swap);
+    const auto swap_plan = RunMemoIteration(full_swap, strategy);
 
-    const auto ours = RunMemoIteration(w, strategy, cluster);
+    const auto ours = RunMemoIteration(request, strategy);
 
     table.AddRow(
-        {memo::FormatSeqLen(w.seq), Cell(full_recompute),
+        {memo::FormatSeqLen(request.seq), Cell(full_recompute),
          Cell(recompute_plan), Cell(swap_plan), Cell(ours),
          ours.ok() ? memo::StrFormat("%.3f", ours->alpha) : "-",
          full_recompute.ok()

@@ -11,7 +11,7 @@
 
 #include "common/table_printer.h"
 #include "common/units.h"
-#include "core/session.h"
+#include "core/plan_request.h"
 
 int main(int argc, char** argv) {
   const std::string model_name = argc > 1 ? argv[1] : "30B";
@@ -29,13 +29,16 @@ int main(int argc, char** argv) {
   memo::TablePrinter table({"#GPUs", "system", "feasible", "MFU", "TGS",
                             "strategy"});
   bool memo_found = false;
+  memo::core::PlanRequest request;
+  request.model = *model;
+  request.seq = seq;
   for (int gpus : {8, 16, 32, 64}) {
-    const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(gpus);
-    const memo::core::Workload workload{*model, seq};
+    request.cluster = memo::hw::PaperCluster(gpus);
     for (auto system : {memo::parallel::SystemKind::kDeepSpeed,
                         memo::parallel::SystemKind::kMegatron,
                         memo::parallel::SystemKind::kMemo}) {
-      const auto r = memo::core::RunBestStrategy(system, workload, cluster);
+      request.system = system;
+      const auto r = memo::core::ExecutePlanRequest(request);
       if (r.status.ok()) {
         if (system == memo::parallel::SystemKind::kMemo && !memo_found) {
           memo_found = true;

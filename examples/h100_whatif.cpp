@@ -14,7 +14,7 @@
 #include "common/table_printer.h"
 #include "common/units.h"
 #include "core/job_profiler.h"
-#include "core/session.h"
+#include "core/plan_request.h"
 
 namespace {
 
@@ -30,9 +30,11 @@ memo::hw::ClusterSpec H100Cluster() {
 }  // namespace
 
 int main() {
-  const memo::model::ModelConfig model = memo::model::Gpt7B();
-  const memo::hw::ClusterSpec a800 = memo::hw::PaperCluster(8);
-  const memo::hw::ClusterSpec h100 = H100Cluster();
+  memo::core::PlanRequest a800;
+  a800.model = memo::model::Gpt7B();
+  a800.cluster = memo::hw::PaperCluster(8);
+  memo::core::PlanRequest h100 = a800;
+  h100.cluster = H100Cluster();
 
   memo::parallel::ParallelStrategy strategy;
   strategy.tp = 8;
@@ -42,15 +44,15 @@ int main() {
   memo::TablePrinter table({"seq", "A800 alpha", "A800 offload/fwd",
                             "H100 alpha", "H100 offload/fwd"});
   for (std::int64_t sk : {64, 128, 256, 512, 1024}) {
-    const memo::core::Workload w{model, sk * memo::kSeqK};
-    const auto pa = memo::core::ProfileJob(w, strategy, a800);
-    const auto ph = memo::core::ProfileJob(w, strategy, h100);
+    a800.seq = h100.seq = sk * memo::kSeqK;
+    const auto pa = memo::core::ProfileJob(a800, strategy);
+    const auto ph = memo::core::ProfileJob(h100, strategy);
     auto ratio = [](const memo::core::JobProfile& p) {
       const double fwd =
           p.timings.layer.fwd_compute + p.timings.layer.fwd_comm;
       return p.timings.offload_layer_full / fwd;
     };
-    table.AddRow({memo::FormatSeqLen(w.seq),
+    table.AddRow({memo::FormatSeqLen(a800.seq),
                   pa.ok() ? memo::StrFormat("%.3f", pa->alpha.alpha) : "-",
                   pa.ok() ? memo::StrFormat("%.2f", ratio(*pa)) : "-",
                   ph.ok() ? memo::StrFormat("%.3f", ph->alpha.alpha) : "-",
@@ -65,13 +67,11 @@ int main() {
   memo::TablePrinter mfu({"seq", "A800 MFU", "A800 alpha", "H100 MFU",
                           "H100 alpha"});
   for (std::int64_t sk : {256, 512, 1024}) {
-    const memo::core::Workload w{model, sk * memo::kSeqK};
-    const auto ra = memo::core::RunBestStrategy(
-        memo::parallel::SystemKind::kMemo, w, a800);
-    const auto rh = memo::core::RunBestStrategy(
-        memo::parallel::SystemKind::kMemo, w, h100);
+    a800.seq = h100.seq = sk * memo::kSeqK;
+    const auto ra = memo::core::ExecutePlanRequest(a800);
+    const auto rh = memo::core::ExecutePlanRequest(h100);
     mfu.AddRow(
-        {memo::FormatSeqLen(w.seq),
+        {memo::FormatSeqLen(a800.seq),
          ra.status.ok() ? memo::StrFormat("%.2f%%", ra.best.metrics.mfu * 100)
                         : "X",
          ra.status.ok() ? memo::StrFormat("%.3f", ra.best.alpha) : "-",

@@ -11,28 +11,31 @@
 
 #include "common/table_printer.h"
 #include "common/units.h"
+#include "core/plan_request.h"
 #include "core/report.h"
-#include "core/session.h"
 
 int main() {
   // 1. Describe the workload: the Table 2 "7B" GPT at 1M tokens.
   const memo::model::ModelConfig model = memo::model::Gpt7B();
-  const memo::core::Workload workload{model, 1024 * memo::kSeqK};
+  memo::core::PlanRequest request;
+  request.model = model;
+  request.seq = 1024 * memo::kSeqK;
 
   // 2. Describe the hardware: one paper-spec node (8x A800-80GB, NVLink,
   //    2 TB host RAM, 32 GB/s PCIe per GPU).
-  const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(8);
+  request.cluster = memo::hw::PaperCluster(8);
 
   std::printf("Workload: %s model (%.2fB params), sequence %s, %d GPUs\n\n",
               model.name.c_str(), model.num_parameters() / 1e9,
-              memo::FormatSeqLen(workload.seq).c_str(),
-              cluster.total_gpus());
+              memo::FormatSeqLen(request.seq).c_str(),
+              request.cluster.total_gpus());
 
   // 3. Let MEMO auto-tune the parallelism strategy and run one simulated
   //    iteration (profiler -> alpha LP -> bi-level memory plan -> 3-stream
-  //    schedule).
-  const memo::core::SystemRunResult result = memo::core::RunBestStrategy(
-      memo::parallel::SystemKind::kMemo, workload, cluster);
+  //    schedule). A request asks for the best strategy of MEMO unless its
+  //    kind and system say otherwise.
+  const memo::core::PlanResult result =
+      memo::core::ExecutePlanRequest(request);
   if (!result.status.ok()) {
     std::printf("failed: %s\n", result.status.ToString().c_str());
     return 1;
@@ -45,7 +48,8 @@ int main() {
   std::printf("\nBaselines on the same workload:\n");
   for (auto system : {memo::parallel::SystemKind::kMegatron,
                       memo::parallel::SystemKind::kDeepSpeed}) {
-    const auto r = memo::core::RunBestStrategy(system, workload, cluster);
+    request.system = system;
+    const auto r = memo::core::ExecutePlanRequest(request);
     if (r.status.ok()) {
       std::printf("  %-12s MFU %.2f%%  (%s)\n",
                   memo::parallel::SystemKindToString(system),

@@ -17,7 +17,8 @@
 
 #include "common/table_printer.h"
 #include "common/units.h"
-#include "core/session.h"
+#include "core/memo_executor.h"
+#include "core/plan_request.h"
 
 int main(int argc, char** argv) {
   const std::string model_name = argc > 1 ? argv[1] : "13B";
@@ -30,8 +31,10 @@ int main(int argc, char** argv) {
     std::printf("unknown model %s\n", model_name.c_str());
     return 1;
   }
-  const memo::core::Workload workload{*model_or, seq};
-  const memo::hw::ClusterSpec cluster = memo::hw::PaperCluster(gpus);
+  memo::core::PlanRequest request;
+  request.model = *model_or;
+  request.seq = seq;
+  request.cluster = memo::hw::PaperCluster(gpus);
 
   std::printf("Exploring MEMO strategies: %s model, seq %s, %d GPUs\n\n",
               model_name.c_str(), memo::FormatSeqLen(seq).c_str(), gpus);
@@ -42,11 +45,9 @@ int main(int argc, char** argv) {
   };
   std::vector<Entry> entries;
   for (const auto& s : memo::parallel::EnumerateStrategies(
-           memo::parallel::SystemKind::kMemo, workload.model, cluster,
-           workload.seq)) {
-    entries.push_back(
-        {s, memo::core::RunStrategy(memo::parallel::SystemKind::kMemo,
-                                    workload, s, cluster)});
+           memo::parallel::SystemKind::kMemo, request.model, request.cluster,
+           request.seq)) {
+    entries.push_back({s, memo::core::RunMemoIteration(request, s)});
   }
   std::stable_sort(entries.begin(), entries.end(),
                    [](const Entry& a, const Entry& b) {
@@ -81,7 +82,8 @@ int main(int argc, char** argv) {
   std::printf("\nBaselines (auto-tuned):\n");
   for (auto system : {memo::parallel::SystemKind::kMegatron,
                       memo::parallel::SystemKind::kDeepSpeed}) {
-    const auto r = memo::core::RunBestStrategy(system, workload, cluster);
+    request.system = system;
+    const auto r = memo::core::ExecutePlanRequest(request);
     std::printf("  %-12s %s\n", memo::parallel::SystemKindToString(system),
                 r.status.ok()
                     ? memo::StrFormat("MFU %.2f%% with %s",

@@ -136,4 +136,26 @@ TieredAlphaResult QuantizeTieredAlpha(const TieredAlphaResult& result,
   return quantized;
 }
 
+TieredAlphaResult SplitAlphaRamFirst(const TieredAlphaInputs& inputs,
+                                     double alpha) {
+  const int swapped_layers = model::SwappedLayers(inputs.ram.num_layers);
+  const double host = static_cast<double>(inputs.ram.host_bytes_per_gpu);
+  const double ram_budget = swapped_layers > 0 ? host / swapped_layers : host;
+  const double base = static_cast<double>(inputs.ram.s_input_bytes +
+                                          inputs.ram.s_attn_bytes);
+  const double others = static_cast<double>(inputs.ram.s_others_bytes);
+  TieredAlphaResult split;
+  split.alpha = alpha;
+  split.alpha_ram = alpha;
+  split.base_ram_fraction = base > 0.0 ? std::min(base, ram_budget) / base
+                                       : 1.0;
+  if (others > 0.0 && alpha > 0.0) {
+    const double others_ram =
+        std::max(0.0, std::min(alpha * others, ram_budget - base));
+    split.alpha_ram = others_ram / others;
+    split.alpha_disk = alpha - split.alpha_ram;
+  }
+  return split;
+}
+
 }  // namespace memo::core

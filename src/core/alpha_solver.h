@@ -79,6 +79,14 @@ StatusOr<TieredAlphaResult> SolveAlphaTiered(const TieredAlphaInputs& inputs);
 TieredAlphaResult QuantizeTieredAlpha(const TieredAlphaResult& result,
                                       int steps = 8);
 
+/// Splits a given swap fraction over the tiers the way the executor places
+/// the bytes: per swapped layer, the always-offloaded base bytes and then
+/// the `others` share fill the layer's RAM budget (M_ram/(n-2)) and the
+/// rest spills to disk. Sets alpha, alpha_ram, alpha_disk and
+/// base_ram_fraction; no bound flag, and no capacity check.
+TieredAlphaResult SplitAlphaRamFirst(const TieredAlphaInputs& inputs,
+                                     double alpha);
+
 }  // namespace memo::core
 
 #endif  // MEMO_CORE_ALPHA_SOLVER_H_

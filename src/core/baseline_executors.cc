@@ -6,6 +6,7 @@
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "common/units.h"
+#include "core/timings.h"
 #include "model/trace_gen.h"
 #include "parallel/memory_model.h"
 #include "parallel/pipeline.h"
@@ -19,28 +20,27 @@ namespace {
 /// optional full recomputation and caching-allocator memory management; they
 /// differ only in strategy shape (validated upstream) and extra static
 /// buffers.
-StatusOr<IterationResult> RunBaseline(parallel::SystemKind system,
-                                      const Workload& workload,
-                                      const parallel::ParallelStrategy& strategy,
-                                      const hw::ClusterSpec& cluster,
-                                      const BaselineOptions& options,
-                                      std::int64_t extra_static_bytes) {
+StatusOr<IterationResult> RunBaseline(
+    parallel::SystemKind system, const PlanRequest& request,
+    const parallel::ParallelStrategy& strategy,
+    std::int64_t extra_static_bytes) {
+  const hw::ClusterSpec& cluster = request.cluster;
   MEMO_RETURN_IF_ERROR(parallel::ValidateStrategy(system, strategy,
-                                                  workload.model, cluster,
-                                                  workload.seq));
-  const hw::Calibration& cal = options.calibration;
+                                                  request.model, cluster,
+                                                  request.seq));
+  const hw::Calibration& cal = request.calibration;
   const IterationTimings t = ComputeIterationTimings(
-      system, workload.model, strategy, cluster, cal, workload.seq);
+      system, request.model, strategy, cluster, cal, request.seq);
   const int layers = t.layers_per_stage;
 
   // ---- Memory: replay the real request trace through the caching
   // allocator with the model state resident.
   const parallel::ModelStateBytes model_state =
-      parallel::ComputeModelStateBytes(workload.model, strategy);
-  model::ModelConfig stage_model = workload.model;
+      parallel::ComputeModelStateBytes(request.model, strategy);
+  model::ModelConfig stage_model = request.model;
   stage_model.num_layers = layers;
   model::TraceGenOptions trace_options;
-  trace_options.seq_local = strategy.SeqLocal(workload.seq);
+  trace_options.seq_local = strategy.SeqLocal(request.seq);
   trace_options.tensor_parallel = strategy.tp;
   trace_options.mode = strategy.full_recompute
                            ? model::ActivationMode::kFullRecompute
@@ -65,7 +65,7 @@ StatusOr<IterationResult> RunBaseline(parallel::SystemKind system,
   double reorg_stall = 0.0;
   std::int64_t reorg_events = 0;
   std::int64_t activation_peak = 0;
-  if (options.use_memory_plan) {
+  if (request.baseline_use_memory_plan) {
     // Table 4 "Full Recomputation + Memory Plan": same execution, memory
     // served by the static bi-level plan — no fragmentation, no reorgs.
     auto plan = planner::PlanMemory(trace);
@@ -137,7 +137,7 @@ StatusOr<IterationResult> RunBaseline(parallel::SystemKind system,
   result.strategy = strategy;
   result.iteration_seconds = iteration;
   const int samples = strategy.dp;  // one sequence per DP replica
-  result.metrics = cost::ComputeMetrics(workload.model, workload.seq, samples,
+  result.metrics = cost::ComputeMetrics(request.model, request.seq, samples,
                                         cluster.total_gpus(),
                                         cluster.node.gpu.peak_flops, iteration);
   result.compute_seconds =
@@ -159,22 +159,20 @@ StatusOr<IterationResult> RunBaseline(parallel::SystemKind system,
 }  // namespace
 
 StatusOr<IterationResult> RunMegatronIteration(
-    const Workload& workload, const parallel::ParallelStrategy& strategy,
-    const hw::ClusterSpec& cluster, const BaselineOptions& options) {
-  return RunBaseline(parallel::SystemKind::kMegatron, workload, strategy,
-                     cluster, options, /*extra_static_bytes=*/0);
+    const PlanRequest& request, const parallel::ParallelStrategy& strategy) {
+  return RunBaseline(parallel::SystemKind::kMegatron, request, strategy,
+                     /*extra_static_bytes=*/0);
 }
 
 StatusOr<IterationResult> RunDeepSpeedIteration(
-    const Workload& workload, const parallel::ParallelStrategy& strategy,
-    const hw::ClusterSpec& cluster, const BaselineOptions& options) {
+    const PlanRequest& request, const parallel::ParallelStrategy& strategy) {
   // ZeRO-3 keeps double-buffered gathered parameters for the current and
   // prefetched layers resident during compute.
   const std::int64_t gathered =
-      2 * workload.model.layer_parameters() *
+      2 * request.model.layer_parameters() *
       model::ModelConfig::kBytesPerElement;
-  return RunBaseline(parallel::SystemKind::kDeepSpeed, workload, strategy,
-                     cluster, options, gathered);
+  return RunBaseline(parallel::SystemKind::kDeepSpeed, request, strategy,
+                     gathered);
 }
 
 }  // namespace memo::core

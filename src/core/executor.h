@@ -7,18 +7,9 @@
 #include "cost/metrics.h"
 #include "hw/calibration.h"
 #include "hw/gpu_spec.h"
-#include "model/model_config.h"
 #include "parallel/strategy.h"
 
 namespace memo::core {
-
-/// A training workload: one model at one sequence length; each data-parallel
-/// replica processes one sequence per iteration (the paper's long-context
-/// regime).
-struct Workload {
-  model::ModelConfig model;
-  std::int64_t seq = 0;
-};
 
 /// The simulated outcome of one training iteration on one system. Failure
 /// (GPU OOM / host OOM) is reported through the StatusOr wrapper by the

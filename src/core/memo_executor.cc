@@ -6,8 +6,8 @@
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "common/units.h"
+#include "core/job_profiler.h"
 #include "model/activation_spec.h"
-#include "model/trace_gen.h"
 #include "obs/trace_recorder.h"
 #include "parallel/memory_model.h"
 #include "parallel/pipeline.h"
@@ -38,72 +38,23 @@ void MirrorTimelineToRecorder(const sim::SimEngine& engine) {
 
 }  // namespace
 
-TieredAlphaInputs MemoAlphaInputs(const IterationTimings& timings,
-                                  const hw::ClusterSpec& cluster,
-                                  const hw::Calibration& calibration) {
-  TieredAlphaInputs inputs;
-  inputs.ram.s_input_bytes = timings.skeletal.input_bytes;
-  inputs.ram.s_attn_bytes = timings.skeletal.attn_out_bytes;
-  inputs.ram.s_others_bytes = timings.skeletal.others_bytes;
-  inputs.ram.pcie_bytes_per_second =
-      cluster.node.gpu.pcie_bandwidth * calibration.pcie_efficiency;
-  inputs.ram.layer_forward_seconds = timings.layer.fwd_compute +
-                                     timings.layer.fwd_comm +
-                                     timings.layer.cp_fwd_exposed;
-  inputs.ram.num_layers = timings.layers_per_stage;
-  inputs.ram.host_bytes_per_gpu = cluster.host_bytes_per_gpu();
-  inputs.disk_bytes_per_gpu = cluster.disk_bytes_per_gpu();
-  inputs.disk_bytes_per_second =
-      cluster.disk_bandwidth_per_gpu() * calibration.disk_efficiency;
-  return inputs;
-}
-
 StatusOr<IterationResult> RunMemoIteration(
-    const Workload& workload, const parallel::ParallelStrategy& strategy,
-    const hw::ClusterSpec& cluster, const MemoOptions& options) {
+    const PlanRequest& request, const parallel::ParallelStrategy& strategy) {
   MEMO_TRACE_SCOPE("memo_iteration", "executor");
-  MEMO_RETURN_IF_ERROR(parallel::ValidateStrategy(
-      parallel::SystemKind::kMemo, strategy, workload.model, cluster,
-      workload.seq));
-
-  const hw::Calibration& cal = options.calibration;
-  const IterationTimings t = ComputeIterationTimings(
-      parallel::SystemKind::kMemo, workload.model, strategy, cluster, cal,
-      workload.seq);
+  MEMO_ASSIGN_OR_RETURN(const JobProfile profile,
+                        ProfileJob(request, strategy));
+  const hw::ClusterSpec& cluster = request.cluster;
+  const IterationTimings& t = profile.timings;
   const int layers = t.layers_per_stage;
   const int swapped_layers = model::SwappedLayers(layers);
   const model::SkeletalLayout& skeletal = t.skeletal;
-
-  // ---- Swap fraction (Eq. 1-3, tiered: host RAM + optional NVMe spill).
-  const TieredAlphaInputs alpha_inputs = MemoAlphaInputs(t, cluster, cal);
-  const double pcie_bps = alpha_inputs.ram.pcie_bytes_per_second;
-  const double disk_bps = alpha_inputs.disk_bytes_per_second;
-  const double layer_fwd_total = alpha_inputs.ram.layer_forward_seconds;
-  const double base_bytes = static_cast<double>(skeletal.input_bytes +
-                                                skeletal.attn_out_bytes);
-  const double others_bytes = static_cast<double>(skeletal.others_bytes);
-  double alpha = options.forced_alpha;
-  if (alpha < 0.0) {
-    MEMO_ASSIGN_OR_RETURN(const TieredAlphaResult solved,
-                          SolveAlphaTiered(alpha_inputs));
-    alpha = QuantizeTieredAlpha(solved, options.alpha_steps).alpha;
-  } else {
-    // Forced alphas (ablations) must still fit the tiers: RAM first, any
-    // remainder on disk, X_oohm only when both are exhausted.
-    const double per_layer = base_bytes + alpha * others_bytes;
-    if (swapped_layers * per_layer >
-        static_cast<double>(cluster.host_bytes_per_gpu()) +
-            static_cast<double>(alpha_inputs.disk_bytes_per_gpu)) {
-      return OutOfHostMemoryError(
-          StrFormat("offloading %.1f GiB/GPU exceeds the host share",
-                    swapped_layers * per_layer / static_cast<double>(kGiB)));
-    }
-  }
-
+  const double pcie_bps = profile.alpha_inputs.ram.pcie_bytes_per_second;
+  const double disk_bps = profile.alpha_inputs.disk_bytes_per_second;
+  const double layer_fwd_total =
+      profile.alpha_inputs.ram.layer_forward_seconds;
+  const double alpha = profile.alpha.alpha;
   const std::int64_t offload_bytes_per_layer =
-      skeletal.input_bytes + skeletal.attn_out_bytes +
-      static_cast<std::int64_t>(alpha *
-                                static_cast<double>(skeletal.others_bytes));
+      profile.offload_bytes_per_layer;
 
   // ---- Greedy RAM-first tier split of the per-layer offload bytes (the LP
   // prefers RAM at equal totals, so this matches its optimal split).
@@ -116,31 +67,16 @@ StatusOr<IterationResult> RunMemoIteration(
                ram_budget_per_layer));
   const std::int64_t disk_bytes_per_layer =
       offload_bytes_per_layer - ram_bytes_per_layer;
-  double alpha_ram = alpha;
-  double alpha_disk = 0.0;
-  if (others_bytes > 0.0 && alpha > 0.0) {
-    const double others_ram =
-        std::max(0.0, std::min(alpha * others_bytes,
-                               ram_budget_per_layer - base_bytes));
-    alpha_ram = others_ram / others_bytes;
-    alpha_disk = alpha - alpha_ram;
-  }
+  const TieredAlphaResult split =
+      SplitAlphaRamFirst(profile.alpha_inputs, alpha);
 
   // ---- Memory plan for transient tensors.
-  model::ModelConfig stage_model = workload.model;
-  stage_model.num_layers = layers;
-  model::TraceGenOptions trace_options;
-  trace_options.seq_local = strategy.SeqLocal(workload.seq);
-  trace_options.tensor_parallel = strategy.tp;
-  trace_options.mode = model::ActivationMode::kMemoBuffers;
-  const model::ModelTrace trace =
-      model::GenerateModelTrace(stage_model, trace_options);
   MEMO_ASSIGN_OR_RETURN(planner::MemoryPlan plan,
-                        planner::PlanMemory(trace, options.planner));
+                        planner::PlanMemory(profile.trace, request.planner));
 
   // ---- Device memory feasibility.
   const parallel::ModelStateBytes model_state =
-      parallel::ComputeModelStateBytes(workload.model, strategy);
+      parallel::ComputeModelStateBytes(request.model, strategy);
   // Rounding buffers (§4.1): with alpha > 0 both buffers hold the full
   // skeletal set; with alpha == 0 the "others" region is not double-buffered
   // (it is never offloaded, so one shared buffer suffices).
@@ -160,8 +96,8 @@ StatusOr<IterationResult> RunMemoIteration(
         FormatBytes(cluster.node.gpu.memory_bytes).c_str()));
   }
 
-  // ---- Host memory accounting (the alpha solver already enforced it when
-  // solving; forced alphas were checked above).
+  // ---- Host memory accounting (ProfileJob enforced it: the LP when
+  // solving, the tier capacity check for a forced alpha).
   const std::int64_t host_bytes =
       static_cast<std::int64_t>(swapped_layers) * offload_bytes_per_layer;
   const std::int64_t host_ram_bytes =
@@ -254,7 +190,7 @@ StatusOr<IterationResult> RunMemoIteration(
     const double factor = pipelined / serial;
     iteration *= factor;
   }
-  iteration *= 1.0 + cal.iteration_fixed_overhead_fraction;
+  iteration *= 1.0 + request.calibration.iteration_fixed_overhead_fraction;
 
   // ---- Result assembly.
   IterationResult result;
@@ -262,7 +198,7 @@ StatusOr<IterationResult> RunMemoIteration(
   result.alpha = alpha;
   result.iteration_seconds = iteration;
   result.metrics = cost::ComputeMetrics(
-      workload.model, workload.seq, /*num_samples=*/strategy.dp,
+      request.model, request.seq, /*num_samples=*/strategy.dp,
       cluster.total_gpus(), cluster.node.gpu.peak_flops, iteration);
   result.compute_seconds =
       layers * (t.layer.fwd_compute + t.layer.bwd_compute) +
@@ -292,8 +228,8 @@ StatusOr<IterationResult> RunMemoIteration(
   result.host_ram_bytes = host_ram_bytes;
   result.host_disk_bytes = host_disk_bytes;
   result.disk_busy_seconds = spills ? engine.BusySeconds(spill) : 0.0;
-  result.alpha_ram = alpha_ram;
-  result.alpha_disk = alpha_disk;
+  result.alpha_ram = split.alpha_ram;
+  result.alpha_disk = split.alpha_disk;
   return result;
 }
 

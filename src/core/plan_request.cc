@@ -5,6 +5,8 @@
 #include "common/deadline.h"
 #include "common/table_printer.h"
 #include "common/units.h"
+#include "core/baseline_executors.h"
+#include "core/memo_executor.h"
 
 namespace memo::core {
 
@@ -157,36 +159,56 @@ std::uint64_t PlanRequest::Fingerprint() const {
   return Fnv1a64(CanonicalString());
 }
 
-SessionOptions PlanRequest::MakeSessionOptions() const {
-  SessionOptions session;
-  session.memo.calibration = calibration;
-  session.memo.alpha_steps = alpha_steps;
-  session.memo.forced_alpha = forced_alpha;
-  session.memo.planner = planner;
-  session.baseline.calibration = calibration;
-  session.baseline.use_memory_plan = baseline_use_memory_plan;
-  return session;
+namespace {
+
+StatusOr<IterationResult> RunStrategy(
+    const PlanRequest& request, const parallel::ParallelStrategy& strategy) {
+  switch (request.system) {
+    case parallel::SystemKind::kMemo:
+      return RunMemoIteration(request, strategy);
+    case parallel::SystemKind::kMegatron:
+      return RunMegatronIteration(request, strategy);
+    case parallel::SystemKind::kDeepSpeed:
+      return RunDeepSpeedIteration(request, strategy);
+  }
+  return InternalError("unknown system");
 }
 
-PlanRequest PlanRequestFromSession(parallel::SystemKind system,
-                                   const Workload& workload,
-                                   const hw::ClusterSpec& cluster,
-                                   const SessionOptions& session) {
-  PlanRequest request;
-  request.system = system;
-  request.model = workload.model;
-  request.seq = workload.seq;
-  request.cluster = cluster;
-  // MemoOptions and BaselineOptions carry the calibration separately but
-  // every caller in the tree sets them together; the request keeps one copy
-  // and MakeSessionOptions re-fans it out.
-  request.calibration = session.memo.calibration;
-  request.alpha_steps = session.memo.alpha_steps;
-  request.forced_alpha = session.memo.forced_alpha;
-  request.planner = session.memo.planner;
-  request.baseline_use_memory_plan = session.baseline.use_memory_plan;
-  return request;
+/// The kBestStrategy answer for `request.seq`.
+PlanResult SweepStrategies(const PlanRequest& request) {
+  PlanResult result;
+  bool saw_host_oom = false;
+  bool found = false;
+  for (const parallel::ParallelStrategy& strategy :
+       parallel::EnumerateStrategies(request.system, request.model,
+                                     request.cluster, request.seq)) {
+    // Phase boundary: a serve-side request deadline aborts the sweep between
+    // candidates rather than mid-simulation, so partial results stay coherent.
+    if (Status dl = CheckDeadline("strategy_sweep"); !dl.ok()) {
+      result.status = dl;
+      return result;
+    }
+    ++result.strategies_tried;
+    auto run = RunStrategy(request, strategy);
+    if (!run.ok()) {
+      if (run.status().IsOutOfHostMemory()) saw_host_oom = true;
+      continue;
+    }
+    ++result.strategies_feasible;
+    if (!found || run->metrics.mfu > result.best.metrics.mfu) {
+      result.best = *run;
+      found = true;
+    }
+  }
+  if (!found) {
+    result.status = saw_host_oom
+                        ? OutOfHostMemoryError("all strategies host-bound")
+                        : OutOfMemoryError("no strategy fits device memory");
+  }
+  return result;
 }
+
+}  // namespace
 
 PlanResult ExecutePlanRequest(const PlanRequest& request) {
   PlanResult result;
@@ -201,37 +223,36 @@ PlanResult ExecutePlanRequest(const PlanRequest& request) {
     result.status = dl;
     return result;
   }
-  const SessionOptions session = request.MakeSessionOptions();
-  const Workload workload{request.model, request.seq};
   switch (request.kind) {
-    case PlanQueryKind::kBestStrategy: {
-      const SystemRunResult run =
-          RunBestStrategy(request.system, workload, request.cluster, session);
-      result.status = run.status;
-      result.best = run.best;
-      result.strategies_tried = run.strategies_tried;
-      result.strategies_feasible = run.strategies_feasible;
-      return result;
-    }
+    case PlanQueryKind::kBestStrategy:
+      return SweepStrategies(request);
     case PlanQueryKind::kStrategy: {
-      auto run = RunStrategy(request.system, workload, request.strategy,
-                             request.cluster, session);
+      result.strategies_tried = 1;
+      auto run = RunStrategy(request, request.strategy);
       if (run.ok()) {
         result.best = *run;
-        result.strategies_tried = result.strategies_feasible = 1;
+        result.strategies_feasible = 1;
       } else {
         result.status = run.status();
-        result.strategies_tried = 1;
       }
       return result;
     }
     case PlanQueryKind::kMaxSeq: {
-      result.max_seq =
-          MaxSupportedSeqLen(request.system, request.model, request.cluster,
-                             request.seq_step, request.seq_cap, session);
-      // MaxSupportedSeqLen reports the best seq found so far; if the scan was
-      // cut short by the deadline that partial answer must not be mistaken
-      // for (and cached as) the true maximum.
+      PlanRequest probe = request;
+      for (probe.seq = request.seq_step; probe.seq <= request.seq_cap;
+           probe.seq += request.seq_step) {
+        if (!CheckDeadline("maxseq_scan").ok()) break;
+        const PlanResult run = SweepStrategies(probe);
+        if (run.status.IsDeadlineExceeded()) break;
+        if (run.status.ok()) {
+          result.max_seq = probe.seq;
+        } else if (probe.seq > result.max_seq + 4 * request.seq_step) {
+          break;  // four consecutive failures past the best: stop scanning
+        }
+      }
+      // The scan reports the best seq found so far; if the deadline cut it
+      // short, that partial answer must not be mistaken for (and cached as)
+      // the true maximum.
       if (Status dl = CheckDeadline("maxseq_scan"); !dl.ok()) {
         result.status = dl;
       }

@@ -5,13 +5,17 @@
 #include <string>
 
 #include "common/fingerprint.h"
-#include "core/session.h"
+#include "core/executor.h"
+#include "hw/calibration.h"
+#include "hw/gpu_spec.h"
+#include "model/model_config.h"
+#include "parallel/strategy.h"
+#include "planner/bilevel_planner.h"
 
 namespace memo::core {
 
-/// What a planning query asks for. The three kinds cover every question the
-/// session layer answers today: "best feasible strategy by MFU", "this
-/// exact strategy", and "longest trainable sequence" (Fig. 12a).
+/// What a planning query asks for: "best feasible strategy by MFU", "this
+/// exact strategy", or "longest trainable sequence" (Fig. 12a).
 enum class PlanQueryKind : int {
   kBestStrategy = 0,
   kStrategy = 1,
@@ -34,12 +38,12 @@ inline constexpr int kMaxGpus = 1 << 20;
 /// applies it to "gpus" first, since PaperCluster asserts it.
 Status CheckGpuCount(int gpus);
 
-/// An immutable, hashable description of one planning/simulation query —
-/// the split-out value form of what used to be loose (workload, cluster,
-/// SessionOptions) argument tuples. Everything that changes the numeric
-/// answer is a field here and feeds the fingerprint; output side channels
-/// (the sim timeline path) deliberately are not, so one fingerprint maps to
-/// exactly one answer and cached plans can be shared between callers.
+/// An immutable, hashable description of one planning/simulation query,
+/// and the simulator's only input: ExecutePlanRequest answers it, and
+/// ProfileJob and the Run*Iteration executors read the workload, cluster
+/// and knobs from it. Everything that changes the numeric answer is a field
+/// here and feeds the fingerprint, so one fingerprint maps to exactly one
+/// answer and cached plans can be shared between callers.
 ///
 /// The answer to a PlanRequest is a pure function of its fields: the
 /// executors are deterministic simulations and the LP/MIP solvers are
@@ -49,6 +53,9 @@ Status CheckGpuCount(int gpus);
 struct PlanRequest {
   PlanQueryKind kind = PlanQueryKind::kBestStrategy;
   parallel::SystemKind system = parallel::SystemKind::kMemo;
+  /// The workload: one model at one sequence length; each data-parallel
+  /// replica processes one sequence per iteration (the paper's long-context
+  /// regime).
   model::ModelConfig model;
   std::int64_t seq = 0;
   hw::ClusterSpec cluster;
@@ -60,11 +67,19 @@ struct PlanRequest {
   std::int64_t seq_step = 0;
   std::int64_t seq_cap = 0;
 
-  // Solver/executor knobs — the answer-affecting subset of SessionOptions.
+  // Solver/executor knobs.
   hw::Calibration calibration = hw::DefaultCalibration();
+  /// MEMO: quantize the LP's alpha down to multiples of 1/alpha_steps
+  /// (0 = continuous).
   int alpha_steps = 8;
+  /// MEMO: this alpha instead of the LP's (negative = solve). The ablations
+  /// force full swapping (1.0) or full recompute of the others (0.0).
   double forced_alpha = -1.0;
+  /// MEMO: the bi-level planner's solver budgets for the transient arena.
   planner::PlannerOptions planner;
+  /// Baselines: replace the caching allocator with a bi-level static memory
+  /// plan while keeping the baseline's execution strategy ("Full
+  /// Recomputation + Memory Plan" in the paper's Table 4 ablation).
   bool baseline_use_memory_plan = false;
 
   /// The canonical `key=value;` string the fingerprint hashes: every field
@@ -82,24 +97,16 @@ struct PlanRequest {
   /// FNV-1a 64 of CanonicalString() — the plan-cache key and the checkpoint
   /// fingerprint's sibling (same hash, common/fingerprint.h).
   std::uint64_t Fingerprint() const;
-
-  /// Rebuilds the SessionOptions the legacy entry points expect.
-  SessionOptions MakeSessionOptions() const;
 };
-
-/// Captures the answer-affecting knobs of `session` into a request shell.
-/// Callers fill in kind/workload/strategy afterwards (or use the wrappers
-/// in session.h that do it for them).
-PlanRequest PlanRequestFromSession(parallel::SystemKind system,
-                                   const Workload& workload,
-                                   const hw::ClusterSpec& cluster,
-                                   const SessionOptions& session);
 
 /// The answer to a PlanRequest. `status` is part of the value — an
 /// infeasible or OOM outcome is a legitimate, cacheable answer to "does
 /// this config train?" — so the struct is returned by value, not through
 /// StatusOr.
 struct PlanResult {
+  /// kBestStrategy is OK when at least one strategy fits; otherwise the
+  /// representative failure: kOutOfHostMemory if some strategy was
+  /// host-bound (the paper's X_oohm), else kOutOfMemory (X_oom).
   Status status = OkStatus();
   PlanQueryKind kind = PlanQueryKind::kBestStrategy;
   /// Valid iff status.ok() and kind != kMaxSeq.
@@ -110,11 +117,20 @@ struct PlanResult {
   std::int64_t max_seq = 0;
 };
 
-/// Answers `request` by routing to the matching session entry point
-/// (RunBestStrategy / RunStrategy / MaxSupportedSeqLen). Every legacy call
-/// path — memo_cli run/maxseq and the serve subsystem — funnels through
-/// here, so a cached answer and a direct call are the same computation by
-/// construction.
+/// Answers `request` with the executor of `request.system`:
+///   kBestStrategy  runs every valid strategy and keeps the best feasible
+///                  one by MFU (ties keep the earlier strategy; the paper
+///                  hand-tunes the Appendix A strategies, this searches the
+///                  same space);
+///   kStrategy      runs `request.strategy`;
+///   kMaxSeq        finds the longest multiple of seq_step up to seq_cap
+///                  with a feasible strategy (0 when none), scanning upward
+///                  from seq_step and stopping once it is more than four
+///                  steps past the best (Fig. 12a).
+/// The serve subsystem and `memo_cli run`/`maxseq` funnel through here, so
+/// a cached answer and a direct call are the same computation by
+/// construction. A request deadline is checked between strategies and
+/// between scan steps; a cut-short answer carries kDeadlineExceeded.
 PlanResult ExecutePlanRequest(const PlanRequest& request);
 
 }  // namespace memo::core

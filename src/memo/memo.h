@@ -6,9 +6,12 @@
 ///
 ///   #include "memo/memo.h"
 ///
-///   memo::core::Workload w{memo::model::Gpt7B(), 1024 * memo::kSeqK};
-///   auto best = memo::core::RunBestStrategy(
-///       memo::parallel::SystemKind::kMemo, w, memo::hw::PaperCluster(8));
+///   memo::core::PlanRequest request;  // kind best, system MEMO
+///   request.model = memo::model::Gpt7B();
+///   request.seq = 1024 * memo::kSeqK;
+///   request.cluster = memo::hw::PaperCluster(8);
+///   const memo::core::PlanResult best =
+///       memo::core::ExecutePlanRequest(request);
 ///
 /// Layered headers remain individually includable; see README.md for the
 /// module map.
@@ -54,7 +57,8 @@
 #include "core/executor.h"
 #include "core/job_profiler.h"
 #include "core/memo_executor.h"
-#include "core/session.h"
+#include "core/plan_request.h"
+#include "core/report.h"
 #include "core/timings.h"
 
 #include "train/activation_store.h"

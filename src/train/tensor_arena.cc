@@ -56,16 +56,8 @@ ArenaMetrics& Metrics() {
 
 }  // namespace
 
-TensorArena::TensorArena(const Options& options)
-    : options_(options),
-      state_(options.fixed_capacity_bytes > 0 ? State::kFixed
-                                              : State::kMeasuring) {
-  if (state_ == State::kFixed) {
-    capacity_ = RoundUp(options_.fixed_capacity_bytes, kArenaAlignment);
-    slab_ = static_cast<char*>(AlignedHeapAlloc(capacity_));
-  }
-  scope_thread_ = std::this_thread::get_id();
-}
+TensorArena::TensorArena()
+    : state_(State::kMeasuring), scope_thread_(std::this_thread::get_id()) {}
 
 TensorArena::~TensorArena() {
   std::lock_guard<std::mutex> lock(mu_);
@@ -78,11 +70,8 @@ void TensorArena::BeginStep() {
   std::lock_guard<std::mutex> lock(mu_);
   scope_thread_ = std::this_thread::get_id();
   switch (state_) {
-    case State::kFixed:
-      bump_offset_ = 0;
-      break;
     case State::kMeasuring:
-      if (!events_.empty() && options_.plan_with_dsa) {
+      if (!events_.empty()) {
         CommitPlanLocked();
         if (state_ == State::kPlanned) {
           ++planned_steps_;
@@ -150,18 +139,6 @@ TensorArena::Allocation TensorArena::Allocate(std::int64_t bytes) {
       Metrics().heap_fallbacks->Increment();
       return {AlignedHeapAlloc(bytes), false};
     }
-    case State::kFixed: {
-      const std::int64_t aligned = RoundUp(bytes, kArenaAlignment);
-      if (bump_offset_ + aligned <= capacity_) {
-        void* ptr = slab_ + bump_offset_;
-        bump_offset_ += aligned;
-        if (bump_offset_ > high_water_) high_water_ = bump_offset_;
-        return {ptr, true};
-      }
-      ++heap_fallbacks_;
-      Metrics().heap_fallbacks->Increment();
-      return {AlignedHeapAlloc(bytes), false};
-    }
   }
   return {AlignedHeapAlloc(bytes), false};  // unreachable
 }
@@ -188,30 +165,8 @@ void TensorArena::NoteFree(void* ptr) {
     std::free(ptr);
     return;
   }
-  // Slab pointer (planned or fixed): space is reclaimed wholesale at the
-  // next BeginStep; individual frees are position bookkeeping only.
-}
-
-StatusOr<void*> TensorArena::TryAllocateBytes(std::int64_t bytes) {
-  if (bytes <= 0) {
-    return InvalidArgumentError("TryAllocateBytes needs a positive size");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (state_ != State::kFixed) {
-    return InvalidArgumentError(
-        "TryAllocateBytes requires a fixed-capacity arena");
-  }
-  const std::int64_t aligned = RoundUp(bytes, kArenaAlignment);
-  if (bump_offset_ + aligned > capacity_) {
-    std::ostringstream oss;
-    oss << "arena exhausted: need " << aligned << " B at offset "
-        << bump_offset_ << " with capacity " << capacity_ << " B";
-    return OutOfHostMemoryError(oss.str());
-  }
-  void* ptr = slab_ + bump_offset_;
-  bump_offset_ += aligned;
-  if (bump_offset_ > high_water_) high_water_ = bump_offset_;
-  return ptr;
+  // Slab pointer: space is reclaimed wholesale at the next BeginStep;
+  // individual frees are position bookkeeping only.
 }
 
 void TensorArena::CommitPlanLocked() {
@@ -224,7 +179,7 @@ void TensorArena::CommitPlanLocked() {
     ResetMeasurementLocked();
     return;
   }
-  solver::DsaAssignment assignment = SolveDsa(*instance, options_.dsa);
+  solver::DsaAssignment assignment = SolveDsa(*instance);
 
   // planned_[k] must be the k-th *allocation* of the step, in order.
   std::unordered_map<std::int64_t, std::int64_t> size_by_id;

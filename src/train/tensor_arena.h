@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "solver/dsa.h"
 
 namespace memo::train {
@@ -17,7 +16,7 @@ namespace memo::train {
 /// solve the bi-level planner uses (§4.2 — the training loop actually runs
 /// on a static plan instead of malloc/free).
 ///
-/// Lifecycle (default options):
+/// Lifecycle:
 ///  1. kMeasuring — the first step's Tensor allocations are served from the
 ///     heap while their sizes and alloc/free order are recorded as a
 ///     model::MemoryRequest trace.
@@ -31,10 +30,6 @@ namespace memo::train {
 ///     changed) falls back to the heap for the rest of the step, counts a
 ///     divergence, and re-measures from the next step.
 ///
-/// With `fixed_capacity_bytes` set, the arena is instead a plain bump
-/// allocator over a fixed slab (kFixed): BeginStep resets the cursor and
-/// TryAllocateBytes reports kOutOfHostMemory when the slab is exhausted.
-///
 /// Thread contract: Allocate runs on the thread that entered the
 /// ArenaScope (Tensor construction looks the arena up via a thread_local,
 /// so worker/copier threads transparently use the heap instead). NoteFree
@@ -43,19 +38,9 @@ namespace memo::train {
 /// than recorded, which only widens the plan, never corrupts it.
 class TensorArena {
  public:
-  struct Options {
-    /// > 0: plain bump arena of this capacity, no measuring or planning.
-    std::int64_t fixed_capacity_bytes = 0;
-    /// Solve the measured trace with the level-1 DSA planner; false keeps
-    /// the arena measuring forever (bookkeeping-only pass-through).
-    bool plan_with_dsa = true;
-    solver::DsaSolveOptions dsa;
-  };
+  enum class State { kMeasuring, kPlanned };
 
-  enum class State { kMeasuring, kPlanned, kFixed };
-
-  TensorArena() : TensorArena(Options{}) {}
-  explicit TensorArena(const Options& options);
+  TensorArena();
   ~TensorArena();
   TensorArena(const TensorArena&) = delete;
   TensorArena& operator=(const TensorArena&) = delete;
@@ -75,24 +60,18 @@ class TensorArena {
   Allocation Allocate(std::int64_t bytes);
   void NoteFree(void* ptr);
 
-  /// Strict arena-only allocation for fixed-capacity arenas: no heap
-  /// fallback, kOutOfHostMemory when the slab cannot fit `bytes`.
-  StatusOr<void*> TryAllocateBytes(std::int64_t bytes);
-
   State state() const;
-  /// Bytes of the carved slab (planned peak or fixed capacity; 0 while
-  /// measuring).
+  /// Bytes of the carved slab (the planned peak; 0 while measuring).
   std::int64_t capacity_bytes() const;
   /// Peak of the DSA placement backing the current plan (0 until planned).
   std::int64_t planned_peak_bytes() const;
   /// Max observed usage: peak live bytes while measuring, max planned
-  /// offset+size touched while planned, max bump cursor for fixed arenas.
-  /// On a planned run this equals planned_peak_bytes (test-enforced).
+  /// offset+size touched while planned. On a planned run this equals
+  /// planned_peak_bytes (test-enforced).
   std::int64_t high_water_bytes() const;
   /// True when the DSA solve met its lower bound (or the MIP proved it).
   bool plan_proved_optimal() const;
-  /// Heap allocations served while a plan (or fixed slab) was active — the
-  /// hot loop's "zero per-iteration heap allocations" assertion is
+  /// Heap allocations served while a plan was active — the hot loop's "zero per-iteration heap allocations" assertion is
   /// heap_fallback_allocs() == 0.
   std::int64_t heap_fallback_allocs() const;
   std::int64_t plan_divergences() const;
@@ -115,7 +94,6 @@ class TensorArena {
   void ResetMeasurementLocked();
   void PublishGaugesLocked();
 
-  const Options options_;
   mutable std::mutex mu_;
   State state_;
 
@@ -131,14 +109,13 @@ class TensorArena {
   std::int64_t live_bytes_ = 0;
   std::thread::id scope_thread_;
 
-  // Planned / fixed slab.
+  // Planned slab.
   char* slab_ = nullptr;
   std::int64_t capacity_ = 0;
   std::vector<PlannedAlloc> planned_;
   std::int64_t planned_peak_ = 0;
   bool plan_optimal_ = false;
-  std::int64_t cursor_ = 0;       // next planned alloc index
-  std::int64_t bump_offset_ = 0;  // fixed mode
+  std::int64_t cursor_ = 0;  // next planned alloc index
   bool diverged_this_step_ = false;
 
   // Stats.

@@ -2,13 +2,20 @@
 
 #include "core/baseline_executors.h"
 #include "core/memo_executor.h"
-#include "core/session.h"
 #include "common/units.h"
+#include "plan_request_testing.h"
 
 namespace memo::core {
 namespace {
 
+using testplan::Best;
+using testplan::MaxSeq;
+
 const hw::ClusterSpec kCluster8 = hw::PaperCluster(8);
+
+PlanRequest Job7B(std::int64_t seq) {
+  return testplan::Request(model::Gpt7B(), seq, kCluster8);
+}
 
 parallel::ParallelStrategy MemoTp4Cp2() {
   parallel::ParallelStrategy s;
@@ -19,8 +26,7 @@ parallel::ParallelStrategy MemoTp4Cp2() {
 
 TEST(MemoExecutorTest, PaperHeadline7B1MOn8Gpus) {
   // Abstract: 7B, 1M tokens, 8 A800s, MFU ≈ 52.30%.
-  const Workload w{model::Gpt7B(), 1024 * kSeqK};
-  auto r = RunMemoIteration(w, MemoTp4Cp2(), kCluster8);
+  auto r = RunMemoIteration(Job7B(1024 * kSeqK), MemoTp4Cp2());
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(r->metrics.mfu, 0.48);
   EXPECT_LT(r->metrics.mfu, 0.57);
@@ -32,7 +38,7 @@ TEST(MemoExecutorTest, AlphaDropsAsSequencesGrow) {
   // Table 7 pattern: alpha = 1 at moderate lengths (full overlap possible),
   // decreasing toward 0 as host memory tightens.
   auto at = [&](std::int64_t seq) {
-    auto r = RunMemoIteration({model::Gpt7B(), seq}, MemoTp4Cp2(), kCluster8);
+    auto r = RunMemoIteration(Job7B(seq), MemoTp4Cp2());
     EXPECT_TRUE(r.ok()) << r.status();
     return r.ok() ? r->alpha : -1.0;
   };
@@ -46,34 +52,30 @@ TEST(MemoExecutorTest, ShortSequencesGetSmallAlpha) {
   // Fig 1b: below the offload/compute crossover full offload cannot
   // overlap, so the solver backs off. (Our calibrated crossover sits lower
   // than the paper's 192K — see EXPERIMENTS.md — so probe well below it.)
-  auto r = RunMemoIteration({model::Gpt7B(), 16 * kSeqK}, MemoTp4Cp2(),
-                            kCluster8);
+  auto r = RunMemoIteration(Job7B(16 * kSeqK), MemoTp4Cp2());
   ASSERT_TRUE(r.ok());
   EXPECT_LT(r->alpha, 1.0);
 }
 
 TEST(MemoExecutorTest, ForcedAlphaIsRespected) {
-  MemoOptions options;
-  options.forced_alpha = 0.5;
-  auto r = RunMemoIteration({model::Gpt7B(), 256 * kSeqK}, MemoTp4Cp2(),
-                            kCluster8, options);
+  PlanRequest request = Job7B(256 * kSeqK);
+  request.forced_alpha = 0.5;
+  auto r = RunMemoIteration(request, MemoTp4Cp2());
   ASSERT_TRUE(r.ok());
   EXPECT_DOUBLE_EQ(r->alpha, 0.5);
 }
 
 TEST(MemoExecutorTest, FullSwappingDepletesHostAtLongSequences) {
   // Table 4: "Full Swapping + Memory Plan" hits X_oohm beyond 256K.
-  MemoOptions options;
-  options.forced_alpha = 1.0;
-  auto r = RunMemoIteration({model::Gpt7B(), 768 * kSeqK}, MemoTp4Cp2(),
-                            kCluster8, options);
+  PlanRequest request = Job7B(768 * kSeqK);
+  request.forced_alpha = 1.0;
+  auto r = RunMemoIteration(request, MemoTp4Cp2());
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsOutOfHostMemory());
 }
 
 TEST(MemoExecutorTest, OutOfMemoryAtExtremeLength) {
-  auto r = RunMemoIteration({model::Gpt7B(), 2048 * kSeqK}, MemoTp4Cp2(),
-                            kCluster8);
+  auto r = RunMemoIteration(Job7B(2048 * kSeqK), MemoTp4Cp2());
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsOutOfMemory());
 }
@@ -81,15 +83,13 @@ TEST(MemoExecutorTest, OutOfMemoryAtExtremeLength) {
 TEST(MemoExecutorTest, SwapStallsOnlyAtShortSequences) {
   // Long sequences fully hide the PCIe traffic (O(s^2) compute vs O(s)
   // transfer); short ones cannot.
-  auto fast = RunMemoIteration({model::Gpt7B(), 512 * kSeqK}, MemoTp4Cp2(),
-                               kCluster8);
+  auto fast = RunMemoIteration(Job7B(512 * kSeqK), MemoTp4Cp2());
   ASSERT_TRUE(fast.ok());
   EXPECT_NEAR(fast->swap_stall_seconds, 0.0, 1e-9);
 
-  MemoOptions force_full_swap;
+  PlanRequest force_full_swap = Job7B(16 * kSeqK);
   force_full_swap.forced_alpha = 1.0;
-  auto slow = RunMemoIteration({model::Gpt7B(), 16 * kSeqK}, MemoTp4Cp2(),
-                               kCluster8, force_full_swap);
+  auto slow = RunMemoIteration(force_full_swap, MemoTp4Cp2());
   ASSERT_TRUE(slow.ok());
   EXPECT_GT(slow->swap_stall_seconds, 0.0);
 }
@@ -97,12 +97,11 @@ TEST(MemoExecutorTest, SwapStallsOnlyAtShortSequences) {
 TEST(MegatronExecutorTest, RecomputePenaltyShowsInMfu) {
   parallel::ParallelStrategy s = MemoTp4Cp2();
   s.full_recompute = true;
-  auto r = RunMegatronIteration({model::Gpt7B(), 256 * kSeqK}, s, kCluster8);
+  auto r = RunMegatronIteration(Job7B(256 * kSeqK), s);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(r->recompute_seconds, 0.0);
   // Full recompute costs roughly a quarter of the 3-pass FLOP budget.
-  auto memo = RunMemoIteration({model::Gpt7B(), 256 * kSeqK}, MemoTp4Cp2(),
-                               kCluster8);
+  auto memo = RunMemoIteration(Job7B(256 * kSeqK), MemoTp4Cp2());
   ASSERT_TRUE(memo.ok());
   EXPECT_GT(memo->metrics.mfu, r->metrics.mfu * 1.1);
 }
@@ -110,7 +109,7 @@ TEST(MegatronExecutorTest, RecomputePenaltyShowsInMfu) {
 TEST(MegatronExecutorTest, OomsBeyondSupportedLength) {
   parallel::ParallelStrategy s = MemoTp4Cp2();
   s.full_recompute = true;
-  auto r = RunMegatronIteration({model::Gpt7B(), 1152 * kSeqK}, s, kCluster8);
+  auto r = RunMegatronIteration(Job7B(1152 * kSeqK), s);
   ASSERT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsOutOfMemory());
   // The failure is a genuine fragmentation OOM: the caching allocator has
@@ -123,10 +122,9 @@ TEST(DeepSpeedExecutorTest, UlyssesRunsAndIsSlowerThanMemo) {
   s.ulysses_sp = 8;
   s.zero_stage = 3;
   s.full_recompute = true;
-  auto ds = RunDeepSpeedIteration({model::Gpt7B(), 256 * kSeqK}, s, kCluster8);
+  auto ds = RunDeepSpeedIteration(Job7B(256 * kSeqK), s);
   ASSERT_TRUE(ds.ok()) << ds.status();
-  auto memo = RunMemoIteration({model::Gpt7B(), 256 * kSeqK}, MemoTp4Cp2(),
-                               kCluster8);
+  auto memo = RunMemoIteration(Job7B(256 * kSeqK), MemoTp4Cp2());
   ASSERT_TRUE(memo.ok());
   EXPECT_GT(memo->metrics.mfu, ds->metrics.mfu);
 }
@@ -134,23 +132,25 @@ TEST(DeepSpeedExecutorTest, UlyssesRunsAndIsSlowerThanMemo) {
 TEST(MemoExecutorTest, GroupedQueryAttentionModelRuns) {
   // The GQA extension: smaller K/V skeletal tensors mean less to offload,
   // so at equal shapes MEMO offloads fewer bytes per layer than for MHA.
-  const Workload gqa{model::Llama8BGqa(), 512 * kSeqK};
-  auto r = RunMemoIteration(gqa, MemoTp4Cp2(), kCluster8);
+  auto r = RunMemoIteration(
+      testplan::Request(model::Llama8BGqa(), 512 * kSeqK, kCluster8),
+      MemoTp4Cp2());
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_GT(r->metrics.mfu, 0.45);
 
   model::ModelConfig mha = model::Llama8BGqa();
   mha.num_kv_heads = 0;
   mha.name = "8B-MHA";
-  auto r_mha = RunMemoIteration({mha, 512 * kSeqK}, MemoTp4Cp2(), kCluster8);
+  auto r_mha = RunMemoIteration(
+      testplan::Request(mha, 512 * kSeqK, kCluster8), MemoTp4Cp2());
   ASSERT_TRUE(r_mha.ok());
   EXPECT_LT(r->host_offload_bytes, r_mha->host_offload_bytes);
 }
 
+// ExecutePlanRequest's strategy sweep and maxseq scan.
 TEST(SessionTest, BestStrategySearchFindsFeasibleConfigs) {
-  const Workload w{model::Gpt7B(), 512 * kSeqK};
-  const SystemRunResult r =
-      RunBestStrategy(parallel::SystemKind::kMemo, w, kCluster8);
+  const PlanResult r = Best(parallel::SystemKind::kMemo, model::Gpt7B(),
+                            512 * kSeqK, kCluster8);
   ASSERT_TRUE(r.status.ok());
   EXPECT_GT(r.strategies_tried, 3);
   EXPECT_GE(r.strategies_feasible, 1);
@@ -159,13 +159,13 @@ TEST(SessionTest, BestStrategySearchFindsFeasibleConfigs) {
 
 TEST(SessionTest, SystemsRankMemoMegatronDeepSpeed) {
   // Table 3 ordering at a mid-range length on 8 GPUs.
-  const Workload w{model::Gpt7B(), 256 * kSeqK};
+  const std::int64_t seq = 256 * kSeqK;
   const auto memo =
-      RunBestStrategy(parallel::SystemKind::kMemo, w, kCluster8);
+      Best(parallel::SystemKind::kMemo, model::Gpt7B(), seq, kCluster8);
   const auto mega =
-      RunBestStrategy(parallel::SystemKind::kMegatron, w, kCluster8);
+      Best(parallel::SystemKind::kMegatron, model::Gpt7B(), seq, kCluster8);
   const auto ds =
-      RunBestStrategy(parallel::SystemKind::kDeepSpeed, w, kCluster8);
+      Best(parallel::SystemKind::kDeepSpeed, model::Gpt7B(), seq, kCluster8);
   ASSERT_TRUE(memo.status.ok());
   ASSERT_TRUE(mega.status.ok());
   ASSERT_TRUE(ds.status.ok());
@@ -177,12 +177,12 @@ TEST(SessionTest, MaxSeqLenOrderingMatchesFig12a) {
   const auto m = model::Gpt7B();
   const std::int64_t step = 128 * kSeqK;
   const std::int64_t cap = 1536 * kSeqK;
-  const auto memo = MaxSupportedSeqLen(parallel::SystemKind::kMemo, m,
-                                       kCluster8, step, cap);
-  const auto mega = MaxSupportedSeqLen(parallel::SystemKind::kMegatron, m,
-                                       kCluster8, step, cap);
-  const auto ds = MaxSupportedSeqLen(parallel::SystemKind::kDeepSpeed, m,
-                                     kCluster8, step, cap);
+  const auto memo =
+      MaxSeq(parallel::SystemKind::kMemo, m, kCluster8, step, cap);
+  const auto mega =
+      MaxSeq(parallel::SystemKind::kMegatron, m, kCluster8, step, cap);
+  const auto ds =
+      MaxSeq(parallel::SystemKind::kDeepSpeed, m, kCluster8, step, cap);
   EXPECT_GT(memo, mega);
   EXPECT_GT(mega, ds);
   EXPECT_GE(memo, 1024 * kSeqK);  // the headline capability
@@ -192,12 +192,10 @@ TEST(SessionTest, MemoScalesLinearlyWithGpus) {
   // Fig 12a: max sequence doubles with the GPU count.
   const auto m = model::Gpt7B();
   const std::int64_t step = 256 * kSeqK;
-  const auto max8 = MaxSupportedSeqLen(parallel::SystemKind::kMemo, m,
-                                       hw::PaperCluster(8), step,
-                                       2048 * kSeqK);
-  const auto max16 = MaxSupportedSeqLen(parallel::SystemKind::kMemo, m,
-                                        hw::PaperCluster(16), step,
-                                        4096 * kSeqK);
+  const auto max8 = MaxSeq(parallel::SystemKind::kMemo, m,
+                           hw::PaperCluster(8), step, 2048 * kSeqK);
+  const auto max16 = MaxSeq(parallel::SystemKind::kMemo, m,
+                            hw::PaperCluster(16), step, 4096 * kSeqK);
   EXPECT_GE(max16, max8 * 3 / 2);
 }
 

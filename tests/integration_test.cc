@@ -4,13 +4,15 @@
 
 #include <gtest/gtest.h>
 
-#include "core/session.h"
+#include "core/memo_executor.h"
 #include "common/units.h"
+#include "plan_request_testing.h"
 
 namespace memo::core {
 namespace {
 
 using parallel::SystemKind;
+using testplan::Best;
 
 const model::ModelConfig k7B = model::Gpt7B();
 
@@ -18,11 +20,10 @@ TEST(IntegrationTest, MemoDominatesBaselinesWhereverBothFit) {
   // Table 3's central claim, checked across the whole 8-GPU 7B column.
   const hw::ClusterSpec cluster = hw::PaperCluster(8);
   for (std::int64_t sk : {64, 128, 256, 384, 512, 640}) {
-    const Workload w{k7B, sk * kSeqK};
-    const auto ours = RunBestStrategy(SystemKind::kMemo, w, cluster);
+    const auto ours = Best(SystemKind::kMemo, k7B, sk * kSeqK, cluster);
     ASSERT_TRUE(ours.status.ok()) << sk;
     for (auto baseline : {SystemKind::kMegatron, SystemKind::kDeepSpeed}) {
-      const auto other = RunBestStrategy(baseline, w, cluster);
+      const auto other = Best(baseline, k7B, sk * kSeqK, cluster);
       if (!other.status.ok()) continue;
       EXPECT_GT(ours.best.metrics.mfu, other.best.metrics.mfu)
           << parallel::SystemKindToString(baseline) << " at " << sk << "K";
@@ -36,8 +37,7 @@ TEST(IntegrationTest, MemoHoldsFiftyPercentMfuAcrossLengths) {
   //  model sizes and sequence lengths" (§5.2).
   const hw::ClusterSpec cluster = hw::PaperCluster(8);
   for (std::int64_t sk : {128, 256, 512, 768, 1024}) {
-    const auto r =
-        RunBestStrategy(SystemKind::kMemo, Workload{k7B, sk * kSeqK}, cluster);
+    const auto r = Best(SystemKind::kMemo, k7B, sk * kSeqK, cluster);
     ASSERT_TRUE(r.status.ok()) << sk;
     EXPECT_GT(r.best.metrics.mfu, 0.50) << sk << "K";
     EXPECT_LT(r.best.metrics.mfu, 0.60) << sk << "K";
@@ -45,32 +45,30 @@ TEST(IntegrationTest, MemoHoldsFiftyPercentMfuAcrossLengths) {
 }
 
 TEST(IntegrationTest, Headline7BOneMillionOn8Gpus) {
-  const auto r = RunBestStrategy(SystemKind::kMemo,
-                                 Workload{k7B, 1024 * kSeqK},
-                                 hw::PaperCluster(8));
+  const auto r =
+      Best(SystemKind::kMemo, k7B, 1024 * kSeqK, hw::PaperCluster(8));
   ASSERT_TRUE(r.status.ok());
   EXPECT_NEAR(r.best.metrics.mfu, 0.523, 0.02);  // paper: 52.30%
 }
 
 TEST(IntegrationTest, ThirteenBOn16GpusReaches1408K) {
   // Table 3: MEMO trains the 13B model at 1408K on 16 GPUs.
-  const auto r = RunBestStrategy(SystemKind::kMemo,
-                                 Workload{model::Gpt13B(), 1408 * kSeqK},
-                                 hw::PaperCluster(16));
-  EXPECT_TRUE(r.status.ok()) << r.status;
-  if (r.status.ok()) EXPECT_GT(r.best.metrics.mfu, 0.45);
+  const auto r = Best(SystemKind::kMemo, model::Gpt13B(), 1408 * kSeqK,
+                      hw::PaperCluster(16));
+  ASSERT_TRUE(r.status.ok()) << r.status;
+  EXPECT_GT(r.best.metrics.mfu, 0.45);
 }
 
 TEST(IntegrationTest, DeepSpeedUlyssesHitsHeadCountWall) {
   // Fig 12(a): DeepSpeed's max sequence saturates between 32 and 64 GPUs
   // because Ulysses SP cannot exceed the 7B model's 32 heads.
   const std::int64_t step = 256 * kSeqK;
-  const auto max32 = MaxSupportedSeqLen(SystemKind::kDeepSpeed, k7B,
-                                        hw::PaperCluster(32), step,
-                                        8192 * kSeqK);
-  const auto max64 = MaxSupportedSeqLen(SystemKind::kDeepSpeed, k7B,
-                                        hw::PaperCluster(64), step,
-                                        8192 * kSeqK);
+  const auto max32 = testplan::MaxSeq(SystemKind::kDeepSpeed, k7B,
+                                      hw::PaperCluster(32), step,
+                                      8192 * kSeqK);
+  const auto max64 = testplan::MaxSeq(SystemKind::kDeepSpeed, k7B,
+                                      hw::PaperCluster(64), step,
+                                      8192 * kSeqK);
   EXPECT_EQ(max32, max64);
 }
 
@@ -83,7 +81,8 @@ TEST(IntegrationTest, MemoAlphaAdaptsToHostPressure) {
   s.cp = 2;
   double previous = 1.1;
   for (std::int64_t sk : {256, 640, 896, 1152}) {
-    const auto r = RunMemoIteration(Workload{k7B, sk * kSeqK}, s, cluster);
+    const auto r =
+        RunMemoIteration(testplan::Request(k7B, sk * kSeqK, cluster), s);
     ASSERT_TRUE(r.ok()) << sk;
     EXPECT_LE(r->alpha, previous) << sk << "K";
     previous = r->alpha;
@@ -95,8 +94,7 @@ TEST(IntegrationTest, ReportedPeaksNeverExceedDevice) {
   for (auto system :
        {SystemKind::kMemo, SystemKind::kMegatron, SystemKind::kDeepSpeed}) {
     for (std::int64_t sk : {128, 512}) {
-      const auto r =
-          RunBestStrategy(system, Workload{k7B, sk * kSeqK}, cluster);
+      const auto r = Best(system, k7B, sk * kSeqK, cluster);
       if (!r.status.ok()) continue;
       EXPECT_LE(r.best.peak_device_bytes, cluster.node.gpu.memory_bytes)
           << parallel::SystemKindToString(system) << " " << sk << "K";
@@ -107,8 +105,7 @@ TEST(IntegrationTest, ReportedPeaksNeverExceedDevice) {
 TEST(IntegrationTest, MemoNeverTriggersReorganizations) {
   const hw::ClusterSpec cluster = hw::PaperCluster(8);
   for (std::int64_t sk : {64, 512, 1024}) {
-    const auto r =
-        RunBestStrategy(SystemKind::kMemo, Workload{k7B, sk * kSeqK}, cluster);
+    const auto r = Best(SystemKind::kMemo, k7B, sk * kSeqK, cluster);
     ASSERT_TRUE(r.status.ok());
     EXPECT_EQ(r.best.reorg_events, 0);
     EXPECT_DOUBLE_EQ(r.best.reorg_stall_seconds, 0.0);
@@ -125,9 +122,8 @@ TEST(IntegrationTest, BiggerModelsOnBiggerClustersStillWork) {
   for (const Case& c : {Case{model::Gpt13B(), 16, 512 * kSeqK},
                         Case{model::Gpt30B(), 32, 512 * kSeqK},
                         Case{model::Gpt65B(), 64, 512 * kSeqK}}) {
-    const auto r = RunBestStrategy(SystemKind::kMemo,
-                                   Workload{c.model, c.seq},
-                                   hw::PaperCluster(c.gpus));
+    const auto r =
+        Best(SystemKind::kMemo, c.model, c.seq, hw::PaperCluster(c.gpus));
     EXPECT_TRUE(r.status.ok()) << c.model.name << ": " << r.status;
     if (r.status.ok()) {
       EXPECT_GT(r.best.metrics.mfu, 0.40) << c.model.name;
@@ -138,8 +134,7 @@ TEST(IntegrationTest, BiggerModelsOnBiggerClustersStillWork) {
 TEST(IntegrationTest, HostOffloadRespectsHostCapacity) {
   const hw::ClusterSpec cluster = hw::PaperCluster(8);
   for (std::int64_t sk : {512, 1024}) {
-    const auto r =
-        RunBestStrategy(SystemKind::kMemo, Workload{k7B, sk * kSeqK}, cluster);
+    const auto r = Best(SystemKind::kMemo, k7B, sk * kSeqK, cluster);
     ASSERT_TRUE(r.status.ok());
     EXPECT_LE(r.best.host_offload_bytes, cluster.host_bytes_per_gpu());
   }

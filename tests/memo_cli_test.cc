@@ -204,6 +204,47 @@ TEST(MemoCliTest, AlphaReportsTheAlphaRunTrainsWith) {
   EXPECT_EQ(no_disk.exit_code, 1) << no_disk.output;
   EXPECT_NE(no_disk.output.find("OUT_OF_HOST_MEMORY"), std::string::npos)
       << no_disk.output;
+
+  // A forced alpha is the alpha `run` trains with, unquantized, and all
+  // three commands check it against RAM plus disk: at alpha 1 a 256 GiB
+  // host is X_oohm unless the NVMe tier takes the rest.
+  for (const std::string forced : {"0.25", "0.3"}) {
+    const std::string flags = config + " --alpha " + forced;
+    const CliResult run = RunCli("run " + flags);
+    ASSERT_EQ(run.exit_code, 0) << run.output;
+    const std::string trained = TokenAfter(run.output, "swap fraction alpha");
+    const CliResult alpha = RunCli("alpha " + flags);
+    ASSERT_EQ(alpha.exit_code, 0) << alpha.output;
+    EXPECT_EQ(TokenAfter(alpha.output, "alpha ="), trained) << alpha.output;
+    EXPECT_NE(alpha.output.find("(forced)"), std::string::npos)
+        << alpha.output;
+    const CliResult plan = RunCli("plan " + flags);
+    ASSERT_EQ(plan.exit_code, 0) << plan.output;
+    EXPECT_NE(plan.output.find("alpha " + trained + ";"), std::string::npos)
+        << plan.output << run.output;
+  }
+  for (const std::string command : {"run", "plan", "alpha"}) {
+    const std::string flags = config + " --alpha 1 --host-gib 256";
+    const CliResult host_only = RunCli(command + " " + flags);
+    EXPECT_EQ(host_only.exit_code, 1) << command << ": " << host_only.output;
+    EXPECT_NE(host_only.output.find("OUT_OF_HOST_MEMORY"), std::string::npos)
+        << command << ": " << host_only.output;
+    const CliResult spills = RunCli(command + " " + flags + " --nvme-gib 8192");
+    EXPECT_EQ(spills.exit_code, 0) << command << ": " << spills.output;
+  }
+
+  // `plan` and `alpha` profile MEMO only: another system is out of their
+  // domain, not a MEMO answer under a baseline's name.
+  for (const std::string command : {"plan", "alpha"}) {
+    for (const std::string system : {"megatron", "deepspeed"}) {
+      const CliResult other =
+          RunCli(command + " " + config + " --system " + system);
+      EXPECT_EQ(other.exit_code, 2) << command << " " << system << ":\n"
+                                    << other.output;
+      EXPECT_EQ(other.output.rfind("--system ", 0), 0u)
+          << command << " " << system << ":\n" << other.output;
+    }
+  }
 }
 
 TEST(MemoCliTest, UnwritableTracePathFailsWithNonZeroExit) {

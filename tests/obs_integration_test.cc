@@ -21,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
 #include "offload/disk_backend.h"
+#include "plan_request_testing.h"
 #include "train/activation_store.h"
 #include "train/trainer.h"
 
@@ -190,8 +191,8 @@ TEST_F(ObsIntegrationTest, MemoExecutorMirrorsItsScheduleOntoSimLanes) {
   strategy.cp = 2;
   obs::TraceRecorder::Global().Enable();
   const auto run = core::RunMemoIteration(
-      core::Workload{model::Gpt7B(), 256 * kSeqK}, strategy,
-      hw::PaperCluster(8));
+      testplan::Request(model::Gpt7B(), 256 * kSeqK, hw::PaperCluster(8)),
+      strategy);
   obs::TraceRecorder::Global().Disable();
   ASSERT_TRUE(run.ok()) << run.status();
 

@@ -4,17 +4,20 @@
 #include "core/baseline_executors.h"
 #include "core/memo_executor.h"
 #include "core/report.h"
+#include "plan_request_testing.h"
 
 namespace memo::core {
 namespace {
+
+using testplan::Request;
 
 TEST(ReportTest, RendersAllKeyQuantities) {
   parallel::ParallelStrategy strategy;
   strategy.tp = 4;
   strategy.cp = 2;
   const auto model = model::Gpt7B();
-  auto r = RunMemoIteration(Workload{model, 256 * kSeqK}, strategy,
-                            hw::PaperCluster(8));
+  auto r = RunMemoIteration(Request(model, 256 * kSeqK, hw::PaperCluster(8)),
+                            strategy);
   ASSERT_TRUE(r.ok());
   const std::string report = FormatIterationReport(*r, model);
   for (const char* needle :
@@ -32,8 +35,8 @@ TEST(ReportTest, TableIsTwoColumns) {
   parallel::ParallelStrategy strategy;
   strategy.tp = 8;
   const auto model = model::Gpt7B();
-  auto r = RunMemoIteration(Workload{model, 128 * kSeqK}, strategy,
-                            hw::PaperCluster(8));
+  auto r = RunMemoIteration(Request(model, 128 * kSeqK, hw::PaperCluster(8)),
+                            strategy);
   ASSERT_TRUE(r.ok());
   const TablePrinter table = IterationReportTable(*r, model);
   EXPECT_GE(table.num_rows(), 12);
@@ -49,10 +52,10 @@ TEST(InterleavedStrategyTest, VirtualPipelineChangesIterationTime) {
   plain.full_recompute = true;
   parallel::ParallelStrategy interleaved = plain;
   interleaved.virtual_pipeline = 2;
-  const Workload w{model::Gpt13B(), 256 * kSeqK};
-  const auto cluster = hw::PaperCluster(16);
-  auto a = RunMegatronIteration(w, plain, cluster);
-  auto b = RunMegatronIteration(w, interleaved, cluster);
+  const PlanRequest request =
+      Request(model::Gpt13B(), 256 * kSeqK, hw::PaperCluster(16));
+  auto a = RunMegatronIteration(request, plain);
+  auto b = RunMegatronIteration(request, interleaved);
   ASSERT_TRUE(a.ok()) << a.status();
   ASSERT_TRUE(b.ok()) << b.status();
   EXPECT_LT(b->iteration_seconds, a->iteration_seconds);

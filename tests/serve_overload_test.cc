@@ -17,7 +17,6 @@
 #include "common/deadline.h"
 #include "common/status.h"
 #include "core/plan_request.h"
-#include "core/session.h"
 #include "obs/metrics.h"
 #include "serve/server.h"
 
@@ -27,20 +26,17 @@ using memo::Deadline;
 using memo::core::ExecutePlanRequest;
 using memo::core::PlanQueryKind;
 using memo::core::PlanRequest;
-using memo::core::PlanRequestFromSession;
 using memo::core::PlanResult;
-using memo::core::SessionOptions;
-using memo::core::Workload;
 using memo::serve::PlanServer;
 using memo::serve::PlanServerOptions;
 using memo::serve::QueryOutcome;
 
 PlanRequest SmallRequest(std::int64_t seq = 64 * memo::kSeqK) {
-  PlanRequest request = PlanRequestFromSession(
-      memo::parallel::SystemKind::kMemo,
-      Workload{memo::model::Gpt7B(), seq}, memo::hw::PaperCluster(8),
-      SessionOptions{});
+  PlanRequest request;
   request.kind = PlanQueryKind::kStrategy;
+  request.model = memo::model::Gpt7B();
+  request.seq = seq;
+  request.cluster = memo::hw::PaperCluster(8);
   request.strategy.tp = 4;
   request.strategy.cp = 2;
   return request;

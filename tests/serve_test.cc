@@ -1,6 +1,6 @@
-// Serve-subsystem integration: PlanRequest fingerprint identity, the
-// ExecutePlanRequest refactor staying bit-identical to the direct session
-// API, PlanServer admission control (bounded queue -> UNAVAILABLE shedding)
+// Serve-subsystem integration: PlanRequest fingerprint identity,
+// ExecutePlanRequest staying bit-identical to a direct executor call,
+// PlanServer admission control (bounded queue -> UNAVAILABLE shedding)
 // with a gated injected solver, warm-vs-cold bit-identity through the
 // cache, and the newline-JSON wire protocol over a real Unix-domain
 // socket.
@@ -27,8 +27,9 @@
 
 #include "common/fault_injector.h"
 #include "common/fingerprint.h"
+#include "core/memo_executor.h"
 #include "core/plan_request.h"
-#include "core/session.h"
+#include "plan_request_testing.h"
 #include "serve/protocol.h"
 #include "serve/server.h"
 #include "serve/snapshot.h"
@@ -39,21 +40,18 @@ namespace {
 using memo::core::ExecutePlanRequest;
 using memo::core::PlanQueryKind;
 using memo::core::PlanRequest;
-using memo::core::PlanRequestFromSession;
 using memo::core::PlanResult;
-using memo::core::SessionOptions;
-using memo::core::Workload;
 using memo::serve::PlanServer;
 using memo::serve::PlanServerOptions;
 using memo::serve::QueryOutcome;
 
 /// A small, fast-solving request (one explicit strategy on the 7B model).
 PlanRequest SmallRequest(std::int64_t seq = 64 * memo::kSeqK) {
-  PlanRequest request = PlanRequestFromSession(
-      memo::parallel::SystemKind::kMemo,
-      Workload{memo::model::Gpt7B(), seq}, memo::hw::PaperCluster(8),
-      SessionOptions{});
+  PlanRequest request;
   request.kind = PlanQueryKind::kStrategy;
+  request.model = memo::model::Gpt7B();
+  request.seq = seq;
+  request.cluster = memo::hw::PaperCluster(8);
   request.strategy.tp = 4;
   request.strategy.cp = 2;
   return request;
@@ -122,9 +120,7 @@ TEST(PlanRequestTest, ExecuteMatchesDirectSessionCallBitExactly) {
   const PlanResult via_request = ExecutePlanRequest(request);
   ASSERT_TRUE(via_request.status.ok()) << via_request.status.ToString();
 
-  const auto direct = memo::core::RunStrategy(
-      request.system, Workload{request.model, request.seq}, request.strategy,
-      request.cluster, request.MakeSessionOptions());
+  const auto direct = memo::core::RunMemoIteration(request, request.strategy);
   ASSERT_TRUE(direct.ok());
 
   // The refactor contract: routing through PlanRequest is the identity
@@ -337,9 +333,8 @@ TEST(ProtocolTest, StrategyQueriesRunTheSystemRecipe) {
     ASSERT_TRUE(wire.ok()) << wire.status().ToString();
     EXPECT_EQ(cli->Fingerprint(), wire->Fingerprint()) << leg.line;
 
-    PlanRequest expected = PlanRequestFromSession(
-        leg.system, Workload{memo::model::Gpt7B(), leg.seq},
-        memo::hw::PaperCluster(8), SessionOptions{});
+    PlanRequest expected = memo::testplan::Request(
+        memo::model::Gpt7B(), leg.seq, memo::hw::PaperCluster(8), leg.system);
     expected.kind = PlanQueryKind::kStrategy;
     expected.strategy = leg.strategy;
     EXPECT_EQ(wire->CanonicalString(), expected.CanonicalString())

@@ -1,6 +1,6 @@
 // TensorArena lifecycle and invariants: measure -> DSA plan -> replay, the
-// zero-heap steady state the trainer hot loop asserts, alignment, fixed
-// bump mode with Status-reported exhaustion, and divergence recovery.
+// zero-heap steady state the trainer hot loop asserts, alignment, and
+// divergence recovery.
 
 #include "train/tensor_arena.h"
 
@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <vector>
 
-#include "common/status.h"
 #include "train/trainer.h"
 
 namespace memo::train {
@@ -109,33 +108,6 @@ TEST(TensorArenaTest, DivergenceFallsBackToHeapAndRemeasures) {
   EXPECT_EQ(arena.state(), TensorArena::State::kPlanned);
   RunStep(&arena);
   EXPECT_EQ(arena.high_water_bytes(), arena.planned_peak_bytes());
-}
-
-TEST(TensorArenaTest, FixedCapacityBumpsAndReportsExhaustion) {
-  TensorArena::Options options;
-  options.fixed_capacity_bytes = 4096;
-  TensorArena arena(options);
-  EXPECT_EQ(arena.state(), TensorArena::State::kFixed);
-  EXPECT_EQ(arena.capacity_bytes(), 4096);
-
-  arena.BeginStep();
-  auto a = arena.TryAllocateBytes(1024);
-  ASSERT_TRUE(a.ok());
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(*a) % 64, 0u);
-  auto b = arena.TryAllocateBytes(2048);
-  ASSERT_TRUE(b.ok());
-  EXPECT_NE(*a, *b);
-
-  // 1024 + 2048 used (rounded to 512 B granules); 4096 more cannot fit.
-  auto c = arena.TryAllocateBytes(4096);
-  ASSERT_FALSE(c.ok());
-  EXPECT_EQ(c.status().code(), StatusCode::kOutOfHostMemory);
-
-  // BeginStep resets the bump cursor: the full slab is available again.
-  arena.BeginStep();
-  auto d = arena.TryAllocateBytes(4096);
-  EXPECT_TRUE(d.ok());
-  EXPECT_EQ(arena.high_water_bytes(), 4096);
 }
 
 TEST(TensorArenaTest, CurrentIsScopedPerThread) {

@@ -7,12 +7,18 @@
 #include "core/memo_executor.h"
 #include "core/timings.h"
 #include "common/units.h"
+#include "plan_request_testing.h"
 
 namespace memo::core {
 namespace {
 
 const hw::ClusterSpec kCluster8 = hw::PaperCluster(8);
 const model::ModelConfig k7B = model::Gpt7B();
+
+PlanRequest Job7B(std::int64_t seq,
+                  const hw::ClusterSpec& cluster = kCluster8) {
+  return testplan::Request(k7B, seq, cluster);
+}
 
 IterationTimings TimingsFor(parallel::ParallelStrategy s, std::int64_t seq,
                             const hw::ClusterSpec& cluster = kCluster8) {
@@ -104,25 +110,26 @@ TEST(TimingsTest, GradSyncOnlyWithDataParallel) {
 TEST(JobProfilerTest, ProfilesHeadlineWorkload) {
   parallel::ParallelStrategy s;
   s.tp = 8;
-  auto profile = ProfileJob(Workload{k7B, 1024 * kSeqK}, s, kCluster8);
+  auto profile = ProfileJob(Job7B(1024 * kSeqK), s);
   ASSERT_TRUE(profile.ok()) << profile.status();
   EXPECT_FALSE(profile->trace.requests.empty());
   EXPECT_TRUE(profile->trace.Validate().ok());
-  EXPECT_GT(profile->skeletal.total_bytes(), 0);
+  const model::SkeletalLayout& skeletal = profile->timings.skeletal;
+  EXPECT_GT(skeletal.total_bytes(), 0);
   EXPECT_GE(profile->alpha.alpha, 0.0);
   EXPECT_LE(profile->alpha.alpha, 1.0);
   // alpha quantized to eighths by default.
   EXPECT_DOUBLE_EQ(profile->alpha.alpha * 8,
                    std::round(profile->alpha.alpha * 8));
   EXPECT_GE(profile->offload_bytes_per_layer,
-            profile->skeletal.input_bytes + profile->skeletal.attn_out_bytes);
+            skeletal.input_bytes + skeletal.attn_out_bytes);
 }
 
 TEST(JobProfilerTest, TraceIsMemoMode) {
   parallel::ParallelStrategy s;
   s.tp = 4;
   s.cp = 2;
-  auto profile = ProfileJob(Workload{k7B, 256 * kSeqK}, s, kCluster8);
+  auto profile = ProfileJob(Job7B(256 * kSeqK), s);
   ASSERT_TRUE(profile.ok());
   for (const auto& seg : profile->trace.segments) {
     if (seg.name != "layer_fwd" && seg.name != "layer_bwd") continue;
@@ -133,45 +140,67 @@ TEST(JobProfilerTest, TraceIsMemoMode) {
 }
 
 TEST(JobProfilerTest, AlphaMatchesTheExecutorAcrossCpAndNvme) {
-  // The profiler and the executor solve one LP (MemoAlphaInputs): the same
-  // exposed context-parallel communication and the same NVMe tier, so the
-  // alpha `plan` reports is the alpha `run` trains with, and an OOHM is
+  // The executor runs the profiler's profile: the same exposed
+  // context-parallel communication and the same NVMe tier, so the alpha
+  // `plan` reports is the alpha `run` trains with, solved or forced, the
+  // profiled offload bytes are what reaches the host tiers, and an OOHM is
   // reported by both or by neither.
   int nonzero = 0;
   int spilled = 0;
-  for (const int cp : {1, 2, 4}) {
-    for (const std::int64_t host_gib : {64, 256}) {
-      for (const bool nvme : {false, true}) {
-        hw::ClusterSpec cluster = hw::PaperCluster(8);
-        cluster.node.host_memory_bytes = host_gib * kGiB;
-        if (nvme) cluster.node.nvme_bytes = 8192 * kGiB;
-        parallel::ParallelStrategy s;
-        s.tp = 8 / cp;
-        s.cp = cp;
-        const Workload workload{k7B, 512 * kSeqK};
-        const auto profile = ProfileJob(workload, s, cluster);
-        const auto run = RunMemoIteration(workload, s, cluster);
-        const std::string where = "cp " + std::to_string(cp) + ", host " +
-                                  std::to_string(host_gib) + " GiB, nvme " +
-                                  (nvme ? "on" : "off");
-        ASSERT_EQ(profile.status().code(), run.status().code())
-            << where << ": " << profile.status() << " vs " << run.status();
-        if (!run.ok()) continue;
-        EXPECT_EQ(profile->alpha.alpha, run->alpha) << where;
-        if (run->alpha > 0.0) ++nonzero;
-        if (run->host_disk_bytes > 0) ++spilled;
+  int host_bound = 0;
+  for (const double forced : {-1.0, 0.0, 0.5, 1.0}) {
+    for (const int cp : {1, 2, 4}) {
+      for (const std::int64_t host_gib : {64, 256}) {
+        for (const bool nvme : {false, true}) {
+          hw::ClusterSpec cluster = hw::PaperCluster(8);
+          cluster.node.host_memory_bytes = host_gib * kGiB;
+          if (nvme) cluster.node.nvme_bytes = 8192 * kGiB;
+          parallel::ParallelStrategy s;
+          s.tp = 8 / cp;
+          s.cp = cp;
+          PlanRequest request = Job7B(512 * kSeqK, cluster);
+          request.forced_alpha = forced;
+          const auto profile = ProfileJob(request, s);
+          const auto run = RunMemoIteration(request, s);
+          const std::string where =
+              "alpha " + (forced < 0.0 ? "solved" : std::to_string(forced)) +
+              ", cp " + std::to_string(cp) + ", host " +
+              std::to_string(host_gib) + " GiB, nvme " + (nvme ? "on" : "off");
+          if (!profile.ok()) {
+            EXPECT_EQ(profile.status().code(), run.status().code())
+                << where << ": " << profile.status() << " vs "
+                << run.status();
+            if (profile.status().IsOutOfHostMemory()) ++host_bound;
+            continue;
+          }
+          // Past the profile only device memory can stop the run.
+          ASSERT_TRUE(run.ok() || run.status().IsOutOfMemory())
+              << where << ": " << run.status();
+          if (!run.ok()) continue;
+          EXPECT_EQ(profile->alpha.alpha, run->alpha) << where;
+          if (forced >= 0.0) {
+            EXPECT_EQ(run->alpha, forced) << where;
+          }
+          EXPECT_EQ(run->host_offload_bytes,
+                    model::SwappedLayers(profile->timings.layers_per_stage) *
+                        profile->offload_bytes_per_layer)
+              << where;
+          if (run->alpha > 0.0) ++nonzero;
+          if (run->host_disk_bytes > 0) ++spilled;
+        }
       }
     }
   }
-  // The grid exercises the disk tier and a nonzero swap fraction.
+  // The grid exercises the disk tier, a nonzero swap fraction and X_oohm.
   EXPECT_GT(nonzero, 0);
   EXPECT_GT(spilled, 0);
+  EXPECT_GT(host_bound, 0);
 }
 
 TEST(JobProfilerTest, RejectsInvalidStrategy) {
   parallel::ParallelStrategy bad;
   bad.tp = 3;  // does not divide heads, nor world size
-  EXPECT_FALSE(ProfileJob(Workload{k7B, 256 * kSeqK}, bad, kCluster8).ok());
+  EXPECT_FALSE(ProfileJob(Job7B(256 * kSeqK), bad).ok());
 }
 
 }  // namespace

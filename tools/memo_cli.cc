@@ -36,7 +36,6 @@
 #include "core/job_profiler.h"
 #include "core/plan_request.h"
 #include "core/report.h"
-#include "core/session.h"
 #include "model/activation_spec.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
@@ -52,7 +51,6 @@
 namespace {
 
 using memo::core::IterationResult;
-using memo::core::Workload;
 
 void Usage();
 
@@ -322,11 +320,17 @@ memo::core::PlanRequest ReadPlanRequest(const Flags& flags,
   return *request;
 }
 
-memo::StatusOr<memo::core::JobProfile> ProfileRequest(
-    const memo::core::PlanRequest& request) {
-  return memo::core::ProfileJob(Workload{request.model, request.seq},
-                                request.strategy, request.cluster,
-                                {request.calibration, request.alpha_steps});
+/// The request `plan` and `alpha` profile: the one `run` executes for the
+/// same flags. Both report MEMO's profile, so another --system exits 2
+/// naming the flag.
+memo::core::PlanRequest ReadProfileRequest(const Flags& flags) {
+  memo::core::PlanRequest request = ReadPlanRequest(flags, "strategy");
+  if (request.system != memo::parallel::SystemKind::kMemo) {
+    ExitNamingTheFlag(memo::InvalidArgumentError(memo::StrFormat(
+        "system must be memo: plan and alpha profile MEMO (got %s)",
+        memo::parallel::SystemKindToString(request.system))));
+  }
+  return request;
 }
 
 void PrintResult(const IterationResult& it, const memo::model::ModelConfig& m) {
@@ -361,12 +365,13 @@ int CmdRun(const Flags& flags) {
 }
 
 int CmdPlan(const Flags& flags) {
-  const auto profile = ProfileRequest(ReadPlanRequest(flags, "strategy"));
+  const memo::core::PlanRequest request = ReadProfileRequest(flags);
+  const auto profile = memo::core::ProfileJob(request, request.strategy);
   if (!profile.ok()) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
   }
-  auto plan = memo::planner::PlanMemory(profile->trace);
+  auto plan = memo::planner::PlanMemory(profile->trace, request.planner);
   if (!plan.ok()) {
     std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
     return 1;
@@ -376,10 +381,12 @@ int CmdPlan(const Flags& flags) {
               memo::FormatBytes(plan->lower_bound).c_str(),
               memo::FormatBytes(plan->layer_fwd_peak).c_str(),
               memo::FormatBytes(plan->layer_bwd_peak).c_str());
+  const bool needs_um =
+      memo::core::ProfilingMigrationBytes(request, request.strategy) > 0;
   std::printf("alpha %.3f; offload %s per layer; profiling needs UM: %s\n",
               profile->alpha.alpha,
               memo::FormatBytes(profile->offload_bytes_per_layer).c_str(),
-              profile->profiling_needs_unified_memory ? "yes" : "no");
+              needs_um ? "yes" : "no");
   const std::string out = flags.Get("out", "");
   if (!out.empty()) {
     const memo::Status saved = memo::planner::SavePlan(*plan, out);
@@ -409,16 +416,17 @@ int CmdMaxSeq(const Flags& flags) {
 }
 
 int CmdAlpha(const Flags& flags) {
-  const memo::core::PlanRequest request = ReadPlanRequest(flags, "strategy");
-  const auto profile = ProfileRequest(request);
+  const memo::core::PlanRequest request = ReadProfileRequest(flags);
+  const auto profile = memo::core::ProfileJob(request, request.strategy);
   if (!profile.ok()) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
   }
   // The constraints that bound the LP optimum, e.g. "overlap" or
-  // "host-memory+disk-bandwidth".
+  // "host-memory+disk-bandwidth"; "forced" when --alpha replaced the LP.
   const memo::core::TieredAlphaResult& alpha = profile->alpha;
-  std::string bounds;
+  const memo::model::SkeletalLayout& skeletal = profile->timings.skeletal;
+  std::string bounds = request.forced_alpha >= 0.0 ? "forced" : "";
   for (const auto& [bound, name] :
        {std::pair{alpha.overlap_bound, "overlap"},
         std::pair{alpha.host_memory_bound, "host-memory"},
@@ -436,10 +444,10 @@ int CmdAlpha(const Flags& flags) {
       "alpha = %.3f (%s); per-layer skeletal %s = input %s + attn %s "
       "+ others %s; offload %s/layer -> host total %s\n",
       alpha.alpha, bounds.c_str(),
-      memo::FormatBytes(profile->skeletal.total_bytes()).c_str(),
-      memo::FormatBytes(profile->skeletal.input_bytes).c_str(),
-      memo::FormatBytes(profile->skeletal.attn_out_bytes).c_str(),
-      memo::FormatBytes(profile->skeletal.others_bytes).c_str(),
+      memo::FormatBytes(skeletal.total_bytes()).c_str(),
+      memo::FormatBytes(skeletal.input_bytes).c_str(),
+      memo::FormatBytes(skeletal.attn_out_bytes).c_str(),
+      memo::FormatBytes(skeletal.others_bytes).c_str(),
       memo::FormatBytes(profile->offload_bytes_per_layer).c_str(),
       memo::FormatBytes(
           profile->offload_bytes_per_layer *
