@@ -94,7 +94,11 @@ int main() {
       ThreadPool::SetGlobalThreads(1);
       const double ref_ms = memo::bench::BestWallMs(
           reps, [&] { dir.reference(q, k, v, dout, &a, &b, &c); });
-      records.push_back({op, 1, ref_ms, 1.0, "reference", "", 1.0});
+      memo::bench::BenchRecord reference;
+      reference.op = op;
+      reference.wall_ms = ref_ms;
+      reference.kernel = "reference";
+      records.push_back(reference);
       std::printf("%-22s %-16s threads=%d  %8.3f ms\n", op.c_str(),
                   "reference", 1, ref_ms);
 
@@ -106,8 +110,15 @@ int main() {
         if (threads == 1) one_thread_ms = ms;
         const double eff =
             threads > 1 ? (one_thread_ms / ms) / threads : 1.0;
-        records.push_back(
-            {op, threads, ms, ref_ms / ms, "streaming_packed", simd, eff});
+        memo::bench::BenchRecord record;
+        record.op = op;
+        record.threads = threads;
+        record.wall_ms = ms;
+        record.speedup_vs_serial = ref_ms / ms;
+        record.kernel = "streaming_packed";
+        record.simd = simd;
+        record.parallel_efficiency = eff;
+        records.push_back(record);
         std::printf(
             "%-22s %-16s threads=%d  %8.3f ms  (%.2fx vs ref, eff=%.2f)\n",
             op.c_str(), "streaming_packed", threads, ms, ref_ms / ms, eff);

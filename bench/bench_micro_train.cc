@@ -236,8 +236,15 @@ void RunSpeedupStudy() {
         threads > 1 && one_thread_ms > 0.0
             ? (one_thread_ms / ms) / static_cast<double>(threads)
             : 1.0;
-    records.push_back(
-        {c.op, threads, ms, serial_ms / ms, kernel, simd, efficiency});
+    memo::bench::BenchRecord record;
+    record.op = c.op;
+    record.threads = threads;
+    record.wall_ms = ms;
+    record.speedup_vs_serial = serial_ms / ms;
+    record.kernel = kernel;
+    record.simd = simd;
+    record.parallel_efficiency = efficiency;
+    records.push_back(record);
     std::printf("%-18s kernel=%-9s simd=%-6s threads=%d  %8.3f ms  "
                 "(%.2fx vs serial, eff=%.2f)\n",
                 c.op, kernel, *simd ? simd : "-", threads, ms,

@@ -34,7 +34,7 @@ const char* StatusCodeToString(StatusCode code);
 class Status {
  public:
   /// Constructs an OK status.
-  Status() : code_(StatusCode::kOk) {}
+  constexpr Status() : code_(StatusCode::kOk) {}
   /// Constructs a status with the given code and human-readable message.
   Status(StatusCode code, std::string message)
       : code_(code), message_(std::move(message)) {}
@@ -92,6 +92,13 @@ Status InternalError(std::string message);
 Status UnavailableError(std::string message);
 Status DeadlineExceededError(std::string message);
 
+namespace internal_status {
+/// What StatusOr::status() returns for a value. Constant-initialized, so
+/// reading it needs no first-use guard (a guarded function-local static
+/// draws GCC 12 -Wmaybe-uninitialized false positives from every caller).
+inline constinit const Status kOk;
+}  // namespace internal_status
+
 /// Holds either a value of type T or an error Status. Modeled after
 /// absl::StatusOr; accessing the value of an errored StatusOr aborts.
 template <typename T>
@@ -105,8 +112,7 @@ class StatusOr {
   bool ok() const { return std::holds_alternative<T>(rep_); }
 
   const Status& status() const {
-    static const Status kOk;
-    if (ok()) return kOk;
+    if (ok()) return internal_status::kOk;
     return std::get<Status>(rep_);
   }
 

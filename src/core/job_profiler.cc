@@ -5,6 +5,8 @@
 #include "common/logging.h"
 #include "common/table_printer.h"
 #include "common/units.h"
+#include "core/executor.h"
+#include "parallel/memory_model.h"
 
 namespace memo::core {
 
@@ -107,8 +109,12 @@ std::int64_t ProfilingMigrationBytes(
   const model::ModelTrace profiling_trace = model::GenerateModelTrace(
       one_layer, StageTraceOptions(request, strategy,
                                    model::ActivationMode::kFullRecompute));
+  const std::int64_t footprint =
+      profiling_trace.MaxLiveBytes() +
+      parallel::ComputeModelStateBytes(request.model, strategy).total() +
+      kDeviceReserveBytes;
   const std::int64_t overflow =
-      profiling_trace.MaxLiveBytes() - request.cluster.node.gpu.memory_bytes;
+      footprint - request.cluster.node.gpu.memory_bytes;
   return std::max<std::int64_t>(0, 2 * overflow);
 }
 

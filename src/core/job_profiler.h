@@ -45,9 +45,9 @@ StatusOr<JobProfile> ProfileJob(const PlanRequest& request,
 /// off, and when its footprint exceeds the device the real system switches
 /// the allocator to CUDA Unified Memory. The footprint here is the peak live
 /// bytes of a vanilla (full-recompute) trace over at most three of the
-/// stage's layers; the model state is not counted. Returns the page traffic
-/// the one-off profiling pass then pays (the overflow paged out and back),
-/// or 0 when the vanilla pass fits.
+/// stage's layers, plus the stage's model state and kDeviceReserveBytes.
+/// Returns the page traffic the one-off profiling pass then pays (the
+/// overflow paged out and back), or 0 when the vanilla pass fits.
 std::int64_t ProfilingMigrationBytes(
     const PlanRequest& request, const parallel::ParallelStrategy& strategy);
 

@@ -4,18 +4,11 @@
 #include <cstdio>
 #include <limits>
 
+#include "obs/json.h"
+
 namespace memo::obs {
 
 namespace {
-
-/// Same escaping rules as the trace serializer (kept tiny and local — the
-/// obs layer deliberately has no other dependencies).
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') out->push_back('\\');
-    out->push_back(c);
-  }
-}
 
 void AppendDouble(double v, std::string* out) {
   char buf[64];

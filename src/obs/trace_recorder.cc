@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <utility>
 
+#include "obs/json.h"
+
 namespace memo::obs {
 
 namespace {
@@ -12,37 +14,6 @@ std::int64_t SteadyNowNs() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Escapes `\` and `"` plus control characters for a JSON string literal.
-void AppendJsonEscaped(const std::string& s, std::string* out) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out->append("\\\"");
-        break;
-      case '\\':
-        out->append("\\\\");
-        break;
-      case '\n':
-        out->append("\\n");
-        break;
-      case '\t':
-        out->append("\\t");
-        break;
-      case '\r':
-        out->append("\\r");
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
 }
 
 void AppendEventJson(int tid, const TraceEvent& e, std::string* out) {

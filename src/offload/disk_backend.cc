@@ -13,6 +13,7 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "common/fingerprint.h"
 #include "common/logging.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
@@ -85,7 +86,7 @@ void DiskBackend::Throttle(std::int64_t bytes, double elapsed_seconds) {
   }
 }
 
-Status DiskBackend::Put(std::int64_t key, std::string&& blob) {
+Status DiskBackend::Put(std::int64_t key, std::string_view blob) {
   const Clock::time_point start = Clock::now();
   const std::int64_t total = static_cast<std::int64_t>(blob.size());
   MEMO_TRACE_SCOPE_ARG("disk_put", "disk", "bytes", total);
@@ -163,7 +164,6 @@ Status DiskBackend::Put(std::int64_t key, std::string&& blob) {
       }
     }
     index_.emplace(key, std::move(pages));
-    blob_bytes_.emplace(key, total);
     static obs::MetricCounter* put_bytes_counter =
         obs::MetricsRegistry::Global().counter("disk.put_bytes");
     put_bytes_counter->Add(total);
@@ -185,8 +185,10 @@ Status DiskBackend::Put(std::int64_t key, std::string&& blob) {
 }
 
 Status DiskBackend::ReadPages(const std::vector<PageRef>& pages,
-                              std::int64_t total, std::string* blob) {
+                              std::string* blob) {
   const Clock::time_point start = Clock::now();
+  std::int64_t total = 0;
+  for (const PageRef& p : pages) total += p.payload_len;
   MEMO_TRACE_SCOPE_ARG("disk_read", "disk", "bytes", total);
   const std::int64_t page = options_.page_bytes;
   const std::int64_t num_pages = static_cast<std::int64_t>(pages.size());
@@ -274,7 +276,6 @@ Status DiskBackend::ReadPages(const std::vector<PageRef>& pages,
 
 Status DiskBackend::TakeInto(std::int64_t key, std::string* blob) {
   std::vector<PageRef> pages;
-  std::int64_t total = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = index_.find(key);
@@ -284,16 +285,13 @@ Status DiskBackend::TakeInto(std::int64_t key, std::string* blob) {
     }
     pages = std::move(it->second);
     index_.erase(it);
-    total = blob_bytes_.at(key);
-    blob_bytes_.erase(key);
   }
-  const Status read = ReadPages(pages, total, blob);
+  const Status read = ReadPages(pages, blob);
   if (!read.ok()) {
     // The pages were not released (see ReadPages): put the blob back so a
     // retrying caller finds it intact instead of a spurious kNotFound.
     std::lock_guard<std::mutex> lock(mu_);
     index_.emplace(key, std::move(pages));
-    blob_bytes_.emplace(key, total);
   }
   return read;
 }
@@ -303,12 +301,7 @@ bool DiskBackend::Contains(std::int64_t key) const {
   return index_.count(key) > 0;
 }
 
-std::int64_t DiskBackend::resident_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_.resident_bytes;
-}
-
-TierStats DiskBackend::disk_stats() const {
+TierStats DiskBackend::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
 }

@@ -203,28 +203,6 @@ void AppendField(std::string* out, const char* key, bool value) {
 
 }  // namespace
 
-std::string JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
-  for (char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 StatusOr<core::PlanRequest> ParsePlanRequestFields(
     const PlanRequestFields& fields) {
   constexpr const char* kInt = "an integer that fits in 32 bits";

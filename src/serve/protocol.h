@@ -7,6 +7,7 @@
 
 #include "common/status.h"
 #include "core/plan_request.h"
+#include "obs/json.h"
 
 namespace memo::serve {
 
@@ -103,8 +104,9 @@ bool JsonFindNumber(const std::string& json, const std::string& key,
                     double* out);
 bool JsonFindBool(const std::string& json, const std::string& key, bool* out);
 
-/// Escapes `"`, `\` and control characters for embedding in JSON.
-std::string JsonEscape(const std::string& text);
+/// Escapes `"`, `\` and control characters for embedding in JSON (the one
+/// escaper, obs/json.h, under the name the plan clients call).
+using obs::JsonEscape;
 
 }  // namespace memo::serve
 

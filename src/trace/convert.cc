@@ -2,34 +2,9 @@
 
 #include <sstream>
 
+#include "obs/json.h"
+
 namespace memo::trace {
-
-namespace {
-
-/// Minimal JSON string escaping (tensor names are identifier-like, but the
-/// encoder must never emit malformed JSON for any input).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
-}
-
-}  // namespace
 
 Status WriteWorkload(const model::WorkloadTrace& workload,
                      TraceWriter* writer) {
@@ -148,13 +123,13 @@ std::string WorkloadToJson(const model::WorkloadTrace& workload) {
           << "\",\"tensor_id\":" << req.tensor_id
           << ",\"bytes\":" << req.bytes
           << ",\"skeletal\":" << (req.skeletal ? "true" : "false")
-          << ",\"name\":\"" << JsonEscape(req.name) << "\"}";
+          << ",\"name\":\"" << obs::JsonEscape(req.name) << "\"}";
     }
     out << "],\"segments\":[";
     for (std::size_t s = 0; s < it.segments.size(); ++s) {
       if (s > 0) out << ",";
       const model::TraceSegment& seg = it.segments[s];
-      out << "{\"name\":\"" << JsonEscape(seg.name)
+      out << "{\"name\":\"" << obs::JsonEscape(seg.name)
           << "\",\"begin\":" << seg.begin << ",\"end\":" << seg.end
           << ",\"layer\":" << seg.layer << "}";
     }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "obs/json.h"
 #include "planner/bilevel_planner.h"
 #include "planner/plan_io.h"
 #include "trace/convert.h"
@@ -16,27 +17,6 @@ std::string FormatDouble(double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.6f", v);
   return buf;
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -63,14 +43,14 @@ std::string ReplaySummary::ToJson() const {
         << ",\"max_live_bytes\":" << it.max_live_bytes
         << ",\"replay_ok\":" << (it.replay_ok ? "true" : "false")
         << ",\"failed_index\":" << it.failed_index << ",\"replay_error\":\""
-        << JsonEscape(it.replay_error)
+        << obs::JsonEscape(it.replay_error)
         << "\",\"reorg_events\":" << it.reorg_events
         << ",\"reorg_bytes_flushed\":" << it.reorg_bytes_flushed
         << ",\"reserved_after\":" << it.reserved_after
         << ",\"fragmentation_after\":"
         << FormatDouble(it.fragmentation_after)
         << ",\"plan_ok\":" << (it.plan_ok ? "true" : "false")
-        << ",\"plan_error\":\"" << JsonEscape(it.plan_error)
+        << ",\"plan_error\":\"" << obs::JsonEscape(it.plan_error)
         << "\",\"plan_fingerprint\":\"" << std::hex << it.plan_fingerprint
         << std::dec << "\",\"plan_arena_bytes\":" << it.plan_arena_bytes
         << "}";

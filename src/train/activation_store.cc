@@ -192,14 +192,17 @@ ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
     : policy_(policy),
       alpha_(alpha),
       layers_(layers),
-      spills_(backend.kind != offload::BackendKind::kRam),
-      backend_(offload::CreateBackend(backend)),
+      kind_(backend.kind),
+      ram_capacity_bytes_(backend.ram_capacity_bytes),
       retry_(backend.retry),
       staging_(staging != nullptr ? staging : &own_staging_) {
   MEMO_CHECK_GE(alpha, 0.0);
   MEMO_CHECK_LE(alpha, 1.0);
+  if (kind_ != offload::BackendKind::kRam) {
+    disk_ = std::make_unique<offload::DiskBackend>(backend.disk);
+  }
   if (policy == ActivationPolicy::kTokenWise) {
-    schedule_ = model::SwapSchedule(layers, spills_);
+    schedule_ = model::SwapSchedule(layers, disk_ != nullptr);
     slots_.resize(model::SwappedLayers(layers));
   }
   // The lanes only spin up when some layer crosses to the host: never under
@@ -209,7 +212,9 @@ ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
   if (!async_) return;
   done_.assign(schedule_.size(), false);
   copier_ = std::thread([this] { LaneMain(/*disk_lane=*/false); });
-  if (spills_) lane_ = std::thread([this] { LaneMain(/*disk_lane=*/true); });
+  if (disk_ != nullptr) {
+    lane_ = std::thread([this] { LaneMain(/*disk_lane=*/true); });
+  }
 }
 
 ActivationStore::~ActivationStore() {
@@ -329,19 +334,14 @@ Status ActivationStore::RunOp(const model::SwapOp& op) {
                        op.layer);
   Slot& slot = slots_[op.layer];
   switch (op.kind) {
-    case model::SwapOpKind::kOffload: {
-      Blob blob = Serialize(slot.acts);
+    case model::SwapOpKind::kOffload:
+      slot.blob = Serialize(slot.acts);
       slot.acts = LayerActivations{};  // the rounding buffer is drained
-      if (!spills_) return PutBlob(op.layer, std::move(blob));
-      slot.blob = std::move(blob);
-      return OkStatus();
-    }
+      return disk_ == nullptr ? PutBlob(op.layer) : OkStatus();
     case model::SwapOpKind::kSpillWrite:
-      return PutBlob(op.layer, std::move(slot.blob));
-    case model::SwapOpKind::kSpillRead: {
-      MEMO_ASSIGN_OR_RETURN(slot.blob, TakeBlob(op.layer));
-      return OkStatus();
-    }
+      return PutBlob(op.layer);
+    case model::SwapOpKind::kSpillRead:
+      return TakeBlob(op.layer);
     case model::SwapOpKind::kPrefetch:
       return Prefetch(op.layer);
     default:
@@ -430,85 +430,147 @@ ActivationStore::Blob ActivationStore::Serialize(
   return blob;
 }
 
-Status ActivationStore::PutBlob(int layer, Blob&& blob) {
-  const std::int64_t blob_bytes = static_cast<std::int64_t>(blob.bytes.size());
-  // Whole-blob retry: a failed Put leaves both the backend and the blob
-  // untouched (backends never consume on failure), so re-running the
-  // operation is lossless. The "copier.offload" fault site models a failed
-  // D2H-analog transfer, before any backend state changes.
+Status ActivationStore::PutBlob(int layer) {
+  Slot& slot = slots_[layer];
+  MEMO_CHECK(slot.tier == Tier::kNone) << "layer " << layer
+                                       << " stashed twice";
+  const std::int64_t bytes = static_cast<std::int64_t>(slot.blob.bytes.size());
+  Tier tier = Tier::kNone;
+  // Whole-blob retry: a failed put leaves both the blob and the tiers
+  // untouched, so re-running the operation is lossless. The
+  // "copier.offload" fault site models a failed D2H-analog transfer, before
+  // any tier changes.
   const Status st = retry_.Run("stash.put", [&]() -> Status {
     MEMO_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("copier.offload"));
-    return backend_->Put(layer, std::move(blob.bytes));
+    bool spill = kind_ == offload::BackendKind::kDisk;
+    if (kind_ == offload::BackendKind::kTiered) {
+      MEMO_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("tiered.put"));
+      std::lock_guard<std::mutex> lock(mu_);
+      spill = !RamFitsLocked(bytes);
+    }
+    tier = spill ? Tier::kDisk : Tier::kRam;
+    return spill ? Spill(layer) : PutInRam(bytes);
   });
-  const bool on_disk = st.ok() && backend_->OnDisk(layer);
   // Counts serialized bytes (payload + per-tensor dims) where they land, so
   // the total agrees with the tiers' own put_bytes accounting.
   static obs::MetricCounter* stash_bytes_counter =
       obs::MetricsRegistry::Global().counter("offload.stash_bytes");
   std::lock_guard<std::mutex> lock(mu_);
-  // The RAM tier keeps the buffer; the disk tier copied the bytes out.
-  if (!st.ok() || on_disk) ReleaseBlob(std::move(blob.bytes));
+  // The RAM tier keeps the buffer in the slot; the disk tier copied the
+  // bytes out.
+  if (!st.ok() || tier == Tier::kDisk) ReleaseBlob(std::move(slot.blob.bytes));
   if (!st.ok()) {
     RecordErrorLocked("stash_error", st);
     return st;
   }
-  stash_bytes_counter->Add(blob_bytes);
-  stored_bytes_ += blob.kept_bytes;
+  slot.tier = tier;
+  stash_bytes_counter->Add(bytes);
+  stored_bytes_ += slot.blob.kept_bytes;
   peak_stored_bytes_ = std::max(peak_stored_bytes_, stored_bytes_);
   // The copied-bytes stat counts only the async path, where the copy
   // really runs off the compute thread.
-  if (async_) stats_.offloaded_bytes += blob.kept_bytes;
-  MEMO_CHECK(
-      stashed_.emplace(layer, Stashed{blob.kept_bytes, blob_bytes, on_disk})
-          .second)
-      << "layer " << layer << " stashed twice";
+  if (async_) stats_.offloaded_bytes += slot.blob.kept_bytes;
   MEMO_TRACE_COUNTER("stash_resident_bytes", stored_bytes_);
   return OkStatus();
 }
 
-StatusOr<ActivationStore::Blob> ActivationStore::TakeBlob(int layer) {
-  Blob blob;
-  bool on_disk = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = stashed_.find(layer);
-    MEMO_CHECK(it != stashed_.end()) << "layer " << layer << " not stashed";
-    blob.kept_bytes = it->second.kept_bytes;
-    on_disk = it->second.on_disk;
-    // A spilled blob is read into a recycled buffer; the RAM tier hands
-    // back the one it holds.
-    if (on_disk) blob.bytes = AcquireBlob(it->second.blob_bytes);
-    stashed_.erase(it);
+Status ActivationStore::PutInRam(std::int64_t bytes) {
+  const Clock::time_point start = Clock::now();
+  // A fired fault models a failed host copy: nothing was mutated yet, so
+  // the caller may retry the whole put.
+  MEMO_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("ram.put"));
+  std::lock_guard<std::mutex> lock(mu_);
+  offload::TierStats& ram = stats_.ram_tier;
+  if (!RamFitsLocked(bytes)) {
+    return OutOfHostMemoryError(
+        "RAM stash tier full: " + std::to_string(ram.resident_bytes) +
+        " + " + std::to_string(bytes) + " bytes exceeds capacity " +
+        std::to_string(ram_capacity_bytes_));
   }
-  // The backend read (RAM move or spill-page read-back + checksum verify)
-  // runs outside mu_ so no other thread is blocked on disk I/O. A failed
-  // Take leaves the blob resident in the backend, so the whole operation
-  // can be retried without a spurious not-found.
+  static obs::MetricCounter* put_bytes_counter =
+      obs::MetricsRegistry::Global().counter("ram.put_bytes");
+  put_bytes_counter->Add(bytes);
+  ram.put_bytes += bytes;
+  ram.resident_bytes += bytes;
+  ram.peak_resident_bytes = std::max(ram.peak_resident_bytes,
+                                     ram.resident_bytes);
+  ram.write_seconds += SecondsSince(start);
+  return OkStatus();
+}
+
+Status ActivationStore::Spill(int layer) {
+  const bool quarantines = kind_ == offload::BackendKind::kTiered;
+  if (quarantines) {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!disk_failure_.ok()) {
+      return Status(disk_failure_.code(),
+                    "disk tier quarantined: " + disk_failure_.message());
+    }
+  }
+  const Status st = disk_->Put(layer, slots_[layer].blob.bytes);
+  // A put error that survived the disk's own per-page retries means the
+  // device is effectively dead: a tiered store quarantines the tier so
+  // later spills fail fast instead of grinding through doomed retries.
+  // Only the first failure gets here: a quarantined tier is never touched.
+  if (quarantines && st.code() == StatusCode::kInternal) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      disk_failure_ = st;
+    }
+    obs::MetricsRegistry::Global().counter("tiered.disk_quarantined")->Add(1);
+    MEMO_TRACE_INSTANT("disk_quarantined", "fault", st.message());
+  }
+  return st;
+}
+
+Status ActivationStore::TakeBlob(int layer) {
+  Slot& slot = slots_[layer];
+  MEMO_CHECK(slot.tier != Tier::kNone) << "layer " << layer << " not stashed";
+  const bool on_disk = slot.tier == Tier::kDisk;
+  const std::int64_t bytes = kDimsBytes + slot.blob.kept_bytes;
+  // A spilled blob is read into a recycled buffer; a RAM-tier blob is still
+  // in the slot.
+  if (on_disk) {
+    std::lock_guard<std::mutex> lock(mu_);
+    slot.blob.bytes = AcquireBlob(bytes);
+  }
+  // The spill-page read-back + checksum verify runs outside mu_ so no
+  // other thread is blocked on disk I/O. A failed take leaves the blob
+  // where it was, so the whole operation can be retried without a spurious
+  // not-found.
   const Status st = retry_.Run("restore.take", [&]() -> Status {
-    return backend_->TakeInto(layer, &blob.bytes);
+    if (on_disk) return disk_->TakeInto(layer, &slot.blob.bytes);
+    const Clock::time_point start = Clock::now();
+    MEMO_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("ram.take"));
+    std::lock_guard<std::mutex> lock(mu_);
+    static obs::MetricCounter* take_bytes_counter =
+        obs::MetricsRegistry::Global().counter("ram.take_bytes");
+    take_bytes_counter->Add(bytes);
+    stats_.ram_tier.take_bytes += bytes;
+    stats_.ram_tier.resident_bytes -= bytes;
+    stats_.ram_tier.read_seconds += SecondsSince(start);
+    return OkStatus();
   });
   static obs::MetricCounter* restore_bytes_counter =
       obs::MetricsRegistry::Global().counter("offload.restore_bytes");
   std::lock_guard<std::mutex> lock(mu_);
   if (!st.ok()) {
-    if (on_disk) ReleaseBlob(std::move(blob.bytes));
+    if (on_disk) ReleaseBlob(std::move(slot.blob.bytes));
     RecordErrorLocked("restore_error", st);
     return st;
   }
-  restore_bytes_counter->Add(static_cast<std::int64_t>(blob.bytes.size()));
-  stored_bytes_ -= blob.kept_bytes;
+  slot.tier = Tier::kNone;
+  restore_bytes_counter->Add(bytes);
+  stored_bytes_ -= slot.blob.kept_bytes;
   MEMO_TRACE_COUNTER("stash_resident_bytes", stored_bytes_);
-  return blob;
+  return OkStatus();
 }
 
 Status ActivationStore::Prefetch(int layer) {
+  // Without a disk tier the take is this op's; spill_read brought a
+  // spilling store's blob back.
+  if (disk_ == nullptr) MEMO_RETURN_IF_ERROR(TakeBlob(layer));
   Slot& slot = slots_[layer];
-  Blob blob;
-  if (spills_) {
-    blob = std::move(slot.blob);  // spill_read brought it back
-  } else {
-    MEMO_ASSIGN_OR_RETURN(blob, TakeBlob(layer));
-  }
   // An async store fills the restore set layer + 2 handed back when its
   // backward ended (none yet in a run's first step); an inline restore
   // allocates its own from the step arena.
@@ -520,14 +582,14 @@ Status ActivationStore::Prefetch(int layer) {
       staging_->restore_sets.pop_back();
     }
   }
-  const bool allocated = ReadBlob(blob.bytes, &set);
+  const bool allocated = ReadBlob(slot.blob.bytes, &set);
   slot.acts = std::move(set);
   std::lock_guard<std::mutex> lock(mu_);
   if (async_) {
     if (allocated) ++stats_.staging_allocations;
-    stats_.prefetched_bytes += blob.kept_bytes;
+    stats_.prefetched_bytes += slot.blob.kept_bytes;
   }
-  ReleaseBlob(std::move(blob.bytes));
+  ReleaseBlob(std::move(slot.blob.bytes));
   return OkStatus();
 }
 
@@ -565,6 +627,11 @@ void ActivationStore::ReleaseBlob(std::string&& bytes) {
   staging_->blobs.push_back(std::move(bytes));
 }
 
+bool ActivationStore::RamFitsLocked(std::int64_t bytes) const {
+  return ram_capacity_bytes_ <= 0 ||
+         stats_.ram_tier.resident_bytes + bytes <= ram_capacity_bytes_;
+}
+
 void ActivationStore::RecordErrorLocked(const char* instant,
                                         const Status& st) {
   MEMO_TRACE_INSTANT(instant, "offload", st.ToString());
@@ -593,8 +660,7 @@ OffloadStats ActivationStore::offload_stats() const {
     std::lock_guard<std::mutex> lock(mu_);
     stats = stats_;
   }
-  stats.ram_tier = backend_->ram_stats();
-  stats.disk_tier = backend_->disk_stats();
+  if (disk_ != nullptr) stats.disk_tier = disk_->stats();
   return stats;
 }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "model/activation_spec.h"
-#include "offload/stash_backend.h"
+#include "offload/disk_backend.h"
 #include "train/tensor.h"
 
 namespace memo::train {
@@ -57,8 +57,7 @@ enum class ActivationPolicy {
 /// Copier and disk-lane measurements: how much transfer work ran, and how
 /// long the compute thread was blocked on it. The CPU counterpart of the
 /// paper's offload/prefetch/spill stream utilisation, extended with
-/// per-tier counters of the stash backend (RAM tier and NVMe-analog disk
-/// tier).
+/// per-tier counters of the stash (RAM tier and NVMe-analog disk tier).
 struct OffloadStats {
   /// Wall time the copier and the disk lane spent moving bytes, summed over
   /// both lanes (the waits below are hidden behind either).
@@ -72,7 +71,7 @@ struct OffloadStats {
   std::int64_t staging_allocations = 0;
 
   /// Where the stashed bytes landed: host RAM vs the disk spill tier
-  /// (both zero for retain-all, disk zero for the pure-RAM backend).
+  /// (both zero for retain-all, disk zero for a RAM-only stash).
   offload::TierStats ram_tier;
   offload::TierStats disk_tier;
 
@@ -111,8 +110,10 @@ struct HostStaging {
 
 /// Implements the token-wise stash/restore cycle on real numbers. In the
 /// full system the stash is a PCIe transfer into host memory; here the
-/// "host" is a pluggable offload::StashBackend — RAM map, disk spill file,
-/// or the tiered RAM-then-disk combination — and the restore runs the same
+/// "host" is a RAM tier, a disk spill file, or RAM first and then disk
+/// (offload::BackendOptions). The store keeps the RAM tier itself, a blob
+/// left in its layer's slot under `ram_capacity_bytes`, and drives an
+/// offload::DiskBackend for the disk tier. The restore runs the same
 /// row-wise forward kernels as the original pass, so the reconstruction is
 /// bit-identical regardless of the tier the bytes travelled through — the
 /// property behind the aligned loss curves of Fig. 12d.
@@ -126,8 +127,8 @@ struct HostStaging {
 /// the simulator enqueues: offload cuts and serializes the layer (the
 /// D2H-analog copy), prefetch copies its kept rows into a full-size restore
 /// set (H2D), and with a disk tier (kDisk, kTiered) spill_write puts the
-/// blob into the backend and spill_read takes it back out; without one,
-/// offload and prefetch do the Put and Take. Inline, Stash(i) runs layer i's
+/// blob into a tier and spill_read takes it back out; without one, offload
+/// and prefetch do the put and the take. Inline, Stash(i) runs layer i's
 /// offload ops and Restore(i) its restore ops on the caller. With
 /// `async_offload` (token-wise policy, at least one swapped layer) the
 /// store runs the whole list instead: the compute thread ends fwd(i) in
@@ -151,19 +152,19 @@ class ActivationStore {
   ActivationStore& operator=(const ActivationStore&) = delete;
 
   /// Records layer `layer`'s activations after its forward pass, discarding
-  /// token rows according to the policy. Consumes `acts`. Fails with the
-  /// backend's Status when the stash rejects the bytes — kOutOfHostMemory
-  /// when the RAM tier is full with no disk tier to spill to, kInternal on
-  /// disk I/O faults. In async mode a copier- or lane-side failure is
-  /// reported by the first Stash/Restore call after it happened.
+  /// token rows according to the policy. Consumes `acts`. Fails when the
+  /// stash rejects the bytes — kOutOfHostMemory when the RAM tier is full
+  /// with no disk tier to spill to, kInternal on disk I/O faults. In async
+  /// mode a copier- or lane-side failure is reported by the first
+  /// Stash/Restore call after it happened.
   /// Double-stashing a layer is still a programming error (aborts).
   Status Stash(int layer, LayerActivations&& acts);
 
   /// Reconstructs the full activation set for the backward pass of `layer`,
   /// recomputing discarded rows with `params`. Removes the stash entry.
-  /// Fails with the backend's Status when the stashed bytes cannot be read
-  /// back (checksum mismatch, truncated spill file, injected I/O fault);
-  /// the store stays destructible and the spill file is still cleaned up.
+  /// Fails when the stashed bytes cannot be read back (checksum mismatch,
+  /// truncated spill file, injected I/O fault); the store stays
+  /// destructible and the spill file is still cleaned up.
   /// An async store restores in backward layer order (aborts otherwise).
   StatusOr<LayerActivations> Restore(int layer, const LayerParams& params);
 
@@ -191,31 +192,28 @@ class ActivationStore {
   /// Token rows recomputed across all Restore calls so far.
   std::int64_t recomputed_rows() const { return recomputed_rows_; }
 
-  /// Copier and disk-lane measurements plus the backend's per-tier
-  /// counters.
+  /// Copier and disk-lane measurements plus the per-tier counters.
   OffloadStats offload_stats() const;
 
   double alpha() const { return alpha_; }
 
  private:
-  /// One swapped layer's serialized kept rows on their way into or out of
-  /// the backend.
+  /// One swapped layer's serialized kept rows.
   struct Blob {
     std::int64_t kept_bytes = 0;  // payload bytes, without the dims
     std::string bytes;
   };
+  /// Where a swapped layer's blob is stashed.
+  enum class Tier { kNone, kRam, kDisk };
   /// What a swapped layer's ops hand each other: its tensors (fwd to
   /// offload, prefetch to bwd) and its blob (offload to spill_write,
-  /// spill_read to prefetch).
+  /// spill_read to prefetch). A blob in the RAM tier stays here until it
+  /// is taken; the disk tier holds a copy and the buffer goes back to the
+  /// staging.
   struct Slot {
     LayerActivations acts;
     Blob blob;
-  };
-  /// A swapped layer whose blob sits in the backend.
-  struct Stashed {
-    std::int64_t kept_bytes = 0;
-    std::int64_t blob_bytes = 0;
-    bool on_disk = false;
+    Tier tier = Tier::kNone;
   };
 
   /// Whether `layer` stays whole on the "device" instead of swapping.
@@ -243,13 +241,20 @@ class ActivationStore {
   /// Cuts `acts` to its kept rows and serializes them into a recycled
   /// buffer: the D2H-analog copy.
   Blob Serialize(const LayerActivations& acts);
-  /// Puts `layer`'s blob into the backend and books it where it landed.
-  Status PutBlob(int layer, Blob&& blob);
-  /// Takes `layer`'s blob out of the backend, a spilled one into a
-  /// recycled buffer.
-  StatusOr<Blob> TakeBlob(int layer);
-  /// Copies `layer`'s blob (taken from the backend first without a disk
-  /// tier) into a restore set: the H2D-analog copy.
+  /// Puts `layer`'s blob into a tier, RAM first under kTiered, and books
+  /// where it landed.
+  Status PutBlob(int layer);
+  /// One put attempt of `bytes` into the RAM tier.
+  Status PutInRam(std::int64_t bytes);
+  /// One put attempt of `layer`'s blob into the disk tier. A kTiered store
+  /// quarantines the tier after a kInternal failure: later spills fail fast
+  /// with that status.
+  Status Spill(int layer);
+  /// Takes `layer`'s blob back into its slot, a spilled one into a recycled
+  /// buffer.
+  Status TakeBlob(int layer);
+  /// Copies `layer`'s blob (taken first without a disk tier) into a
+  /// restore set: the H2D-analog copy.
   Status Prefetch(int layer);
   // Staging and error bookkeeping; callers hold mu_.
   /// Tops the staging up to what the async pipeline holds at once: two
@@ -261,18 +266,23 @@ class ActivationStore {
   void ReserveStagingLocked(const LayerActivations& acts);
   std::string AcquireBlob(std::int64_t bytes);
   void ReleaseBlob(std::string&& bytes);
+  /// Whether `bytes` more stay within the RAM tier's cap.
+  bool RamFitsLocked(std::int64_t bytes) const;
   void RecordErrorLocked(const char* instant, const Status& st);
 
   ActivationPolicy policy_;
   double alpha_;
   int layers_;
   bool async_ = false;
-  bool spills_ = false;  // the backend has a disk tier
 
-  /// Token-wise stash storage: RAM, disk, or tiered (see BackendOptions).
-  std::unique_ptr<offload::StashBackend> backend_;
-  /// Whole-operation retry around backend Put/Take (BackendOptions.retry).
-  /// Safe because a failed Put/Take leaves both the blob and the backend
+  /// Token-wise stash tiers (see BackendOptions): the RAM tier is the
+  /// slots' blobs, counted in stats_.ram_tier; disk_ is the disk tier of a
+  /// kDisk or kTiered store (null under kRam).
+  offload::BackendKind kind_;
+  std::int64_t ram_capacity_bytes_;
+  std::unique_ptr<offload::DiskBackend> disk_;
+  /// Whole-blob retry around each put and take (BackendOptions.retry).
+  /// Safe because a failed put or take leaves both the blob and the tiers
   /// unchanged, so re-attempting the full operation cannot lose data.
   RetryPolicy retry_;
   HostStaging own_staging_;
@@ -293,16 +303,17 @@ class ActivationStore {
   std::condition_variable op_done_;  // an op finished, a fault, or shutdown
   bool shutdown_ = false;
 
-  /// First backend failure observed on any thread (sticky; surfaced by
+  /// First stash failure observed on any thread (sticky; surfaced by
   /// every later Stash/Restore so the trainer can stop cleanly).
   Status backend_error_;
+  /// The fault that quarantined a kTiered store's disk tier (OK while
+  /// healthy).
+  Status disk_failure_;
 
   /// Layers kept whole on the "device" (all of them under retain-all, the
   /// last two under token-wise): they never cross a host tier, so they stay
-  /// in this map instead of the backend.
+  /// in this map instead of a slot.
   std::unordered_map<int, LayerActivations> retained_;
-  /// Swapped layers currently resident in the backend.
-  std::unordered_map<int, Stashed> stashed_;
   std::int64_t stored_bytes_ = 0;
   std::int64_t peak_stored_bytes_ = 0;
   std::int64_t device_peak_bytes_ = 0;

@@ -107,7 +107,10 @@ struct TrainRunResult {
   std::int64_t peak_stored_bytes = 0;
   /// Pre-clip global gradient norms per iteration (empty if clip disabled).
   std::vector<double> grad_norms;
-  /// Aggregated copier-thread measurements (all zero unless async_offload).
+  /// Stash measurements summed over the completed iterations. The copier
+  /// and disk-lane figures (busy and wait seconds, offloaded and prefetched
+  /// bytes) stay zero unless async_offload; the per-tier counters and the
+  /// staging allocations fill inline too.
   OffloadStats offload_stats;
   /// Wall time of the whole RunTraining call (model init through last step).
   double wall_seconds = 0.0;

@@ -101,6 +101,42 @@ TEST(FaultToleranceTest, TransientDiskFaultIsAbsorbedByPageRetry) {
   }
 }
 
+TEST(FaultToleranceTest, RamFaultsAreAbsorbedByTheWholeBlobRetry) {
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "inline");
+    InjectorGuard guard;
+    TrainRunOptions options = BaseRun();
+    options.iterations = 4;
+    options.async_offload = async;
+    const TrainRunResult reference = RunTraining(options);
+    ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
+
+    // One failed host copy each way: a failed put or take leaves the blob
+    // where it was, so the store's whole-blob retry re-runs it and the run
+    // never notices beyond the retry counters.
+    const std::int64_t put_retries = CounterValue("retry.stash.put.retries");
+    const std::int64_t take_retries =
+        CounterValue("retry.restore.take.retries");
+    FaultRule once;
+    once.nth = 1;
+    once.max_failures = 1;
+    FaultInjector::Global().Arm("ram.put", once);
+    FaultInjector::Global().Arm("ram.take", once);
+    const TrainRunResult faulted = RunTraining(options);
+    EXPECT_EQ(FaultInjector::Global().failures("ram.put"), 1);
+    EXPECT_EQ(FaultInjector::Global().failures("ram.take"), 1);
+    FaultInjector::Global().Reset();
+
+    ASSERT_TRUE(faulted.status.ok()) << faulted.status.ToString();
+    EXPECT_FALSE(faulted.degraded);
+    ExpectLossesIdentical(faulted.losses, reference.losses);
+    EXPECT_EQ(CounterValue("retry.stash.put.retries"), put_retries + 1);
+    EXPECT_EQ(CounterValue("retry.restore.take.retries"), take_retries + 1);
+    EXPECT_EQ(faulted.offload_stats.ram_tier.put_bytes,
+              reference.offload_stats.ram_tier.put_bytes);
+  }
+}
+
 TEST(FaultToleranceTest, ExhaustedRetriesGiveUpWithAccounting) {
   InjectorGuard guard;
   FaultRule rule;

@@ -247,6 +247,28 @@ TEST(MemoCliTest, AlphaReportsTheAlphaRunTrainsWith) {
   }
 }
 
+TEST(MemoCliTest, PlanCountsModelStateInTheProfilingFootprint) {
+  // §4.3.2: the vanilla profiling pass needs Unified Memory once its
+  // activations plus the model state (plus the 1 GiB reserve) outgrow the
+  // 80 GiB device. At 2048K neither half alone does.
+  const struct {
+    const char* flags;
+    const char* needs_um;
+  } cases[] = {
+      {"--seq 2048K --tp 1 --cp 8", "yes"},  // 56.0 + 35.1 GiB
+      {"--seq 2048K --tp 8 --cp 1", "yes"},  // 74.1 + 12.8 GiB
+      {"--seq 512K --tp 4 --cp 2", "no"},    // 14.5 + 16.0 GiB
+      {"--seq 512K --tp 1 --cp 8", "no"},    // 14.0 + 35.1 GiB
+  };
+  for (const auto& c : cases) {
+    const CliResult plan =
+        RunCli(std::string("plan --model 7B --gpus 8 ") + c.flags);
+    ASSERT_EQ(plan.exit_code, 0) << c.flags << ":\n" << plan.output;
+    EXPECT_EQ(TokenAfter(plan.output, "profiling needs UM:"), c.needs_um)
+        << c.flags << ":\n" << plan.output;
+  }
+}
+
 TEST(MemoCliTest, UnwritableTracePathFailsWithNonZeroExit) {
   const CliResult run = RunCli(
       "train --iterations 1 --layers 1 --hidden 16 --ffn 32 --seq 16 "

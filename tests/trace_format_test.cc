@@ -163,6 +163,32 @@ TEST(TraceFormatTest, CompressedBinaryIsAtLeastFiveTimesSmallerThanJson) {
       << "binary " << binary.size() << " bytes vs JSON " << json.size();
 }
 
+TEST(TraceFormatTest, JsonEscapesControlBytesInDictionaryNames) {
+  // Dictionary names are free-form bytes. A raw control byte in the
+  // converted JSON makes the file invalid (strict parsers reject it), so
+  // every one must come out escaped. Checked on bytes, because the tests'
+  // own JSON parser accepts raw control bytes.
+  model::WorkloadTrace workload = FixtureWorkload();
+  workload.iterations[0].requests[0].name = "q\tproj\x01";
+  workload.iterations[0].segments[0].name = "layer\nfwd\r";
+  const std::string path =
+      ::testing::TempDir() + "trace_format_control_names.memotrc";
+  ASSERT_TRUE(WriteWorkloadFile(workload, path).ok());
+  auto decoded = ReadWorkloadFile(path);
+  std::remove(path.c_str());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ExpectWorkloadsEqual(workload, decoded.value());
+
+  const std::string json = WorkloadToJson(decoded.value());
+  std::size_t raw_control_bytes = 0;
+  for (const char c : json) {
+    if (static_cast<unsigned char>(c) < 0x20) ++raw_control_bytes;
+  }
+  EXPECT_EQ(raw_control_bytes, 0u);
+  EXPECT_NE(json.find("\"name\":\"q\\tproj\\u0001\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"layer\\nfwd\\r\""), std::string::npos);
+}
+
 TEST(TraceFormatTest, FileAndBufferPathsAgree) {
   const model::WorkloadTrace workload = FixtureWorkload();
   const std::string path =
