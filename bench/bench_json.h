@@ -6,6 +6,9 @@
 #include <string>
 #include <vector>
 
+#include "common/file_io.h"
+#include "common/table_printer.h"
+
 namespace memo::bench {
 
 /// One machine-readable benchmark measurement. `speedup_vs_serial` is the
@@ -43,27 +46,28 @@ struct BenchRecord {
 };
 
 /// Writes records as a JSON array (BENCH_*.json, consumed by the driver).
+/// False, with the reason on stderr, when the file is not written whole.
 inline bool WriteBenchJson(const std::string& path,
                            const std::vector<BenchRecord>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "[\n");
+  std::string json = "[\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const BenchRecord& r = records[i];
-    std::fprintf(f,
-                 "  {\"schema_version\": %d, \"op\": \"%s\", "
-                 "\"threads\": %d, \"wall_ms\": %.3f, "
-                 "\"speedup_vs_serial\": %.3f, \"kernel\": \"%s\", "
-                 "\"simd\": \"%s\", \"parallel_efficiency\": %.3f, "
-                 "\"aux\": %.4f, \"aux_label\": \"%s\"}%s\n",
-                 r.schema_version, r.op.c_str(), r.threads, r.wall_ms,
-                 r.speedup_vs_serial, r.kernel.c_str(), r.simd.c_str(),
-                 r.parallel_efficiency, r.aux, r.aux_label.c_str(),
-                 i + 1 == records.size() ? "" : ",");
+    json += StrFormat(
+        "  {\"schema_version\": %d, \"op\": \"%s\", "
+        "\"threads\": %d, \"wall_ms\": %.3f, "
+        "\"speedup_vs_serial\": %.3f, \"kernel\": \"%s\", "
+        "\"simd\": \"%s\", \"parallel_efficiency\": %.3f, "
+        "\"aux\": %.4f, \"aux_label\": \"%s\"}%s\n",
+        r.schema_version, r.op.c_str(), r.threads, r.wall_ms,
+        r.speedup_vs_serial, r.kernel.c_str(), r.simd.c_str(),
+        r.parallel_efficiency, r.aux, r.aux_label.c_str(),
+        i + 1 == records.size() ? "" : ",");
   }
-  std::fprintf(f, "]\n");
-  std::fclose(f);
-  return true;
+  json += "]\n";
+  const Status written =
+      WriteWholeFile(path, json, "bench", WriteMode::kInPlace);
+  if (!written.ok()) std::fprintf(stderr, "%s\n", written.ToString().c_str());
+  return written.ok();
 }
 
 /// Best-of-`reps` wall time of `fn` in milliseconds (min filters scheduler

@@ -59,15 +59,8 @@ int main(int argc, char** argv) {
   // Encode (compressed) throughput. Raw input volume is what the producer
   // hands the writer: record_count * record width.
   std::string encoded;
-  const double encode_ms = BestWallMs(reps, [&] {
-    auto writer = memo::trace::TraceWriter::CreateInMemory();
-    if (!memo::trace::WriteWorkload(workload, writer.get()).ok() ||
-        !writer->Finish().ok()) {
-      std::fprintf(stderr, "encode failed\n");
-      std::exit(1);
-    }
-    encoded = writer->buffer();
-  });
+  const double encode_ms = BestWallMs(
+      reps, [&] { encoded = memo::trace::EncodeWorkload(workload); });
   const std::size_t raw_bytes =
       workload.TotalRequests() * memo::trace::kAllocRecordBytes;
 
@@ -80,7 +73,7 @@ int main(int argc, char** argv) {
                    reader.status().ToString().c_str());
       std::exit(1);
     }
-    auto result = memo::trace::ReadWorkload(reader->get());
+    auto result = memo::trace::ReadWorkload(*reader);
     if (!result.ok()) {
       std::fprintf(stderr, "decode failed: %s\n",
                    result.status().ToString().c_str());
@@ -109,16 +102,8 @@ int main(int argc, char** argv) {
           : 0.0;
 
   // Contract checks (hard failures under --smoke, reported always).
-  bool roundtrip_ok = true;
-  {
-    auto rewriter = memo::trace::TraceWriter::CreateInMemory();
-    if (!memo::trace::WriteWorkload(decoded, rewriter.get()).ok() ||
-        !rewriter->Finish().ok()) {
-      roundtrip_ok = false;
-    } else {
-      roundtrip_ok = rewriter->buffer() == encoded;
-    }
-  }
+  const bool roundtrip_ok =
+      memo::trace::EncodeWorkload(decoded) == encoded;
   const std::string summary_again =
       memo::trace::ReplayWorkload(workload, replay_options).ToJson();
   const bool replay_deterministic = summary_again == summary_json;

@@ -28,12 +28,6 @@ class Deadline {
     return Deadline(Clock::now() + std::chrono::milliseconds(ms));
   }
 
-  static Deadline AfterSeconds(double seconds) {
-    return Deadline(Clock::now() +
-                    std::chrono::duration_cast<Clock::duration>(
-                        std::chrono::duration<double>(seconds)));
-  }
-
   static Deadline At(Clock::time_point at) { return Deadline(at); }
 
   bool is_infinite() const { return infinite_; }

@@ -20,9 +20,9 @@ inline std::uint64_t Fnv1a64(std::string_view s) {
 
 /// Incremental FNV-1a: feeding a byte stream in any chunking produces the
 /// same digest as one Fnv1a64 call over the concatenation. Used where the
-/// hashed bytes are produced in pieces and never held in memory at once —
-/// the binary trace writer checksums each section as it streams to disk,
-/// and the reader re-hashes the file in fixed-size blocks to verify it.
+/// hashed bytes are produced in pieces and never held in memory at once:
+/// the trace reader's content fingerprint hashes one decoded record at a
+/// time.
 class Fnv1aStream {
  public:
   Fnv1aStream& Update(const void* data, std::size_t len);

@@ -51,32 +51,6 @@ struct RetryPolicy {
   /// Runs `fn` under this policy. `op` names the operation in metrics and
   /// trace events (e.g. "disk.page_write").
   Status Run(const std::string& op, const std::function<Status()>& fn) const;
-
-  /// StatusOr flavour of Run for fallible producers.
-  template <typename T>
-  StatusOr<T> RunOr(const std::string& op,
-                    const std::function<StatusOr<T>()>& fn) const {
-    StatusOr<T> result = fn();
-    Status last = result.ok() ? OkStatus() : result.status();
-    // Delegate the attempt/backoff loop to Run: the first call above
-    // already happened, so replay fn through a thin Status adapter that
-    // reuses the stored result on the first invocation.
-    if (result.ok() || !Retryable(last.code())) {
-      if (!result.ok()) return last;
-      return result;
-    }
-    bool first = true;
-    Status st = Run(op, [&]() -> Status {
-      if (first) {
-        first = false;
-        return last;
-      }
-      result = fn();
-      return result.ok() ? OkStatus() : result.status();
-    });
-    if (!st.ok()) return st;
-    return result;
-  }
 };
 
 }  // namespace memo

@@ -62,9 +62,6 @@ Status OutOfHostMemoryError(std::string message) {
 Status InfeasibleError(std::string message) {
   return Status(StatusCode::kInfeasible, std::move(message));
 }
-Status UnimplementedError(std::string message) {
-  return Status(StatusCode::kUnimplemented, std::move(message));
-}
 Status InternalError(std::string message) {
   return Status(StatusCode::kInternal, std::move(message));
 }

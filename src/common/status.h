@@ -87,7 +87,6 @@ Status NotFoundError(std::string message);
 Status OutOfMemoryError(std::string message);
 Status OutOfHostMemoryError(std::string message);
 Status InfeasibleError(std::string message);
-Status UnimplementedError(std::string message);
 Status InternalError(std::string message);
 Status UnavailableError(std::string message);
 Status DeadlineExceededError(std::string message);

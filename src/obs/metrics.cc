@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <limits>
 
+#include "common/file_io.h"
 #include "obs/json.h"
 
 namespace memo::obs {
@@ -147,15 +148,10 @@ std::string MetricsRegistry::SnapshotJson() const {
 bool MetricsRegistry::WriteJson(const std::string& path,
                                 std::string* error) const {
   const std::string json = SnapshotJson();
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    if (error != nullptr) *error = "cannot open " + path + " for writing";
-    return false;
-  }
-  const std::size_t written = std::fwrite(json.data(), 1, json.size(), f);
-  const bool ok = written == json.size() && std::fclose(f) == 0;
-  if (!ok && error != nullptr) *error = "short write to " + path;
-  return ok;
+  const Status written =
+      WriteWholeFile(path, json, "metrics", WriteMode::kInPlace);
+  if (!written.ok() && error != nullptr) *error = written.message();
+  return written.ok();
 }
 
 }  // namespace memo::obs

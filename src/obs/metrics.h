@@ -118,7 +118,8 @@ class MetricsRegistry {
   /// Histogram bucket entries are emitted for non-empty buckets only.
   std::string SnapshotJson() const;
 
-  /// Writes SnapshotJson() to `path`; false + `*error` on failure.
+  /// Writes SnapshotJson() to `path` in place (memo::WriteWholeFile);
+  /// false + `*error` on failure.
   bool WriteJson(const std::string& path, std::string* error = nullptr) const;
 
  private:

@@ -113,7 +113,8 @@ class TraceRecorder {
   ///   {"traceEvents":[...],"displayTimeUnit":"ms"}
   std::string ToJson() const;
 
-  /// Writes ToJson() to `path`; returns false and fills `*error` on failure.
+  /// Writes ToJson() to `path` in place (memo::WriteWholeFile); returns
+  /// false and fills `*error` on failure.
   bool WriteJson(const std::string& path, std::string* error = nullptr) const;
 
  private:

@@ -1,11 +1,10 @@
 #include "planner/plan_io.h"
-#include <algorithm>
 
-#include <cstdio>
-#include <fstream>
+#include <algorithm>
 #include <sstream>
 #include <vector>
 
+#include "common/file_io.h"
 #include "common/fingerprint.h"
 
 namespace memo::planner {
@@ -90,22 +89,13 @@ StatusOr<MemoryPlan> ParsePlan(const std::string& text) {
 }
 
 Status SavePlan(const MemoryPlan& plan, const std::string& path) {
-  std::ofstream out(path);
-  if (!out.good()) {
-    return InvalidArgumentError("cannot open " + path + " for writing");
-  }
-  out << SerializePlan(plan);
-  out.close();
-  if (!out.good()) return InternalError("write to " + path + " failed");
-  return OkStatus();
+  return WriteWholeFile(path, SerializePlan(plan), "plan",
+                        WriteMode::kInPlace);
 }
 
 StatusOr<MemoryPlan> LoadPlan(const std::string& path) {
-  std::ifstream in(path);
-  if (!in.good()) return NotFoundError("cannot open " + path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  return ParsePlan(buffer.str());
+  MEMO_ASSIGN_OR_RETURN(const std::string text, ReadWholeFile(path, "plan"));
+  return ParsePlan(text);
 }
 
 std::uint64_t PlanFingerprint(const MemoryPlan& plan) {

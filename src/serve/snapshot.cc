@@ -22,56 +22,9 @@ constexpr char kMagic[8] = {'M', 'E', 'M', 'O', 'S', 'N', 'P', '1'};
 /// cold instead.
 constexpr std::uint32_t kVersion = 3;
 
-void AppendU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<char>(v >> (8 * i)));
-}
-
-/// Bounds-checked little-endian reader over the loaded file bytes.
-class Reader {
- public:
-  explicit Reader(const std::string& data) : data_(data) {}
-
-  bool ReadU32(std::uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<std::uint32_t>(
-                static_cast<unsigned char>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 4;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<std::uint64_t>(
-                static_cast<unsigned char>(data_[pos_ + i]))
-            << (8 * i);
-    }
-    pos_ += 8;
-    return true;
-  }
-
-  bool ReadBytes(std::uint32_t len, std::string* out) {
-    if (pos_ + len > data_.size()) return false;
-    out->assign(data_, pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  std::size_t pos() const { return pos_; }
-
- private:
-  const std::string& data_;
-  std::size_t pos_ = 0;
-};
+/// Smallest encoded entry: fingerprint, kind, status code and the two
+/// length fields.
+constexpr std::size_t kMinEntryBytes = 8 + 4 + 4 + 4 + 4;
 
 }  // namespace
 
@@ -82,23 +35,25 @@ StatusOr<int> SaveCacheSnapshot(const std::string& path,
   const auto entries = cache.Entries();
 
   std::string file;
-  file.append(kMagic, sizeof(kMagic));
-  AppendU32(&file, kVersion);
-  AppendU32(&file, static_cast<std::uint32_t>(entries.size()));
+  ByteWriter out(&file);
+  out.Bytes({kMagic, sizeof(kMagic)});
+  out.U32(kVersion);
+  out.U32(static_cast<std::uint32_t>(entries.size()));
   for (const auto& entry : entries) {
     const CachedPlan& plan = *entry.second;
-    AppendU64(&file, entry.first);
-    AppendU32(&file, static_cast<std::uint32_t>(plan.result.kind));
-    AppendU32(&file, static_cast<std::uint32_t>(plan.result.status.code()));
+    out.U64(entry.first);
+    out.U32(static_cast<std::uint32_t>(plan.result.kind));
+    out.U32(static_cast<std::uint32_t>(plan.result.status.code()));
     const std::string& msg = plan.result.status.message();
-    AppendU32(&file, static_cast<std::uint32_t>(msg.size()));
-    file += msg;
-    AppendU32(&file, static_cast<std::uint32_t>(plan.payload.size()));
-    file += plan.payload;
+    out.U32(static_cast<std::uint32_t>(msg.size()));
+    out.Bytes(msg);
+    out.U32(static_cast<std::uint32_t>(plan.payload.size()));
+    out.Bytes(plan.payload);
   }
-  AppendU64(&file, Fnv1a64(file.data(), file.size()));
+  out.U64(Fnv1a64(file));
 
-  MEMO_RETURN_IF_ERROR(WriteFileAtomically(path, file, "snapshot"));
+  MEMO_RETURN_IF_ERROR(
+      WriteWholeFile(path, file, "snapshot", WriteMode::kAtomic));
   obs::MetricsRegistry::Global().counter("serve.snapshot.saved")->Add(1);
   return static_cast<int>(entries.size());
 }
@@ -108,38 +63,31 @@ StatusOr<int> LoadCacheSnapshot(const std::string& path, PlanCache* cache) {
       FaultInjector::Global().MaybeFail("serve.snapshot_read"));
   MEMO_ASSIGN_OR_RETURN(const std::string data,
                         ReadWholeFile(path, "snapshot"));
+  const std::string what = "snapshot " + path;
   if (data.size() < sizeof(kMagic) + 4 + 4 + 8 ||
       std::memcmp(data.data(), kMagic, sizeof(kMagic)) != 0) {
-    return InvalidArgumentError("snapshot " + path +
-                                ": bad magic or truncated header");
+    return InvalidArgumentError(what + ": bad magic or truncated header");
   }
   // Verify the footer checksum over everything before it FIRST: every later
   // parse step may then trust the bytes.
+  const std::string_view covered(data.data(), data.size() - 8);
+  ByteReader tail(std::string_view(data).substr(covered.size()),
+                  StatusCode::kInvalidArgument, what);
   std::uint64_t stored = 0;
-  for (int i = 0; i < 8; ++i) {
-    stored |= static_cast<std::uint64_t>(
-                  static_cast<unsigned char>(data[data.size() - 8 + i]))
-              << (8 * i);
-  }
-  const std::uint64_t actual = Fnv1a64(data.data(), data.size() - 8);
-  if (stored != actual) {
-    return InvalidArgumentError("snapshot " + path +
-                                ": checksum mismatch (corrupt file)");
+  MEMO_RETURN_IF_ERROR(tail.U64(&stored));
+  if (stored != Fnv1a64(covered)) {
+    return InvalidArgumentError(what + ": checksum mismatch (corrupt file)");
   }
 
-  Reader body(data);
-  std::string skip;
-  body.ReadBytes(sizeof(kMagic), &skip);  // magic was memcmp'd above
+  ByteReader body(covered.substr(sizeof(kMagic)),
+                  StatusCode::kInvalidArgument, what);
   std::uint32_t version = 0;
+  MEMO_RETURN_IF_ERROR(body.U32(&version));
+  if (version != kVersion) {
+    return body.Error("unsupported version " + std::to_string(version));
+  }
   std::uint32_t count = 0;
-  if (!body.ReadU32(&version) || version != kVersion) {
-    return InvalidArgumentError("snapshot " + path +
-                                ": unsupported version " +
-                                std::to_string(version));
-  }
-  if (!body.ReadU32(&count)) {
-    return InvalidArgumentError("snapshot " + path + ": truncated header");
-  }
+  MEMO_RETURN_IF_ERROR(body.Count(kMinEntryBytes, &count));
 
   std::vector<std::pair<std::uint64_t, std::shared_ptr<CachedPlan>>> loaded;
   loaded.reserve(count);
@@ -148,26 +96,24 @@ StatusOr<int> LoadCacheSnapshot(const std::string& path, PlanCache* cache) {
     std::uint32_t kind = 0;
     std::uint32_t code = 0;
     std::uint32_t len = 0;
+    std::string_view message;
+    std::string_view payload;
+    MEMO_RETURN_IF_ERROR(body.U64(&fingerprint));
+    MEMO_RETURN_IF_ERROR(body.U32(&kind));
+    MEMO_RETURN_IF_ERROR(body.U32(&code));
+    MEMO_RETURN_IF_ERROR(body.U32(&len));
+    MEMO_RETURN_IF_ERROR(body.Bytes(len, &message));
+    MEMO_RETURN_IF_ERROR(body.U32(&len));
+    MEMO_RETURN_IF_ERROR(body.Bytes(len, &payload));
     auto plan = std::make_shared<CachedPlan>();
-    std::string message;
-    if (!body.ReadU64(&fingerprint) || !body.ReadU32(&kind) ||
-        !body.ReadU32(&code) || !body.ReadU32(&len) ||
-        !body.ReadBytes(len, &message) || !body.ReadU32(&len) ||
-        !body.ReadBytes(len, &plan->payload) ||
-        body.pos() > data.size() - 8) {
-      return InvalidArgumentError("snapshot " + path + ": truncated entry " +
-                                  std::to_string(i));
-    }
+    plan->payload = payload;
     plan->result.kind = static_cast<core::PlanQueryKind>(kind);
     plan->result.status =
         code == 0 ? OkStatus()
-                  : Status(static_cast<StatusCode>(code), std::move(message));
+                  : Status(static_cast<StatusCode>(code), std::string(message));
     loaded.emplace_back(fingerprint, std::move(plan));
   }
-  if (body.pos() != data.size() - 8) {
-    return InvalidArgumentError("snapshot " + path +
-                                ": trailing bytes after last entry");
-  }
+  if (!body.AtEnd()) return body.Error("trailing bytes after last entry");
 
   // Parse fully validated before the first insert: a corrupt snapshot never
   // leaves the cache half-restored.

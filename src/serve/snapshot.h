@@ -38,7 +38,9 @@ StatusOr<int> SaveCacheSnapshot(const std::string& path,
                                 const PlanCache& cache);
 
 /// Restores a snapshot into `cache`. Any corruption — bad magic, unknown
-/// version, truncation, checksum mismatch — returns an error with the cache
+/// version, truncation, checksum mismatch, an entry count the file cannot
+/// hold (checked before anything is allocated) — returns kInvalidArgument
+/// with the cache
 /// left as it was, so callers log the failure and start cold instead of
 /// crashing or trusting damaged bytes. A missing file is kNotFound (the
 /// normal first boot). Returns the number of entries restored.

@@ -2,12 +2,14 @@
 
 #include <sstream>
 
+#include "common/file_io.h"
 #include "obs/json.h"
 
 namespace memo::trace {
 
-Status WriteWorkload(const model::WorkloadTrace& workload,
-                     TraceWriter* writer) {
+std::string EncodeWorkload(const model::WorkloadTrace& workload,
+                           const TraceWriterOptions& options) {
+  TraceWriter writer(options);
   std::uint32_t req_base = 0;
   std::uint32_t seg_base = 0;
   for (const model::ModelTrace& iteration : workload.iterations) {
@@ -16,18 +18,18 @@ Status WriteWorkload(const model::WorkloadTrace& workload,
       record.op = r.kind == model::MemoryRequest::Kind::kMalloc ? kOpMalloc
                                                                 : kOpFree;
       record.flags = r.skeletal ? kAllocFlagSkeletal : 0;
-      record.name_id = writer->InternString(r.name);
+      record.name_id = writer.InternString(r.name);
       record.tensor_id = r.tensor_id;
       record.bytes = r.bytes;
-      MEMO_RETURN_IF_ERROR(writer->AppendAlloc(record));
+      writer.AppendAlloc(record);
     }
     for (const model::TraceSegment& s : iteration.segments) {
       SegmentEntry entry;
-      entry.name_id = writer->InternString(s.name);
+      entry.name_id = writer.InternString(s.name);
       entry.begin = req_base + static_cast<std::uint32_t>(s.begin);
       entry.end = req_base + static_cast<std::uint32_t>(s.end);
       entry.layer = s.layer;
-      writer->AddSegment(entry);
+      writer.AddSegment(entry);
     }
     IterationEntry entry;
     entry.req_begin = req_base;
@@ -36,37 +38,20 @@ Status WriteWorkload(const model::WorkloadTrace& workload,
     entry.seg_begin = seg_base;
     entry.seg_end =
         seg_base + static_cast<std::uint32_t>(iteration.segments.size());
-    writer->AddIteration(entry);
+    writer.AddIteration(entry);
     req_base = entry.req_end;
     seg_base = entry.seg_end;
   }
-  return OkStatus();
+  return writer.Finish();
 }
 
-StatusOr<model::WorkloadTrace> ReadWorkload(TraceReader* reader) {
-  reader->Rewind();
-  std::vector<model::MemoryRequest> requests;
-  requests.reserve(reader->record_count());
-  AllocRecord record;
-  while (true) {
-    MEMO_ASSIGN_OR_RETURN(const bool more, reader->NextAlloc(&record));
-    if (!more) break;
-    model::MemoryRequest r;
-    r.kind = record.op == kOpMalloc ? model::MemoryRequest::Kind::kMalloc
-                                    : model::MemoryRequest::Kind::kFree;
-    r.tensor_id = record.tensor_id;
-    r.bytes = record.bytes;
-    r.skeletal = (record.flags & kAllocFlagSkeletal) != 0;
-    r.name = reader->String(record.name_id);
-    requests.push_back(std::move(r));
-  }
-
-  std::vector<IterationEntry> iterations = reader->iterations();
+StatusOr<model::WorkloadTrace> ReadWorkload(const TraceReader& reader) {
+  std::vector<IterationEntry> iterations = reader.iterations();
   if (iterations.empty()) {
     // Legacy single-iteration trace: all records, all segments.
     IterationEntry all;
-    all.req_end = static_cast<std::uint32_t>(requests.size());
-    all.seg_end = static_cast<std::uint32_t>(reader->segments().size());
+    all.req_end = static_cast<std::uint32_t>(reader.records().size());
+    all.seg_end = static_cast<std::uint32_t>(reader.segments().size());
     iterations.push_back(all);
   }
 
@@ -74,16 +59,26 @@ StatusOr<model::WorkloadTrace> ReadWorkload(TraceReader* reader) {
   workload.iterations.reserve(iterations.size());
   for (const IterationEntry& it : iterations) {
     model::ModelTrace trace;
-    trace.requests.assign(requests.begin() + it.req_begin,
-                          requests.begin() + it.req_end);
+    trace.requests.reserve(it.req_end - it.req_begin);
+    for (std::uint32_t i = it.req_begin; i < it.req_end; ++i) {
+      const AllocRecord& record = reader.records()[i];
+      model::MemoryRequest r;
+      r.kind = record.op == kOpMalloc ? model::MemoryRequest::Kind::kMalloc
+                                      : model::MemoryRequest::Kind::kFree;
+      r.tensor_id = record.tensor_id;
+      r.bytes = record.bytes;
+      r.skeletal = (record.flags & kAllocFlagSkeletal) != 0;
+      r.name = reader.String(record.name_id);
+      trace.requests.push_back(std::move(r));
+    }
     for (std::uint32_t s = it.seg_begin; s < it.seg_end; ++s) {
-      const SegmentEntry& entry = reader->segments()[s];
+      const SegmentEntry& entry = reader.segments()[s];
       if (entry.begin < it.req_begin || entry.end > it.req_end) {
         return InvalidArgumentError(
             "trace segment crosses its iteration boundary");
       }
       model::TraceSegment seg;
-      seg.name = reader->String(entry.name_id);
+      seg.name = reader.String(entry.name_id);
       seg.begin = static_cast<int>(entry.begin - it.req_begin);
       seg.end = static_cast<int>(entry.end - it.req_begin);
       seg.layer = entry.layer;
@@ -97,14 +92,13 @@ StatusOr<model::WorkloadTrace> ReadWorkload(TraceReader* reader) {
 Status WriteWorkloadFile(const model::WorkloadTrace& workload,
                          const std::string& path,
                          const TraceWriterOptions& options) {
-  MEMO_ASSIGN_OR_RETURN(auto writer, TraceWriter::Create(path, options));
-  MEMO_RETURN_IF_ERROR(WriteWorkload(workload, writer.get()));
-  return writer->Finish();
+  return WriteWholeFile(path, EncodeWorkload(workload, options), "trace",
+                        WriteMode::kInPlace);
 }
 
 StatusOr<model::WorkloadTrace> ReadWorkloadFile(const std::string& path) {
-  MEMO_ASSIGN_OR_RETURN(auto reader, TraceReader::Open(path));
-  return ReadWorkload(reader.get());
+  MEMO_ASSIGN_OR_RETURN(const TraceReader reader, TraceReader::Open(path));
+  return ReadWorkload(reader);
 }
 
 std::string WorkloadToJson(const model::WorkloadTrace& workload) {

@@ -13,16 +13,16 @@ namespace memo::trace {
 // and iteration tables in the aux section, so the full structure (which
 // request belongs to which layer segment of which iteration) round-trips.
 
-/// Appends every iteration of `workload` to `writer` (records, segments,
-/// iteration ranges). Does not call Finish().
-Status WriteWorkload(const model::WorkloadTrace& workload,
-                     TraceWriter* writer);
+/// The .memotrc file image of every iteration of `workload` (records,
+/// segments, iteration ranges).
+std::string EncodeWorkload(const model::WorkloadTrace& workload,
+                           const TraceWriterOptions& options = {});
 
-/// Reads a whole trace back into workload form. Traces written without
-/// iteration entries decode as one iteration.
-StatusOr<model::WorkloadTrace> ReadWorkload(TraceReader* reader);
+/// A decoded trace in workload form. Traces written without iteration
+/// entries decode as one iteration.
+StatusOr<model::WorkloadTrace> ReadWorkload(const TraceReader& reader);
 
-/// One-call file round trip.
+/// One-call file round trip; the file is written in place.
 Status WriteWorkloadFile(const model::WorkloadTrace& workload,
                          const std::string& path,
                          const TraceWriterOptions& options = {});

@@ -1,8 +1,8 @@
 #ifndef MEMO_TRACE_FORMAT_H_
 #define MEMO_TRACE_FORMAT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace memo::trace {
 
@@ -19,11 +19,10 @@ namespace memo::trace {
 ///   [footer 48 B]  u64 dict_offset | u64 aux_offset | u64 record_count
 ///                  | u64 chunk_count | u64 checksum | magic "MEMOTRCE"
 ///
-/// All integers are little-endian at fixed widths. Counts and offsets live
-/// in the footer so the writer can stream chunks without back-patching the
-/// header, keeping the FNV-1a checksum a single forward pass: it covers
-/// every byte from offset 0 up to (but excluding) the checksum field
-/// itself.
+/// All integers are little-endian at fixed widths (common/file_io.h's
+/// ByteWriter and ByteReader). Counts and offsets live in the footer, after
+/// the sections they describe, and the FNV-1a checksum covers every byte
+/// from offset 0 up to (but excluding) the checksum field itself.
 inline constexpr char kMagic[8] = {'M', 'E', 'M', 'O', 'T', 'R', 'C', '1'};
 inline constexpr char kEndMagic[8] = {'M', 'E', 'M', 'O', 'T', 'R', 'C',
                                       'E'};
@@ -79,70 +78,6 @@ struct IterationEntry {
   std::uint32_t seg_begin = 0;
   std::uint32_t seg_end = 0;
 };
-
-// ---- Little-endian primitives (explicit byte order, not memcpy of host
-// integers, so traces are portable across endianness).
-
-inline void PutU16(std::string* out, std::uint16_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-inline void PutU32(std::string* out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void PutU64(std::string* out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-  }
-}
-
-inline void PutI64(std::string* out, std::int64_t v) {
-  PutU64(out, static_cast<std::uint64_t>(v));
-}
-
-inline std::uint16_t GetU16(const unsigned char* p) {
-  return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-inline std::uint32_t GetU32(const unsigned char* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
-inline std::uint64_t GetU64(const unsigned char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-inline std::int64_t GetI64(const unsigned char* p) {
-  return static_cast<std::int64_t>(GetU64(p));
-}
-
-inline void EncodeAllocRecord(const AllocRecord& r, std::string* out) {
-  out->push_back(static_cast<char>(r.op));
-  out->push_back(static_cast<char>(r.flags));
-  PutU16(out, 0);
-  PutU32(out, r.name_id);
-  PutI64(out, r.tensor_id);
-  PutI64(out, r.bytes);
-}
-
-inline AllocRecord DecodeAllocRecord(const unsigned char* p) {
-  AllocRecord r;
-  r.op = p[0];
-  r.flags = p[1];
-  r.name_id = GetU32(p + 4);
-  r.tensor_id = GetI64(p + 8);
-  r.bytes = GetI64(p + 16);
-  return r;
-}
 
 }  // namespace memo::trace
 

@@ -114,39 +114,37 @@ ReplaySummary ReplayWorkload(const model::WorkloadTrace& workload,
 
 StatusOr<ReplaySummary> ReplayTraceFile(const std::string& path,
                                         const ReplayOptions& options) {
-  MEMO_ASSIGN_OR_RETURN(auto reader, TraceReader::Open(path));
-  MEMO_ASSIGN_OR_RETURN(const std::uint64_t fingerprint,
-                        reader->ContentFingerprint());
+  MEMO_ASSIGN_OR_RETURN(const TraceReader reader, TraceReader::Open(path));
   MEMO_ASSIGN_OR_RETURN(const model::WorkloadTrace workload,
-                        ReadWorkload(reader.get()));
+                        ReadWorkload(reader));
   ReplaySummary summary = ReplayWorkload(workload, options);
-  summary.trace_fingerprint = fingerprint;
+  summary.trace_fingerprint = reader.ContentFingerprint();
   return summary;
 }
 
 StatusOr<TraceDiff> DiffTraceFiles(const std::string& path_a,
                                    const std::string& path_b) {
-  MEMO_ASSIGN_OR_RETURN(auto a, TraceReader::Open(path_a));
-  MEMO_ASSIGN_OR_RETURN(auto b, TraceReader::Open(path_b));
+  MEMO_ASSIGN_OR_RETURN(const TraceReader a, TraceReader::Open(path_a));
+  MEMO_ASSIGN_OR_RETURN(const TraceReader b, TraceReader::Open(path_b));
   TraceDiff diff;
   auto note = [&diff](std::string line) {
     diff.differences.push_back(std::move(line));
   };
 
-  if (a->record_count() != b->record_count()) {
-    note("record_count: " + std::to_string(a->record_count()) + " vs " +
-         std::to_string(b->record_count()));
+  if (a.record_count() != b.record_count()) {
+    note("record_count: " + std::to_string(a.record_count()) + " vs " +
+         std::to_string(b.record_count()));
   }
-  if (a->segments().size() != b->segments().size()) {
-    note("segments: " + std::to_string(a->segments().size()) + " vs " +
-         std::to_string(b->segments().size()));
+  if (a.segments().size() != b.segments().size()) {
+    note("segments: " + std::to_string(a.segments().size()) + " vs " +
+         std::to_string(b.segments().size()));
   }
-  if (a->iterations().size() != b->iterations().size()) {
-    note("iterations: " + std::to_string(a->iterations().size()) + " vs " +
-         std::to_string(b->iterations().size()));
+  if (a.iterations().size() != b.iterations().size()) {
+    note("iterations: " + std::to_string(a.iterations().size()) + " vs " +
+         std::to_string(b.iterations().size()));
   }
-  MEMO_ASSIGN_OR_RETURN(const std::uint64_t fp_a, a->ContentFingerprint());
-  MEMO_ASSIGN_OR_RETURN(const std::uint64_t fp_b, b->ContentFingerprint());
+  const std::uint64_t fp_a = a.ContentFingerprint();
+  const std::uint64_t fp_b = b.ContentFingerprint();
   if (fp_a != fp_b) {
     std::ostringstream line;
     line << "content_fingerprint: " << std::hex << fp_a << " vs " << fp_b;

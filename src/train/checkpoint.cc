@@ -17,133 +17,100 @@ namespace memo::train {
 namespace {
 
 /// File layout: magic, payload byte count, FNV-1a 64 checksum of the
-/// payload, then the payload itself. Everything is little-endian host
-/// representation (the repo targets a single host; checkpoints are not a
-/// cross-machine interchange format).
+/// payload, then the payload itself, every field little-endian
+/// (common/file_io.h).
 constexpr char kMagic[8] = {'M', 'E', 'M', 'O', 'C', 'K', 'P', '1'};
 constexpr const char* kSuffix = ".memockpt";
 
-void AppendRaw(std::string* out, const void* data, std::size_t len) {
-  out->append(reinterpret_cast<const char*>(data), len);
+void PutDoubles(ByteWriter* out, const std::vector<double>& v) {
+  out->I64(static_cast<std::int64_t>(v.size()));
+  out->F64s(v.data(), v.size());
 }
 
-void AppendI64(std::string* out, std::int64_t v) { AppendRaw(out, &v, 8); }
-void AppendU64(std::string* out, std::uint64_t v) { AppendRaw(out, &v, 8); }
-
-void AppendDoubles(std::string* out, const std::vector<double>& v) {
-  AppendI64(out, static_cast<std::int64_t>(v.size()));
-  AppendRaw(out, v.data(), 8 * v.size());
-}
-
-void AppendTensors(std::string* out, const std::vector<Tensor>& tensors) {
-  AppendI64(out, static_cast<std::int64_t>(tensors.size()));
+void PutTensors(ByteWriter* out, const std::vector<Tensor>& tensors) {
+  out->I64(static_cast<std::int64_t>(tensors.size()));
   for (const Tensor& t : tensors) {
-    AppendI64(out, t.rows());
-    AppendI64(out, t.cols());
-    AppendRaw(out, t.data(), static_cast<std::size_t>(4 * t.size()));
+    out->I64(t.rows());
+    out->I64(t.cols());
+    out->F32s(t.data(), static_cast<std::size_t>(t.size()));
   }
 }
 
-/// Bounds-checked sequential reader over the verified payload.
-class Reader {
- public:
-  explicit Reader(const std::string& payload)
-      : p_(payload.data()), end_(payload.data() + payload.size()) {}
+/// An i64 element count, which must be non-negative and fit in the bytes
+/// left at `element_bytes` each.
+Status GetCount(ByteReader* in, std::size_t element_bytes,
+                std::int64_t* count) {
+  MEMO_RETURN_IF_ERROR(in->I64(count));
+  if (*count < 0) return in->Error("negative count");
+  return in->CheckCount(static_cast<std::uint64_t>(*count), element_bytes);
+}
 
-  Status ReadRaw(void* out, std::size_t len) {
-    if (static_cast<std::size_t>(end_ - p_) < len) {
-      return InternalError("truncated checkpoint payload");
-    }
-    // An empty vector's data() may be null, which memcpy must not see.
-    if (len == 0) return OkStatus();
-    std::memcpy(out, p_, len);
-    p_ += len;
-    return OkStatus();
+Status GetDoubles(ByteReader* in, std::vector<double>* out) {
+  std::int64_t n = 0;
+  MEMO_RETURN_IF_ERROR(GetCount(in, 8, &n));
+  out->resize(static_cast<std::size_t>(n));
+  return in->F64s(out->data(), out->size());
+}
+
+Status GetTensors(ByteReader* in, std::vector<Tensor>* out) {
+  // Each tensor holds at least its two shape fields.
+  std::int64_t n = 0;
+  MEMO_RETURN_IF_ERROR(GetCount(in, 16, &n));
+  out->clear();
+  out->reserve(static_cast<std::size_t>(n));
+  for (std::int64_t i = 0; i < n; ++i) {
+    // rows x cols floats must fit in the bytes left: a row of `cols`
+    // floats does once `cols` alone does, and `rows` such rows are checked
+    // as a count of them.
+    std::int64_t rows = 0;
+    std::int64_t cols = 0;
+    MEMO_RETURN_IF_ERROR(in->I64(&rows));
+    MEMO_RETURN_IF_ERROR(GetCount(in, 4, &cols));
+    if (rows < 0) return in->Error("negative tensor rows");
+    MEMO_RETURN_IF_ERROR(in->CheckCount(static_cast<std::uint64_t>(rows),
+                                        4 * static_cast<std::size_t>(cols)));
+    Tensor t(rows, cols);
+    MEMO_RETURN_IF_ERROR(in->F32s(t.data(), static_cast<std::size_t>(t.size())));
+    out->push_back(std::move(t));
   }
-
-  StatusOr<std::int64_t> ReadI64() {
-    std::int64_t v = 0;
-    MEMO_RETURN_IF_ERROR(ReadRaw(&v, 8));
-    return v;
-  }
-
-  StatusOr<std::uint64_t> ReadU64() {
-    std::uint64_t v = 0;
-    MEMO_RETURN_IF_ERROR(ReadRaw(&v, 8));
-    return v;
-  }
-
-  Status ReadDoubles(std::vector<double>* out) {
-    MEMO_ASSIGN_OR_RETURN(const std::int64_t n, ReadI64());
-    if (n < 0 || n > (end_ - p_) / 8) {
-      return InternalError("corrupt checkpoint: bad series length");
-    }
-    out->resize(static_cast<std::size_t>(n));
-    return ReadRaw(out->data(), 8 * static_cast<std::size_t>(n));
-  }
-
-  Status ReadTensors(std::vector<Tensor>* out) {
-    MEMO_ASSIGN_OR_RETURN(const std::int64_t n, ReadI64());
-    if (n < 0 || n > end_ - p_) {
-      return InternalError("corrupt checkpoint: bad tensor count");
-    }
-    out->clear();
-    out->reserve(static_cast<std::size_t>(n));
-    for (std::int64_t i = 0; i < n; ++i) {
-      MEMO_ASSIGN_OR_RETURN(const std::int64_t rows, ReadI64());
-      MEMO_ASSIGN_OR_RETURN(const std::int64_t cols, ReadI64());
-      if (rows < 0 || cols < 0 || (cols > 0 && rows > (end_ - p_) / 4 / cols)) {
-        return InternalError("corrupt checkpoint: bad tensor shape");
-      }
-      Tensor t(rows, cols);
-      MEMO_RETURN_IF_ERROR(
-          ReadRaw(t.data(), static_cast<std::size_t>(4 * t.size())));
-      out->push_back(std::move(t));
-    }
-    return OkStatus();
-  }
-
-  bool AtEnd() const { return p_ == end_; }
-
- private:
-  const char* p_;
-  const char* end_;
-};
+  return OkStatus();
+}
 
 std::string Serialize(const CheckpointState& state) {
   std::string payload;
-  AppendU64(&payload, state.config_fingerprint);
-  AppendI64(&payload, state.step);
-  AppendU64(&payload, state.data_rng_state);
-  AppendI64(&payload, state.last_token);
-  AppendI64(&payload, state.adam_step);
-  AppendI64(&payload, state.degraded ? 1 : 0);
-  AppendDoubles(&payload, state.losses);
-  AppendDoubles(&payload, state.grad_norms);
-  AppendTensors(&payload, state.params);
-  AppendTensors(&payload, state.adam_m);
-  AppendTensors(&payload, state.adam_v);
+  ByteWriter out(&payload);
+  out.U64(state.config_fingerprint);
+  out.I64(state.step);
+  out.U64(state.data_rng_state);
+  out.I64(state.last_token);
+  out.I64(state.adam_step);
+  out.I64(state.degraded ? 1 : 0);
+  PutDoubles(&out, state.losses);
+  PutDoubles(&out, state.grad_norms);
+  PutTensors(&out, state.params);
+  PutTensors(&out, state.adam_m);
+  PutTensors(&out, state.adam_v);
   return payload;
 }
 
-StatusOr<CheckpointState> Deserialize(const std::string& payload) {
-  Reader reader(payload);
+StatusOr<CheckpointState> Deserialize(std::string_view payload,
+                                      const std::string& path) {
+  ByteReader in(payload, StatusCode::kInternal, "corrupt checkpoint " + path);
   CheckpointState state;
-  MEMO_ASSIGN_OR_RETURN(state.config_fingerprint, reader.ReadU64());
-  MEMO_ASSIGN_OR_RETURN(state.step, reader.ReadI64());
-  MEMO_ASSIGN_OR_RETURN(state.data_rng_state, reader.ReadU64());
-  MEMO_ASSIGN_OR_RETURN(state.last_token, reader.ReadI64());
-  MEMO_ASSIGN_OR_RETURN(state.adam_step, reader.ReadI64());
-  MEMO_ASSIGN_OR_RETURN(const std::int64_t degraded, reader.ReadI64());
+  std::int64_t degraded = 0;
+  MEMO_RETURN_IF_ERROR(in.U64(&state.config_fingerprint));
+  MEMO_RETURN_IF_ERROR(in.I64(&state.step));
+  MEMO_RETURN_IF_ERROR(in.U64(&state.data_rng_state));
+  MEMO_RETURN_IF_ERROR(in.I64(&state.last_token));
+  MEMO_RETURN_IF_ERROR(in.I64(&state.adam_step));
+  MEMO_RETURN_IF_ERROR(in.I64(&degraded));
   state.degraded = degraded != 0;
-  MEMO_RETURN_IF_ERROR(reader.ReadDoubles(&state.losses));
-  MEMO_RETURN_IF_ERROR(reader.ReadDoubles(&state.grad_norms));
-  MEMO_RETURN_IF_ERROR(reader.ReadTensors(&state.params));
-  MEMO_RETURN_IF_ERROR(reader.ReadTensors(&state.adam_m));
-  MEMO_RETURN_IF_ERROR(reader.ReadTensors(&state.adam_v));
-  if (!reader.AtEnd()) {
-    return InternalError("corrupt checkpoint: trailing bytes in payload");
-  }
+  MEMO_RETURN_IF_ERROR(GetDoubles(&in, &state.losses));
+  MEMO_RETURN_IF_ERROR(GetDoubles(&in, &state.grad_norms));
+  MEMO_RETURN_IF_ERROR(GetTensors(&in, &state.params));
+  MEMO_RETURN_IF_ERROR(GetTensors(&in, &state.adam_m));
+  MEMO_RETURN_IF_ERROR(GetTensors(&in, &state.adam_v));
+  if (!in.AtEnd()) return in.Error("trailing bytes in payload");
   return state;
 }
 
@@ -182,13 +149,15 @@ Status SaveCheckpoint(const std::string& dir, const CheckpointState& state) {
   const std::string payload = Serialize(state);
   std::string file;
   file.reserve(sizeof(kMagic) + 16 + payload.size());
-  file.append(kMagic, sizeof(kMagic));
-  AppendU64(&file, static_cast<std::uint64_t>(payload.size()));
-  AppendU64(&file, Fnv1a64(payload.data(), payload.size()));
-  file += payload;
+  ByteWriter out(&file);
+  out.Bytes({kMagic, sizeof(kMagic)});
+  out.U64(static_cast<std::uint64_t>(payload.size()));
+  out.U64(Fnv1a64(payload));
+  out.Bytes(payload);
 
-  MEMO_RETURN_IF_ERROR(WriteFileAtomically(
-      dir + "/" + CheckpointFileName(state.step), file, "checkpoint"));
+  MEMO_RETURN_IF_ERROR(
+      WriteWholeFile(dir + "/" + CheckpointFileName(state.step), file,
+                     "checkpoint", WriteMode::kAtomic));
   obs::MetricsRegistry::Global().counter("checkpoint.saved")->Add(1);
   return OkStatus();
 }
@@ -200,19 +169,22 @@ StatusOr<CheckpointState> LoadCheckpoint(const std::string& path) {
       std::memcmp(file.data(), kMagic, sizeof(kMagic)) != 0) {
     return InternalError("not a checkpoint file (bad magic): " + path);
   }
+  ByteReader in(std::string_view(file).substr(sizeof(kMagic)),
+                StatusCode::kInternal, "checkpoint " + path);
   std::uint64_t payload_size = 0;
   std::uint64_t checksum = 0;
-  std::memcpy(&payload_size, file.data() + sizeof(kMagic), 8);
-  std::memcpy(&checksum, file.data() + sizeof(kMagic) + 8, 8);
-  if (file.size() != sizeof(kMagic) + 16 + payload_size) {
+  MEMO_RETURN_IF_ERROR(in.U64(&payload_size));
+  MEMO_RETURN_IF_ERROR(in.U64(&checksum));
+  if (payload_size != in.remaining()) {
     return InternalError("truncated checkpoint file: " + path);
   }
-  const std::string payload = file.substr(sizeof(kMagic) + 16);
-  if (Fnv1a64(payload.data(), payload.size()) != checksum) {
+  const std::string_view payload =
+      std::string_view(file).substr(sizeof(kMagic) + 16);
+  if (Fnv1a64(payload) != checksum) {
     return InternalError("checkpoint checksum mismatch (corrupt file): " +
                          path);
   }
-  return Deserialize(payload);
+  return Deserialize(payload, path);
 }
 
 std::vector<std::string> ListCheckpoints(const std::string& dir) {

@@ -133,10 +133,6 @@ void SetKernelMode(KernelMode mode) {
   g_kernel_mode.store(mode, std::memory_order_relaxed);
 }
 
-KernelMode GetKernelMode() {
-  return g_kernel_mode.load(std::memory_order_relaxed);
-}
-
 void LinearForwardRows(const Tensor& x, const Tensor& w, const Tensor& b,
                        std::int64_t row_begin, std::int64_t row_end,
                        Tensor* y) {

@@ -26,7 +26,6 @@ namespace memo::train {
 /// thread-pool-parallel kernels.
 enum class KernelMode { kOptimized, kReference };
 void SetKernelMode(KernelMode mode);
-KernelMode GetKernelMode();
 
 /// y[r] = x[r] * W + b, for rows [row_begin, row_end) only.
 /// W is [in, out]; b is [1, out] (may be empty for no bias).

@@ -105,24 +105,4 @@ void Tensor::Release() {
   arena_ = nullptr;
 }
 
-void Tensor::CopyRowsFrom(const Tensor& src, std::int64_t row_begin,
-                          std::int64_t row_end) {
-  MEMO_CHECK_EQ(cols_, src.cols_);
-  MEMO_CHECK_GE(row_begin, 0);
-  MEMO_CHECK_LE(row_end, rows_);
-  MEMO_CHECK_LE(row_end, src.rows_);
-  if (row_end <= row_begin) return;
-  std::memcpy(row(row_begin), src.row(row_begin),
-              sizeof(float) * (row_end - row_begin) * cols_);
-}
-
-Tensor Tensor::SliceRows(std::int64_t row_begin, std::int64_t row_end) const {
-  MEMO_CHECK_GE(row_begin, 0);
-  MEMO_CHECK_LE(row_end, rows_);
-  MEMO_CHECK_LE(row_begin, row_end);
-  Tensor out(row_end - row_begin, cols_);
-  std::memcpy(out.data(), row(row_begin), sizeof(float) * out.size());
-  return out;
-}
-
 }  // namespace memo::train

@@ -76,13 +76,6 @@ class Tensor {
     for (std::int64_t i = 0, n = size(); i < n; ++i) data_[i] = value;
   }
 
-  /// Copies rows [row_begin, row_end) of `src` into the same rows of this.
-  void CopyRowsFrom(const Tensor& src, std::int64_t row_begin,
-                    std::int64_t row_end);
-
-  /// Returns rows [row_begin, row_end) as a new tensor.
-  Tensor SliceRows(std::int64_t row_begin, std::int64_t row_end) const;
-
   /// Exact element-wise equality (the convergence experiment asserts
   /// bit-identical losses across alpha values).
   bool ExactlyEquals(const Tensor& other) const {

@@ -96,6 +96,17 @@ void TensorArena::BeginStep() {
   MEMO_TRACE_COUNTER("arena_high_water_bytes", high_water_);
 }
 
+void TensorArena::DiscardStep() {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (state_ == State::kMeasuring) {
+    ResetMeasurementLocked();
+    return;
+  }
+  // BeginStep counted this step when it started it on the plan.
+  --planned_steps_;
+  Metrics().planned_steps->Add(-1);
+}
+
 TensorArena::Allocation TensorArena::Allocate(std::int64_t bytes) {
   if (bytes <= 0) return {nullptr, false};
   std::lock_guard<std::mutex> lock(mu_);

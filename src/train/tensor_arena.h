@@ -50,6 +50,11 @@ class TensorArena {
   /// arena-backed tensor of the previous step must already be destroyed.
   void BeginStep();
 
+  /// Drops the step in progress, which failed part-way (its tensors already
+  /// destroyed): a measuring step's partial trace is never solved into a
+  /// plan, and a planned step no longer counts in planned_steps().
+  void DiscardStep();
+
   /// One Tensor-buffer allocation. `from_arena` tells the caller who frees:
   /// true — pass the pointer back via NoteFree; false — the block is plain
   /// heap (std::aligned_alloc) and the caller frees it with std::free.
@@ -75,7 +80,7 @@ class TensorArena {
   /// heap_fallback_allocs() == 0.
   std::int64_t heap_fallback_allocs() const;
   std::int64_t plan_divergences() const;
-  /// Steps that ran fully on the planned slab.
+  /// Steps begun on the planned slab, less the discarded ones.
   std::int64_t planned_steps() const;
 
   /// The calling thread's scoped arena, or null (heap allocation).

@@ -180,27 +180,32 @@ Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
   // step-scoped arena (measured on the first step, replayed from the DSA
   // plan afterwards). Long-lived state — params, grads, Adam moments,
   // checkpoints — is allocated outside the scope and stays on the heap. A
-  // faulted iteration unwinds all scoped tensors, so the degraded re-run's
-  // BeginStep simply replays the plan from the top.
+  // faulted iteration unwinds all scoped tensors and discards its step, so
+  // its partial trace never becomes the plan and the degraded re-run's
+  // BeginStep measures or replays from the top.
   std::optional<ArenaScope> scope;
   if (arena != nullptr) {
     arena->BeginStep();
     scope.emplace(arena);
   }
-  for (int b = 0; b < options.batch; ++b) {
+  Status status = OkStatus();
+  for (int b = 0; b < options.batch && status.ok(); ++b) {
     ActivationStore store(options.policy, options.alpha, options.model.layers,
                           options.async_offload, backend, staging);
-    MEMO_ASSIGN_OR_RETURN(
-        const double loss,
-        model.TryForwardBackward(params, batch_tokens[b], batch_targets[b],
-                                 &store, grads));
-    stats->loss_sum += loss;
+    const StatusOr<double> loss = model.TryForwardBackward(
+        params, batch_tokens[b], batch_targets[b], &store, grads);
+    if (!loss.ok()) {
+      status = loss.status();
+      continue;  // destroys the store before the step is discarded
+    }
+    stats->loss_sum += *loss;
     stats->peak_stored_bytes =
         std::max(stats->peak_stored_bytes, store.peak_stored_bytes());
     stats->recomputed_rows += store.recomputed_rows();
     stats->offload_stats += store.offload_stats();
   }
-  return OkStatus();
+  if (!status.ok() && arena != nullptr) arena->DiscardStep();
+  return status;
 }
 
 /// RunTraining's body: every tensor, the arena slab and the stash of the

@@ -243,6 +243,12 @@ TEST(FaultToleranceTest, PermanentDiskDeathFinishesDegradedOnRam) {
     // Restores are bit-exact on every backend, so finishing on the RAM
     // fallback does not move the loss curve by a single ULP.
     ExpectLossesIdentical(degraded.losses, reference.losses);
+    // The disk dies part-way through iteration 0, while the arena is still
+    // measuring: the RAM-only re-run is the step it plans from, so every
+    // later iteration replays that one plan without a heap fallback.
+    EXPECT_EQ(degraded.arena_plan_divergences, 0);
+    EXPECT_EQ(degraded.arena_heap_fallback_allocs, 0);
+    EXPECT_EQ(degraded.arena_planned_steps, tiered.iterations - 1);
   }
 }
 

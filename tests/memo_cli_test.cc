@@ -286,25 +286,34 @@ TEST(MemoCliTest, UnknownBackendIsRejected) {
 }
 
 TEST(MemoCliTest, NonPositiveNumericFlagsAreRejectedUpFront) {
-  const std::string base =
+  const std::string train =
       "train --iterations 1 --layers 1 --hidden 16 --ffn 32 --seq 16 "
       "--vocab 17 ";
+  // A size flag past 2^63 bytes (or not finite) has no byte count: casting
+  // it would be undefined behaviour, which the ubsan leg reports.
   const struct {
-    const char* extra;
+    std::string args;
     const char* flag;
   } legs[] = {
-      {"--ram-cap-mib -3", "--ram-cap-mib"},
-      {"--ram-cap-mib 0", "--ram-cap-mib"},
-      {"--backend disk --disk-gbps -1", "--disk-gbps"},
-      {"--checkpoint-dir /tmp --checkpoint-every 0", "--checkpoint-every"},
+      {train + "--ram-cap-mib -3", "--ram-cap-mib"},
+      {train + "--ram-cap-mib 0", "--ram-cap-mib"},
+      {train + "--ram-cap-mib 1e300", "--ram-cap-mib"},
+      {train + "--ram-cap-mib inf", "--ram-cap-mib"},
+      {train + "--ram-cap-mib nan", "--ram-cap-mib"},
+      {train + "--backend disk --disk-gbps -1", "--disk-gbps"},
+      {train + "--checkpoint-dir /tmp --checkpoint-every 0",
+       "--checkpoint-every"},
+      // An unbindable socket: a missed check fails fast instead of serving.
+      {"serve --socket /nonexistent-dir/memo.sock --cache-mib 1e300",
+       "--cache-mib"},
   };
   for (const auto& leg : legs) {
-    const CliResult run = RunCli(base + leg.extra);
-    EXPECT_EQ(run.exit_code, 2) << leg.extra << ":\n" << run.output;
+    const CliResult run = RunCli(leg.args);
+    EXPECT_EQ(run.exit_code, 2) << leg.args << ":\n" << run.output;
     EXPECT_NE(run.output.find(std::string(leg.flag) +
                               " must be a positive number"),
               std::string::npos)
-        << leg.extra << ":\n" << run.output;
+        << leg.args << ":\n" << run.output;
   }
 }
 
@@ -464,6 +473,7 @@ TEST(MemoCliTest, OutOfDomainTrainFlagsExitTwoNamingTheFlag) {
       {"train --seq 0", "--seq "},
       {"train --layers 0", "--layers "},
       {"train --hidden 0", "--hidden "},
+      {"train --policy foo", "--policy "},
   };
   for (const auto& leg : legs) {
     const CliResult run = RunCli(leg.args);
@@ -666,6 +676,33 @@ TEST(MemoCliTest, TraceSubcommandValidatesItsFlags) {
 
   run = RunCli("trace info --in /nonexistent/trace.memotrc");
   EXPECT_EQ(run.exit_code, 1) << run.output;
+
+  // Shapes the generators cannot build, and sizes no byte count holds,
+  // exit 2 naming the flag before any trace is generated or read.
+  const std::string out =
+      " --out " + ::testing::TempDir() + "cli_trace_bad.memotrc";
+  const std::string in = " --in /nonexistent/trace.memotrc";
+  const struct {
+    std::string args;
+    const char* flag;
+  } legs[] = {
+      {"trace record --seq-min 16K --seq-max 4K" + out, "--seq-min "},
+      {"trace record --layers 0" + out, "--layers "},
+      {"trace record --hidden 0" + out, "--hidden "},
+      {"trace record --heads 0" + out, "--heads "},
+      {"trace record --hidden 100 --heads 3" + out, "--heads "},
+      {"trace record --tp 0" + out, "--tp "},
+      {"trace record --kind moe --seq 0" + out, "--seq "},
+      {"trace replay --capacity-gib 1e300" + in, "--capacity-gib "},
+      {"trace replay --static-gib -1" + in, "--static-gib "},
+      {"trace replay --static-gib 1e300" + in, "--static-gib "},
+  };
+  for (const auto& leg : legs) {
+    run = RunCli(leg.args);
+    EXPECT_EQ(run.exit_code, 2) << leg.args << ":\n" << run.output;
+    EXPECT_EQ(run.output.rfind(leg.flag, 0), 0u)
+        << leg.args << ":\n" << run.output;
+  }
 }
 
 }  // namespace

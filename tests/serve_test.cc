@@ -840,6 +840,16 @@ TEST(SnapshotTest, CorruptSnapshotsAreRejectedAndTheCacheStaysCold) {
     }
     variants.push_back(old_version);
   }
+  // A re-sealed 24-byte snapshot that declares 2^32 - 1 entries: the count
+  // is checked against the bytes left before anything is reserved for it.
+  std::string huge_count = bytes.substr(0, 12);
+  for (int i = 0; i < 4; ++i) huge_count.push_back('\xff');
+  const std::uint64_t huge_sum =
+      memo::Fnv1a64(huge_count.data(), huge_count.size());
+  for (int i = 0; i < 8; ++i) {
+    huge_count.push_back(static_cast<char>(huge_sum >> (8 * i)));
+  }
+  variants.push_back(huge_count);
   for (const std::string& variant : variants) {
     write_variant(variant);
     PlanServer warm;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/compress.h"
+#include "common/file_io.h"
 #include "common/units.h"
 #include "model/model_config.h"
 #include "model/trace_gen.h"
@@ -47,14 +48,6 @@ model::WorkloadTrace FixtureWorkload() {
   return model::GenerateVariableLengthWorkload(SmallConfig(), base, gen);
 }
 
-std::string EncodeWorkload(const model::WorkloadTrace& workload,
-                           const TraceWriterOptions& options) {
-  auto writer = TraceWriter::CreateInMemory(options);
-  EXPECT_TRUE(WriteWorkload(workload, writer.get()).ok());
-  EXPECT_TRUE(writer->Finish().ok());
-  return writer->buffer();
-}
-
 void ExpectWorkloadsEqual(const model::WorkloadTrace& a,
                           const model::WorkloadTrace& b) {
   ASSERT_EQ(a.iterations.size(), b.iterations.size());
@@ -87,7 +80,7 @@ TEST(TraceFormatTest, AllocRoundTripCompressedAndRaw) {
     const std::string encoded = EncodeWorkload(workload, options);
     auto reader = TraceReader::OpenBuffer(encoded);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    auto decoded = ReadWorkload(reader->get());
+    auto decoded = ReadWorkload(*reader);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectWorkloadsEqual(workload, decoded.value());
     for (const model::ModelTrace& it : decoded->iterations) {
@@ -103,7 +96,7 @@ TEST(TraceFormatTest, ReEncodingADecodedTraceIsBitExact) {
     const std::string first = EncodeWorkload(FixtureWorkload(), options);
     auto reader = TraceReader::OpenBuffer(first);
     ASSERT_TRUE(reader.ok());
-    auto decoded = ReadWorkload(reader->get());
+    auto decoded = ReadWorkload(*reader);
     ASSERT_TRUE(decoded.ok());
     const std::string second = EncodeWorkload(decoded.value(), options);
     EXPECT_EQ(first, second) << "canonical encoding violated (compress="
@@ -119,7 +112,7 @@ TEST(TraceFormatTest, OddChunkSizesRoundTrip) {
     const std::string encoded = EncodeWorkload(workload, options);
     auto reader = TraceReader::OpenBuffer(encoded);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    auto decoded = ReadWorkload(reader->get());
+    auto decoded = ReadWorkload(*reader);
     ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
     ExpectWorkloadsEqual(workload, decoded.value());
   }
@@ -136,9 +129,7 @@ TEST(TraceFormatTest, ContentFingerprintIgnoresCompressionAndChunking) {
       auto reader =
           TraceReader::OpenBuffer(EncodeWorkload(workload, options));
       ASSERT_TRUE(reader.ok());
-      auto fp = (*reader)->ContentFingerprint();
-      ASSERT_TRUE(fp.ok());
-      fingerprints.push_back(fp.value());
+      fingerprints.push_back(reader->ContentFingerprint());
     }
   }
   for (const std::uint64_t fp : fingerprints) {
@@ -148,11 +139,9 @@ TEST(TraceFormatTest, ContentFingerprintIgnoresCompressionAndChunking) {
   // A one-request change must move the fingerprint.
   model::WorkloadTrace changed = FixtureWorkload();
   changed.iterations[0].requests[0].bytes += 512;
-  auto reader = TraceReader::OpenBuffer(EncodeWorkload(changed, {}));
+  auto reader = TraceReader::OpenBuffer(EncodeWorkload(changed));
   ASSERT_TRUE(reader.ok());
-  auto fp = (*reader)->ContentFingerprint();
-  ASSERT_TRUE(fp.ok());
-  EXPECT_NE(fp.value(), fingerprints[0]);
+  EXPECT_NE(reader->ContentFingerprint(), fingerprints[0]);
 }
 
 TEST(TraceFormatTest, CompressedBinaryIsAtLeastFiveTimesSmallerThanJson) {
@@ -261,27 +250,17 @@ std::string EncodeFixture(const GoldenFixture& fixture) {
 }
 
 std::string ReadFileBytes(const std::string& path) {
-  std::string content;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return content;
-  char buf[4096];
-  std::size_t n;
-  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-    content.append(buf, n);
-  }
-  std::fclose(f);
-  return content;
+  auto content = ReadWholeFile(path, "fixture");
+  return content.ok() ? *content : std::string();
 }
 
 TEST(TraceGoldenTest, FixturesMatchFreshEncodingBitForBit) {
   if (std::getenv("MEMO_REGEN_GOLDEN") != nullptr) {
     for (const GoldenFixture& fixture : kFixtures) {
-      const std::string bytes = EncodeFixture(fixture);
-      std::FILE* f = std::fopen(FixturePath(fixture.file).c_str(), "wb");
-      ASSERT_NE(f, nullptr) << FixturePath(fixture.file);
-      ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                bytes.size());
-      std::fclose(f);
+      const Status written =
+          WriteWholeFile(FixturePath(fixture.file), EncodeFixture(fixture),
+                         "fixture", WriteMode::kInPlace);
+      ASSERT_TRUE(written.ok()) << written.ToString();
     }
     GTEST_SKIP() << "regenerated golden fixtures";
   }
@@ -304,13 +283,12 @@ TEST(TraceGoldenTest, FixturesDecodeAndFingerprintConsistently) {
     }
     auto reader = TraceReader::Open(path);
     ASSERT_TRUE(reader.ok()) << reader.status().ToString();
-    auto fp = (*reader)->ContentFingerprint();
-    ASSERT_TRUE(fp.ok());
+    const std::uint64_t fp = reader->ContentFingerprint();
     if (expected == 0) {
-      expected = fp.value();
+      expected = fp;
     } else {
       // Compressed and raw fixture pairs hold identical content.
-      EXPECT_EQ(fp.value(), expected) << fixture.file;
+      EXPECT_EQ(fp, expected) << fixture.file;
     }
   }
 }

@@ -1,8 +1,9 @@
 // Adversarial-input tests for the binary trace reader and LZ decoder: a
 // truncated, bit-flipped or structurally corrupted file must come back as a
-// Status — never a crash, hang, or read past the buffer. Runs in the asan
-// and tsan legs (tools/sanitizer_check.cmake) so "no over-read" is checked
-// by the sanitizer, not just by surviving.
+// Status — never a crash, hang, or read past the buffer. Runs in the asan,
+// tsan and ubsan legs (tools/sanitizer_check.cmake) so "no over-read" and
+// the offset arithmetic are checked by the sanitizers, not just by
+// surviving.
 
 #include <gtest/gtest.h>
 
@@ -40,35 +41,21 @@ model::WorkloadTrace SmallWorkload() {
   return model::GenerateVariableLengthWorkload(config, base, gen);
 }
 
-std::string EncodeWorkload(bool compress) {
+std::string EncodeSmallWorkload(bool compress) {
   TraceWriterOptions options;
   options.compress = compress;
   options.chunk_records = 64;  // several chunks, so chunk framing is hit
-  auto writer = TraceWriter::CreateInMemory(options);
-  EXPECT_TRUE(WriteWorkload(SmallWorkload(), writer.get()).ok());
-  EXPECT_TRUE(writer->Finish().ok());
-  return writer->buffer();
+  return EncodeWorkload(SmallWorkload(), options);
 }
 
-/// Drains a reader to the end; any records it yields must also pass their
-/// per-record validation. Returns the first non-OK status, if any.
-Status DrainReader(TraceReader* reader) {
-  AllocRecord record;
-  while (true) {
-    auto more = reader->NextAlloc(&record);
-    if (!more.ok()) return more.status();
-    if (!more.value()) return OkStatus();
-  }
-}
-
-/// Full adversarial read of one byte string: open, drain the record
-/// stream, fingerprint. Every step may fail with a Status; none may crash.
-void ExerciseBuffer(const std::string& data) {
+/// Full adversarial read of one byte string: open (which decodes every
+/// record), fingerprint, convert to workload form. Every step may fail with
+/// a Status; none may crash. Returns the first failure, if any.
+Status ExerciseBuffer(const std::string& data) {
   auto reader = TraceReader::OpenBuffer(data);
-  if (!reader.ok()) return;
-  (void)DrainReader(reader->get());
-  (void)(*reader)->ContentFingerprint();
-  (void)ReadWorkload(reader->get());
+  if (!reader.ok()) return reader.status();
+  (void)reader->ContentFingerprint();
+  return ReadWorkload(*reader).status();
 }
 
 /// Rewrites the footer checksum so structure-level corruptions are not
@@ -97,14 +84,22 @@ void PokeU64(std::string* data, std::size_t offset, std::uint64_t v) {
   }
 }
 
+std::uint64_t PeekLe(const std::string& data, std::size_t offset,
+                     int width) {
+  std::uint64_t v = 0;
+  for (int i = width - 1; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(data[offset + i]);
+  }
+  return v;
+}
+
 std::uint64_t PeekU64(const std::string& data, std::size_t offset) {
-  return GetU64(
-      reinterpret_cast<const unsigned char*>(data.data()) + offset);
+  return PeekLe(data, offset, 8);
 }
 
 TEST(TraceFuzzTest, TruncationAtEveryPrefixLengthIsAStatus) {
   for (const bool compress : {true, false}) {
-    const std::string full = EncodeWorkload(compress);
+    const std::string full = EncodeSmallWorkload(compress);
     // Every prefix short enough to matter, then a sample of the rest so
     // the test stays fast on the larger compressed-false encoding.
     for (std::size_t len = 0; len < full.size();
@@ -119,71 +114,53 @@ TEST(TraceFuzzTest, TruncationAtEveryPrefixLengthIsAStatus) {
 }
 
 TEST(TraceFuzzTest, EverySingleByteFlipIsDetected) {
-  const std::string full = EncodeWorkload(true);
+  const std::string full = EncodeSmallWorkload(true);
   for (std::size_t pos = 0; pos < full.size(); ++pos) {
     std::string corrupt = full;
     corrupt[pos] = static_cast<char>(corrupt[pos] ^ 0x5a);
-    auto reader = TraceReader::OpenBuffer(corrupt);
-    if (!reader.ok()) continue;  // rejected at open: fine
-    // A flip inside the checksum tail can only corrupt the checksum field
-    // or end magic, both checked at open — so reaching here means the flip
-    // was in covered bytes and the checksum must have caught it. Belt and
-    // braces: drain anyway and require *some* failure.
-    const Status status = DrainReader(reader->get());
-    EXPECT_FALSE(status.ok())
+    // A flip in covered bytes breaks the checksum; one in the checksum
+    // tail breaks the checksum field or the end magic. Both fail the open.
+    EXPECT_FALSE(TraceReader::OpenBuffer(corrupt).ok())
         << "flip at byte " << pos << " went unnoticed";
   }
 }
 
 TEST(TraceFuzzTest, ZeroRecordChunkIsRejected) {
-  std::string data = EncodeWorkload(true);
+  std::string data = EncodeSmallWorkload(true);
   // First chunk header sits right after the file header.
   PokeU32(&data, kHeaderBytes, 0);
   PatchChecksum(&data);
-  auto reader = TraceReader::OpenBuffer(data);
-  if (reader.ok()) {
-    EXPECT_FALSE(DrainReader(reader->get()).ok());
-  }
+  EXPECT_FALSE(TraceReader::OpenBuffer(data).ok());
 }
 
 TEST(TraceFuzzTest, OversizedChunkRecordCountIsRejected) {
-  std::string data = EncodeWorkload(true);
+  std::string data = EncodeSmallWorkload(true);
   PokeU32(&data, kHeaderBytes, 0x7fffffff);
   PatchChecksum(&data);
-  auto reader = TraceReader::OpenBuffer(data);
-  if (reader.ok()) {
-    EXPECT_FALSE(DrainReader(reader->get()).ok());
-  }
+  EXPECT_FALSE(TraceReader::OpenBuffer(data).ok());
 }
 
 TEST(TraceFuzzTest, StoredBytesLargerThanRawIsRejected) {
-  std::string data = EncodeWorkload(true);
+  std::string data = EncodeSmallWorkload(true);
   // stored_bytes field of the first chunk: header + records(4) + raw(4).
   const std::size_t raw_off = kHeaderBytes + 4;
   const std::size_t stored_off = kHeaderBytes + 8;
-  const std::uint32_t raw = GetU32(
-      reinterpret_cast<const unsigned char*>(data.data()) + raw_off);
+  const auto raw = static_cast<std::uint32_t>(PeekLe(data, raw_off, 4));
   PokeU32(&data, stored_off, raw + 1000);
   PatchChecksum(&data);
-  auto reader = TraceReader::OpenBuffer(data);
-  if (reader.ok()) {
-    EXPECT_FALSE(DrainReader(reader->get()).ok());
-  }
+  EXPECT_FALSE(TraceReader::OpenBuffer(data).ok());
 }
 
 TEST(TraceFuzzTest, UnknownChunkMethodIsRejected) {
-  std::string data = EncodeWorkload(true);
+  std::string data = EncodeSmallWorkload(true);
   const std::size_t method_off = kHeaderBytes + 12;
   data[method_off] = 7;
   PatchChecksum(&data);
-  auto reader = TraceReader::OpenBuffer(data);
-  if (reader.ok()) {
-    EXPECT_FALSE(DrainReader(reader->get()).ok());
-  }
+  EXPECT_FALSE(TraceReader::OpenBuffer(data).ok());
 }
 
 TEST(TraceFuzzTest, CorruptedDictionaryOffsetsAreRejected) {
-  const std::string base = EncodeWorkload(true);
+  const std::string base = EncodeSmallWorkload(true);
   const std::size_t footer = base.size() - kFooterBytes;
   for (const std::uint64_t bad_dict :
        {std::uint64_t{0}, std::uint64_t{1}, PeekU64(base, footer) + 9999,
@@ -199,31 +176,45 @@ TEST(TraceFuzzTest, CorruptedDictionaryOffsetsAreRejected) {
 }
 
 TEST(TraceFuzzTest, DictionaryLengthOverrunIsRejected) {
-  std::string data = EncodeWorkload(true);
-  const std::size_t footer = data.size() - kFooterBytes;
-  const std::uint64_t dict_offset = PeekU64(data, footer);
-  // First string's length field: dict_offset + u32 count.
-  PokeU32(&data, dict_offset + 4, 0x40000000);
-  PatchChecksum(&data);
-  auto reader = TraceReader::OpenBuffer(data);
-  EXPECT_FALSE(reader.ok());
+  const std::string base = EncodeSmallWorkload(true);
+  const std::size_t footer = base.size() - kFooterBytes;
+  const std::uint64_t dict_offset = PeekU64(base, footer);
+  // The first string's length field (after the u32 count) overruns the
+  // section, and so does a count of 2^32 - 1 strings: checked against the
+  // section's bytes before the string table is allocated.
+  const struct {
+    std::uint64_t offset;
+    std::uint32_t value;
+  } pokes[] = {{dict_offset + 4, 0x40000000}, {dict_offset, 0xffffffff}};
+  for (const auto& poke : pokes) {
+    std::string data = base;
+    PokeU32(&data, poke.offset, poke.value);
+    PatchChecksum(&data);
+    const Status status = ExerciseBuffer(data);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "u32 " << poke.value << " at " << poke.offset << ": "
+        << status.ToString();
+  }
 }
 
 TEST(TraceFuzzTest, RecordCountMismatchIsRejected) {
-  std::string data = EncodeWorkload(true);
-  const std::size_t footer = data.size() - kFooterBytes;
-  std::string more = data;
-  PokeU64(&more, footer + 16, PeekU64(data, footer + 16) + 1);
-  PatchChecksum(&more);
-  ExerciseBuffer(more);
-  auto reader = TraceReader::OpenBuffer(more);
-  if (reader.ok()) {
-    EXPECT_FALSE(DrainReader(reader->get()).ok());
+  const std::string base = EncodeSmallWorkload(true);
+  const std::size_t footer = base.size() - kFooterBytes;
+  // One record more than the chunks carry, and 2^40 of them: the footer's
+  // count must match the decoded records before anything is sized by it.
+  for (const std::uint64_t count :
+       {PeekU64(base, footer + 16) + 1, std::uint64_t{1} << 40}) {
+    std::string data = base;
+    PokeU64(&data, footer + 16, count);
+    PatchChecksum(&data);
+    const Status status = ExerciseBuffer(data);
+    EXPECT_EQ(status.code(), StatusCode::kInvalidArgument)
+        << "record_count " << count << ": " << status.ToString();
   }
 }
 
 TEST(TraceFuzzTest, BadChecksumIsRejectedAtOpen) {
-  std::string data = EncodeWorkload(true);
+  std::string data = EncodeSmallWorkload(true);
   const std::size_t pos = data.size() - kChecksumTailBytes;
   data[pos] = static_cast<char>(data[pos] ^ 0xff);
   auto reader = TraceReader::OpenBuffer(data);
@@ -234,7 +225,7 @@ TEST(TraceFuzzTest, RandomMutationsWithRepairedChecksumNeverCrash) {
   // With the checksum re-patched, corruption reaches the structural
   // validators. Whatever they decide, every byte access must stay in
   // bounds (asan is the judge).
-  const std::string base = EncodeWorkload(true);
+  const std::string base = EncodeSmallWorkload(true);
   Rng rng(0x7ace5eed);
   for (int round = 0; round < 400; ++round) {
     std::string data = base;
@@ -249,7 +240,7 @@ TEST(TraceFuzzTest, RandomMutationsWithRepairedChecksumNeverCrash) {
 }
 
 TEST(TraceFuzzTest, RandomTruncationsAndExtensionsNeverCrash) {
-  const std::string base = EncodeWorkload(false);
+  const std::string base = EncodeSmallWorkload(false);
   Rng rng(0xcafe);
   for (int round = 0; round < 200; ++round) {
     std::string data = base.substr(0, rng.NextBounded(base.size() + 1));
@@ -266,7 +257,7 @@ TEST(TraceFuzzTest, NonzeroHeaderKindIsRejectedAtOpen) {
   // kind itself, even with a valid checksum, not on whatever the aux
   // section happens to decode to.
   for (const std::uint16_t kind : {std::uint16_t{1}, std::uint16_t{0xffff}}) {
-    std::string data = EncodeWorkload(true);
+    std::string data = EncodeSmallWorkload(true);
     data[10] = static_cast<char>(kind & 0xff);
     data[11] = static_cast<char>(kind >> 8);
     PatchChecksum(&data);

@@ -30,6 +30,7 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "common/file_io.h"
 #include "common/retry.h"
 #include "common/table_printer.h"
 #include "common/units.h"
@@ -161,6 +162,26 @@ void RequirePositiveIfSet(const Flags& flags, const std::string& key) {
   std::exit(2);
 }
 
+/// A size flag given in `unit` bytes (--ram-cap-mib, --capacity-gib, ...)
+/// as a byte count, `fallback_bytes` when absent. Exits 2 naming the flag
+/// unless the value is finite, at least one byte (or zero, when `zero_ok`)
+/// and below 2^63 bytes: casting 1e300 MiB to a byte count would be
+/// undefined behaviour.
+std::int64_t SizeFlagBytes(const Flags& flags, const std::string& key,
+                           std::int64_t unit, bool zero_ok,
+                           std::int64_t fallback_bytes) {
+  if (!flags.Has(key)) return fallback_bytes;
+  const double bytes =
+      flags.GetDouble(key, 0.0) * static_cast<double>(unit);
+  const bool in_range = zero_ok ? bytes >= 0.0 : bytes >= 1.0;
+  if (in_range && bytes < 0x1p63) return static_cast<std::int64_t>(bytes);
+  std::fprintf(stderr,
+               "--%s must be a %s number below 2^63 bytes (got \"%s\")\n",
+               key.c_str(), zero_ok ? "non-negative" : "positive",
+               flags.Get(key, "").c_str());
+  std::exit(2);
+}
+
 /// Exits when the file named by `key` cannot be created or overwritten:
 /// the file exists read-only, or its directory is missing or unwritable.
 /// Checked before the work starts, so a long run cannot die at the final
@@ -186,7 +207,6 @@ void RequireWritableFileIfSet(const Flags& flags, const std::string& key) {
 }
 
 memo::offload::BackendOptions ParseBackend(const Flags& flags) {
-  RequirePositiveIfSet(flags, "ram-cap-mib");
   RequirePositiveIfSet(flags, "disk-gbps");
   memo::offload::BackendOptions backend;
   const std::string name = flags.Get("backend", "ram");
@@ -201,16 +221,14 @@ memo::offload::BackendOptions ParseBackend(const Flags& flags) {
                  name.c_str());
     std::exit(2);
   }
-  backend.ram_capacity_bytes = static_cast<std::int64_t>(
-      flags.GetDouble("ram-cap-mib", 0.0) * static_cast<double>(memo::kMiB));
   // A tiered stash with unlimited RAM never spills, which makes it
   // indistinguishable from --backend ram. Default the RAM tier to a small
   // cap so `train --backend tiered` actually exercises the disk tier; the
   // loss is bit-identical regardless of where the bytes land.
-  if (backend.kind == memo::offload::BackendKind::kTiered &&
-      !flags.Has("ram-cap-mib")) {
-    backend.ram_capacity_bytes = 256 * memo::kKiB;
-  }
+  const bool tiered = backend.kind == memo::offload::BackendKind::kTiered;
+  backend.ram_capacity_bytes =
+      SizeFlagBytes(flags, "ram-cap-mib", memo::kMiB, /*zero_ok=*/false,
+                    tiered ? 256 * memo::kKiB : 0);
   backend.disk.bytes_per_second =
       flags.GetDouble("disk-gbps", 0.0) * memo::kGBps;
   return backend;
@@ -466,7 +484,14 @@ int CmdTrain(const Flags& flags) {
   options.model.vocab = flags.GetInt("vocab", 64);
   options.model.seq = static_cast<int>(flags.GetSeq("seq", 64));
   options.iterations = flags.GetInt("iterations", 40);
-  options.policy = flags.Get("policy", "tokenwise") == "retain"
+  const std::string policy = flags.Get("policy", "tokenwise");
+  if (policy != "tokenwise" && policy != "retain") {
+    std::fprintf(stderr, "--policy must be tokenwise or retain (got \"%s\")\n",
+                 policy.c_str());
+    Usage();
+    return 2;
+  }
+  options.policy = policy == "retain"
                        ? memo::train::ActivationPolicy::kRetainAll
                        : memo::train::ActivationPolicy::kTokenWise;
   options.alpha = flags.GetDouble("alpha", 0.5);
@@ -590,7 +615,6 @@ int CmdServe(const Flags& flags) {
   }
   RequirePositiveIfSet(flags, "sessions");
   RequirePositiveIfSet(flags, "queue");
-  RequirePositiveIfSet(flags, "cache-mib");
   RequirePositiveIfSet(flags, "request-deadline-ms");
   RequirePositiveIfSet(flags, "idle-timeout-ms");
   RequirePositiveIfSet(flags, "max-line-bytes");
@@ -616,8 +640,8 @@ int CmdServe(const Flags& flags) {
   memo::serve::PlanServerOptions options;
   options.sessions = flags.GetInt("sessions", 4);
   options.max_queue = flags.GetInt("queue", 64);
-  options.cache.capacity_bytes = static_cast<std::int64_t>(
-      flags.GetDouble("cache-mib", 32.0) * static_cast<double>(memo::kMiB));
+  options.cache.capacity_bytes = SizeFlagBytes(
+      flags, "cache-mib", memo::kMiB, /*zero_ok=*/false, 32 * memo::kMiB);
   memo::serve::PlanServer server(options);
 
   // Warm restart: load the previous run's cache snapshot if present. A
@@ -837,7 +861,17 @@ int CmdTraceRecord(const Flags& flags) {
   RequireWritableFileIfSet(flags, "out");
   const std::string kind = flags.Get("kind", "varlen");
 
+  // The generators assert on shapes they cannot build: reject them here.
+  for (const char* key : {"layers", "hidden", "heads", "ffn", "vocab", "tp"}) {
+    RequirePositiveIfSet(flags, key);
+  }
   const memo::model::ModelConfig config = TraceModelConfig(flags);
+  if (config.hidden % config.num_heads != 0) {
+    std::fprintf(stderr, "--heads must divide --hidden (got %lld and %lld)\n",
+                 static_cast<long long>(config.num_heads),
+                 static_cast<long long>(config.hidden));
+    return 2;
+  }
   memo::model::TraceGenOptions base;
   base.seq_local = flags.GetSeq("seq", 8 * memo::kSeqK);
   base.tensor_parallel = flags.GetInt("tp", 1);
@@ -852,6 +886,16 @@ int CmdTraceRecord(const Flags& flags) {
   gen.moe_spread = flags.GetDouble("moe-spread", 0.75);
   if (gen.iterations <= 0) {
     std::fprintf(stderr, "--iterations must be positive\n");
+    return 2;
+  }
+  if (base.seq_local <= 0) {
+    std::fprintf(stderr, "--seq must be positive\n");
+    return 2;
+  }
+  if (gen.seq_local_min > gen.seq_local_max) {
+    std::fprintf(stderr, "--seq-min must not exceed --seq-max (got %s > %s)\n",
+                 flags.Get("seq-min", "4K").c_str(),
+                 flags.Get("seq-max", "16K").c_str());
     return 2;
   }
 
@@ -896,17 +940,13 @@ int CmdTraceInfo(const Flags& flags) {
     std::fprintf(stderr, "trace info requires --in FILE\n");
     return 2;
   }
-  auto reader = memo::trace::TraceReader::Open(in);
+  const auto reader = memo::trace::TraceReader::Open(in);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
   }
-  auto fingerprint = (*reader)->ContentFingerprint();
-  if (!fingerprint.ok()) {
-    std::fprintf(stderr, "%s\n", fingerprint.status().ToString().c_str());
-    return 1;
-  }
-  const auto& r = **reader;
+  const memo::trace::TraceReader& r = *reader;
+  const std::uint64_t fingerprint = r.ContentFingerprint();
   if (flags.GetInt("json", 0) != 0) {
     std::printf(
         "{\"records\":%llu,\"chunks\":%llu,"
@@ -918,7 +958,7 @@ int CmdTraceInfo(const Flags& flags) {
         static_cast<unsigned long long>(r.file_bytes()),
         (r.flags() & memo::trace::kFlagCompressed) != 0 ? "true" : "false",
         r.strings().size(), r.segments().size(), r.iterations().size(),
-        static_cast<unsigned long long>(fingerprint.value()));
+        static_cast<unsigned long long>(fingerprint));
     return 0;
   }
   memo::TablePrinter table({"field", "value"});
@@ -933,7 +973,7 @@ int CmdTraceInfo(const Flags& flags) {
   table.AddRow({"iterations", std::to_string(r.iterations().size())});
   char fp[32];
   std::snprintf(fp, sizeof(fp), "%llx",
-                static_cast<unsigned long long>(fingerprint.value()));
+                static_cast<unsigned long long>(fingerprint));
   table.AddRow({"content fingerprint", fp});
   table.Print(std::cout);
   return 0;
@@ -949,7 +989,7 @@ int CmdTraceConvert(const Flags& flags) {
   RequireWritableFileIfSet(flags, "out");
   const std::string to = flags.Get("to", "json");
 
-  auto reader = memo::trace::TraceReader::Open(in);
+  const auto reader = memo::trace::TraceReader::Open(in);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
@@ -960,7 +1000,7 @@ int CmdTraceConvert(const Flags& flags) {
                  to.c_str());
     return 2;
   }
-  auto workload = memo::trace::ReadWorkload(reader->get());
+  const auto workload = memo::trace::ReadWorkload(*reader);
   if (!workload.ok()) {
     std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
     return 1;
@@ -979,16 +1019,10 @@ int CmdTraceConvert(const Flags& flags) {
     return 0;
   }
   const std::string payload = memo::trace::WorkloadToJson(workload.value());
-  std::FILE* file = std::fopen(out.c_str(), "w");
-  if (file == nullptr) {
-    std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
-    return 1;
-  }
-  const std::size_t written =
-      std::fwrite(payload.data(), 1, payload.size(), file);
-  std::fclose(file);
-  if (written != payload.size()) {
-    std::fprintf(stderr, "short write to %s\n", out.c_str());
+  const memo::Status written = memo::WriteWholeFile(
+      out, payload, "trace JSON", memo::WriteMode::kInPlace);
+  if (!written.ok()) {
+    std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return 1;
   }
   std::printf("wrote %s (%zu bytes)\n", out.c_str(), payload.size());
@@ -1033,14 +1067,12 @@ int CmdTraceReplay(const Flags& flags) {
     std::fprintf(stderr, "trace replay requires --in FILE\n");
     return 2;
   }
-  RequirePositiveIfSet(flags, "capacity-gib");
   RequireWritableFileIfSet(flags, "out");
   memo::trace::ReplayOptions options;
-  options.allocator.capacity_bytes = static_cast<std::int64_t>(
-      flags.GetDouble("capacity-gib", 80.0) *
-      static_cast<double>(memo::kGiB));
-  options.static_bytes = static_cast<std::int64_t>(
-      flags.GetDouble("static-gib", 0.0) * static_cast<double>(memo::kGiB));
+  options.allocator.capacity_bytes = SizeFlagBytes(
+      flags, "capacity-gib", memo::kGiB, /*zero_ok=*/false, 80 * memo::kGiB);
+  options.static_bytes = SizeFlagBytes(flags, "static-gib", memo::kGiB,
+                                       /*zero_ok=*/true, 0);
   options.run_planner = flags.GetInt("no-planner", 0) == 0;
 
   auto summary = memo::trace::ReplayTraceFile(in, options);
@@ -1051,16 +1083,10 @@ int CmdTraceReplay(const Flags& flags) {
   const std::string json = summary->ToJson();
   const std::string out = flags.Get("out", "");
   if (!out.empty()) {
-    std::FILE* file = std::fopen(out.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "cannot open %s for writing\n", out.c_str());
-      return 1;
-    }
-    const std::size_t written =
-        std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    if (written != json.size()) {
-      std::fprintf(stderr, "short write to %s\n", out.c_str());
+    const memo::Status written = memo::WriteWholeFile(
+        out, json, "replay summary", memo::WriteMode::kInPlace);
+    if (!written.ok()) {
+      std::fprintf(stderr, "%s\n", written.ToString().c_str());
       return 1;
     }
   }
