@@ -22,7 +22,8 @@ struct ReplayResult {
 /// options. `static_bytes` models the permanently resident memory (model
 /// parameters, gradients, optimizer states, MEMO's rounding buffers): it is
 /// allocated first and never freed, exactly as frameworks allocate model
-/// state before the first iteration.
+/// state before the first iteration. The requests then run through
+/// ReplayTraceInto, so an OOM unwinds the live handles there too.
 ReplayResult ReplayTrace(const std::vector<model::MemoryRequest>& requests,
                          const CachingAllocator::Options& options,
                          std::int64_t static_bytes = 0);

@@ -32,10 +32,15 @@ Sizes ComputeSizes(const ModelConfig& config, const TraceGenOptions& options) {
   const std::int64_t b = options.batch;
   const std::int64_t s = options.seq_local;
   const std::int64_t tp = options.tensor_parallel;
+  // A shard is at least one element, however wide the TP group.
+  constexpr std::int64_t kElement = ModelConfig::kBytesPerElement;
   Sizes sizes;
-  sizes.unit = b * s * config.hidden * ModelConfig::kBytesPerElement / tp;
-  sizes.ffn = b * s * config.ffn_hidden * ModelConfig::kBytesPerElement / tp;
-  sizes.kv = static_cast<std::int64_t>(sizes.unit * config.kv_ratio());
+  sizes.unit =
+      std::max<std::int64_t>(b * s * config.hidden * kElement / tp, kElement);
+  sizes.ffn = std::max<std::int64_t>(
+      b * s * config.ffn_hidden * kElement / tp, kElement);
+  sizes.kv = std::max<std::int64_t>(
+      static_cast<std::int64_t>(sizes.unit * config.kv_ratio()), kElement);
   sizes.gathered = sizes.unit * tp;
   sizes.rstd = std::max<std::int64_t>(b * s * 4 / tp, 4);
   sizes.lse = std::max<std::int64_t>(b * s * config.num_heads * 4 / tp, 4);
@@ -489,6 +494,23 @@ std::size_t WorkloadTrace::TotalRequests() const {
   std::size_t total = 0;
   for (const ModelTrace& it : iterations) total += it.requests.size();
   return total;
+}
+
+Status WorkloadTrace::CheckLiveBytes() const {
+  for (std::size_t i = 0; i < iterations.size(); ++i) {
+    std::int64_t live = 0;
+    for (const MemoryRequest& r : iterations[i].requests) {
+      const bool overflow =
+          r.kind == MemoryRequest::Kind::kMalloc
+              ? __builtin_add_overflow(live, r.bytes, &live)
+              : __builtin_sub_overflow(live, r.bytes, &live);
+      if (overflow || live > kMaxLiveBytes || r.bytes > kMaxLiveBytes) {
+        return InvalidArgumentError("trace iteration " + std::to_string(i) +
+                                    " holds more than 2^62 live bytes");
+      }
+    }
+  }
+  return OkStatus();
 }
 
 namespace {

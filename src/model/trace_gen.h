@@ -110,6 +110,11 @@ ModelTrace GenerateModelTrace(const ModelConfig& config,
 /// Renders a request trace in the paper's Fig. 4 table format.
 std::string FormatTrace(const std::vector<MemoryRequest>& requests);
 
+/// Most bytes one request, or one iteration at any point, may hold live:
+/// 2^62, so live-byte sums (ModelTrace::MaxLiveBytes, an allocator's
+/// counters) stay clear of int64's wrap.
+inline constexpr std::int64_t kMaxLiveBytes = std::int64_t{1} << 62;
+
 /// A multi-iteration request workload: the unit the trace-driven replay
 /// engine feeds through one shared CachingAllocator (the regime where
 /// iteration-to-iteration shape changes fragment the cache, Fig. 1a).
@@ -117,6 +122,11 @@ struct WorkloadTrace {
   std::vector<ModelTrace> iterations;
 
   std::size_t TotalRequests() const;
+
+  /// OK when no request's size and no iteration's running live bytes
+  /// (malloc bytes less free bytes, summed with overflow checks) exceed
+  /// kMaxLiveBytes; otherwise INVALID_ARGUMENT naming the iteration.
+  Status CheckLiveBytes() const;
 };
 
 /// Parameters shared by the synthetic workload generators. All randomness

@@ -1,11 +1,14 @@
 #include "serve/protocol.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
+#include <string_view>
+#include <vector>
 
 #include "common/table_printer.h"
 #include "common/units.h"
@@ -108,17 +111,40 @@ bool ParseDouble(const std::string& text, double* out) {
   return end != nullptr && *end == '\0';
 }
 
-/// Converts the field `key` with `convert` when the request has it, and
-/// leaves `*out` alone when it does not. The error names the field first,
-/// as Validate()'s do.
-template <typename T, typename Convert>
-Status ReadField(const PlanRequestFields& fields, const char* key,
-                 const char* expected, Convert convert, T* out) {
-  const auto it = fields.find(key);
-  if (it == fields.end() || convert(it->second, out)) return OkStatus();
-  return InvalidArgumentError(StrFormat("%s must be %s (got \"%s\")", key,
-                                        expected, it->second.c_str()));
-}
+/// Converts request fields by name and remembers every name it was asked
+/// for: the keys it never was are the ones the protocol does not know.
+class FieldReader {
+ public:
+  explicit FieldReader(const PlanRequestFields& fields) : fields_(fields) {}
+
+  /// Converts the field `key` with `convert` when the request has it, and
+  /// leaves `*out` alone when it does not. The error names the field first,
+  /// as Validate()'s do.
+  template <typename T, typename Convert>
+  Status Read(const char* key, const char* expected, Convert convert,
+              T* out) {
+    asked_.push_back(key);
+    const auto it = fields_.find(key);
+    if (it == fields_.end() || convert(it->second, out)) return OkStatus();
+    return InvalidArgumentError(StrFormat("%s must be %s (got \"%s\")", key,
+                                          expected, it->second.c_str()));
+  }
+
+  /// The keys of the request no Read asked for.
+  std::vector<std::string> Unknown() const {
+    std::vector<std::string> unknown;
+    for (const auto& [key, value] : fields_) {
+      if (std::find(asked_.begin(), asked_.end(), key) == asked_.end()) {
+        unknown.push_back(key);
+      }
+    }
+    return unknown;
+  }
+
+ private:
+  const PlanRequestFields& fields_;
+  std::vector<std::string_view> asked_;
+};
 
 bool ToInt(const std::string& text, int* out) {
   double value = 0.0;
@@ -204,35 +230,34 @@ void AppendField(std::string* out, const char* key, bool value) {
 }  // namespace
 
 StatusOr<core::PlanRequest> ParsePlanRequestFields(
-    const PlanRequestFields& fields) {
+    const PlanRequestFields& fields, std::vector<std::string>* unknown) {
   constexpr const char* kInt = "an integer that fits in 32 bits";
   constexpr const char* kSeq = "a sequence length such as 512K";
+  FieldReader in(fields);
   core::PlanRequest request;
   request.model = model::Gpt7B();
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "kind", "best, strategy or maxseq",
-                                 ByName(core::PlanQueryKindFromString),
-                                 &request.kind));
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "system",
-                                 "memo, megatron or deepspeed", ToSystem,
-                                 &request.system));
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "model", "a model preset such as 7B",
-                                 ByName(model::ModelByName), &request.model));
+  MEMO_RETURN_IF_ERROR(in.Read("kind", "best, strategy or maxseq",
+                               ByName(core::PlanQueryKindFromString),
+                               &request.kind));
+  MEMO_RETURN_IF_ERROR(in.Read("system", "memo, megatron or deepspeed",
+                               ToSystem, &request.system));
+  MEMO_RETURN_IF_ERROR(in.Read("model", "a model preset such as 7B",
+                               ByName(model::ModelByName), &request.model));
   request.seq = 512 * kSeqK;
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "seq", kSeq, ParseSeqLen,
-                                 &request.seq));
+  MEMO_RETURN_IF_ERROR(in.Read("seq", kSeq, ParseSeqLen, &request.seq));
 
   int gpus = 8;
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "gpus", kInt, ToInt, &gpus));
+  MEMO_RETURN_IF_ERROR(in.Read("gpus", kInt, ToInt, &gpus));
   MEMO_RETURN_IF_ERROR(core::CheckGpuCount(gpus));
   request.cluster = hw::PaperCluster(gpus);
   hw::NodeSpec& node = request.cluster.node;
   constexpr const char* kGiBSize = "a number of GiB that fits in int64 bytes";
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "host_gib", kGiBSize, ToBytes,
-                                 &node.host_memory_bytes));
   MEMO_RETURN_IF_ERROR(
-      ReadField(fields, "nvme_gib", kGiBSize, ToBytes, &node.nvme_bytes));
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "nvme_gbps", "a number",
-                                 ToBytesPerSecond, &node.nvme_bandwidth));
+      in.Read("host_gib", kGiBSize, ToBytes, &node.host_memory_bytes));
+  MEMO_RETURN_IF_ERROR(
+      in.Read("nvme_gib", kGiBSize, ToBytes, &node.nvme_bytes));
+  MEMO_RETURN_IF_ERROR(in.Read("nvme_gbps", "a number", ToBytesPerSecond,
+                               &node.nvme_bandwidth));
 
   // A strategy query runs its system's recipe unless it spells `zero` or
   // `full_recompute` itself.
@@ -246,21 +271,20 @@ StatusOr<core::PlanRequest> ParsePlanRequestFields(
         std::pair{"dp", &s.dp}, std::pair{"sp", &s.ulysses_sp},
         std::pair{"zero", &s.zero_stage},
         std::pair{"alpha_steps", &request.alpha_steps}}) {
-    MEMO_RETURN_IF_ERROR(ReadField(fields, key, kInt, ToInt, value));
+    MEMO_RETURN_IF_ERROR(in.Read(key, kInt, ToInt, value));
   }
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "full_recompute", "true or false",
-                                 ToBool, &s.full_recompute));
-  MEMO_RETURN_IF_ERROR(ReadField(fields, "alpha", "a number", ParseDouble,
-                                 &request.forced_alpha));
+  MEMO_RETURN_IF_ERROR(in.Read("full_recompute", "true or false", ToBool,
+                               &s.full_recompute));
+  MEMO_RETURN_IF_ERROR(
+      in.Read("alpha", "a number", ParseDouble, &request.forced_alpha));
 
   request.seq_step = 128 * kSeqK;
   request.seq_cap = static_cast<std::int64_t>(gpus) * 256 * kSeqK;
-  MEMO_RETURN_IF_ERROR(
-      ReadField(fields, "step", kSeq, ParseSeqLen, &request.seq_step));
-  MEMO_RETURN_IF_ERROR(
-      ReadField(fields, "cap", kSeq, ParseSeqLen, &request.seq_cap));
+  MEMO_RETURN_IF_ERROR(in.Read("step", kSeq, ParseSeqLen, &request.seq_step));
+  MEMO_RETURN_IF_ERROR(in.Read("cap", kSeq, ParseSeqLen, &request.seq_cap));
 
   MEMO_RETURN_IF_ERROR(request.Validate());
+  if (unknown != nullptr) *unknown = in.Unknown();
   return request;
 }
 

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "common/status.h"
 #include "core/plan_request.h"
@@ -53,9 +54,12 @@ using PlanRequestFields = std::map<std::string, std::string>;
 /// memo_cli. Converts every field above, fills in defaults and the strategy
 /// recipe, then runs PlanRequest::Validate(). Returns kInvalidArgument for
 /// any field that does not convert or is out of its domain; the message
-/// starts with that field's name ("gpus must be ...").
+/// starts with that field's name ("gpus must be ..."). On success, a
+/// non-null `unknown` receives the keys of `fields` that are not request
+/// fields: the wire protocol ignores them, memo_cli refuses them.
 StatusOr<core::PlanRequest> ParsePlanRequestFields(
-    const PlanRequestFields& fields);
+    const PlanRequestFields& fields,
+    std::vector<std::string>* unknown = nullptr);
 
 /// Parses one request line: a flat JSON object handed to
 /// ParsePlanRequestFields. Returns kInvalidArgument on malformed JSON too.

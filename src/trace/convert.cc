@@ -86,6 +86,7 @@ StatusOr<model::WorkloadTrace> ReadWorkload(const TraceReader& reader) {
     }
     workload.iterations.push_back(std::move(trace));
   }
+  MEMO_RETURN_IF_ERROR(workload.CheckLiveBytes());
   return workload;
 }
 

@@ -19,7 +19,9 @@ std::string EncodeWorkload(const model::WorkloadTrace& workload,
                            const TraceWriterOptions& options = {});
 
 /// A decoded trace in workload form. Traces written without iteration
-/// entries decode as one iteration.
+/// entries decode as one iteration. A trace that holds more than
+/// model::kMaxLiveBytes live is INVALID_ARGUMENT
+/// (WorkloadTrace::CheckLiveBytes).
 StatusOr<model::WorkloadTrace> ReadWorkload(const TraceReader& reader);
 
 /// One-call file round trip; the file is written in place.

@@ -347,6 +347,25 @@ TEST(TraceReplayTest, ReportsOomIndexOnTightDevice) {
   EXPECT_GE(result.failed_index, 0);
 }
 
+TEST(TraceReplayTest, OomUnwindsEverythingButTheStaticBytes) {
+  // ReplayTrace runs the requests through ReplayTraceInto, so an OOM frees
+  // the live handles and leaves only the model state allocated.
+  model::ModelConfig m = model::Gpt7B();
+  m.num_layers = 8;
+  model::TraceGenOptions options;
+  options.seq_local = 64 * kSeqK;
+  options.mode = model::ActivationMode::kRetainAll;
+  const model::ModelTrace trace = model::GenerateModelTrace(m, options);
+
+  CachingAllocator::Options dev;
+  dev.capacity_bytes = trace.MaxLiveBytes() / 2;
+  const std::int64_t static_bytes = 64 * kMiB;
+  const ReplayResult result = ReplayTrace(trace.requests, dev, static_bytes);
+  ASSERT_TRUE(result.status.IsOutOfMemory());
+  EXPECT_GE(result.failed_index, 0);
+  EXPECT_EQ(result.stats.allocated_bytes, static_bytes);
+}
+
 TEST(TraceReplayTest, StaticBytesReduceHeadroom) {
   model::ModelConfig m = model::Gpt7B();
   m.num_layers = 2;

@@ -483,6 +483,90 @@ TEST(MemoCliTest, OutOfDomainTrainFlagsExitTwoNamingTheFlag) {
   }
 }
 
+TEST(MemoCliTest, FlagsPastTheirWidthOrDomainExitTwoNamingTheFlag) {
+  // Each of these used to be narrowed (4294967298 iterations trained 2),
+  // abort (134), start 257 session threads, run with a meaningless value,
+  // or reach undefined behaviour that the ubsan leg reports.
+  const std::string train = "train --layers 1 --hidden 16 --ffn 32 --vocab 17 ";
+  const std::string tiny = train + "--seq 16 --iterations 1 ";
+  const std::string out =
+      " --out " + ::testing::TempDir() + "cli_trace_domain.memotrc";
+  const struct {
+    std::string args;
+    const char* flag;
+  } legs[] = {
+      {train + "--seq 16 --iterations 4294967298", "--iterations "},
+      {train + "--iterations 1 --seq 4294967360", "--seq "},
+      {"trace record --iterations 4294967297" + out, "--iterations "},
+      {"trace record --seq-min 4611686018427387904 "
+       "--seq-max 4611686018427387904" + out,
+       "--seq-min "},
+      {"trace record --kind moe --seq 4611686018427387904" + out, "--seq "},
+      {"serve --socket /nonexistent-dir/memo.sock --sessions 257",
+       "--sessions "},
+      {tiny + "--fault-seed -1", "--fault-seed "},
+      {tiny + "--fault-seed 1e300", "--fault-seed "},
+      {tiny + "--fault-seed 1.5", "--fault-seed "},
+      {"trace record --kind moe --moe-spread 1e300" + out, "--moe-spread "},
+      {"trace record --kind moe --moe-spread -1" + out, "--moe-spread "},
+      {"trace record --kind moe --moe-spread nan" + out, "--moe-spread "},
+      {"trace record --kind moe --moe-spread inf" + out, "--moe-spread "},
+  };
+  for (const auto& leg : legs) {
+    const CliResult run = RunCli(leg.args);
+    EXPECT_EQ(run.exit_code, 2) << leg.args << ":\n" << run.output;
+    EXPECT_EQ(run.output.rfind(leg.flag, 0), 0u)
+        << leg.args << ":\n" << run.output;
+    EXPECT_NE(run.output.find("usage: memo_cli"), std::string::npos)
+        << leg.args << ":\n" << run.output;
+  }
+
+  // A seed is any unsigned 64-bit integer.
+  const CliResult widest = RunCli(tiny + "--fault-seed 18446744073709551615");
+  EXPECT_EQ(widest.exit_code, 0) << widest.output;
+}
+
+TEST(MemoCliTest, FlagsTheCommandDoesNotReadExitTwoNamingTheFlag) {
+  const struct {
+    const char* args;
+    const char* flag;
+  } legs[] = {
+      {"train --alhpa 0.25", "--alhpa "},
+      {"maxseq --model 7B --gpus 8 --out p.txt", "--out "},
+      {"trace info --in t.memotrc --raw", "--raw "},
+      {"query --socket s --json '{}' --model 13B", "--model "},
+      // `run` picks its own kind; of the planning commands only `query`
+      // reads --kind.
+      {"run --kind maxseq", "--kind "},
+  };
+  for (const auto& leg : legs) {
+    const CliResult run = RunCli(leg.args);
+    EXPECT_EQ(run.exit_code, 2) << leg.args << ":\n" << run.output;
+    EXPECT_EQ(run.output.rfind(leg.flag, 0), 0u)
+        << leg.args << ":\n" << run.output;
+  }
+
+  // Every command honours --trace-out and --metrics-out.
+  const std::string trace_path = ::testing::TempDir() + "memo_cli_plan.json";
+  const CliResult plan = RunCli(
+      "plan --model 7B --seq 64K --gpus 8 --tp 4 --cp 2 --trace-out " +
+      trace_path);
+  ASSERT_EQ(plan.exit_code, 0) << plan.output;
+  EXPECT_GT(TraceEvents(trace_path).size(), 0u);
+  const std::string metrics_path =
+      ::testing::TempDir() + "memo_cli_record_metrics.json";
+  const std::string trace_out =
+      ::testing::TempDir() + "cli_trace_metrics.memotrc";
+  const CliResult record =
+      RunCli("trace record --iterations 1 --out " + trace_out +
+             " --metrics-out " + metrics_path);
+  ASSERT_EQ(record.exit_code, 0) << record.output;
+  EXPECT_TRUE(Parse(ReadFile(metrics_path)).ok) << ReadFile(metrics_path);
+  std::remove(trace_path.c_str());
+  std::remove(metrics_path.c_str());
+  std::remove(trace_out.c_str());
+}
+
 /// The value of `"key":` in a flat response line, up to the next , or }.
 std::string JsonToken(const std::string& line, const std::string& key) {
   const std::string needle = "\"" + key + "\":";
@@ -654,6 +738,52 @@ TEST(MemoCliTest, TraceRecordInfoDiffReplayConvertEndToEnd) {
   std::remove(path_a2.c_str());
   std::remove(path_b.c_str());
   std::remove(json_path.c_str());
+}
+
+/// The "chunks" count `trace info --json` reports for `path`.
+double ChunkCount(const std::string& path) {
+  const CliResult info = RunCli("trace info --json --in " + path);
+  EXPECT_EQ(info.exit_code, 0) << info.output;
+  const ParseResult parsed = Parse(info.output);
+  EXPECT_TRUE(parsed.ok) << info.output;
+  return parsed.ok ? parsed.value.at("chunks").number : -1.0;
+}
+
+TEST(MemoCliTest, TraceConvertHonoursChunkRecords) {
+  const std::string in = ::testing::TempDir() + "cli_trace_chunks.memotrc";
+  const std::string plain = ::testing::TempDir() + "cli_trace_plain.memotrc";
+  const std::string small = ::testing::TempDir() + "cli_trace_small.memotrc";
+  ASSERT_EQ(RunCli("trace record --layers 2 --hidden 128 --heads 4 --ffn 256 "
+                   "--vocab 256 --iterations 2 --out " + in)
+                .exit_code,
+            0);
+  ASSERT_EQ(
+      RunCli("trace convert --to binary --in " + in + " --out " + plain)
+          .exit_code,
+      0);
+  const CliResult resized = RunCli("trace convert --to binary --in " + in +
+                                   " --out " + small + " --chunk-records 16");
+  ASSERT_EQ(resized.exit_code, 0) << resized.output;
+  EXPECT_EQ(ChunkCount(plain), ChunkCount(in));
+  EXPECT_GT(ChunkCount(small), ChunkCount(plain));
+  // Same content in every encoding.
+  EXPECT_EQ(RunCli("trace diff --a " + plain + " --b " + small).exit_code, 0);
+  std::remove(in.c_str());
+  std::remove(plain.c_str());
+  std::remove(small.c_str());
+}
+
+TEST(MemoCliTest, TraceRecordRefusesWorkloadsPastTwoToTheSixtySecondLiveBytes) {
+  // Within every flag's cap, yet the live bytes of a 65B MoE layer stack at
+  // 2^40 tokens sum past 2^62: nothing is written.
+  const std::string out = ::testing::TempDir() + "cli_trace_live.memotrc";
+  std::remove(out.c_str());
+  const CliResult run = RunCli(
+      "trace record --model 65B --kind moe --seq 1073741824K --out " + out);
+  EXPECT_EQ(run.exit_code, 2) << run.output;
+  EXPECT_NE(run.output.find("2^62 live bytes"), std::string::npos)
+      << run.output;
+  EXPECT_TRUE(ReadFile(out).empty());
 }
 
 TEST(MemoCliTest, TraceSubcommandValidatesItsFlags) {

@@ -249,6 +249,32 @@ TEST(ProtocolTest, RequestJsonRoundTripsThroughTheParser) {
   EXPECT_EQ(request->Fingerprint(), SmallRequest().Fingerprint());
 }
 
+TEST(ProtocolTest, TheReaderReportsTheKeysItDoesNotKnow) {
+  // Every field the reader knows, spelled in one request: none is unknown.
+  const memo::serve::PlanRequestFields all = {
+      {"kind", "maxseq"}, {"system", "memo"},   {"model", "7B"},
+      {"seq", "64K"},     {"gpus", "8"},        {"host_gib", "256"},
+      {"nvme_gib", "0"},  {"nvme_gbps", "6"},   {"tp", "1"},
+      {"cp", "1"},        {"pp", "1"},          {"vp", "1"},
+      {"dp", "1"},        {"sp", "1"},          {"zero", "0"},
+      {"full_recompute", "false"},              {"alpha", "-1"},
+      {"alpha_steps", "8"},                     {"step", "128K"},
+      {"cap", "256K"}};
+  std::vector<std::string> unknown = {"stale"};
+  ASSERT_TRUE(memo::serve::ParsePlanRequestFields(all, &unknown).ok());
+  EXPECT_TRUE(unknown.empty()) << ::testing::PrintToString(unknown);
+
+  // The wire protocol still ignores the rest; the reader names them.
+  memo::serve::PlanRequestFields typos = {
+      {"model", "7B"}, {"alhpa", "0.25"}, {"host-gib", "64"}};
+  const auto request = memo::serve::ParsePlanRequestFields(typos, &unknown);
+  ASSERT_TRUE(request.ok()) << request.status().ToString();
+  EXPECT_EQ(unknown, (std::vector<std::string>{"alhpa", "host-gib"}));
+  EXPECT_EQ(request->Fingerprint(),
+            memo::serve::ParsePlanRequestJson("{\"model\":\"7B\"}")
+                ->Fingerprint());
+}
+
 TEST(ProtocolTest, MalformedRequestsAreInvalidArgument) {
   // `field` is the name the error message must start with; lines that fail
   // before any field is read name none.

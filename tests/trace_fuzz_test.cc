@@ -269,6 +269,35 @@ TEST(TraceFuzzTest, NonzeroHeaderKindIsRejectedAtOpen) {
   }
 }
 
+TEST(TraceFuzzTest, LiveBytesPastTwoToTheSixtySecondAreRejected) {
+  // Two 2^62-byte mallocs hold 2^63 bytes live, one past int64: the
+  // replay's live-byte sums would wrap. One such malloc is at the bound.
+  const auto encode = [](int mallocs) {
+    model::ModelTrace trace;
+    for (int i = 0; i < mallocs; ++i) {
+      model::MemoryRequest r;
+      r.tensor_id = i;
+      r.bytes = model::kMaxLiveBytes;
+      r.name = "t" + std::to_string(i);
+      trace.requests.push_back(r);
+    }
+    model::WorkloadTrace workload;
+    workload.iterations.push_back(trace);
+    return EncodeWorkload(workload);
+  };
+  const std::string one = encode(1);
+  auto at_bound = TraceReader::OpenBuffer(one);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status();
+  EXPECT_TRUE(ReadWorkload(*at_bound).ok());
+
+  const std::string two = encode(2);
+  auto past_bound = TraceReader::OpenBuffer(two);
+  ASSERT_TRUE(past_bound.ok()) << past_bound.status();
+  const auto workload = ReadWorkload(*past_bound);
+  EXPECT_EQ(workload.status().code(), StatusCode::kInvalidArgument)
+      << workload.status();
+}
+
 TEST(TraceFuzzTest, LzDecompressRejectsGarbageWithoutCrashing) {
   Rng rng(99);
   for (int round = 0; round < 500; ++round) {

@@ -34,6 +34,24 @@ TEST(TraceGenTest, ModelTraceValidatesInAllModes) {
   }
 }
 
+TEST(TraceGenTest, ShardsNarrowerThanAnElementStillAllocateOne) {
+  // A TP group wider than a tensor's bytes (one token, 8B-GQA's 4096-wide
+  // hidden split 4096 ways leaves a K shard of half an element) shards
+  // every tensor down to one element instead of a zero-byte malloc.
+  for (ActivationMode mode :
+       {ActivationMode::kRetainAll, ActivationMode::kFullRecompute,
+        ActivationMode::kMemoBuffers}) {
+    TraceGenOptions options = SmallOptions(mode);
+    options.seq_local = 1;
+    options.tensor_parallel = 4096;
+    const ModelTrace trace = GenerateModelTrace(Llama8BGqa(), options);
+    EXPECT_TRUE(trace.Validate().ok());
+    for (const MemoryRequest& r : trace.requests) {
+      EXPECT_GE(r.bytes, ModelConfig::kBytesPerElement) << r.name;
+    }
+  }
+}
+
 TEST(TraceGenTest, EveryMallocHasAMatchingFree) {
   const ModelTrace trace =
       GenerateModelTrace(SmallModel(), SmallOptions(ActivationMode::kRetainAll));

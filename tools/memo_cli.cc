@@ -12,22 +12,29 @@
 // given. Sequence lengths accept a K suffix (1024-token units). The
 // planning commands (run, plan, maxseq, alpha, query) share one set of
 // request flags: the fields of serve/protocol.h, spelled with '-' for '_'.
+// Every flag is read once, by type and domain (class Flags); a value out
+// of its domain, or a flag the command does not read, exits 2.
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/fault_injector.h"
 #include "common/file_io.h"
@@ -51,143 +58,13 @@
 
 namespace {
 
-using memo::core::IterationResult;
-
 void Usage();
 
-/// True for the flags that may appear without a value (toggles documented
-/// as bare `--async` etc.); a bare occurrence reads as "1".
-bool IsBooleanFlag(const char* name) {
-  return std::strcmp(name, "async") == 0 ||
-         std::strcmp(name, "resume") == 0 ||
-         std::strcmp(name, "full-recompute") == 0 ||
-         std::strcmp(name, "raw") == 0 ||
-         std::strcmp(name, "json") == 0 ||
-         std::strcmp(name, "no-planner") == 0 ||
-         std::strcmp(name, "no-retry") == 0;
-}
-
-/// Minimal --key value flag parser. Malformed numeric values and dangling
-/// flags are uniform protocol errors: one-line message + usage, exit 2.
-/// Boolean toggles (IsBooleanFlag) may be given bare, with or without an
-/// explicit 0/1 value.
-class Flags {
- public:
-  Flags(int argc, char** argv, int first) {
-    for (int i = first; i < argc;) {
-      if (std::strncmp(argv[i], "--", 2) != 0) {
-        std::fprintf(stderr, "expected a --flag, got %s\n", argv[i]);
-        Usage();
-        std::exit(2);
-      }
-      const char* name = argv[i] + 2;
-      const bool next_is_flag =
-          i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0;
-      if (IsBooleanFlag(name) && next_is_flag) {
-        values_[name] = "1";
-        i += 1;
-        continue;
-      }
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "flag %s is missing a value\n", argv[i]);
-        Usage();
-        std::exit(2);
-      }
-      values_[name] = argv[i + 1];
-      i += 2;
-    }
-  }
-
-  std::string Get(const std::string& key, const std::string& fallback) const {
-    auto it = values_.find(key);
-    return it != values_.end() ? it->second : fallback;
-  }
-
-  int GetInt(const std::string& key, int fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    char* end = nullptr;
-    const long value = std::strtol(it->second.c_str(), &end, 10);
-    if (it->second.empty() || *end != '\0') {
-      MalformedFlag(key, "an integer");
-    }
-    return static_cast<int>(value);
-  }
-
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    char* end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    if (it->second.empty() || *end != '\0') {
-      MalformedFlag(key, "a number");
-    }
-    return value;
-  }
-
-  bool Has(const std::string& key) const { return values_.count(key) > 0; }
-
-  /// "512K" -> 512 * 1024 tokens; plain numbers pass through.
-  std::int64_t GetSeq(const std::string& key, std::int64_t fallback) const {
-    auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
-    std::int64_t tokens = 0;
-    if (!memo::ParseSeqLen(it->second, &tokens)) {
-      MalformedFlag(key, "a sequence length (e.g. 512K)");
-    }
-    return tokens;
-  }
-
-  const std::map<std::string, std::string>& values() const { return values_; }
-
- private:
-  [[noreturn]] void MalformedFlag(const std::string& key,
-                                  const char* expected) const {
-    std::fprintf(stderr, "--%s must be %s (got \"%s\")\n", key.c_str(),
-                 expected, values_.at(key).c_str());
-    Usage();
-    std::exit(2);
-  }
-
-  std::map<std::string, std::string> values_;
-};
-
-/// Exits with a one-line error when `key` is present but not a positive
-/// number. A zero or negative capacity/bandwidth would silently disable a
-/// tier (or divide by zero deep in the solver); fail loudly up front.
-void RequirePositiveIfSet(const Flags& flags, const std::string& key) {
-  if (!flags.Has(key) || flags.GetDouble(key, 0.0) > 0.0) return;
-  std::fprintf(stderr, "--%s must be a positive number (got \"%s\")\n",
-               key.c_str(), flags.Get(key, "").c_str());
-  std::exit(2);
-}
-
-/// A size flag given in `unit` bytes (--ram-cap-mib, --capacity-gib, ...)
-/// as a byte count, `fallback_bytes` when absent. Exits 2 naming the flag
-/// unless the value is finite, at least one byte (or zero, when `zero_ok`)
-/// and below 2^63 bytes: casting 1e300 MiB to a byte count would be
-/// undefined behaviour.
-std::int64_t SizeFlagBytes(const Flags& flags, const std::string& key,
-                           std::int64_t unit, bool zero_ok,
-                           std::int64_t fallback_bytes) {
-  if (!flags.Has(key)) return fallback_bytes;
-  const double bytes =
-      flags.GetDouble(key, 0.0) * static_cast<double>(unit);
-  const bool in_range = zero_ok ? bytes >= 0.0 : bytes >= 1.0;
-  if (in_range && bytes < 0x1p63) return static_cast<std::int64_t>(bytes);
-  std::fprintf(stderr,
-               "--%s must be a %s number below 2^63 bytes (got \"%s\")\n",
-               key.c_str(), zero_ok ? "non-negative" : "positive",
-               flags.Get(key, "").c_str());
-  std::exit(2);
-}
-
-/// Exits when the file named by `key` cannot be created or overwritten:
+/// Exits when `path`, named by --`key`, cannot be created or overwritten:
 /// the file exists read-only, or its directory is missing or unwritable.
 /// Checked before the work starts, so a long run cannot die at the final
 /// write of its trace/metrics/checkpoint output.
-void RequireWritableFileIfSet(const Flags& flags, const std::string& key) {
-  const std::string path = flags.Get(key, "");
+void RequireWritable(const std::string& key, const std::string& path) {
   if (path.empty()) return;
   if (::access(path.c_str(), F_OK) == 0) {
     if (::access(path.c_str(), W_OK) == 0) return;
@@ -206,46 +83,261 @@ void RequireWritableFileIfSet(const Flags& flags, const std::string& key) {
   }
 }
 
-memo::offload::BackendOptions ParseBackend(const Flags& flags) {
-  RequirePositiveIfSet(flags, "disk-gbps");
-  memo::offload::BackendOptions backend;
-  const std::string name = flags.Get("backend", "ram");
-  if (name == "ram") {
-    backend.kind = memo::offload::BackendKind::kRam;
-  } else if (name == "disk") {
-    backend.kind = memo::offload::BackendKind::kDisk;
-  } else if (name == "tiered") {
-    backend.kind = memo::offload::BackendKind::kTiered;
-  } else {
-    std::fprintf(stderr, "unknown backend %s (ram|disk|tiered)\n",
-                 name.c_str());
+/// The smallest positive double: [kPositive, hi] holds exactly the doubles
+/// in (0, hi].
+constexpr double kPositive = std::numeric_limits<double>::denorm_min();
+constexpr double kMaxReal = std::numeric_limits<double>::max();
+
+/// The whole of `text` as a finite double.
+bool ParseReal(const std::string& text, double* out) {
+  char* end = nullptr;
+  *out = std::strtod(text.c_str(), &end);
+  return !text.empty() && *end == '\0' && std::isfinite(*out);
+}
+
+/// One command's --key value flags. Each read takes the flag's domain:
+/// text that is no value of its kind, or a value outside the domain, exits
+/// 2 with "--flag must be <domain> (got "...")" and the usage. Each read
+/// also marks its flag, and RefuseUnread() exits 2 naming a flag no read
+/// took.
+class Flags {
+ public:
+  Flags(std::string command, int argc, char** argv, int first)
+      : command_(std::move(command)) {
+    // The toggles may be given bare, meaning 1.
+    static const std::set<std::string> kToggles = {
+        "async", "resume", "full-recompute", "raw", "json", "no-planner",
+        "no-retry"};
+    for (int i = first; i < argc;) {
+      if (std::strncmp(argv[i], "--", 2) != 0) {
+        std::fprintf(stderr, "expected a --flag, got %s\n", argv[i]);
+        Usage();
+        std::exit(2);
+      }
+      const char* name = argv[i] + 2;
+      const bool next_is_flag =
+          i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0;
+      if (kToggles.count(name) > 0 && next_is_flag) {
+        values_[name] = "1";
+        i += 1;
+        continue;
+      }
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "flag %s is missing a value\n", argv[i]);
+        Usage();
+        std::exit(2);
+      }
+      values_[name] = argv[i + 1];
+      i += 2;
+    }
+  }
+
+  bool Has(const std::string& key) const { return values_.count(key) > 0; }
+
+  const std::map<std::string, std::string>& values() const { return values_; }
+
+  /// For the flags the planning request's reader takes.
+  void MarkRead(const std::string& key) { read_.insert(key); }
+
+  /// A path, spec or name; a `required` one exits 2 when absent.
+  std::string Text(const std::string& key, bool required = false) {
+    const std::string* text = Find(key);
+    if (text != nullptr && !text->empty()) return *text;
+    if (required) {
+      std::fprintf(stderr, "%s requires --%s\n", command_.c_str(),
+                   key.c_str());
+      Usage();
+      std::exit(2);
+    }
+    return "";
+  }
+
+  /// A file the command writes (RequireWritable).
+  std::string Output(const std::string& key, bool required = false) {
+    const std::string path = Text(key, required);
+    RequireWritable(key, path);
+    return path;
+  }
+
+  /// A whole number in [lo, hi], by default all of T. std::from_chars
+  /// reads it as T and refuses what T cannot hold, so nothing narrows.
+  template <typename T>
+  T Int(const std::string& key, T fallback,
+        T lo = std::numeric_limits<T>::min(),
+        T hi = std::numeric_limits<T>::max()) {
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    T value{};
+    const char* end = text->data() + text->size();
+    const auto [stop, error] = std::from_chars(text->data(), end, value);
+    if (text->empty() || error != std::errc() || stop != end || value < lo ||
+        value > hi) {
+      Refuse(key, lo == 1 ? "a positive number, whole and at most " +
+                                std::to_string(hi)
+                          : "an integer from " + std::to_string(lo) +
+                                " to " + std::to_string(hi));
+    }
+    return value;
+  }
+
+  /// A finite number in [lo, hi].
+  double Real(const std::string& key, double fallback, double lo,
+              double hi) {
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    double value = 0.0;
+    if (!ParseReal(*text, &value) || value < lo || value > hi) {
+      Refuse(key, lo == kPositive    ? "a positive number"
+                  : lo == -kMaxReal ? "a finite number"
+                                    : memo::StrFormat("a number from %g to %g",
+                                                      lo, hi));
+    }
+    return value;
+  }
+
+  /// A sequence length ("512K" is 512 * 1024 tokens) in [lo, hi] tokens.
+  std::int64_t Seq(const std::string& key, std::int64_t fallback,
+                   std::int64_t lo, std::int64_t hi) {
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    std::int64_t tokens = 0;
+    if (!memo::ParseSeqLen(*text, &tokens) || tokens < lo || tokens > hi) {
+      Refuse(key, "a sequence length such as 512K, " + std::to_string(lo) +
+                      " to " + std::to_string(hi) + " tokens");
+    }
+    return tokens;
+  }
+
+  /// A size in `unit` bytes (--ram-cap-mib, --capacity-gib, ...) as a byte
+  /// count of at least one byte (or zero, when `zero_ok`) below 2^63.
+  std::int64_t Bytes(const std::string& key, std::int64_t unit, bool zero_ok,
+                     std::int64_t fallback_bytes) {
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback_bytes;
+    double value = 0.0;
+    const bool parsed = ParseReal(*text, &value);
+    const double bytes = value * static_cast<double>(unit);
+    if (!parsed || !(zero_ok ? bytes >= 0.0 : bytes >= 1.0) ||
+        !(bytes < 0x1p63)) {
+      Refuse(key, std::string("a ") + (zero_ok ? "non-negative" : "positive") +
+                      " number below 2^63 bytes");
+    }
+    return static_cast<std::int64_t>(bytes);
+  }
+
+  /// The value of the named choice the flag spells.
+  template <typename T>
+  T Choice(const std::string& key, T fallback,
+           std::initializer_list<std::pair<const char*, T>> choices) {
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    std::string names;
+    for (const auto& [name, value] : choices) {
+      if (*text == name) return value;
+      names += (names.empty() ? "" : ", ") + std::string(name);
+    }
+    const std::size_t last = names.rfind(", ");
+    if (last != std::string::npos) names.replace(last, 2, " or ");
+    Refuse(key, names, "unknown " + key + " ");
+  }
+
+  /// A 0/1 toggle.
+  bool Toggle(const std::string& key, bool fallback) {
+    const std::string* text = Find(key);
+    if (text == nullptr) return fallback;
+    if (*text != "0" && *text != "1") Refuse(key, "0 or 1");
+    return *text == "1";
+  }
+
+  /// Exits 2 naming the first flag no read took. Commands call it once
+  /// their reads are done, before any work.
+  void RefuseUnread() const {
+    for (const auto& [key, value] : values_) {
+      if (read_.count(key) > 0) continue;
+      std::fprintf(stderr, "--%s is not read by %s\n", key.c_str(),
+                   command_.c_str());
+      Usage();
+      std::exit(2);
+    }
+  }
+
+ private:
+  const std::string* Find(const std::string& key) {
+    read_.insert(key);
+    const auto it = values_.find(key);
+    return it != values_.end() ? &it->second : nullptr;
+  }
+
+  [[noreturn]] void Refuse(const std::string& key, const std::string& domain,
+                           const std::string& got = "") const {
+    std::fprintf(stderr, "--%s must be %s (got %s\"%s\")\n", key.c_str(),
+                 domain.c_str(), got.c_str(), values_.at(key).c_str());
+    Usage();
     std::exit(2);
   }
+
+  std::string command_;
+  std::map<std::string, std::string> values_;
+  std::set<std::string> read_;
+};
+
+memo::offload::BackendOptions ReadBackend(Flags& flags) {
+  using memo::offload::BackendKind;
+  memo::offload::BackendOptions backend;
+  backend.kind = flags.Choice("backend", BackendKind::kRam,
+                              {{"ram", BackendKind::kRam},
+                               {"disk", BackendKind::kDisk},
+                               {"tiered", BackendKind::kTiered}});
   // A tiered stash with unlimited RAM never spills, which makes it
   // indistinguishable from --backend ram. Default the RAM tier to a small
   // cap so `train --backend tiered` actually exercises the disk tier; the
   // loss is bit-identical regardless of where the bytes land.
-  const bool tiered = backend.kind == memo::offload::BackendKind::kTiered;
+  const bool tiered = backend.kind == BackendKind::kTiered;
   backend.ram_capacity_bytes =
-      SizeFlagBytes(flags, "ram-cap-mib", memo::kMiB, /*zero_ok=*/false,
-                    tiered ? 256 * memo::kKiB : 0);
+      flags.Bytes("ram-cap-mib", memo::kMiB, /*zero_ok=*/false,
+                  tiered ? 256 * memo::kKiB : 0);
   backend.disk.bytes_per_second =
-      flags.GetDouble("disk-gbps", 0.0) * memo::kGBps;
+      flags.Real("disk-gbps", 0.0, kPositive, kMaxReal) * memo::kGBps;
   return backend;
 }
 
-/// Observability sinks shared by the commands: --trace-out enables the
+/// Arms the process-wide fault injector with --fault (e.g.
+/// "disk.page_write:p=0.05") seeded by --fault-seed, before the command
+/// touches a site the spec names. Exits 2 on a spec the injector rejects.
+void ArmFaults(Flags& flags) {
+  memo::FaultInjector& injector = memo::FaultInjector::Global();
+  if (flags.Has("fault-seed")) {
+    injector.Seed(flags.Int<std::uint64_t>("fault-seed", 0));
+  }
+  const std::string spec = flags.Text("fault");
+  if (spec.empty()) return;
+  if (const memo::Status armed = injector.ArmFromSpec(spec); !armed.ok()) {
+    std::fprintf(stderr, "%s\n", armed.ToString().c_str());
+    std::exit(2);
+  }
+}
+
+/// How `trace record` and `trace convert --to binary` encode: --raw turns
+/// chunk compression off, --chunk-records sizes the chunks. A chunk's raw
+/// bytes (24 per record) must fit the format's 32-bit size field.
+memo::trace::TraceWriterOptions ReadWriterOptions(Flags& flags) {
+  memo::trace::TraceWriterOptions options;
+  options.compress = !flags.Toggle("raw", false);
+  options.chunk_records =
+      flags.Int("chunk-records", options.chunk_records, 1, 1 << 24);
+  return options;
+}
+
+/// Observability sinks every command honours: --trace-out enables the
 /// process-wide recorder for the command's duration and serializes the
 /// Chrome-trace JSON on Finish(); --metrics-out snapshots the metrics
 /// registry the same way. Both are off (and cost one atomic load per
 /// instrumented site) unless the flag is given.
 class ObsOutputs {
  public:
-  explicit ObsOutputs(const Flags& flags)
-      : trace_path_(flags.Get("trace-out", "")),
-        metrics_path_(flags.Get("metrics-out", "")) {
-    RequireWritableFileIfSet(flags, "trace-out");
-    RequireWritableFileIfSet(flags, "metrics-out");
+  explicit ObsOutputs(Flags& flags)
+      : trace_path_(flags.Output("trace-out")),
+        metrics_path_(flags.Output("metrics-out")) {
     if (!trace_path_.empty()) {
       memo::obs::TraceRecorder::Global().Clear();
       memo::obs::TraceRecorder::Global().Enable();
@@ -289,21 +381,6 @@ class ObsOutputs {
   std::string metrics_path_;
 };
 
-/// The flags as planning-request fields: each flag is its wire field with
-/// '-' for '_' (--host-gib is host_gib); a non-null `kind` overrides
-/// --kind. The reader ignores the flags that are not request fields.
-memo::serve::PlanRequestFields RequestFields(const Flags& flags,
-                                             const char* kind) {
-  memo::serve::PlanRequestFields fields;
-  for (const auto& [name, value] : flags.values()) {
-    std::string key = name;
-    std::replace(key.begin(), key.end(), '-', '_');
-    fields[key] = value;
-  }
-  if (kind != nullptr) fields["kind"] = kind;
-  return fields;
-}
-
 /// Exits 2 with a Validate() rejection spelled in flags: the message starts
 /// with the field name (host_gib is --host-gib), and any other snake_case
 /// field name in it becomes its flag too.
@@ -327,21 +404,40 @@ memo::serve::PlanRequestFields RequestFields(const Flags& flags,
   std::exit(2);
 }
 
-/// Reads the flags with the protocol's own request reader, so the CLI and
-/// a `serve` instance build the same request, fingerprint included. A
-/// rejected field exits 2 naming its flag, like any other malformed flag.
-memo::core::PlanRequest ReadPlanRequest(const Flags& flags,
-                                        const char* kind) {
-  auto request =
-      memo::serve::ParsePlanRequestFields(RequestFields(flags, kind));
+/// Reads the planning flags with the protocol's own request reader, so the
+/// CLI and a `serve` instance build the same request, fingerprint included.
+/// Each flag is its wire field with '-' for '_' (--host-gib is host_gib).
+/// A non-null `kind` is the command's own, so --kind stays unread; so do
+/// the flags the reader does not know. A rejected field exits 2 naming its
+/// flag. `known`, when given, receives the fields the reader took.
+memo::core::PlanRequest ReadPlanRequest(
+    Flags& flags, const char* kind,
+    memo::serve::PlanRequestFields* known = nullptr) {
+  const auto field_name = [](std::string name) {
+    std::replace(name.begin(), name.end(), '-', '_');
+    return name;
+  };
+  memo::serve::PlanRequestFields fields;
+  for (const auto& [name, value] : flags.values()) {
+    fields[field_name(name)] = value;
+  }
+  if (kind != nullptr) fields["kind"] = kind;
+  std::vector<std::string> unknown;
+  auto request = memo::serve::ParsePlanRequestFields(fields, &unknown);
   if (!request.ok()) ExitNamingTheFlag(request.status());
+  for (const std::string& key : unknown) fields.erase(key);
+  if (kind != nullptr) fields.erase("kind");
+  for (const auto& [name, value] : flags.values()) {
+    if (fields.count(field_name(name)) > 0) flags.MarkRead(name);
+  }
+  if (known != nullptr) *known = std::move(fields);
   return *request;
 }
 
 /// The request `plan` and `alpha` profile: the one `run` executes for the
 /// same flags. Both report MEMO's profile, so another --system exits 2
 /// naming the flag.
-memo::core::PlanRequest ReadProfileRequest(const Flags& flags) {
+memo::core::PlanRequest ReadProfileRequest(Flags& flags) {
   memo::core::PlanRequest request = ReadPlanRequest(flags, "strategy");
   if (request.system != memo::parallel::SystemKind::kMemo) {
     ExitNamingTheFlag(memo::InvalidArgumentError(memo::StrFormat(
@@ -351,18 +447,14 @@ memo::core::PlanRequest ReadProfileRequest(const Flags& flags) {
   return request;
 }
 
-void PrintResult(const IterationResult& it, const memo::model::ModelConfig& m) {
-  memo::core::IterationReportTable(it, m).Print(std::cout);
-}
-
-int CmdRun(const Flags& flags) {
-  ObsOutputs obs(flags);
+int CmdRun(Flags& flags) {
   // Explicit degrees make this a strategy query; otherwise auto-tune.
   const bool explicit_strategy = flags.Has("tp") || flags.Has("cp") ||
                                  flags.Has("pp") || flags.Has("dp") ||
                                  flags.Has("sp");
   const memo::core::PlanRequest request =
       ReadPlanRequest(flags, explicit_strategy ? "strategy" : "best");
+  flags.RefuseUnread();
   const memo::core::PlanResult run =
       memo::core::ExecutePlanRequest(request);
   if (!run.status.ok()) {
@@ -378,12 +470,14 @@ int CmdRun(const Flags& flags) {
     std::printf("auto-tuned over %d strategies (%d feasible)\n\n",
                 run.strategies_tried, run.strategies_feasible);
   }
-  PrintResult(run.best, request.model);
-  return obs.Finish();
+  memo::core::IterationReportTable(run.best, request.model).Print(std::cout);
+  return 0;
 }
 
-int CmdPlan(const Flags& flags) {
+int CmdPlan(Flags& flags) {
   const memo::core::PlanRequest request = ReadProfileRequest(flags);
+  const std::string out = flags.Output("out");
+  flags.RefuseUnread();
   const auto profile = memo::core::ProfileJob(request, request.strategy);
   if (!profile.ok()) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
@@ -405,7 +499,6 @@ int CmdPlan(const Flags& flags) {
               profile->alpha.alpha,
               memo::FormatBytes(profile->offload_bytes_per_layer).c_str(),
               needs_um ? "yes" : "no");
-  const std::string out = flags.Get("out", "");
   if (!out.empty()) {
     const memo::Status saved = memo::planner::SavePlan(*plan, out);
     if (!saved.ok()) {
@@ -418,8 +511,9 @@ int CmdPlan(const Flags& flags) {
   return 0;
 }
 
-int CmdMaxSeq(const Flags& flags) {
+int CmdMaxSeq(Flags& flags) {
   const memo::core::PlanRequest request = ReadPlanRequest(flags, "maxseq");
+  flags.RefuseUnread();
   const memo::core::PlanResult result =
       memo::core::ExecutePlanRequest(request);
   if (!result.status.ok()) {
@@ -433,8 +527,9 @@ int CmdMaxSeq(const Flags& flags) {
   return result.max_seq > 0 ? 0 : 1;
 }
 
-int CmdAlpha(const Flags& flags) {
+int CmdAlpha(Flags& flags) {
   const memo::core::PlanRequest request = ReadProfileRequest(flags);
+  flags.RefuseUnread();
   const auto profile = memo::core::ProfileJob(request, request.strategy);
   if (!profile.ok()) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
@@ -474,77 +569,50 @@ int CmdAlpha(const Flags& flags) {
   return 0;
 }
 
-int CmdTrain(const Flags& flags) {
-  ObsOutputs obs(flags);
+int CmdTrain(Flags& flags) {
+  using memo::train::ActivationPolicy;
+  // TrainRunOptions::Validate() holds the ranges; these reads add the width
+  // of each field.
   memo::train::TrainRunOptions options;
-  options.model.layers = flags.GetInt("layers", 4);
-  options.model.hidden = flags.GetInt("hidden", 32);
-  options.model.heads = flags.GetInt("heads", 4);
-  options.model.ffn = flags.GetInt("ffn", 128);
-  options.model.vocab = flags.GetInt("vocab", 64);
-  options.model.seq = static_cast<int>(flags.GetSeq("seq", 64));
-  options.iterations = flags.GetInt("iterations", 40);
-  const std::string policy = flags.Get("policy", "tokenwise");
-  if (policy != "tokenwise" && policy != "retain") {
-    std::fprintf(stderr, "--policy must be tokenwise or retain (got \"%s\")\n",
-                 policy.c_str());
-    Usage();
-    return 2;
-  }
-  options.policy = policy == "retain"
-                       ? memo::train::ActivationPolicy::kRetainAll
-                       : memo::train::ActivationPolicy::kTokenWise;
-  options.alpha = flags.GetDouble("alpha", 0.5);
+  options.model.layers = flags.Int("layers", 4);
+  options.model.hidden = flags.Int("hidden", 32);
+  options.model.heads = flags.Int("heads", 4);
+  options.model.ffn = flags.Int("ffn", 128);
+  options.model.vocab = flags.Int("vocab", 64);
+  options.model.seq = static_cast<int>(
+      flags.Seq("seq", 64, 0, std::numeric_limits<int>::max()));
+  options.iterations = flags.Int("iterations", 40);
+  options.policy = flags.Choice("policy", ActivationPolicy::kTokenWise,
+                                {{"tokenwise", ActivationPolicy::kTokenWise},
+                                 {"retain", ActivationPolicy::kRetainAll}});
+  options.alpha = flags.Real("alpha", 0.5, -kMaxReal, kMaxReal);
   // Async is the paper's configuration (and bit-identical to inline), so it
   // is the default; --async 0 forces the inline copies.
-  options.async_offload = flags.GetInt("async", 1) != 0;
-  options.backend = ParseBackend(flags);
+  options.async_offload = flags.Toggle("async", true);
+  options.backend = ReadBackend(flags);
 
   // Checkpoint/resume configuration. The directory is created when absent
   // and validated up front, so a long run cannot die at its first save.
-  options.checkpoint_dir = flags.Get("checkpoint-dir", "");
-  options.checkpoint_every = flags.GetInt("checkpoint-every", 0);
-  RequirePositiveIfSet(flags, "checkpoint-every");
-  options.resume = flags.GetInt("resume", 0) != 0;
+  options.checkpoint_dir = flags.Text("checkpoint-dir");
+  options.checkpoint_every = flags.Int("checkpoint-every", 0, 1);
+  options.resume = flags.Toggle("resume", false);
+  ArmFaults(flags);
+  flags.RefuseUnread();
   if (memo::Status valid = options.Validate(); !valid.ok()) {
     ExitNamingTheFlag(valid);
   }
-  if (!options.checkpoint_dir.empty()) {
-    struct stat st;
-    if (::stat(options.checkpoint_dir.c_str(), &st) == 0) {
-      if (!S_ISDIR(st.st_mode) ||
-          ::access(options.checkpoint_dir.c_str(), W_OK) != 0) {
-        std::fprintf(stderr,
-                     "--checkpoint-dir %s is not a writable directory\n",
-                     options.checkpoint_dir.c_str());
-        return 2;
-      }
-    } else if (::mkdir(options.checkpoint_dir.c_str(), 0755) != 0) {
-      std::fprintf(stderr, "--checkpoint-dir %s cannot be created\n",
-                   options.checkpoint_dir.c_str());
-      return 2;
-    }
-  }
-
-  // Seeded fault injection (e.g. --fault "disk.page_write:p=0.05"). Armed
-  // before the run so the spec covers every site the run touches.
-  if (flags.Has("fault-seed")) {
-    memo::FaultInjector::Global().Seed(
-        static_cast<std::uint64_t>(flags.GetDouble("fault-seed", 0.0)));
-  }
-  const std::string fault_spec = flags.Get("fault", "");
-  if (!fault_spec.empty()) {
-    const memo::Status armed =
-        memo::FaultInjector::Global().ArmFromSpec(fault_spec);
-    if (!armed.ok()) {
-      std::fprintf(stderr, "%s\n", armed.ToString().c_str());
-      return 2;
-    }
+  const char* dir = options.checkpoint_dir.c_str();
+  struct stat st;
+  if (*dir != '\0' && ::mkdir(dir, 0755) != 0 &&
+      (::stat(dir, &st) != 0 || !S_ISDIR(st.st_mode) ||
+       ::access(dir, W_OK) != 0)) {
+    std::fprintf(stderr, "--checkpoint-dir %s is not a writable directory\n",
+                 dir);
+    return 2;
   }
 
   const memo::train::TrainRunResult result =
       memo::train::RunTraining(options);
-  memo::FaultInjector::Global().Reset();
   if (result.resumed_from_step >= 0) {
     std::printf("resumed from checkpoint at step %lld\n",
                 static_cast<long long>(result.resumed_from_step));
@@ -556,7 +624,6 @@ int CmdTrain(const Flags& flags) {
   if (!result.status.ok()) {
     std::fprintf(stderr, "training stopped after %zu iterations: %s\n",
                  result.losses.size(), result.status.ToString().c_str());
-    obs.Finish();
     return 1;
   }
   const auto& stats = result.offload_stats;
@@ -583,7 +650,7 @@ int CmdTrain(const Flags& flags) {
   std::printf("wall %.3fs; copier busy %.3fs; overlap %.1f%%\n",
               result.wall_seconds, stats.copier_busy_seconds,
               stats.overlap_efficiency() * 100.0);
-  return obs.Finish();
+  return 0;
 }
 
 /// Self-pipe for async-signal-safe shutdown: the handler only write()s one
@@ -605,50 +672,33 @@ void HandleShutdownSignal(int) {
 /// in flight, flush metrics, save the --cache-snapshot, exit 0. Exit codes:
 /// 0 = clean shutdown (including signal-driven drain), 1 = runtime error,
 /// 2 = usage error.
-int CmdServe(const Flags& flags) {
-  ObsOutputs obs(flags);
-  const std::string socket_path = flags.Get("socket", "");
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "serve requires --socket PATH\n");
-    Usage();
-    return 2;
-  }
-  RequirePositiveIfSet(flags, "sessions");
-  RequirePositiveIfSet(flags, "queue");
-  RequirePositiveIfSet(flags, "request-deadline-ms");
-  RequirePositiveIfSet(flags, "idle-timeout-ms");
-  RequirePositiveIfSet(flags, "max-line-bytes");
-  RequirePositiveIfSet(flags, "max-connections");
-  RequirePositiveIfSet(flags, "drain-grace-ms");
-
+int CmdServe(Flags& flags) {
+  memo::serve::PlanServerOptions options;
+  // Each session is a thread the server starts before the socket binds.
+  options.sessions = flags.Int("sessions", 4, 1, 256);
+  options.max_queue = flags.Int("queue", 64, 1);
+  options.cache.capacity_bytes = flags.Bytes(
+      "cache-mib", memo::kMiB, /*zero_ok=*/false, 32 * memo::kMiB);
+  memo::serve::SocketServerOptions socket_options;
+  socket_options.socket_path = flags.Text("socket", /*required=*/true);
+  socket_options.max_requests =
+      flags.Int<std::int64_t>("max-requests", -1, -1);
+  socket_options.request_deadline_ms = flags.Int("request-deadline-ms", 0, 1);
+  socket_options.idle_timeout_ms = flags.Int("idle-timeout-ms", 0, 1);
+  socket_options.max_line_bytes = flags.Int("max-line-bytes", 1 << 20, 1);
+  socket_options.max_connections = flags.Int("max-connections", 0, 1);
+  socket_options.drain_grace_ms = flags.Int("drain-grace-ms", 5000, 1);
+  const std::string snapshot_path = flags.Text("cache-snapshot");
   // Seeded fault injection (e.g. --fault "serve.snapshot_read:nth=1") for
   // chaos drills against a live server.
-  if (flags.Has("fault-seed")) {
-    memo::FaultInjector::Global().Seed(
-        static_cast<std::uint64_t>(flags.GetDouble("fault-seed", 0.0)));
-  }
-  const std::string fault_spec = flags.Get("fault", "");
-  if (!fault_spec.empty()) {
-    const memo::Status armed =
-        memo::FaultInjector::Global().ArmFromSpec(fault_spec);
-    if (!armed.ok()) {
-      std::fprintf(stderr, "%s\n", armed.ToString().c_str());
-      return 2;
-    }
-  }
-
-  memo::serve::PlanServerOptions options;
-  options.sessions = flags.GetInt("sessions", 4);
-  options.max_queue = flags.GetInt("queue", 64);
-  options.cache.capacity_bytes = SizeFlagBytes(
-      flags, "cache-mib", memo::kMiB, /*zero_ok=*/false, 32 * memo::kMiB);
+  ArmFaults(flags);
+  flags.RefuseUnread();
   memo::serve::PlanServer server(options);
 
   // Warm restart: load the previous run's cache snapshot if present. A
   // corrupt or unreadable snapshot is logged and ignored — a service that
   // refuses to boot because its cache file is damaged would turn a restart
   // into an outage.
-  const std::string snapshot_path = flags.Get("cache-snapshot", "");
   if (!snapshot_path.empty()) {
     const auto loaded =
         memo::serve::LoadCacheSnapshot(snapshot_path, &server.cache());
@@ -664,16 +714,6 @@ int CmdServe(const Flags& flags) {
     }
   }
 
-  memo::serve::SocketServerOptions socket_options;
-  socket_options.socket_path = socket_path;
-  socket_options.max_requests = flags.GetInt("max-requests", -1);
-  socket_options.request_deadline_ms =
-      flags.GetInt("request-deadline-ms", 0);
-  socket_options.idle_timeout_ms = flags.GetInt("idle-timeout-ms", 0);
-  socket_options.max_line_bytes =
-      flags.GetInt("max-line-bytes", 1 << 20);
-  socket_options.max_connections = flags.GetInt("max-connections", 0);
-  socket_options.drain_grace_ms = flags.GetInt("drain-grace-ms", 5000);
   memo::serve::SocketServer socket_server(&server, socket_options);
   const memo::Status started = socket_server.Start();
   if (!started.ok()) {
@@ -705,7 +745,8 @@ int CmdServe(const Flags& flags) {
   });
 
   std::printf("serving on %s (%d sessions, queue %d, cache %s)\n",
-              socket_path.c_str(), options.sessions, options.max_queue,
+              socket_options.socket_path.c_str(), options.sessions,
+              options.max_queue,
               memo::FormatBytes(options.cache.capacity_bytes).c_str());
   std::fflush(stdout);
 
@@ -738,7 +779,6 @@ int CmdServe(const Flags& flags) {
                    saved.status().ToString().c_str());
     }
   }
-  if (!fault_spec.empty()) memo::FaultInjector::Global().Reset();
 
   const auto cache = server.cache().stats();
   const auto stats = server.stats();
@@ -752,7 +792,7 @@ int CmdServe(const Flags& flags) {
               static_cast<long long>(cache.misses),
               static_cast<long long>(cache.coalesced),
               static_cast<long long>(cache.evictions));
-  return obs.Finish();
+  return 0;
 }
 
 /// `memo_cli query`: one-shot client for a running `serve` instance.
@@ -765,23 +805,14 @@ int CmdServe(const Flags& flags) {
 /// --attempts bounds the total tries, --no-retry disables re-sending
 /// entirely. A request the server refused was never looked at, so
 /// re-sending cannot double-execute anything.
-int CmdQuery(const Flags& flags) {
-  const std::string socket_path = flags.Get("socket", "");
-  if (socket_path.empty()) {
-    std::fprintf(stderr, "query requires --socket PATH\n");
-    Usage();
-    return 2;
-  }
-
+int CmdQuery(Flags& flags) {
+  const std::string socket_path = flags.Text("socket", /*required=*/true);
   // The planning flags are checked here with the reader the server runs,
   // then sent as they were typed, each field as a JSON string.
-  std::string line = flags.Get("json", "");
+  std::string line = flags.Text("json");
   if (line.empty()) {
-    ReadPlanRequest(flags, nullptr);  // exits 2 on a rejected field
-    memo::serve::PlanRequestFields fields = RequestFields(flags, nullptr);
-    for (const char* own : {"socket", "retries", "attempts", "no_retry"}) {
-      fields.erase(own);
-    }
+    memo::serve::PlanRequestFields fields;
+    ReadPlanRequest(flags, nullptr, &fields);  // exits 2 on a rejected field
     for (const auto& [key, value] : fields) {
       line += (line.empty() ? "{\"" : ",\"") + memo::serve::JsonEscape(key) +
               "\":\"" + memo::serve::JsonEscape(value) + "\"";
@@ -791,16 +822,18 @@ int CmdQuery(const Flags& flags) {
 
   memo::RetryPolicy policy;
   policy.retry_unavailable = true;
-  policy.max_attempts = flags.GetInt("attempts", 4);
+  policy.max_attempts = flags.Int("attempts", 4, 1);
   policy.initial_backoff_seconds = 0.02;
   policy.max_backoff_seconds = 0.5;
-  if (flags.GetInt("no-retry", 0) != 0) policy.max_attempts = 1;
+  if (flags.Toggle("no-retry", false)) policy.max_attempts = 1;
+  const int connect_retries = flags.Int("retries", 0, 0);
+  flags.RefuseUnread();
 
   std::string response_line;
   const memo::Status status =
       policy.Run("serve.query", [&]() -> memo::Status {
         const auto response = memo::serve::QueryOverSocket(
-            socket_path, line, flags.GetInt("retries", 0));
+            socket_path, line, connect_retries);
         // Connect/transport failures surface as UNAVAILABLE and ride the
         // same retry loop as server-side shedding.
         if (!response.ok()) return response.status();
@@ -832,95 +865,75 @@ int CmdQuery(const Flags& flags) {
 
 /// Model config for synthetic trace recording: a Table-2 preset via
 /// --model, or a small custom shape via --layers/--hidden/... (defaults
-/// are deliberately tiny so `trace record` runs in milliseconds).
-memo::model::ModelConfig TraceModelConfig(const Flags& flags) {
+/// are deliberately tiny so `trace record` runs in milliseconds). Each
+/// custom dimension is at most 2^20 and the depth at most 1,024, so no one
+/// tensor's byte count overflows int64 even at 2^40 tokens.
+memo::model::ModelConfig TraceModelConfig(Flags& flags) {
   if (flags.Has("model")) {
-    auto config = memo::model::ModelByName(flags.Get("model", ""));
+    auto config = memo::model::ModelByName(flags.Text("model"));
     if (!config.ok()) {
       std::fprintf(stderr, "%s\n", config.status().ToString().c_str());
       std::exit(2);
     }
     return config.value();
   }
+  constexpr int kMaxDim = 1 << 20;
+  const int hidden = flags.Int("hidden", 512, 1, kMaxDim);
   memo::model::ModelConfig config;
   config.name = "custom";
-  config.num_layers = flags.GetInt("layers", 4);
-  config.hidden = flags.GetInt("hidden", 512);
-  config.num_heads = flags.GetInt("heads", 8);
-  config.ffn_hidden = flags.GetInt("ffn", 4 * flags.GetInt("hidden", 512));
-  config.vocab = flags.GetInt("vocab", 4096);
+  config.num_layers = flags.Int("layers", 4, 1, 1024);
+  config.hidden = hidden;
+  config.num_heads = flags.Int("heads", 8, 1, kMaxDim);
+  config.ffn_hidden =
+      flags.Int("ffn", std::min(4 * hidden, kMaxDim), 1, kMaxDim);
+  config.vocab = flags.Int("vocab", 4096, 1, kMaxDim);
   return config;
 }
 
-int CmdTraceRecord(const Flags& flags) {
-  const std::string out = flags.Get("out", "");
-  if (out.empty()) {
-    std::fprintf(stderr, "trace record requires --out FILE\n");
-    return 2;
-  }
-  RequireWritableFileIfSet(flags, "out");
-  const std::string kind = flags.Get("kind", "varlen");
-
-  // The generators assert on shapes they cannot build: reject them here.
-  for (const char* key : {"layers", "hidden", "heads", "ffn", "vocab", "tp"}) {
-    RequirePositiveIfSet(flags, key);
-  }
+int CmdTraceRecord(Flags& flags) {
+  using memo::core::kMaxSeqLen;
+  const std::string out = flags.Output("out", /*required=*/true);
+  const auto generate = flags.Choice(
+      "kind", &memo::model::GenerateVariableLengthWorkload,
+      {{"varlen", &memo::model::GenerateVariableLengthWorkload},
+       {"moe", &memo::model::GenerateMoeWorkload},
+       {"diurnal", &memo::model::GenerateDiurnalWorkload}});
   const memo::model::ModelConfig config = TraceModelConfig(flags);
+  memo::model::TraceGenOptions base;
+  base.seq_local = flags.Seq("seq", 8 * memo::kSeqK, 1, kMaxSeqLen);
+  base.tensor_parallel = flags.Int("tp", 1, 1, 1 << 20);
+  if (flags.Toggle("full-recompute", false)) {
+    base.mode = memo::model::ActivationMode::kFullRecompute;
+  }
+  memo::model::WorkloadGenOptions gen;
+  gen.iterations = flags.Int("iterations", 8, 1);
+  gen.seed = flags.Int<std::uint64_t>("seed", 1);
+  gen.seq_local_min = flags.Seq("seq-min", 4 * memo::kSeqK, 1, kMaxSeqLen);
+  gen.seq_local_max = flags.Seq("seq-max", 16 * memo::kSeqK, 1, kMaxSeqLen);
+  // Keeps every drawn FFN scale, 1 +- spread, in [0, 2] before the 0.25
+  // clamp.
+  gen.moe_spread = flags.Real("moe-spread", 0.75, 0.0, 1.0);
+  const memo::trace::TraceWriterOptions writer_options =
+      ReadWriterOptions(flags);
+  flags.RefuseUnread();
+  // The generators assert on shapes they cannot build: reject them here.
   if (config.hidden % config.num_heads != 0) {
     std::fprintf(stderr, "--heads must divide --hidden (got %lld and %lld)\n",
                  static_cast<long long>(config.num_heads),
                  static_cast<long long>(config.hidden));
     return 2;
   }
-  memo::model::TraceGenOptions base;
-  base.seq_local = flags.GetSeq("seq", 8 * memo::kSeqK);
-  base.tensor_parallel = flags.GetInt("tp", 1);
-  if (flags.GetInt("full-recompute", 0) != 0) {
-    base.mode = memo::model::ActivationMode::kFullRecompute;
-  }
-  memo::model::WorkloadGenOptions gen;
-  gen.iterations = flags.GetInt("iterations", 8);
-  gen.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 1));
-  gen.seq_local_min = flags.GetSeq("seq-min", 4 * memo::kSeqK);
-  gen.seq_local_max = flags.GetSeq("seq-max", 16 * memo::kSeqK);
-  gen.moe_spread = flags.GetDouble("moe-spread", 0.75);
-  if (gen.iterations <= 0) {
-    std::fprintf(stderr, "--iterations must be positive\n");
-    return 2;
-  }
-  if (base.seq_local <= 0) {
-    std::fprintf(stderr, "--seq must be positive\n");
-    return 2;
-  }
   if (gen.seq_local_min > gen.seq_local_max) {
     std::fprintf(stderr, "--seq-min must not exceed --seq-max (got %s > %s)\n",
-                 flags.Get("seq-min", "4K").c_str(),
-                 flags.Get("seq-max", "16K").c_str());
+                 memo::FormatSeqLen(gen.seq_local_min).c_str(),
+                 memo::FormatSeqLen(gen.seq_local_max).c_str());
     return 2;
   }
 
-  memo::model::WorkloadTrace workload;
-  if (kind == "varlen") {
-    workload = memo::model::GenerateVariableLengthWorkload(config, base, gen);
-  } else if (kind == "moe") {
-    workload = memo::model::GenerateMoeWorkload(config, base, gen);
-  } else if (kind == "diurnal") {
-    workload = memo::model::GenerateDiurnalWorkload(config, base, gen);
-  } else {
-    std::fprintf(stderr,
-                 "--kind must be varlen, moe or diurnal (got \"%s\")\n",
-                 kind.c_str());
+  const memo::model::WorkloadTrace workload = generate(config, base, gen);
+  if (const memo::Status live = workload.CheckLiveBytes(); !live.ok()) {
+    std::fprintf(stderr, "%s\n", live.ToString().c_str());
     return 2;
-  }
-
-  memo::trace::TraceWriterOptions writer_options;
-  writer_options.compress = flags.GetInt("raw", 0) == 0;
-  if (flags.Has("chunk-records")) {
-    writer_options.chunk_records = flags.GetInt("chunk-records", 4096);
-    if (writer_options.chunk_records <= 0) {
-      std::fprintf(stderr, "--chunk-records must be positive\n");
-      return 2;
-    }
   }
   const memo::Status status =
       memo::trace::WriteWorkloadFile(workload, out, writer_options);
@@ -934,12 +947,10 @@ int CmdTraceRecord(const Flags& flags) {
   return 0;
 }
 
-int CmdTraceInfo(const Flags& flags) {
-  const std::string in = flags.Get("in", "");
-  if (in.empty()) {
-    std::fprintf(stderr, "trace info requires --in FILE\n");
-    return 2;
-  }
+int CmdTraceInfo(Flags& flags) {
+  const std::string in = flags.Text("in", /*required=*/true);
+  const bool json = flags.Toggle("json", false);
+  flags.RefuseUnread();
   const auto reader = memo::trace::TraceReader::Open(in);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
@@ -947,7 +958,7 @@ int CmdTraceInfo(const Flags& flags) {
   }
   const memo::trace::TraceReader& r = *reader;
   const std::uint64_t fingerprint = r.ContentFingerprint();
-  if (flags.GetInt("json", 0) != 0) {
+  if (json) {
     std::printf(
         "{\"records\":%llu,\"chunks\":%llu,"
         "\"file_bytes\":%llu,\"compressed\":%s,\"strings\":%zu,"
@@ -979,48 +990,32 @@ int CmdTraceInfo(const Flags& flags) {
   return 0;
 }
 
-int CmdTraceConvert(const Flags& flags) {
-  const std::string in = flags.Get("in", "");
-  const std::string out = flags.Get("out", "");
-  if (in.empty() || out.empty()) {
-    std::fprintf(stderr, "trace convert requires --in FILE and --out FILE\n");
-    return 2;
-  }
-  RequireWritableFileIfSet(flags, "out");
-  const std::string to = flags.Get("to", "json");
+int CmdTraceConvert(Flags& flags) {
+  const std::string in = flags.Text("in", /*required=*/true);
+  const std::string out = flags.Output("out", /*required=*/true);
+  const bool binary =
+      flags.Choice("to", false, {{"json", false}, {"binary", true}});
+  // Re-encoding can toggle compression (--raw) and resize the chunks.
+  const memo::trace::TraceWriterOptions writer_options =
+      binary ? ReadWriterOptions(flags) : memo::trace::TraceWriterOptions{};
+  flags.RefuseUnread();
 
   const auto reader = memo::trace::TraceReader::Open(in);
   if (!reader.ok()) {
     std::fprintf(stderr, "%s\n", reader.status().ToString().c_str());
     return 1;
   }
-
-  if (to != "json" && to != "binary") {
-    std::fprintf(stderr, "--to must be json or binary (got \"%s\")\n",
-                 to.c_str());
-    return 2;
-  }
   const auto workload = memo::trace::ReadWorkload(*reader);
   if (!workload.ok()) {
     std::fprintf(stderr, "%s\n", workload.status().ToString().c_str());
     return 1;
   }
-  if (to == "binary") {
-    // Re-encode (e.g. to toggle compression with --raw).
-    memo::trace::TraceWriterOptions writer_options;
-    writer_options.compress = flags.GetInt("raw", 0) == 0;
-    const memo::Status status = memo::trace::WriteWorkloadFile(
-        workload.value(), out, writer_options);
-    if (!status.ok()) {
-      std::fprintf(stderr, "%s\n", status.ToString().c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", out.c_str());
-    return 0;
-  }
-  const std::string payload = memo::trace::WorkloadToJson(workload.value());
-  const memo::Status written = memo::WriteWholeFile(
-      out, payload, "trace JSON", memo::WriteMode::kInPlace);
+  const std::string payload =
+      binary ? memo::trace::EncodeWorkload(*workload, writer_options)
+             : memo::trace::WorkloadToJson(*workload);
+  const memo::Status written =
+      memo::WriteWholeFile(out, payload, binary ? "trace" : "trace JSON",
+                           memo::WriteMode::kInPlace);
   if (!written.ok()) {
     std::fprintf(stderr, "%s\n", written.ToString().c_str());
     return 1;
@@ -1029,28 +1024,26 @@ int CmdTraceConvert(const Flags& flags) {
   return 0;
 }
 
-int CmdTraceDiff(const Flags& flags) {
-  const std::string a = flags.Get("a", "");
-  const std::string b = flags.Get("b", "");
-  if (a.empty() || b.empty()) {
-    std::fprintf(stderr, "trace diff requires --a FILE and --b FILE\n");
-    return 2;
-  }
+int CmdTraceDiff(Flags& flags) {
+  const std::string a = flags.Text("a", /*required=*/true);
+  const std::string b = flags.Text("b", /*required=*/true);
+  const bool json = flags.Toggle("json", false);
+  flags.RefuseUnread();
   auto diff = memo::trace::DiffTraceFiles(a, b);
   if (!diff.ok()) {
     std::fprintf(stderr, "%s\n", diff.status().ToString().c_str());
     return 2;
   }
-  if (flags.GetInt("json", 0) != 0) {
-    std::string json = std::string("{\"equal\":") +
+  if (json) {
+    std::string line = std::string("{\"equal\":") +
                        (diff->equal ? "true" : "false") +
                        ",\"differences\":[";
     for (std::size_t i = 0; i < diff->differences.size(); ++i) {
-      if (i > 0) json += ",";
-      json += "\"" + diff->differences[i] + "\"";
+      if (i > 0) line += ",";
+      line += "\"" + diff->differences[i] + "\"";
     }
-    json += "]}";
-    std::printf("%s\n", json.c_str());
+    line += "]}";
+    std::printf("%s\n", line.c_str());
   } else if (diff->equal) {
     std::printf("traces are identical\n");
   } else {
@@ -1061,19 +1054,16 @@ int CmdTraceDiff(const Flags& flags) {
   return diff->equal ? 0 : 1;
 }
 
-int CmdTraceReplay(const Flags& flags) {
-  const std::string in = flags.Get("in", "");
-  if (in.empty()) {
-    std::fprintf(stderr, "trace replay requires --in FILE\n");
-    return 2;
-  }
-  RequireWritableFileIfSet(flags, "out");
+int CmdTraceReplay(Flags& flags) {
+  const std::string in = flags.Text("in", /*required=*/true);
+  const std::string out = flags.Output("out");
   memo::trace::ReplayOptions options;
-  options.allocator.capacity_bytes = SizeFlagBytes(
-      flags, "capacity-gib", memo::kGiB, /*zero_ok=*/false, 80 * memo::kGiB);
-  options.static_bytes = SizeFlagBytes(flags, "static-gib", memo::kGiB,
-                                       /*zero_ok=*/true, 0);
-  options.run_planner = flags.GetInt("no-planner", 0) == 0;
+  options.allocator.capacity_bytes = flags.Bytes(
+      "capacity-gib", memo::kGiB, /*zero_ok=*/false, 80 * memo::kGiB);
+  options.static_bytes =
+      flags.Bytes("static-gib", memo::kGiB, /*zero_ok=*/true, 0);
+  options.run_planner = !flags.Toggle("no-planner", false);
+  flags.RefuseUnread();
 
   auto summary = memo::trace::ReplayTraceFile(in, options);
   if (!summary.ok()) {
@@ -1081,7 +1071,6 @@ int CmdTraceReplay(const Flags& flags) {
     return 1;
   }
   const std::string json = summary->ToJson();
-  const std::string out = flags.Get("out", "");
   if (!out.empty()) {
     const memo::Status written = memo::WriteWholeFile(
         out, json, "replay summary", memo::WriteMode::kInPlace);
@@ -1094,17 +1083,6 @@ int CmdTraceReplay(const Flags& flags) {
   return 0;
 }
 
-int CmdTrace(const std::string& verb, const Flags& flags) {
-  if (verb == "record") return CmdTraceRecord(flags);
-  if (verb == "info") return CmdTraceInfo(flags);
-  if (verb == "convert") return CmdTraceConvert(flags);
-  if (verb == "diff") return CmdTraceDiff(flags);
-  if (verb == "replay") return CmdTraceReplay(flags);
-  std::fprintf(stderr, "unknown trace verb \"%s\"\n", verb.c_str());
-  Usage();
-  return 2;
-}
-
 void Usage() {
   std::fprintf(stderr,
                "usage: memo_cli <run|plan|maxseq|alpha|train|serve|query|"
@@ -1112,13 +1090,13 @@ void Usage() {
                "  run    --model 7B --seq 1024K --gpus 8 [--system memo]\n"
                "         [--tp N --cp N --pp N --dp N --sp N] [--alpha X]\n"
                "         [--host-gib G --nvme-gib G --nvme-gbps B]\n"
-               "         [--trace-out t.json --metrics-out m.json]\n"
                "  plan   --model 7B --seq 512K --gpus 8 --tp 4 --cp 2\n"
                "         [--out plan.txt]\n"
                "  maxseq --model 7B --gpus 8 [--system memo] [--step 128K]\n"
                "  alpha  --model 7B --seq 512K --gpus 8 --tp 4 --cp 2\n"
                "  (run, plan, maxseq, alpha and query share the request\n"
-               "   fields of serve/protocol.h as flags: --host-gib etc.)\n"
+               "   fields of serve/protocol.h as flags: --host-gib etc.;\n"
+               "   --kind is query's alone)\n"
                "  train  --layers 4 --seq 64 --alpha 0.5 [--async 0]\n"
                "         [--backend ram|disk|tiered --ram-cap-mib M\n"
                "          --disk-gbps B]\n"
@@ -1126,7 +1104,6 @@ void Usage() {
                "          --resume 1]\n"
                "         [--fault \"site:p=0.05,...;site2:...\"\n"
                "          --fault-seed S]\n"
-               "         [--trace-out t.json --metrics-out m.json]\n"
                "  serve  --socket /tmp/memo.sock [--sessions N --queue N]\n"
                "         [--cache-mib M] [--max-requests N]\n"
                "         [--request-deadline-ms D --idle-timeout-ms D]\n"
@@ -1150,11 +1127,12 @@ void Usage() {
                "                 [--chunk-records N]\n"
                "         info    --in t.memotrc [--json]\n"
                "         convert --in t.memotrc --out f [--to json|binary]\n"
-               "                 [--raw]\n"
+               "                 [--raw --chunk-records N]\n"
                "         diff    --a x.memotrc --b y.memotrc [--json]\n"
                "         replay  --in t.memotrc [--out summary.json]\n"
                "                 [--capacity-gib G --static-gib G]\n"
-               "                 [--no-planner]\n");
+               "                 [--no-planner]\n"
+               "  every command: [--trace-out t.json --metrics-out m.json]\n");
 }
 
 }  // namespace
@@ -1164,8 +1142,9 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  const std::string command = argv[1];
-  if (command == "trace") {
+  std::string name = argv[1];
+  int first = 2;
+  if (name == "trace") {
     if (argc < 3 || std::strncmp(argv[2], "--", 2) == 0) {
       std::fprintf(stderr,
                    "trace requires a verb: record, info, convert, diff or "
@@ -1173,17 +1152,27 @@ int main(int argc, char** argv) {
       Usage();
       return 2;
     }
-    return CmdTrace(argv[2], Flags(argc, argv, 3));
+    name += std::string(" ") + argv[2];
+    first = 3;
   }
-  const Flags flags(argc, argv, 2);
-  if (command == "run") return CmdRun(flags);
-  if (command == "plan") return CmdPlan(flags);
-  if (command == "maxseq") return CmdMaxSeq(flags);
-  if (command == "alpha") return CmdAlpha(flags);
-  if (command == "train") return CmdTrain(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "query") return CmdQuery(flags);
-  std::fprintf(stderr, "unknown command \"%s\"\n", command.c_str());
-  Usage();
-  return 2;
+  const std::map<std::string, int (*)(Flags&)> commands = {
+      {"run", CmdRun},           {"plan", CmdPlan},
+      {"maxseq", CmdMaxSeq},     {"alpha", CmdAlpha},
+      {"train", CmdTrain},       {"serve", CmdServe},
+      {"query", CmdQuery},       {"trace record", CmdTraceRecord},
+      {"trace info", CmdTraceInfo},
+      {"trace convert", CmdTraceConvert},
+      {"trace diff", CmdTraceDiff},
+      {"trace replay", CmdTraceReplay}};
+  const auto command = commands.find(name);
+  if (command == commands.end()) {
+    std::fprintf(stderr, "unknown command \"%s\"\n", name.c_str());
+    Usage();
+    return 2;
+  }
+  Flags flags(name, argc, argv, first);
+  ObsOutputs obs(flags);
+  const int rc = command->second(flags);
+  const int written = obs.Finish();
+  return rc != 0 ? rc : written;
 }
