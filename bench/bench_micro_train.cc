@@ -78,7 +78,7 @@ class Iteration {
         model_(config),
         params_(memo::train::MiniGptParams::Init(config, 5)),
         grads_(memo::train::MiniGptParams::Init(config, 5)) {
-    memo::train::SyntheticData data(config.vocab, 0.9, 5);
+    memo::train::SyntheticData data(config.vocab, 5);
     data.NextSequence(config.seq, &tokens_, &targets_);
   }
 
@@ -137,7 +137,7 @@ double TimeTrainStepMs() {
   auto grads = memo::train::MiniGptParams::Init(config, 5);
   std::vector<int> tokens;
   std::vector<int> targets;
-  memo::train::SyntheticData data(config.vocab, 0.9, 5);
+  memo::train::SyntheticData data(config.vocab, 5);
   data.NextSequence(config.seq, &tokens, &targets);
   // Serve step temporaries from the arena exactly like the trainer hot loop
   // does: the first rep measures and commits the DSA plan, every later rep

@@ -11,8 +11,6 @@ namespace memo {
 
 Status RetryPolicy::Run(const std::string& op,
                         const std::function<Status()>& fn) const {
-  using Clock = std::chrono::steady_clock;
-  const Clock::time_point start = Clock::now();
   const int attempts = std::max(1, max_attempts);
   double backoff = initial_backoff_seconds;
   Status last = OkStatus();
@@ -20,22 +18,15 @@ Status RetryPolicy::Run(const std::string& op,
     last = fn();
     if (last.ok()) return last;
     if (!Retryable(last.code())) return last;
-    const double elapsed =
-        std::chrono::duration<double>(Clock::now() - start).count();
-    const bool out_of_attempts = attempt == attempts;
-    const bool out_of_time =
-        deadline_seconds > 0.0 && elapsed + backoff >= deadline_seconds;
-    if (out_of_attempts || out_of_time) {
+    if (attempt == attempts) {
       obs::MetricsRegistry::Global().counter("retry.giveups")->Add(1);
       obs::MetricsRegistry::Global().counter("retry." + op + ".giveups")
           ->Add(1);
       MEMO_TRACE_INSTANT("retry_giveup", "fault",
                          op + ": " + last.ToString());
-      return Status(last.code(),
-                    op + " failed after " + std::to_string(attempt) +
-                        (out_of_time ? " attempt(s) (deadline exceeded): "
-                                     : " attempt(s): ") +
-                        last.ToString());
+      return Status(last.code(), op + " failed after " +
+                                     std::to_string(attempt) +
+                                     " attempt(s): " + last.ToString());
     }
     obs::MetricsRegistry::Global().counter("retry." + op + ".retries")
         ->Add(1);
@@ -45,8 +36,7 @@ Status RetryPolicy::Run(const std::string& op,
     if (backoff > 0.0) {
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
-    backoff = std::min(max_backoff_seconds,
-                       backoff * std::max(1.0, backoff_multiplier));
+    backoff = std::min(max_backoff_seconds, 2.0 * backoff);
   }
   return last;
 }

@@ -8,28 +8,24 @@
 
 namespace memo {
 
-/// Bounded-retry policy with exponential backoff and a per-operation wall
-/// deadline. The swap tiers run for minutes per iteration against host RAM
-/// and the NVMe-analog spill file, so a transient pread/pwrite failure must
-/// not kill the run: retryable errors (kInternal — the code real I/O faults
-/// surface as) are re-attempted with growing sleeps; logical errors
-/// (kNotFound, kInvalidArgument) and capacity exhaustion (kOutOfHostMemory,
-/// which retrying cannot fix) surface immediately.
+/// Bounded-retry policy with exponential backoff. The swap tiers run for
+/// minutes per iteration against host RAM and the NVMe-analog spill file,
+/// so a transient pread/pwrite failure must not kill the run: retryable
+/// errors (kInternal — the code real I/O faults surface as) are
+/// re-attempted with growing sleeps; logical errors (kNotFound,
+/// kInvalidArgument) and capacity exhaustion (kOutOfHostMemory, which
+/// retrying cannot fix) surface immediately.
 ///
 /// Every re-attempt increments "retry.<op>.retries" in the MetricsRegistry
-/// and emits a trace instant; an exhausted or deadline-expired operation
-/// increments "retry.<op>.giveups" before the last error is returned.
+/// and emits a trace instant; an exhausted operation increments
+/// "retry.<op>.giveups" before the last error is returned.
 struct RetryPolicy {
   /// Total attempts including the first (1 = no retries).
   int max_attempts = 3;
-  /// Sleep before the first re-attempt; doubles (see multiplier) per retry.
+  /// Sleep before the first re-attempt; doubles per retry up to
+  /// max_backoff_seconds.
   double initial_backoff_seconds = 0.0005;
-  double backoff_multiplier = 2.0;
   double max_backoff_seconds = 0.05;
-  /// Wall-clock budget for the whole operation including backoff sleeps;
-  /// 0 = unlimited. When exceeded, the last error is returned even if
-  /// attempts remain.
-  double deadline_seconds = 0.0;
   /// Also retry kUnavailable and kDeadlineExceeded. Off by default: in the
   /// I/O tiers these codes never occur, but serve clients see them when the
   /// server sheds load or a request times out, and both are explicitly safe

@@ -11,6 +11,7 @@
 #include "obs/trace_recorder.h"
 #include "parallel/memory_model.h"
 #include "parallel/pipeline.h"
+#include "planner/bilevel_planner.h"
 #include "sim/engine.h"
 
 namespace memo::core {
@@ -72,7 +73,7 @@ StatusOr<IterationResult> RunMemoIteration(
 
   // ---- Memory plan for transient tensors.
   MEMO_ASSIGN_OR_RETURN(planner::MemoryPlan plan,
-                        planner::PlanMemory(profile.trace, request.planner));
+                        planner::PlanMemory(profile.trace));
 
   // ---- Device memory feasibility.
   const parallel::ModelStateBytes model_state =

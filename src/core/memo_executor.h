@@ -7,10 +7,10 @@
 namespace memo::core {
 
 /// Simulates one MEMO training iteration (§4) from ProfileJob's profile:
-/// plans the transient memory with the bi-level MIP (request.planner),
-/// checks device memory, splits the offloaded bytes RAM-first over the host
-/// tiers, and schedules compute/offload/prefetch (and the NVMe spill
-/// stream) on their streams with rounding-buffer synchronization (Fig. 11).
+/// plans the transient memory with the bi-level MIP, checks device memory,
+/// splits the offloaded bytes RAM-first over the host tiers, and schedules
+/// compute/offload/prefetch (and the NVMe spill stream) on their streams
+/// with rounding-buffer synchronization (Fig. 11).
 /// Returns kOutOfMemory / kOutOfHostMemory exactly like the paper's
 /// X_oom / X_oohm. request.kind, request.system and request.strategy are not
 /// read: `strategy` is what runs.

@@ -7,6 +7,7 @@
 #include "common/units.h"
 #include "core/baseline_executors.h"
 #include "core/memo_executor.h"
+#include "solver/dsa.h"
 
 namespace memo::core {
 
@@ -52,13 +53,13 @@ void AddCalibration(FingerprintBuilder* fp, const hw::Calibration& cal) {
   fp->Add("cal.iter_overhead", cal.iteration_fixed_overhead_fraction);
 }
 
-void AddDsaOptions(FingerprintBuilder* fp, const char* prefix,
-                   const solver::DsaSolveOptions& dsa) {
+/// The exact-MIP budgets SolveDsa runs both planner levels under.
+void AddDsaBudgets(FingerprintBuilder* fp, const char* prefix) {
   const std::string p(prefix);
-  fp->Add(p + ".tensor_limit", dsa.exact_tensor_limit);
-  fp->Add(p + ".pair_limit", dsa.exact_pair_limit);
-  fp->Add(p + ".mip_nodes", dsa.mip.max_nodes);
-  fp->Add(p + ".mip_gap", dsa.mip.absolute_gap);
+  fp->Add(p + ".tensor_limit", solver::kExactTensorLimit);
+  fp->Add(p + ".pair_limit", solver::kExactPairLimit);
+  fp->Add(p + ".mip_nodes", solver::kExactMipBudget.max_nodes);
+  fp->Add(p + ".mip_gap", solver::kExactMipBudget.absolute_gap);
 }
 
 }  // namespace
@@ -113,8 +114,8 @@ std::string PlanRequest::CanonicalString() const {
   AddCalibration(&fp, calibration);
   fp.Add("alpha_steps", alpha_steps);
   fp.Add("forced_alpha", forced_alpha);
-  AddDsaOptions(&fp, "planner.l1", planner.level1);
-  AddDsaOptions(&fp, "planner.l2", planner.level2);
+  AddDsaBudgets(&fp, "planner.l1");
+  AddDsaBudgets(&fp, "planner.l2");
   fp.Add("baseline.memory_plan", baseline_use_memory_plan);
   return fp.canonical();
 }

@@ -10,7 +10,6 @@
 #include "hw/gpu_spec.h"
 #include "model/model_config.h"
 #include "parallel/strategy.h"
-#include "planner/bilevel_planner.h"
 
 namespace memo::core {
 
@@ -75,15 +74,16 @@ struct PlanRequest {
   /// MEMO: this alpha instead of the LP's (negative = solve). The ablations
   /// force full swapping (1.0) or full recompute of the others (0.0).
   double forced_alpha = -1.0;
-  /// MEMO: the bi-level planner's solver budgets for the transient arena.
-  planner::PlannerOptions planner;
   /// Baselines: replace the caching allocator with a bi-level static memory
   /// plan while keeping the baseline's execution strategy ("Full
   /// Recomputation + Memory Plan" in the paper's Table 4 ablation).
   bool baseline_use_memory_plan = false;
 
   /// The canonical `key=value;` string the fingerprint hashes: every field
-  /// above, doubles as exact bit patterns. Exposed for tests and debugging.
+  /// above, doubles as exact bit patterns, plus the bi-level planner's
+  /// solver budgets (constants of solver/dsa.h, kept under their old
+  /// request keys so fingerprints and saved cache snapshots stay valid).
+  /// Exposed for tests and debugging.
   std::string CanonicalString() const;
 
   /// The one domain check of a request (seq, cluster size and tiers,

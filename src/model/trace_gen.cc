@@ -17,9 +17,9 @@ namespace {
 
 /// Per-rank tensor byte sizes used throughout trace emission.
 struct Sizes {
-  std::int64_t unit;       // one b*s*h fp16 tensor, TP-sharded
+  std::int64_t unit;       // one s*h fp16 tensor, TP-sharded
   std::int64_t kv;         // one K or V tensor (GQA-scaled), TP-sharded
-  std::int64_t ffn;        // one b*s*h_ffn fp16 tensor, TP-sharded
+  std::int64_t ffn;        // one s*h_ffn fp16 tensor, TP-sharded
   std::int64_t gathered;   // sequence-parallel AllGather output (un-sharded)
   std::int64_t rstd;       // LayerNorm fp32 inverse-stddev per token
   std::int64_t lse;        // FlashAttention fp32 log-sum-exp per (head, token)
@@ -28,25 +28,27 @@ struct Sizes {
   std::int64_t tp;         // tensor-parallel degree (gathered == unit * tp)
 };
 
+/// cuBLAS-style per-GEMM workspace allocation.
+constexpr std::int64_t kGemmWorkspaceBytes = 32 * kMiB;
+
 Sizes ComputeSizes(const ModelConfig& config, const TraceGenOptions& options) {
-  const std::int64_t b = options.batch;
   const std::int64_t s = options.seq_local;
   const std::int64_t tp = options.tensor_parallel;
   // A shard is at least one element, however wide the TP group.
   constexpr std::int64_t kElement = ModelConfig::kBytesPerElement;
   Sizes sizes;
   sizes.unit =
-      std::max<std::int64_t>(b * s * config.hidden * kElement / tp, kElement);
-  sizes.ffn = std::max<std::int64_t>(
-      b * s * config.ffn_hidden * kElement / tp, kElement);
+      std::max<std::int64_t>(s * config.hidden * kElement / tp, kElement);
+  sizes.ffn =
+      std::max<std::int64_t>(s * config.ffn_hidden * kElement / tp, kElement);
   sizes.kv = std::max<std::int64_t>(
       static_cast<std::int64_t>(sizes.unit * config.kv_ratio()), kElement);
   sizes.gathered = sizes.unit * tp;
-  sizes.rstd = std::max<std::int64_t>(b * s * 4 / tp, 4);
-  sizes.lse = std::max<std::int64_t>(b * s * config.num_heads * 4 / tp, 4);
-  sizes.workspace = options.gemm_workspace_bytes;
+  sizes.rstd = std::max<std::int64_t>(s * 4 / tp, 4);
+  sizes.lse = std::max<std::int64_t>(s * config.num_heads * 4 / tp, 4);
+  sizes.workspace = kGemmWorkspaceBytes;
   sizes.logits_chunk = std::max<std::int64_t>(
-      b * (s / options.classifier_chunks) * config.vocab *
+      (s / options.classifier_chunks) * config.vocab *
           ModelConfig::kBytesPerElement / tp,
       ModelConfig::kBytesPerElement);
   sizes.tp = tp;

@@ -40,15 +40,14 @@ struct MemoryRequest {
 enum class ActivationMode { kRetainAll, kFullRecompute, kMemoBuffers };
 
 /// Parameters of trace generation for one GPU rank.
+/// Each rank processes one sequence per iteration (batch 1), and every
+/// GEMM takes a 32 MiB cuBLAS-style workspace.
 struct TraceGenOptions {
-  std::int64_t batch = 1;
   /// Tokens held by this rank (already divided by CP/SP sharding).
   std::int64_t seq_local = 0;
   /// Tensor-parallel degree (shards hidden/ffn/head dimensions).
   std::int64_t tensor_parallel = 1;
   ActivationMode mode = ActivationMode::kRetainAll;
-  /// cuBLAS-style per-GEMM workspace allocation.
-  std::int64_t gemm_workspace_bytes = 32 * kMiB;
   /// The classifier materializes logits in this many sequence chunks
   /// (Megatron-style chunked vocab-parallel cross entropy).
   int classifier_chunks = 8;

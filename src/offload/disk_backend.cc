@@ -15,6 +15,7 @@
 #include "common/fault_injector.h"
 #include "common/fingerprint.h"
 #include "common/logging.h"
+#include "common/retry.h"
 #include "common/thread_pool.h"
 #include "common/units.h"
 #include "obs/metrics.h"
@@ -36,6 +37,9 @@ std::string SpillDirectory(const DiskBackendOptions& options) {
   return tmp != nullptr && tmp[0] != '\0' ? tmp : "/tmp";
 }
 
+/// Each page write and read-back runs under the default policy.
+constexpr RetryPolicy kPageRetry{};
+
 /// Process-wide counter so concurrent stores get distinct spill files.
 std::int64_t NextFileId() {
   static std::atomic<std::int64_t> counter{0};
@@ -47,6 +51,10 @@ std::int64_t NextFileId() {
 DiskBackend::DiskBackend(const DiskBackendOptions& options)
     : options_(options) {
   MEMO_CHECK_GT(options_.page_bytes, 0);
+  MEMO_CHECK(options_.bytes_per_second == 0.0 ||
+             options_.bytes_per_second >= kMinDiskBytesPerSecond)
+      << "disk throttle of " << options_.bytes_per_second
+      << " bytes/s is below 1 MB/s";
 }
 
 DiskBackend::~DiskBackend() {
@@ -131,7 +139,7 @@ Status DiskBackend::Put(std::int64_t key, std::string_view blob) {
           const char* payload = blob.data() + offset;
           p.checksum = Fnv1a64(payload, static_cast<std::size_t>(
                                             p.payload_len));
-          page_status[i] = options_.retry.Run(
+          page_status[i] = kPageRetry.Run(
               "disk.page_write", [&]() -> Status {
                 MEMO_RETURN_IF_ERROR(
                     FaultInjector::Global().MaybeFail("disk.page_write"));
@@ -204,7 +212,7 @@ Status DiskBackend::ReadPages(const std::vector<PageRef>& pages,
         for (std::int64_t i = begin; i < end; ++i) {
           const PageRef& p = pages[i];
           char* payload = blob->data() + i * page;
-          page_status[i] = options_.retry.Run(
+          page_status[i] = kPageRetry.Run(
               "disk.page_read", [&]() -> Status {
                 MEMO_RETURN_IF_ERROR(
                     FaultInjector::Global().MaybeFail("disk.page_read"));

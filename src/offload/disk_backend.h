@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/retry.h"
 #include "common/status.h"
 
 namespace memo::offload {
@@ -51,14 +50,15 @@ struct DiskBackendOptions {
   std::int64_t page_bytes = 256 * 1024;
   /// Directory for the spill file; empty = TMPDIR or /tmp.
   std::string directory;
-  /// Emulated sustained bandwidth in bytes/s (0 = unthrottled). Lets the
-  /// bench distinguish an NVMe-class tier (~6 GB/s) from PCIe host RAM.
+  /// Emulated sustained bandwidth in bytes/s (0 = unthrottled; otherwise
+  /// at least kMinDiskBytesPerSecond). Lets the bench distinguish an
+  /// NVMe-class tier (~6 GB/s) from PCIe host RAM.
   double bytes_per_second = 0.0;
-  /// Per-page I/O retry policy: a transient pwrite/pread fault (including
-  /// the injected kind) is re-attempted with backoff before the page error
-  /// surfaces from Put/TakeInto.
-  RetryPolicy retry;
 };
+
+/// Slowest throttle a disk tier takes: 1 MB/s. Far slower rates make a
+/// blob's emulated wait too long to count in int64 microseconds.
+inline constexpr double kMinDiskBytesPerSecond = 1e6;
 
 /// Where the stash of one train::ActivationStore lives.
 enum class BackendKind {
@@ -75,11 +75,6 @@ struct BackendOptions {
   /// kTiered it spills to the disk tier instead.
   std::int64_t ram_capacity_bytes = 0;
   DiskBackendOptions disk;
-  /// Whole-operation retry policy applied by ActivationStore around each
-  /// blob's put and take (on top of the disk tier's own per-page retries).
-  /// A failed put or take leaves the blob and the tiers unchanged, so
-  /// re-attempting the whole blob is always safe.
-  RetryPolicy retry;
 };
 
 /// NVMe-analog spill tier: blobs are split into fixed-size pages, each
@@ -96,8 +91,8 @@ struct BackendOptions {
 ///
 /// Fault tolerance: every page write and read consults the shared
 /// FaultInjector (sites "disk.page_write" / "disk.page_read") and runs
-/// under the per-page RetryPolicy of DiskBackendOptions, so transient I/O
-/// faults are absorbed with backoff before a Status ever surfaces. A failed
+/// under a per-page RetryPolicy with its default attempts and backoff, so
+/// transient I/O faults are absorbed before a Status ever surfaces. A failed
 /// Put frees its slots and leaves no trace; a failed TakeInto leaves the
 /// blob's pages resident and readable, so the caller may retry the whole
 /// operation without losing data.

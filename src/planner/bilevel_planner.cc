@@ -41,8 +41,7 @@ struct SegmentPlan {
 };
 
 StatusOr<SegmentPlan> PlanSegment(const model::ModelTrace& trace,
-                                  const model::TraceSegment& segment,
-                                  const solver::DsaSolveOptions& options) {
+                                  const model::TraceSegment& segment) {
   const std::set<std::int64_t> local =
       LocalTensors(trace, segment.begin, segment.end);
   std::vector<model::MemoryRequest> requests;
@@ -52,7 +51,7 @@ StatusOr<SegmentPlan> PlanSegment(const model::ModelTrace& trace,
   }
   MEMO_ASSIGN_OR_RETURN(solver::DsaInstance instance,
                         solver::DsaInstance::FromRequests(requests));
-  const solver::DsaAssignment assignment = solver::SolveDsa(instance, options);
+  const solver::DsaAssignment assignment = solver::SolveDsa(instance);
   MEMO_RETURN_IF_ERROR(solver::ValidateDsaAssignment(instance, assignment));
 
   SegmentPlan plan;
@@ -70,8 +69,7 @@ StatusOr<SegmentPlan> PlanSegment(const model::ModelTrace& trace,
 
 }  // namespace
 
-StatusOr<MemoryPlan> PlanMemory(const model::ModelTrace& trace,
-                                const PlannerOptions& options) {
+StatusOr<MemoryPlan> PlanMemory(const model::ModelTrace& trace) {
   MEMO_RETURN_IF_ERROR(trace.Validate());
   MemoryPlan plan;
 
@@ -98,13 +96,13 @@ StatusOr<MemoryPlan> PlanMemory(const model::ModelTrace& trace,
     if (fwd_template != nullptr) {
       solves.push_back([&] {
         MEMO_TRACE_SCOPE("dsa_solve_fwd", "planner");
-        fwd_result = PlanSegment(trace, *fwd_template, options.level1);
+        fwd_result = PlanSegment(trace, *fwd_template);
       });
     }
     if (bwd_template != nullptr) {
       solves.push_back([&] {
         MEMO_TRACE_SCOPE("dsa_solve_bwd", "planner");
-        bwd_result = PlanSegment(trace, *bwd_template, options.level1);
+        bwd_result = PlanSegment(trace, *bwd_template);
       });
     }
     ThreadPool::Global().RunTasks(solves);
@@ -174,7 +172,7 @@ StatusOr<MemoryPlan> PlanMemory(const model::ModelTrace& trace,
   MEMO_TRACE_SCOPE_ARG("dsa_solve_level2", "planner", "tensors",
                        plan.level2_tensors);
   const solver::DsaAssignment level2_assignment =
-      solver::SolveDsa(level2_instance, options.level2);
+      solver::SolveDsa(level2_instance);
   MEMO_RETURN_IF_ERROR(
       solver::ValidateDsaAssignment(level2_instance, level2_assignment));
   plan.arena_bytes = level2_assignment.peak;

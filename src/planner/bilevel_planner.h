@@ -32,11 +32,6 @@ struct MemoryPlan {
   int level2_tensors = 0;
 };
 
-struct PlannerOptions {
-  solver::DsaSolveOptions level1;
-  solver::DsaSolveOptions level2;
-};
-
 /// Runs the bi-level planning algorithm of §4.2 on an iteration trace:
 ///   1. level 1: solve the offline DSA for the tensors local to one
 ///      representative transformer-layer forward (and backward) segment —
@@ -48,8 +43,7 @@ struct PlannerOptions {
 ///      their true lifetimes);
 ///   4. compose final addresses = pseudo base + level-1 relative address.
 /// The returned plan is verified (see VerifyPlan) before being returned.
-StatusOr<MemoryPlan> PlanMemory(const model::ModelTrace& trace,
-                                const PlannerOptions& options = {});
+StatusOr<MemoryPlan> PlanMemory(const model::ModelTrace& trace);
 
 /// Replays `trace` against the plan with overlap checking (PlanAllocator);
 /// returns an error if any placement conflicts or exceeds the arena.

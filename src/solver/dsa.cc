@@ -351,19 +351,17 @@ StatusOr<DsaAssignment> SolveDsaExact(const DsaInstance& instance,
   return result;
 }
 
-DsaAssignment SolveDsa(const DsaInstance& instance,
-                       const DsaSolveOptions& options) {
+DsaAssignment SolveDsa(const DsaInstance& instance) {
   DsaAssignment best = SolveDsaBestFit(instance);
   if (best.proved_optimal) return best;
   const DsaAssignment ffd = SolveDsaFirstFitDecreasing(instance);
   if (ffd.peak < best.peak) best = ffd;
   if (best.proved_optimal) return best;
-  if (static_cast<int>(instance.tensors.size()) > options.exact_tensor_limit ||
-      static_cast<int>(instance.OverlapPairs().size()) >
-          options.exact_pair_limit) {
+  if (static_cast<int>(instance.tensors.size()) > kExactTensorLimit ||
+      static_cast<int>(instance.OverlapPairs().size()) > kExactPairLimit) {
     return best;
   }
-  auto exact = SolveDsaExact(instance, options.mip);
+  auto exact = SolveDsaExact(instance, kExactMipBudget);
   if (!exact.ok()) return best;
   return exact->peak < best.peak ? *exact : best;
 }

@@ -85,22 +85,22 @@ DsaAssignment SolveDsaFirstFitDecreasing(const DsaInstance& instance);
 StatusOr<DsaAssignment> SolveDsaExact(const DsaInstance& instance,
                                       const MipOptions& options = {});
 
-struct DsaSolveOptions {
-  /// Run the exact MIP when best-fit is not provably optimal and the
-  /// instance has at most this many tensors...
-  int exact_tensor_limit = 12;
-  /// ...and at most this many overlapping pairs (each pair is one binary
-  /// variable; branch-and-bound cost grows exponentially in this count).
-  int exact_pair_limit = 40;
-  MipOptions mip = MipOptions{.max_nodes = 2000, .absolute_gap = 1e-6};
-};
+/// SolveDsa runs the exact MIP when neither heuristic is provably optimal
+/// and the instance has at most kExactTensorLimit tensors...
+inline constexpr int kExactTensorLimit = 12;
+/// ...and at most kExactPairLimit overlapping pairs (each pair is one
+/// binary variable; branch-and-bound cost grows exponentially in this
+/// count)...
+inline constexpr int kExactPairLimit = 40;
+/// ...under this branch-and-bound budget.
+inline constexpr MipOptions kExactMipBudget{.max_nodes = 2000,
+                                            .absolute_gap = 1e-6};
 
 /// The production entry point (used by the bi-level planner): best-fit
 /// first; if its peak meets the max-live lower bound the result is certified
 /// optimal. Otherwise, small instances go through the exact MIP and the
 /// better of the two placements wins.
-DsaAssignment SolveDsa(const DsaInstance& instance,
-                       const DsaSolveOptions& options = {});
+DsaAssignment SolveDsa(const DsaInstance& instance);
 
 }  // namespace memo::solver
 

@@ -84,6 +84,12 @@ StatusOr<model::WorkloadTrace> ReadWorkload(const TraceReader& reader) {
       seg.layer = entry.layer;
       trace.segments.push_back(std::move(seg));
     }
+    // The replay asserts this pairing, so a file that breaks it stops here.
+    if (const Status valid = trace.Validate(); !valid.ok()) {
+      return InvalidArgumentError(
+          "trace iteration " + std::to_string(workload.iterations.size()) +
+          ": " + valid.message());
+    }
     workload.iterations.push_back(std::move(trace));
   }
   MEMO_RETURN_IF_ERROR(workload.CheckLiveBytes());

@@ -19,9 +19,10 @@ std::string EncodeWorkload(const model::WorkloadTrace& workload,
                            const TraceWriterOptions& options = {});
 
 /// A decoded trace in workload form. Traces written without iteration
-/// entries decode as one iteration. A trace that holds more than
-/// model::kMaxLiveBytes live is INVALID_ARGUMENT
-/// (WorkloadTrace::CheckLiveBytes).
+/// entries decode as one iteration. An iteration whose mallocs and frees do
+/// not pair (ModelTrace::Validate) or a trace that holds more than
+/// model::kMaxLiveBytes live (WorkloadTrace::CheckLiveBytes) is
+/// INVALID_ARGUMENT.
 StatusOr<model::WorkloadTrace> ReadWorkload(const TraceReader& reader);
 
 /// One-call file round trip; the file is written in place.

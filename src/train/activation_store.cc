@@ -7,8 +7,10 @@
 #include <utility>
 
 #include "common/fault_injector.h"
+#include "common/retry.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
+#include "train/kernels/kernels.h"
 #include "train/ops.h"
 #include "train/tensor_arena.h"
 
@@ -17,6 +19,12 @@ namespace memo::train {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/// Whole-blob retry around each put and take, on top of the disk tier's
+/// per-page retries. Safe because a failed put or take leaves both the
+/// blob and the tiers unchanged, so re-attempting the full operation
+/// cannot lose data.
+constexpr RetryPolicy kBlobRetry{};
 
 double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -83,7 +91,7 @@ void WriteBlob(const LayerActivations& a, std::int64_t cut,
 /// Copies a blob's kept rows into the first rows of full-size tensors: the
 /// one H2D-analog copy of a restore. A tensor already of the full shape (a
 /// recycled restore set) keeps its buffer; any other is reallocated
-/// uninitialized, since RecomputeRows rewrites every row past the cut.
+/// uninitialized, since LayerForwardRows rewrites every row past the cut.
 /// Returns whether it allocated.
 bool ReadBlob(const std::string& blob, LayerActivations* acts) {
   const char* p = blob.data();
@@ -129,36 +137,9 @@ LayerActivations ShapedLike(const LayerActivations& acts) {
   return set;
 }
 
-/// Replays the token-parallel forward ops for rows [cut, s) of a full-size
-/// activation set, exactly as the runtime executor schedules recomputation
-/// before the layer's backward pass (Fig. 11). The attention output is
-/// available in full, so the O(s^2) attention is never recomputed.
-void RecomputeRows(const LayerParams& params, std::int64_t cut,
-                   std::int64_t s, LayerActivations* acts) {
-  const std::int64_t h = acts->input.cols();
-  const Tensor kNoBias;
-  LayerNormForwardRows(acts->input, params.ln1_g, params.ln1_b, cut, s,
-                       &acts->ln1_out, &acts->ln1_rstd);
-  LinearForwardRows(acts->ln1_out, params.wq, kNoBias, cut, s, &acts->q);
-  LinearForwardRows(acts->ln1_out, params.wk, kNoBias, cut, s, &acts->k);
-  LinearForwardRows(acts->ln1_out, params.wv, kNoBias, cut, s, &acts->v);
-  LinearForwardRows(acts->attn_out, params.wo, kNoBias, cut, s,
-                    &acts->proj_out);
-  // resid1 rows = input + proj_out (recomputed on the fly for ln2).
-  Tensor resid1(s, h);
-  for (std::int64_t r = cut; r < s; ++r) {
-    const float* xi = acts->input.row(r);
-    const float* pi = acts->proj_out.row(r);
-    float* ri = resid1.row(r);
-    for (std::int64_t i = 0; i < h; ++i) ri[i] = xi[i] + pi[i];
-  }
-  // Fused ln2 -> fc1 -> gelu, the same call the forward pass makes: row-wise
-  // data flow plus the bit-identical fusion contract means the recomputed
-  // rows reproduce the original activations exactly.
-  LayerNormLinearGeluForwardRows(resid1, params.ln2_g, params.ln2_b,
-                                 params.w1, params.b1, cut, s, &acts->ln2_out,
-                                 &acts->ln2_rstd, &acts->fc1_out,
-                                 &acts->gelu_out);
+/// Gives `t` the shape [rows, cols], allocating only when it has another.
+void EnsureShape(Tensor* t, std::int64_t rows, std::int64_t cols) {
+  if (t->rows() != rows || t->cols() != cols) *t = Tensor(rows, cols);
 }
 
 /// In an async store the compute thread runs fwd and bwd, the disk lane the
@@ -185,6 +166,49 @@ void CheckDue(const std::vector<model::SwapOp>& schedule, std::size_t due,
 
 }  // namespace
 
+Tensor LayerForwardRows(const LayerParams& params, int heads,
+                        std::int64_t begin, std::int64_t end,
+                        LayerActivations* acts) {
+  const Tensor& x = acts->input;
+  const std::int64_t s = x.rows();
+  const std::int64_t h = x.cols();
+  const std::int64_t ffn = params.w1.cols();
+  const Tensor kNoBias;
+  EnsureShape(&acts->ln1_out, s, h);
+  EnsureShape(&acts->ln1_rstd, s, 1);
+  LayerNormForwardRows(x, params.ln1_g, params.ln1_b, begin, end,
+                       &acts->ln1_out, &acts->ln1_rstd);
+  EnsureShape(&acts->q, s, h);
+  EnsureShape(&acts->k, s, h);
+  EnsureShape(&acts->v, s, h);
+  LinearForwardRows(acts->ln1_out, params.wq, kNoBias, begin, end, &acts->q);
+  LinearForwardRows(acts->ln1_out, params.wk, kNoBias, begin, end, &acts->k);
+  LinearForwardRows(acts->ln1_out, params.wv, kNoBias, begin, end, &acts->v);
+  if (heads > 0) {
+    acts->attn_out = Tensor(s, h);
+    AttentionForward(acts->q, acts->k, acts->v, heads, &acts->attn_out);
+  }
+  EnsureShape(&acts->proj_out, s, h);
+  LinearForwardRows(acts->attn_out, params.wo, kNoBias, begin, end,
+                    &acts->proj_out);
+  // One rounded add per element at every SIMD level.
+  Tensor resid1(s, h);
+  kernels::Active().add(resid1.row(begin), x.row(begin),
+                        acts->proj_out.row(begin), (end - begin) * h);
+  EnsureShape(&acts->ln2_out, s, h);
+  EnsureShape(&acts->ln2_rstd, s, 1);
+  EnsureShape(&acts->fc1_out, s, ffn);
+  EnsureShape(&acts->gelu_out, s, ffn);
+  // Fused ln2 -> fc1 -> gelu: bit-identical to the unfused sequence, but
+  // the fc1 pre-activation never round-trips through memory before the
+  // GELU.
+  LayerNormLinearGeluForwardRows(resid1, params.ln2_g, params.ln2_b,
+                                 params.w1, params.b1, begin, end,
+                                 &acts->ln2_out, &acts->ln2_rstd,
+                                 &acts->fc1_out, &acts->gelu_out);
+  return resid1;
+}
+
 ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
                                  int layers, bool async_offload,
                                  const offload::BackendOptions& backend,
@@ -194,7 +218,6 @@ ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
       layers_(layers),
       kind_(backend.kind),
       ram_capacity_bytes_(backend.ram_capacity_bytes),
-      retry_(backend.retry),
       staging_(staging != nullptr ? staging : &own_staging_) {
   MEMO_CHECK_GE(alpha, 0.0);
   MEMO_CHECK_LE(alpha, 1.0);
@@ -244,7 +267,7 @@ Status ActivationStore::Stash(int layer, LayerActivations&& acts) {
   const bool keep = Keeps(layer);
   std::unique_lock<std::mutex> lock(mu_);
   // A backend failure is sticky in both modes: once the stash lost (or
-  // failed to accept) data the rest of this micro-step cannot be trusted,
+  // failed to accept) data the rest of this step cannot be trusted,
   // so every later call reports the original fault.
   if (!backend_error_.ok()) return backend_error_;
   if (policy_ == ActivationPolicy::kRetainAll) {
@@ -316,7 +339,7 @@ StatusOr<LayerActivations> ActivationStore::Restore(
   if (cut < s) {
     MEMO_TRACE_SCOPE_ARG("recompute", "train", "layer", layer);
     recomputed_rows_ += s - cut;
-    RecomputeRows(params, cut, s, &acts);
+    LayerForwardRows(params, /*heads=*/0, cut, s, &acts);
   }
   return acts;
 }
@@ -440,7 +463,7 @@ Status ActivationStore::PutBlob(int layer) {
   // untouched, so re-running the operation is lossless. The
   // "copier.offload" fault site models a failed D2H-analog transfer, before
   // any tier changes.
-  const Status st = retry_.Run("stash.put", [&]() -> Status {
+  const Status st = kBlobRetry.Run("stash.put", [&]() -> Status {
     MEMO_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("copier.offload"));
     bool spill = kind_ == offload::BackendKind::kDisk;
     if (kind_ == offload::BackendKind::kTiered) {
@@ -538,7 +561,7 @@ Status ActivationStore::TakeBlob(int layer) {
   // other thread is blocked on disk I/O. A failed take leaves the blob
   // where it was, so the whole operation can be retried without a spurious
   // not-found.
-  const Status st = retry_.Run("restore.take", [&]() -> Status {
+  const Status st = kBlobRetry.Run("restore.take", [&]() -> Status {
     if (on_disk) return disk_->TakeInto(layer, &slot.blob.bytes);
     const Clock::time_point start = Clock::now();
     MEMO_RETURN_IF_ERROR(FaultInjector::Global().MaybeFail("ram.take"));

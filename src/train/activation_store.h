@@ -42,6 +42,21 @@ struct LayerParams {
   Tensor w2, b2;       // [ffn, h], [1, h]
 };
 
+/// The token-parallel forward ops of one transformer layer over rows
+/// [begin, end) of `acts`, whose `input` holds the layer input: ln1, the
+/// q/k/v projections, the attention output projection, the first residual
+/// add and the fused ln2 -> fc1 -> GELU. Returns the residual sum
+/// input + proj_out, written on those rows. With `heads` > 0 the causal
+/// attention over all rows runs between the q/k/v and output projections;
+/// with 0, `acts->attn_out` holds the stashed attention output and the
+/// O(s^2) attention does not run. An activation not yet of the layer's
+/// shape is allocated. The layer forward runs this on every row and a
+/// restore on the rows past the cut, so each op being row-wise makes a
+/// recomputed row the forward's own, bit for bit.
+Tensor LayerForwardRows(const LayerParams& params, int heads,
+                        std::int64_t begin, std::int64_t end,
+                        LayerActivations* acts);
+
 /// How skeletal activations are managed between a layer's forward and
 /// backward passes.
 enum class ActivationPolicy {
@@ -97,7 +112,7 @@ struct OffloadStats {
   }
 };
 
-/// Host memory a store stages transfers in, recycled from one micro-step's
+/// Host memory a store stages transfers in, recycled from one step's
 /// store to the next: serialized blob buffers, and the full-size restore
 /// sets an async store's copier fills for backward. The training run owns
 /// one, outside the arena scope, so only its first iteration allocates
@@ -281,10 +296,6 @@ class ActivationStore {
   offload::BackendKind kind_;
   std::int64_t ram_capacity_bytes_;
   std::unique_ptr<offload::DiskBackend> disk_;
-  /// Whole-blob retry around each put and take (BackendOptions.retry).
-  /// Safe because a failed put or take leaves both the blob and the tiers
-  /// unchanged, so re-attempting the full operation cannot lose data.
-  RetryPolicy retry_;
   HostStaging own_staging_;
   HostStaging* staging_;  // the run's, or own_staging_
 

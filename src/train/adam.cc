@@ -28,8 +28,8 @@ void Adam::Step(const std::vector<Tensor*>& params,
   EnsureState(params);
   MEMO_CHECK_EQ(params.size(), m_.size());
   ++step_;
-  const double bias1 = 1.0 - std::pow(options_.beta1, step_);
-  const double bias2 = 1.0 - std::pow(options_.beta2, step_);
+  const double bias1 = 1.0 - std::pow(kBeta1, step_);
+  const double bias2 = 1.0 - std::pow(kBeta2, step_);
   const kernels::KernelTable& K = kernels::Active();
   for (std::size_t t = 0; t < params.size(); ++t) {
     Tensor& p = *params[t];
@@ -43,8 +43,8 @@ void Adam::Step(const std::vector<Tensor*>& params,
     ThreadPool::Global().ParallelFor(
         0, p.size(), kAdamGrain, [&](std::int64_t i0, std::int64_t i1) {
           K.adam_update(p.data() + i0, m.data() + i0, v.data() + i0,
-                        g.data() + i0, i1 - i0, options_.beta1, options_.beta2,
-                        options_.lr, options_.eps, bias1, bias2);
+                        g.data() + i0, i1 - i0, kBeta1, kBeta2, kLr, kEps,
+                        bias1, bias2);
         });
   }
 }

@@ -7,22 +7,14 @@
 
 namespace memo::train {
 
-/// Standard Adam optimizer over a flat list of parameter tensors.
+/// Standard Adam optimizer over a flat list of parameter tensors, at a
+/// fixed learning rate.
 class Adam {
  public:
-  struct Options {
-    double lr = 1e-3;
-    double beta1 = 0.9;
-    double beta2 = 0.999;
-    double eps = 1e-8;
-  };
-
-  explicit Adam(const Options& options) : options_(options) {}
-
-  /// Replaces the hyper-parameters (used by learning-rate schedules; moment
-  /// buffers and the step count are preserved).
-  void set_options(const Options& options) { options_ = options; }
-  const Options& options() const { return options_; }
+  static constexpr double kLr = 1e-3;
+  static constexpr double kBeta1 = 0.9;
+  static constexpr double kBeta2 = 0.999;
+  static constexpr double kEps = 1e-8;
 
   /// Applies one step: params[i] -= lr * m_hat / (sqrt(v_hat) + eps).
   /// Moment buffers are created lazily on the first call; the tensor list
@@ -52,7 +44,6 @@ class Adam {
   }
 
  private:
-  Options options_;
   int step_ = 0;
   std::vector<Tensor> m_;
   std::vector<Tensor> v_;

@@ -18,7 +18,9 @@ namespace {
 
 /// File layout: magic, payload byte count, FNV-1a 64 checksum of the
 /// payload, then the payload itself, every field little-endian
-/// (common/file_io.h).
+/// (common/file_io.h). The payload's second f64 series (per-step gradient
+/// norms) is written empty and skipped on read, keeping the layout that
+/// existing files have.
 constexpr char kMagic[8] = {'M', 'E', 'M', 'O', 'C', 'K', 'P', '1'};
 constexpr const char* kSuffix = ".memockpt";
 
@@ -86,7 +88,7 @@ std::string Serialize(const CheckpointState& state) {
   out.I64(state.adam_step);
   out.I64(state.degraded ? 1 : 0);
   PutDoubles(&out, state.losses);
-  PutDoubles(&out, state.grad_norms);
+  PutDoubles(&out, {});
   PutTensors(&out, state.params);
   PutTensors(&out, state.adam_m);
   PutTensors(&out, state.adam_v);
@@ -105,8 +107,9 @@ StatusOr<CheckpointState> Deserialize(std::string_view payload,
   MEMO_RETURN_IF_ERROR(in.I64(&state.adam_step));
   MEMO_RETURN_IF_ERROR(in.I64(&degraded));
   state.degraded = degraded != 0;
+  std::vector<double> grad_norms;
   MEMO_RETURN_IF_ERROR(GetDoubles(&in, &state.losses));
-  MEMO_RETURN_IF_ERROR(GetDoubles(&in, &state.grad_norms));
+  MEMO_RETURN_IF_ERROR(GetDoubles(&in, &grad_norms));
   MEMO_RETURN_IF_ERROR(GetTensors(&in, &state.params));
   MEMO_RETURN_IF_ERROR(GetTensors(&in, &state.adam_m));
   MEMO_RETURN_IF_ERROR(GetTensors(&in, &state.adam_v));

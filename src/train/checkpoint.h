@@ -18,8 +18,8 @@ namespace memo::train {
 /// replays the exact remaining token stream).
 struct CheckpointState {
   /// FNV-1a fingerprint of the run configuration (model dims, seed, policy,
-  /// alpha, batch, optimizer hyper-parameters, ...). A resume against a
-  /// different configuration is rejected instead of silently diverging.
+  /// alpha, iterations, ...). A resume against a different configuration
+  /// is rejected instead of silently diverging.
   std::uint64_t config_fingerprint = 0;
   /// Training iterations completed when the checkpoint was taken.
   std::int64_t step = 0;
@@ -31,11 +31,10 @@ struct CheckpointState {
   /// Whether the run had already degraded (lost its disk tier) — sticky
   /// across a resume so the restarted run does not retry a dead device.
   bool degraded = false;
-  std::vector<double> losses;      // per-iteration losses so far
-  std::vector<double> grad_norms;  // pre-clip norms so far (may be empty)
-  std::vector<Tensor> params;      // MiniGptParams::Flat order
-  std::vector<Tensor> adam_m;      // first moments, same order
-  std::vector<Tensor> adam_v;      // second moments, same order
+  std::vector<double> losses;  // per-iteration losses so far
+  std::vector<Tensor> params;  // MiniGptParams::Flat order
+  std::vector<Tensor> adam_m;  // first moments, same order
+  std::vector<Tensor> adam_v;  // second moments, same order
 };
 
 /// Canonical file name of the checkpoint taken after `step` iterations,

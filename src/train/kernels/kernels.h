@@ -43,14 +43,12 @@ inline constexpr std::int64_t kAttnRowTile = 4;
 struct KernelTable {
   SimdLevel level = SimdLevel::kScalar;
 
-  // ---- Elementwise kernels: one add or mul per element, so lane width
-  // cannot change rounding and all three are bit-identical at EVERY level.
+  // ---- Elementwise kernels: one add per element, so lane width cannot
+  // change rounding and both are bit-identical at EVERY level.
   /// y[i] += x[i].
   void (*acc)(float* y, const float* x, std::int64_t n);
   /// out[i] = a[i] + b[i].
   void (*add)(float* out, const float* a, const float* b, std::int64_t n);
-  /// y[i] *= a.
-  void (*scale)(float* y, float a, std::int64_t n);
 
   // ---- GEMM inner kernel (FMA on SIMD paths: the intermediate products
   // are not rounded, so results differ from scalar in the last ulp).

@@ -21,10 +21,6 @@ void Add(float* out, const float* a, const float* b, std::int64_t n) {
   for (std::int64_t i = 0; i < n; ++i) out[i] = a[i] + b[i];
 }
 
-void Scale(float* y, float a, std::int64_t n) {
-  for (std::int64_t i = 0; i < n; ++i) y[i] *= a;
-}
-
 float Dot(const float* a, const float* b, std::int64_t n) {
   float acc = 0.0f;
   for (std::int64_t i = 0; i < n; ++i) acc += a[i] * b[i];
@@ -296,7 +292,6 @@ const KernelTable& ScalarKernels() {
       .level = SimdLevel::kScalar,
       .acc = &Acc,
       .add = &Add,
-      .scale = &Scale,
       .gemm_tile = &GemmTile,
       .sum = &Sum,
       .sumsq_centered = &SumsqCentered,

@@ -73,40 +73,11 @@ namespace {
 /// output (input of the next layer).
 Tensor LayerForward(const LayerParams& l, int heads, const Tensor& x,
                     LayerActivations* acts) {
-  const std::int64_t s = x.rows();
-  const std::int64_t h = x.cols();
-  const Tensor kNoBias;
-
   acts->input = x;
-  acts->ln1_out = Tensor(s, h);
-  acts->ln1_rstd = Tensor(s, 1);
-  LayerNormForward(x, l.ln1_g, l.ln1_b, &acts->ln1_out, &acts->ln1_rstd);
-  acts->q = Tensor(s, h);
-  acts->k = Tensor(s, h);
-  acts->v = Tensor(s, h);
-  LinearForward(acts->ln1_out, l.wq, kNoBias, &acts->q);
-  LinearForward(acts->ln1_out, l.wk, kNoBias, &acts->k);
-  LinearForward(acts->ln1_out, l.wv, kNoBias, &acts->v);
-  acts->attn_out = Tensor(s, h);
-  AttentionForward(acts->q, acts->k, acts->v, heads, &acts->attn_out);
-  acts->proj_out = Tensor(s, h);
-  LinearForward(acts->attn_out, l.wo, kNoBias, &acts->proj_out);
-
-  Tensor resid1(s, h);
-  AddInto(x, acts->proj_out, &resid1);
-  acts->ln2_out = Tensor(s, h);
-  acts->ln2_rstd = Tensor(s, 1);
-  acts->fc1_out = Tensor(s, l.w1.cols());
-  acts->gelu_out = Tensor(s, l.w1.cols());
-  // Fused ln2 -> fc1 -> gelu: bit-identical to the unfused sequence but the
-  // fc1 pre-activation never round-trips through memory before the GELU.
-  LayerNormLinearGeluForwardRows(resid1, l.ln2_g, l.ln2_b, l.w1, l.b1, 0, s,
-                                 &acts->ln2_out, &acts->ln2_rstd,
-                                 &acts->fc1_out, &acts->gelu_out);
-  Tensor fc2_out(s, h);
+  const Tensor resid1 = LayerForwardRows(l, heads, 0, x.rows(), acts);
+  Tensor fc2_out(x.rows(), x.cols());
   LinearForward(acts->gelu_out, l.w2, l.b2, &fc2_out);
-
-  Tensor out(s, h);
+  Tensor out(x.rows(), x.cols());
   AddInto(resid1, fc2_out, &out);
   return out;
 }

@@ -14,14 +14,13 @@
 #include "obs/trace_recorder.h"
 #include "common/fingerprint.h"
 #include "common/table_printer.h"
+#include "train/adam.h"
 #include "train/checkpoint.h"
-#include "train/kernels/kernels.h"
 #include "train/tensor_arena.h"
 
 namespace memo::train {
 
-SyntheticData::SyntheticData(int vocab, double fidelity, std::uint64_t seed)
-    : fidelity_(fidelity), rng_(seed) {
+SyntheticData::SyntheticData(int vocab, std::uint64_t seed) : rng_(seed) {
   permutation_.resize(vocab);
   for (int i = 0; i < vocab; ++i) permutation_[i] = i;
   // Fisher-Yates with the deterministic RNG.
@@ -40,26 +39,13 @@ void SyntheticData::NextSequence(int len, std::vector<int>* tokens,
   int current = last_token_;
   for (int i = 0; i < len; ++i) {
     (*tokens)[i] = current;
-    const int next = rng_.NextDouble() < fidelity_
+    const int next = rng_.NextDouble() < kFidelity
                          ? permutation_[current]
                          : static_cast<int>(rng_.NextBounded(vocab));
     (*targets)[i] = next;
     current = next;
   }
   last_token_ = current;
-}
-
-double LrSchedule::Multiplier(int iter, int total) const {
-  MEMO_CHECK_GT(total, 0);
-  const double progress = static_cast<double>(iter) / total;
-  if (warmup_fraction > 0.0 && progress < warmup_fraction) {
-    return progress / warmup_fraction;
-  }
-  if (!cosine_decay) return 1.0;
-  const double decay_progress =
-      (progress - warmup_fraction) / std::max(1e-12, 1.0 - warmup_fraction);
-  const double cosine = 0.5 * (1.0 + std::cos(M_PI * decay_progress));
-  return min_lr_fraction + (1.0 - min_lr_fraction) * cosine;
 }
 
 Status TrainRunOptions::Validate() const {
@@ -82,20 +68,17 @@ Status TrainRunOptions::Validate() const {
       {model.vocab >= 1, "vocab", "at least 1", 1.0 * model.vocab},
       {model.seq >= 1, "seq", "at least 1", 1.0 * model.seq},
       {iterations >= 1, "iterations", "at least 1", 1.0 * iterations},
-      {batch >= 1, "batch", "at least 1", 1.0 * batch},
       // A NaN fails every comparison, so the range tests reject it.
       {std::isfinite(alpha) && alpha >= 0.0 && alpha <= 1.0, "alpha",
        "in [0, 1]", alpha},
-      {grad_clip >= 0.0, "grad_clip", "at least 0 (0 = no clipping)",
-       grad_clip},
-      {data_fidelity >= 0.0 && data_fidelity <= 1.0, "data_fidelity",
-       "in [0, 1]", data_fidelity},
       {checkpoint_every >= 0, "checkpoint_every",
        "at least 0 (0 = no periodic saves)", 1.0 * checkpoint_every},
       {b.ram_capacity_bytes >= 0, "ram_capacity_bytes",
        "at least 0 (0 = unlimited)", static_cast<double>(b.ram_capacity_bytes)},
-      {b.disk.bytes_per_second >= 0.0, "disk.bytes_per_second",
-       "at least 0 (0 = unthrottled)", b.disk.bytes_per_second},
+      {b.disk.bytes_per_second == 0.0 ||
+           b.disk.bytes_per_second >= offload::kMinDiskBytesPerSecond,
+       "disk.bytes_per_second", "0 (unthrottled) or at least 1e6 (1 MB/s)",
+       b.disk.bytes_per_second},
       {b.disk.page_bytes > 0, "disk.page_bytes", "positive",
        static_cast<double>(b.disk.page_bytes)},
   };
@@ -119,6 +102,9 @@ namespace {
 /// Deliberately excludes the stash backend and async flag: the activation
 /// round trip is bit-exact on every backend, so a checkpoint taken on a
 /// tiered run may be resumed on RAM-only (that IS the degradation path).
+/// The batch, clipping, LR-schedule, optimizer and data keys hold
+/// constants; they stay so that checkpoints written by builds where these
+/// were options keep their fingerprint and still resume.
 std::uint64_t ConfigFingerprint(const TrainRunOptions& options) {
   std::string canon;
   const auto add = [&canon](const std::string& key, double value) {
@@ -133,17 +119,17 @@ std::uint64_t ConfigFingerprint(const TrainRunOptions& options) {
   add("policy", static_cast<int>(options.policy));
   add("alpha", options.alpha);
   add("iterations", options.iterations);
-  add("batch", options.batch);
-  add("grad_clip", options.grad_clip);
-  add("warmup", options.lr_schedule.warmup_fraction);
-  add("cosine", options.lr_schedule.cosine_decay ? 1 : 0);
-  add("min_lr", options.lr_schedule.min_lr_fraction);
+  add("batch", TrainRunOptions::batch);
+  add("grad_clip", 0.0);
+  add("warmup", 0.0);
+  add("cosine", 0);
+  add("min_lr", 0.1);
   add("seed", static_cast<double>(options.seed));
-  add("lr", options.adam.lr);
-  add("beta1", options.adam.beta1);
-  add("beta2", options.adam.beta2);
-  add("eps", options.adam.eps);
-  add("fidelity", options.data_fidelity);
+  add("lr", Adam::kLr);
+  add("beta1", Adam::kBeta1);
+  add("beta2", Adam::kBeta2);
+  add("eps", Adam::kEps);
+  add("fidelity", SyntheticData::kFidelity);
   return Fnv1a64(canon.data(), canon.size());
 }
 
@@ -156,29 +142,68 @@ offload::BackendOptions DegradedBackend() {
   return backend;
 }
 
-/// Per-iteration measurements, committed into the result only when every
-/// micro-step of the iteration succeeded (a faulted iteration is re-run
-/// from scratch, so its partial stats must not leak into the totals).
-struct IterationStats {
-  double loss_sum = 0.0;
-  std::int64_t peak_stored_bytes = 0;
-  std::int64_t recomputed_rows = 0;
-  OffloadStats offload_stats;
-};
+/// OK when `state`, a checksum-valid checkpoint with this run's
+/// fingerprint, fits the run: the checksum proves the bytes are the ones
+/// written, not that they suit this model. Each parameter has the model's
+/// shape, and so does each Adam moment unless no step has made them yet;
+/// the stream's last token is in the vocabulary; the step is within the
+/// run, with one loss and one Adam step per step. Otherwise INTERNAL
+/// naming the field.
+Status CheckResumable(const CheckpointState& state,
+                      const std::vector<Tensor*>& params,
+                      const TrainRunOptions& options) {
+  const std::size_t n = params.size();
+  const bool moments = !state.adam_m.empty() || !state.adam_v.empty();
+  if (state.params.size() != n ||
+      (moments && (state.adam_m.size() != n || state.adam_v.size() != n))) {
+    return InternalError(
+        "checkpoint parameter or moment count does not match the model");
+  }
+  for (const auto& [field, tensors] : {std::pair{"params", &state.params},
+                                       std::pair{"adam_m", &state.adam_m},
+                                       std::pair{"adam_v", &state.adam_v}}) {
+    for (std::size_t i = 0; i < tensors->size(); ++i) {
+      if ((*tensors)[i].rows() != params[i]->rows() ||
+          (*tensors)[i].cols() != params[i]->cols()) {
+        return InternalError(StrFormat(
+            "checkpoint %s[%zu] does not have its parameter's shape", field,
+            i));
+      }
+    }
+  }
+  if (state.last_token < 0 || state.last_token >= options.model.vocab) {
+    return InternalError(StrFormat(
+        "checkpoint last_token %lld is not in [0, %d)",
+        static_cast<long long>(state.last_token), options.model.vocab));
+  }
+  if (state.step < 0 || state.step > options.iterations ||
+      state.losses.size() != static_cast<std::size_t>(state.step) ||
+      state.adam_step != state.step) {
+    return InternalError(StrFormat(
+        "checkpoint step %lld (%zu losses, adam_step %lld) does not fit %d "
+        "iterations",
+        static_cast<long long>(state.step), state.losses.size(),
+        static_cast<long long>(state.adam_step), options.iterations));
+  }
+  return OkStatus();
+}
 
-/// Runs the `batch` micro-steps of one iteration: accumulates gradients
-/// into `grads` (pre-zeroed by the caller) and stats into `stats`. The
-/// sequences are pre-drawn so a re-run replays the identical data.
+/// Runs one iteration's forward and backward over the sequence `tokens`,
+/// accumulating gradients into `grads` (pre-zeroed by the caller). Only an
+/// iteration that succeeds adds its loss and stash measurements to
+/// `result`: a faulted one is re-run from scratch, so its partial stats
+/// must not leak into the totals. The sequence is pre-drawn so a re-run
+/// replays the identical data.
 Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
                     const TrainRunOptions& options,
                     const offload::BackendOptions& backend,
-                    const std::vector<std::vector<int>>& batch_tokens,
-                    const std::vector<std::vector<int>>& batch_targets,
-                    TensorArena* arena, HostStaging* staging,
-                    MiniGptParams* grads, IterationStats* stats) {
-  // Every tensor temporary of this iteration's micro-steps comes out of the
-  // step-scoped arena (measured on the first step, replayed from the DSA
-  // plan afterwards). Long-lived state — params, grads, Adam moments,
+                    const std::vector<int>& tokens,
+                    const std::vector<int>& targets, TensorArena* arena,
+                    HostStaging* staging, MiniGptParams* grads,
+                    TrainRunResult* result) {
+  // Every tensor temporary of this iteration comes out of the step-scoped
+  // arena (measured on the first step, replayed from the DSA plan
+  // afterwards). Long-lived state — params, grads, Adam moments,
   // checkpoints — is allocated outside the scope and stays on the heap. A
   // faulted iteration unwinds all scoped tensors and discards its step, so
   // its partial trace never becomes the plan and the degraded re-run's
@@ -188,21 +213,21 @@ Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
     arena->BeginStep();
     scope.emplace(arena);
   }
-  Status status = OkStatus();
-  for (int b = 0; b < options.batch && status.ok(); ++b) {
+  Status status;
+  {
+    // Destroyed before a faulted step is discarded.
     ActivationStore store(options.policy, options.alpha, options.model.layers,
                           options.async_offload, backend, staging);
-    const StatusOr<double> loss = model.TryForwardBackward(
-        params, batch_tokens[b], batch_targets[b], &store, grads);
-    if (!loss.ok()) {
-      status = loss.status();
-      continue;  // destroys the store before the step is discarded
+    const StatusOr<double> loss =
+        model.TryForwardBackward(params, tokens, targets, &store, grads);
+    status = loss.status();
+    if (loss.ok()) {
+      result->losses.push_back(*loss);
+      result->peak_stored_bytes =
+          std::max(result->peak_stored_bytes, store.peak_stored_bytes());
+      result->recomputed_rows += store.recomputed_rows();
+      result->offload_stats += store.offload_stats();
     }
-    stats->loss_sum += *loss;
-    stats->peak_stored_bytes =
-        std::max(stats->peak_stored_bytes, store.peak_stored_bytes());
-    stats->recomputed_rows += store.recomputed_rows();
-    stats->offload_stats += store.offload_stats();
   }
   if (!status.ok() && arena != nullptr) arena->DiscardStep();
   return status;
@@ -221,12 +246,11 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
   MiniGptParams params = MiniGptParams::Init(options.model, options.seed);
   MiniGptParams grads = MiniGptParams::Init(options.model, options.seed);
   for (Tensor* g : grads.Flat()) g->Fill(0.0f);
-  Adam adam(options.adam);
-  SyntheticData data(options.model.vocab, options.data_fidelity,
-                     options.seed ^ 0x5EEDDA7AULL);
+  Adam adam;
+  SyntheticData data(options.model.vocab, options.seed ^ 0x5EEDDA7AULL);
   TensorArena arena;
   TensorArena* arena_ptr = options.use_arena ? &arena : nullptr;
-  // The stores' transfer staging outlives every micro-step, so it lives
+  // The stores' transfer staging outlives every step, so it lives
   // here, outside the arena scope.
   HostStaging staging;
 
@@ -240,11 +264,8 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
     if (loaded.ok()) {
       CheckpointState state = std::move(loaded).value();
       const std::vector<Tensor*> flat = params.Flat();
-      if (state.params.size() != flat.size()) {
-        result.status = InternalError(
-            "checkpoint parameter count does not match the model");
-        return result;
-      }
+      result.status = CheckResumable(state, flat, options);
+      if (!result.status.ok()) return result;
       for (std::size_t i = 0; i < flat.size(); ++i) {
         *flat[i] = std::move(state.params[i]);
       }
@@ -253,7 +274,6 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
       data.RestoreStreamState(state.data_rng_state,
                               static_cast<int>(state.last_token));
       result.losses = std::move(state.losses);
-      result.grad_norms = std::move(state.grad_norms);
       result.degraded = state.degraded;
       result.resumed_from_step = state.step;
       start_iter = static_cast<int>(state.step);
@@ -276,22 +296,17 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
   // widen) the per-step plan despite living for the whole run.
   adam.EnsureState(params.Flat());
 
-  std::vector<std::vector<int>> batch_tokens(options.batch);
-  std::vector<std::vector<int>> batch_targets(options.batch);
+  std::vector<int> tokens;
+  std::vector<int> targets;
   for (int iter = start_iter; iter < options.iterations; ++iter) {
     MEMO_TRACE_SCOPE_ARG("iteration", "train", "iter", iter);
     const auto step_start = std::chrono::steady_clock::now();
-    // Sequences are drawn before the micro-steps so a faulted iteration
-    // can be re-run on the fallback backend with identical data.
-    for (int b = 0; b < options.batch; ++b) {
-      data.NextSequence(options.model.seq, &batch_tokens[b],
-                        &batch_targets[b]);
-    }
+    // The sequence is drawn before the step so a faulted iteration can be
+    // re-run on the fallback backend with identical data.
+    data.NextSequence(options.model.seq, &tokens, &targets);
     for (Tensor* g : grads.Flat()) g->Fill(0.0f);
-    IterationStats stats;
-    Status st = RunIteration(model, params, options, active_backend,
-                             batch_tokens, batch_targets, arena_ptr, &staging,
-                             &grads, &stats);
+    Status st = RunIteration(model, params, options, active_backend, tokens,
+                             targets, arena_ptr, &staging, &grads, &result);
     if (!st.ok() && options.allow_degraded && !result.degraded) {
       // The configured backend died (retries already ran inside the stash
       // layers). Degrade: drop to the RAM-only stash and re-run the whole
@@ -301,51 +316,17 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
       result.degraded = true;
       active_backend = DegradedBackend();
       for (Tensor* g : grads.Flat()) g->Fill(0.0f);
-      stats = IterationStats{};
-      st = RunIteration(model, params, options, active_backend, batch_tokens,
-                        batch_targets, arena_ptr, &staging, &grads, &stats);
+      st = RunIteration(model, params, options, active_backend, tokens,
+                        targets, arena_ptr, &staging, &grads, &result);
     }
     if (!st.ok()) {
       result.status = st;
       break;
     }
-    result.peak_stored_bytes =
-        std::max(result.peak_stored_bytes, stats.peak_stored_bytes);
-    result.recomputed_rows += stats.recomputed_rows;
-    result.offload_stats += stats.offload_stats;
-    const double loss_sum = stats.loss_sum;
-    // One rounded multiply per element at every SIMD level, so the scaled
-    // gradients are bit-identical to the plain loop.
-    const kernels::KernelTable& K = kernels::Active();
-    if (options.batch > 1) {
-      const float scale = 1.0f / static_cast<float>(options.batch);
-      for (Tensor* g : grads.Flat()) K.scale(g->data(), scale, g->size());
-    }
-
-    if (options.grad_clip > 0.0) {
-      double norm_sq = 0.0;
-      for (Tensor* g : grads.Flat()) {
-        for (std::int64_t i = 0; i < g->size(); ++i) {
-          norm_sq += static_cast<double>(g->data()[i]) * g->data()[i];
-        }
-      }
-      const double norm = std::sqrt(norm_sq);
-      result.grad_norms.push_back(norm);
-      if (norm > options.grad_clip) {
-        const float scale = static_cast<float>(options.grad_clip / norm);
-        for (Tensor* g : grads.Flat()) K.scale(g->data(), scale, g->size());
-      }
-    }
-
-    Adam::Options step_options = options.adam;
-    step_options.lr *=
-        options.lr_schedule.Multiplier(iter, options.iterations);
-    adam.set_options(step_options);
     {
       MEMO_TRACE_SCOPE("optim_step", "train");
       adam.Step(params.Flat(), grads.Flat());
     }
-    result.losses.push_back(loss_sum / options.batch);
     iterations_counter->Increment();
     step_hist->Record(std::chrono::duration_cast<std::chrono::microseconds>(
                           std::chrono::steady_clock::now() - step_start)
@@ -361,7 +342,6 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
       state.adam_step = adam.step_count();
       state.degraded = result.degraded;
       state.losses = result.losses;
-      state.grad_norms = result.grad_norms;
       for (Tensor* p : params.Flat()) state.params.push_back(*p);
       state.adam_m = adam.first_moments();
       state.adam_v = adam.second_moments();

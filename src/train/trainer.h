@@ -5,18 +5,19 @@
 #include <string>
 #include <vector>
 
-#include "train/adam.h"
 #include "train/mini_gpt.h"
 
 namespace memo::train {
 
 /// Deterministic synthetic language: the next token follows a fixed random
-/// permutation of the vocabulary with probability `fidelity`, else is
+/// permutation of the vocabulary with probability kFidelity, else is
 /// uniform noise. A transformer learns the permutation quickly, giving a
 /// cleanly decreasing loss curve for the Fig. 12d reproduction.
 class SyntheticData {
  public:
-  SyntheticData(int vocab, double fidelity, std::uint64_t seed);
+  static constexpr double kFidelity = 0.9;
+
+  SyntheticData(int vocab, std::uint64_t seed);
 
   /// Generates one sequence of `len + 1` tokens and splits it into inputs
   /// [0, len) and next-token targets [1, len].
@@ -35,20 +36,8 @@ class SyntheticData {
 
  private:
   std::vector<int> permutation_;
-  double fidelity_;
   Rng rng_;
   int last_token_ = 0;
-};
-
-/// Learning-rate schedule: linear warmup over `warmup_fraction` of the run,
-/// then (optionally) cosine decay to `min_lr_fraction` of the base rate.
-struct LrSchedule {
-  double warmup_fraction = 0.0;
-  bool cosine_decay = false;
-  double min_lr_fraction = 0.1;
-
-  /// Multiplier applied to the base learning rate at `iter` of `total`.
-  double Multiplier(int iter, int total) const;
 };
 
 struct TrainRunOptions {
@@ -56,15 +45,10 @@ struct TrainRunOptions {
   ActivationPolicy policy = ActivationPolicy::kRetainAll;
   double alpha = 1.0;  // used by kTokenWise only
   int iterations = 200;
-  /// Sequences per iteration; gradients are averaged over the batch
-  /// (a fresh ActivationStore per sequence, like one stream per replica).
-  int batch = 1;
-  /// Global gradient-norm clip; 0 disables clipping.
-  double grad_clip = 0.0;
-  LrSchedule lr_schedule;
+  /// Sequences per iteration: one, the paper's long-context regime (one
+  /// sequence per replica), which core/timings.cc models too.
+  static constexpr int batch = 1;
   std::uint64_t seed = 1234;  // weights AND data (shared across runs)
-  Adam::Options adam;
-  double data_fidelity = 0.9;
   /// Run stash/restore copies on a dedicated copier thread (token-wise
   /// policy only); bit-identical to the inline path, see ActivationStore.
   bool async_offload = false;
@@ -82,7 +66,8 @@ struct TrainRunOptions {
   /// Resume from the newest valid checkpoint in checkpoint_dir (falling
   /// back past corrupted files). The resumed run's loss curve is
   /// bit-identical to the uninterrupted one. Starting fresh when no
-  /// checkpoint exists is not an error.
+  /// checkpoint exists is not an error; a checkpoint whose tensors, step,
+  /// losses or data position do not fit this run is, naming the field.
   bool resume = false;
   /// When a stash backend fails permanently mid-run (e.g. the disk tier
   /// dies), re-run the iteration on a plain RAM stash and finish the run
@@ -105,8 +90,6 @@ struct TrainRunResult {
   std::vector<double> losses;  // per-iteration mean training loss
   std::int64_t recomputed_rows = 0;
   std::int64_t peak_stored_bytes = 0;
-  /// Pre-clip global gradient norms per iteration (empty if clip disabled).
-  std::vector<double> grad_norms;
   /// Stash measurements summed over the completed iterations. The copier
   /// and disk-lane figures (busy and wait seconds, offloaded and prefetched
   /// bytes) stay zero unless async_offload; the per-tier counters and the

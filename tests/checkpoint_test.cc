@@ -46,7 +46,6 @@ CheckpointState SampleState(std::int64_t step, std::uint64_t fingerprint) {
   state.degraded = (step % 2 == 1);
   for (std::int64_t i = 0; i < step; ++i) {
     state.losses.push_back(4.0 - 0.125 * static_cast<double>(i));
-    state.grad_norms.push_back(1.0 + 0.0625 * static_cast<double>(i));
   }
   state.params.push_back(PatternTensor(3, 4, 0.5f));
   state.params.push_back(PatternTensor(1, 7, -2.0f));
@@ -91,7 +90,6 @@ TEST(CheckpointTest, SaveLoadRoundTripIsBitExact) {
   EXPECT_EQ(loaded->adam_step, state.adam_step);
   EXPECT_EQ(loaded->degraded, state.degraded);
   EXPECT_EQ(loaded->losses, state.losses);
-  EXPECT_EQ(loaded->grad_norms, state.grad_norms);
   ExpectTensorsEqual(loaded->params, state.params);
   ExpectTensorsEqual(loaded->adam_m, state.adam_m);
   ExpectTensorsEqual(loaded->adam_v, state.adam_v);

@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -211,6 +212,53 @@ TEST(FaultToleranceTest, KilledRunResumesBitIdentically) {
   EXPECT_EQ(resumed.resumed_from_step, 4);
   EXPECT_FALSE(resumed.degraded);
   ExpectLossesIdentical(resumed.losses, reference.losses);
+}
+
+TEST(FaultToleranceTest, ResumeRefusesACheckpointThatDoesNotFitTheRun) {
+  // Each edit keeps the fingerprint and re-seals the checksum, so only a
+  // check of the contents against the run stops it; each used to crash the
+  // run or the CLI that prints its last loss.
+  InjectorGuard guard;
+  TrainRunOptions options = BaseRun();
+  options.checkpoint_dir = FreshCheckpointDir("fault_misfit_source");
+  options.checkpoint_every = 4;
+  ASSERT_TRUE(RunTraining(options).status.ok());
+  const StatusOr<CheckpointState> saved = LoadCheckpoint(
+      options.checkpoint_dir + "/" + CheckpointFileName(4));
+  ASSERT_TRUE(saved.ok()) << saved.status();
+  ASSERT_FALSE(saved->adam_m.empty());
+
+  const struct {
+    const char* field;  // the status names it
+    std::function<void(CheckpointState*)> edit;
+  } legs[] = {
+      // Flat order: embedding, then layer 0's ln1 g/b and wq.
+      {"params[3]", [](CheckpointState* s) { s->params[3] = Tensor(8, 16); }},
+      {"adam_m[0]", [](CheckpointState* s) { s->adam_m[0] = Tensor(1, 1); }},
+      {"last_token", [](CheckpointState* s) { s->last_token = -100000000; }},
+      {"losses",
+       [](CheckpointState* s) {
+         s->step = 8;
+         s->losses.clear();
+       }},
+      // Adam's bias correction divides by 1 - beta^(adam_step + 1).
+      {"adam_step", [](CheckpointState* s) { s->adam_step = -1; }},
+  };
+  for (const auto& leg : legs) {
+    SCOPED_TRACE(leg.field);
+    CheckpointState edited = *saved;
+    leg.edit(&edited);
+    TrainRunOptions resume = options;
+    resume.checkpoint_dir = FreshCheckpointDir("fault_misfit_resume");
+    resume.resume = true;
+    ASSERT_TRUE(SaveCheckpoint(resume.checkpoint_dir, edited).ok());
+    const TrainRunResult result = RunTraining(resume);
+    EXPECT_EQ(result.status.code(), StatusCode::kInternal)
+        << result.status.ToString();
+    EXPECT_NE(result.status.message().find(leg.field), std::string::npos)
+        << result.status.ToString();
+    EXPECT_TRUE(result.losses.empty());
+  }
 }
 
 TEST(FaultToleranceTest, PermanentDiskDeathFinishesDegradedOnRam) {

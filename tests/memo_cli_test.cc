@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/file_io.h"
+#include "common/fingerprint.h"
 #include "test_json.h"
 
 namespace {
@@ -511,6 +513,11 @@ TEST(MemoCliTest, FlagsPastTheirWidthOrDomainExitTwoNamingTheFlag) {
       {"trace record --kind moe --moe-spread -1" + out, "--moe-spread "},
       {"trace record --kind moe --moe-spread nan" + out, "--moe-spread "},
       {"trace record --kind moe --moe-spread inf" + out, "--moe-spread "},
+      // A throttle far below 1 MB/s waits longer than int64 microseconds
+      // hold for the spilled 21.6 KiB.
+      {"train --layers 4 --hidden 16 --ffn 32 --seq 24 --vocab 17 "
+       "--iterations 1 --backend disk --disk-gbps 1e-300",
+       "--disk-gbps "},
   };
   for (const auto& leg : legs) {
     const CliResult run = RunCli(leg.args);
@@ -784,6 +791,36 @@ TEST(MemoCliTest, TraceRecordRefusesWorkloadsPastTwoToTheSixtySecondLiveBytes) {
   EXPECT_NE(run.output.find("2^62 live bytes"), std::string::npos)
       << run.output;
   EXPECT_TRUE(ReadFile(out).empty());
+}
+
+TEST(MemoCliTest, TraceReplayRefusesAFreeOfATensorNeverAllocated) {
+  const std::string in = ::testing::TempDir() + "cli_trace_unpaired.memotrc";
+  const std::string out = ::testing::TempDir() + "cli_trace_unpaired.json";
+  ASSERT_EQ(RunCli("trace record --out " + in +
+                   " --raw --iterations 1 --layers 1")
+                .exit_code,
+            0);
+  // Byte 37, past the 24-byte header and the first 13-byte chunk header,
+  // is the first record's op: turn that malloc into a free, then re-seal
+  // the FNV-1a checksum that sits 16 bytes before the end.
+  std::string data = ReadFile(in);
+  ASSERT_GT(data.size(), 37u + 16u);
+  ASSERT_EQ(data[37], 0);
+  data[37] = 1;
+  const std::size_t sum_at = data.size() - 16;
+  const std::uint64_t sum = memo::Fnv1a64(data.data(), sum_at);
+  for (int i = 0; i < 8; ++i) {
+    data[sum_at + i] = static_cast<char>((sum >> (8 * i)) & 0xff);
+  }
+  ASSERT_TRUE(
+      memo::WriteWholeFile(in, data, "trace", memo::WriteMode::kInPlace).ok());
+
+  const CliResult replay = RunCli("trace replay --in " + in + " --out " + out);
+  EXPECT_EQ(replay.exit_code, 1) << replay.output;
+  EXPECT_NE(replay.output.find("INVALID_ARGUMENT:"), std::string::npos)
+      << replay.output;
+  std::remove(in.c_str());
+  std::remove(out.c_str());
 }
 
 TEST(MemoCliTest, TraceSubcommandValidatesItsFlags) {

@@ -33,7 +33,7 @@ TEST(MiniGptTest, FullModelGradientCheck) {
   MiniGptParams grads = MiniGptParams::Init(cfg, 31);
   for (Tensor* g : grads.Flat()) g->Fill(0.0f);
 
-  SyntheticData data(cfg.vocab, 0.9, 17);
+  SyntheticData data(cfg.vocab, 17);
   std::vector<int> tokens;
   std::vector<int> targets;
   data.NextSequence(cfg.seq, &tokens, &targets);
@@ -72,7 +72,7 @@ TEST(MiniGptTest, LossMatchesForwardBackwardLoss) {
   const MiniGptParams params = MiniGptParams::Init(cfg, 5);
   MiniGptParams grads = MiniGptParams::Init(cfg, 5);
   for (Tensor* g : grads.Flat()) g->Fill(0.0f);
-  SyntheticData data(cfg.vocab, 0.9, 2);
+  SyntheticData data(cfg.vocab, 2);
   std::vector<int> tokens;
   std::vector<int> targets;
   data.NextSequence(cfg.seq, &tokens, &targets);

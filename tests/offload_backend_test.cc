@@ -16,6 +16,7 @@
 
 #include "common/fault_injector.h"
 #include "common/fingerprint.h"
+#include "common/retry.h"
 #include "common/rng.h"
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
@@ -451,8 +452,8 @@ TEST(TieredBackendTest, PermanentDiskFaultQuarantinesTheDiskTier) {
   const std::int64_t blob = BlobBytes();
   const std::int64_t pages = (blob + 255) / 256;
   // Every page write the disk attempts fails: each page is tried as often
-  // as its per-page retry policy allows.
-  const std::int64_t writes_per_put = pages * SmallPages().retry.max_attempts;
+  // as its per-page retry policy, the default one, allows.
+  const std::int64_t writes_per_put = pages * RetryPolicy{}.max_attempts;
   FaultRule dead;
   dead.nth = 1;
   dead.permanent = true;

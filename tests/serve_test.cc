@@ -105,6 +105,23 @@ TEST(PlanRequestTest, FingerprintIsDeterministicAndFieldSensitive) {
   }
 }
 
+TEST(PlanRequestTest, FingerprintsArePinned) {
+  // The fingerprint is the plan-cache key, the "fingerprint" of every
+  // protocol answer and the key of every saved cache snapshot, so it must
+  // not move between builds: each literal was computed when the request's
+  // solver budgets became constants.
+  PlanRequest maxseq;
+  maxseq.kind = PlanQueryKind::kMaxSeq;
+  maxseq.model = memo::model::Gpt7B();
+  maxseq.seq = 128 * memo::kSeqK;
+  maxseq.cluster = memo::hw::PaperCluster(8);
+  maxseq.seq_step = 128 * memo::kSeqK;
+  maxseq.seq_cap = 1024 * memo::kSeqK;
+  EXPECT_EQ(PlanRequest{}.Fingerprint(), 0xa59ca496dbae7638ULL);
+  EXPECT_EQ(SmallRequest().Fingerprint(), 0x0e1126219b024ab0ULL);
+  EXPECT_EQ(maxseq.Fingerprint(), 0x8205b1c74931582cULL);
+}
+
 TEST(PlanRequestTest, StrategyOnlyMattersForStrategyQueries) {
   // For kBestStrategy the planner searches the space itself, so the
   // strategy scratch field must not leak into the identity.

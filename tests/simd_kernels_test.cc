@@ -4,7 +4,7 @@
 //  - ScalarKernels() must be bit-identical to the reference loops (it is
 //    the MEMO_SIMD=scalar exactness anchor for the whole training stack).
 //  - The vectorized tables must agree within the documented tolerances:
-//    elementwise acc/add/scale are bit-exact at every level (one rounded op
+//    elementwise acc/add are bit-exact at every level (one rounded op
 //    per element), FMA-contracted and reduction kernels within a small
 //    relative bound, transcendental kernels (gelu, softmax, cross-entropy)
 //    within the polynomial-exp/erf bound.
@@ -97,7 +97,6 @@ TEST(SimdKernelsTest, ScalarElementwiseMatchesReferenceBitExact) {
   for (std::int64_t n : kSizes) {
     const auto x = RandomVec(n, 10 + static_cast<std::uint32_t>(n));
     const auto y0 = RandomVec(n, 20 + static_cast<std::uint32_t>(n));
-    const float a = 0.37f;
 
     auto y = y0;
     k.acc(y.data(), x.data(), n);
@@ -106,10 +105,6 @@ TEST(SimdKernelsTest, ScalarElementwiseMatchesReferenceBitExact) {
     std::vector<float> out(n);
     k.add(out.data(), x.data(), y0.data(), n);
     for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(out[i], x[i] + y0[i]);
-
-    y = y0;
-    k.scale(y.data(), a, n);
-    for (std::int64_t i = 0; i < n; ++i) EXPECT_EQ(y[i], y0[i] * a);
 
     // Reductions: the scalar kernels accumulate i-ascending in float,
     // exactly like the reference ops.
@@ -175,7 +170,7 @@ TEST(SimdKernelsTest, ScalarGemmAndGeluMatchReferenceBitExact) {
 }
 
 TEST(SimdKernelsTest, ExactElementwiseKernelsBitIdenticalAtEveryLevel) {
-  // acc/add/scale perform one rounded op per element at every width — the
+  // acc/add perform one rounded op per element at every width — the
   // KernelTable header promises bit-identity across ALL levels, which the
   // residual-stream adds in mini_gpt.cc rely on.
   for (const KernelTable* table : ExecutableTables()) {
@@ -195,13 +190,6 @@ TEST(SimdKernelsTest, ExactElementwiseKernelsBitIdenticalAtEveryLevel) {
       ScalarKernels().add(want_add.data(), x.data(), y0.data(), n);
       EXPECT_EQ(got_add, want_add)
           << "add level=" << SimdLevelName(table->level) << " n=" << n;
-
-      got = y0;
-      want = y0;
-      table->scale(got.data(), 1.7f, n);
-      ScalarKernels().scale(want.data(), 1.7f, n);
-      EXPECT_EQ(got, want) << "scale level="
-                           << SimdLevelName(table->level) << " n=" << n;
     }
   }
 }

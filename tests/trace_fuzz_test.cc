@@ -298,6 +298,25 @@ TEST(TraceFuzzTest, LiveBytesPastTwoToTheSixtySecondAreRejected) {
       << workload.status();
 }
 
+TEST(TraceFuzzTest, AFreeOfATensorNeverAllocatedIsRejected) {
+  // The first record turned from a malloc into a free passes the checksum
+  // and every structural check, and the replay would then free a tensor
+  // it never allocated: the reader refuses the pairing instead.
+  std::string data = EncodeSmallWorkload(false);
+  const std::size_t op = kHeaderBytes + kChunkHeaderBytes;
+  ASSERT_EQ(data[op], static_cast<char>(kOpMalloc));
+  data[op] = static_cast<char>(kOpFree);
+  PatchChecksum(&data);
+  auto reader = TraceReader::OpenBuffer(data);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const auto workload = ReadWorkload(*reader);
+  EXPECT_EQ(workload.status().code(), StatusCode::kInvalidArgument)
+      << workload.status();
+  EXPECT_NE(workload.status().message().find("free of dead tensor"),
+            std::string::npos)
+      << workload.status();
+}
+
 TEST(TraceFuzzTest, LzDecompressRejectsGarbageWithoutCrashing) {
   Rng rng(99);
   for (int round = 0; round < 500; ++round) {

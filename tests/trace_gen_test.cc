@@ -11,7 +11,6 @@ namespace {
 
 TraceGenOptions SmallOptions(ActivationMode mode) {
   TraceGenOptions options;
-  options.batch = 1;
   options.seq_local = 8 * kSeqK;
   options.tensor_parallel = 2;
   options.mode = mode;
@@ -113,11 +112,10 @@ TEST(TraceGenTest, RetainAllKeepsSkeletalLiveAcrossForward) {
   const ModelTrace trace =
       GenerateModelTrace(SmallModel(), SmallOptions(ActivationMode::kRetainAll));
   // Peak live memory must be at least the full skeletal footprint:
-  // 16 b*s*h*2/tp bytes per layer times layers.
+  // 16 s*h*2/tp bytes per layer times layers (batch 1).
   const TraceGenOptions options = SmallOptions(ActivationMode::kRetainAll);
-  const std::int64_t unit = options.batch * options.seq_local *
-                            SmallModel().hidden * 2 /
-                            options.tensor_parallel;
+  const std::int64_t unit =
+      options.seq_local * SmallModel().hidden * 2 / options.tensor_parallel;
   EXPECT_GE(trace.MaxLiveBytes(), 16 * unit * SmallModel().num_layers);
 }
 

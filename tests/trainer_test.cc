@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <string>
 
+#include "train/checkpoint.h"
 #include "train/trainer.h"
 
 namespace memo::train {
@@ -37,7 +40,7 @@ TEST(ActivationStoreTest, TokenWiseRestoreIsBitExact) {
   const MiniGpt model(cfg);
   std::vector<int> tokens;
   std::vector<int> targets;
-  SyntheticData data(cfg.vocab, 0.9, 3);
+  SyntheticData data(cfg.vocab, 3);
   data.NextSequence(cfg.seq, &tokens, &targets);
 
   // Run the forward through both stores by exercising ForwardBackward and
@@ -71,7 +74,7 @@ TEST(ActivationStoreTest, AlphaControlsStoredBytes) {
   const MiniGpt model(cfg);
   std::vector<int> tokens;
   std::vector<int> targets;
-  SyntheticData data(cfg.vocab, 0.9, 3);
+  SyntheticData data(cfg.vocab, 3);
   data.NextSequence(cfg.seq, &tokens, &targets);
   MiniGptParams grads = MiniGptParams::Init(cfg, 7);
 
@@ -98,7 +101,7 @@ TEST(ActivationStoreTest, TokenWiseShrinksDeviceResidency) {
   const MiniGpt model(cfg);
   std::vector<int> tokens;
   std::vector<int> targets;
-  SyntheticData data(cfg.vocab, 0.9, 3);
+  SyntheticData data(cfg.vocab, 3);
   data.NextSequence(cfg.seq, &tokens, &targets);
   MiniGptParams grads = MiniGptParams::Init(cfg, 7);
   for (Tensor* g : grads.Flat()) g->Fill(0.0f);
@@ -187,91 +190,27 @@ TEST(TrainerTest, RecomputedRowsMatchAlpha) {
   EXPECT_EQ(r.recomputed_rows, expected);
 }
 
-TEST(TrainerTest, BatchedTrainingAveragesGradients) {
-  TrainRunOptions o = BaseRun();
-  o.iterations = 40;
-  o.batch = 4;
-  const TrainRunResult r = RunTraining(o);
-  ASSERT_EQ(r.losses.size(), 40u);
-  // Batched runs still learn, and the averaged loss is finite/positive.
-  double head = 0.0;
-  double tail = 0.0;
-  for (int i = 0; i < 5; ++i) head += r.losses[i];
-  for (int i = 35; i < 40; ++i) tail += r.losses[i];
-  EXPECT_LT(tail, head);
-}
-
-TEST(TrainerTest, BatchedCurvesStayAlignedAcrossAlpha) {
-  // The Fig 12(d) property must survive batching and clipping.
-  TrainRunOptions base = BaseRun();
-  base.iterations = 25;
-  base.batch = 3;
-  base.grad_clip = 1.0;
-  base.policy = ActivationPolicy::kRetainAll;
-  const TrainRunResult reference = RunTraining(base);
-  TrainRunOptions memo_run = base;
-  memo_run.policy = ActivationPolicy::kTokenWise;
-  memo_run.alpha = 0.125;
-  const TrainRunResult r = RunTraining(memo_run);
-  EXPECT_EQ(r.losses, reference.losses);
-}
-
-TEST(TrainerTest, GradientClippingBoundsTheRecordedNorms) {
-  TrainRunOptions o = BaseRun();
-  o.iterations = 20;
-  o.grad_clip = 0.5;
-  const TrainRunResult r = RunTraining(o);
-  ASSERT_EQ(r.grad_norms.size(), 20u);
-  for (double n : r.grad_norms) EXPECT_GT(n, 0.0);
-  // Clipping changes the trajectory versus an unclipped run.
-  TrainRunOptions unclipped = BaseRun();
-  unclipped.iterations = 20;
-  const TrainRunResult u = RunTraining(unclipped);
-  EXPECT_TRUE(u.grad_norms.empty());
-  EXPECT_NE(u.losses, r.losses);
-}
-
-TEST(LrScheduleTest, WarmupAndCosineShape) {
-  LrSchedule schedule;
-  schedule.warmup_fraction = 0.1;
-  schedule.cosine_decay = true;
-  schedule.min_lr_fraction = 0.1;
-  const int total = 100;
-  // Ramps up during warmup.
-  EXPECT_NEAR(schedule.Multiplier(0, total), 0.0, 1e-9);
-  EXPECT_NEAR(schedule.Multiplier(5, total), 0.5, 1e-9);
-  // Peak right after warmup.
-  EXPECT_NEAR(schedule.Multiplier(10, total), 1.0, 1e-6);
-  // Monotone decay afterwards, floored at min_lr_fraction.
-  double previous = 1.1;
-  for (int i = 10; i < 100; i += 10) {
-    const double m = schedule.Multiplier(i, total);
-    EXPECT_LT(m, previous);
-    EXPECT_GE(m, 0.1 - 1e-9);
-    previous = m;
-  }
-  // Constant schedule is the default.
-  LrSchedule constant;
-  EXPECT_DOUBLE_EQ(constant.Multiplier(50, total), 1.0);
-}
-
-TEST(LrScheduleTest, ScheduledRunDiffersFromConstant) {
-  TrainRunOptions o = BaseRun();
-  o.iterations = 30;
-  const TrainRunResult constant = RunTraining(o);
-  o.lr_schedule.warmup_fraction = 0.2;
-  o.lr_schedule.cosine_decay = true;
-  const TrainRunResult scheduled = RunTraining(o);
-  EXPECT_NE(constant.losses, scheduled.losses);
-  // First iteration uses ~zero LR, so its loss matches (update happens
-  // after the loss is measured) but the second iteration diverges less.
-  EXPECT_EQ(constant.losses[0], scheduled.losses[0]);
-}
-
 TEST(TrainerTest, DeterministicAcrossRuns) {
   const TrainRunResult a = RunTraining(BaseRun());
   const TrainRunResult b = RunTraining(BaseRun());
   EXPECT_EQ(a.losses, b.losses);
+}
+
+TEST(TrainerTest, CheckpointFingerprintIsPinned) {
+  // A run resumes only checkpoints of its own fingerprint, so this literal
+  // is what keeps checkpoints written by earlier builds resumable: moving
+  // any key the fingerprint hashes fails here.
+  const std::string dir = ::testing::TempDir() + "trainer_pinned_ckpt";
+  ::mkdir(dir.c_str(), 0755);
+  for (const std::string& f : ListCheckpoints(dir)) std::remove(f.c_str());
+  TrainRunOptions o = BaseRun();
+  o.checkpoint_dir = dir;
+  o.checkpoint_every = o.iterations;
+  ASSERT_TRUE(RunTraining(o).status.ok());
+  const StatusOr<CheckpointState> saved =
+      LoadCheckpoint(dir + "/" + CheckpointFileName(o.iterations));
+  ASSERT_TRUE(saved.ok()) << saved.status();
+  EXPECT_EQ(saved->config_fingerprint, 0x463856d2201c3f06ULL);
 }
 
 TEST(TrainerTest, ValidateRejectsEachOutOfDomainFieldBeforeTraining) {
@@ -290,11 +229,8 @@ TEST(TrainerTest, ValidateRejectsEachOutOfDomainFieldBeforeTraining) {
       {"vocab ", [](TrainRunOptions* o) { o->model.vocab = 0; }},
       {"seq ", [](TrainRunOptions* o) { o->model.seq = 0; }},
       {"iterations ", [](TrainRunOptions* o) { o->iterations = 0; }},
-      {"batch ", [](TrainRunOptions* o) { o->batch = 0; }},
       {"alpha ", [](TrainRunOptions* o) { o->alpha = 2.0; }},
       {"alpha ", [](TrainRunOptions* o) { o->alpha = std::nan(""); }},
-      {"grad_clip ", [](TrainRunOptions* o) { o->grad_clip = -1.0; }},
-      {"data_fidelity ", [](TrainRunOptions* o) { o->data_fidelity = 1.5; }},
       {"checkpoint_every ",
        [](TrainRunOptions* o) { o->checkpoint_every = -1; }},
       {"resume and checkpoint_every require checkpoint_dir",
@@ -305,6 +241,10 @@ TEST(TrainerTest, ValidateRejectsEachOutOfDomainFieldBeforeTraining) {
        [](TrainRunOptions* o) { o->backend.ram_capacity_bytes = -1; }},
       {"disk.bytes_per_second ",
        [](TrainRunOptions* o) { o->backend.disk.bytes_per_second = -1.0; }},
+      // Far below 1 MB/s a blob's emulated wait no longer fits in int64
+      // microseconds.
+      {"disk.bytes_per_second ",
+       [](TrainRunOptions* o) { o->backend.disk.bytes_per_second = 1e-300; }},
       {"disk.page_bytes ",
        [](TrainRunOptions* o) { o->backend.disk.page_bytes = 0; }},
   };
@@ -323,7 +263,7 @@ TEST(TrainerTest, ValidateRejectsEachOutOfDomainFieldBeforeTraining) {
 }
 
 TEST(SyntheticDataTest, FollowsPermutationMostly) {
-  SyntheticData data(16, 0.9, 42);
+  SyntheticData data(16, 42);
   std::vector<int> tokens;
   std::vector<int> targets;
   data.NextSequence(4000, &tokens, &targets);

@@ -83,9 +83,6 @@ void RequireWritable(const std::string& key, const std::string& path) {
   }
 }
 
-/// The smallest positive double: [kPositive, hi] holds exactly the doubles
-/// in (0, hi].
-constexpr double kPositive = std::numeric_limits<double>::denorm_min();
 constexpr double kMaxReal = std::numeric_limits<double>::max();
 
 /// The whole of `text` as a finite double.
@@ -187,10 +184,11 @@ class Flags {
     if (text == nullptr) return fallback;
     double value = 0.0;
     if (!ParseReal(*text, &value) || value < lo || value > hi) {
-      Refuse(key, lo == kPositive    ? "a positive number"
-                  : lo == -kMaxReal ? "a finite number"
-                                    : memo::StrFormat("a number from %g to %g",
-                                                      lo, hi));
+      Refuse(key,
+             lo == -kMaxReal ? "a finite number"
+             : lo > 0.0 && hi == kMaxReal
+                 ? memo::StrFormat("a positive number of at least %g", lo)
+                 : memo::StrFormat("a number from %g to %g", lo, hi));
     }
     return value;
   }
@@ -297,7 +295,10 @@ memo::offload::BackendOptions ReadBackend(Flags& flags) {
       flags.Bytes("ram-cap-mib", memo::kMiB, /*zero_ok=*/false,
                   tiered ? 256 * memo::kKiB : 0);
   backend.disk.bytes_per_second =
-      flags.Real("disk-gbps", 0.0, kPositive, kMaxReal) * memo::kGBps;
+      flags.Real("disk-gbps", 0.0,
+                 memo::offload::kMinDiskBytesPerSecond / memo::kGBps,
+                 kMaxReal) *
+      memo::kGBps;
   return backend;
 }
 
@@ -483,7 +484,7 @@ int CmdPlan(Flags& flags) {
     std::fprintf(stderr, "%s\n", profile.status().ToString().c_str());
     return 1;
   }
-  auto plan = memo::planner::PlanMemory(profile->trace, request.planner);
+  auto plan = memo::planner::PlanMemory(profile->trace);
   if (!plan.ok()) {
     std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
     return 1;
