@@ -10,7 +10,6 @@
 #include "common/retry.h"
 #include "obs/metrics.h"
 #include "obs/trace_recorder.h"
-#include "train/kernels/kernels.h"
 #include "train/ops.h"
 #include "train/tensor_arena.h"
 
@@ -138,8 +137,12 @@ LayerActivations ShapedLike(const LayerActivations& acts) {
 }
 
 /// Gives `t` the shape [rows, cols], allocating only when it has another.
+/// A new tensor is not zero-filled: the op that outputs into it writes
+/// every row it owns (train/ops.h).
 void EnsureShape(Tensor* t, std::int64_t rows, std::int64_t cols) {
-  if (t->rows() != rows || t->cols() != cols) *t = Tensor(rows, cols);
+  if (t->rows() != rows || t->cols() != cols) {
+    *t = Tensor::Uninitialized(rows, cols);
+  }
 }
 
 /// In an async store the compute thread runs fwd and bwd, the disk lane the
@@ -185,16 +188,14 @@ Tensor LayerForwardRows(const LayerParams& params, int heads,
   LinearForwardRows(acts->ln1_out, params.wk, kNoBias, begin, end, &acts->k);
   LinearForwardRows(acts->ln1_out, params.wv, kNoBias, begin, end, &acts->v);
   if (heads > 0) {
-    acts->attn_out = Tensor(s, h);
+    acts->attn_out = Tensor::Uninitialized(s, h);
     AttentionForward(acts->q, acts->k, acts->v, heads, &acts->attn_out);
   }
   EnsureShape(&acts->proj_out, s, h);
   LinearForwardRows(acts->attn_out, params.wo, kNoBias, begin, end,
                     &acts->proj_out);
-  // One rounded add per element at every SIMD level.
-  Tensor resid1(s, h);
-  kernels::Active().add(resid1.row(begin), x.row(begin),
-                        acts->proj_out.row(begin), (end - begin) * h);
+  Tensor resid1 = Tensor::Uninitialized(s, h);
+  AddRows(x, acts->proj_out, begin, end, &resid1);
   EnsureShape(&acts->ln2_out, s, h);
   EnsureShape(&acts->ln2_rstd, s, 1);
   EnsureShape(&acts->fc1_out, s, ffn);

@@ -46,11 +46,13 @@ struct LayerParams {
 /// [begin, end) of `acts`, whose `input` holds the layer input: ln1, the
 /// q/k/v projections, the attention output projection, the first residual
 /// add and the fused ln2 -> fc1 -> GELU. Returns the residual sum
-/// input + proj_out, written on those rows. With `heads` > 0 the causal
-/// attention over all rows runs between the q/k/v and output projections;
-/// with 0, `acts->attn_out` holds the stashed attention output and the
-/// O(s^2) attention does not run. An activation not yet of the layer's
-/// shape is allocated. The layer forward runs this on every row and a
+/// input + proj_out, written on those rows (its other rows are
+/// unspecified). With `heads` > 0 the causal attention over all rows runs
+/// between the q/k/v and output projections; with 0, `acts->attn_out`
+/// holds the stashed attention output and the O(s^2) attention does not
+/// run. An activation not yet of the layer's shape is allocated without a
+/// zero fill, so only its rows [begin, end) hold values on return. The
+/// layer forward runs this on every row and a
 /// restore on the rows past the cut, so each op being row-wise makes a
 /// recomputed row the forward's own, bit for bit.
 Tensor LayerForwardRows(const LayerParams& params, int heads,

@@ -1,26 +1,11 @@
 #include "train/mini_gpt.h"
 
 #include <cmath>
+#include <utility>
 
 #include "obs/trace_recorder.h"
-#include "train/kernels/kernels.h"
 
 namespace memo::train {
-
-namespace {
-
-/// out = a + b, elementwise over whole tensors. One rounded add per element
-/// at every SIMD level, so the result is bit-identical to the plain loop.
-void AddInto(const Tensor& a, const Tensor& b, Tensor* out) {
-  kernels::Active().add(out->data(), a.data(), b.data(), a.size());
-}
-
-/// y += x over whole tensors; exact at every SIMD level.
-void AccInto(const Tensor& x, Tensor* y) {
-  kernels::Active().acc(y->data(), x.data(), x.size());
-}
-
-}  // namespace
 
 MiniGptParams MiniGptParams::Init(const MiniGptConfig& config,
                                   std::uint64_t seed) {
@@ -69,16 +54,19 @@ std::vector<Tensor*> MiniGptParams::Flat() {
 
 namespace {
 
-/// Forward of one transformer layer; fills `acts` and returns the layer
-/// output (input of the next layer).
-Tensor LayerForward(const LayerParams& l, int heads, const Tensor& x,
+/// Forward of one transformer layer on its input `x`, which it moves into
+/// `acts`; fills `acts` and returns the layer output (input of the next
+/// layer).
+Tensor LayerForward(const LayerParams& l, int heads, Tensor x,
                     LayerActivations* acts) {
-  acts->input = x;
-  const Tensor resid1 = LayerForwardRows(l, heads, 0, x.rows(), acts);
-  Tensor fc2_out(x.rows(), x.cols());
+  const std::int64_t s = x.rows();
+  const std::int64_t h = x.cols();
+  acts->input = std::move(x);
+  const Tensor resid1 = LayerForwardRows(l, heads, 0, s, acts);
+  Tensor fc2_out = Tensor::Uninitialized(s, h);
   LinearForward(acts->gelu_out, l.w2, l.b2, &fc2_out);
-  Tensor out(x.rows(), x.cols());
-  AddInto(resid1, fc2_out, &out);
+  Tensor out = Tensor::Uninitialized(s, h);
+  AddRows(resid1, fc2_out, 0, s, &out);
   return out;
 }
 
@@ -93,40 +81,41 @@ Tensor LayerBackward(const LayerParams& l, int heads,
   const std::int64_t ffn = l.w1.cols();
 
   // Recompute resid1 = input + proj_out (transient, Fig. 4's tensor 15-like
-  // recompute-by-add).
-  Tensor resid1(s, h);
-  AddInto(acts.input, acts.proj_out, &resid1);
+  // recompute-by-add). Every temporary below is written in full by the op
+  // that produces it (train/ops.h), so none is zero-filled.
+  Tensor resid1 = Tensor::Uninitialized(s, h);
+  AddRows(acts.input, acts.proj_out, 0, s, &resid1);
 
   // out = resid1 + fc2(gelu(fc1(ln2(resid1)))): dout flows to both branches.
-  Tensor d_gelu(s, ffn);
+  Tensor d_gelu = Tensor::Uninitialized(s, ffn);
   LinearBackward(acts.gelu_out, l.w2, dout, &d_gelu, &g->w2, &g->b2);
-  Tensor d_fc1(s, ffn);
+  Tensor d_fc1 = Tensor::Uninitialized(s, ffn);
   GeluBackward(acts.fc1_out, d_gelu, &d_fc1);
-  Tensor d_ln2(s, h);
+  Tensor d_ln2 = Tensor::Uninitialized(s, h);
   LinearBackward(acts.ln2_out, l.w1, d_fc1, &d_ln2, &g->w1, &g->b1);
-  Tensor d_resid1(s, h);
+  Tensor d_resid1 = Tensor::Uninitialized(s, h);
   LayerNormBackward(resid1, l.ln2_g, acts.ln2_rstd, d_ln2, &d_resid1,
                     &g->ln2_g, &g->ln2_b);
-  AccInto(dout, &d_resid1);
+  AddRows(d_resid1, dout, 0, s, &d_resid1);
 
   // resid1 = input + proj(attn(qkv(ln1(input)))).
-  Tensor d_attn(s, h);
+  Tensor d_attn = Tensor::Uninitialized(s, h);
   LinearBackward(acts.attn_out, l.wo, d_resid1, &d_attn, &g->wo, nullptr);
-  Tensor dq(s, h);
-  Tensor dk(s, h);
-  Tensor dv(s, h);
+  Tensor dq = Tensor::Uninitialized(s, h);
+  Tensor dk = Tensor::Uninitialized(s, h);
+  Tensor dv = Tensor::Uninitialized(s, h);
   AttentionBackward(acts.q, acts.k, acts.v, heads, d_attn, &dq, &dk, &dv);
-  Tensor d_ln1(s, h);
-  Tensor d_ln1_partial(s, h);
+  Tensor d_ln1 = Tensor::Uninitialized(s, h);
+  Tensor d_ln1_partial = Tensor::Uninitialized(s, h);
   LinearBackward(acts.ln1_out, l.wq, dq, &d_ln1, &g->wq, nullptr);
   LinearBackward(acts.ln1_out, l.wk, dk, &d_ln1_partial, &g->wk, nullptr);
-  AccInto(d_ln1_partial, &d_ln1);
+  AddRows(d_ln1, d_ln1_partial, 0, s, &d_ln1);
   LinearBackward(acts.ln1_out, l.wv, dv, &d_ln1_partial, &g->wv, nullptr);
-  AccInto(d_ln1_partial, &d_ln1);
-  Tensor d_input(s, h);
+  AddRows(d_ln1, d_ln1_partial, 0, s, &d_ln1);
+  Tensor d_input = Tensor::Uninitialized(s, h);
   LayerNormBackward(acts.input, l.ln1_g, acts.ln1_rstd, d_ln1, &d_input,
                     &g->ln1_g, &g->ln1_b);
-  AccInto(d_resid1, &d_input);  // residual path
+  AddRows(d_input, d_resid1, 0, s, &d_input);  // residual path
   return d_input;
 }
 
@@ -155,7 +144,7 @@ StatusOr<double> MiniGpt::TryForwardBackward(const MiniGptParams& params,
   const int h = config_.hidden;
 
   // ---- Forward.
-  Tensor x(s, h);
+  Tensor x = Tensor::Uninitialized(s, h);
   EmbeddingForward(params.embedding, tokens, &x);
   {
     MEMO_TRACE_SCOPE("forward", "train");
@@ -164,20 +153,21 @@ StatusOr<double> MiniGpt::TryForwardBackward(const MiniGptParams& params,
       Tensor out;
       {
         MEMO_TRACE_SCOPE_ARG("layer_fwd", "train", "layer", layer);
-        out = LayerForward(params.layers[layer], config_.heads, x, &acts);
+        out = LayerForward(params.layers[layer], config_.heads, std::move(x),
+                           &acts);
       }
       MEMO_RETURN_IF_ERROR(store->Stash(layer, std::move(acts)));
       x = std::move(out);
     }
   }
-  Tensor lnf_out(s, h);
-  Tensor lnf_rstd(s, 1);
-  Tensor d_logits(s, config_.vocab);
+  Tensor lnf_out = Tensor::Uninitialized(s, h);
+  Tensor lnf_rstd = Tensor::Uninitialized(s, 1);
+  Tensor d_logits = Tensor::Uninitialized(s, config_.vocab);
   double loss = 0.0;
   {
     MEMO_TRACE_SCOPE("classifier", "train");
     LayerNormForward(x, params.lnf_g, params.lnf_b, &lnf_out, &lnf_rstd);
-    Tensor logits(s, config_.vocab);
+    Tensor logits = Tensor::Uninitialized(s, config_.vocab);
     const Tensor kNoBias;
     LinearForward(lnf_out, params.w_cls, kNoBias, &logits);
     loss = CrossEntropy(logits, targets, &d_logits);
@@ -185,10 +175,10 @@ StatusOr<double> MiniGpt::TryForwardBackward(const MiniGptParams& params,
 
   // ---- Backward.
   MEMO_TRACE_SCOPE("backward", "train");
-  Tensor d_lnf(s, h);
+  Tensor d_lnf = Tensor::Uninitialized(s, h);
   LinearBackward(lnf_out, params.w_cls, d_logits, &d_lnf, &grads->w_cls,
                  nullptr);
-  Tensor d_x(s, h);
+  Tensor d_x = Tensor::Uninitialized(s, h);
   LayerNormBackward(x, params.lnf_g, lnf_rstd, d_lnf, &d_x, &grads->lnf_g,
                     &grads->lnf_b);
   for (int layer = config_.layers - 1; layer >= 0; --layer) {
@@ -210,16 +200,16 @@ double MiniGpt::Loss(const MiniGptParams& params,
                      const std::vector<int>& targets) const {
   const std::int64_t s = static_cast<std::int64_t>(tokens.size());
   const int h = config_.hidden;
-  Tensor x(s, h);
+  Tensor x = Tensor::Uninitialized(s, h);
   EmbeddingForward(params.embedding, tokens, &x);
   for (int layer = 0; layer < config_.layers; ++layer) {
     LayerActivations acts;
-    x = LayerForward(params.layers[layer], config_.heads, x, &acts);
+    x = LayerForward(params.layers[layer], config_.heads, std::move(x), &acts);
   }
-  Tensor lnf_out(s, h);
-  Tensor lnf_rstd(s, 1);
+  Tensor lnf_out = Tensor::Uninitialized(s, h);
+  Tensor lnf_rstd = Tensor::Uninitialized(s, 1);
   LayerNormForward(x, params.lnf_g, params.lnf_b, &lnf_out, &lnf_rstd);
-  Tensor logits(s, config_.vocab);
+  Tensor logits = Tensor::Uninitialized(s, config_.vocab);
   const Tensor kNoBias;
   LinearForward(lnf_out, params.w_cls, kNoBias, &logits);
   return CrossEntropy(logits, targets, nullptr);

@@ -41,7 +41,9 @@ constexpr float kLnEps = 1e-5f;  // matches reference_ops
 // panels of kGemmNR columns (panel for columns [j0, j0+nr) lives at offset
 // k*j0 — previous panels are all full width). The panel scratch is an
 // arena-backed Tensor, so steady-state steps pack into the planned slab
-// with zero heap traffic.
+// with zero heap traffic. Packing runs on the pool: a work item is one
+// panel by one block of kPackRowBlock k-rows, and writes its own slice.
+constexpr std::int64_t kPackRowBlock = 128;
 
 /// Packs columns [j0, j0+nr) of the row-major [k x n] matrix `src`
 /// (leading dimension ld) into bp[kk*nr + j].
@@ -63,25 +65,33 @@ void PackPanelFromCols(const float* src, std::int64_t ld, std::int64_t k,
   }
 }
 
-/// All panels of a row-major [k x n] B matrix.
-Tensor PackAllPanelsFromRows(const float* src, std::int64_t ld,
-                             std::int64_t k, std::int64_t n) {
+/// All panels of B, packed on the pool: the row-major [k x n] matrix `src`
+/// (leading dimension ld), or with `transposed` the transpose of the
+/// row-major [n x k] matrix `src`. The loop is hinted by bytes moved (a
+/// 4-byte read and write per element), so a pack too small to pay for a
+/// dispatch stays inline.
+Tensor PackAllPanels(const float* src, std::int64_t ld, std::int64_t k,
+                     std::int64_t n, bool transposed) {
   Tensor pack = Tensor::Uninitialized(1, k * n);
-  for (std::int64_t j0 = 0; j0 < n; j0 += kernels::kGemmNR) {
-    const std::int64_t nr = std::min(kernels::kGemmNR, n - j0);
-    PackPanelFromRows(src, ld, k, j0, nr, pack.data() + k * j0);
-  }
-  return pack;
-}
-
-/// All panels of the transpose of a row-major [n x k] matrix.
-Tensor PackAllPanelsFromCols(const float* src, std::int64_t ld,
-                             std::int64_t k, std::int64_t n) {
-  Tensor pack = Tensor::Uninitialized(1, k * n);
-  for (std::int64_t j0 = 0; j0 < n; j0 += kernels::kGemmNR) {
-    const std::int64_t nr = std::min(kernels::kGemmNR, n - j0);
-    PackPanelFromCols(src, ld, k, j0, nr, pack.data() + k * j0);
-  }
+  const std::int64_t blocks = (k + kPackRowBlock - 1) / kPackRowBlock;
+  const std::int64_t panels = (n + kernels::kGemmNR - 1) / kernels::kGemmNR;
+  ThreadPool::Global().ParallelFor(
+      0, blocks * panels, 1,
+      LoopHint{8.0 * static_cast<double>(kPackRowBlock * kernels::kGemmNR)},
+      [&](std::int64_t w0, std::int64_t w1) {
+        for (std::int64_t wi = w0; wi < w1; ++wi) {
+          const std::int64_t j0 = (wi / blocks) * kernels::kGemmNR;
+          const std::int64_t nr = std::min(kernels::kGemmNR, n - j0);
+          const std::int64_t k0 = (wi % blocks) * kPackRowBlock;
+          const std::int64_t kc = std::min(kPackRowBlock, k - k0);
+          float* bp = pack.data() + k * j0 + k0 * nr;
+          if (transposed) {
+            PackPanelFromCols(src + k0, ld, kc, j0, nr, bp);
+          } else {
+            PackPanelFromRows(src + k0 * ld, ld, kc, j0, nr, bp);
+          }
+        }
+      });
   return pack;
 }
 
@@ -153,7 +163,8 @@ void LinearForwardRows(const Tensor& x, const Tensor& w, const Tensor& b,
   // across the whole k loop. Each y(r, c) accumulates in the same
   // i-ascending sequence as the reference, so the scalar table stays
   // bit-identical; SIMD tables fuse the multiply-adds within that order.
-  const Tensor bpack = PackAllPanelsFromRows(w.data(), out, in, out);
+  const Tensor bpack =
+      PackAllPanels(w.data(), out, in, out, /*transposed=*/false);
   ThreadPool::Global().ParallelFor(
       row_begin, row_end, kGemmRowBlock,
       LoopHint{2.0 * static_cast<double>(in) * static_cast<double>(out)},
@@ -186,7 +197,8 @@ void LinearBackward(const Tensor& x, const Tensor& w, const Tensor& dy,
     // dx = dy . W^T: W is transpose-packed once, then the same row-blocked
     // gemm_tile path as the forward runs with `out` as the contraction dim.
     // Each dx element accumulates c-ascending (the reference dot order).
-    const Tensor wt_pack = PackAllPanelsFromCols(w.data(), out, out, in);
+    const Tensor wt_pack =
+        PackAllPanels(w.data(), out, out, in, /*transposed=*/true);
     pool.ParallelFor(
         0, rows, kGemmRowBlock,
         LoopHint{2.0 * static_cast<double>(in) * static_cast<double>(out)},
@@ -195,49 +207,53 @@ void LinearBackward(const Tensor& x, const Tensor& w, const Tensor& dy,
                          nullptr, dx->data(), nullptr);
         });
   }
-  if (dw != nullptr) {
-    // dw[i] += x[:, i]^T dy: dy is the packed B (contraction over sample
-    // rows), and A is the transpose view of x — gemm_tile reads column i of
-    // x with a_col_stride = in, so per-k the four broadcast values are
-    // contiguous. Work items are 2-D (kGemmRowBlock dw rows x one kGemmNR
-    // column panel), so a narrow `in` still spreads over every lane; each
-    // item owns its dw tile, and accumulate mode adds in the reference's
-    // r-ascending per-element sequence.
-    const Tensor dy_pack = PackAllPanelsFromRows(dy.data(), out, rows, out);
-    const std::int64_t panels = (out + kernels::kGemmNR - 1) / kernels::kGemmNR;
-    const std::int64_t row_blocks = (in + kGemmRowBlock - 1) / kGemmRowBlock;
-    pool.ParallelFor(
-        0, row_blocks * panels, 1,
-        LoopHint{2.0 * static_cast<double>(rows) *
-                 static_cast<double>(kGemmRowBlock * kernels::kGemmNR)},
-        [&](std::int64_t w0, std::int64_t w1) {
-          for (std::int64_t wi = w0; wi < w1; ++wi) {
-            const std::int64_t i0 = (wi / panels) * kGemmRowBlock;
-            const std::int64_t i1 = std::min(in, i0 + kGemmRowBlock);
-            const std::int64_t j0 = (wi % panels) * kernels::kGemmNR;
-            const std::int64_t nr = std::min(kernels::kGemmNR, out - j0);
-            const float* bp = dy_pack.data() + rows * j0;
-            for (std::int64_t k0 = 0; k0 < rows; k0 += kDwRowBlock) {
-              const std::int64_t kc = std::min(kDwRowBlock, rows - k0);
-              for (std::int64_t i = i0; i < i1; i += kernels::kGemmMR) {
-                const std::int64_t mr = std::min(kernels::kGemmMR, i1 - i);
-                K.gemm_tile(x.data() + k0 * in + i, 1, in, bp + k0 * nr, kc,
-                            mr, nr, dw->row(i) + j0, out, nullptr,
-                            /*accumulate=*/true, nullptr);
-              }
+  if (dw == nullptr && db == nullptr) return;
+  // dw and db contract over the sample rows, so dy is the packed B, and
+  // they run as one list of work items, each owning its outputs:
+  //  - dw[i] += x[:, i]^T dy, one item per (kGemmRowBlock dw rows x one
+  //    kGemmNR column panel), so a narrow `in` still spreads over every
+  //    lane. A is the transpose view of x — gemm_tile reads column i of x
+  //    with a_col_stride = in, so per-k the four broadcast values are
+  //    contiguous — and accumulate mode adds in the reference's
+  //    r-ascending per-element sequence.
+  //  - db[c] += dy[r][c] in ascending r, one panel per item, read from the
+  //    packed panel.
+  const Tensor dy_pack =
+      PackAllPanels(dy.data(), out, rows, out, /*transposed=*/false);
+  const std::int64_t panels = (out + kernels::kGemmNR - 1) / kernels::kGemmNR;
+  const std::int64_t dw_items =
+      dw != nullptr ? (in + kGemmRowBlock - 1) / kGemmRowBlock * panels : 0;
+  const std::int64_t db_items = db != nullptr ? panels : 0;
+  pool.ParallelFor(
+      0, dw_items + db_items, 1,
+      LoopHint{2.0 * static_cast<double>(rows) *
+               static_cast<double>(kGemmRowBlock * kernels::kGemmNR)},
+      [&](std::int64_t w0, std::int64_t w1) {
+        for (std::int64_t wi = w0; wi < w1; ++wi) {
+          const bool db_item = wi >= dw_items;
+          const std::int64_t j0 =
+              (db_item ? wi - dw_items : wi % panels) * kernels::kGemmNR;
+          const std::int64_t nr = std::min(kernels::kGemmNR, out - j0);
+          const float* bp = dy_pack.data() + rows * j0;
+          if (db_item) {
+            for (std::int64_t r = 0; r < rows; ++r) {
+              K.acc(db->data() + j0, bp + r * nr, nr);
+            }
+            continue;
+          }
+          const std::int64_t i0 = (wi / panels) * kGemmRowBlock;
+          const std::int64_t i1 = std::min(in, i0 + kGemmRowBlock);
+          for (std::int64_t k0 = 0; k0 < rows; k0 += kDwRowBlock) {
+            const std::int64_t kc = std::min(kDwRowBlock, rows - k0);
+            for (std::int64_t i = i0; i < i1; i += kernels::kGemmMR) {
+              const std::int64_t mr = std::min(kernels::kGemmMR, i1 - i);
+              K.gemm_tile(x.data() + k0 * in + i, 1, in, bp + k0 * nr, kc, mr,
+                          nr, dw->row(i) + j0, out, nullptr,
+                          /*accumulate=*/true, nullptr);
             }
           }
-        });
-  }
-  if (db != nullptr) {
-    pool.ParallelFor(0, out, kColGrain,
-                     LoopHint{1.0 * static_cast<double>(rows)},
-                     [&](std::int64_t c0, std::int64_t c1) {
-                       for (std::int64_t r = 0; r < rows; ++r) {
-                         K.acc(db->data() + c0, dy.row(r) + c0, c1 - c0);
-                       }
-                     });
-  }
+        }
+      });
 }
 
 void LayerNormForwardRows(const Tensor& x, const Tensor& g, const Tensor& b,
@@ -342,7 +358,8 @@ void LayerNormLinearGeluForwardRows(const Tensor& x, const Tensor& g,
   // still resident. The LN body is the LayerNormForwardRows body verbatim
   // and the epilogue calls the same gelu_fwd kernel row-slice-wise, so the
   // fused op is bit-identical to the unfused sequence at every tier.
-  const Tensor bpack = PackAllPanelsFromRows(w.data(), out, in, out);
+  const Tensor bpack =
+      PackAllPanels(w.data(), out, in, out, /*transposed=*/false);
   ThreadPool::Global().ParallelFor(
       row_begin, row_end, kGemmRowBlock,
       LoopHint{2.0 * static_cast<double>(in) * static_cast<double>(out)},
@@ -398,6 +415,21 @@ void GeluBackward(const Tensor& x, const Tensor& dy, Tensor* dx) {
         for (std::int64_t r = r0; r < r1; ++r) {
           K.gelu_bwd(x.row(r), dy.row(r), dx->row(r), n);
         }
+      });
+}
+
+void AddRows(const Tensor& a, const Tensor& b, std::int64_t row_begin,
+             std::int64_t row_end, Tensor* out) {
+  MEMO_CHECK_EQ(a.cols(), b.cols());
+  MEMO_CHECK_EQ(out->cols(), a.cols());
+  const kernels::KernelTable& K = kernels::Active();
+  const std::int64_t n = a.cols();
+  // Hinted by bytes moved (two 4-byte reads and a write per element): an
+  // add is memory-bound, so only a large one is worth a dispatch.
+  ThreadPool::Global().ParallelFor(
+      row_begin, row_end, kRowGrain, LoopHint{12.0 * static_cast<double>(n)},
+      [&](std::int64_t r0, std::int64_t r1) {
+        K.add(out->row(r0), a.row(r0), b.row(r0), (r1 - r0) * n);
       });
 }
 

@@ -19,6 +19,15 @@ namespace memo::train {
 /// that matches the single-threaded reference kernels
 /// (train/reference_ops.h) exactly — outputs are bit-identical for every
 /// pool size, including MEMO_THREADS=1.
+///
+/// Output contract: every output argument is written in full — on the
+/// op's rows [row_begin, row_end) for a *Rows variant, whose other rows it
+/// leaves untouched — and never read first (unless the caller passes it as
+/// an input too, as AddRows allows), so callers allocate outputs with
+/// Tensor::Uninitialized. The only outputs accumulated into are the
+/// parameter gradients dw, db and dg of the backward ops and
+/// EmbeddingBackward's table: those must hold a value (zero, or the sum so
+/// far) on entry.
 
 /// Which kernel implementations the public ops dispatch to. kReference
 /// selects the original naive serial loops (benchmark baseline and
@@ -74,6 +83,13 @@ void GeluForwardRows(const Tensor& x, std::int64_t row_begin,
                      std::int64_t row_end, Tensor* y);
 void GeluForward(const Tensor& x, Tensor* y);
 void GeluBackward(const Tensor& x, const Tensor& dy, Tensor* dx);
+
+/// out = a + b on rows [row_begin, row_end): one rounded add per element,
+/// so every SIMD level gives the reference loop's bits and the op has no
+/// reference twin. `out` may be `a` or `b`: y += x on rows [0, s) is
+/// AddRows(y, x, 0, s, &y).
+void AddRows(const Tensor& a, const Tensor& b, std::int64_t row_begin,
+             std::int64_t row_end, Tensor* out);
 
 /// Causal multi-head attention over one sequence: q, k, v are [s, h] with
 /// `heads` heads of dimension h/heads. Probabilities are NOT stored —

@@ -47,10 +47,11 @@ class Tensor {
     return Tensor(rows, cols);
   }
 
-  /// Allocates without the zero fill: for scratch that is fully overwritten
-  /// before any read (GEMM panel packing). Same arena-backed allocation
-  /// path as the zero-filled constructor, so the arena's replayed
-  /// allocation sequence is unaffected by which factory a step uses.
+  /// Allocates without the zero fill: for op outputs and scratch that are
+  /// fully written before any read (the output contract of train/ops.h;
+  /// GEMM panel packing). Same arena-backed allocation path as the
+  /// zero-filled constructor, so the arena's replayed allocation sequence
+  /// is unaffected by which factory a step uses.
   static Tensor Uninitialized(std::int64_t rows, std::int64_t cols);
 
   /// Gaussian init scaled by `stddev` from a deterministic RNG.

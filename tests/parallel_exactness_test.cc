@@ -51,17 +51,75 @@ Tensor RandomTensor(std::int64_t rows, std::int64_t cols, Rng& rng) {
 // ---- Per-op bit-exactness: optimized kernels (at 4 threads) against the
 // preserved naive reference kernels.
 
+// Linear shapes [rows x in] . [in x out]. 1000 x 200 x 70 is ragged
+// wherever the op splits work: each packed operand — W (k 200, n 70), W^T
+// (k 70, n 200) and dy (k 1000, n 70) — ends in a short 128-row pack block
+// and a short 64-column panel, and the 1000 rows in a short 32-row GEMM
+// block.
+struct LinearShape {
+  std::int64_t rows, in, out;
+};
+constexpr LinearShape kRaggedLinear{1000, 200, 70};
+const int kLinearPoolSizes[] = {1, 2, 3, 4};
+
+struct LinearTensors {
+  Tensor y, dx, dw, db;
+};
+
+struct LinearInputs {
+  explicit LinearInputs(const LinearShape& shape) {
+    Rng rng(2);
+    x = RandomTensor(shape.rows, shape.in, rng);
+    w = RandomTensor(shape.in, shape.out, rng);
+    b = RandomTensor(1, shape.out, rng);
+    dy = RandomTensor(shape.rows, shape.out, rng);
+  }
+  /// The forward, or the whole backward (dx written, dw and db accumulated
+  /// from zero), through the dispatched ops.
+  LinearTensors Forward() const {
+    LinearTensors t;
+    t.y = Tensor(x.rows(), w.cols());
+    LinearForward(x, w, b, &t.y);
+    return t;
+  }
+  LinearTensors Backward() const {
+    LinearTensors t{Tensor(), Tensor(x.rows(), x.cols()),
+                    Tensor(w.rows(), w.cols()), Tensor(1, w.cols())};
+    LinearBackward(x, w, dy, &t.dx, &t.dw, &t.db);
+    return t;
+  }
+  Tensor x, w, b, dy;
+};
+
+void ExpectSameLinear(const LinearTensors& actual,
+                      const LinearTensors& expected) {
+  EXPECT_TRUE(actual.y.ExactlyEquals(expected.y));
+  EXPECT_TRUE(actual.dx.ExactlyEquals(expected.dx));
+  EXPECT_TRUE(actual.dw.ExactlyEquals(expected.dw));
+  EXPECT_TRUE(actual.db.ExactlyEquals(expected.db));
+}
+
+/// At the scalar tier every pool size must give the naive reference's bits.
+void ExpectLinearBitExact(const LinearShape& shape, bool backward) {
+  SCOPED_TRACE(::testing::Message()
+               << shape.rows << " x " << shape.in << " x " << shape.out);
+  const LinearInputs in(shape);
+  LinearTensors expected;
+  {
+    ScopedRuntime rt(1, KernelMode::kReference);
+    expected = backward ? in.Backward() : in.Forward();
+  }
+  for (int threads : kLinearPoolSizes) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ScopedRuntime rt(threads, KernelMode::kOptimized);
+    ExpectSameLinear(backward ? in.Backward() : in.Forward(), expected);
+  }
+}
+
 TEST(ParallelExactnessTest, LinearForwardBitExact) {
-  Rng rng(1);
-  const Tensor x = RandomTensor(37, 24, rng);
-  const Tensor w = RandomTensor(24, 41, rng);
-  const Tensor b = RandomTensor(1, 41, rng);
-  Tensor expected(37, 41);
-  reference::LinearForward(x, w, b, &expected);
-  ScopedRuntime rt(4, KernelMode::kOptimized);
-  Tensor actual(37, 41);
-  LinearForward(x, w, b, &actual);
-  EXPECT_TRUE(actual.ExactlyEquals(expected));
+  for (const LinearShape& shape : {LinearShape{37, 24, 41}, kRaggedLinear}) {
+    ExpectLinearBitExact(shape, /*backward=*/false);
+  }
 }
 
 TEST(ParallelExactnessTest, LinearBackwardGradientsBitExact) {
@@ -69,27 +127,28 @@ TEST(ParallelExactnessTest, LinearBackwardGradientsBitExact) {
   // items must reproduce the naive row(i)-sweep gradients bit for bit. The
   // 128 x 512 weight spans 4 x 8 tiles, and its 300 sample rows cross the
   // 128-row dw contraction block twice; 32 x 29 is one partial tile.
-  struct Shape {
-    std::int64_t rows, in, out;
-  };
-  for (const Shape& shape : {Shape{53, 32, 29}, Shape{300, 128, 512}}) {
-    SCOPED_TRACE(::testing::Message() << shape.in << " x " << shape.out);
-    Rng rng(2);
-    const Tensor x = RandomTensor(shape.rows, shape.in, rng);
-    const Tensor w = RandomTensor(shape.in, shape.out, rng);
-    const Tensor dy = RandomTensor(shape.rows, shape.out, rng);
-    Tensor dx_ref(shape.rows, shape.in), dw_ref(shape.in, shape.out),
-        db_ref(1, shape.out);
-    reference::LinearBackward(x, w, dy, &dx_ref, &dw_ref, &db_ref);
-    for (int threads : {1, 3, 4}) {
+  for (const LinearShape& shape :
+       {LinearShape{53, 32, 29}, LinearShape{300, 128, 512}, kRaggedLinear}) {
+    ExpectLinearBitExact(shape, /*backward=*/true);
+  }
+}
+
+TEST(ParallelExactnessTest, SimdLinearSameBitsAtEveryPoolSize) {
+  // The vectorized tiers fuse the multiply-adds, so they differ from the
+  // reference in the last ulp — but the pooled packing and GEMMs must
+  // still give every pool size the same bits.
+  for (SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    if (level > CpuSimdLevel()) continue;
+    SCOPED_TRACE(SimdLevelName(level));
+    const LinearInputs in(kRaggedLinear);
+    ScopedRuntime rt(1, KernelMode::kOptimized, level);
+    const LinearTensors forward = in.Forward();
+    const LinearTensors backward = in.Backward();
+    for (int threads : kLinearPoolSizes) {
       SCOPED_TRACE(::testing::Message() << threads << " threads");
-      ScopedRuntime rt(threads, KernelMode::kOptimized);
-      Tensor dx(shape.rows, shape.in), dw(shape.in, shape.out),
-          db(1, shape.out);
-      LinearBackward(x, w, dy, &dx, &dw, &db);
-      EXPECT_TRUE(dx.ExactlyEquals(dx_ref));
-      EXPECT_TRUE(dw.ExactlyEquals(dw_ref));
-      EXPECT_TRUE(db.ExactlyEquals(db_ref));
+      ThreadPool::SetGlobalThreads(threads);
+      ExpectSameLinear(in.Forward(), forward);
+      ExpectSameLinear(in.Backward(), backward);
     }
   }
 }

@@ -1,8 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/simd.h"
+#include "train/kernels/kernels.h"
 #include "train/ops.h"
 
 namespace memo::train {
@@ -247,6 +253,171 @@ TEST(OpsTest, RowSlicedLinearIsBitIdentical) {
       EXPECT_EQ(full.at(r, c), partial.at(r, c));  // exact
     }
   }
+}
+
+// ---- The output contract of train/ops.h: an op writes every output in
+// full (on its rows, for a *Rows variant) and never reads it first, which
+// is what lets the model allocate them uninitialized.
+
+/// One output of an op: its shape and the rows the op writes.
+struct OutputSpec {
+  const char* name;
+  std::int64_t rows, cols;
+  std::int64_t begin, end;
+};
+
+/// Runs `op` once on outputs prefilled with NaN and once on outputs
+/// prefilled with zeros. The written rows must hold the same bits in both
+/// runs (a read of the prefill would carry the NaN through), and every
+/// other row must still hold its prefill.
+void ExpectWrittenInFull(const char* op_name,
+                         const std::vector<OutputSpec>& specs,
+                         const std::function<void(std::vector<Tensor>&)>& op) {
+  SCOPED_TRACE(op_name);
+  const auto run = [&](float fill) {
+    std::vector<Tensor> outs;
+    for (const OutputSpec& spec : specs) {
+      outs.push_back(Tensor::Uninitialized(spec.rows, spec.cols));
+      outs.back().Fill(fill);
+    }
+    op(outs);
+    return outs;
+  };
+  const std::vector<Tensor> nan_prefilled =
+      run(std::numeric_limits<float>::quiet_NaN());
+  const std::vector<Tensor> zero_prefilled = run(0.0f);
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const OutputSpec& spec = specs[i];
+    std::int64_t differing = 0;
+    std::int64_t overwritten = 0;
+    for (std::int64_t r = 0; r < spec.rows; ++r) {
+      const float* a = nan_prefilled[i].row(r);
+      const float* b = zero_prefilled[i].row(r);
+      if (r >= spec.begin && r < spec.end) {
+        differing += std::memcmp(a, b, spec.cols * sizeof(float)) != 0;
+        continue;
+      }
+      for (std::int64_t c = 0; c < spec.cols; ++c) {
+        overwritten += !std::isnan(a[c]) || b[c] != 0.0f;
+      }
+    }
+    EXPECT_EQ(differing, 0) << spec.name << ": written rows depend on the "
+                            << "prefill";
+    EXPECT_EQ(overwritten, 0) << spec.name << ": rows outside ["
+                              << spec.begin << ", " << spec.end
+                              << ") were written";
+  }
+}
+
+/// Every op with an output, at shapes whose rows, k and n are not multiples
+/// of the row grain, the pack block or the panel width.
+void ExpectEveryOpWritesItsOutputsInFull() {
+  constexpr std::int64_t s = 150, in = 200, out = 70, h = 48, ffn = 100,
+                         vocab = 37;
+  constexpr int heads = 3;
+  constexpr std::int64_t b = 13, e = 141;  // the *Rows variants' rows
+  Rng rng(21);
+  const Tensor x = RandomTensor(s, in, rng);
+  const Tensor x_grad = RandomTensor(s, in, rng);
+  const Tensor w = RandomTensor(in, out, rng);
+  const Tensor bias = RandomTensor(1, out, rng);
+  const Tensor dy = RandomTensor(s, out, rng);
+  const Tensor xh = RandomTensor(s, h, rng);
+  const Tensor dyh = RandomTensor(s, h, rng);
+  const Tensor g = RandomTensor(1, h, rng);
+  const Tensor bh = RandomTensor(1, h, rng);
+  const Tensor w1 = RandomTensor(h, ffn, rng);
+  const Tensor b1 = RandomTensor(1, ffn, rng);
+  const Tensor q = RandomTensor(s, h, rng);
+  const Tensor k = RandomTensor(s, h, rng);
+  const Tensor v = RandomTensor(s, h, rng);
+  const Tensor logits = RandomTensor(s, vocab, rng);
+  const Tensor table = RandomTensor(vocab, h, rng);
+  std::vector<int> tokens(s);
+  for (int& t : tokens) t = static_cast<int>(rng.NextBounded(vocab));
+  Tensor ln_y(s, h), rstd(s, 1);
+  LayerNormForward(xh, g, bh, &ln_y, &rstd);
+
+  ExpectWrittenInFull("LinearForwardRows", {{"y", s, out, b, e}},
+                      [&](std::vector<Tensor>& o) {
+                        LinearForwardRows(x, w, bias, b, e, &o[0]);
+                      });
+  ExpectWrittenInFull(
+      "LinearForward", {{"y", s, out, 0, s}},
+      [&](std::vector<Tensor>& o) { LinearForward(x, w, bias, &o[0]); });
+  ExpectWrittenInFull("LinearBackward", {{"dx", s, in, 0, s}},
+                      [&](std::vector<Tensor>& o) {
+                        Tensor dw(in, out), db(1, out);
+                        LinearBackward(x, w, dy, &o[0], &dw, &db);
+                      });
+  ExpectWrittenInFull("LayerNormForwardRows",
+                      {{"y", s, h, b, e}, {"rstd", s, 1, b, e}},
+                      [&](std::vector<Tensor>& o) {
+                        LayerNormForwardRows(xh, g, bh, b, e, &o[0], &o[1]);
+                      });
+  ExpectWrittenInFull("LayerNormForward",
+                      {{"y", s, h, 0, s}, {"rstd", s, 1, 0, s}},
+                      [&](std::vector<Tensor>& o) {
+                        LayerNormForward(xh, g, bh, &o[0], &o[1]);
+                      });
+  ExpectWrittenInFull("LayerNormBackward", {{"dx", s, h, 0, s}},
+                      [&](std::vector<Tensor>& o) {
+                        Tensor dg(1, h), db(1, h);
+                        LayerNormBackward(xh, g, rstd, dyh, &o[0], &dg, &db);
+                      });
+  ExpectWrittenInFull("LayerNormLinearGeluForwardRows",
+                      {{"ln_out", s, h, b, e},
+                       {"ln_rstd", s, 1, b, e},
+                       {"fc_out", s, ffn, b, e},
+                       {"gelu_out", s, ffn, b, e}},
+                      [&](std::vector<Tensor>& o) {
+                        LayerNormLinearGeluForwardRows(xh, g, bh, w1, b1, b, e,
+                                                       &o[0], &o[1], &o[2],
+                                                       &o[3]);
+                      });
+  ExpectWrittenInFull(
+      "GeluForwardRows", {{"y", s, in, b, e}},
+      [&](std::vector<Tensor>& o) { GeluForwardRows(x, b, e, &o[0]); });
+  ExpectWrittenInFull("GeluForward", {{"y", s, in, 0, s}},
+                      [&](std::vector<Tensor>& o) { GeluForward(x, &o[0]); });
+  ExpectWrittenInFull(
+      "GeluBackward", {{"dx", s, in, 0, s}},
+      [&](std::vector<Tensor>& o) { GeluBackward(x, x_grad, &o[0]); });
+  ExpectWrittenInFull("AttentionForward", {{"out", s, h, 0, s}},
+                      [&](std::vector<Tensor>& o) {
+                        AttentionForward(q, k, v, heads, &o[0]);
+                      });
+  ExpectWrittenInFull(
+      "AttentionBackward",
+      {{"dq", s, h, 0, s}, {"dk", s, h, 0, s}, {"dv", s, h, 0, s}},
+      [&](std::vector<Tensor>& o) {
+        AttentionBackward(q, k, v, heads, dyh, &o[0], &o[1], &o[2]);
+      });
+  ExpectWrittenInFull("CrossEntropy", {{"d_logits", s, vocab, 0, s}},
+                      [&](std::vector<Tensor>& o) {
+                        CrossEntropy(logits, tokens, &o[0]);
+                      });
+  ExpectWrittenInFull("EmbeddingForward", {{"out", s, h, 0, s}},
+                      [&](std::vector<Tensor>& o) {
+                        EmbeddingForward(table, tokens, &o[0]);
+                      });
+  ExpectWrittenInFull(
+      "AddRows", {{"out", s, h, b, e}},
+      [&](std::vector<Tensor>& o) { AddRows(xh, dyh, b, e, &o[0]); });
+}
+
+TEST(OpsTest, OutputsAreWrittenInFull) {
+  for (SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kAvx2, SimdLevel::kAvx512}) {
+    const ScopedSimdLevel pin(level);
+    if (kernels::Active().level != level) continue;  // not on this CPU
+    SCOPED_TRACE(SimdLevelName(level));
+    ExpectEveryOpWritesItsOutputsInFull();
+  }
+  SCOPED_TRACE("KernelMode::kReference");
+  SetKernelMode(KernelMode::kReference);
+  ExpectEveryOpWritesItsOutputsInFull();
+  SetKernelMode(KernelMode::kOptimized);
 }
 
 }  // namespace

@@ -2,10 +2,14 @@
 #include <sys/stat.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <functional>
+#include <iterator>
 #include <string>
 
+#include "common/simd.h"
 #include "train/checkpoint.h"
 #include "train/trainer.h"
 
@@ -211,6 +215,40 @@ TEST(TrainerTest, CheckpointFingerprintIsPinned) {
       LoadCheckpoint(dir + "/" + CheckpointFileName(o.iterations));
   ASSERT_TRUE(saved.ok()) << saved.status();
   EXPECT_EQ(saved->config_fingerprint, 0x463856d2201c3f06ULL);
+}
+
+TEST(TrainerTest, ScalarLossesArePinned) {
+  // At the scalar tier every kernel keeps the reference's per-element
+  // arithmetic, so these bits move only when the numerics do: an op that
+  // reads an output it did not write, a recompute that drifts from the
+  // forward, or a stash tier that changes a byte. The literals were
+  // computed with an earlier build. Four layers at seq 512 overflow the
+  // 1 MiB RAM tier, so the async copier and the disk lane both run.
+  const ScopedSimdLevel scalar(SimdLevel::kScalar);
+  TrainRunOptions o;
+  o.model = {.layers = 4, .hidden = 32, .heads = 4, .ffn = 128,
+             .vocab = 64, .seq = 512};
+  o.policy = ActivationPolicy::kTokenWise;
+  o.alpha = 0.5;
+  o.async_offload = true;
+  o.backend.kind = offload::BackendKind::kTiered;
+  o.backend.ram_capacity_bytes = 1 << 20;
+  o.backend.disk.directory = ::testing::TempDir();
+  o.iterations = 3;
+  o.seed = 99;
+  const TrainRunResult run = RunTraining(o);
+  ASSERT_TRUE(run.status.ok()) << run.status;
+  EXPECT_GT(run.offload_stats.disk_tier.put_bytes, 0);
+  const std::uint64_t pinned[] = {0x4011593cc90feefeULL, 0x4010d2d5f8d39819ULL,
+                                  0x4010425845868ae2ULL};
+  ASSERT_EQ(run.losses.size(), std::size(pinned));
+  for (std::size_t i = 0; i < std::size(pinned); ++i) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &run.losses[i], sizeof(bits));
+    EXPECT_EQ(bits, pinned[i]) << "iteration " << i << ": loss "
+                               << run.losses[i] << " has bits 0x" << std::hex
+                               << bits;
+  }
 }
 
 TEST(TrainerTest, ValidateRejectsEachOutOfDomainFieldBeforeTraining) {
