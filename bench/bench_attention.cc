@@ -1,6 +1,7 @@
 // Attention kernel microbench: the naive reference against the packed
 // kernels (per-head K^T/V panels; a running-max softmax forward and the
-// two-pass FlashAttention-2-style backward), forward and backward, across
+// one-pass FlashAttention-2 backward from the forward's saved output and
+// log-sum-exp, the way the trainer calls it), forward and backward, across
 // seq_len x head_dim x threads. Writes BENCH_attention.json; speedups are
 // against the single-thread reference and parallel_efficiency is against
 // the same kernel at one thread.
@@ -26,37 +27,42 @@ namespace kernels = memo::train::kernels;
 
 constexpr int kHeads = 4;
 
+/// One shape's operands: the inputs, and the forward's output and
+/// log-sum-exp the backward starts from.
+struct Operands {
+  Tensor q, k, v, dout, out, lse;
+};
+
+/// What a timed call writes: out and lse for the forward, dq/dk/dv (a, b,
+/// c) for the backward.
+struct Outputs {
+  Tensor a, b, c, lse;
+};
+
 /// The bench's timed unit for one direction: the optimized op, or the
 /// preserved reference kernel it is judged against.
 struct Direction {
   const char* name;
-  void (*reference)(const Tensor&, const Tensor&, const Tensor&,
-                    const Tensor&, Tensor*, Tensor*, Tensor*);
-  void (*optimized)(const Tensor&, const Tensor&, const Tensor&,
-                    const Tensor&, Tensor*, Tensor*, Tensor*);
+  void (*reference)(const Operands&, Outputs*);
+  void (*optimized)(const Operands&, Outputs*);
 };
 
-void ReferenceForward(const Tensor& q, const Tensor& k, const Tensor& v,
-                      const Tensor&, Tensor* out, Tensor*, Tensor*) {
-  memo::train::reference::AttentionForward(q, k, v, kHeads, out);
+void ReferenceForward(const Operands& x, Outputs* o) {
+  memo::train::reference::AttentionForward(x.q, x.k, x.v, kHeads, &o->a);
 }
 
-void OptimizedForward(const Tensor& q, const Tensor& k, const Tensor& v,
-                      const Tensor&, Tensor* out, Tensor*, Tensor*) {
-  memo::train::AttentionForward(q, k, v, kHeads, out);
+void OptimizedForward(const Operands& x, Outputs* o) {
+  memo::train::AttentionForward(x.q, x.k, x.v, kHeads, &o->a, &o->lse);
 }
 
-void ReferenceBackward(const Tensor& q, const Tensor& k, const Tensor& v,
-                       const Tensor& dout, Tensor* dq, Tensor* dk,
-                       Tensor* dv) {
-  memo::train::reference::AttentionBackward(q, k, v, kHeads, dout, dq, dk,
-                                            dv);
+void ReferenceBackward(const Operands& x, Outputs* o) {
+  memo::train::reference::AttentionBackward(x.q, x.k, x.v, kHeads, x.dout,
+                                            &o->a, &o->b, &o->c);
 }
 
-void OptimizedBackward(const Tensor& q, const Tensor& k, const Tensor& v,
-                       const Tensor& dout, Tensor* dq, Tensor* dk,
-                       Tensor* dv) {
-  memo::train::AttentionBackward(q, k, v, kHeads, dout, dq, dk, dv);
+void OptimizedBackward(const Operands& x, Outputs* o) {
+  memo::train::AttentionBackward(x.q, x.k, x.v, kHeads, x.out, x.lse, x.dout,
+                                 &o->a, &o->b, &o->c);
 }
 
 struct Shape {
@@ -67,8 +73,10 @@ struct Shape {
 }  // namespace
 
 int main() {
-  const Shape shapes[] = {{128, 8}, {128, 32}, {256, 8},
-                          {256, 32}, {512, 8}, {512, 32}};
+  // The last shape is train_longctx's per-head shape (seq 1024, head dim
+  // 16).
+  const Shape shapes[] = {{128, 8},  {128, 32}, {256, 8},  {256, 32},
+                          {512, 8},  {512, 32}, {1024, 16}};
   const Direction directions[] = {
       {"attention_fwd", &ReferenceForward, &OptimizedForward},
       {"attention_bwd", &ReferenceBackward, &OptimizedBackward}};
@@ -81,19 +89,23 @@ int main() {
       const std::int64_t s = shape.seq;
       const std::int64_t h = kHeads * shape.head_dim;
       memo::Rng rng(7);
-      const Tensor q = Tensor::Randn(s, h, 0.5, rng);
-      const Tensor k = Tensor::Randn(s, h, 0.5, rng);
-      const Tensor v = Tensor::Randn(s, h, 0.5, rng);
-      const Tensor dout = Tensor::Randn(s, h, 0.5, rng);
-      Tensor a(s, h), b(s, h), c(s, h);
+      Operands x;
+      x.q = Tensor::Randn(s, h, 0.5, rng);
+      x.k = Tensor::Randn(s, h, 0.5, rng);
+      x.v = Tensor::Randn(s, h, 0.5, rng);
+      x.dout = Tensor::Randn(s, h, 0.5, rng);
+      x.out = Tensor(s, h);
+      x.lse = Tensor(s, kHeads);
+      memo::train::AttentionForward(x.q, x.k, x.v, kHeads, &x.out, &x.lse);
+      Outputs o{Tensor(s, h), Tensor(s, h), Tensor(s, h), Tensor(s, kHeads)};
       const std::string op = std::string(dir.name) + "_s" +
                              std::to_string(s) + "_d" +
                              std::to_string(shape.head_dim);
-      const int reps = s >= 512 ? 5 : 10;
+      const int reps = s >= 1024 ? 3 : s >= 512 ? 5 : 10;
 
       ThreadPool::SetGlobalThreads(1);
       const double ref_ms = memo::bench::BestWallMs(
-          reps, [&] { dir.reference(q, k, v, dout, &a, &b, &c); });
+          reps, [&] { dir.reference(x, &o); });
       memo::bench::BenchRecord reference;
       reference.op = op;
       reference.wall_ms = ref_ms;
@@ -106,7 +118,7 @@ int main() {
       for (int threads : thread_counts) {
         ThreadPool::SetGlobalThreads(threads);
         const double ms = memo::bench::BestWallMs(
-            reps, [&] { dir.optimized(q, k, v, dout, &a, &b, &c); });
+            reps, [&] { dir.optimized(x, &o); });
         if (threads == 1) one_thread_ms = ms;
         const double eff =
             threads > 1 ? (one_thread_ms / ms) / threads : 1.0;

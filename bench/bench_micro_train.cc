@@ -53,6 +53,8 @@ void BM_AttentionForward(benchmark::State& state) {
 }
 BENCHMARK(BM_AttentionForward)->Arg(64)->Arg(128)->Arg(256)->Complexity();
 
+/// The backward as the trainer calls it: from the forward's saved output
+/// and log-sum-exp.
 void BM_AttentionBackward(benchmark::State& state) {
   const std::int64_t s = state.range(0);
   memo::Rng rng(2);
@@ -60,12 +62,16 @@ void BM_AttentionBackward(benchmark::State& state) {
   const auto k = memo::train::Tensor::Randn(s, 32, 0.5, rng);
   const auto v = memo::train::Tensor::Randn(s, 32, 0.5, rng);
   const auto dout = memo::train::Tensor::Randn(s, 32, 0.5, rng);
+  memo::train::Tensor out(s, 32);
+  memo::train::Tensor lse(s, 4);
+  memo::train::AttentionForward(q, k, v, 4, &out, &lse);
   memo::train::Tensor dq(s, 32);
   memo::train::Tensor dk(s, 32);
   memo::train::Tensor dv(s, 32);
   for (auto _ : state) {
-    memo::train::AttentionBackward(q, k, v, 4, dout, &dq, &dk, &dv);
+    memo::train::AttentionBackward(q, k, v, 4, out, lse, dout, &dq, &dk, &dv);
     benchmark::DoNotOptimize(dq.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_AttentionBackward)->Arg(64)->Arg(128);
@@ -194,18 +200,33 @@ double TimeLinearBackwardMs() {
   });
 }
 
-/// The attention_forward shape's backward (both FlashAttention-2 passes).
-double TimeAttentionBackwardMs() {
+/// The attention backward as the trainer calls it, from the forward's
+/// saved output and log-sum-exp: s rows of hidden width h in `heads` heads.
+double TimeAttentionBackwardMs(std::int64_t s, std::int64_t h, int heads,
+                               int reps) {
   memo::Rng rng(4);
-  const auto q = memo::train::Tensor::Randn(256, 256, 0.5, rng);
-  const auto k = memo::train::Tensor::Randn(256, 256, 0.5, rng);
-  const auto v = memo::train::Tensor::Randn(256, 256, 0.5, rng);
-  const auto dout = memo::train::Tensor::Randn(256, 256, 0.5, rng);
-  memo::train::Tensor dq(256, 256), dk(256, 256), dv(256, 256);
-  return memo::bench::BestWallMs(20, [&] {
-    memo::train::AttentionBackward(q, k, v, 8, dout, &dq, &dk, &dv);
+  const auto q = memo::train::Tensor::Randn(s, h, 0.5, rng);
+  const auto k = memo::train::Tensor::Randn(s, h, 0.5, rng);
+  const auto v = memo::train::Tensor::Randn(s, h, 0.5, rng);
+  const auto dout = memo::train::Tensor::Randn(s, h, 0.5, rng);
+  memo::train::Tensor out(s, h), lse(s, heads);
+  memo::train::AttentionForward(q, k, v, heads, &out, &lse);
+  memo::train::Tensor dq(s, h), dk(s, h), dv(s, h);
+  return memo::bench::BestWallMs(reps, [&] {
+    memo::train::AttentionBackward(q, k, v, heads, out, lse, dout, &dq, &dk,
+                                   &dv);
     benchmark::DoNotOptimize(dk.data());
   });
+}
+
+/// The attention_forward shape's backward.
+double TimeAttentionBackwardBenchShapeMs() {
+  return TimeAttentionBackwardMs(256, 256, 8, 20);
+}
+
+/// train_longctx's attention (seq 1024, hidden 128, 8 heads of dim 16).
+double TimeAttentionBackwardLongctxMs() {
+  return TimeAttentionBackwardMs(1024, 128, 8, 3);
 }
 
 void RunSpeedupStudy() {
@@ -223,7 +244,10 @@ void RunSpeedupStudy() {
                         {"linear_forward", &TimeLinearForwardMs},
                         {"linear_backward", &TimeLinearBackwardMs},
                         {"attention_forward", &TimeAttentionForwardMs},
-                        {"attention_backward", &TimeAttentionBackwardMs}};
+                        {"attention_backward",
+                         &TimeAttentionBackwardBenchShapeMs},
+                        {"attention_backward_s1024_d16",
+                         &TimeAttentionBackwardLongctxMs}};
   std::vector<memo::bench::BenchRecord> records;
   auto emit = [&records](const Case& c, double serial_ms, double ms,
                          const char* kernel, const char* simd,
@@ -284,12 +308,13 @@ void RunSpeedupStudy() {
   }
 }
 
-// ---- `--check-losses`: CI smoke mode (run by ctest with MEMO_SIMD=scalar).
-// Trains the bench model twice — dispatched kernels + step-scoped arena vs
-// the preserved naive reference kernels — and requires the loss series to
-// match bit for bit, plus the arena's zero-heap-allocation steady state.
-// At MEMO_SIMD=scalar the match must be exact (the scalar table's contract);
-// any drift means a kernel or the arena changed numerics.
+// ---- `--check-losses`: CI smoke mode (run by ctest once with
+// MEMO_SIMD=scalar and once at the CPU's own tier). Trains the bench model
+// twice — dispatched kernels + step-scoped arena vs the preserved naive
+// reference kernels — and requires the loss series to match, plus the
+// arena's zero-heap-allocation steady state. At MEMO_SIMD=scalar the match
+// must be bit for bit (the scalar table's contract); any drift means a
+// kernel or the arena changed numerics.
 
 int RunCheckLosses() {
   using memo::train::KernelMode;
@@ -309,8 +334,8 @@ int RunCheckLosses() {
   const memo::SimdLevel level = memo::train::kernels::Active().level;
   const char* simd = memo::SimdLevelName(level);
   // Bit-exact is the scalar table's contract (what CI pins via MEMO_SIMD);
-  // vectorized tiers reorder reductions, so a manual run at avx2/avx512 is
-  // held to a loss tolerance instead.
+  // vectorized tiers reorder reductions, so a run at avx2/avx512 is held to
+  // a loss tolerance instead.
   const double tol = level == memo::SimdLevel::kScalar ? 0.0 : 1e-3;
   if (!dispatched.status.ok() || !reference.status.ok()) {
     std::fprintf(stderr, "check-losses: training failed\n");

@@ -285,10 +285,8 @@ void ThreadPool::ParallelFor(
     static obs::MetricCounter* inline_counter =
         obs::MetricsRegistry::Global().counter("pool.hint_inline_loops");
     inline_counter->Increment();
-    // Still a pool region as far as traces are concerned — keeps the pool
-    // lane populated (and the span count honest) when every loop of a small
-    // model falls below the dispatch threshold.
-    MEMO_TRACE_SCOPE_ARG("pool_run", "pool", "inline_hint", 1);
+    // No span: the counter keeps the count, and a span per inline loop
+    // would grow a recorded trace with the loop count, not with the work.
     fn(begin, end);
     return;
   }

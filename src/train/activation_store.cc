@@ -32,14 +32,15 @@ double SecondsSince(Clock::time_point start) {
 std::int64_t BytesOf(const LayerActivations& a) {
   return 4 * (a.input.size() + a.ln1_out.size() + a.ln1_rstd.size() +
               a.q.size() + a.k.size() + a.v.size() + a.attn_out.size() +
-              a.proj_out.size() + a.ln2_out.size() + a.ln2_rstd.size() +
-              a.fc1_out.size() + a.gelu_out.size());
+              a.attn_lse.size() + a.proj_out.size() + a.ln2_out.size() +
+              a.ln2_rstd.size() + a.fc1_out.size() + a.gelu_out.size());
 }
 
-/// Applies `fn(tensor, whole)` to the twelve activation tensors in a fixed
-/// order — the wire order of the serialized stash blob. `whole` marks the
-/// two a swapped layer keeps in full (tensor-level rule, §4.1); of the
-/// others it keeps the first `cut` rows.
+/// Applies `fn(tensor, whole)` to the thirteen activation tensors in a
+/// fixed order — the wire order of the serialized stash blob. `whole` marks
+/// the three a swapped layer keeps in full: the input and the attention
+/// output (tensor-level rule, §4.1) and the attention's log-sum-exp, which
+/// travels with its output; of the others it keeps the first `cut` rows.
 template <typename Acts, typename Fn>
 void ForEachTensor(Acts& a, Fn&& fn) {
   fn(a.input, true);
@@ -49,6 +50,7 @@ void ForEachTensor(Acts& a, Fn&& fn) {
   fn(a.k, false);
   fn(a.v, false);
   fn(a.attn_out, true);
+  fn(a.attn_lse, true);
   fn(a.proj_out, false);
   fn(a.ln2_out, false);
   fn(a.ln2_rstd, false);
@@ -56,8 +58,8 @@ void ForEachTensor(Acts& a, Fn&& fn) {
   fn(a.gelu_out, false);
 }
 
-/// Two int64 dims for each of the twelve tensors.
-constexpr std::int64_t kDimsBytes = 12 * 2 * sizeof(std::int64_t);
+/// Two int64 dims for each of the thirteen tensors.
+constexpr std::int64_t kDimsBytes = 13 * 2 * sizeof(std::int64_t);
 
 /// Payload bytes a swapped layer keeps at cut row `cut`.
 std::int64_t KeptBytes(const LayerActivations& a, std::int64_t cut) {
@@ -121,7 +123,7 @@ bool ReadBlob(const std::string& blob, LayerActivations* acts) {
 
 /// An uninitialized set of tensors shaped like `acts`.
 LayerActivations ShapedLike(const LayerActivations& acts) {
-  std::int64_t shapes[12][2];
+  std::int64_t shapes[13][2];
   int i = 0;
   ForEachTensor(acts, [&](const Tensor& t, bool) {
     shapes[i][0] = t.rows();
@@ -189,7 +191,9 @@ Tensor LayerForwardRows(const LayerParams& params, int heads,
   LinearForwardRows(acts->ln1_out, params.wv, kNoBias, begin, end, &acts->v);
   if (heads > 0) {
     acts->attn_out = Tensor::Uninitialized(s, h);
-    AttentionForward(acts->q, acts->k, acts->v, heads, &acts->attn_out);
+    acts->attn_lse = Tensor::Uninitialized(s, heads);
+    AttentionForward(acts->q, acts->k, acts->v, heads, &acts->attn_out,
+                     &acts->attn_lse);
   }
   EnsureShape(&acts->proj_out, s, h);
   LinearForwardRows(acts->attn_out, params.wo, kNoBias, begin, end,

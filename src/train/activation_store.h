@@ -25,6 +25,7 @@ struct LayerActivations {
   Tensor ln1_rstd;   // token-wise (per-row statistic)
   Tensor q, k, v;    // token-wise
   Tensor attn_out;   // always offloaded in full (tensor-level rule, §4.1)
+  Tensor attn_lse;   // [s, heads] softmax log-sum-exp; in full with attn_out
   Tensor proj_out;   // token-wise
   Tensor ln2_out;    // token-wise
   Tensor ln2_rstd;   // token-wise
@@ -48,13 +49,13 @@ struct LayerParams {
 /// add and the fused ln2 -> fc1 -> GELU. Returns the residual sum
 /// input + proj_out, written on those rows (its other rows are
 /// unspecified). With `heads` > 0 the causal attention over all rows runs
-/// between the q/k/v and output projections; with 0, `acts->attn_out`
-/// holds the stashed attention output and the O(s^2) attention does not
-/// run. An activation not yet of the layer's shape is allocated without a
-/// zero fill, so only its rows [begin, end) hold values on return. The
-/// layer forward runs this on every row and a
-/// restore on the rows past the cut, so each op being row-wise makes a
-/// recomputed row the forward's own, bit for bit.
+/// between the q/k/v and output projections and fills `attn_out` and
+/// `attn_lse`; with 0, both hold what was stashed and the O(s^2) attention
+/// does not run. An activation not yet of the layer's shape is allocated
+/// without a zero fill, so only its rows [begin, end) hold values on
+/// return. The layer forward runs this on every row and a restore on the
+/// rows past the cut, so each op being row-wise makes a recomputed row the
+/// forward's own, bit for bit.
 Tensor LayerForwardRows(const LayerParams& params, int heads,
                         std::int64_t begin, std::int64_t end,
                         LayerActivations* acts);
@@ -64,10 +65,11 @@ Tensor LayerForwardRows(const LayerParams& params, int heads,
 enum class ActivationPolicy {
   /// Baseline (Megatron-like retention): keep every tensor as produced.
   kRetainAll,
-  /// MEMO §4.1: the layer input and attention output are kept ("offloaded")
-  /// in full; of every other tensor only the first round(alpha * s) token
-  /// rows are kept, and the remaining rows are recomputed from the stored
-  /// input and attention output before the backward pass.
+  /// MEMO §4.1: the layer input and attention output (with its log-sum-exp)
+  /// are kept ("offloaded") in full; of every other tensor only the first
+  /// round(alpha * s) token rows are kept, and the remaining rows are
+  /// recomputed from the stored input and attention output before the
+  /// backward pass.
   kTokenWise,
 };
 

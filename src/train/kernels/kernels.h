@@ -17,10 +17,20 @@ inline constexpr std::int64_t kGemmMR = 4;
 inline constexpr std::int64_t kGemmNR = 64;
 
 /// Key block of the attention kernels: panels are padded to a multiple of
-/// it, and the backward's second pass owns one block of keys per work item.
+/// it, and the backward accumulates dk/dv one block of keys at a time.
 inline constexpr std::int64_t kAttnKeyBlock = 64;
 /// Query rows per register tile of the attention kernels.
 inline constexpr std::int64_t kAttnRowTile = 4;
+
+/// Floats of scratch `attn_bwd` needs for one head of s rows and head dim
+/// d, with s rounded up to whole key blocks: the scalar path's row stats
+/// and score rows (5 s), the SIMD path's D column and a key block's dK^T
+/// and dV^T (s + 2 * kAttnKeyBlock * d).
+inline std::int64_t AttnBwdScratchFloats(std::int64_t s, std::int64_t d) {
+  const std::int64_t padded =
+      (s + kAttnKeyBlock - 1) / kAttnKeyBlock * kAttnKeyBlock;
+  return 5 * padded + 2 * kAttnKeyBlock * d;
+}
 
 /// The microkernel vocabulary of the training op layer: every inner loop of
 /// ops.cc / adam.cc is one of these, dispatched per process to the scalar,
@@ -95,11 +105,11 @@ struct KernelTable {
   void (*gelu_bwd)(const float* x, const float* dy, float* dx, std::int64_t n);
 
   // ---- Attention over packed per-head panels. The ops layer transposes
-  // each head's keys (and, for the backward, values) into d x ldk panels
-  // `kt`/`vt` (key c at column c) and, for the forward, packs values
-  // contiguously as vp[c*d + i]. Panels are padded with zero columns to a
-  // multiple of kAttnKeyBlock (ldk >= kv rounded up), so SIMD paths always
-  // load whole 64-key blocks and mask the causal tail in registers.
+  // each head's keys and values into d x ldk panels `kt`/`vt` (key c at
+  // column c) and, for the forward, packs values contiguously as
+  // vp[c*d + i]. Panels are padded with zero columns to a multiple of
+  // kAttnKeyBlock (ldk >= kv rounded up), so SIMD paths always load whole
+  // 64-key blocks and mask the causal tail in registers.
   //
   // Scalar paths follow train/reference_ops' per-element order exactly: the
   // score dot is i-ascending, the softmax is the exact two-pass one, sum
@@ -107,45 +117,42 @@ struct KernelTable {
   // SIMD paths are deterministic for a fixed level and shape.
 
   /// Causal attention output rows [r0, r0 + nr) of one head
-  /// (nr <= kAttnRowTile): out_r = softmax(q_r . K[0..r] * scale) @ V.
-  /// `q`/`out` point at the head's first column of row 0 (row strides ldq
-  /// and ldo). SIMD paths stream 64-key blocks through a running max /
-  /// rescaled accumulator (FlashAttention-style) with the rows as one
-  /// register tile and each row's P.V accumulator in registers, so no score
-  /// row is ever materialized; head dims beyond the register budget fall
-  /// back to a two-pass row in `scratch` (caller-provided, >= r0 + nr
-  /// rounded up to kAttnKeyBlock floats).
+  /// (nr <= kAttnRowTile): out_r = softmax(q_r . K[0..r] * scale) @ V, and
+  /// lse[r*ldl] = log sum_c exp(scale * q_r . k_c), the row's log-sum-exp
+  /// (max + log of the denominator). `q`/`out` point at the head's first
+  /// column of row 0 (row strides ldq and ldo). SIMD paths stream 64-key
+  /// blocks through a running max / rescaled accumulator
+  /// (FlashAttention-style) with the rows as one register tile and each
+  /// row's P.V accumulator in registers, so no score row is ever
+  /// materialized; head dims beyond the register budget fall back to a
+  /// two-pass row in `scratch` (caller-provided, >= r0 + nr rounded up to
+  /// kAttnKeyBlock floats).
   void (*attn_fwd_rows)(const float* q, std::int64_t ldq, const float* kt,
                         std::int64_t ldk, const float* vp, std::int64_t r0,
                         std::int64_t nr, std::int64_t d, float scale,
-                        float* out, std::int64_t ldo, float* scratch);
-  /// Backward pass 1 for the query rows [r0, r0 + nr) of one head
-  /// (nr <= kAttnRowTile; row r sees kv = r + 1 keys): recomputes P and
-  /// dP[c] = dout_r . v_c, reduces D = sum_c P[c] dP[c], forms
-  /// dS[c] = P[c] (dP[c] - D) scale and writes the dq row dS . K. Saves each
-  /// row's softmax max, 1/denominator and D to stats + 3r, from which
-  /// attn_bwd_kv_block rebuilds the same P and dS. `q`/`dout`/`dq` point at
-  /// the head's first column of row 0 (row strides ldq and ldo). SIMD paths
-  /// score the rows as one register tile; every row's result is the same
-  /// for any tiling. `scratch` holds 2 * kAttnRowTile * (r0 + nr rounded up
-  /// to kAttnKeyBlock) floats.
-  void (*attn_bwd_rows)(const float* q, const float* dout, std::int64_t ldq,
-                        const float* kt, const float* vt, std::int64_t ldk,
-                        std::int64_t r0, std::int64_t nr, std::int64_t d,
-                        float scale, float* dq, std::int64_t ldo,
-                        float* stats, float* scratch);
-  /// Backward pass 2 for the key block [c0, c0 + bn) of one head: walks the
-  /// query rows r in [c0, s), rebuilds P and dS from the pass-1 stats (row
-  /// r at stats + 3r) and writes dk and dv for the block's keys, each
-  /// accumulated in ascending r. Pointers and strides as attn_bwd_rows.
-  /// SIMD paths walk kAttnRowTile query rows per register tile and
-  /// accumulate dK^T/dV^T in `scratch` (2 * kAttnKeyBlock * d floats).
-  void (*attn_bwd_kv_block)(const float* q, const float* dout,
-                            std::int64_t ldq, const float* kt, const float* vt,
-                            std::int64_t ldk, const float* stats,
-                            std::int64_t s, std::int64_t c0, std::int64_t bn,
-                            std::int64_t d, float scale, float* dk, float* dv,
-                            std::int64_t ldo, float* scratch);
+                        float* out, std::int64_t ldo, float* lse,
+                        std::int64_t ldl, float* scratch);
+  /// Backward of one head's keys [c_begin, c_end) (c_begin a multiple of
+  /// kAttnKeyBlock, c_end one too or s): writes their dk and dv rows and
+  /// the range's share of dq (the sum over its keys) for rows [c_begin, s),
+  /// all at row stride ldo, from q, k, dout and the forward's `out` (row
+  /// strides ldq) and log-sum-exp (lse[r*ldl]). Only the range's columns of
+  /// the panels are read. SIMD paths run FlashAttention-2's one pass:
+  /// D_r = dout_r . out_r, then per 64-key block, over the query tiles that
+  /// see it, P = exp(S scale - lse), dP = dout . V^T and
+  /// dS = P (dP - D) scale, accumulating dV^T and dK^T in `scratch` in
+  /// ascending r and adding dS . K into dq, key block by ascending key
+  /// block. The scalar path takes the whole head only (c_begin 0, c_end s)
+  /// and ignores `k`, `out` and `lse`: it keeps the reference's two passes
+  /// (softmax, D = sum_c P dP and dq per row, then dk/dv per key block), so
+  /// it stays bit-identical to reference_ops. `scratch` holds
+  /// AttnBwdScratchFloats(s, d) floats.
+  void (*attn_bwd)(const float* q, const float* k, const float* dout,
+                   const float* out, std::int64_t ldq, const float* kt,
+                   const float* vt, std::int64_t ldk, const float* lse,
+                   std::int64_t ldl, std::int64_t s, std::int64_t c_begin,
+                   std::int64_t c_end, std::int64_t d, float scale, float* dq,
+                   float* dk, float* dv, std::int64_t ldo, float* scratch);
 
   // ---- Softmax cross-entropy, one row of logits. Returns the row loss
   // (log-sum-exp minus target logit) and fills d_logits when non-null.

@@ -150,10 +150,10 @@ void AttnScoresPacked(const float* qr, const float* kt, std::int64_t ldk,
 }
 
 /// The reference's exact two-pass causal softmax over the packed K^T
-/// panel; also reports the row max and 1/denominator it normalized with.
+/// panel; also reports the row max and the denominator it normalized with.
 void AttnProbsPacked(const float* qr, const float* kt, std::int64_t ldk,
                      std::int64_t kv, std::int64_t d, float scale,
-                     float* probs, float* row_max, float* row_inv) {
+                     float* probs, float* row_max, float* row_denom) {
   AttnScoresPacked(qr, kt, ldk, kv, d, scale, probs);
   float max_score = -1e30f;
   for (std::int64_t c = 0; c < kv; ++c) {
@@ -167,18 +167,20 @@ void AttnProbsPacked(const float* qr, const float* kt, std::int64_t ldk,
   const float inv = 1.0f / denom;
   for (std::int64_t c = 0; c < kv; ++c) probs[c] *= inv;
   *row_max = max_score;
-  *row_inv = inv;
+  *row_denom = denom;
 }
 
 void AttnFwdRows(const float* q, std::int64_t ldq, const float* kt,
                  std::int64_t ldk, const float* vp, std::int64_t r0,
                  std::int64_t nr, std::int64_t d, float scale, float* out,
-                 std::int64_t ldo, float* scratch) {
+                 std::int64_t ldo, float* lse, std::int64_t ldl,
+                 float* scratch) {
   for (std::int64_t r = r0; r < r0 + nr; ++r) {
     float row_max;
-    float row_inv;
+    float row_denom;
     AttnProbsPacked(q + r * ldq, kt, ldk, r + 1, d, scale, scratch, &row_max,
-                    &row_inv);
+                    &row_denom);
+    lse[r * ldl] = row_max + std::log(row_denom);
     float* outr = out + r * ldo;
     std::fill(outr, outr + d, 0.0f);
     for (std::int64_t c = 0; c <= r; ++c) {
@@ -189,42 +191,42 @@ void AttnFwdRows(const float* q, std::int64_t ldq, const float* kt,
   }
 }
 
-void AttnBwdRows(const float* q, const float* dout, std::int64_t ldq,
-                 const float* kt, const float* vt, std::int64_t ldk,
-                 std::int64_t r0, std::int64_t nr, std::int64_t d, float scale,
-                 float* dq, std::int64_t ldo, float* stats, float* scratch) {
-  for (std::int64_t r = r0; r < r0 + nr; ++r) {
-    const std::int64_t kv = r + 1;
-    float* probs = scratch;
-    float* ds = scratch + kv;
-    float* st = stats + 3 * r;
-    AttnProbsPacked(q + r * ldq, kt, ldk, kv, d, scale, probs, &st[0], &st[1]);
-    // dP with scale 1.0f (`*= 1.0f` is exact), then the reference's
-    // c-ascending sum P.dP and dS; dq[i] is the c-ascending dot over the
-    // packed K^T row, the reference's axpy chain from zero.
-    AttnScoresPacked(dout + r * ldq, vt, ldk, kv, d, 1.0f, ds);
-    const float dot_p_dp = Dot(probs, ds, kv);
-    for (std::int64_t c = 0; c < kv; ++c) {
-      ds[c] = probs[c] * (ds[c] - dot_p_dp) * scale;
-    }
-    float* dqr = dq + r * ldo;
-    for (std::int64_t i = 0; i < d; ++i) dqr[i] = Dot(ds, kt + i * ldk, kv);
-    st[2] = dot_p_dp;
+/// Backward pass 1 of query row r: the reference's softmax, dP with scale
+/// 1.0f (`*= 1.0f` is exact), D = sum P.dP and dS, all c-ascending, and the
+/// dq row as c-ascending dots over the packed K^T rows (the reference's
+/// axpy chain from zero). Saves the row's max, 1/denominator and D to
+/// `st` for pass 2; `probs` and `ds` hold r + 1 floats.
+void AttnBwdRow(const float* qr, const float* dr, const float* kt,
+                const float* vt, std::int64_t ldk, std::int64_t r,
+                std::int64_t d, float scale, float* dqr, float* st,
+                float* probs, float* ds) {
+  const std::int64_t kv = r + 1;
+  float row_denom;
+  AttnProbsPacked(qr, kt, ldk, kv, d, scale, probs, &st[0], &row_denom);
+  st[1] = 1.0f / row_denom;
+  AttnScoresPacked(dr, vt, ldk, kv, d, 1.0f, ds);
+  const float dot_p_dp = Dot(probs, ds, kv);
+  for (std::int64_t c = 0; c < kv; ++c) {
+    ds[c] = probs[c] * (ds[c] - dot_p_dp) * scale;
   }
+  for (std::int64_t i = 0; i < d; ++i) dqr[i] = Dot(ds, kt + i * ldk, kv);
+  st[2] = dot_p_dp;
 }
 
+/// Backward pass 2 for the key block [c0, c0 + bn): walks the query rows
+/// r in [c0, s) and writes dk and dv for the block's keys, each
+/// accumulated in ascending r like the reference. P and dS are rebuilt from
+/// pass 1's stats (row r at stats + 3r) with the reference's expressions,
+/// so each term is bit-identical too.
 void AttnBwdKvBlock(const float* q, const float* dout, std::int64_t ldq,
                     const float* kt, const float* vt, std::int64_t ldk,
                     const float* stats, std::int64_t s, std::int64_t c0,
                     std::int64_t bn, std::int64_t d, float scale, float* dk,
-                    float* dv, std::int64_t ldo, float* /*scratch*/) {
+                    float* dv, std::int64_t ldo) {
   for (std::int64_t c = c0; c < c0 + bn; ++c) {
     std::fill(dk + c * ldo, dk + c * ldo + d, 0.0f);
     std::fill(dv + c * ldo, dv + c * ldo + d, 0.0f);
   }
-  // Row-outer, so every dk/dv element accumulates in ascending r like the
-  // reference; P and dS are rebuilt from the pass-1 stats with the
-  // reference's expressions, so each term is bit-identical too.
   for (std::int64_t r = c0; r < s; ++r) {
     const float* qr = q + r * ldq;
     const float* dr = dout + r * ldq;
@@ -249,6 +251,31 @@ void AttnBwdKvBlock(const float* q, const float* dout, std::int64_t ldq,
         dkc[i] += ds * qr[i];
       }
     }
+  }
+}
+
+/// The scalar backward keeps the reference's two passes over the whole
+/// head (its dq rows are one c-ascending chain, so it takes no key range):
+/// the saved output and log-sum-exp would give P and D in another rounding,
+/// so P is rebuilt from the exact softmax and D = sum P.dP is reduced
+/// c-ascending, which is what keeps MEMO_SIMD=scalar bit-identical to
+/// reference_ops.
+void AttnBwd(const float* q, const float* /*k*/, const float* dout,
+             const float* /*out*/, std::int64_t ldq, const float* kt,
+             const float* vt, std::int64_t ldk, const float* /*lse*/,
+             std::int64_t /*ldl*/, std::int64_t s, std::int64_t /*c_begin*/,
+             std::int64_t /*c_end*/, std::int64_t d, float scale, float* dq,
+             float* dk, float* dv, std::int64_t ldo, float* scratch) {
+  float* stats = scratch;
+  float* probs = scratch + 3 * s;
+  float* ds = probs + s;
+  for (std::int64_t r = 0; r < s; ++r) {
+    AttnBwdRow(q + r * ldq, dout + r * ldq, kt, vt, ldk, r, d, scale,
+               dq + r * ldo, stats + 3 * r, probs, ds);
+  }
+  for (std::int64_t c0 = 0; c0 < s; c0 += kAttnKeyBlock) {
+    AttnBwdKvBlock(q, dout, ldq, kt, vt, ldk, stats, s, c0,
+                   std::min(kAttnKeyBlock, s - c0), d, scale, dk, dv, ldo);
   }
 }
 
@@ -302,8 +329,7 @@ const KernelTable& ScalarKernels() {
       .gelu_fwd = &GeluFwd,
       .gelu_bwd = &GeluBwd,
       .attn_fwd_rows = &AttnFwdRows,
-      .attn_bwd_rows = &AttnBwdRows,
-      .attn_bwd_kv_block = &AttnBwdKvBlock,
+      .attn_bwd = &AttnBwd,
       .ce_row = &CeRow,
       .adam_update = &AdamUpdate,
   };

@@ -104,7 +104,8 @@ Tensor LayerBackward(const LayerParams& l, int heads,
   Tensor dq = Tensor::Uninitialized(s, h);
   Tensor dk = Tensor::Uninitialized(s, h);
   Tensor dv = Tensor::Uninitialized(s, h);
-  AttentionBackward(acts.q, acts.k, acts.v, heads, d_attn, &dq, &dk, &dv);
+  AttentionBackward(acts.q, acts.k, acts.v, heads, acts.attn_out,
+                    acts.attn_lse, d_attn, &dq, &dk, &dv);
   Tensor d_ln1 = Tensor::Uninitialized(s, h);
   Tensor d_ln1_partial = Tensor::Uninitialized(s, h);
   LinearBackward(acts.ln1_out, l.wq, dq, &d_ln1, &g->wq, nullptr);

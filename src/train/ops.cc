@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "common/scratch.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
 #include "train/kernels/kernels.h"
 #include "train/reference_ops.h"
@@ -57,11 +58,14 @@ void PackPanelFromRows(const float* src, std::int64_t ld, std::int64_t k,
 
 /// Transpose pack: panel column j is row (j0+j) of `src` ([n x k]
 /// row-major, leading dimension ld): bp[kk*nr + j] = src[(j0+j)*ld + kk].
+/// The panel is written in order; the nr source rows it gathers from stay
+/// cached across consecutive kk.
 void PackPanelFromCols(const float* src, std::int64_t ld, std::int64_t k,
                        std::int64_t j0, std::int64_t nr, float* bp) {
-  for (std::int64_t j = 0; j < nr; ++j) {
-    const float* s = src + (j0 + j) * ld;
-    for (std::int64_t kk = 0; kk < k; ++kk) bp[kk * nr + j] = s[kk];
+  const float* s = src + j0 * ld;
+  for (std::int64_t kk = 0; kk < k; ++kk) {
+    float* __restrict dst = bp + kk * nr;
+    for (std::int64_t j = 0; j < nr; ++j) dst[j] = s[j * ld + kk];
   }
 }
 
@@ -123,18 +127,60 @@ std::int64_t PaddedKeys(std::int64_t s) {
 }
 
 /// Packs the head-column slice [offset, offset + d) of `src` transposed
-/// into a d x ldk panel (row c of src becomes column c), zero-filling the
-/// padding columns [src.rows(), ldk).
+/// into a d x ldk panel (row c of src becomes column c): the panel's
+/// columns [c_begin, c_end), c_begin on a key block, with the padding
+/// columns past src.rows() zero-filled. One 64-key column block at a time
+/// with the head dim outer, so each panel row segment is written
+/// contiguously while the block's source rows stay cached.
 void PackHeadTransposed(const Tensor& src, std::int64_t offset,
-                        std::int64_t d, std::int64_t ldk, float* panel) {
+                        std::int64_t d, std::int64_t c_begin,
+                        std::int64_t c_end, std::int64_t ldk, float* panel) {
   const std::int64_t s = src.rows();
-  for (std::int64_t c = 0; c < s; ++c) {
-    const float* sc = src.row(c) + offset;
-    for (std::int64_t i = 0; i < d; ++i) panel[i * ldk + c] = sc[i];
+  const std::int64_t ld = src.cols();
+  const float* base = src.data() + offset;
+  for (std::int64_t c0 = c_begin; c0 < c_end; c0 += kernels::kAttnKeyBlock) {
+    const std::int64_t width = std::min(kernels::kAttnKeyBlock, ldk - c0);
+    const std::int64_t cn = std::clamp<std::int64_t>(s - c0, 0, width);
+    const float* block = base + c0 * ld;
+    for (std::int64_t i = 0; i < d; ++i) {
+      float* __restrict dst = panel + i * ldk + c0;
+      for (std::int64_t c = 0; c < cn; ++c) dst[c] = block[c * ld + i];
+      std::fill(dst + cn, dst + width, 0.0f);
+    }
   }
-  for (std::int64_t i = 0; i < d; ++i) {
-    std::fill(panel + i * ldk + s, panel + (i + 1) * ldk, 0.0f);
+}
+
+/// Key parts of one head's attention backward at the SIMD tiers: each part
+/// is a work item, so the heads x parts items spread over the pool in
+/// rounds of even size (8 heads x 3 parts fill 2, 3 or 4 lanes evenly).
+constexpr int kAttnBwdParts = 3;
+
+/// Part boundaries for s keys, on key blocks: block b is seen by the
+/// s - 64 b query rows from its first key on, and a part ends at the block
+/// boundary nearest to its share of the total work, so the parts are of
+/// near-equal work. A function of s alone; a short sequence gets fewer
+/// parts.
+std::vector<std::int64_t> AttnKeyParts(std::int64_t s, int parts) {
+  const std::int64_t blocks =
+      (s + kernels::kAttnKeyBlock - 1) / kernels::kAttnKeyBlock;
+  const auto work = [&](std::int64_t b) {
+    return b < blocks ? s - b * kernels::kAttnKeyBlock : 0;
+  };
+  std::int64_t total = 0;
+  for (std::int64_t b = 0; b < blocks; ++b) total += work(b);
+  std::vector<std::int64_t> cuts = {0};
+  std::int64_t done = 0;
+  for (std::int64_t b = 0; b < blocks; ++b) {
+    done += work(b);
+    // Cut after block b once the next block's midpoint would pass the
+    // part's target: the nearer boundary.
+    const std::int64_t part = static_cast<std::int64_t>(cuts.size());
+    if (part < parts && (2 * done + work(b + 1)) * parts >= 2 * part * total) {
+      cuts.push_back(std::min(s, (b + 1) * kernels::kAttnKeyBlock));
+    }
   }
+  if (cuts.back() != s) cuts.push_back(s);
+  return cuts;
 }
 
 }  // namespace
@@ -434,9 +480,9 @@ void AddRows(const Tensor& a, const Tensor& b, std::int64_t row_begin,
 }
 
 void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
-                      int heads, Tensor* out) {
+                      int heads, Tensor* out, Tensor* lse) {
   if (UseReference()) {
-    reference::AttentionForward(q, k, v, heads, out);
+    reference::AttentionForward(q, k, v, heads, out, lse);
     return;
   }
   const kernels::KernelTable& K = kernels::Active();
@@ -446,6 +492,13 @@ void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
   const std::int64_t head_dim = h / heads;
   const std::int64_t ldk = PaddedKeys(s);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
+  Tensor unsaved_lse;
+  if (lse == nullptr) {
+    unsaved_lse = Tensor::Uninitialized(s, heads);
+    lse = &unsaved_lse;
+  }
+  MEMO_CHECK_EQ(lse->rows(), s);
+  MEMO_CHECK_EQ(lse->cols(), heads);
   // Per-head packing (arena-backed scratch): K transposed to a padded
   // d x ldk panel so the score kernel runs broadcast-FMA over 64 contiguous
   // keys at a time, V copied contiguous per head so the value accumulation
@@ -458,7 +511,7 @@ void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
       [&](std::int64_t h0, std::int64_t h1) {
         for (std::int64_t head = h0; head < h1; ++head) {
           const std::int64_t offset = head * head_dim;
-          PackHeadTransposed(k, offset, head_dim, ldk,
+          PackHeadTransposed(k, offset, head_dim, 0, ldk, ldk,
                              kt_pack.data() + offset * ldk);
           float* vp = v_pack.data() + offset * s;
           for (std::int64_t c = 0; c < s; ++c) {
@@ -489,13 +542,15 @@ void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
                           kt_pack.data() + offset * ldk, ldk,
                           v_pack.data() + offset * s, r0,
                           std::min(kernels::kAttnRowTile, s - r0), head_dim,
-                          scale, out->data() + offset, h, scratch);
+                          scale, out->data() + offset, h, lse->data() + head,
+                          heads, scratch);
         }
       });
 }
 
 void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
-                       int heads, const Tensor& dout, Tensor* dq, Tensor* dk,
+                       int heads, const Tensor& out, const Tensor& lse,
+                       const Tensor& dout, Tensor* dq, Tensor* dk,
                        Tensor* dv) {
   if (UseReference()) {
     reference::AttentionBackward(q, k, v, heads, dout, dq, dk, dv);
@@ -506,80 +561,66 @@ void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
   const std::int64_t h = q.cols();
   MEMO_CHECK_EQ(h % heads, 0);
   MEMO_CHECK_EQ(dout.cols(), h);
+  MEMO_CHECK_EQ(out.cols(), h);
+  MEMO_CHECK_EQ(lse.rows(), s);
+  MEMO_CHECK_EQ(lse.cols(), heads);
   const std::int64_t head_dim = h / heads;
   const std::int64_t ldk = PaddedKeys(s);
   const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
-  ThreadPool& pool = ThreadPool::Global();
-  // FlashAttention-2's two passes over padded per-head K^T/V^T panels
-  // (arena-backed, packed once). Neither pass keeps a probability matrix:
-  // both rebuild P from the scores, pass 2 from the row stats pass 1 saves
-  // (softmax max, 1/denominator and D = sum P.dP: 3 floats per head-row).
+  // One work item per (head, key part): it packs its keys' columns of the
+  // head's K^T and V^T panels (arena-backed, disjoint per item) and runs the
+  // backward of those keys, so the items depend only on (s, heads,
+  // head_dim) and every pool size gives the same bits. Part 0 writes dq;
+  // every later part writes its share of dq into a partial of its own,
+  // added to dq in part order. The scalar table's dq is one chain over all
+  // keys, so there a head is one part.
+  const std::vector<std::int64_t> cuts = AttnKeyParts(
+      s, K.level == SimdLevel::kScalar ? 1 : kAttnBwdParts);
+  const std::int64_t parts = static_cast<std::int64_t>(cuts.size()) - 1;
+  std::vector<Tensor> dq_partials;
+  for (std::int64_t p = 1; p < parts; ++p) {
+    dq_partials.push_back(Tensor::Uninitialized(s, h));
+  }
   Tensor kt_pack = Tensor::Uninitialized(1, h * ldk);
   Tensor vt_pack = Tensor::Uninitialized(1, h * ldk);
-  Tensor stats = Tensor::Uninitialized(1, 3 * heads * s);
-  pool.ParallelFor(
-      0, heads, 1,
-      LoopHint{4.0 * static_cast<double>(head_dim) * static_cast<double>(s)},
-      [&](std::int64_t h0, std::int64_t h1) {
-        for (std::int64_t head = h0; head < h1; ++head) {
-          const std::int64_t offset = head * head_dim;
-          PackHeadTransposed(k, offset, head_dim, ldk,
-                             kt_pack.data() + offset * ldk);
-          PackHeadTransposed(v, offset, head_dim, ldk,
-                             vt_pack.data() + offset * ldk);
-        }
-      });
-  // Pass 1, flat over (head, tile of kAttnRowTile query rows): P, dP, D,
-  // dS and the dq rows. Each item writes its own dq rows and stats, so
-  // chunking is invisible.
-  const std::int64_t tiles =
-      (s + kernels::kAttnRowTile - 1) / kernels::kAttnRowTile;
-  pool.ParallelFor(
-      0, static_cast<std::int64_t>(heads) * tiles,
-      kAttnRowGrain / kernels::kAttnRowTile,
-      LoopHint{3.0 * static_cast<double>(kernels::kAttnRowTile * head_dim) *
-               static_cast<double>(s)},
-      [&](std::int64_t w0, std::int64_t w1) {
-        float* scratch = ThreadScratchFloats(2 * kernels::kAttnRowTile * ldk);
-        for (std::int64_t wi = w0; wi < w1; ++wi) {
-          const std::int64_t head = wi / tiles;
-          const std::int64_t r0 = (wi - head * tiles) * kernels::kAttnRowTile;
-          const std::int64_t offset = head * head_dim;
-          K.attn_bwd_rows(q.data() + offset, dout.data() + offset, h,
-                          kt_pack.data() + offset * ldk,
-                          vt_pack.data() + offset * ldk, ldk, r0,
-                          std::min(kernels::kAttnRowTile, s - r0), head_dim,
-                          scale, dq->data() + offset, h,
-                          stats.data() + 3 * head * s, scratch);
-        }
-      });
-  // Pass 2, flat over (key block, head) with block 0 — which sees every
-  // query row — first, so the dynamic chunk claim starts the largest items
-  // earliest. Each item owns its keys' dk/dv rows and accumulates them in
-  // ascending query row: the reference's per-element order, and the same
-  // bits at every pool size.
-  const std::int64_t blocks = ldk / kernels::kAttnKeyBlock;
-  pool.ParallelFor(
-      0, blocks * heads, 1,
-      LoopHint{4.0 * static_cast<double>(head_dim) *
-               static_cast<double>(kernels::kAttnKeyBlock) *
-               static_cast<double>(s)},
+  ThreadPool::Global().ParallelFor(
+      0, heads * parts, 1,
+      LoopHint{5.0 * static_cast<double>(head_dim) * static_cast<double>(s) *
+               static_cast<double>(s) / static_cast<double>(parts)},
       [&](std::int64_t w0, std::int64_t w1) {
         float* scratch =
-            ThreadScratchFloats(2 * kernels::kAttnKeyBlock * head_dim);
+            ThreadScratchFloats(kernels::AttnBwdScratchFloats(s, head_dim));
         for (std::int64_t wi = w0; wi < w1; ++wi) {
-          const std::int64_t block = wi / heads;
-          const std::int64_t head = wi - block * heads;
+          const std::int64_t head = wi / parts;
+          const std::int64_t part = wi - head * parts;
           const std::int64_t offset = head * head_dim;
-          const std::int64_t c0 = block * kernels::kAttnKeyBlock;
-          K.attn_bwd_kv_block(
-              q.data() + offset, dout.data() + offset, h,
-              kt_pack.data() + offset * ldk, vt_pack.data() + offset * ldk,
-              ldk, stats.data() + 3 * head * s, s, c0,
-              std::min(kernels::kAttnKeyBlock, s - c0), head_dim, scale,
-              dk->data() + offset, dv->data() + offset, h, scratch);
+          const std::int64_t c_begin = cuts[part];
+          const std::int64_t c_end = cuts[part + 1];
+          float* kt = kt_pack.data() + offset * ldk;
+          float* vt = vt_pack.data() + offset * ldk;
+          PackHeadTransposed(k, offset, head_dim, c_begin, c_end, ldk, kt);
+          PackHeadTransposed(v, offset, head_dim, c_begin, c_end, ldk, vt);
+          float* dq_part =
+              part == 0 ? dq->data() : dq_partials[part - 1].data();
+          K.attn_bwd(q.data() + offset, k.data() + offset,
+                     dout.data() + offset, out.data() + offset, h, kt, vt,
+                     ldk, lse.data() + head, heads, s, c_begin, c_end,
+                     head_dim, scale, dq_part + offset, dk->data() + offset,
+                     dv->data() + offset, h, scratch);
         }
       });
+  for (std::int64_t p = 1; p < parts; ++p) {
+    AddRows(*dq, dq_partials[p - 1], cuts[p], s, dq);
+  }
+}
+
+void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
+                       int heads, const Tensor& dout, Tensor* dq, Tensor* dk,
+                       Tensor* dv) {
+  Tensor out = Tensor::Uninitialized(q.rows(), q.cols());
+  Tensor lse = Tensor::Uninitialized(q.rows(), heads);
+  AttentionForward(q, k, v, heads, &out, &lse);
+  AttentionBackward(q, k, v, heads, out, lse, dout, dq, dk, dv);
 }
 
 double CrossEntropy(const Tensor& logits, const std::vector<int>& targets,

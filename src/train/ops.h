@@ -93,9 +93,18 @@ void AddRows(const Tensor& a, const Tensor& b, std::int64_t row_begin,
 
 /// Causal multi-head attention over one sequence: q, k, v are [s, h] with
 /// `heads` heads of dimension h/heads. Probabilities are NOT stored —
-/// backward recomputes them from q and k, exactly like FlashAttention.
+/// backward recomputes them from q and k, exactly like FlashAttention. With
+/// `lse` ([s, heads]) it also writes each row's softmax log-sum-exp per
+/// head, the statistic the backward rebuilds the probabilities from.
 void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
-                      int heads, Tensor* out);
+                      int heads, Tensor* out, Tensor* lse = nullptr);
+/// Backward from the forward's saved output `out` and log-sum-exp `lse`
+/// (FlashAttention-2): writes dq, dk and dv.
+void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
+                       int heads, const Tensor& out, const Tensor& lse,
+                       const Tensor& dout, Tensor* dq, Tensor* dk, Tensor* dv);
+/// The same backward without saved statistics: runs the forward for `out`
+/// and `lse` first.
 void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
                        int heads, const Tensor& dout, Tensor* dq, Tensor* dk,
                        Tensor* dv);

@@ -174,10 +174,10 @@ void GeluBackward(const Tensor& x, const Tensor& dy, Tensor* dx) {
 namespace {
 
 /// Causal softmax probabilities of one head-row (scores of query row `r`
-/// against keys [0, r]); identical to the helper in ops.cc.
-void HeadRowProbs(const Tensor& q, const Tensor& k, int head,
-                  std::int64_t head_dim, float scale, std::int64_t r,
-                  std::vector<float>* probs) {
+/// against keys [0, r]); returns the row's log-sum-exp.
+float HeadRowProbs(const Tensor& q, const Tensor& k, int head,
+                   std::int64_t head_dim, float scale, std::int64_t r,
+                   std::vector<float>* probs) {
   const std::int64_t offset = head * head_dim;
   probs->assign(r + 1, 0.0f);
   float max_score = -1e30f;
@@ -197,12 +197,13 @@ void HeadRowProbs(const Tensor& q, const Tensor& k, int head,
   }
   const float inv = 1.0f / denom;
   for (std::int64_t c = 0; c <= r; ++c) (*probs)[c] *= inv;
+  return max_score + std::log(denom);
 }
 
 }  // namespace
 
 void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
-                      int heads, Tensor* out) {
+                      int heads, Tensor* out, Tensor* lse) {
   const std::int64_t s = q.rows();
   const std::int64_t h = q.cols();
   MEMO_CHECK_EQ(h % heads, 0);
@@ -212,7 +213,9 @@ void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
   for (int head = 0; head < heads; ++head) {
     const std::int64_t offset = head * head_dim;
     for (std::int64_t r = 0; r < s; ++r) {
-      HeadRowProbs(q, k, head, head_dim, scale, r, &probs);
+      const float row_lse =
+          HeadRowProbs(q, k, head, head_dim, scale, r, &probs);
+      if (lse != nullptr) lse->at(r, head) = row_lse;
       for (std::int64_t i = 0; i < head_dim; ++i) {
         float acc = 0.0f;
         for (std::int64_t c = 0; c <= r; ++c) {

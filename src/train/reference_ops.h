@@ -37,7 +37,7 @@ void GeluForward(const Tensor& x, Tensor* y);
 void GeluBackward(const Tensor& x, const Tensor& dy, Tensor* dx);
 
 void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
-                      int heads, Tensor* out);
+                      int heads, Tensor* out, Tensor* lse = nullptr);
 void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
                        int heads, const Tensor& dout, Tensor* dq, Tensor* dk,
                        Tensor* dv);

@@ -128,9 +128,11 @@ TEST(MemoCliTest, TieredTrainTraceCoversTheInstrumentedSubsystems) {
       ::testing::TempDir() + "memo_cli_trace_subsystems.json";
   // A ~1 KB RAM tier: every swapped layer of even this tiny model spills,
   // so the disk subsystem shows up in the trace. Four layers, because the
-  // last two stay in the rounding buffers and never reach the stash.
+  // last two stay in the rounding buffers and never reach the stash. A loop
+  // the pool runs inline records no span, so the sequence is long enough
+  // (48 rows) for the fc1 weight-gradient pass to be dispatched.
   const CliResult run = RunCli(
-      "train --iterations 3 --layers 4 --hidden 16 --ffn 32 --seq 24 "
+      "train --iterations 3 --layers 4 --hidden 16 --ffn 32 --seq 48 "
       "--vocab 17 --backend tiered --ram-cap-mib 0.001 --trace-out " +
       trace_path);
   ASSERT_EQ(run.exit_code, 0) << run.output;

@@ -220,7 +220,8 @@ TEST_F(ObsIntegrationTest, MemoExecutorMirrorsItsScheduleOntoSimLanes) {
 #endif  // !MEMO_OBS_DISABLE_TRACING
 
 /// Activations with the shapes MiniGpt produces for one layer: seq rows,
-/// hidden/ffn columns, per-row statistics as [s, 1].
+/// hidden/ffn columns, per-row statistics as [s, 1], two heads'
+/// log-sum-exp as [s, 2].
 LayerActivations MakeActs(std::int64_t s, std::int64_t h, std::int64_t ffn) {
   LayerActivations a;
   Rng rng(7);
@@ -231,6 +232,7 @@ LayerActivations MakeActs(std::int64_t s, std::int64_t h, std::int64_t ffn) {
   a.k = Tensor::Randn(s, h, 1.0, rng);
   a.v = Tensor::Randn(s, h, 1.0, rng);
   a.attn_out = Tensor::Randn(s, h, 1.0, rng);
+  a.attn_lse = Tensor::Randn(s, 2, 1.0, rng);
   a.proj_out = Tensor::Randn(s, h, 1.0, rng);
   a.ln2_out = Tensor::Randn(s, h, 1.0, rng);
   a.ln2_rstd = Tensor::Randn(s, 1, 1.0, rng);

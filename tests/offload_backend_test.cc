@@ -237,8 +237,9 @@ constexpr int kLayers = 5;
 constexpr int kSwapped = 3;
 
 /// One layer's activations at the shapes MiniGpt produces (seq rows, hidden
-/// and ffn columns, per-row statistics as [s, 1]). `seed` varies the values,
-/// so a blob restored into the wrong layer would show.
+/// and ffn columns, per-row statistics as [s, 1], two heads' log-sum-exp
+/// as [s, 2]). `seed` varies the values, so a blob restored into the wrong
+/// layer would show.
 train::LayerActivations MakeActs(std::uint64_t seed) {
   constexpr std::int64_t s = 8, h = 16, ffn = 32;
   Rng rng(seed);
@@ -250,6 +251,7 @@ train::LayerActivations MakeActs(std::uint64_t seed) {
   a.k = train::Tensor::Randn(s, h, 1.0, rng);
   a.v = train::Tensor::Randn(s, h, 1.0, rng);
   a.attn_out = train::Tensor::Randn(s, h, 1.0, rng);
+  a.attn_lse = train::Tensor::Randn(s, 2, 1.0, rng);
   a.proj_out = train::Tensor::Randn(s, h, 1.0, rng);
   a.ln2_out = train::Tensor::Randn(s, h, 1.0, rng);
   a.ln2_rstd = train::Tensor::Randn(s, 1, 1.0, rng);
@@ -265,6 +267,7 @@ bool SameActs(const train::LayerActivations& a,
          a.ln1_rstd.ExactlyEquals(b.ln1_rstd) && a.q.ExactlyEquals(b.q) &&
          a.k.ExactlyEquals(b.k) && a.v.ExactlyEquals(b.v) &&
          a.attn_out.ExactlyEquals(b.attn_out) &&
+         a.attn_lse.ExactlyEquals(b.attn_lse) &&
          a.proj_out.ExactlyEquals(b.proj_out) &&
          a.ln2_out.ExactlyEquals(b.ln2_out) &&
          a.ln2_rstd.ExactlyEquals(b.ln2_rstd) &&

@@ -60,7 +60,7 @@ struct LinearShape {
   std::int64_t rows, in, out;
 };
 constexpr LinearShape kRaggedLinear{1000, 200, 70};
-const int kLinearPoolSizes[] = {1, 2, 3, 4};
+const int kPoolSizes[] = {1, 2, 3, 4};
 
 struct LinearTensors {
   Tensor y, dx, dw, db;
@@ -109,7 +109,7 @@ void ExpectLinearBitExact(const LinearShape& shape, bool backward) {
     ScopedRuntime rt(1, KernelMode::kReference);
     expected = backward ? in.Backward() : in.Forward();
   }
-  for (int threads : kLinearPoolSizes) {
+  for (int threads : kPoolSizes) {
     SCOPED_TRACE(::testing::Message() << threads << " threads");
     ScopedRuntime rt(threads, KernelMode::kOptimized);
     ExpectSameLinear(backward ? in.Backward() : in.Forward(), expected);
@@ -144,7 +144,7 @@ TEST(ParallelExactnessTest, SimdLinearSameBitsAtEveryPoolSize) {
     ScopedRuntime rt(1, KernelMode::kOptimized, level);
     const LinearTensors forward = in.Forward();
     const LinearTensors backward = in.Backward();
-    for (int threads : kLinearPoolSizes) {
+    for (int threads : kPoolSizes) {
       SCOPED_TRACE(::testing::Message() << threads << " threads");
       ThreadPool::SetGlobalThreads(threads);
       ExpectSameLinear(in.Forward(), forward);
@@ -194,7 +194,7 @@ TEST(ParallelExactnessTest, GeluBitExact) {
 // ---- Attention across key-block boundaries: s = 1 (a lone row), 64 (one
 // whole 64-key block), 65 (one key spilling into a second block), 200 and
 // 300 (partial last blocks at different row-tile phases), at head dims 8 and
-// 16, on pool sizes 1, 3 and 4.
+// 16, on pool sizes 1 to 4.
 
 struct AttentionCase {
   std::int64_t seq;
@@ -210,10 +210,9 @@ std::vector<AttentionCase> AttentionCases() {
 }
 
 constexpr int kAttentionHeads = 4;
-const int kPoolSizes[] = {1, 3, 4};
 
 struct AttentionTensors {
-  Tensor out, dq, dk, dv;
+  Tensor out, lse, dq, dk, dv;
 };
 
 struct AttentionInputs {
@@ -228,20 +227,31 @@ struct AttentionInputs {
     dout = RandomTensor(c.seq, h, rng);
   }
 
+  AttentionTensors Empty() const {
+    return {Tensor(q.rows(), q.cols()), Tensor(q.rows(), kAttentionHeads),
+            Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols()),
+            Tensor(q.rows(), q.cols())};
+  }
+
   AttentionTensors Reference() const {
-    AttentionTensors r{Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols()),
-                       Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols())};
-    reference::AttentionForward(q, k, v, kAttentionHeads, &r.out);
+    AttentionTensors r = Empty();
+    reference::AttentionForward(q, k, v, kAttentionHeads, &r.out, &r.lse);
     reference::AttentionBackward(q, k, v, kAttentionHeads, dout, &r.dq, &r.dk,
                                  &r.dv);
     return r;
   }
 
-  AttentionTensors Optimized() const {
-    AttentionTensors r{Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols()),
-                       Tensor(q.rows(), q.cols()), Tensor(q.rows(), q.cols())};
-    AttentionForward(q, k, v, kAttentionHeads, &r.out);
-    AttentionBackward(q, k, v, kAttentionHeads, dout, &r.dq, &r.dk, &r.dv);
+  /// The forward, then the backward from its saved out and lse (the
+  /// trainer's calls) or, with `!saved`, the form that reruns the forward.
+  AttentionTensors Optimized(bool saved = true) const {
+    AttentionTensors r = Empty();
+    AttentionForward(q, k, v, kAttentionHeads, &r.out, &r.lse);
+    if (saved) {
+      AttentionBackward(q, k, v, kAttentionHeads, r.out, r.lse, dout, &r.dq,
+                        &r.dk, &r.dv);
+    } else {
+      AttentionBackward(q, k, v, kAttentionHeads, dout, &r.dq, &r.dk, &r.dv);
+    }
     return r;
   }
 };
@@ -249,6 +259,7 @@ struct AttentionInputs {
 void ExpectSameAttention(const AttentionTensors& a,
                          const AttentionTensors& b) {
   EXPECT_TRUE(a.out.ExactlyEquals(b.out)) << "out";
+  EXPECT_TRUE(a.lse.ExactlyEquals(b.lse)) << "lse";
   EXPECT_TRUE(a.dq.ExactlyEquals(b.dq)) << "dq";
   EXPECT_TRUE(a.dk.ExactlyEquals(b.dk)) << "dk";
   EXPECT_TRUE(a.dv.ExactlyEquals(b.dv)) << "dv";
@@ -277,6 +288,7 @@ TEST(ParallelExactnessTest, AttentionBitExact) {
       SCOPED_TRACE(::testing::Message() << threads << " threads");
       ScopedRuntime rt(threads, KernelMode::kOptimized);
       ExpectSameAttention(in.Optimized(), expected);
+      ExpectSameAttention(in.Optimized(/*saved=*/false), expected);
     }
   }
 }
@@ -284,7 +296,8 @@ TEST(ParallelExactnessTest, AttentionBitExact) {
 TEST(ParallelExactnessTest, SimdAttentionSameBitsAtEveryPoolSize) {
   // The vectorized tiers reorder the reductions, so they are held to a
   // tolerance against the reference — but every pool size must still give
-  // the same bits, because each work item owns its outputs.
+  // the same bits, because each work item owns its outputs, and the
+  // backward that reruns the forward gives the saved-stats backward's bits.
   constexpr double kMaxRelativeError = 1e-5;
   for (SimdLevel level : {SimdLevel::kAvx2, SimdLevel::kAvx512}) {
     if (level > CpuSimdLevel()) continue;
@@ -297,6 +310,7 @@ TEST(ParallelExactnessTest, SimdAttentionSameBitsAtEveryPoolSize) {
       ScopedRuntime rt(kPoolSizes[0], KernelMode::kOptimized, level);
       const AttentionTensors first = in.Optimized();
       EXPECT_LE(RelativeError(first.out, expected.out), kMaxRelativeError);
+      EXPECT_LE(RelativeError(first.lse, expected.lse), kMaxRelativeError);
       EXPECT_LE(RelativeError(first.dq, expected.dq), kMaxRelativeError);
       EXPECT_LE(RelativeError(first.dk, expected.dk), kMaxRelativeError);
       EXPECT_LE(RelativeError(first.dv, expected.dv), kMaxRelativeError);
@@ -304,6 +318,7 @@ TEST(ParallelExactnessTest, SimdAttentionSameBitsAtEveryPoolSize) {
         SCOPED_TRACE(::testing::Message() << threads << " threads");
         ThreadPool::SetGlobalThreads(threads);
         ExpectSameAttention(in.Optimized(), first);
+        ExpectSameAttention(in.Optimized(/*saved=*/false), first);
       }
     }
   }
@@ -500,12 +515,14 @@ TEST(ParallelExactnessTest, OnlyLayersBeforeTheLastTwoSwap) {
   const std::int64_t s = config.seq;
   const std::int64_t h = config.hidden;
   const std::int64_t cut = std::llround(alpha * static_cast<double>(s));
-  // Kept bytes of one swapped layer: the input and attention output in
-  // full, plus the first `cut` rows of every token-wise tensor (ln1_out,
-  // q, k, v, proj_out, ln2_out: h columns; two rstd columns; fc1_out and
-  // gelu_out: ffn columns).
+  // Kept bytes of one swapped layer: the input, the attention output and
+  // its log-sum-exp (one float per row and head) in full, plus the first
+  // `cut` rows of every token-wise tensor (ln1_out, q, k, v, proj_out,
+  // ln2_out: h columns; two rstd columns; fc1_out and gelu_out: ffn
+  // columns).
   const std::int64_t kept_bytes =
-      4 * (2 * s * h + cut * (6 * h + 2 + 2 * config.ffn));
+      4 * (2 * s * h + s * config.heads +
+           cut * (6 * h + 2 + 2 * config.ffn));
   ScopedRuntime rt(4, KernelMode::kOptimized);
   StepResult reference =
       OneStep(config, ActivationPolicy::kRetainAll, 1.0, false);

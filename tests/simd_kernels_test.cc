@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
@@ -288,7 +289,7 @@ TEST(SimdKernelsTest, LayerNormKernelsMatchScalarWithinTolerance) {
 // vector-width tails (3, 33), whole vectors (8, 16, 64) and a head wider
 // than the SIMD register tile (100).
 
-const std::int64_t kAttnSeqs[] = {1, 2, 5, 17, 63, 64, 65, 129, 200};
+const std::int64_t kAttnSeqs[] = {1, 2, 5, 17, 63, 64, 65, 129, 200, 320};
 const std::int64_t kAttnDims[] = {3, 8, 16, 33, 64, 100};
 
 std::int64_t PaddedKeys(std::int64_t kv) {
@@ -327,17 +328,17 @@ struct AttnHead {
 };
 
 /// The reference formulas of train/reference_ops, spelled out per head:
-/// probabilities, dS, the output and all three gradients, plus the row
-/// stats (max, 1/denominator, sum P.dP) the backward's passes exchange.
+/// probabilities, dS, the output, its log-sum-exp (max + log denominator)
+/// and all three gradients.
 struct NaiveAttn {
-  std::vector<float> out, dq, dk, dv, stats;
+  std::vector<float> out, lse, dq, dk, dv;
 
   explicit NaiveAttn(const AttnHead& h)
       : out(h.s * h.d, 0.0f),
+        lse(h.s),
         dq(h.s * h.d, 0.0f),
         dk(h.s * h.d, 0.0f),
-        dv(h.s * h.d, 0.0f),
-        stats(3 * h.s) {
+        dv(h.s * h.d, 0.0f) {
     for (std::int64_t r = 0; r < h.s; ++r) {
       const float* qr = &h.q[r * h.stride];
       const float* dr = &h.dout[r * h.stride];
@@ -357,6 +358,7 @@ struct NaiveAttn {
         p[c] = std::exp(p[c] - max_score);
         denom += p[c];
       }
+      lse[r] = max_score + std::log(denom);
       const float inv = 1.0f / denom;
       for (std::int64_t c = 0; c <= r; ++c) p[c] *= inv;
       float dot_p_dp = 0.0f;
@@ -377,43 +379,46 @@ struct NaiveAttn {
           dk[c * h.d + i] += g * qr[i];
         }
       }
-      stats[3 * r] = max_score;
-      stats[3 * r + 1] = inv;
-      stats[3 * r + 2] = dot_p_dp;
     }
   }
 };
 
-/// One table's outputs for a head: the forward and backward pass 1 (dq and
-/// stats) in row tiles of `tile` rows, and pass 2 (dk/dv) fed with the
-/// table's own stats.
+/// One table's outputs for a head: the forward (out and lse) in row tiles
+/// of `tile` rows, and the backward fed with the table's own out and lse.
+/// The lse lands at a row stride of 3 and every output starts as NaN, so
+/// a kernel that reads or skips an output shows.
 struct TableAttn {
-  std::vector<float> out, dq, dk, dv, stats;
+  std::vector<float> out, lse, dq, dk, dv;
 
   TableAttn(const KernelTable& t, const AttnHead& h,
             std::int64_t tile = kAttnRowTile)
-      : out(h.s * h.d),
-        dq(h.s * h.d),
-        dk(h.s * h.d, -1.0f),
-        dv(h.s * h.d, -1.0f),
-        stats(3 * h.s) {
+      : out(h.s * h.d, kNaN),
+        lse(h.s),
+        dq(h.s * h.d, kNaN),
+        dk(h.s * h.d, kNaN),
+        dv(h.s * h.d, kNaN) {
+    constexpr std::int64_t kLdl = 3;
+    std::vector<float> lse_strided(h.s * kLdl, kNaN);
     std::vector<float> scratch(
-        2 * std::max(kAttnRowTile * h.ldk, kAttnKeyBlock * h.d));
+        std::max(h.ldk, AttnBwdScratchFloats(h.s, h.d)), kNaN);
     for (std::int64_t r0 = 0; r0 < h.s; r0 += tile) {
       t.attn_fwd_rows(h.q.data(), h.stride, h.kt.data(), h.ldk, h.vp.data(),
                       r0, std::min(tile, h.s - r0), h.d, h.scale, out.data(),
-                      h.d, scratch.data());
-      t.attn_bwd_rows(h.q.data(), h.dout.data(), h.stride, h.kt.data(),
-                      h.vt.data(), h.ldk, r0, std::min(tile, h.s - r0), h.d,
-                      h.scale, dq.data(), h.d, stats.data(), scratch.data());
+                      h.d, lse_strided.data(), kLdl, scratch.data());
     }
-    for (std::int64_t c0 = 0; c0 < h.s; c0 += kAttnKeyBlock) {
-      t.attn_bwd_kv_block(h.q.data(), h.dout.data(), h.stride, h.kt.data(),
-                          h.vt.data(), h.ldk, stats.data(), h.s, c0,
-                          std::min(kAttnKeyBlock, h.s - c0), h.d, h.scale,
-                          dk.data(), dv.data(), h.d, scratch.data());
+    for (std::int64_t r = 0; r < h.s; ++r) lse[r] = lse_strided[r * kLdl];
+    // The backward reads out at the q/k/dout row stride.
+    std::vector<float> out_strided(h.s * h.stride, kNaN);
+    for (std::int64_t r = 0; r < h.s; ++r) {
+      std::copy(&out[r * h.d], &out[r * h.d] + h.d, &out_strided[r * h.stride]);
     }
+    t.attn_bwd(h.q.data(), h.k.data(), h.dout.data(), out_strided.data(),
+               h.stride, h.kt.data(), h.vt.data(), h.ldk, lse_strided.data(),
+               kLdl, h.s, 0, h.s, h.d, h.scale, dq.data(), dk.data(),
+               dv.data(), h.d, scratch.data());
   }
+
+  static constexpr float kNaN = std::numeric_limits<float>::quiet_NaN();
 };
 
 TEST(SimdKernelsTest, PackedAttentionScalarBitExactVsUnpacked) {
@@ -426,16 +431,18 @@ TEST(SimdKernelsTest, PackedAttentionScalarBitExactVsUnpacked) {
       const AttnHead head(s, d, 51 * static_cast<std::uint32_t>(s + d));
       const NaiveAttn want(head);
       const TableAttn got(ScalarKernels(), head);
-      EXPECT_EQ(got.out, want.out) << "attn_fwd_rows";
-      EXPECT_EQ(got.dq, want.dq) << "attn_bwd_rows dq";
-      EXPECT_EQ(got.stats, want.stats) << "attn_bwd_rows stats";
-      EXPECT_EQ(got.dk, want.dk) << "attn_bwd_kv_block dk";
-      EXPECT_EQ(got.dv, want.dv) << "attn_bwd_kv_block dv";
+      EXPECT_EQ(got.out, want.out) << "attn_fwd_rows out";
+      EXPECT_EQ(got.lse, want.lse) << "attn_fwd_rows lse";
+      EXPECT_EQ(got.dq, want.dq) << "attn_bwd dq";
+      EXPECT_EQ(got.dk, want.dk) << "attn_bwd dk";
+      EXPECT_EQ(got.dv, want.dv) << "attn_bwd dv";
     }
   }
 }
 
 TEST(SimdKernelsTest, PackedAttentionSimdMatchesScalarWithinTolerance) {
+  // The forward at every SIMD tier: out and the log-sum-exp within the
+  // kernel tolerance of the scalar table, and the row tiling invisible.
   const KernelTable& ref = ScalarKernels();
   for (const KernelTable* table : ExecutableTables()) {
     if (table->level == SimdLevel::kScalar) continue;
@@ -446,9 +453,16 @@ TEST(SimdKernelsTest, PackedAttentionSimdMatchesScalarWithinTolerance) {
         const AttnHead head(s, d, 61 * static_cast<std::uint32_t>(s + d));
         const TableAttn want(ref, head);
         const TableAttn got(*table, head);
+        const TableAttn single_rows(*table, head, 1);
+        EXPECT_EQ(single_rows.out, got.out) << "attn_fwd_rows tiling";
+        EXPECT_EQ(single_rows.lse, got.lse) << "attn_fwd_rows tiling";
         for (std::int64_t j = 0; j < s * d; ++j) {
           ExpectClose(got.out[j], want.out[j], kAtol, kRtol,
-                      "attn_fwd_rows", s);
+                      "attn_fwd_rows out", s);
+        }
+        for (std::int64_t r = 0; r < s; ++r) {
+          ExpectClose(got.lse[r], want.lse[r], kAtol, kRtol,
+                      "attn_fwd_rows lse", s);
         }
       }
     }
@@ -456,9 +470,9 @@ TEST(SimdKernelsTest, PackedAttentionSimdMatchesScalarWithinTolerance) {
 }
 
 TEST(SimdKernelsTest, AttentionKernelsMatchScalarAcrossShapes) {
-  // The backward's two passes at every SIMD tier against the scalar table.
-  // Each gradient element sums up to s products, so the bound scales with
-  // the accumulation length like the GEMM tolerance does.
+  // The one-pass backward at every SIMD tier against the scalar table's
+  // two passes. Each gradient element sums up to s products, so the bound
+  // scales with the accumulation length like the GEMM tolerance does.
   const KernelTable& ref = ScalarKernels();
   for (const KernelTable* table : ExecutableTables()) {
     if (table->level == SimdLevel::kScalar) continue;
@@ -469,22 +483,11 @@ TEST(SimdKernelsTest, AttentionKernelsMatchScalarAcrossShapes) {
         const AttnHead head(s, d, 71 * static_cast<std::uint32_t>(s + d));
         const TableAttn want(ref, head);
         const TableAttn got(*table, head);
-        // Pass 1's row tiling is invisible: one row per call, same bits.
-        const TableAttn single_rows(*table, head, 1);
-        EXPECT_EQ(single_rows.dq, got.dq) << "attn_bwd_rows tiling";
-        EXPECT_EQ(single_rows.stats, got.stats) << "attn_bwd_rows tiling";
         const double atol = kAtol * static_cast<double>(s + d);
-        for (std::int64_t j = 0; j < 3 * s; ++j) {
-          ExpectClose(got.stats[j], want.stats[j], atol, kRtol,
-                      "attn_bwd_rows stats", s);
-        }
         for (std::int64_t j = 0; j < s * d; ++j) {
-          ExpectClose(got.dq[j], want.dq[j], atol, kRtol, "attn_bwd_rows dq",
-                      s);
-          ExpectClose(got.dk[j], want.dk[j], atol, kRtol,
-                      "attn_bwd_kv_block dk", s);
-          ExpectClose(got.dv[j], want.dv[j], atol, kRtol,
-                      "attn_bwd_kv_block dv", s);
+          ExpectClose(got.dq[j], want.dq[j], atol, kRtol, "attn_bwd dq", s);
+          ExpectClose(got.dk[j], want.dk[j], atol, kRtol, "attn_bwd dk", s);
+          ExpectClose(got.dv[j], want.dv[j], atol, kRtol, "attn_bwd dv", s);
         }
       }
     }

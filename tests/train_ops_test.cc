@@ -337,6 +337,8 @@ void ExpectEveryOpWritesItsOutputsInFull() {
   for (int& t : tokens) t = static_cast<int>(rng.NextBounded(vocab));
   Tensor ln_y(s, h), rstd(s, 1);
   LayerNormForward(xh, g, bh, &ln_y, &rstd);
+  Tensor attn(s, h), lse(s, heads);
+  AttentionForward(q, k, v, heads, &attn, &lse);
 
   ExpectWrittenInFull("LinearForwardRows", {{"y", s, out, b, e}},
                       [&](std::vector<Tensor>& o) {
@@ -383,15 +385,23 @@ void ExpectEveryOpWritesItsOutputsInFull() {
   ExpectWrittenInFull(
       "GeluBackward", {{"dx", s, in, 0, s}},
       [&](std::vector<Tensor>& o) { GeluBackward(x, x_grad, &o[0]); });
-  ExpectWrittenInFull("AttentionForward", {{"out", s, h, 0, s}},
+  ExpectWrittenInFull("AttentionForward",
+                      {{"out", s, h, 0, s}, {"lse", s, heads, 0, s}},
                       [&](std::vector<Tensor>& o) {
-                        AttentionForward(q, k, v, heads, &o[0]);
+                        AttentionForward(q, k, v, heads, &o[0], &o[1]);
                       });
   ExpectWrittenInFull(
       "AttentionBackward",
       {{"dq", s, h, 0, s}, {"dk", s, h, 0, s}, {"dv", s, h, 0, s}},
       [&](std::vector<Tensor>& o) {
         AttentionBackward(q, k, v, heads, dyh, &o[0], &o[1], &o[2]);
+      });
+  ExpectWrittenInFull(
+      "AttentionBackward from saved out and lse",
+      {{"dq", s, h, 0, s}, {"dk", s, h, 0, s}, {"dv", s, h, 0, s}},
+      [&](std::vector<Tensor>& o) {
+        AttentionBackward(q, k, v, heads, attn, lse, dyh, &o[0], &o[1],
+                          &o[2]);
       });
   ExpectWrittenInFull("CrossEntropy", {{"d_logits", s, vocab, 0, s}},
                       [&](std::vector<Tensor>& o) {

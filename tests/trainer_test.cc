@@ -251,6 +251,35 @@ TEST(TrainerTest, ScalarLossesArePinned) {
   }
 }
 
+TEST(TrainerTest, NativeTierTokenWiseMatchesRetainAllThroughDisk) {
+  // At the CPU's own SIMD tier the attention backward rebuilds P from the
+  // log-sum-exp the forward saved, so a swapped layer's attn_lse must come
+  // back from the stash bit for bit: through the 1 MiB RAM tier and the
+  // disk tier, inline and async, token-wise losses equal retain-all's.
+  const ScopedSimdLevel native(CpuSimdLevel());
+  TrainRunOptions o;
+  o.model = {.layers = 4, .hidden = 32, .heads = 4, .ffn = 128,
+             .vocab = 64, .seq = 512};
+  o.iterations = 3;
+  o.seed = 99;
+  o.policy = ActivationPolicy::kRetainAll;
+  const TrainRunResult reference = RunTraining(o);
+  ASSERT_TRUE(reference.status.ok()) << reference.status;
+  o.policy = ActivationPolicy::kTokenWise;
+  o.alpha = 0.5;
+  o.backend.kind = offload::BackendKind::kTiered;
+  o.backend.ram_capacity_bytes = 1 << 20;
+  o.backend.disk.directory = ::testing::TempDir();
+  for (bool async : {false, true}) {
+    SCOPED_TRACE(async ? "async" : "inline");
+    o.async_offload = async;
+    const TrainRunResult run = RunTraining(o);
+    ASSERT_TRUE(run.status.ok()) << run.status;
+    EXPECT_GT(run.offload_stats.disk_tier.put_bytes, 0);
+    EXPECT_EQ(run.losses, reference.losses);
+  }
+}
+
 TEST(TrainerTest, ValidateRejectsEachOutOfDomainFieldBeforeTraining) {
   ASSERT_TRUE(BaseRun().Validate().ok());
   const struct {
