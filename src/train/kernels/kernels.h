@@ -48,8 +48,9 @@ inline std::int64_t AttnBwdScratchFloats(std::int64_t s, std::int64_t d) {
 ///  - The SIMD reductions/transcendentals are deterministic for a fixed
 ///    level (fixed-shape lane reduction trees, polynomial exp/erf) but only
 ///    match the reference within tolerance: accumulation order differs and
-///    exp/erf are Cephes/Abramowitz-Stegun approximations (|rel err| ~1e-6
-///    per call; simd_kernels_test documents and enforces the bounds).
+///    exp/erf are Cephes/Abramowitz-Stegun approximations, attention's exp
+///    a base-2 polynomial (|rel err| ~1e-6 per call; simd_kernels_test
+///    documents and enforces the bounds).
 struct KernelTable {
   SimdLevel level = SimdLevel::kScalar;
 
@@ -119,34 +120,44 @@ struct KernelTable {
   /// Causal attention output rows [r0, r0 + nr) of one head
   /// (nr <= kAttnRowTile): out_r = softmax(q_r . K[0..r] * scale) @ V, and
   /// lse[r*ldl] = log sum_c exp(scale * q_r . k_c), the row's log-sum-exp
-  /// (max + log of the denominator). `q`/`out` point at the head's first
-  /// column of row 0 (row strides ldq and ldo). SIMD paths stream 64-key
-  /// blocks through a running max / rescaled accumulator
-  /// (FlashAttention-style) with the rows as one register tile and each
-  /// row's P.V accumulator in registers, so no score row is ever
-  /// materialized; head dims beyond the register budget fall back to a
-  /// two-pass row in `scratch` (caller-provided, >= r0 + nr rounded up to
-  /// kAttnKeyBlock floats).
+  /// (max + log of the denominator), in natural-log units at every level.
+  /// `q`/`out` point at the head's first column of row 0 (row strides ldq
+  /// and ldo). SIMD paths stream 64-key blocks through a running max /
+  /// rescaled accumulator (FlashAttention-2 style) with the rows as one
+  /// register tile and each row's P.V accumulator in registers, so no
+  /// score row is ever materialized. The tile's running max and normalizer
+  /// are one register, row r in lane group r: one fixed four-row lane tree
+  /// reduces the rows' block maxima and sums, and one base-2 exp
+  /// (exponent scale * log2(e) * S - m, folded into one FMA) gives all four
+  /// rescale factors and every probability. Only a key slice in which a
+  /// lane can pass row r0's last key is masked (the diagonal block). Head
+  /// dims beyond the register budget fall back to a two-pass row in
+  /// `scratch` (caller-provided, >= r0 + nr rounded up to kAttnKeyBlock
+  /// floats).
   void (*attn_fwd_rows)(const float* q, std::int64_t ldq, const float* kt,
                         std::int64_t ldk, const float* vp, std::int64_t r0,
                         std::int64_t nr, std::int64_t d, float scale,
                         float* out, std::int64_t ldo, float* lse,
                         std::int64_t ldl, float* scratch);
   /// Backward of one head's keys [c_begin, c_end) (c_begin a multiple of
-  /// kAttnKeyBlock, c_end one too or s): writes their dk and dv rows and
-  /// the range's share of dq (the sum over its keys) for rows [c_begin, s),
-  /// all at row stride ldo, from q, k, dout and the forward's `out` (row
-  /// strides ldq) and log-sum-exp (lse[r*ldl]). Only the range's columns of
-  /// the panels are read. SIMD paths run FlashAttention-2's one pass:
-  /// D_r = dout_r . out_r, then per 64-key block, over the query tiles that
-  /// see it, P = exp(S scale - lse), dP = dout . V^T and
+  /// kAttnKeyBlock, c_end one too or s): writes their dk and dv rows (key
+  /// c at dk + c*ldo) and the range's share of dq (the sum over its keys)
+  /// for rows [c_begin, s), row r at dq + (r - c_begin)*ldo, from q, k,
+  /// dout and the forward's `out` (row strides ldq) and log-sum-exp
+  /// (lse[r*ldl]). Only the range's columns of the panels are read. SIMD
+  /// paths run FlashAttention-2's one pass: D_r = dout_r . out_r, then per
+  /// 64-key block, over the query tiles that see it,
+  /// P = 2^(S scale log2(e) - lse log2(e)), dP = dout . V^T and
   /// dS = P (dP - D) scale, accumulating dV^T and dK^T in `scratch` in
-  /// ascending r and adding dS . K into dq, key block by ascending key
-  /// block. The scalar path takes the whole head only (c_begin 0, c_end s)
-  /// and ignores `k`, `out` and `lse`: it keeps the reference's two passes
-  /// (softmax, D = sum_c P dP and dq per row, then dk/dv per key block), so
-  /// it stays bit-identical to reference_ops. `scratch` holds
-  /// AttnBwdScratchFloats(s, d) floats.
+  /// ascending r and adding dS . K into dq, four keys at a time, key block
+  /// by ascending key block. P is masked only in a key slice in which a
+  /// lane can pass the tile's first row's last key, and throughout the
+  /// ragged last tile, whose rows past s alias row s - 1 and must add
+  /// nothing to dk and dv. The scalar path takes the whole head only
+  /// (c_begin 0, c_end s) and ignores `k`, `out` and `lse`: it keeps the
+  /// reference's two passes (softmax, D = sum_c P dP and dq per row, then
+  /// dk/dv per key block), so it stays bit-identical to reference_ops.
+  /// `scratch` holds AttnBwdScratchFloats(s, d) floats.
   void (*attn_bwd)(const float* q, const float* k, const float* dout,
                    const float* out, std::int64_t ldq, const float* kt,
                    const float* vt, std::int64_t ldk, const float* lse,

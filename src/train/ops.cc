@@ -183,6 +183,25 @@ std::vector<std::int64_t> AttnKeyParts(std::int64_t s, int parts) {
   return cuts;
 }
 
+/// out rows [row_begin, row_end) = a's rows + b's rows, b's row r read at
+/// b row r - b_first.
+void AddShiftedRows(const Tensor& a, const Tensor& b, std::int64_t b_first,
+                    std::int64_t row_begin, std::int64_t row_end,
+                    Tensor* out) {
+  MEMO_CHECK_EQ(a.cols(), b.cols());
+  MEMO_CHECK_EQ(out->cols(), a.cols());
+  MEMO_CHECK(row_begin >= b_first && row_end - b_first <= b.rows());
+  const kernels::KernelTable& K = kernels::Active();
+  const std::int64_t n = a.cols();
+  // Hinted by bytes moved (two 4-byte reads and a write per element): an
+  // add is memory-bound, so only a large one is worth a dispatch.
+  ThreadPool::Global().ParallelFor(
+      row_begin, row_end, kRowGrain, LoopHint{12.0 * static_cast<double>(n)},
+      [&](std::int64_t r0, std::int64_t r1) {
+        K.add(out->row(r0), a.row(r0), b.row(r0 - b_first), (r1 - r0) * n);
+      });
+}
+
 }  // namespace
 
 void SetKernelMode(KernelMode mode) {
@@ -466,17 +485,7 @@ void GeluBackward(const Tensor& x, const Tensor& dy, Tensor* dx) {
 
 void AddRows(const Tensor& a, const Tensor& b, std::int64_t row_begin,
              std::int64_t row_end, Tensor* out) {
-  MEMO_CHECK_EQ(a.cols(), b.cols());
-  MEMO_CHECK_EQ(out->cols(), a.cols());
-  const kernels::KernelTable& K = kernels::Active();
-  const std::int64_t n = a.cols();
-  // Hinted by bytes moved (two 4-byte reads and a write per element): an
-  // add is memory-bound, so only a large one is worth a dispatch.
-  ThreadPool::Global().ParallelFor(
-      row_begin, row_end, kRowGrain, LoopHint{12.0 * static_cast<double>(n)},
-      [&](std::int64_t r0, std::int64_t r1) {
-        K.add(out->row(r0), a.row(r0), b.row(r0), (r1 - r0) * n);
-      });
+  AddShiftedRows(a, b, 0, row_begin, row_end, out);
 }
 
 void AttentionForward(const Tensor& q, const Tensor& k, const Tensor& v,
@@ -571,15 +580,16 @@ void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
   // head's K^T and V^T panels (arena-backed, disjoint per item) and runs the
   // backward of those keys, so the items depend only on (s, heads,
   // head_dim) and every pool size gives the same bits. Part 0 writes dq;
-  // every later part writes its share of dq into a partial of its own,
-  // added to dq in part order. The scalar table's dq is one chain over all
-  // keys, so there a head is one part.
+  // every later part p writes its share of dq, rows [cuts[p], s), into a
+  // partial of its own holding just those rows, added to dq in part order.
+  // The scalar table's dq is one chain over all keys, so there a head is
+  // one part.
   const std::vector<std::int64_t> cuts = AttnKeyParts(
       s, K.level == SimdLevel::kScalar ? 1 : kAttnBwdParts);
   const std::int64_t parts = static_cast<std::int64_t>(cuts.size()) - 1;
   std::vector<Tensor> dq_partials;
   for (std::int64_t p = 1; p < parts; ++p) {
-    dq_partials.push_back(Tensor::Uninitialized(s, h));
+    dq_partials.push_back(Tensor::Uninitialized(s - cuts[p], h));
   }
   Tensor kt_pack = Tensor::Uninitialized(1, h * ldk);
   Tensor vt_pack = Tensor::Uninitialized(1, h * ldk);
@@ -610,7 +620,7 @@ void AttentionBackward(const Tensor& q, const Tensor& k, const Tensor& v,
         }
       });
   for (std::int64_t p = 1; p < parts; ++p) {
-    AddRows(*dq, dq_partials[p - 1], cuts[p], s, dq);
+    AddShiftedRows(*dq, dq_partials[p - 1], cuts[p], cuts[p], s, dq);
   }
 }
 

@@ -494,6 +494,62 @@ TEST(SimdKernelsTest, AttentionKernelsMatchScalarAcrossShapes) {
   }
 }
 
+TEST(SimdKernelsTest, AttentionKernelsHoldPeakedScores) {
+  // Queries scaled so each row's scores span hundreds of units: exp
+  // arguments fall below -88.38, where the Cephes exp clamps, and below
+  // -127 in base 2, past 2^-126, the smallest normal float, and past the
+  // clamp of AVX2's exponent injection, next to the -1e30 of masked lanes.
+  // Every tier stays finite and within the kernel tolerance of the scalar
+  // table, forward and backward.
+  constexpr float kPeak = 100.0f;
+  const KernelTable& ref = ScalarKernels();
+  for (std::int64_t d : kAttnDims) {
+    for (std::int64_t s : {std::int64_t{65}, std::int64_t{200}}) {
+      SCOPED_TRACE(::testing::Message() << "s=" << s << " d=" << d);
+      AttnHead head(s, d, 81 * static_cast<std::uint32_t>(s + d));
+      for (float& x : head.q) x *= kPeak;
+      double lowest = 0.0;  // min over rows and keys of score - row max
+      for (std::int64_t r = 0; r < s; ++r) {
+        std::vector<double> scores(r + 1);
+        for (std::int64_t c = 0; c <= r; ++c) {
+          double dot = 0.0;
+          for (std::int64_t i = 0; i < d; ++i) {
+            dot += static_cast<double>(head.q[r * head.stride + i]) *
+                   head.k[c * head.stride + i];
+          }
+          scores[c] = dot * head.scale;
+        }
+        const double top = *std::max_element(scores.begin(), scores.end());
+        for (double x : scores) lowest = std::min(lowest, x - top);
+      }
+      ASSERT_LT(lowest, -88.38);
+      ASSERT_LT(lowest, -127.0 * std::log(2.0));
+      const TableAttn want(ref, head);
+      for (const KernelTable* table : ExecutableTables()) {
+        if (table->level == SimdLevel::kScalar) continue;
+        SCOPED_TRACE(SimdLevelName(table->level));
+        const TableAttn got(*table, head);
+        const double atol = kAtol * static_cast<double>(s + d);
+        for (std::int64_t r = 0; r < s; ++r) {
+          ASSERT_TRUE(std::isfinite(got.lse[r])) << "lse row " << r;
+          ExpectClose(got.lse[r], want.lse[r], kAtol, kRtol,
+                      "attn_fwd_rows lse", s);
+        }
+        for (std::int64_t j = 0; j < s * d; ++j) {
+          ASSERT_TRUE(std::isfinite(got.out[j]) && std::isfinite(got.dq[j]) &&
+                      std::isfinite(got.dk[j]) && std::isfinite(got.dv[j]))
+              << "element " << j;
+          ExpectClose(got.out[j], want.out[j], kAtol, kRtol,
+                      "attn_fwd_rows out", s);
+          ExpectClose(got.dq[j], want.dq[j], atol, kRtol, "attn_bwd dq", s);
+          ExpectClose(got.dk[j], want.dk[j], atol, kRtol, "attn_bwd dk", s);
+          ExpectClose(got.dv[j], want.dv[j], atol, kRtol, "attn_bwd dv", s);
+        }
+      }
+    }
+  }
+}
+
 // ---- Packed-panel GEMM microkernel. B is a [k x nr] k-major panel; A is a
 // strided view (row stride + column stride) so both the forward (rows of
 // ln_out) and the dw transpose (columns of x) shapes are covered.
