@@ -3,7 +3,8 @@
 // the token-wise restore path in isolation (the recomputation MEMO pays
 // when alpha < 1). After the google-benchmark suite the binary times the
 // full train step and key kernels against the preserved naive serial
-// kernels and writes the results to BENCH_micro_train.json.
+// kernels, and a training call's start-up at 1 and 4 threads, and writes
+// the results to BENCH_micro_train.json.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
+#include "train/adam.h"
 #include "train/kernels/kernels.h"
 #include "train/reference_ops.h"
 #include "train/tensor_arena.h"
@@ -83,13 +85,13 @@ class Iteration {
       : config_(config),
         model_(config),
         params_(memo::train::MiniGptParams::Init(config, 5)),
-        grads_(memo::train::MiniGptParams::Init(config, 5)) {
+        grads_(memo::train::MiniGptParams::Zeros(config)) {
     memo::train::SyntheticData data(config.vocab, 5);
     data.NextSequence(config.seq, &tokens_, &targets_);
   }
 
   void Run(ActivationPolicy policy, double alpha) {
-    for (memo::train::Tensor* g : grads_.Flat()) g->Fill(0.0f);
+    memo::train::FillZeros(grads_.Flat());
     memo::train::ActivationStore store(policy, alpha, config_.layers);
     benchmark::DoNotOptimize(
         model_.ForwardBackward(params_, tokens_, targets_, &store, &grads_));
@@ -140,7 +142,7 @@ double TimeTrainStepMs() {
   const auto config = BenchModel();
   const memo::train::MiniGpt model(config);
   const auto params = memo::train::MiniGptParams::Init(config, 5);
-  auto grads = memo::train::MiniGptParams::Init(config, 5);
+  auto grads = memo::train::MiniGptParams::Zeros(config);
   std::vector<int> tokens;
   std::vector<int> targets;
   memo::train::SyntheticData data(config.vocab, 5);
@@ -152,7 +154,7 @@ double TimeTrainStepMs() {
   return memo::bench::BestWallMs(8, [&] {
     arena.BeginStep();
     memo::train::ArenaScope scope(&arena);
-    for (memo::train::Tensor* g : grads.Flat()) g->Fill(0.0f);
+    memo::train::FillZeros(grads.Flat());
     memo::train::ActivationStore store(ActivationPolicy::kRetainAll, 1.0,
                                        config.layers);
     benchmark::DoNotOptimize(
@@ -229,6 +231,28 @@ double TimeAttentionBackwardLongctxMs() {
   return TimeAttentionBackwardMs(1024, 128, 8, 3);
 }
 
+/// A training call's start-up at train_longctx's shapes (4 layers, hidden
+/// 128, ffn 512, vocab 64; 802,816 drawn weights), as RunTraining does it
+/// before its first iteration: the weights, the zero gradients and Adam's
+/// zero moments.
+double TimeTrainSetupMs() {
+  memo::train::MiniGptConfig config;
+  config.layers = 4;
+  config.hidden = 128;
+  config.heads = 8;
+  config.ffn = 512;
+  config.vocab = 64;
+  config.seq = 1024;
+  return memo::bench::BestWallMs(8, [&] {
+    auto params = memo::train::MiniGptParams::Init(config, 5);
+    auto grads = memo::train::MiniGptParams::Zeros(config);
+    memo::train::Adam adam;
+    adam.EnsureState(params.Flat());
+    benchmark::DoNotOptimize(params.w_cls.data());
+    benchmark::DoNotOptimize(grads.w_cls.data());
+  });
+}
+
 void RunSpeedupStudy() {
   using memo::ScopedSimdLevel;
   using memo::SimdLevel;
@@ -299,6 +323,14 @@ void RunSpeedupStudy() {
     emit(c, serial_ms, c.time_ms(), "optimized",
          SimdLevelName(kernels::Active().level), best_tier_1t_ms);
   }
+  // Start-up runs no dispatched kernel: one row per pool size, against the
+  // same code at one thread.
+  const Case setup{"train_setup", &TimeTrainSetupMs};
+  ThreadPool::SetGlobalThreads(1);
+  const double setup_1t_ms = setup.time_ms();
+  emit(setup, setup_1t_ms, setup_1t_ms, "optimized", "", 0.0);
+  ThreadPool::SetGlobalThreads(4);
+  emit(setup, setup_1t_ms, setup.time_ms(), "optimized", "", setup_1t_ms);
   ThreadPool::SetGlobalThreads(ThreadPool::DefaultThreadCount());
   const char* path = "BENCH_micro_train.json";
   if (memo::bench::WriteBenchJson(path, records)) {

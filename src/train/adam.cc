@@ -17,9 +17,14 @@ constexpr std::int64_t kAdamGrain = 4096;
 void Adam::EnsureState(const std::vector<Tensor*>& params) {
   if (!m_.empty()) return;
   for (const Tensor* p : params) {
-    m_.emplace_back(p->rows(), p->cols());
-    v_.emplace_back(p->rows(), p->cols());
+    m_.push_back(Tensor::Uninitialized(p->rows(), p->cols()));
+    v_.push_back(Tensor::Uninitialized(p->rows(), p->cols()));
   }
+  std::vector<Tensor*> moments;
+  for (std::vector<Tensor>* list : {&m_, &v_}) {
+    for (Tensor& t : *list) moments.push_back(&t);
+  }
+  FillZeros(moments);
 }
 
 void Adam::Step(const std::vector<Tensor*>& params,

@@ -22,9 +22,10 @@ class Adam {
   void Step(const std::vector<Tensor*>& params,
             const std::vector<Tensor*>& grads);
 
-  /// Creates the moment buffers now (no-op if they exist). The trainer
-  /// calls this before entering the step-scoped arena so the long-lived
-  /// moments never land in (and permanently widen) the per-step plan.
+  /// Creates the moment buffers now, zeroed on the pool (no-op if they
+  /// exist). The trainer calls this before entering the step-scoped arena
+  /// so the long-lived moments never land in (and permanently widen) the
+  /// per-step plan.
   void EnsureState(const std::vector<Tensor*>& params);
 
   int step_count() const { return step_; }

@@ -7,34 +7,54 @@
 
 namespace memo::train {
 
-MiniGptParams MiniGptParams::Init(const MiniGptConfig& config,
-                                  std::uint64_t seed) {
-  Rng rng(seed);
-  const double wstd = 0.08;
+MiniGptParams MiniGptParams::Uninitialized(const MiniGptConfig& config) {
   const int h = config.hidden;
+  const auto make = &Tensor::Uninitialized;
   MiniGptParams p;
-  p.embedding = Tensor::Randn(config.vocab, h, wstd, rng);
+  p.embedding = make(config.vocab, h);
   p.layers.resize(config.layers);
   for (LayerParams& l : p.layers) {
-    l.ln1_g = Tensor(1, h);
-    l.ln1_g.Fill(1.0f);
-    l.ln1_b = Tensor(1, h);
-    l.wq = Tensor::Randn(h, h, wstd, rng);
-    l.wk = Tensor::Randn(h, h, wstd, rng);
-    l.wv = Tensor::Randn(h, h, wstd, rng);
-    l.wo = Tensor::Randn(h, h, wstd, rng);
-    l.ln2_g = Tensor(1, h);
-    l.ln2_g.Fill(1.0f);
-    l.ln2_b = Tensor(1, h);
-    l.w1 = Tensor::Randn(h, config.ffn, wstd, rng);
-    l.b1 = Tensor(1, config.ffn);
-    l.w2 = Tensor::Randn(config.ffn, h, wstd, rng);
-    l.b2 = Tensor(1, h);
+    l.ln1_g = make(1, h);
+    l.ln1_b = make(1, h);
+    l.wq = make(h, h);
+    l.wk = make(h, h);
+    l.wv = make(h, h);
+    l.wo = make(h, h);
+    l.ln2_g = make(1, h);
+    l.ln2_b = make(1, h);
+    l.w1 = make(h, config.ffn);
+    l.b1 = make(1, config.ffn);
+    l.w2 = make(config.ffn, h);
+    l.b2 = make(1, h);
   }
-  p.lnf_g = Tensor(1, h);
+  p.lnf_g = make(1, h);
+  p.lnf_b = make(1, h);
+  p.w_cls = make(h, config.vocab);
+  return p;
+}
+
+MiniGptParams MiniGptParams::Zeros(const MiniGptConfig& config) {
+  MiniGptParams p = Uninitialized(config);
+  FillZeros(p.Flat());
+  return p;
+}
+
+MiniGptParams MiniGptParams::Init(const MiniGptConfig& config,
+                                  std::uint64_t seed) {
+  MiniGptParams p = Uninitialized(config);
+  std::vector<Tensor*> weights = {&p.embedding};
+  for (LayerParams& l : p.layers) {
+    for (Tensor* gain : {&l.ln1_g, &l.ln2_g}) gain->Fill(1.0f);
+    for (Tensor* bias : {&l.ln1_b, &l.ln2_b, &l.b1, &l.b2}) bias->Fill(0.0f);
+    for (Tensor* w : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2}) {
+      weights.push_back(w);
+    }
+  }
   p.lnf_g.Fill(1.0f);
-  p.lnf_b = Tensor(1, h);
-  p.w_cls = Tensor::Randn(h, config.vocab, wstd, rng);
+  p.lnf_b.Fill(0.0f);
+  weights.push_back(&p.w_cls);
+  Rng rng(seed);
+  FillGaussian(weights, /*stddev=*/0.08, rng);
   return p;
 }
 

@@ -28,10 +28,24 @@ struct MiniGptParams {
   Tensor lnf_g, lnf_b;  // final LayerNorm
   Tensor w_cls;         // [h, vocab]
 
-  /// Deterministic Gaussian initialization.
+  /// Deterministic initialization: LayerNorm gains 1, biases 0, and every
+  /// weight matrix drawn from N(0, 0.08^2) by one FillGaussian over the
+  /// weights in declaration order (embedding, each layer's wq wk wv wo w1
+  /// w2, w_cls). The values equal serial NextGaussian draws from Rng(seed)
+  /// at every pool size.
   static MiniGptParams Init(const MiniGptConfig& config, std::uint64_t seed);
 
-  /// Flat view over every parameter tensor (same order as Gradients()).
+  /// Init's shapes with every element 0: the gradient accumulators, which
+  /// MiniGpt::ForwardBackward expects pre-zeroed.
+  static MiniGptParams Zeros(const MiniGptConfig& config);
+
+  /// Init's shapes, contents unwritten: for parameters about to be
+  /// overwritten whole (a checkpoint's, on resume).
+  static MiniGptParams Uninitialized(const MiniGptConfig& config);
+
+  /// Flat view over every parameter tensor, in declaration order; a
+  /// gradient set's Flat() lines up with its parameters' element for
+  /// element.
   std::vector<Tensor*> Flat();
 };
 

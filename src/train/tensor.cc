@@ -1,8 +1,11 @@
 #include "train/tensor.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
 
+#include "common/thread_pool.h"
 #include "train/tensor_arena.h"
 
 namespace memo::train {
@@ -18,7 +21,66 @@ float* AlignedHeapAlloc(std::int64_t floats) {
   return static_cast<float*>(ptr);
 }
 
+/// Elements per chunk of the pooled fills. No fill's values depend on the
+/// chunking, so the grains only trade dispatch cost against balance: a
+/// Gaussian costs tens of nanoseconds (a log, a cos and a sqrt), so a chunk
+/// of 1024 is tens of microseconds of work; a zero costs a fraction of a
+/// nanosecond, so a chunk of 16384 is 64 KiB of memset.
+constexpr std::int64_t kGaussianGrain = 1024;
+constexpr std::int64_t kZeroGrain = 16384;
+
+/// Runs fn(data, index, n) over every element of `tensors` as one loop on
+/// the pool, chunked by `grain` over their concatenation: `data` points at
+/// n consecutive elements of one tensor, the first of which is element
+/// `index` of the concatenation. A chunk that crosses a tensor's end makes
+/// one call per tensor.
+void ForEachRange(
+    const std::vector<Tensor*>& tensors, std::int64_t grain,
+    const std::function<void(float*, std::int64_t, std::int64_t)>& fn) {
+  std::vector<std::int64_t> starts(tensors.size() + 1, 0);
+  for (std::size_t t = 0; t < tensors.size(); ++t) {
+    starts[t + 1] = starts[t] + tensors[t]->size();
+  }
+  ThreadPool::Global().ParallelFor(
+      0, starts.back(), grain, [&](std::int64_t lo, std::int64_t hi) {
+        // The last tensor starting at or before lo (empty ones are skipped).
+        std::size_t t = static_cast<std::size_t>(
+            std::upper_bound(starts.begin(), starts.end(), lo) -
+            starts.begin() - 1);
+        for (; lo < hi; ++t) {
+          const std::int64_t end = std::min(hi, starts[t + 1]);
+          if (end > lo) fn(tensors[t]->data() + (lo - starts[t]), lo, end - lo);
+          lo = end;
+        }
+      });
+}
+
 }  // namespace
+
+void FillZeros(const std::vector<Tensor*>& tensors) {
+  ForEachRange(tensors, kZeroGrain,
+               [](float* data, std::int64_t, std::int64_t n) {
+                 std::memset(data, 0, static_cast<std::size_t>(n) *
+                                          sizeof(float));
+               });
+}
+
+void FillGaussian(const std::vector<Tensor*>& tensors, double stddev,
+                  Rng& rng) {
+  const Rng start = rng;
+  std::int64_t total = 0;
+  for (const Tensor* t : tensors) total += t->size();
+  ForEachRange(tensors, kGaussianGrain,
+               [&start, stddev](float* data, std::int64_t index,
+                                std::int64_t n) {
+                 Rng chunk = start;
+                 chunk.Skip(2 * static_cast<std::uint64_t>(index));
+                 for (std::int64_t i = 0; i < n; ++i) {
+                   data[i] = static_cast<float>(chunk.NextGaussian() * stddev);
+                 }
+               });
+  rng.Skip(2 * static_cast<std::uint64_t>(total));
+}
 
 Tensor::Tensor(std::int64_t rows, std::int64_t cols)
     : rows_(rows), cols_(cols) {
@@ -70,10 +132,8 @@ Tensor& Tensor::operator=(const Tensor& other) {
 
 Tensor Tensor::Randn(std::int64_t rows, std::int64_t cols, double stddev,
                      Rng& rng) {
-  Tensor t(rows, cols);
-  for (std::int64_t i = 0, n = t.size(); i < n; ++i) {
-    t.data_[i] = static_cast<float>(rng.NextGaussian() * stddev);
-  }
+  Tensor t = Uninitialized(rows, cols);
+  FillGaussian({&t}, stddev, rng);
   return t;
 }
 

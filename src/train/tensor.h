@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/rng.h"
@@ -54,7 +55,8 @@ class Tensor {
   /// is unaffected by which factory a step uses.
   static Tensor Uninitialized(std::int64_t rows, std::int64_t cols);
 
-  /// Gaussian init scaled by `stddev` from a deterministic RNG.
+  /// Gaussian init scaled by `stddev` from a deterministic RNG (one
+  /// FillGaussian).
   static Tensor Randn(std::int64_t rows, std::int64_t cols, double stddev,
                       Rng& rng);
 
@@ -100,6 +102,17 @@ class Tensor {
   std::int64_t rows_ = 0;
   std::int64_t cols_ = 0;
 };
+
+/// Sets every element of `tensors` to 0, as one loop on the pool.
+void FillZeros(const std::vector<Tensor*>& tensors);
+
+/// Fills `tensors`, in order, with the values serial
+/// `static_cast<float>(rng.NextGaussian() * stddev)` calls would give, one
+/// element at a time, and leaves `rng` where those calls would. It runs as
+/// one loop on the pool: element k of the concatenation draws from stream
+/// position 2k (Rng::Skip), so the bits do not depend on the pool size.
+void FillGaussian(const std::vector<Tensor*>& tensors, double stddev,
+                  Rng& rng);
 
 }  // namespace memo::train
 

@@ -243,9 +243,8 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
   static obs::MetricHistogram* step_hist =
       obs::MetricsRegistry::Global().histogram("train.step_micros");
   const MiniGpt model(options.model);
-  MiniGptParams params = MiniGptParams::Init(options.model, options.seed);
-  MiniGptParams grads = MiniGptParams::Init(options.model, options.seed);
-  for (Tensor* g : grads.Flat()) g->Fill(0.0f);
+  MiniGptParams params;
+  MiniGptParams grads;
   Adam adam;
   SyntheticData data(options.model.vocab, options.seed ^ 0x5EEDDA7AULL);
   TensorArena arena;
@@ -258,43 +257,53 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
   const std::uint64_t fingerprint = ConfigFingerprint(options);
   int start_iter = 0;
 
-  if (options.resume && !options.checkpoint_dir.empty()) {
-    StatusOr<CheckpointState> loaded =
-        LoadLatestValidCheckpoint(options.checkpoint_dir, fingerprint);
-    if (loaded.ok()) {
-      CheckpointState state = std::move(loaded).value();
-      const std::vector<Tensor*> flat = params.Flat();
-      result.status = CheckResumable(state, flat, options);
-      if (!result.status.ok()) return result;
-      for (std::size_t i = 0; i < flat.size(); ++i) {
-        *flat[i] = std::move(state.params[i]);
+  {
+    // Start-up: the weights (drawn on the pool, or read from a checkpoint),
+    // zero gradients and zero Adam moments.
+    MEMO_TRACE_SCOPE("train_init", "train");
+    if (options.resume && !options.checkpoint_dir.empty()) {
+      StatusOr<CheckpointState> loaded =
+          LoadLatestValidCheckpoint(options.checkpoint_dir, fingerprint);
+      if (loaded.ok()) {
+        CheckpointState state = std::move(loaded).value();
+        // Every tensor is replaced by the checkpoint's, so none is drawn.
+        params = MiniGptParams::Uninitialized(options.model);
+        const std::vector<Tensor*> flat = params.Flat();
+        result.status = CheckResumable(state, flat, options);
+        if (!result.status.ok()) return result;
+        for (std::size_t i = 0; i < flat.size(); ++i) {
+          *flat[i] = std::move(state.params[i]);
+        }
+        adam.RestoreState(static_cast<int>(state.adam_step),
+                          std::move(state.adam_m), std::move(state.adam_v));
+        data.RestoreStreamState(state.data_rng_state,
+                                static_cast<int>(state.last_token));
+        result.losses = std::move(state.losses);
+        result.degraded = state.degraded;
+        result.resumed_from_step = state.step;
+        start_iter = static_cast<int>(state.step);
+        MEMO_TRACE_INSTANT("checkpoint_resume", "fault",
+                           "resumed from step " + std::to_string(state.step));
+      } else if (loaded.status().code() != StatusCode::kNotFound) {
+        result.status = loaded.status();
+        return result;
       }
-      adam.RestoreState(static_cast<int>(state.adam_step),
-                        std::move(state.adam_m), std::move(state.adam_v));
-      data.RestoreStreamState(state.data_rng_state,
-                              static_cast<int>(state.last_token));
-      result.losses = std::move(state.losses);
-      result.degraded = state.degraded;
-      result.resumed_from_step = state.step;
-      start_iter = static_cast<int>(state.step);
-      MEMO_TRACE_INSTANT("checkpoint_resume", "fault",
-                         "resumed from step " + std::to_string(state.step));
-    } else if (loaded.status().code() != StatusCode::kNotFound) {
-      result.status = loaded.status();
-      return result;
+      // kNotFound: no checkpoint yet — a fresh start, not an error.
     }
-    // kNotFound: no checkpoint yet — a fresh start, not an error.
+    if (result.resumed_from_step < 0) {
+      params = MiniGptParams::Init(options.model, options.seed);
+    }
+    grads = MiniGptParams::Zeros(options.model);
+    // Moment buffers must exist before the first arena-scoped iteration:
+    // created lazily inside the scope they would land in (and permanently
+    // widen) the per-step plan despite living for the whole run.
+    adam.EnsureState(params.Flat());
   }
 
   // The backend in use: switched at most once, to the RAM fallback, when
   // the configured backend fails permanently (degradation is sticky).
   offload::BackendOptions active_backend =
       result.degraded ? DegradedBackend() : options.backend;
-
-  // Moment buffers must exist before the first arena-scoped iteration:
-  // created lazily inside the scope they would land in (and permanently
-  // widen) the per-step plan despite living for the whole run.
-  adam.EnsureState(params.Flat());
 
   std::vector<int> tokens;
   std::vector<int> targets;
@@ -304,7 +313,7 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
     // The sequence is drawn before the step so a faulted iteration can be
     // re-run on the fallback backend with identical data.
     data.NextSequence(options.model.seq, &tokens, &targets);
-    for (Tensor* g : grads.Flat()) g->Fill(0.0f);
+    FillZeros(grads.Flat());
     Status st = RunIteration(model, params, options, active_backend, tokens,
                              targets, arena_ptr, &staging, &grads, &result);
     if (!st.ok() && options.allow_degraded && !result.degraded) {
@@ -315,7 +324,7 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
       obs::MetricsRegistry::Global().counter("train.degraded_runs")->Add(1);
       result.degraded = true;
       active_backend = DegradedBackend();
-      for (Tensor* g : grads.Flat()) g->Fill(0.0f);
+      FillZeros(grads.Flat());
       st = RunIteration(model, params, options, active_backend, tokens,
                         targets, arena_ptr, &staging, &grads, &result);
     }

@@ -88,6 +88,31 @@ TEST(RngTest, Deterministic) {
   }
 }
 
+TEST(RngTest, SkipEqualsSequentialDraws) {
+  // The state wraps mod 2^64 on most draws (the increment is 0.62 of 2^64),
+  // and a skip of 1000 overflows the product draws * increment too. The
+  // second start sits three draws below 2^64: three draws land on 0.
+  for (const std::uint64_t state :
+       {std::uint64_t{42}, std::uint64_t{0 - 3 * 0x9E3779B97F4A7C15ULL}}) {
+    SCOPED_TRACE(state);
+    for (const std::uint64_t draws : {0, 1, 2, 3, 7, 1000}) {
+      SCOPED_TRACE(draws);
+      Rng sequential(0);
+      sequential.set_state(state);
+      for (std::uint64_t i = 0; i < draws; ++i) sequential.NextUint64();
+      Rng skipped(0);
+      skipped.set_state(state);
+      skipped.Skip(draws);
+      EXPECT_EQ(skipped.state(), sequential.state());
+      EXPECT_EQ(skipped.NextUint64(), sequential.NextUint64());
+    }
+  }
+  Rng wrapping(0);
+  wrapping.set_state(0 - 3 * 0x9E3779B97F4A7C15ULL);
+  wrapping.Skip(3);
+  EXPECT_EQ(wrapping.state(), 0u);
+}
+
 TEST(RngTest, BoundedAndRange) {
   Rng rng(7);
   for (int i = 0; i < 1000; ++i) {

@@ -30,8 +30,7 @@ TEST(MiniGptTest, FullModelGradientCheck) {
   cfg.layers = 3;
   const MiniGpt model(cfg);
   MiniGptParams params = MiniGptParams::Init(cfg, 31);
-  MiniGptParams grads = MiniGptParams::Init(cfg, 31);
-  for (Tensor* g : grads.Flat()) g->Fill(0.0f);
+  MiniGptParams grads = MiniGptParams::Zeros(cfg);
 
   SyntheticData data(cfg.vocab, 17);
   std::vector<int> tokens;
@@ -70,8 +69,7 @@ TEST(MiniGptTest, LossMatchesForwardBackwardLoss) {
   const MiniGptConfig cfg = GradcheckModel();
   const MiniGpt model(cfg);
   const MiniGptParams params = MiniGptParams::Init(cfg, 5);
-  MiniGptParams grads = MiniGptParams::Init(cfg, 5);
-  for (Tensor* g : grads.Flat()) g->Fill(0.0f);
+  MiniGptParams grads = MiniGptParams::Zeros(cfg);
   SyntheticData data(cfg.vocab, 2);
   std::vector<int> tokens;
   std::vector<int> targets;
@@ -101,6 +99,28 @@ TEST(MiniGptTest, InitIsSeedDeterministic) {
   EXPECT_TRUE(a.embedding.ExactlyEquals(b.embedding));
   EXPECT_TRUE(a.layers[0].wq.ExactlyEquals(b.layers[0].wq));
   EXPECT_FALSE(a.embedding.ExactlyEquals(c.embedding));
+}
+
+TEST(MiniGptTest, ZerosHasInitShapesAndOnlyZeros) {
+  // 41k elements, so the zero fill spans several pool chunks.
+  MiniGptConfig cfg = GradcheckModel();
+  cfg.layers = 3;
+  cfg.hidden = 32;
+  cfg.ffn = 128;
+  cfg.vocab = 64;
+  MiniGptParams init = MiniGptParams::Init(cfg, 4);
+  // Freed drawn weights first, so Zeros likely gets written memory back.
+  { const MiniGptParams freed = MiniGptParams::Init(cfg, 5); }
+  MiniGptParams zeros = MiniGptParams::Zeros(cfg);
+  const auto flat_init = init.Flat();
+  const auto flat_zeros = zeros.Flat();
+  ASSERT_EQ(flat_zeros.size(), flat_init.size());
+  for (std::size_t t = 0; t < flat_init.size(); ++t) {
+    EXPECT_EQ(flat_zeros[t]->rows(), flat_init[t]->rows()) << "tensor " << t;
+    EXPECT_EQ(flat_zeros[t]->cols(), flat_init[t]->cols()) << "tensor " << t;
+    Tensor zero(flat_init[t]->rows(), flat_init[t]->cols());
+    EXPECT_TRUE(flat_zeros[t]->ExactlyEquals(zero)) << "tensor " << t;
+  }
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fingerprint.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -357,6 +358,94 @@ TEST(ParallelExactnessTest, CrossEntropyAndEmbeddingBitExact) {
   EXPECT_TRUE(dtable.ExactlyEquals(dtable_ref));
 }
 
+// ---- Weight init: each element from its own stream position.
+
+/// Init as drawn one element at a time on the caller: LayerNorm gains 1,
+/// biases 0, one NextGaussian per weight element in declaration order.
+MiniGptParams SerialInit(const MiniGptConfig& config, std::uint64_t seed) {
+  MiniGptParams p = MiniGptParams::Zeros(config);
+  Rng rng(seed);
+  const auto draw = [&rng](Tensor* t) {
+    for (std::int64_t i = 0; i < t->size(); ++i) {
+      t->data()[i] = static_cast<float>(rng.NextGaussian() * 0.08);
+    }
+  };
+  draw(&p.embedding);
+  for (LayerParams& l : p.layers) {
+    l.ln1_g.Fill(1.0f);
+    l.ln2_g.Fill(1.0f);
+    for (Tensor* w : {&l.wq, &l.wk, &l.wv, &l.wo, &l.w1, &l.w2}) draw(w);
+  }
+  p.lnf_g.Fill(1.0f);
+  draw(&p.w_cls);
+  return p;
+}
+
+std::uint64_t HashParams(MiniGptParams& params) {
+  Fnv1aStream hash;
+  for (const Tensor* t : params.Flat()) {
+    hash.Update(t->data(), static_cast<std::size_t>(t->size()) * sizeof(float));
+  }
+  return hash.digest();
+}
+
+TEST(ParallelExactnessTest, InitSameBitsAtEveryPoolSize) {
+  // Ragged sizes (37 x 24 embedding, 24 x 40 FFN weights) put the fill's
+  // chunk boundaries inside tensors and across their ends.
+  MiniGptConfig config;
+  config.layers = 3;
+  config.hidden = 24;
+  config.heads = 4;
+  config.ffn = 40;
+  config.vocab = 37;
+  MiniGptParams serial = SerialInit(config, 99);
+  const std::uint64_t expected = HashParams(serial);
+  for (int threads : kPoolSizes) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ScopedRuntime rt(threads, KernelMode::kOptimized);
+    MiniGptParams pooled = MiniGptParams::Init(config, 99);
+    EXPECT_EQ(HashParams(pooled), expected);
+    const std::vector<Tensor*> a = pooled.Flat();
+    const std::vector<Tensor*> b = serial.Flat();
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_TRUE(a[i]->ExactlyEquals(*b[i])) << "param tensor " << i;
+    }
+  }
+}
+
+TEST(ParallelExactnessTest, FillGaussianMatchesSerialDrawsAndStreamEnd) {
+  // A start three draws below 2^64, so the chunks' skips wrap.
+  const std::uint64_t start = 0 - 3 * 0x9E3779B97F4A7C15ULL;
+  for (int threads : kPoolSizes) {
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    ScopedRuntime rt(threads, KernelMode::kOptimized);
+    Rng serial(0);
+    serial.set_state(start);
+    Rng pooled = serial;
+    std::vector<Tensor> tensors;
+    for (const std::int64_t cols : {3000, 0, 1, 1500}) {
+      tensors.push_back(Tensor::Uninitialized(1, cols));
+    }
+    std::vector<Tensor*> targets;
+    for (Tensor& t : tensors) targets.push_back(&t);
+    FillGaussian(targets, 0.5, pooled);
+    for (const Tensor& t : tensors) {
+      for (std::int64_t i = 0; i < t.size(); ++i) {
+        ASSERT_EQ(t.data()[i],
+                  static_cast<float>(serial.NextGaussian() * 0.5))
+            << "element " << i << " of a " << t.size() << "-element tensor";
+      }
+    }
+    EXPECT_EQ(pooled.state(), serial.state());
+    const Tensor randn = Tensor::Randn(7, 300, 0.5, pooled);
+    for (std::int64_t i = 0; i < randn.size(); ++i) {
+      ASSERT_EQ(randn.data()[i],
+                static_cast<float>(serial.NextGaussian() * 0.5));
+    }
+    EXPECT_EQ(pooled.state(), serial.state());
+  }
+}
+
 // ---- Whole-model bit-exactness across kernel modes, pool sizes and the
 // async copier.
 
@@ -373,8 +462,7 @@ StepResult OneStep(const MiniGptConfig& config, ActivationPolicy policy,
   const MiniGpt model(config);
   const MiniGptParams params = MiniGptParams::Init(config, 99);
   StepResult r;
-  r.grads = MiniGptParams::Init(config, 99);
-  for (Tensor* g : r.grads.Flat()) g->Fill(0.0f);
+  r.grads = MiniGptParams::Zeros(config);
   std::vector<int> tokens(config.seq);
   std::vector<int> targets(config.seq);
   Rng rng(7);

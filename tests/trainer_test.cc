@@ -50,10 +50,8 @@ TEST(ActivationStoreTest, TokenWiseRestoreIsBitExact) {
   // Run the forward through both stores by exercising ForwardBackward and
   // capturing gradients: identical gradients <=> identical restored
   // activations everywhere they matter.
-  MiniGptParams grads_a = MiniGptParams::Init(cfg, 7);
-  MiniGptParams grads_b = MiniGptParams::Init(cfg, 7);
-  for (Tensor* g : grads_a.Flat()) g->Fill(0.0f);
-  for (Tensor* g : grads_b.Flat()) g->Fill(0.0f);
+  MiniGptParams grads_a = MiniGptParams::Zeros(cfg);
+  MiniGptParams grads_b = MiniGptParams::Zeros(cfg);
 
   ActivationStore retain(ActivationPolicy::kRetainAll, 1.0, cfg.layers);
   ActivationStore tokenwise(ActivationPolicy::kTokenWise, 0.25, cfg.layers);
@@ -80,7 +78,7 @@ TEST(ActivationStoreTest, AlphaControlsStoredBytes) {
   std::vector<int> targets;
   SyntheticData data(cfg.vocab, 3);
   data.NextSequence(cfg.seq, &tokens, &targets);
-  MiniGptParams grads = MiniGptParams::Init(cfg, 7);
+  MiniGptParams grads = MiniGptParams::Zeros(cfg);
 
   std::int64_t previous = 0;
   for (double alpha : {0.0, 0.5, 1.0}) {
@@ -107,8 +105,7 @@ TEST(ActivationStoreTest, TokenWiseShrinksDeviceResidency) {
   std::vector<int> targets;
   SyntheticData data(cfg.vocab, 3);
   data.NextSequence(cfg.seq, &tokens, &targets);
-  MiniGptParams grads = MiniGptParams::Init(cfg, 7);
-  for (Tensor* g : grads.Flat()) g->Fill(0.0f);
+  MiniGptParams grads = MiniGptParams::Zeros(cfg);
 
   ActivationStore retain(ActivationPolicy::kRetainAll, 1.0, cfg.layers);
   model.ForwardBackward(params, tokens, targets, &retain, &grads);
