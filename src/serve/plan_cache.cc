@@ -37,15 +37,11 @@ std::int64_t ChargeFor(const CachedPlan& plan) {
 
 }  // namespace
 
-PlanCache::PlanCache(const PlanCacheOptions& options) : options_(options) {
-  const int shards = std::max(1, options.shards);
-  options_.shards = shards;
-  shards_ = std::vector<Shard>(shards);
-  shard_budget_ = options_.capacity_bytes > 0
-                      ? std::max<std::int64_t>(1, options_.capacity_bytes /
-                                                      shards)
-                      : 0;
-}
+PlanCache::PlanCache(const PlanCacheOptions& options)
+    : shard_budget_(options.capacity_bytes > 0
+                        ? std::max<std::int64_t>(
+                              1, options.capacity_bytes / kShards)
+                        : 0) {}
 
 void PlanCache::InsertLocked(Shard& shard, std::uint64_t key,
                              const std::shared_ptr<CachedPlan>& value) {

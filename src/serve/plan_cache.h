@@ -1,6 +1,7 @@
 #ifndef MEMO_SERVE_PLAN_CACHE_H_
 #define MEMO_SERVE_PLAN_CACHE_H_
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -34,10 +35,6 @@ struct PlanCacheOptions {
   /// until its proportional share is respected. <= 0 disables caching
   /// entirely (every lookup is a miss, nothing is retained).
   std::int64_t capacity_bytes = 32ll << 20;
-  /// Independent LRU shards (clamped to >= 1). Keys are distributed by the
-  /// upper fingerprint bits, so one hot shard lock never serializes the
-  /// whole solver pool.
-  int shards = 8;
 };
 
 /// Sharded LRU cache keyed by PlanRequest fingerprint, with single-flight
@@ -51,6 +48,11 @@ struct PlanCacheOptions {
 class PlanCache {
  public:
   using ComputeFn = std::function<std::shared_ptr<CachedPlan>()>;
+
+  /// Independent LRU shards, each with capacity_bytes / kShards. Keys are
+  /// distributed by the upper fingerprint bits, so one hot shard lock never
+  /// serializes the whole solver pool (DESIGN.md §12).
+  static constexpr int kShards = 8;
 
   explicit PlanCache(const PlanCacheOptions& options = {});
 
@@ -98,8 +100,6 @@ class PlanCache {
   };
   Stats stats() const;
 
-  std::int64_t capacity_bytes() const { return options_.capacity_bytes; }
-
  private:
   struct Inflight {
     bool done = false;
@@ -125,7 +125,7 @@ class PlanCache {
   };
 
   Shard& shard_for(std::uint64_t key) {
-    return shards_[(key >> 48) % shards_.size()];
+    return shards_[(key >> 48) % kShards];
   }
 
   /// Inserts under the shard lock, evicting the LRU tail while over this
@@ -133,13 +133,12 @@ class PlanCache {
   void InsertLocked(Shard& shard, std::uint64_t key,
                     const std::shared_ptr<CachedPlan>& value);
 
-  PlanCacheOptions options_;
   std::int64_t shard_budget_ = 0;
   /// Sum of per-shard resident_bytes, maintained without taking every shard
   /// lock so the serve.cache.resident_bytes gauge can be refreshed from
   /// inside a single shard's critical section.
   std::atomic<std::int64_t> resident_total_{0};
-  std::vector<Shard> shards_;
+  std::array<Shard, kShards> shards_;
 };
 
 }  // namespace memo::serve

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -18,90 +19,6 @@
 namespace memo::serve {
 
 namespace {
-
-/// Parses a flat JSON object into key -> value text. Strings support the
-/// \" \\ \n \t \/ escapes; everything else must be a bare token ending at
-/// `,` or `}`. A quoted value reads like a bare one: "8" and 8 are the same.
-/// Nested objects/arrays are rejected — the protocol is deliberately flat.
-Status ParseFlatObject(const std::string& json, PlanRequestFields* out) {
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < json.size() &&
-           std::isspace(static_cast<unsigned char>(json[i]))) {
-      ++i;
-    }
-  };
-  auto parse_string = [&](std::string* s) -> bool {
-    if (i >= json.size() || json[i] != '"') return false;
-    ++i;
-    s->clear();
-    while (i < json.size() && json[i] != '"') {
-      char c = json[i++];
-      if (c == '\\' && i < json.size()) {
-        char e = json[i++];
-        switch (e) {
-          case 'n': c = '\n'; break;
-          case 't': c = '\t'; break;
-          case '"': c = '"'; break;
-          case '\\': c = '\\'; break;
-          case '/': c = '/'; break;
-          default: return false;  // \uXXXX etc. unsupported on purpose
-        }
-      }
-      s->push_back(c);
-    }
-    if (i >= json.size()) return false;
-    ++i;  // closing quote
-    return true;
-  };
-
-  skip_ws();
-  if (i >= json.size() || json[i] != '{') {
-    return InvalidArgumentError("request is not a JSON object");
-  }
-  ++i;
-  skip_ws();
-  if (i < json.size() && json[i] == '}') return OkStatus();
-  while (true) {
-    skip_ws();
-    std::string key;
-    if (!parse_string(&key)) {
-      return InvalidArgumentError("expected a quoted key in request JSON");
-    }
-    skip_ws();
-    if (i >= json.size() || json[i] != ':') {
-      return InvalidArgumentError("expected ':' after key \"" + key + "\"");
-    }
-    ++i;
-    skip_ws();
-    std::string value;
-    if (i < json.size() && json[i] == '"') {
-      if (!parse_string(&value)) {
-        return InvalidArgumentError("unterminated string for key \"" + key +
-                                    "\"");
-      }
-    } else if (i < json.size() && (json[i] == '{' || json[i] == '[')) {
-      return InvalidArgumentError("nested values are not supported (key \"" +
-                                  key + "\")");
-    } else {
-      while (i < json.size() && json[i] != ',' && json[i] != '}' &&
-             !std::isspace(static_cast<unsigned char>(json[i]))) {
-        value.push_back(json[i++]);
-      }
-      if (value.empty()) {
-        return InvalidArgumentError("missing value for key \"" + key + "\"");
-      }
-    }
-    (*out)[key] = std::move(value);
-    skip_ws();
-    if (i < json.size() && json[i] == ',') {
-      ++i;
-      continue;
-    }
-    if (i < json.size() && json[i] == '}') return OkStatus();
-    return InvalidArgumentError("expected ',' or '}' in request JSON");
-  }
-}
 
 /// Strict number parse: the whole token must convert.
 bool ParseDouble(const std::string& text, double* out) {
@@ -229,6 +146,136 @@ void AppendField(std::string* out, const char* key, bool value) {
 
 }  // namespace
 
+const std::string& JsonObject::Get(const std::string& key) const {
+  static const std::string kAbsent;
+  const auto it = fields.find(key);
+  return it == fields.end() ? kAbsent : it->second;
+}
+
+Status ReadJsonObject(std::string_view json, JsonObject* out) {
+  *out = JsonObject{};
+  std::size_t i = 0;
+  auto skip_ws = [&] {
+    while (i < json.size() &&
+           std::isspace(static_cast<unsigned char>(json[i]))) {
+      ++i;
+    }
+  };
+  // Reads the string at json[i], decoding the escapes obs::JsonEscape
+  // writes and refusing the rest.
+  auto parse_string = [&](std::string* s) -> bool {
+    if (i >= json.size() || json[i] != '"') return false;
+    ++i;
+    s->clear();
+    while (i < json.size() && json[i] != '"') {
+      char c = json[i++];
+      if (c == '\\' && i < json.size()) {
+        char e = json[i++];
+        switch (e) {
+          case 'n': c = '\n'; break;
+          case 't': c = '\t'; break;
+          case 'r': c = '\r'; break;
+          case '"': c = '"'; break;
+          case '\\': c = '\\'; break;
+          case '/': c = '/'; break;
+          case 'u': {
+            unsigned code = 0;
+            const char* hex = json.data() + i;
+            if (json.size() - i < 4 ||
+                std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4 ||
+                code >= 0x80) {
+              return false;
+            }
+            i += 4;
+            c = static_cast<char>(code);
+            break;
+          }
+          default: return false;
+        }
+      }
+      s->push_back(c);
+    }
+    if (i >= json.size()) return false;
+    ++i;  // closing quote
+    return true;
+  };
+  // Reads the object or array at json[i] as its raw text.
+  auto parse_nested = [&](std::string* raw) -> bool {
+    const std::size_t start = i;
+    std::string closers;  // the brackets still open, innermost last
+    std::string skipped;
+    while (i < json.size()) {
+      const char c = json[i];
+      if (c == '"') {
+        if (!parse_string(&skipped)) return false;
+        continue;
+      }
+      ++i;
+      if (c == '{' || c == '[') {
+        closers.push_back(c == '{' ? '}' : ']');
+      } else if (c == '}' || c == ']') {
+        if (c != closers.back()) return false;
+        closers.pop_back();
+        if (closers.empty()) {
+          raw->assign(json.substr(start, i - start));
+          return true;
+        }
+      }
+    }
+    return false;
+  };
+
+  skip_ws();
+  if (i >= json.size() || json[i] != '{') {
+    return InvalidArgumentError("request is not a JSON object");
+  }
+  ++i;
+  skip_ws();
+  if (i < json.size() && json[i] == '}') return OkStatus();
+  while (true) {
+    skip_ws();
+    std::string key;
+    if (!parse_string(&key)) {
+      return InvalidArgumentError("expected a quoted key in request JSON");
+    }
+    skip_ws();
+    if (i >= json.size() || json[i] != ':') {
+      return InvalidArgumentError("expected ':' after key \"" + key + "\"");
+    }
+    ++i;
+    skip_ws();
+    std::string value;
+    if (i < json.size() && json[i] == '"') {
+      if (!parse_string(&value)) {
+        return InvalidArgumentError("unterminated string for key \"" + key +
+                                    "\"");
+      }
+    } else if (i < json.size() && (json[i] == '{' || json[i] == '[')) {
+      out->nested.push_back(key);
+      if (!parse_nested(&value)) {
+        return InvalidArgumentError("unterminated nested value for key \"" +
+                                    key + "\"");
+      }
+    } else {
+      while (i < json.size() && json[i] != ',' && json[i] != '}' &&
+             !std::isspace(static_cast<unsigned char>(json[i]))) {
+        value.push_back(json[i++]);
+      }
+      if (value.empty()) {
+        return InvalidArgumentError("missing value for key \"" + key + "\"");
+      }
+    }
+    out->fields[key] = std::move(value);
+    skip_ws();
+    if (i < json.size() && json[i] == ',') {
+      ++i;
+      continue;
+    }
+    if (i < json.size() && json[i] == '}') return OkStatus();
+    return InvalidArgumentError("expected ',' or '}' in request JSON");
+  }
+}
+
 StatusOr<core::PlanRequest> ParsePlanRequestFields(
     const PlanRequestFields& fields, std::vector<std::string>* unknown) {
   constexpr const char* kInt = "an integer that fits in 32 bits";
@@ -288,10 +335,20 @@ StatusOr<core::PlanRequest> ParsePlanRequestFields(
   return request;
 }
 
+StatusOr<core::PlanRequest> ParsePlanRequestObject(const Status& read,
+                                                   const JsonObject& object) {
+  if (!object.nested.empty()) {
+    return InvalidArgumentError("nested values are not supported (key \"" +
+                                object.nested.front() + "\")");
+  }
+  MEMO_RETURN_IF_ERROR(read);
+  return ParsePlanRequestFields(object.fields);
+}
+
 StatusOr<core::PlanRequest> ParsePlanRequestJson(const std::string& line) {
-  PlanRequestFields fields;
-  MEMO_RETURN_IF_ERROR(ParseFlatObject(line, &fields));
-  return ParsePlanRequestFields(fields);
+  JsonObject object;
+  const Status read = ReadJsonObject(line, &object);
+  return ParsePlanRequestObject(read, object);
 }
 
 std::string SerializePlanResult(const core::PlanResult& result) {
@@ -399,80 +456,6 @@ std::string BuildHealthResponseLine(const HealthSnapshot& health) {
   out.back() = '}';
   out += '}';
   return out;
-}
-
-namespace {
-
-/// Locates the raw value text after `"key":` at the top level. Good enough
-/// for this protocol's own flat output plus one nesting level skip.
-bool FindRawValue(const std::string& json, const std::string& key,
-                  std::string* out) {
-  const std::string needle = "\"" + key + "\":";
-  std::size_t pos = json.find(needle);
-  if (pos == std::string::npos) return false;
-  pos += needle.size();
-  if (pos >= json.size()) return false;
-  if (json[pos] == '"') {
-    std::size_t end = pos + 1;
-    while (end < json.size() && json[end] != '"') {
-      if (json[end] == '\\') ++end;
-      ++end;
-    }
-    if (end >= json.size()) return false;
-    *out = json.substr(pos, end - pos + 1);
-    return true;
-  }
-  if (json[pos] == '{') {
-    int depth = 0;
-    std::size_t end = pos;
-    for (; end < json.size(); ++end) {
-      if (json[end] == '{') ++depth;
-      if (json[end] == '}' && --depth == 0) break;
-    }
-    if (end >= json.size()) return false;
-    *out = json.substr(pos, end - pos + 1);
-    return true;
-  }
-  std::size_t end = pos;
-  while (end < json.size() && json[end] != ',' && json[end] != '}') ++end;
-  *out = json.substr(pos, end - pos);
-  return true;
-}
-
-}  // namespace
-
-bool JsonFindString(const std::string& json, const std::string& key,
-                    std::string* out) {
-  std::string raw;
-  if (!FindRawValue(json, key, &raw)) return false;
-  if (raw.size() >= 2 && raw.front() == '"' && raw.back() == '"') {
-    *out = raw.substr(1, raw.size() - 2);
-  } else {
-    *out = raw;
-  }
-  return true;
-}
-
-bool JsonFindNumber(const std::string& json, const std::string& key,
-                    double* out) {
-  std::string raw;
-  if (!FindRawValue(json, key, &raw)) return false;
-  return ParseDouble(raw, out);
-}
-
-bool JsonFindBool(const std::string& json, const std::string& key,
-                  bool* out) {
-  std::string raw;
-  if (!FindRawValue(json, key, &raw)) return false;
-  if (raw == "true") {
-    *out = true;
-    return true;
-  }
-  if (raw == "false") {
-    *out = false;
-    return true;
-  }
-  return false;
 }
 
 }  // namespace memo::serve

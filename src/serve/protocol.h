@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -12,9 +13,10 @@
 
 namespace memo::serve {
 
-/// Wire format: one request per line, one response per line, both flat
-/// JSON objects (newline-delimited JSON over a Unix-domain stream socket).
-/// A value may be quoted or bare: "8" and 8 read alike.
+/// Wire format: one request per line, one response per line, each a JSON
+/// object (newline-delimited JSON over a Unix-domain stream socket), read
+/// by ReadJsonObject. A request is flat; a value may be quoted or bare: "8"
+/// and 8 read alike.
 ///
 /// Request fields, all optional (memo_cli's planning commands read the same
 /// fields from their flags, spelled with '-' for '_'):
@@ -50,6 +52,29 @@ namespace memo::serve {
 /// A request as field name -> value text, before any conversion.
 using PlanRequestFields = std::map<std::string, std::string>;
 
+/// One line's top-level JSON object, as ReadJsonObject reads it.
+struct JsonObject {
+  /// Key -> value text: a string unescaped, a bare token (any text up to
+  /// ',', '}' or whitespace) as written, a nested object or array as its
+  /// raw text (an answer's "plan" is SerializePlanResult's payload). A
+  /// repeated key keeps its last value.
+  PlanRequestFields fields;
+  /// The keys whose value is a nested object or array, in line order.
+  std::vector<std::string> nested;
+
+  /// The value text of `key`, or "" when the object has no such key.
+  const std::string& Get(const std::string& key) const;
+};
+
+/// The protocol's one JSON reader, for request and answer lines alike.
+/// Strings decode exactly the escapes obs::JsonEscape writes (\" \\ \n \t
+/// \r \/ and \uXXXX below 0x80) and refuse the rest, so every JsonEscape'd
+/// string reads back byte for byte. Bytes after the closing brace are
+/// ignored. Returns kInvalidArgument when `line` does not start with such
+/// an object; `*out` then holds what was read before the error, including
+/// the key of a nested value the error is inside.
+Status ReadJsonObject(std::string_view line, JsonObject* out);
+
 /// The one reader of planning requests, shared by the wire protocol and
 /// memo_cli. Converts every field above, fills in defaults and the strategy
 /// recipe, then runs PlanRequest::Validate(). Returns kInvalidArgument for
@@ -61,8 +86,14 @@ StatusOr<core::PlanRequest> ParsePlanRequestFields(
     const PlanRequestFields& fields,
     std::vector<std::string>* unknown = nullptr);
 
-/// Parses one request line: a flat JSON object handed to
-/// ParsePlanRequestFields. Returns kInvalidArgument on malformed JSON too.
+/// A request line ReadJsonObject read into `object` with outcome `read`,
+/// handed to ParsePlanRequestFields. The request protocol is flat: a nested
+/// value is refused before the read's error and before any field.
+StatusOr<core::PlanRequest> ParsePlanRequestObject(const Status& read,
+                                                   const JsonObject& object);
+
+/// ReadJsonObject, then ParsePlanRequestObject. Returns kInvalidArgument on
+/// malformed JSON too.
 StatusOr<core::PlanRequest> ParsePlanRequestJson(const std::string& line);
 
 /// Deterministic serialization of a solve outcome: fixed field order,
@@ -82,9 +113,10 @@ std::string BuildResponseLine(const Status& status, std::uint64_t fingerprint,
 /// timed out, never answered); parse errors are not.
 std::string BuildErrorResponseLine(const Status& status);
 
-/// Point-in-time server state for the `health` protocol request (the line
-/// "health" or {"kind":"health"}). Health answers never consult the solver
-/// and are not counted against a --max-requests budget.
+/// Point-in-time server state for the `health` protocol request: the bare
+/// line `health`, or any object ReadJsonObject reads with kind "health"
+/// (`{ "kind" : "health" }` included). Health answers never consult the
+/// solver and are not counted against a --max-requests budget.
 struct HealthSnapshot {
   bool draining = false;
   int connections = 0;
@@ -98,15 +130,6 @@ struct HealthSnapshot {
 
 /// {"status":"OK","code":0,"health":{"state":"serving"|"draining",...}}
 std::string BuildHealthResponseLine(const HealthSnapshot& health);
-
-/// Minimal field extractors for flat JSON (used by the query CLI and
-/// tests; not a general JSON parser — sufficient for this protocol's own
-/// output and top-level request fields).
-bool JsonFindString(const std::string& json, const std::string& key,
-                    std::string* out);
-bool JsonFindNumber(const std::string& json, const std::string& key,
-                    double* out);
-bool JsonFindBool(const std::string& json, const std::string& key, bool* out);
 
 /// Escapes `"`, `\` and control characters for embedding in JSON (the one
 /// escaper, obs/json.h, under the name the plan clients call).

@@ -116,9 +116,11 @@ StatusOr<int> LoadCacheSnapshot(const std::string& path, PlanCache* cache) {
   if (!body.AtEnd()) return body.Error("trailing bytes after last entry");
 
   // Parse fully validated before the first insert: a corrupt snapshot never
-  // leaves the cache half-restored.
-  for (auto& entry : loaded) {
-    cache->Restore(entry.first, entry.second);
+  // leaves the cache half-restored. The file lists each shard most recent
+  // first and every insert becomes its shard's most recent, so the entries
+  // go in last to first and keep their recency.
+  for (auto it = loaded.rbegin(); it != loaded.rend(); ++it) {
+    cache->Restore(it->first, it->second);
   }
   obs::MetricsRegistry::Global().counter("serve.snapshot.loaded")->Add(1);
   return static_cast<int>(loaded.size());

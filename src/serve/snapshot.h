@@ -43,7 +43,8 @@ StatusOr<int> SaveCacheSnapshot(const std::string& path,
 /// with the cache
 /// left as it was, so callers log the failure and start cold instead of
 /// crashing or trusting damaged bytes. A missing file is kNotFound (the
-/// normal first boot). Returns the number of entries restored.
+/// normal first boot). Entries are restored last to first, so each keeps
+/// the recency it had when saved. Returns the number of entries restored.
 StatusOr<int> LoadCacheSnapshot(const std::string& path, PlanCache* cache);
 
 }  // namespace memo::serve

@@ -172,10 +172,12 @@ void SocketServer::CountRequest() {
 bool SocketServer::HandleLine(std::uint64_t id, int fd,
                               const std::string& line) {
   if (line.empty()) return true;
-  std::string kind;
+  // Each line is read once; `health` alone is the probe's short form.
+  JsonObject object;
+  const Status read =
+      line == "health" ? OkStatus() : ReadJsonObject(line, &object);
   const bool is_health =
-      line == "health" ||
-      (JsonFindString(line, "kind", &kind) && kind == "health");
+      line == "health" || (read.ok() && object.Get("kind") == "health");
   std::string response;
   if (is_health) {
     // Health never touches the solver and never spends --max-requests
@@ -200,7 +202,7 @@ bool SocketServer::HandleLine(std::uint64_t id, int fd,
       auto it = connections_.find(id);
       if (it != connections_.end()) it->second.in_request = true;
     }
-    auto request = ParsePlanRequestJson(line);
+    const auto request = ParsePlanRequestObject(read, object);
     if (!request.ok()) {
       response = BuildErrorResponseLine(request.status());
     } else {
@@ -285,27 +287,19 @@ void SocketServer::ServeConnection(std::uint64_t id, int fd) {
     buffer.append(chunk, static_cast<std::size_t>(n));
     bool close_connection = false;
     std::size_t newline;
-    while ((newline = buffer.find('\n')) != std::string::npos) {
+    while ((newline = buffer.find('\n')) != std::string::npos &&
+           newline <= max_line) {
       const std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
-      if (line.size() > max_line) {
-        Count("serve.conn.oversized");
-        WriteAll(fd, BuildErrorResponseLine(InvalidArgumentError(
-                         "request line exceeds max_line_bytes")) +
-                         "\n");
-        CountRequest();
-        close_connection = true;
-        break;
-      }
       if (!HandleLine(id, fd, line)) {
         close_connection = true;
         break;
       }
     }
     if (close_connection) break;
-    if (buffer.size() > max_line) {
-      // A partial line already over the cap can never become a valid
-      // request; bounding it here bounds per-connection memory.
+    if (std::min(newline, buffer.size()) > max_line) {
+      // A line over the cap, whole or partial, can never become a valid
+      // request; refusing it here bounds per-connection memory.
       Count("serve.conn.oversized");
       WriteAll(fd, BuildErrorResponseLine(InvalidArgumentError(
                        "request line exceeds max_line_bytes")) +
@@ -352,11 +346,6 @@ void SocketServer::Wait() {
   stopped_cv_.wait(lock, [&] {
     return stopped_ || (accept_done_ && connections_.empty());
   });
-}
-
-bool SocketServer::draining() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return draining_ || stopping_.load(std::memory_order_acquire);
 }
 
 int SocketServer::active_connections() const {

@@ -28,8 +28,9 @@ struct SocketServerOptions {
   std::int64_t max_requests = -1;
   /// Per-request time budget applied at admission; a request still queued
   /// at expiry is answered DEADLINE_EXCEEDED without reaching a solver, and
-  /// a running solve aborts at the next phase boundary. 0 = unlimited.
-  std::int64_t request_deadline_ms = 0;
+  /// a running solve aborts at the next phase boundary. 0 = unlimited; the
+  /// default is ~4x the slowest planning request measured (DESIGN.md §14).
+  std::int64_t request_deadline_ms = 120000;
   /// Close a connection that has sent no bytes for this long (slow-loris
   /// defense; an idle client gets an UNAVAILABLE error line first). 0 =
   /// never time out.
@@ -54,9 +55,9 @@ struct SocketServerOptions {
 /// (so idle timeouts fire without a watchdog); each request line is parsed,
 /// answered via PlanServer::Query (which may shed), and the response line
 /// written back. Malformed lines produce an error response on the same
-/// connection rather than killing it. The line "health" (or
-/// {"kind":"health"}) answers with server state without touching the
-/// solver.
+/// connection rather than killing it. Each line is read once
+/// (ReadJsonObject): the line `health`, or an object whose kind is
+/// "health", answers with server state without touching the solver.
 ///
 /// Fault sites (chaos soak): "serve.conn_recv" and "serve.conn_send" drop
 /// the connection at the respective I/O step when armed.
@@ -84,8 +85,6 @@ class SocketServer {
   /// last connection ends; the caller then runs Stop() for the joins.
   /// Idempotent; safe to trigger from a signal-watcher thread.
   void BeginDrain();
-
-  bool draining() const;
 
   /// Stops accepting, unblocks in-flight connection reads, joins all
   /// threads and removes the socket file. Idempotent.

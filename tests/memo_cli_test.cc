@@ -659,6 +659,26 @@ TEST(MemoCliTest, ServeAndQueryRequireASocketPath) {
       << run.output;
 }
 
+TEST(MemoCliTest, ServePrintsItsRequestDeadline) {
+  const std::string socket_path =
+      ::testing::TempDir() + "memo_cli_deadline.sock";
+  const std::string query = std::string(MEMO_CLI_PATH) + " query --socket " +
+                            socket_path +
+                            " --retries 40 --json '{\"seq\":0}' >/dev/null";
+  // A budget of one answer: the refused query spends it without a solve,
+  // and the server exits on its own.
+  for (const auto& [flag, deadline] :
+       {std::pair{"", "deadline 120000 ms)"},
+        std::pair{" --request-deadline-ms 250", "deadline 250 ms)"}}) {
+    std::remove(socket_path.c_str());
+    const CliResult run = RunCli("serve --socket " + socket_path +
+                                 " --max-requests 1" + flag + " & " + query);
+    EXPECT_NE(run.output.find("serving on " + socket_path), std::string::npos)
+        << run.output;
+    EXPECT_NE(run.output.find(deadline), std::string::npos) << run.output;
+  }
+}
+
 TEST(MemoCliTest, ServeAnswersQueryEndToEndOverTheSocket) {
   const std::string socket_path =
       ::testing::TempDir() + "memo_cli_serve.sock";

@@ -32,10 +32,11 @@ std::shared_ptr<CachedPlan> PlanOfSize(std::int64_t bytes,
   return plan;
 }
 
+/// A cache whose shard 0, where every key below 2^48 lands, holds
+/// `capacity` bytes: deterministic LRU order for these tests.
 PlanCacheOptions SingleShard(std::int64_t capacity) {
   PlanCacheOptions options;
-  options.capacity_bytes = capacity;
-  options.shards = 1;  // deterministic LRU order for these tests
+  options.capacity_bytes = capacity * PlanCache::kShards;
   return options;
 }
 
@@ -186,7 +187,6 @@ TEST(PlanCacheTest, SingleFlightCoalescesConcurrentIdenticalRequests) {
 TEST(PlanCacheTest, ShardedCacheIsConsistentUnderConcurrentMixedLoad) {
   PlanCacheOptions options;
   options.capacity_bytes = 64 * 1024;
-  options.shards = 4;
   PlanCache cache(options);
 
   constexpr int kThreads = 8;

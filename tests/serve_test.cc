@@ -45,6 +45,14 @@ using memo::serve::PlanServer;
 using memo::serve::PlanServerOptions;
 using memo::serve::QueryOutcome;
 
+/// The `key` field of answer line `line`, read by the protocol's reader;
+/// "" when the line does not read or has no such field.
+std::string AnswerField(const std::string& line, const std::string& key) {
+  memo::serve::JsonObject answer;
+  return memo::serve::ReadJsonObject(line, &answer).ok() ? answer.Get(key)
+                                                         : "";
+}
+
 /// A small, fast-solving request (one explicit strategy on the 7B model).
 PlanRequest SmallRequest(std::int64_t seq = 64 * memo::kSeqK) {
   PlanRequest request;
@@ -342,6 +350,95 @@ TEST(ProtocolTest, MalformedRequestsAreInvalidArgument) {
   }
 }
 
+TEST(ProtocolTest, EveryJsonEscapedStringReadsBackExactly) {
+  // Each byte alone, then all of them in one string: whatever JsonEscape
+  // writes, a request line carries and the reader returns byte for byte.
+  std::vector<std::string> texts;
+  std::string all_bytes;
+  for (int byte = 0; byte < 256; ++byte) {
+    texts.push_back(std::string(1, static_cast<char>(byte)) + "x");
+    all_bytes.push_back(static_cast<char>(byte));
+  }
+  texts.push_back(all_bytes);
+  for (const std::string& text : texts) {
+    const std::string escaped = memo::serve::JsonEscape(text);
+    const std::string line =
+        "{\"model\":\"7B\",\"note\":\"" + escaped + "\"}";
+    const auto request = memo::serve::ParsePlanRequestJson(line);
+    EXPECT_TRUE(request.ok()) << escaped << ": "
+                              << request.status().ToString();
+    memo::serve::JsonObject object;
+    const memo::Status read = memo::serve::ReadJsonObject(line, &object);
+    ASSERT_TRUE(read.ok()) << escaped << ": " << read.ToString();
+    EXPECT_EQ(object.Get("note"), text) << escaped;
+  }
+
+  // \r and \u00XX read as their text, in either hex case.
+  const auto seven_b =
+      memo::serve::ParsePlanRequestJson("{\"model\":\"\\u0037B\"}");
+  ASSERT_TRUE(seven_b.ok()) << seven_b.status().ToString();
+  EXPECT_EQ(seven_b->Fingerprint(),
+            memo::serve::ParsePlanRequestJson("{\"model\":\"7B\"}")
+                ->Fingerprint());
+  memo::serve::JsonObject upper;
+  ASSERT_TRUE(
+      memo::serve::ReadJsonObject("{\"k\":\"\\u001F\\r\"}", &upper).ok());
+  EXPECT_EQ(upper.Get("k"), "\x1f\r");
+
+  // Escapes JsonEscape never writes stay refused.
+  for (const char* line :
+       {"{\"k\":\"\\b\"}", "{\"k\":\"\\f\"}", "{\"k\":\"\\u0080\"}",
+        "{\"k\":\"\\u00e9\"}", "{\"k\":\"\\ud83d\\ude00\"}",
+        "{\"k\":\"\\u12\"}", "{\"k\":\"\\u00g1\"}", "{\"k\":\"\\x41\"}"}) {
+    memo::serve::JsonObject object;
+    EXPECT_EQ(memo::serve::ReadJsonObject(line, &object).code(),
+              memo::StatusCode::kInvalidArgument)
+        << line;
+  }
+}
+
+TEST(ProtocolTest, TheReaderKeepsNestedValuesAsRawText) {
+  // An answer's nested plan reads back as the payload SerializePlanResult
+  // wrote; its top-level fields read beside it.
+  const std::string payload =
+      memo::serve::SerializePlanResult(ExecutePlanRequest(SmallRequest()));
+  const std::string line =
+      memo::serve::BuildResponseLine(memo::OkStatus(), 0x1234, false, payload);
+  memo::serve::JsonObject answer;
+  ASSERT_TRUE(memo::serve::ReadJsonObject(line, &answer).ok()) << line;
+  EXPECT_EQ(answer.Get("plan"), payload);
+  EXPECT_EQ(answer.Get("code"), "0");
+  EXPECT_EQ(answer.Get("cache_hit"), "false");
+  EXPECT_EQ(answer.Get("fingerprint"), "0x0000000000001234");
+  EXPECT_EQ(answer.nested, (std::vector<std::string>{"plan"}));
+
+  // Brackets inside strings do not count; mismatched or open ones fail.
+  memo::serve::JsonObject arrays;
+  ASSERT_TRUE(memo::serve::ReadJsonObject(
+                  "{\"a\":[1,{\"b\":\"]}\"}],\"c\":2}", &arrays)
+                  .ok());
+  EXPECT_EQ(arrays.Get("a"), "[1,{\"b\":\"]}\"}]");
+  EXPECT_EQ(arrays.Get("c"), "2");
+  for (const char* line : {"{\"a\":[1,2}", "{\"a\":{\"b\":1}", "{\"a\":[\"]"}) {
+    memo::serve::JsonObject object;
+    EXPECT_EQ(memo::serve::ReadJsonObject(line, &object).code(),
+              memo::StatusCode::kInvalidArgument)
+        << line;
+    EXPECT_EQ(object.nested, (std::vector<std::string>{"a"})) << line;
+  }
+
+  // A request refuses a nested value before any field, and before a syntax
+  // error that follows it.
+  for (const char* line :
+       {"{\"gpus\":12,\"tp\":{\"a\":1}}", "{\"gpus\":12,\"tp\":{\"a\":1}",
+        "{\"tp\":[1,2}, junk"}) {
+    const auto request = memo::serve::ParsePlanRequestJson(line);
+    ASSERT_FALSE(request.ok()) << line;
+    EXPECT_EQ(request.status().message(),
+              "nested values are not supported (key \"tp\")");
+  }
+}
+
 TEST(ProtocolTest, StrategyQueriesRunTheSystemRecipe) {
   // What memo_cli builds from `run --system deepspeed --sp 8 --seq 256K`
   // (its flags, plus the kind `run` picks) and the wire line with the same
@@ -420,22 +517,18 @@ TEST(SocketServerTest, AnswersQueriesOverAUnixSocketWithWarmHits) {
   const auto cold =
       memo::serve::QueryOverSocket(socket_path, request_line, 10);
   ASSERT_TRUE(cold.ok()) << cold.status().ToString();
-  bool hit = true;
-  ASSERT_TRUE(memo::serve::JsonFindBool(*cold, "cache_hit", &hit));
-  EXPECT_FALSE(hit);
+  EXPECT_EQ(AnswerField(*cold, "cache_hit"), "false") << *cold;
 
   const auto warm =
       memo::serve::QueryOverSocket(socket_path, request_line, 10);
   ASSERT_TRUE(warm.ok());
-  ASSERT_TRUE(memo::serve::JsonFindBool(*warm, "cache_hit", &hit));
-  EXPECT_TRUE(hit);
+  EXPECT_EQ(AnswerField(*warm, "cache_hit"), "true") << *warm;
 
   // The response embeds the payload; cold and warm must match bit-for-bit
   // outside the cache_hit flag itself.
-  std::string cold_plan;
-  std::string warm_plan;
-  ASSERT_TRUE(memo::serve::JsonFindString(*cold, "plan", &cold_plan));
-  ASSERT_TRUE(memo::serve::JsonFindString(*warm, "plan", &warm_plan));
+  const std::string cold_plan = AnswerField(*cold, "plan");
+  const std::string warm_plan = AnswerField(*warm, "plan");
+  ASSERT_FALSE(cold_plan.empty()) << *cold;
   EXPECT_EQ(cold_plan, warm_plan);
   EXPECT_NE(cold_plan.find("\"mfu\":"), std::string::npos);
 
@@ -444,9 +537,9 @@ TEST(SocketServerTest, AnswersQueriesOverAUnixSocketWithWarmHits) {
   const auto error =
       memo::serve::QueryOverSocket(socket_path, "this is not json", 5);
   ASSERT_TRUE(error.ok()) << error.status().ToString();
-  double code = 0.0;
-  ASSERT_TRUE(memo::serve::JsonFindNumber(*error, "code", &code));
-  EXPECT_NE(code, 0.0);
+  const std::string code = AnswerField(*error, "code");
+  ASSERT_FALSE(code.empty()) << *error;
+  EXPECT_NE(code, "0");
 
   const auto after =
       memo::serve::QueryOverSocket(socket_path, request_line, 5);
@@ -534,13 +627,16 @@ TEST(SocketServerTest, HealthRequestAnswersWithoutTouchingTheSolver) {
   memo::serve::SocketServer socket_server(&server, options);
   ASSERT_TRUE(socket_server.Start().ok());
 
-  for (const char* probe : {"health", "{\"kind\":\"health\"}"}) {
+  // Every spelling of the probe: the bare word, and any JSON object whose
+  // kind is health, whitespace included.
+  for (const char* probe :
+       {"health", "{\"kind\":\"health\"}", "{\"kind\": \"health\"}",
+        "{ \"kind\" : \"health\" }"}) {
     const auto response =
         memo::serve::QueryOverSocket(socket_path, probe, 10);
     ASSERT_TRUE(response.ok()) << response.status().ToString();
-    double code = -1.0;
-    ASSERT_TRUE(memo::serve::JsonFindNumber(*response, "code", &code));
-    EXPECT_EQ(code, 0.0);
+    EXPECT_EQ(AnswerField(*response, "code"), "0") << probe << ": "
+                                                   << *response;
     EXPECT_NE(response->find("\"state\":\"serving\""), std::string::npos)
         << *response;
     EXPECT_NE(response->find("\"cache_entries\":"), std::string::npos);
@@ -646,6 +742,42 @@ TEST(SocketServerTest, OversizedRequestLineIsRejectedAndClosed) {
   socket_server.Stop();
 }
 
+TEST(SocketServerTest, NoLineCapAnswersLongLines) {
+  const std::string socket_path =
+      ::testing::TempDir() + "memo_serve_nocap.sock";
+  std::remove(socket_path.c_str());
+
+  PlanServer server;
+  memo::serve::SocketServerOptions options;
+  options.socket_path = socket_path;
+  options.max_line_bytes = 0;  // no cap
+  memo::serve::SocketServer socket_server(&server, options);
+  ASSERT_TRUE(socket_server.Start().ok());
+
+  // A 2 MiB line, over the default cap, is read and answered, and the
+  // connection stays open for the next line.
+  const int fd = RawConnect(socket_path);
+  ASSERT_GE(fd, 0);
+  const std::string lines = std::string(2 << 20, 'x') + "\nhealth\n";
+  std::size_t sent = 0;
+  while (sent < lines.size()) {
+    const ssize_t n = ::send(fd, lines.data() + sent, lines.size() - sent,
+                             MSG_NOSIGNAL);
+    ASSERT_GT(n, 0);
+    sent += static_cast<std::size_t>(n);
+  }
+  ::shutdown(fd, SHUT_WR);  // the server closes after its answers
+  const std::string answers = RecvAll(fd, 5000);
+  ::close(fd);
+  const std::size_t split = answers.find('\n');
+  ASSERT_NE(split, std::string::npos) << answers;
+  EXPECT_EQ(AnswerField(answers.substr(0, split), "error"),
+            "request is not a JSON object");
+  EXPECT_NE(answers.find("\"state\":\"serving\"", split), std::string::npos)
+      << answers;
+  socket_server.Stop();
+}
+
 TEST(SocketServerTest, IdleConnectionIsTimedOutWithUnavailable) {
   const std::string socket_path =
       ::testing::TempDir() + "memo_serve_idle.sock";
@@ -694,9 +826,7 @@ TEST(SocketServerTest, ConnectionCapEvictsTheStalestIdleConnection) {
       "\"tp\":4,\"cp\":2}",
       10);
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  double code = -1.0;
-  ASSERT_TRUE(memo::serve::JsonFindNumber(*response, "code", &code));
-  EXPECT_EQ(code, 0.0);
+  EXPECT_EQ(AnswerField(*response, "code"), "0") << *response;
 
   // The evicted connection observes EOF (possibly after an error line).
   bool closed = false;
@@ -786,9 +916,7 @@ TEST(SocketServerTest, BlockedClientReadSurvivesSignalInterruption) {
   client.join();
 
   ASSERT_TRUE(response.ok()) << response.status().ToString();
-  double code = -1.0;
-  ASSERT_TRUE(memo::serve::JsonFindNumber(*response, "code", &code));
-  EXPECT_EQ(code, 0.0);
+  EXPECT_EQ(AnswerField(*response, "code"), "0") << *response;
 
   socket_server.Stop();
   ASSERT_EQ(sigaction(SIGUSR1, &previous, nullptr), 0);
@@ -838,6 +966,37 @@ TEST(SnapshotTest, RoundTripRestoresBitIdenticalPayloads) {
   EXPECT_TRUE(rb.cache_hit);
   EXPECT_EQ(rb.plan->payload, b.plan->payload);
 
+  std::remove(path.c_str());
+}
+
+TEST(SnapshotTest, WarmRestartKeepsRecency) {
+  const std::string path = ::testing::TempDir() + "memo_snap_lru.bin";
+  std::remove(path.c_str());
+
+  // Keys below 2^48 share one shard. Touch them into the recency order 1,
+  // 4, 3, 2 (most recent first), save, and restore into a cache with room
+  // for two of them: the two most recent must stay.
+  memo::serve::PlanCache saved_cache;
+  for (std::uint64_t key : {2, 3, 4, 1}) {
+    auto plan = std::make_shared<memo::serve::CachedPlan>();
+    plan->payload = "plan-" + std::to_string(key);
+    saved_cache.Restore(key, plan);
+  }
+  ASSERT_TRUE(memo::serve::SaveCacheSnapshot(path, saved_cache).ok());
+  const auto stats = saved_cache.stats();
+  ASSERT_EQ(stats.entries, 4);
+
+  memo::serve::PlanCacheOptions room_for_two;
+  room_for_two.capacity_bytes =
+      stats.resident_bytes / 2 * memo::serve::PlanCache::kShards;
+  memo::serve::PlanCache restored(room_for_two);
+  const auto loaded = memo::serve::LoadCacheSnapshot(path, &restored);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(restored.stats().entries, 2);
+  EXPECT_NE(restored.Lookup(1), nullptr);
+  EXPECT_NE(restored.Lookup(4), nullptr);
+  EXPECT_EQ(restored.Lookup(3), nullptr);
+  EXPECT_EQ(restored.Lookup(2), nullptr);
   std::remove(path.c_str());
 }
 

@@ -684,7 +684,9 @@ int CmdServe(Flags& flags) {
   socket_options.socket_path = flags.Text("socket", /*required=*/true);
   socket_options.max_requests =
       flags.Int<std::int64_t>("max-requests", -1, -1);
-  socket_options.request_deadline_ms = flags.Int("request-deadline-ms", 0, 1);
+  socket_options.request_deadline_ms = flags.Int<std::int64_t>(
+      "request-deadline-ms", socket_options.request_deadline_ms, 1,
+      std::numeric_limits<int>::max());
   socket_options.idle_timeout_ms = flags.Int("idle-timeout-ms", 0, 1);
   socket_options.max_line_bytes = flags.Int("max-line-bytes", 1 << 20, 1);
   socket_options.max_connections = flags.Int("max-connections", 0, 1);
@@ -745,10 +747,11 @@ int CmdServe(Flags& flags) {
     }
   });
 
-  std::printf("serving on %s (%d sessions, queue %d, cache %s)\n",
-              socket_options.socket_path.c_str(), options.sessions,
-              options.max_queue,
-              memo::FormatBytes(options.cache.capacity_bytes).c_str());
+  std::printf(
+      "serving on %s (%d sessions, queue %d, cache %s, deadline %lld ms)\n",
+      socket_options.socket_path.c_str(), options.sessions, options.max_queue,
+      memo::FormatBytes(options.cache.capacity_bytes).c_str(),
+      static_cast<long long>(socket_options.request_deadline_ms));
   std::fflush(stdout);
 
   socket_server.Wait();
@@ -831,6 +834,8 @@ int CmdQuery(Flags& flags) {
   flags.RefuseUnread();
 
   std::string response_line;
+  memo::serve::JsonObject answer;
+  bool answered = false;  // the last response read as a JSON object
   const memo::Status status =
       policy.Run("serve.query", [&]() -> memo::Status {
         const auto response = memo::serve::QueryOverSocket(
@@ -839,13 +844,11 @@ int CmdQuery(Flags& flags) {
         // same retry loop as server-side shedding.
         if (!response.ok()) return response.status();
         response_line = *response;
-        double code = 0.0;
-        bool retryable = false;
-        memo::serve::JsonFindNumber(response_line, "code", &code);
-        memo::serve::JsonFindBool(response_line, "retryable", &retryable);
-        if (retryable) {
+        answered = memo::serve::ReadJsonObject(response_line, &answer).ok();
+        if (answered && answer.Get("retryable") == "true") {
+          const int code = std::atoi(answer.Get("code").c_str());
           return memo::Status(
-              static_cast<memo::StatusCode>(static_cast<int>(code)),
+              static_cast<memo::StatusCode>(code),
               "server refused the request (shed or deadline-expired)");
         }
         return memo::OkStatus();
@@ -859,9 +862,7 @@ int CmdQuery(Flags& flags) {
     return 1;
   }
   std::printf("%s\n", response_line.c_str());
-  double code = -1.0;
-  if (!memo::serve::JsonFindNumber(response_line, "code", &code)) return 1;
-  return code == 0.0 ? 0 : 1;
+  return answered && answer.Get("code") == "0" ? 0 : 1;
 }
 
 /// Model config for synthetic trace recording: a Table-2 preset via
