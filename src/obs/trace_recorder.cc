@@ -123,7 +123,9 @@ void TraceRecorder::Clear() {
   std::lock_guard<std::mutex> lock(registry_mu_);
   for (auto& log : logs_) {
     std::lock_guard<std::mutex> log_lock(log->mu);
-    log->events.clear();
+    // Swapped, not cleared: a log keeps its capacity through clear(), so
+    // an exited thread's log would hold its largest trace for good.
+    std::vector<TraceEvent>().swap(log->events);
   }
   synthetic_lanes_.clear();
   epoch_ns_.store(SteadyNowNs(), std::memory_order_relaxed);

@@ -71,8 +71,9 @@ class TraceRecorder {
   void Disable() { enabled_.store(false, std::memory_order_relaxed); }
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-  /// Drops all recorded events and restarts the trace clock. Thread logs
-  /// stay registered (their tids are stable for the process lifetime).
+  /// Drops all recorded events, frees their storage, and restarts the
+  /// trace clock. Thread logs stay registered (their tids are stable for
+  /// the process lifetime).
   void Clear();
 
   /// Microseconds since the trace epoch (construction or last Clear()).

@@ -20,12 +20,13 @@ namespace memo::serve {
 
 namespace {
 
-/// Strict number parse: the whole token must convert.
+/// Strict number parse: the whole token must convert, up to its size (a
+/// NUL byte inside it is not its end).
 bool ParseDouble(const std::string& text, double* out) {
   if (text.empty()) return false;
   char* end = nullptr;
   *out = std::strtod(text.c_str(), &end);
-  return end != nullptr && *end == '\0';
+  return end == text.c_str() + text.size();
 }
 
 /// Converts request fields by name and remembers every name it was asked
@@ -36,7 +37,7 @@ class FieldReader {
 
   /// Converts the field `key` with `convert` when the request has it, and
   /// leaves `*out` alone when it does not. The error names the field first,
-  /// as Validate()'s do.
+  /// as Validate()'s do, and echoes the whole value JSON-escaped.
   template <typename T, typename Convert>
   Status Read(const char* key, const char* expected, Convert convert,
               T* out) {
@@ -44,7 +45,8 @@ class FieldReader {
     const auto it = fields_.find(key);
     if (it == fields_.end() || convert(it->second, out)) return OkStatus();
     return InvalidArgumentError(StrFormat("%s must be %s (got \"%s\")", key,
-                                          expected, it->second.c_str()));
+                                          expected,
+                                          JsonEscape(it->second).c_str()));
   }
 
   /// The keys of the request no Read asked for.

@@ -216,14 +216,12 @@ Tensor LayerForwardRows(const LayerParams& params, int heads,
 
 ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
                                  int layers, bool async_offload,
-                                 const offload::BackendOptions& backend,
-                                 HostStaging* staging)
+                                 const offload::BackendOptions& backend)
     : policy_(policy),
       alpha_(alpha),
       layers_(layers),
       kind_(backend.kind),
-      ram_capacity_bytes_(backend.ram_capacity_bytes),
-      staging_(staging != nullptr ? staging : &own_staging_) {
+      ram_capacity_bytes_(backend.ram_capacity_bytes) {
   MEMO_CHECK_GE(alpha, 0.0);
   MEMO_CHECK_LE(alpha, 1.0);
   if (kind_ != offload::BackendKind::kRam) {
@@ -238,7 +236,7 @@ ActivationStore::ActivationStore(ActivationPolicy policy, double alpha,
   // whose layers all fit in the two rounding buffers.
   async_ = async_offload && !slots_.empty();
   if (!async_) return;
-  done_.assign(schedule_.size(), false);
+  compute_ = schedule_.size() - 1;  // bwd(0) is due: Stash(0) begins a step
   copier_ = std::thread([this] { LaneMain(/*disk_lane=*/false); });
   if (disk_ != nullptr) {
     lane_ = std::thread([this] { LaneMain(/*disk_lane=*/true); });
@@ -285,6 +283,11 @@ Status ActivationStore::Stash(int layer, LayerActivations&& acts) {
   }
   // fwd(layer) ends here, once its rounding buffer has drained layer - 2.
   if (async_) {
+    if (layer == 0 && compute_ + 1 == schedule_.size()) {  // a new step
+      done_.assign(schedule_.size(), false);
+      compute_ = 0;
+      ++step_;
+    }
     MEMO_RETURN_IF_ERROR(AwaitLocked(lock, model::SwapOpKind::kFwd, layer,
                                      "stash_wait",
                                      &stats_.stash_wait_seconds));
@@ -354,7 +357,7 @@ void ActivationStore::Recycle(int layer, LayerActivations&& acts) {
   // caller frees everything else (forward's or the arena's tensors).
   if (!async_ || Keeps(layer)) return;
   std::lock_guard<std::mutex> lock(mu_);
-  staging_->restore_sets.push_back(std::move(acts));
+  restore_sets_.push_back(std::move(acts));
 }
 
 Status ActivationStore::RunOp(const model::SwapOp& op) {
@@ -391,25 +394,30 @@ Status ActivationStore::RunInline(int layer, bool backward) {
 
 void ActivationStore::LaneMain(bool disk_lane) {
   MEMO_TRACE_SET_THREAD_NAME(disk_lane ? "disk-lane" : "offload-copier");
-  for (std::size_t i = 0; i < schedule_.size(); ++i) {
-    const model::SwapOp& op = schedule_[i];
-    if (IsComputeOp(op.kind) || IsSpillOp(op.kind) != disk_lane) continue;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      op_done_.wait(lock, [&] {
-        return shutdown_ || !backend_error_.ok() || ReadyLocked(op);
-      });
-      // A fault stops the lanes; the compute thread reports it.
-      if (shutdown_ || !backend_error_.ok()) return;
+  // A pass waits for its step to begin; a lane ends each pass before the
+  // next step can begin, since bwd(0) waits for both lanes' last ops.
+  for (std::int64_t step = 1;; ++step) {
+    for (std::size_t i = 0; i < schedule_.size(); ++i) {
+      const model::SwapOp& op = schedule_[i];
+      if (IsComputeOp(op.kind) || IsSpillOp(op.kind) != disk_lane) continue;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        op_done_.wait(lock, [&] {
+          return shutdown_ || !backend_error_.ok() ||
+                 (step_ == step && ReadyLocked(op));
+        });
+        // A fault stops the lanes; the compute thread reports it.
+        if (shutdown_ || !backend_error_.ok()) return;
+      }
+      const Clock::time_point start = Clock::now();
+      (void)RunOp(op);  // a failure is recorded in backend_error_
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        stats_.copier_busy_seconds += SecondsSince(start);
+        done_[i] = true;
+      }
+      op_done_.notify_all();
     }
-    const Clock::time_point start = Clock::now();
-    (void)RunOp(op);  // a failure is recorded in backend_error_
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      stats_.copier_busy_seconds += SecondsSince(start);
-      done_[i] = true;
-    }
-    op_done_.notify_all();
   }
 }
 
@@ -600,14 +608,14 @@ Status ActivationStore::Prefetch(int layer) {
   if (disk_ == nullptr) MEMO_RETURN_IF_ERROR(TakeBlob(layer));
   Slot& slot = slots_[layer];
   // An async store fills the restore set layer + 2 handed back when its
-  // backward ended (none yet in a run's first step); an inline restore
+  // backward ended (a reserved one for the first two); an inline restore
   // allocates its own from the step arena.
   LayerActivations set;
   if (async_) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!staging_->restore_sets.empty()) {
-      set = std::move(staging_->restore_sets.back());
-      staging_->restore_sets.pop_back();
+    if (!restore_sets_.empty()) {
+      set = std::move(restore_sets_.back());
+      restore_sets_.pop_back();
     }
   }
   const bool allocated = ReadBlob(slot.blob.bytes, &set);
@@ -624,25 +632,29 @@ Status ActivationStore::Prefetch(int layer) {
 void ActivationStore::ReserveStagingLocked(const LayerActivations& acts) {
   const std::int64_t bytes =
       kDimsBytes + KeptBytes(acts, CutRow(acts.input.rows()));
-  while (staging_->blobs.size() < 2) {
-    staging_->blobs.emplace_back();
-    staging_->blobs.back().reserve(static_cast<std::size_t>(bytes));
+  const std::int64_t swapped = static_cast<std::int64_t>(slots_.size());
+  std::int64_t blobs = disk_ != nullptr ? 2 : 0;
+  if (kind_ != offload::BackendKind::kDisk) {
+    blobs += ram_capacity_bytes_ > 0 ? ram_capacity_bytes_ / bytes : swapped;
+  }
+  while (static_cast<std::int64_t>(blobs_.size()) < std::min(blobs, swapped)) {
+    blobs_.emplace_back();
+    blobs_.back().reserve(static_cast<std::size_t>(bytes));
     ++stats_.staging_allocations;
   }
   // Untouched until the copier fills them, off the critical path.
   const ArenaScope heap(nullptr);  // the staging outlives the step
-  while (staging_->restore_sets.size() < 2) {
-    staging_->restore_sets.push_back(ShapedLike(acts));
+  while (restore_sets_.size() < 2) {
+    restore_sets_.push_back(ShapedLike(acts));
     ++stats_.staging_allocations;
   }
 }
 
 std::string ActivationStore::AcquireBlob(std::int64_t bytes) {
-  std::vector<std::string>& pool = staging_->blobs;
   std::string blob;
-  if (!pool.empty()) {
-    blob = std::move(pool.back());
-    pool.pop_back();
+  if (!blobs_.empty()) {
+    blob = std::move(blobs_.back());
+    blobs_.pop_back();
   }
   if (static_cast<std::int64_t>(blob.capacity()) < bytes) {
     blob.reserve(static_cast<std::size_t>(bytes));
@@ -652,7 +664,7 @@ std::string ActivationStore::AcquireBlob(std::int64_t bytes) {
 }
 
 void ActivationStore::ReleaseBlob(std::string&& bytes) {
-  staging_->blobs.push_back(std::move(bytes));
+  blobs_.push_back(std::move(bytes));
 }
 
 bool ActivationStore::RamFitsLocked(std::int64_t bytes) const {
@@ -665,11 +677,6 @@ void ActivationStore::RecordErrorLocked(const char* instant,
   MEMO_TRACE_INSTANT(instant, "offload", st.ToString());
   if (backend_error_.ok()) backend_error_ = st;
   op_done_.notify_all();  // every waiter re-checks backend_error_
-}
-
-std::int64_t ActivationStore::stored_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stored_bytes_;
 }
 
 std::int64_t ActivationStore::peak_stored_bytes() const {

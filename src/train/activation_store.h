@@ -85,8 +85,8 @@ struct OffloadStats {
   double restore_wait_seconds = 0.0;  // compute blocked on offload/prefetch
   std::int64_t offloaded_bytes = 0;   // D2H-analog bytes copied to the stash
   std::int64_t prefetched_bytes = 0;  // H2D-analog bytes copied back
-  /// Host-staging buffers allocated: blob buffers and restore sets (see
-  /// HostStaging). A run allocates them all in its first iteration.
+  /// Host-staging buffers allocated: blob buffers and restore sets, all in
+  /// a store's first step (it recycles them in every later one).
   std::int64_t staging_allocations = 0;
 
   /// Where the stashed bytes landed: host RAM vs the disk spill tier
@@ -114,17 +114,6 @@ struct OffloadStats {
     disk_tier += o.disk_tier;
     return *this;
   }
-};
-
-/// Host memory a store stages transfers in, recycled from one step's
-/// store to the next: serialized blob buffers, and the full-size restore
-/// sets an async store's copier fills for backward. The training run owns
-/// one, outside the arena scope, so only its first iteration allocates
-/// staging (OffloadStats::staging_allocations). One store uses a staging
-/// at a time; a store built without one keeps its own.
-struct HostStaging {
-  std::vector<std::string> blobs;
-  std::vector<LayerActivations> restore_sets;
 };
 
 /// Implements the token-wise stash/restore cycle on real numbers. In the
@@ -156,15 +145,19 @@ struct HostStaging {
 /// and, with a disk tier, a disk lane runs the spill ops, each in list
 /// order and each op once the ops it waits for are done. The copies are
 /// exact, so async results are bit-identical to the inline path.
+///
+/// One store serves a whole run, as MEMO's rounding buffers and streams
+/// serve every iteration: its lanes start with it and run one pass of the
+/// list per step, and its staging is made in its first step. An async
+/// store begins a step at Stash(0) once the previous step's bwd(0) is due;
+/// any other Stash(0) is out of schedule order.
 class ActivationStore {
  public:
   /// `layers` is the model's depth; it decides which layers stay in the
   /// rounding buffers (the retain-all policy keeps every layer anyway).
-  /// `staging` (optional) is the run's recycled host staging.
   ActivationStore(ActivationPolicy policy, double alpha, int layers,
                   bool async_offload = false,
-                  const offload::BackendOptions& backend = {},
-                  HostStaging* staging = nullptr);
+                  const offload::BackendOptions& backend = {});
   ~ActivationStore();
 
   ActivationStore(const ActivationStore&) = delete;
@@ -192,13 +185,11 @@ class ActivationStore {
   /// the restore set of layer − 2. Without it they are freed.
   void Recycle(int layer, LayerActivations&& acts);
 
-  /// Bytes currently held on the "CPU side" of the real system: the kept
-  /// rows of the swapped layers under token-wise (the two layers in the
-  /// rounding buffers are device_peak_bytes(), not host bytes), every
-  /// retained layer under retain-all.
-  std::int64_t stored_bytes() const;
-  /// High-water mark of stored_bytes() (reached at the end of the forward
-  /// pass, before backward drains the stash).
+  /// High-water mark of the bytes held on the "CPU side" of the real
+  /// system: the kept rows of the swapped layers under token-wise (the two
+  /// layers in the rounding buffers are device_peak_bytes(), not host
+  /// bytes), every retained layer under retain-all. Reached at the end of
+  /// a forward pass, before backward drains the stash.
   std::int64_t peak_stored_bytes() const;
 
   /// Peak DEVICE-side activation residency implied by the policy:
@@ -211,10 +202,9 @@ class ActivationStore {
   /// Token rows recomputed across all Restore calls so far.
   std::int64_t recomputed_rows() const { return recomputed_rows_; }
 
-  /// Copier and disk-lane measurements plus the per-tier counters.
+  /// Copier and disk-lane measurements plus the per-tier counters, summed
+  /// over the store's steps.
   OffloadStats offload_stats() const;
-
-  double alpha() const { return alpha_; }
 
  private:
   /// One swapped layer's serialized kept rows.
@@ -227,8 +217,8 @@ class ActivationStore {
   /// What a swapped layer's ops hand each other: its tensors (fwd to
   /// offload, prefetch to bwd) and its blob (offload to spill_write,
   /// spill_read to prefetch). A blob in the RAM tier stays here until it
-  /// is taken; the disk tier holds a copy and the buffer goes back to the
-  /// staging.
+  /// is taken; the disk tier holds a copy and the buffer goes back to
+  /// blobs_.
   struct Slot {
     LayerActivations acts;
     Blob blob;
@@ -246,7 +236,7 @@ class ActivationStore {
   /// offload ops, or with `backward` its restore ops) in list order.
   Status RunInline(int layer, bool backward);
   /// A lane's thread: runs the copier's offload and prefetch ops, or the
-  /// disk lane's spill ops, in list order.
+  /// disk lane's spill ops, in list order, one pass per step.
   void LaneMain(bool disk_lane);
   bool ReadyLocked(const model::SwapOp& op) const;
   /// The compute thread's side of the async schedule; callers hold mu_.
@@ -276,12 +266,12 @@ class ActivationStore {
   /// restore set: the H2D-analog copy.
   Status Prefetch(int layer);
   // Staging and error bookkeeping; callers hold mu_.
-  /// Tops the staging up to what the async pipeline holds at once: two
-  /// blob buffers (the schedule's staging edges) and two restore sets
-  /// (layer i's in backward and layer i − 1's being filled), shaped like
-  /// `acts`. Runs on the compute thread at a store's first swapped Stash,
-  /// off the step arena, so a run makes its staging in one place, in its
-  /// first step.
+  /// Tops the staging up to what the async pipeline holds at once, sized
+  /// by `acts`: a blob buffer per blob the RAM tier can hold plus two on
+  /// the schedule's staging edges to and from a disk tier (at most one per
+  /// swapped layer), and two restore sets (layer i's in backward and layer
+  /// i − 1's being filled). Runs on the compute thread at each step's
+  /// Stash(0), off the step arena, so a store stages on one thread.
   void ReserveStagingLocked(const LayerActivations& acts);
   std::string AcquireBlob(std::int64_t bytes);
   void ReleaseBlob(std::string&& bytes);
@@ -300,15 +290,20 @@ class ActivationStore {
   offload::BackendKind kind_;
   std::int64_t ram_capacity_bytes_;
   std::unique_ptr<offload::DiskBackend> disk_;
-  HostStaging own_staging_;
-  HostStaging* staging_;  // the run's, or own_staging_
+  /// Host staging, recycled from step to step: serialized blob buffers,
+  /// and the full-size restore sets an async store's copier fills for
+  /// backward (OffloadStats::staging_allocations). Guarded by mu_.
+  std::vector<std::string> blobs_;
+  std::vector<LayerActivations> restore_sets_;
 
-  /// The step's swap schedule (token-wise), the swapped layers' slots, and
-  /// under async which ops are done and the compute op due next. A slot is
-  /// touched only by the op the schedule lets run, so its data needs no
-  /// lock; done_ and compute_ are guarded by mu_.
+  /// A step's swap schedule (token-wise), the swapped layers' slots, and
+  /// under async the steps begun, which ops of the current one are done
+  /// and the compute op due next. A slot is touched only by the op the
+  /// schedule lets run, so its data needs no lock; step_, done_ and
+  /// compute_ are guarded by mu_.
   std::vector<model::SwapOp> schedule_;
   std::vector<Slot> slots_;
+  std::int64_t step_ = 0;
   std::vector<bool> done_;
   std::size_t compute_ = 0;
 

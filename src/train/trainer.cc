@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <utility>
 
@@ -133,13 +134,15 @@ std::uint64_t ConfigFingerprint(const TrainRunOptions& options) {
   return Fnv1a64(canon.data(), canon.size());
 }
 
-/// The RAM-only fallback stash used once the configured backend has failed
-/// permanently: unlimited capacity, nothing to spill, nothing left to fail.
-offload::BackendOptions DegradedBackend() {
-  offload::BackendOptions backend;
-  backend.kind = offload::BackendKind::kRam;
-  backend.ram_capacity_bytes = 0;
-  return backend;
+/// The run's activation store, on the configured backend or, once the run
+/// has degraded, on the RAM-only fallback (default BackendOptions: no cap,
+/// nothing to spill, nothing left to fail).
+std::unique_ptr<ActivationStore> MakeStore(const TrainRunOptions& options,
+                                           bool degraded) {
+  return std::make_unique<ActivationStore>(
+      options.policy, options.alpha, options.model.layers,
+      options.async_offload,
+      degraded ? offload::BackendOptions{} : options.backend);
 }
 
 /// OK when `state`, a checksum-valid checkpoint with this run's
@@ -188,49 +191,35 @@ Status CheckResumable(const CheckpointState& state,
   return OkStatus();
 }
 
-/// Runs one iteration's forward and backward over the sequence `tokens`,
-/// accumulating gradients into `grads` (pre-zeroed by the caller). Only an
-/// iteration that succeeds adds its loss and stash measurements to
-/// `result`: a faulted one is re-run from scratch, so its partial stats
-/// must not leak into the totals. The sequence is pre-drawn so a re-run
-/// replays the identical data.
-Status RunIteration(const MiniGpt& model, const MiniGptParams& params,
-                    const TrainRunOptions& options,
-                    const offload::BackendOptions& backend,
-                    const std::vector<int>& tokens,
-                    const std::vector<int>& targets, TensorArena* arena,
-                    HostStaging* staging, MiniGptParams* grads,
-                    TrainRunResult* result) {
+/// Runs one iteration's forward and backward over the sequence `tokens`
+/// through the run's `store`, zeroing `grads` and accumulating into them.
+/// The sequence is pre-drawn so a re-run replays the identical data. On a
+/// fault the store is destroyed, and with it the tensors of the step it
+/// held, before the step is discarded.
+StatusOr<double> RunIteration(const MiniGpt& model, const MiniGptParams& params,
+                              const std::vector<int>& tokens,
+                              const std::vector<int>& targets,
+                              TensorArena* arena,
+                              std::unique_ptr<ActivationStore>* store,
+                              MiniGptParams* grads) {
+  FillZeros(grads->Flat());
   // Every tensor temporary of this iteration comes out of the step-scoped
   // arena (measured on the first step, replayed from the DSA plan
-  // afterwards). Long-lived state — params, grads, Adam moments,
-  // checkpoints — is allocated outside the scope and stays on the heap. A
-  // faulted iteration unwinds all scoped tensors and discards its step, so
-  // its partial trace never becomes the plan and the degraded re-run's
-  // BeginStep measures or replays from the top.
+  // afterwards); params, grads, Adam moments, checkpoints and the store's
+  // staging stay on the heap. A faulted step is discarded, so its partial
+  // trace never becomes the plan the degraded re-run measures or replays.
   std::optional<ArenaScope> scope;
   if (arena != nullptr) {
     arena->BeginStep();
     scope.emplace(arena);
   }
-  Status status;
-  {
-    // Destroyed before a faulted step is discarded.
-    ActivationStore store(options.policy, options.alpha, options.model.layers,
-                          options.async_offload, backend, staging);
-    const StatusOr<double> loss =
-        model.TryForwardBackward(params, tokens, targets, &store, grads);
-    status = loss.status();
-    if (loss.ok()) {
-      result->losses.push_back(*loss);
-      result->peak_stored_bytes =
-          std::max(result->peak_stored_bytes, store.peak_stored_bytes());
-      result->recomputed_rows += store.recomputed_rows();
-      result->offload_stats += store.offload_stats();
-    }
+  StatusOr<double> loss =
+      model.TryForwardBackward(params, tokens, targets, store->get(), grads);
+  if (!loss.ok()) {
+    store->reset();
+    if (arena != nullptr) arena->DiscardStep();
   }
-  if (!status.ok() && arena != nullptr) arena->DiscardStep();
-  return status;
+  return loss;
 }
 
 /// RunTraining's body: every tensor, the arena slab and the stash of the
@@ -249,9 +238,6 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
   SyntheticData data(options.model.vocab, options.seed ^ 0x5EEDDA7AULL);
   TensorArena arena;
   TensorArena* arena_ptr = options.use_arena ? &arena : nullptr;
-  // The stores' transfer staging outlives every step, so it lives
-  // here, outside the arena scope.
-  HostStaging staging;
 
   TrainRunResult result;
   const std::uint64_t fingerprint = ConfigFingerprint(options);
@@ -300,10 +286,13 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
     adam.EnsureState(params.Flat());
   }
 
-  // The backend in use: switched at most once, to the RAM fallback, when
-  // the configured backend fails permanently (degradation is sticky).
-  offload::BackendOptions active_backend =
-      result.degraded ? DegradedBackend() : options.backend;
+  // The run's one store, made after the arena so its tensors go back
+  // first; a permanent fault of its backend replaces it once (degradation
+  // is sticky, across resumes too).
+  std::unique_ptr<ActivationStore> store = MakeStore(options, result.degraded);
+  // The result as of the replaced store's last completed step, whose stash
+  // totals the store in use adds to.
+  TrainRunResult replaced;
 
   std::vector<int> tokens;
   std::vector<int> targets;
@@ -313,25 +302,32 @@ TrainRunResult TrainInScope(const TrainRunOptions& options) {
     // The sequence is drawn before the step so a faulted iteration can be
     // re-run on the fallback backend with identical data.
     data.NextSequence(options.model.seq, &tokens, &targets);
-    FillZeros(grads.Flat());
-    Status st = RunIteration(model, params, options, active_backend, tokens,
-                             targets, arena_ptr, &staging, &grads, &result);
-    if (!st.ok() && options.allow_degraded && !result.degraded) {
+    StatusOr<double> loss = RunIteration(model, params, tokens, targets,
+                                         arena_ptr, &store, &grads);
+    if (!loss.ok() && options.allow_degraded && !result.degraded) {
       // The configured backend died (retries already ran inside the stash
-      // layers). Degrade: drop to the RAM-only stash and re-run the whole
-      // iteration from scratch — gradients may hold a partial accumulation.
-      MEMO_TRACE_INSTANT("train_degraded", "fault", st.ToString());
+      // layers) and took its store with it: degrade, and re-run the whole
+      // iteration from scratch on a RAM-only store.
+      MEMO_TRACE_INSTANT("train_degraded", "fault", loss.status().ToString());
       obs::MetricsRegistry::Global().counter("train.degraded_runs")->Add(1);
       result.degraded = true;
-      active_backend = DegradedBackend();
-      FillZeros(grads.Flat());
-      st = RunIteration(model, params, options, active_backend, tokens,
-                        targets, arena_ptr, &staging, &grads, &result);
+      replaced = result;
+      store = MakeStore(options, /*degraded=*/true);
+      loss = RunIteration(model, params, tokens, targets, arena_ptr, &store,
+                          &grads);
     }
-    if (!st.ok()) {
-      result.status = st;
+    if (!loss.ok()) {
+      result.status = loss.status();
       break;
     }
+    // Only completed iterations count: a faulted one's stats never do.
+    result.losses.push_back(*loss);
+    result.recomputed_rows =
+        replaced.recomputed_rows + store->recomputed_rows();
+    result.peak_stored_bytes =
+        std::max(replaced.peak_stored_bytes, store->peak_stored_bytes());
+    result.offload_stats = replaced.offload_stats;
+    result.offload_stats += store->offload_stats();
     {
       MEMO_TRACE_SCOPE("optim_step", "train");
       adam.Step(params.Flat(), grads.Flat());

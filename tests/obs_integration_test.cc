@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -166,6 +167,39 @@ TEST_F(ObsIntegrationTest, MetricCountersMatchTierStats) {
   // Every stashed byte went through exactly one tier.
   EXPECT_EQ(m.counter("offload.stash_bytes")->value(),
             ram.put_bytes + disk.put_bytes);
+}
+
+TEST_F(ObsIntegrationTest, OneCopierAndOneDiskLaneServeTheWholeRun) {
+  // The store lives as long as the run, so its lanes start once: every
+  // offload and prefetch of every step runs on one thread, and every spill
+  // write and read on one other.
+  obs::TraceRecorder::Global().Enable();
+  TrainRunOptions options = SmallTokenWiseRun();
+  options.iterations = 4;
+  options.async_offload = true;
+  options.backend.kind = offload::BackendKind::kTiered;
+  options.backend.ram_capacity_bytes = 2 * kKiB;  // every layer spills
+  options.backend.disk.page_bytes = 1 * kKiB;
+  const TrainRunResult result = RunTraining(options);
+  obs::TraceRecorder::Global().Disable();
+  ASSERT_TRUE(result.status.ok()) << result.status.ToString();
+  ASSERT_GT(result.offload_stats.disk_tier.put_bytes, 0);
+
+  std::set<int> copier_tids;
+  std::set<int> lane_tids;
+  int spill_spans = 0;
+  for (const Span& s : ReconstructSpans()) {
+    if (s.name == "offload" || s.name == "prefetch") copier_tids.insert(s.tid);
+    if (s.name == "spill_write" || s.name == "spill_read") {
+      lane_tids.insert(s.tid);
+      ++spill_spans;
+    }
+  }
+  // Two swapped layers, each written and read once per step.
+  EXPECT_EQ(spill_spans, 2 * 2 * options.iterations);
+  ASSERT_EQ(copier_tids.size(), 1u);
+  ASSERT_EQ(lane_tids.size(), 1u);
+  EXPECT_NE(*copier_tids.begin(), *lane_tids.begin());
 }
 
 TEST_F(ObsIntegrationTest, TracingDoesNotPerturbTheLossCurve) {

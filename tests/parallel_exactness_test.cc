@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/fingerprint.h"
@@ -659,6 +660,71 @@ TEST(ParallelExactnessTest, HostStagingIsAllocatedInTheFirstIteration) {
   EXPECT_EQ(four.offload_stats.staging_allocations,
             first.offload_stats.staging_allocations);
   EXPECT_EQ(four.arena_heap_fallback_allocs, 0);
+}
+
+TEST(ParallelExactnessTest, OneAsyncStoreServesEveryStep) {
+  // A training run drives one store through all its steps; its copier and
+  // disk lane run one pass of the swap schedule per step. Each step must
+  // equal a fresh store's bit for bit, the transfer counters must add up
+  // to the fresh stores' sums, and only the first step allocates staging.
+  MiniGptConfig config = FiveLayerModel();
+  config.seq = 512;  // three ~0.6 MB blobs: the 1 MiB RAM tier spills
+  offload::BackendOptions backend;
+  backend.kind = offload::BackendKind::kTiered;
+  backend.ram_capacity_bytes = 1 << 20;
+  backend.disk.page_bytes = 64 * 1024;
+  backend.disk.directory = ::testing::TempDir();
+  ScopedRuntime rt(2, KernelMode::kOptimized);
+  const MiniGpt model(config);
+  const MiniGptParams params = MiniGptParams::Init(config, 99);
+  ActivationStore run_store(ActivationPolicy::kTokenWise, 0.5, config.layers,
+                            /*async_offload=*/true, backend);
+  OffloadStats fresh_sum;
+  std::int64_t first_staging = -1;
+  std::int64_t fresh_rows = 0;
+  Rng rng(7);
+  for (int step = 0; step < 3; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    std::vector<int> tokens(config.seq);
+    std::vector<int> targets(config.seq);
+    for (int i = 0; i < config.seq; ++i) {
+      tokens[i] = static_cast<int>(rng.NextBounded(config.vocab));
+      targets[i] = static_cast<int>(rng.NextBounded(config.vocab));
+    }
+    StepResult run;
+    run.grads = MiniGptParams::Zeros(config);
+    run.loss =
+        model.ForwardBackward(params, tokens, targets, &run_store, &run.grads);
+    ActivationStore fresh_store(ActivationPolicy::kTokenWise, 0.5,
+                                config.layers, /*async_offload=*/true,
+                                backend);
+    StepResult fresh;
+    fresh.grads = MiniGptParams::Zeros(config);
+    fresh.loss = model.ForwardBackward(params, tokens, targets, &fresh_store,
+                                       &fresh.grads);
+    ExpectSameStep(run, fresh);
+    const OffloadStats stats = fresh_store.offload_stats();
+    if (step == 0) first_staging = stats.staging_allocations;
+    fresh_sum += stats;
+    fresh_rows += fresh_store.recomputed_rows();
+  }
+  const OffloadStats run = run_store.offload_stats();
+  ASSERT_GT(fresh_sum.disk_tier.put_bytes, 0);
+  EXPECT_EQ(run_store.recomputed_rows(), fresh_rows);
+  EXPECT_EQ(run.offloaded_bytes, fresh_sum.offloaded_bytes);
+  EXPECT_EQ(run.prefetched_bytes, fresh_sum.prefetched_bytes);
+  for (const auto& [tier, ours, theirs] :
+       {std::tuple{"ram", &run.ram_tier, &fresh_sum.ram_tier},
+        std::tuple{"disk", &run.disk_tier, &fresh_sum.disk_tier}}) {
+    SCOPED_TRACE(tier);
+    EXPECT_EQ(ours->put_bytes, theirs->put_bytes);
+    EXPECT_EQ(ours->take_bytes, theirs->take_bytes);
+    EXPECT_EQ(ours->spill_pages, theirs->spill_pages);
+    EXPECT_EQ(ours->checksum_verifications, theirs->checksum_verifications);
+    EXPECT_EQ(ours->resident_bytes, 0);
+    EXPECT_EQ(ours->peak_resident_bytes, theirs->peak_resident_bytes);
+  }
+  EXPECT_EQ(run.staging_allocations, first_staging);
 }
 
 #ifndef MEMO_OBS_DISABLE_TRACING

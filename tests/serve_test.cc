@@ -302,10 +302,12 @@ TEST(ProtocolTest, TheReaderReportsTheKeysItDoesNotKnow) {
 
 TEST(ProtocolTest, MalformedRequestsAreInvalidArgument) {
   // `field` is the name the error message must start with; lines that fail
-  // before any field is read name none.
+  // before any field is read name none. `got`, when set, is the value the
+  // message must echo, JSON-escaped and whole.
   const struct {
     const char* line;
     const char* field;
+    const char* got = nullptr;
   } bad[] = {
       {"not json at all", nullptr},
       {"{\"kind\":\"bogus\"}", "kind"},
@@ -335,6 +337,10 @@ TEST(ProtocolTest, MalformedRequestsAreInvalidArgument) {
       // strategy sweep, and overflowing tensor byte counts.
       {"{\"gpus\":1073741824}", "gpus"},
       {"{\"seq\":\"1125899906842624K\"}", "seq"},
+      // A NUL byte inside a value is not its end.
+      {"{\"gpus\":\"8\\u0000junk\"}", "gpus", "8\\u0000junk"},
+      {"{\"alpha\":\"0.5\\u0000x\"}", "alpha", "0.5\\u0000x"},
+      {"{\"model\":\"7B\\u0000\"}", "model", "7B\\u0000"},
   };
   for (const auto& leg : bad) {
     const auto request = memo::serve::ParsePlanRequestJson(leg.line);
@@ -345,6 +351,12 @@ TEST(ProtocolTest, MalformedRequestsAreInvalidArgument) {
       EXPECT_EQ(request.status().message().rfind(std::string(leg.field) + " ",
                                                  0),
                 0u)
+          << leg.line << ": " << request.status().ToString();
+    }
+    if (leg.got != nullptr) {
+      EXPECT_NE(request.status().message().find("(got \"" +
+                                                std::string(leg.got) + "\")"),
+                std::string::npos)
           << leg.line << ": " << request.status().ToString();
     }
   }

@@ -7,6 +7,8 @@
 
 #include "obs/trace_recorder.h"
 
+#include <malloc.h>  // malloc_usable_size
+
 #include <atomic>
 #include <cstdlib>
 #include <map>
@@ -24,6 +26,25 @@ namespace {
 // Global allocation counter: every operator new in this binary bumps it, so
 // tests can assert a code region performs zero heap allocations.
 std::atomic<std::int64_t> g_allocations{0};
+// Bytes of the operator new blocks still live, so tests can assert that a
+// call hands storage back.
+std::atomic<std::int64_t> g_live_bytes{0};
+
+void* Allocate(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  void* p = std::malloc(size);
+  if (p == nullptr) throw std::bad_alloc();
+  g_live_bytes.fetch_add(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  return p;
+}
+
+void Release(void* p) {
+  if (p == nullptr) return;
+  g_live_bytes.fetch_sub(static_cast<std::int64_t>(malloc_usable_size(p)),
+                         std::memory_order_relaxed);
+  std::free(p);
+}
 
 }  // namespace
 
@@ -31,24 +52,12 @@ std::atomic<std::int64_t> g_allocations{0};
 // heuristic cannot see through the replacement and mis-flags call sites.
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 
-void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void* operator new[](std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  void* p = std::malloc(size);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void* operator new(std::size_t size) { return Allocate(size); }
+void* operator new[](std::size_t size) { return Allocate(size); }
+void operator delete(void* p) noexcept { Release(p); }
+void operator delete[](void* p) noexcept { Release(p); }
+void operator delete(void* p, std::size_t) noexcept { Release(p); }
+void operator delete[](void* p, std::size_t) noexcept { Release(p); }
 
 namespace memo::obs {
 namespace {
@@ -226,6 +235,35 @@ TEST_F(TraceRecorderTest, EscapesSpecialCharactersInJson) {
 }
 
 #endif  // !MEMO_OBS_DISABLE_TRACING
+
+// Both builds (the recorder's own methods, not the macros): the log of a
+// thread outlives the thread, so Clear() must free the events' storage, not
+// only forget the events, or every exited thread keeps the largest trace it
+// ever recorded.
+TEST_F(TraceRecorderTest, ClearFreesTheLogsOfExitedThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kSpans = 4096;
+  TraceRecorder& r = TraceRecorder::Global();
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&r] {
+      for (int i = 0; i < kSpans; ++i) {
+        r.Begin("short_lived", "test");
+        r.End("short_lived", "test");
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  const std::int64_t events = r.event_count();
+  ASSERT_EQ(events, 2 * kThreads * kSpans);
+
+  const std::int64_t before = g_live_bytes.load(std::memory_order_relaxed);
+  r.Clear();
+  const std::int64_t freed =
+      before - g_live_bytes.load(std::memory_order_relaxed);
+  EXPECT_EQ(r.event_count(), 0);
+  EXPECT_GE(freed, events * static_cast<std::int64_t>(sizeof(TraceEvent)));
+}
 
 // Both builds: a disabled recorder must make instrumented call sites free —
 // no events recorded and no heap allocations performed. In the compile-out

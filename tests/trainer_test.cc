@@ -119,9 +119,10 @@ TEST(ActivationStoreTest, TokenWiseShrinksDeviceResidency) {
 }
 
 TEST(ActivationStoreDeathTest, AsyncRestoreOutOfScheduleOrderAborts) {
-  // An async store runs one swap schedule. A Restore the schedule has no
-  // place for would wait forever on a prefetch that never runs, so it
-  // fails a check instead: before forward ends, or skipping a layer.
+  // An async store runs one pass of the swap schedule per step. A call the
+  // schedule has no place for would wait forever on an op that never
+  // runs, so it fails a check instead: a Restore before forward ends or
+  // skipping a layer, and a Stash(0) before the step's bwd(0) is due.
   ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
   const MiniGptConfig cfg = TinyModel();
   const LayerParams params;
@@ -141,6 +142,15 @@ TEST(ActivationStoreDeathTest, AsyncRestoreOutOfScheduleOrderAborts) {
         }
         (void)store.Restore(cfg.layers - 1, params);
         (void)store.Restore(cfg.layers - 3, params);
+      },
+      "out of schedule order");
+  EXPECT_DEATH(
+      {
+        ActivationStore store(ActivationPolicy::kTokenWise, 0.5, cfg.layers,
+                              /*async_offload=*/true);
+        (void)store.Stash(0, LayerActivations{});
+        (void)store.Stash(1, LayerActivations{});
+        (void)store.Stash(0, LayerActivations{});
       },
       "out of schedule order");
 }
